@@ -4,7 +4,8 @@ Gauss sums and the lattice identities feeding moment computations.
 
 Modules:
   quadfield   -- exact arithmetic in Q(sqrt(D)), fundamental unit, angles
-  ideals      -- principal-ideal enumeration, Grossencharacters, lambda_k
+  ideals      -- the numpy principal-ideal scan, canonical generators by
+                 norm, Grossencharacters, lambda_k and its dense table
   hecke       -- Hecke eigenvalue sources and multiplicative functions
   lattice     -- n_beta, off-diagonal frames, unit factorization identities
   halfint     -- Gauss sums, Eisenstein residue data, non-split Dirichlet series

@@ -1,9 +1,8 @@
 """Dirichlet characters as explicit value tables mod r.
 
-Quadratic characters are built from the Kronecker symbol; the full character
-group mod r is constructed from generators of the unit group (odd prime
-powers are cyclic; 2^e for e >= 3 is generated by -1 and 5), each generator
-CRT-lifted to be 1 modulo the complementary factor.
+The full character group mod r is constructed from generators of the unit
+group (odd prime powers are cyclic; 2^e for e >= 3 is generated by -1 and
+5), each generator CRT-lifted to be 1 modulo the complementary factor.
 """
 
 from __future__ import annotations
@@ -32,30 +31,9 @@ class Character:
         return all(v == 1 for v in self.values)
 
 
-def quad_character(a: int, r: int) -> Character:
-    """n -> kronecker(a, n), tabulated mod r (caller picks a valid period)."""
-    from .ideals import kronecker
-
-    vals = tuple(complex(kronecker(a, n)) for n in range(r))
-    return Character(r, vals)
-
-
-def principal_character(r: int) -> Character:
-    vals = tuple(complex(1 if math.gcd(n, r) == 1 else 0) for n in range(r))
-    return Character(r, vals)
-
-
 def all_ones_character() -> Character:
     """The weight-one convention: chi(n) = 1 for every integer, n = 0 included."""
     return Character(1, (1.0 + 0.0j,))
-
-
-def mul_characters(
-    c1: Character, c2: Character, modulus: int | None = None
-) -> Character:
-    r = modulus if modulus is not None else math.lcm(c1.modulus, c2.modulus)
-    vals = tuple(c1(n) * c2(n) for n in range(r))
-    return Character(r, vals)
 
 
 def _unit_group_generators(q: int, e: int) -> list[tuple[int, int]]:

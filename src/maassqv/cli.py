@@ -69,7 +69,7 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
                 w = csv.writer(fh)
                 w.writerow(["k", "n", "lambda_k_n"])
                 for k, tab in tables.items():
-                    for n, v in enumerate(tab[1:], start=1):
+                    for n, v in enumerate(tab[1:].tolist(), start=1):
                         w.writerow([k, n, repr(v)])
         # Hecke relation spot-check: lam(m)lam(n) = sum_{d | (m,n)} chi(d) lam(mn/d^2)
         rng = random.Random(0)
@@ -226,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file pre-setting any flag")
     p.add_argument("--out", help="write reports to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; execution is serial")
     p.add_argument("--tol", type=float, default=None)
     sub = p.add_subparsers(dest="command", required=True)
     required: dict[str, list[str]] = {}

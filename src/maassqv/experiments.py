@@ -18,23 +18,22 @@ import numpy as np
 from .errors import HypothesisViolated, TruncationInsufficient
 from .halfint import QuadPoly, nonsplit_sum
 from .hecke import HeckeSource, h_fn, vartheta
+from .ideals import ideal_scan, lambda_k, lambda_k_table
 from .lfun import (
     AfeConfig,
     afe_weight_many,
     constants,
     classical_variance,
-    dihedral_lambda_table,
     dirichlet_l_one,
-    ideal_scan,
     l_one_sym2,
     lambda_psi_table,
     lambda_square_table,
-    spectral_parameter,
+    ramified_sum_factor,
     watson_ichino_mu2,
     zeta_d_two,
 )
 from .quadfield import FieldParams, QuadInt, angle, canonical_generator
-from .report import ExperimentReport, timed, write_csv, write_jsonl  # noqa: F401
+from .report import ExperimentReport, timed
 from .weights import SmoothWeight
 
 _EULER_GAMMA = 0.5772156649015329
@@ -172,7 +171,10 @@ def matched_sym2_cutoff(
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
     if cfg is None:
         cfg = AfeConfig()
-    key = (F.D, float(K), sw.x0, sw.x1, float(Lambda2), float(t_psi))
+    key = (
+        F.D, float(K), sw.x0, sw.x1, float(Lambda2), float(t_psi),
+        cfg.contour_re, cfg.im_cutoff, cfg.quad_step,
+    )
     hit = _MATCH_CACHE.get(key)
     if hit is not None:
         return hit
@@ -264,7 +266,10 @@ def central_values_bulk(
         cfg = AfeConfig()
     if src.eta_D == -1:
         return np.zeros(k_hi - k_lo + 1)
-    key = (id(src), F.D, k_lo, k_hi, float(mult), cfg.contour_re, cfg.quad_step)
+    key = (
+        id(src), F.D, k_lo, k_hi, float(mult),
+        cfg.contour_re, cfg.im_cutoff, cfg.quad_step,
+    )
     hit = _BULK_CACHE.get(key)
     if hit is not None and hit[0] is src:
         return hit[1]
@@ -314,13 +319,6 @@ def central_values_bulk(
 
 # ---------------------------------------------------------------------------
 # First moment of the Rankin-Selberg central values (full pipeline).
-
-
-def _lambda_2k_at(F: FieldParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(thetas, count) for ideals of norm exactly n."""
-    norms, thetas = ideal_scan(F, n)
-    sel = norms == n
-    return thetas[sel], int(sel.sum())
 
 
 def _vacuous_report(name: str, parameters: dict, note: str) -> ExperimentReport:
@@ -382,16 +380,7 @@ def first_moment(
         if n_twist == 1:
             lam_t = np.ones(ks.size)
         else:
-            th_t, cnt = _lambda_2k_at(F, n_twist)
-            if cnt == 0:
-                lam_t = np.zeros(ks.size)
-            else:
-                lam_t = np.array(
-                    [
-                        float(np.sum(np.cos((2.0 * math.pi * k / F.log_eps) * th_t)))
-                        for k in ks
-                    ]
-                )
+            lam_t = np.array([lambda_k(F, 2 * k, n_twist) for k in ks.tolist()])
         m1 = float(np.sum(lvals * lam_t * phi_w))
         phit1 = sw.mellin(0).real
         n_red = n_twist // math.gcd(n_twist, F.D)
@@ -402,7 +391,7 @@ def first_moment(
             * dirichlet_l_one(F)
             / zeta_d_two(F)
             * l_one_sym2(src, F, X=x_match)
-            * _ramified_factor(src, F)
+            * ramified_sum_factor(src, F)
         )
         computed = m1 / (phit1 * K * h_factor)
     return ExperimentReport.build(
@@ -422,17 +411,6 @@ def first_moment(
         h_factor=h_factor,
         matched_cutoff=x_match,
         raw_moment=m1,
-    )
-
-
-def _ramified_factor(src: HeckeSource, F: FieldParams) -> float:
-    l1 = src.lambda_p(F.p1)
-    l2 = src.lambda_p(F.p2)
-    return (
-        1.0
-        + l1 / math.sqrt(F.p1)
-        + l2 / math.sqrt(F.p2)
-        + l1 * l2 / math.sqrt(F.D)
     )
 
 
@@ -600,7 +578,7 @@ def mu_2k_table(F: FieldParams, k: int, x: int) -> np.ndarray:
     mu(p) = -lambda_2k(p), mu(p^2) = chi_D(p), zero on cubes and higher."""
     from .ideals import kronecker_chi
 
-    lam = dihedral_lambda_table(F, 2 * k, x)
+    lam = lambda_k_table(F, 2 * k, x)
     spf = np.zeros(x + 1, dtype=np.int64)
     for p in range(2, int(math.isqrt(x)) + 1):
         sl = spf[p::p]

@@ -21,7 +21,6 @@ from .errors import (
     DivergentDenominator,
     MalformedTable,
     MissingPrime,
-    ScanBoundExceeded,
 )
 from .ideals import elements_of_norm, kronecker_chi, lambda_k
 from .lattice import n_beta

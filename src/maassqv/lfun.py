@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MissingPrime,
     NegativeCentralValue,
     PoleInput,
     QuadratureNonconvergent,
@@ -27,7 +28,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hecke import HeckeSource, vartheta
-from .ideals import kronecker, kronecker_chi, r_D
+from .ideals import kronecker, kronecker_chi, lambda_k_table, r_D
 from .quadfield import FieldParams
 
 # ---------------------------------------------------------------------------
@@ -108,75 +109,7 @@ def classical_variance(t_psi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fast lattice tables (numpy): one representative per principal ideal.
-
-_SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-
-
-def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax.
-
-    Enumerates one generator per ideal directly: the generator with
-    positive real embedding y and theta = 2 log y - log|N| in [0, 2 log eps).
-    Results are cached per field with power-of-two rounding of nmax.
-    """
-    bound = 1 << max(nmax - 1, 1).bit_length()
-    hit = _SCAN_CACHE.get(F.D)
-    if hit is not None and hit[0] >= bound:
-        norms, thetas = hit[1], hit[2]
-        if hit[0] == nmax:
-            return norms, thetas
-        cut = int(np.searchsorted(norms, nmax, side="right"))
-        return norms[:cut], thetas[:cut]
-
-    eps_val = math.exp(F.log_eps)
-    B = math.sqrt(bound) * eps_val * (1.0 + 1e-12)
-    om = F.omega
-    c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
-
-    norm_parts: list[np.ndarray] = []
-    theta_parts: list[np.ndarray] = []
-    width = int(B) + 2
-    chunk = max(1, (1 << 24) // width)
-    rows = np.arange(-n_hi, n_hi + 1, dtype=np.int64)
-    for i0 in range(0, rows.size, chunk):
-        nn = rows[i0 : i0 + chunk, None]
-        m_start = np.ceil(-nn * om).astype(np.int64)
-        mm = m_start + np.arange(width, dtype=np.int64)[None, :]
-        y = mm + nn * om
-        q = mm * mm + mm * nn + c_norm * nn * nn
-        aq = np.abs(q)
-        y2 = y * y
-        ok = (
-            (y > 0.0)
-            & (aq >= 1)
-            & (aq <= bound)
-            & (y2 >= aq * (1.0 - 1e-9))
-            & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
-        )
-        if ok.any():
-            norm_parts.append(aq[ok])
-            theta_parts.append(np.log(y2[ok] / aq[ok]))
-    norms = np.concatenate(norm_parts) if norm_parts else np.empty(0, np.int64)
-    thetas = np.concatenate(theta_parts) if theta_parts else np.empty(0, np.float64)
-    order = np.argsort(norms, kind="stable")
-    norms, thetas = norms[order], thetas[order]
-    _SCAN_CACHE[F.D] = (bound, norms, thetas)
-    if bound == nmax:
-        return norms, thetas
-    cut = int(np.searchsorted(norms, nmax, side="right"))
-    return norms[:cut], thetas[:cut]
-
-
-def dihedral_lambda_table(F: FieldParams, m: int, nmax: int) -> np.ndarray:
-    """Dense numpy table [lambda_m(0) .. lambda_m(nmax)] of the index-m
-    dihedral Hecke eigenvalues (index 0 unused, 0.0)."""
-    norms, thetas = ideal_scan(F, nmax)
-    out = np.zeros(nmax + 1)
-    # Xi_m(ideal) = exp(i pi m theta / log eps); the n-sums are real
-    np.add.at(out, norms, np.cos((math.pi * m / F.log_eps) * thetas))
-    return out
+# Dense lambda_psi table (numpy): a multiplicative sieve.
 
 
 def lambda_psi_table(src: HeckeSource, nmax: int) -> np.ndarray:
@@ -210,7 +143,7 @@ def lambda_psi_table(src: HeckeSource, nmax: int) -> np.ndarray:
 
         for n in range(1, nmax + 1):
             out[n] = lambda_psi(src, n)
-    except Exception as exc:  # table-backed source ran out of primes
+    except MissingPrime as exc:  # table-backed source ran out of primes
         raise TableExhausted(f"prime table exhausted below {nmax}") from exc
     return out
 
@@ -354,7 +287,7 @@ def central_value(src: HeckeSource, F: FieldParams, cfg: AfeConfig, k: int) -> f
     N = int(cfg.series_cutoff_multiplier * k * k * F.D**1.5)
     if N < 4:
         raise TruncationInsufficient("series cutoff below 4 terms")
-    lam2k = dihedral_lambda_table(F, 2 * k, N)
+    lam2k = lambda_k_table(F, 2 * k, N)
     lpsi = lambda_psi_table(src, N)
     n = np.arange(1, N + 1)
     # W is smooth in log(xi): evaluate on a geometric grid and interpolate
@@ -431,7 +364,7 @@ def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
     if hit is not None:
         return hit
     N = int(30 * X)
-    tab = dihedral_lambda_table(F, abs(m), N)
+    tab = lambda_k_table(F, abs(m), N)
     out = 2.0 * _smoothed_over_n(tab, X) - _smoothed_over_n(tab, X / 2.0)
     _L_ONE_PHI_CACHE[key] = out
     return out

@@ -34,13 +34,9 @@ class ExperimentReport:
     ) -> "ExperimentReport":
         if mode == "abs":
             ok = abs(computed - reference) <= tolerance
-        elif mode == "rel":
-            scale = max(abs(reference), 1e-300)
-            ok = abs(computed - reference) <= tolerance * scale
-        elif mode == "ratio":
+        elif mode in ("rel", "ratio"):
             # tolerance is the allowed |computed/reference - 1|
             scale = max(abs(reference), 1e-300)
-            ok = abs(computed / scale - (1.0 if reference >= 0 else -1.0)) <= tolerance
             ok = abs(computed - reference) <= tolerance * scale
         else:
             raise ValueError(f"unknown mode {mode!r}")

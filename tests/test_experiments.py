@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from maassqv import experiments
 from maassqv.errors import HypothesisViolated, TruncationInsufficient
 from maassqv.experiments import (
     central_values_bulk,
@@ -93,6 +94,25 @@ def test_matched_cutoff_grows_with_K(F):
     x1 = matched_sym2_cutoff(F, 100.0, sw)
     x2 = matched_sym2_cutoff(F, 200.0, sw)
     assert 1.0e5 < x1 < x2
+
+
+def test_caches_keyed_by_config(F, src):
+    sw = smooth_weight()
+
+    def fresh(fn, *args):
+        experiments._MATCH_CACHE.clear()
+        experiments._BULK_CACHE.clear()
+        return fn(*args)
+
+    alt = AfeConfig(contour_re=2.0)
+    want = fresh(matched_sym2_cutoff, F, 60.0, sw, 1.0, alt)
+    fresh(matched_sym2_cutoff, F, 60.0, sw, 1.0, AfeConfig())
+    assert matched_sym2_cutoff(F, 60.0, sw, 1.0, alt) == want
+
+    alt = AfeConfig(im_cutoff=6.0)
+    want = fresh(central_values_bulk, src, F, 1, 3, 4.0, alt)
+    fresh(central_values_bulk, src, F, 1, 3, 4.0, AfeConfig())
+    assert np.array_equal(central_values_bulk(src, F, 1, 3, 4.0, alt), want)
 
 
 def test_diagonal_small_K(F, src):

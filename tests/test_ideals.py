@@ -1,11 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideal_oracle import oracle_elements
+from maassqv import ideals
+from maassqv.errors import ScanBoundExceeded
 from maassqv.ideals import (
     elements_of_norm,
     grossenchar,
@@ -15,7 +19,7 @@ from maassqv.ideals import (
     lambda_k_table,
     r_D,
 )
-from maassqv.quadfield import QuadInt, canonical_generator
+from maassqv.quadfield import QuadInt, canonical_generator, make_field
 
 
 def test_kronecker_residue_table_oracle():
@@ -63,6 +67,34 @@ def test_elements_of_norm_basic(F21):
 def test_enumeration_count_equals_divisor_sum(F21):
     for n in range(1, 2001):
         assert len(elements_of_norm(F21, n, nmax_hint=2000)) == r_D(F21, n), n
+
+
+@pytest.mark.parametrize(
+    "D, log2_nmax", [(21, 16), (33, 12), (57, 8), (69, 12), (77, 12), (93, 12)]
+)
+def test_elements_of_norm_matches_oracle(D, log2_nmax):
+    F = make_field(D)
+    nmax = 1 << log2_nmax
+    for n in range(1, nmax + 1):
+        got = elements_of_norm(F, n, nmax)
+        want = oracle_elements(F, n, nmax)
+        assert [r.gen for r in got] == [r.gen for r in want], n
+        assert all(r.norm_abs == n for r in got), n
+        for a, b in zip(got, want):
+            assert abs(a.theta - b.theta) <= 1e-12, (n, a, b)
+
+
+def test_elements_of_norm_raises_on_unrecoverable_scan(F21, monkeypatch):
+    # norm 5 has no generator at these angles: recovery must not guess
+    fake = (8, np.array([5, 5]), np.array([0.123, 0.456]))
+    monkeypatch.setitem(ideals._SCAN_CACHE, F21.D, fake)
+    with pytest.raises(RuntimeError):
+        elements_of_norm(F21, 5)
+
+
+def test_elements_of_norm_scan_limit(F21):
+    with pytest.raises(ScanBoundExceeded):
+        elements_of_norm(F21, 10**7)
 
 
 def test_reps_are_canonical(F21):

@@ -5,9 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
-from maassqv.hecke import lambda_psi, make_source
-from maassqv.ideals import lambda_k_table
+from ideal_oracle import oracle_elements
+from maassqv.errors import (
+    NegativeCentralValue,
+    PoleInput,
+    TableExhausted,
+    TruncationInsufficient,
+)
+from maassqv.hecke import lambda_psi, make_source, read_table
+from maassqv.ideals import grossenchar, lambda_k_table
 from maassqv.lfun import (
     AfeConfig,
     afe_tail_bound,
@@ -15,7 +21,6 @@ from maassqv.lfun import (
     central_value,
     classical_variance,
     constants,
-    dihedral_lambda_table,
     dirichlet_l_one,
     gamma_factor,
     gamma_ratio_stirling,
@@ -131,8 +136,14 @@ def test_classical_variance():
 
 def test_dihedral_lambda_table_matches_ideal_route(F):
     for m in (2, 6, 14):
-        ref = np.array(lambda_k_table(F, m, 2000))
-        fast = dihedral_lambda_table(F, m, 2000)
+        ref = np.array(
+            [0.0]
+            + [
+                sum(grossenchar(F, m, a) for a in oracle_elements(F, n, 2048)).real
+                for n in range(1, 2001)
+            ]
+        )
+        fast = lambda_k_table(F, m, 2000)
         assert np.max(np.abs(ref - fast)) < 1e-10, m
 
 
@@ -140,6 +151,28 @@ def test_lambda_psi_table_matches_direct(src):
     tab = lambda_psi_table(src, 3000)
     for n in range(1, 3001):
         assert tab[n] == pytest.approx(lambda_psi(src, n), abs=1e-12), n
+
+
+def test_lambda_psi_table_short_prime_table(tmp_path):
+    path = tmp_path / "short.tbl"
+    path.write_text("# D=21 t_psi=1.0 eta=+1 parity=even\n2 0.5\n3 0.2\n5 -1.0\n")
+    short = read_table(str(path))
+    assert lambda_psi_table(short, 6)[6] == pytest.approx(0.5 * 0.2)
+    with pytest.raises(TableExhausted):
+        lambda_psi_table(short, 100)
+
+
+def test_lambda_psi_table_propagates_other_errors():
+    class Boom(Exception):
+        pass
+
+    def boom(p, b):
+        raise Boom(p)
+
+    fresh = make_source(synthetic=42, D=21)
+    fresh.lambda_pp = boom
+    with pytest.raises(Boom):
+        lambda_psi_table(fresh, 100)
 
 
 def test_afe_weight_small_xi_is_l_one_chi(F):
