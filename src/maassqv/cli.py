@@ -62,10 +62,10 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
     F = make_field(args.D)
     with timed() as el:
         tables = {k: lambda_k_table(F, k, args.nmax) for k in range(0, args.kmax + 1, 2)}
-        if args.out:
+        if args.table_out:
             import csv
 
-            with open(args.out, "w", newline="") as fh:
+            with open(args.table_out, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["k", "n", "lambda_k_n"])
                 for k, tab in tables.items():
@@ -242,8 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("field-info", D=(int, True, None))
+    # its own dest: the global --out (the report file) is args.out
     add("lambda-table", D=(int, True, None), kmax=(int, False, 10),
-        nmax=(int, False, 200), out=(str, False, None))
+        nmax=(int, False, 200)).add_argument("--out", dest="table_out")
     add("verify-lattice", D=(int, True, None), **{"norm-bound": (int, False, 2000)})
     add("verify-gauss", M=(int, True, None), nmax=(int, False, 12))
     add("verify-appendixB", M=(int, True, None))

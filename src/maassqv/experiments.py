@@ -419,17 +419,24 @@ def first_moment(
 # the X/2 sum reuses w^2 where w = e^{-n/X}).
 
 
+_LPHI_CACHE: dict[tuple[int, float], dict[int, float]] = {}
+
+
 def _l_one_phi_bulk(F: FieldParams, ms: Sequence[int], X: float = 4.0e5) -> dict[int, float]:
-    n_max = int(25 * X)
-    norms, thetas = ideal_scan(F, n_max)
-    w = np.exp(-norms / X)
-    coef = (2.0 * w - w * w) / norms
-    del w
-    out = {}
-    for m in ms:
-        ph = (math.pi * m / F.log_eps) * thetas
-        out[m] = float(np.sum(coef * np.cos(ph)))
-    return out
+    """{m: L(1, phi_m)} for the given m, memoized per (D, X): only the m not
+    yet computed for this field and cutoff are summed."""
+    memo = _LPHI_CACHE.setdefault((F.D, float(X)), {})
+    todo = [m for m in ms if m not in memo]
+    if todo:
+        n_max = int(25 * X)
+        norms, thetas = ideal_scan(F, n_max)
+        w = np.exp(-norms / X)
+        coef = (2.0 * w - w * w) / norms
+        del w
+        for m in todo:
+            ph = (math.pi * m / F.log_eps) * thetas
+            memo[m] = float(np.sum(coef * np.cos(ph)))
+    return {m: memo[m] for m in ms}
 
 
 # ---------------------------------------------------------------------------

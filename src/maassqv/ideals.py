@@ -1,12 +1,18 @@
 """Principal ideals of Q(sqrt(D)) by norm, Grossencharacters, and the
 dihedral eigenvalues lambda_k(n) = sum over ideals of norm n of Xi_k.
 
-One enumerator serves everything: `ideal_scan` walks the rows of the
-(m, n)-coordinate lattice with numpy and keeps, for each principal ideal,
-the one generator with positive real embedding y and angle
-theta = 2 log y - log|N| in [0, 2 log eps).  It returns the sorted norms
-and the angles, cached per field.  `elements_of_norm` cuts one norm out
-of that scan and recovers each canonical generator exactly from (N, theta).
+One enumerator serves everything: `ideal_scan` keeps, for each principal
+ideal, the one generator y = m + n*omega with positive real embedding y
+and angle theta = 2 log y - log|N| in the fundamental domain
+[0, 2 log eps) of the unit group.  On a row n of the (m, n)-lattice the
+difference c = y - ybar = n sqrt(D) is fixed, so the window and the norm
+bound cut the row to at most two m-intervals, one on each side of the
+band around y = c that the window excludes; rows n < 0 are empty.  Only
+those strips are tested with numpy, and their ends are widened well past
+the floating-point error of the test, so no ideal is lost.  The scan
+returns the sorted norms and the angles, cached per field as read-only
+arrays.  `elements_of_norm` cuts one norm out of that scan and recovers
+each canonical generator exactly from (N, theta).
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ class IdealRep:
 
 
 _SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+_SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
 
 
 def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +92,11 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
 
     Enumerates one generator per ideal directly: the generator with
     positive real embedding y and theta = 2 log y - log|N| in [0, 2 log eps).
-    Results are cached per field with power-of-two rounding of nmax.
+    Only the at most two m-intervals per row n that `_row_intervals` admits
+    are tested.  The test, the row-major order of the kept points and the
+    stable sort by norm are those of a scan of the whole bounding rectangle,
+    so the result is the same bit for bit.  Results are cached per field
+    with power-of-two rounding of nmax, and the cached arrays are read-only.
     """
     bound = 1 << max(nmax - 1, 1).bit_length()
     hit = _SCAN_CACHE.get(F.D)
@@ -97,20 +108,36 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         return norms[:cut], thetas[:cut]
 
     eps_val = math.exp(F.log_eps)
-    B = math.sqrt(bound) * eps_val * (1.0 + 1e-12)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
+    # Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
+    # forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
+    # stays below that for every admitted field up to bound 10^14.
     n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+    rows = np.arange(0, n_hi + 1, dtype=np.int64)
+    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, om, eps_val, bound)
+    # per row: lower piece, then upper piece, in increasing m
+    starts = np.stack([lo1, lo2], axis=1).ravel()
+    counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
+    row_of = np.repeat(rows, 2)
+    ends = np.cumsum(counts)
 
-    norm_parts: list[np.ndarray] = []
-    theta_parts: list[np.ndarray] = []
-    width = int(B) + 2
-    chunk = max(1, (1 << 24) // width)
-    rows = np.arange(-n_hi, n_hi + 1, dtype=np.int64)
-    for i0 in range(0, rows.size, chunk):
-        nn = rows[i0 : i0 + chunk, None]
-        m_start = np.ceil(-nn * om).astype(np.int64)
-        mm = m_start + np.arange(width, dtype=np.int64)[None, :]
+    # kept points go straight into buffers sized by the candidate count, an
+    # upper bound: chunk parts freed after a concatenate would stay resident
+    # in the C heap and raise the build peak
+    norms = np.empty(int(ends[-1]), np.int64)
+    thetas = np.empty(int(ends[-1]), np.float64)
+    kept = 0
+    i0 = 0
+    while i0 < counts.size:
+        done = int(ends[i0] - counts[i0])
+        i1 = int(np.searchsorted(ends, done + _SCAN_CHUNK, side="right"))
+        i1 = max(i1, i0 + 1)
+        cnt = counts[i0:i1]
+        total = int(cnt.sum())
+        first = np.cumsum(cnt) - cnt
+        mm = np.arange(total, dtype=np.int64) + np.repeat(starts[i0:i1] - first, cnt)
+        nn = np.repeat(row_of[i0:i1], cnt)
         y = mm + nn * om
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
@@ -122,18 +149,58 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
             & (y2 >= aq * (1.0 - 1e-9))
             & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
         )
-        if ok.any():
-            norm_parts.append(aq[ok])
-            theta_parts.append(np.log(y2[ok] / aq[ok]))
-    norms = np.concatenate(norm_parts) if norm_parts else np.empty(0, np.int64)
-    thetas = np.concatenate(theta_parts) if theta_parts else np.empty(0, np.float64)
-    order = np.argsort(norms, kind="stable")
-    norms, thetas = norms[order], thetas[order]
+        k = int(np.count_nonzero(ok))
+        norms[kept : kept + k] = aq[ok]
+        thetas[kept : kept + k] = np.log(y2[ok] / aq[ok])
+        kept += k
+        i0 = i1
+    order = np.argsort(norms[:kept], kind="stable")
+    norms = norms[order]
+    thetas = thetas[order]
+    del order
+    norms.flags.writeable = False
+    thetas.flags.writeable = False
     _SCAN_CACHE[F.D] = (bound, norms, thetas)
     if bound == nmax:
         return norms, thetas
     cut = int(np.searchsorted(norms, nmax, side="right"))
     return norms[:cut], thetas[:cut]
+
+
+def _row_intervals(
+    rows: np.ndarray, sqrtD: float, om: float, eps_val: float, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer m-ranges [lo1, hi1] < [lo2, hi2] per row n >= 0 that contain
+    every m which `ideal_scan`'s test can keep.
+
+    With y = m + n*omega, ybar = y - c and c = n sqrt(D) >= 0 the test asks
+    y >= (1 - 1e-9)|ybar|, y|ybar| <= bound and |ybar| > y/eps^2.  So
+    y >= c(1 - 1e-9)/(2 - 1e-9); y <= (c + sqrt(c^2 + 4 bound))/2; below
+    y = c also y >= (c + sqrt(c^2 - 4 bound))/2 when c^2 > 4 bound; and the
+    band c eps^2/(eps^2 + 1) <= y <= c eps^2/(eps^2 - 1) around y = c is
+    empty.  The test computes in floating point with relative errors near
+    1e-15; each end is widened by 1e-6 relative and 2 lattice steps, far
+    more than those errors move it.  Empty ranges have hi < lo.
+    """
+    c = rows * sqrtD
+    e2 = eps_val * eps_val
+    disc = c * c - 4.0 * bound
+    lo_y1 = np.maximum(
+        c * ((1.0 - 1e-9) / (2.0 - 1e-9)),
+        np.where(disc > 0.0, 0.5 * (c + np.sqrt(np.maximum(disc, 0.0))), 0.0),
+    )
+    hi_y1 = c * (e2 / (e2 + 1.0))
+    lo_y2 = c * (e2 / (e2 - 1.0))
+    hi_y2 = 0.5 * (c + np.sqrt(c * c + 4.0 * bound))
+    shift = rows * om
+    lo1 = np.floor(lo_y1 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
+    hi1 = np.ceil(hi_y1 * (1.0 + 1e-6) + 2.0 - shift).astype(np.int64)
+    lo2 = np.floor(lo_y2 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
+    hi2 = np.ceil(hi_y2 * (1.0 + 1e-6) + 2.0 - shift).astype(np.int64)
+    # lo1 <= lo2 and hi1 <= hi2 always; where the widened pieces meet, the
+    # overlap stays in the upper piece so no m is visited twice
+    hi1 = np.minimum(hi1, lo2 - 1)
+    return lo1, hi1, lo2, hi2
 
 
 def elements_of_norm(F: FieldParams, n: int, nmax_hint: int = 0) -> list[IdealRep]:

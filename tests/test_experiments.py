@@ -115,6 +115,22 @@ def test_caches_keyed_by_config(F, src):
     assert np.array_equal(central_values_bulk(src, F, 1, 3, 4.0, alt), want)
 
 
+def test_l_one_phi_memo_keyed_by_cutoff(F, monkeypatch):
+    monkeypatch.setattr(experiments, "_LPHI_CACHE", {})
+    first = experiments._l_one_phi_bulk(F, [2, 4], X=2000.0)
+
+    def no_scan(*args):
+        raise AssertionError("ideal_scan called for memoized values")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "ideal_scan", no_scan)
+        assert experiments._l_one_phi_bulk(F, [2, 4], X=2000.0) == first
+    other = experiments._l_one_phi_bulk(F, [2, 4, 6], X=3000.0)
+    experiments._LPHI_CACHE.clear()
+    assert other == experiments._l_one_phi_bulk(F, [2, 4, 6], X=3000.0)
+    assert other[2] != first[2]
+
+
 def test_diagonal_small_K(F, src):
     rep = diagonal_check(F, src, 100.0)
     assert rep.mode == "ratio"

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_oracle import oracle_elements
+from ideal_oracle import oracle_elements, rectangle_scan
 from maassqv import ideals
 from maassqv.errors import ScanBoundExceeded
 from maassqv.ideals import (
@@ -82,6 +82,33 @@ def test_elements_of_norm_matches_oracle(D, log2_nmax):
         assert all(r.norm_abs == n for r in got), n
         for a, b in zip(got, want):
             assert abs(a.theta - b.theta) <= 1e-12, (n, a, b)
+
+
+@pytest.mark.parametrize(
+    "D, log2_cap", [(21, 18), (33, 14), (57, 11), (69, 14), (77, 14), (93, 14)]
+)
+def test_ideal_scan_matches_rectangle_oracle(D, log2_cap, monkeypatch):
+    F = make_field(D)
+    cap = 1 << log2_cap
+    # the oracle's stable sort keeps row-major order within a norm, so its
+    # scan to cap, cut at nmax, is its scan to nmax
+    all_norms, all_thetas = rectangle_scan(F, cap)
+    bounds = [1 << e for e in range(1, log2_cap + 1)] + [3, 10, 1000, 12345]
+    for nmax in sorted(b for b in bounds if b <= cap):
+        monkeypatch.setattr(ideals, "_SCAN_CACHE", {})  # a fresh build each time
+        norms, thetas = ideals.ideal_scan(F, nmax)
+        cut = int(np.searchsorted(all_norms, nmax, side="right"))
+        assert np.array_equal(norms, all_norms[:cut]), nmax
+        assert np.array_equal(thetas.view(np.int64), all_thetas[:cut].view(np.int64)), nmax
+
+
+def test_ideal_scan_cache_is_read_only(F21, monkeypatch):
+    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
+    norms, thetas = ideals.ideal_scan(F21, 1024)  # the cached arrays themselves
+    cut_norms, cut_thetas = ideals.ideal_scan(F21, 999)
+    for arr in (norms, thetas, cut_norms, cut_thetas):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_elements_of_norm_raises_on_unrecoverable_scan(F21, monkeypatch):
