@@ -5,7 +5,8 @@ and non-split decay scans.  Every operation returns an ExperimentReport.
 
 Shared heavy state (ideal scans, bulk central values) is cached at module
 level; all loops run in a fixed (ascending) order so results are
-bit-for-bit reproducible.
+bit-for-bit reproducible.  Variance and expected value share one per-k
+Watson-Ichino loop; tables and primes come from `hecke`'s fill and sieve.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, TruncationInsufficient
 from .halfint import QuadPoly, nonsplit_sum
-from .hecke import HeckeSource, h_fn, vartheta
-from .ideals import ideal_scan, lambda_k, lambda_k_table
+from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
+from .ideals import ideal_scan, kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
 from .lfun import (
     AfeConfig,
     afe_weight_many,
@@ -443,6 +444,37 @@ def _l_one_phi_bulk(F: FieldParams, ms: Sequence[int], X: float = 4.0e5) -> dict
 # Variance assembly.
 
 
+def _watson_ichino_terms(
+    F: FieldParams,
+    src: HeckeSource,
+    K: float,
+    sw: SmoothWeight,
+    mult: float,
+    cfg: AfeConfig,
+) -> tuple[list[tuple[float, float, float]], float]:
+    """(Phi(k/K), |mu_k|^2, L(1, phi_2k)) for each k of the weight's support
+    with Phi(k/K) != 0, in ascending k, and the matched sym^2 cutoff the
+    |mu_k|^2 were assembled at."""
+    k_lo = max(1, int(math.ceil(K * sw.x0)))
+    k_hi = int(math.floor(K * sw.x1))
+    ks = range(k_lo, k_hi + 1)
+    lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
+    lphi = _l_one_phi_bulk(F, [2 * k for k in ks])
+    x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
+    ls2 = l_one_sym2(src, F, X=x_match)
+    terms = []
+    for i, k in enumerate(ks):
+        w = sw(k / K)
+        if w == 0.0:
+            continue
+        mu2 = watson_ichino_mu2(
+            F, src, k, cfg,
+            l_half_cross=float(lvals[i]), l_one_phi_val=lphi[2 * k], l_sym2_val=ls2,
+        )
+        terms.append((w, mu2, lphi[2 * k]))
+    return terms, x_match
+
+
 def variance_table(
     F: FieldParams,
     src: HeckeSource,
@@ -467,29 +499,11 @@ def variance_table(
             "vanishing matrix coefficients: Q^h = Q = 0",
         )
     with timed() as elapsed:
-        k_lo = max(1, int(math.ceil(K * sw.x0)))
-        k_hi = int(math.floor(K * sw.x1))
-        ks = range(k_lo, k_hi + 1)
-        lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
-        lphi = _l_one_phi_bulk(F, [2 * k for k in ks])
-        x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
-        ls2 = l_one_sym2(src, F, X=x_match)
+        terms, x_match = _watson_ichino_terms(F, src, K, sw, mult, cfg)
         qh = 0.0
         q_plain = 0.0
-        for i, k in enumerate(ks):
-            w = sw(k / K)
-            if w == 0.0:
-                continue
-            mu2 = watson_ichino_mu2(
-                F,
-                src,
-                k,
-                cfg,
-                l_half_cross=float(lvals[i]),
-                l_one_phi_val=lphi[2 * k],
-                l_sym2_val=ls2,
-            )
-            qh += lphi[2 * k] ** 2 * mu2 * w
+        for w, mu2, lphi in terms:
+            qh += lphi**2 * mu2 * w
             q_plain += mu2 * w
         cons = constants(F, src, p_max=p_max, X=x_match)
         v_psi = classical_variance(src.t_psi)
@@ -538,27 +552,9 @@ def expected_value(
         if src.eta_D == -1 or src.parity == "odd":
             e_val = 0.0
         else:
-            k_lo = max(1, int(math.ceil(K * sw.x0)))
-            k_hi = int(math.floor(K * sw.x1))
-            ks = range(k_lo, k_hi + 1)
-            lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
-            lphi = _l_one_phi_bulk(F, [2 * k for k in ks])
-            x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
-            ls2 = l_one_sym2(src, F, X=x_match)
+            terms, _ = _watson_ichino_terms(F, src, K, sw, mult, cfg)
             e_val = 0.0
-            for i, k in enumerate(ks):
-                w = sw(k / K)
-                if w == 0.0:
-                    continue
-                mu2 = watson_ichino_mu2(
-                    F,
-                    src,
-                    k,
-                    cfg,
-                    l_half_cross=float(lvals[i]),
-                    l_one_phi_val=lphi[2 * k],
-                    l_sym2_val=ls2,
-                )
+            for w, mu2, _ in terms:
                 e_val += math.sqrt(max(mu2, 0.0)) * w
             e_val /= K
         ref = K**-0.5
@@ -581,40 +577,19 @@ def expected_value(
 
 
 def mu_2k_table(F: FieldParams, k: int, x: int) -> np.ndarray:
-    """Dense table [mu_2k(0) .. mu_2k(x)]: multiplicative with
+    """Dense table [mu_2k(0) .. mu_2k(x)]: the multiplicative fill of
     mu(p) = -lambda_2k(p), mu(p^2) = chi_D(p), zero on cubes and higher."""
-    from .ideals import kronecker_chi
-
     lam = lambda_k_table(F, 2 * k, x)
-    spf = np.zeros(x + 1, dtype=np.int64)
-    for p in range(2, int(math.isqrt(x)) + 1):
-        sl = spf[p::p]
-        sl[sl == 0] = p
-    chi_cache: dict[int, int] = {}
-    mu = np.zeros(x + 1)
-    if x >= 1:
-        mu[1] = 1.0
-    for n in range(2, x + 1):
-        r = n
-        v = 1.0
-        while r > 1 and v != 0.0:
-            p = int(spf[r]) or r
-            e = 0
-            while r % p == 0:
-                r //= p
-                e += 1
-            if e == 1:
-                v *= -lam[p]
-            elif e == 2:
-                c = chi_cache.get(p)
-                if c is None:
-                    c = kronecker_chi(F, p)
-                    chi_cache[p] = c
-                v *= c
-            else:
-                v = 0.0
-        mu[n] = v
-    return mu
+    chi = kronecker_residues(F)
+
+    def local(primes: np.ndarray, b: int) -> np.ndarray:
+        if b == 1:
+            return -lam[primes]
+        if b == 2:
+            return chi[primes % F.D]
+        return np.zeros(primes.size)
+
+    return multiplicative_fill(x, local)
 
 
 def dirichlet_poly_check(
@@ -669,17 +644,13 @@ def moment_bound_check(
     desk scale; by default the inequality is checked in the larger-x regime
     (where the diagonal still dominates) and the hypothesis status is
     recorded.  enforce_hypothesis=True raises instead."""
-    from sympy import primerange
-
     hyp_ok = x <= K ** (1.0 / (10 * r))
     if enforce_hypothesis and not hyp_ok:
         raise HypothesisViolated(
             f"x = {x} exceeds K^(1/(10r)) = {K ** (1.0 / (10 * r)):.3f}"
         )
     with timed() as elapsed:
-        primes = [p for p in primerange(2, int(x) + 1) if F.D % p != 0]
-        from .ideals import kronecker_chi
-
+        primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
         norms, thetas = ideal_scan(F, int(x) + 1)
         coeffs = []
         for p in primes:

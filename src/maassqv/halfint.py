@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from sympy import factorint
 
 from .characters import Character, all_ones_character, characters_mod
@@ -31,7 +30,7 @@ from .errors import (
     TruncationInsufficient,
     WindowViolation,
 )
-from .hecke import HeckeSource, lambda_psi, lambda_psi_at
+from .hecke import HeckeSource, lambda_psi, lambda_psi_at, primes_upto
 from .ideals import kronecker
 from .report import ExperimentReport, timed
 from .weights import SmoothWeight
@@ -801,10 +800,8 @@ def symsq_factor_check(
         ta1 = t_prime * a1
         pref = lambda_psi(src, -1) * np.conjugate(omega(a1 * a2)) * float(a1 * a2) ** (-u)
         rhs = complex(pref)
-        from sympy import primerange
-
         lmax = 60
-        for p in primerange(2, truncation + 1):
+        for p in primes_upto(truncation).tolist():
             rp = 0
             q = ta1
             while q % p == 0:

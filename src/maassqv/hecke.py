@@ -7,6 +7,9 @@ Sources are either table-backed (one lambda_psi(p) per prime, extended by
 the Hecke recursion) or synthetic: lambda_psi(p) = 2 cos(theta_p) with
 theta_p uniform in [0, pi] for p not dividing D, and lambda_psi(p) =
 +-p^{-1/2} with lambda(p^b) = lambda(p)^b at the two ramified primes.
+
+The package's one prime sieve, `primes_upto`, and one dense multiplicative
+fill, `multiplicative_fill`, live here; every arithmetic table is a fill.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
+import numpy as np
 from sympy import factorint, isprime
 
 from .errors import (
@@ -72,6 +77,19 @@ class HeckeSource:
         self._pp_cache[key] = v
         return v
 
+    def lambda_pp_array(self, primes: np.ndarray, b: int) -> np.ndarray:
+        """lambda_psi(p^b), b >= 1, for an array of primes: the Hecke
+        recursion and ramified power model of `lambda_pp` run elementwise on
+        the lambda_psi(p) values, so each value equals lambda_pp(p, b) bit
+        for bit."""
+        lp = np.array([self.lambda_p(p) for p in primes.tolist()], dtype=np.float64)
+        prev2, prev1 = np.ones_like(lp), lp
+        for _ in range(b - 1):
+            prev2, prev1 = prev1, lp * prev1 - prev2
+        for i in np.flatnonzero(self.level % primes == 0).tolist():
+            prev1[i] = float(lp[i]) ** b
+        return prev1
+
 
 def _synthetic_lambda_p(seed: int, D: int, p: int) -> float:
     h = hashlib.sha256(f"{seed}:{p}".encode()).digest()
@@ -79,6 +97,57 @@ def _synthetic_lambda_p(seed: int, D: int, p: int) -> float:
     if D % p == 0:
         return (1.0 if u < 0.5 else -1.0) / math.sqrt(p)
     return 2.0 * math.cos(math.pi * u)
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """The primes p <= n in ascending order (sieve of Eratosthenes)."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
+def multiplicative_fill(
+    nmax: int, local: Callable[[np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """Dense table [f(0) .. f(nmax)] of the multiplicative f with f(0) = 0
+    and f(p^b) = local(primes, b)[i] for the ascending primes with p^b <= nmax.
+    Each f(n) is the product of its local factors in ascending p, with no
+    division (zero local values are safe); primes p > sqrt(nmax) divide n
+    at most once and go in one vectorised step per cofactor j = n/p."""
+    out = np.ones(nmax + 1)
+    out[0] = 0.0
+    primes = primes_upto(nmax)
+    if not primes.size:
+        return out
+    loc = []  # loc[b - 1][i]: f at primes[i]^b, for the primes with p^b <= nmax
+    pb = primes
+    while pb.size:
+        loc.append(np.asarray(local(primes[: pb.size], len(loc) + 1), dtype=np.float64))
+        pb = pb * primes[: pb.size]
+        pb = pb[pb <= nmax]
+    n_small = loc[1].size if len(loc) > 1 else 0  # the primes with p^2 <= nmax
+    for i, p in enumerate(primes[:n_small].tolist()):
+        # out[p::p] holds n = j p; p^b divides n exactly when p^{b-1} | j
+        fac = np.full(nmax // p, loc[0][i])
+        q, b = p, 1
+        while q * p <= nmax:
+            b += 1
+            fac[q - 1 :: q] = loc[b - 1][i]
+            q *= p
+        out[p::p] *= fac
+    big, lbig = primes[n_small:], loc[0][n_small:]
+    j = 1
+    while big.size:
+        cnt = int(np.searchsorted(big, nmax // j, side="right"))
+        big, lbig = big[:cnt], lbig[:cnt]
+        out[j * big] *= lbig
+        j += 1
+    return out
 
 
 def make_source(
@@ -148,12 +217,10 @@ def read_table(path: str) -> HeckeSource:
 
 
 def write_table(src: HeckeSource, path: str, pmax: int) -> None:
-    from sympy import primerange
-
     eta = "+1" if src.eta_D > 0 else "-1"
     with open(path, "w") as fh:
         fh.write(f"# D={src.level} t_psi={src.t_psi!r} eta={eta} parity={src.parity}\n")
-        for p in primerange(2, pmax + 1):
+        for p in primes_upto(pmax).tolist():
             fh.write(f"{p} {src.lambda_p(p):.17g}\n")
 
 

@@ -64,6 +64,11 @@ def kronecker_chi(F: FieldParams, n: int) -> int:
     return kronecker(F.D, n)
 
 
+def kronecker_residues(F: FieldParams) -> np.ndarray:
+    """chi_D(r) for r = 0 .. D-1 as floats, so chi_D(n) = table[n % D]."""
+    return np.array([kronecker(F.D, r) for r in range(F.D)], dtype=np.float64)
+
+
 def r_D(F: FieldParams, n: int) -> int:
     """Ideal-counting function sum_{d|n} chi_D(d)."""
     assert n >= 1

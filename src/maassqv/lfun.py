@@ -2,6 +2,10 @@
 central values L(1/2, psi x phi_2k), auxiliary values at s=1, and the
 leading constants of the variance asymptotics.
 
+The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
+fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
+L(1/2, psi x chi_D)) is built by `_contour_nodes`, summed by `_contour_sum`.
+
 Numeric conventions used throughout:
   - t_m = pi*m/log(eps_D) is the spectral parameter of the index-m
     dihedral form; the index passed around is m = 2k.
@@ -16,8 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from sympy import factorint
 
 from .errors import (
     MissingPrime,
@@ -27,8 +33,8 @@ from .errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from .hecke import HeckeSource, vartheta
-from .ideals import kronecker, kronecker_chi, lambda_k_table, r_D
+from .hecke import HeckeSource, multiplicative_fill, primes_upto, vartheta
+from .ideals import kronecker_chi, kronecker_residues, lambda_k_table, r_D
 from .quadfield import FieldParams
 
 # ---------------------------------------------------------------------------
@@ -109,42 +115,36 @@ def classical_variance(t_psi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dense lambda_psi table (numpy): a multiplicative sieve.
+# Dense lambda_psi tables (numpy): multiplicative fills.
 
 
 def lambda_psi_table(src: HeckeSource, nmax: int) -> np.ndarray:
-    """Dense numpy table [lambda_psi(0) .. lambda_psi(nmax)] via a
-    multiplicative sieve (one slice update per prime power)."""
-    out = np.ones(nmax + 1)
-    out[0] = 0.0
-    sieve = np.ones(nmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(nmax)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve)
+    """Dense numpy table [lambda_psi(0) .. lambda_psi(nmax)]: the
+    multiplicative fill of the Hecke values lambda_psi(p^b)."""
     try:
-        for p in primes.tolist():
-            prev = 1.0
-            b = 1
-            pb = p
-            while pb <= nmax:
-                cur = src.lambda_pp(p, b)
-                if abs(prev) < 1e-300:
-                    raise ZeroDivisionError
-                out[pb::pb] *= cur / prev
-                prev = cur
-                b += 1
-                pb *= p
-    except ZeroDivisionError:
-        # a vanishing lambda(p^b) breaks the ratio trick: fall back to
-        # an exact (slower) fill for the affected entries
-        from .hecke import lambda_psi
-
-        for n in range(1, nmax + 1):
-            out[n] = lambda_psi(src, n)
+        return multiplicative_fill(nmax, src.lambda_pp_array)
     except MissingPrime as exc:  # table-backed source ran out of primes
         raise TableExhausted(f"prime table exhausted below {nmax}") from exc
+
+
+def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
+    """Dense table [lambda_psi(a * 0^2) .. lambda_psi(a * m_max^2)] (index 0
+    unused, 0.0): the fill of lambda_psi(p^{v_p(a) + 2b}) over m, times
+    lambda_psi(p^{v_p(a)}) where p | a does not divide m."""
+    a_exp = factorint(a) if a > 1 else {}
+
+    def local(primes: np.ndarray, b: int) -> np.ndarray:
+        v = src.lambda_pp_array(primes, 2 * b)
+        for q, e in a_exp.items():
+            i = int(np.searchsorted(primes, q))
+            if i < primes.size:
+                v[i] = src.lambda_pp_array(primes[i : i + 1], e + 2 * b)[0]
+        return v
+
+    out = multiplicative_fill(m_max, local)
+    m = np.arange(m_max + 1)
+    for q, e in a_exp.items():
+        out[m % q != 0] *= src.lambda_pp_array(np.array([q]), e)[0]
     return out
 
 
@@ -171,9 +171,8 @@ class AfeConfig:
 def _dirichlet_l_line(F: FieldParams, s_nodes: np.ndarray, nterms: int = 40000) -> np.ndarray:
     """L(s, chi_D) at an array of points with Re s >= 2 (plain truncated
     Dirichlet series; tail << |s| D / nterms^2 by partial summation)."""
-    chi = np.array([kronecker(F.D, n) for n in range(F.D)], dtype=np.float64)
     n = np.arange(1, nterms + 1)
-    chin = chi[n % F.D]
+    chin = kronecker_residues(F)[n % F.D]
     logn = np.log(n)
     out = np.empty(s_nodes.size, dtype=np.complex128)
     for i, s in enumerate(s_nodes):
@@ -185,37 +184,38 @@ _L_NODE_CACHE: dict[tuple, np.ndarray] = {}
 _AFE_NODE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _afe_nodes(
-    cfg: AfeConfig, F: FieldParams, k: int, s: complex, t_psi: float
+def _contour_nodes(
+    cfg: AfeConfig,
+    s: complex,
+    shifts: Sequence[complex],
+    l_field: FieldParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w_nodes, g_nodes) on the upper half of the contour Re w = c, where
-    g(w) = L(2w+2s, chi_D) * gamma(s+w)/gamma(s) * e^{w^2} * trapezoid
-    weight / w; the xi-dependence (D^{3/2}/(xi k^2))^w is applied later."""
-    key = (id(F), F.D, k, complex(s), t_psi, cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
-    hit = _AFE_NODE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    g(w) = gamma(s+w)/gamma(s) * e^{w^2} * trapezoid weight / w, times
+    L(2w+2s, chi_D) when l_field is given, and gamma(s) = pi^{-ds/2}
+    prod_j Gamma((s + mu_j)/2) over the d shifts mu_j.  The x-dependence
+    x^w of the weight is applied by `_contour_sum`."""
     c = cfg.contour_re
     taus = np.arange(0.0, cfg.im_cutoff + cfg.quad_step / 2, cfg.quad_step)
     w = c + 1j * taus
-    lkey = (F.D, complex(s), cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
-    lvals = _L_NODE_CACHE.get(lkey)
-    if lvals is None:
-        lvals = _dirichlet_l_line(F, 2.0 * w + 2.0 * s)
-        _L_NODE_CACHE[lkey] = lvals
-    t2k = spectral_parameter(F, 2 * k)
-    log_g0 = -2.0 * complex(s) * math.log(math.pi)
-    for e1 in (1.0, -1.0):
-        for e2 in (1.0, -1.0):
-            log_g0 += log_gamma((s + 1j * (e1 * t_psi + e2 * t2k)) / 2.0)
+    pi_pow = -0.5 * len(shifts)
+    ln_pi = math.log(math.pi)
+    log_g0 = pi_pow * complex(s) * ln_pi
+    for mu in shifts:
+        log_g0 += log_gamma((s + mu) / 2.0)
     g = np.empty(w.size, dtype=np.complex128)
     for i, wi in enumerate(w):
-        lg = -2.0 * (s + wi) * math.log(math.pi)
-        for e1 in (1.0, -1.0):
-            for e2 in (1.0, -1.0):
-                lg += log_gamma((s + wi + 1j * (e1 * t_psi + e2 * t2k)) / 2.0)
+        lg = pi_pow * (s + wi) * ln_pi
+        for mu in shifts:
+            lg += log_gamma((s + wi + mu) / 2.0)
         g[i] = cmath.exp(lg - log_g0 + wi * wi) / wi
-    g *= lvals
+    if l_field is not None:
+        lkey = (l_field.D, complex(s), cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
+        lvals = _L_NODE_CACHE.get(lkey)
+        if lvals is None:
+            lvals = _dirichlet_l_line(l_field, 2.0 * w + 2.0 * s)
+            _L_NODE_CACHE[lkey] = lvals
+        g *= lvals
     # endpoint must be negligible for the trapezoid tail to be safe
     ref = max(abs(g[0]), 1.0)
     if abs(g[-1]) > 1e-10 * ref:
@@ -224,7 +224,35 @@ def _afe_nodes(
         )
     g[0] *= 0.5
     g[-1] *= 0.5
-    out = (w, g * (cfg.quad_step / math.pi))
+    return w, g * (cfg.quad_step / math.pi)
+
+
+def _contour_sum(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Re sum over nodes of e^{logx * w} g, for each entry of logx."""
+    out = np.empty(logx.size)
+    chunk = max(1, (1 << 22) // w.size)
+    for i0 in range(0, logx.size, chunk):
+        lx = logx[i0 : i0 + chunk, None]
+        # split to avoid complex temporaries
+        out[i0 : i0 + chunk] = (
+            np.exp(lx * w[None, :].real)
+            * (np.cos(lx * w[None, :].imag) * g.real - np.sin(lx * w[None, :].imag) * g.imag)
+        ).sum(axis=1)
+    return out
+
+
+def _afe_nodes(
+    cfg: AfeConfig, F: FieldParams, k: int, s: complex, t_psi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The contour nodes of the AFE weight W: the four Gamma shifts
+    i(+-t_psi +- t_2k) and the line L(2w+2s, chi_D)."""
+    key = (id(F), F.D, k, complex(s), t_psi, cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
+    hit = _AFE_NODE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    t2k = spectral_parameter(F, 2 * k)
+    shifts = [1j * (e1 * t_psi + e2 * t2k) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
+    out = _contour_nodes(cfg, s, shifts, F)
     _AFE_NODE_CACHE[key] = out
     return out
 
@@ -245,16 +273,7 @@ def afe_weight_many(
     if np.any(xis <= 0):
         raise ValueError("xi must be positive")
     logx = 1.5 * math.log(F.D) - np.log(xis) - 2.0 * math.log(abs(k))
-    out = np.empty(xis.size)
-    chunk = max(1, (1 << 22) // w.size)
-    for i0 in range(0, xis.size, chunk):
-        lx = logx[i0 : i0 + chunk, None]
-        # Re[e^{lx w} g] summed over nodes; split to avoid complex temporaries
-        out[i0 : i0 + chunk] = (
-            np.exp(lx * w[None, :].real)
-            * (np.cos(lx * w[None, :].imag) * g.real - np.sin(lx * w[None, :].imag) * g.imag)
-        ).sum(axis=1)
-    return out
+    return _contour_sum(logx, w, g)
 
 
 def afe_weight(
@@ -331,7 +350,7 @@ def dirichlet_l_one(F: FieldParams, X: float = 20000.0) -> float:
         return hit
     N = int(40 * X)
     n = np.arange(1, N + 1)
-    chi = np.array([kronecker(F.D, r) for r in range(F.D)], dtype=np.float64)
+    chi = kronecker_residues(F)
     S = float(np.sum(chi[n % F.D] / n * np.exp(-n / X)))
     # L(-1, chi) = -B_{2,chi}/2 with B_{2,chi} = D sum_a chi(a) B_2(a/D)
     a = np.arange(F.D)
@@ -385,47 +404,13 @@ def l_one_sym2(src: HeckeSource, F: FieldParams, X: float = 20000.0) -> float:
         return hit[1]
     N = int(math.isqrt(int(40 * X)))
     m = np.arange(1, N + 1)
-    if N * N + 1 <= 1 << 22:
-        lpsi = lambda_psi_table(src, N * N + 1)
-        vals = lpsi[(m * m).astype(np.int64)]
-    else:
-        # dense sieve up to N^2 would be too large: build lambda(m^2)
-        # directly from the factorization of m
-        vals = lambda_square_table(src, N)[1:]
+    vals = lambda_square_table(src, N)[1:]
     out = zeta_d_two(F) * float(np.sum(vals / m * np.exp(-m * m / X)))
     _L_SYM2_CACHE[key] = (src, out)
     return out
 
 
 _L_SYM2_CACHE: dict[tuple, tuple] = {}
-
-
-def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
-    """Dense table [lambda_psi(a * 0^2) .. lambda_psi(a * m_max^2)] built
-    from a smallest-prime-factor sieve (index 0 unused, 0.0)."""
-    spf = np.zeros(m_max + 1, dtype=np.int64)
-    for p in range(2, int(math.isqrt(m_max)) + 1):
-        mask = spf[p::p] == 0
-        spf[p::p][mask] = p
-    from sympy import factorint
-
-    a_fac = dict(factorint(a)) if a > 1 else {}
-    out = np.zeros(m_max + 1)
-    for m in range(1, m_max + 1):
-        e: dict[int, int] = dict(a_fac)
-        r = m
-        while r > 1:
-            p = int(spf[r]) or r
-            b = 0
-            while r % p == 0:
-                r //= p
-                b += 1
-            e[p] = e.get(p, 0) + 2 * b
-        v = 1.0
-        for p, b in e.items():
-            v *= src.lambda_pp(p, b)
-        out[m] = v
-    return out
 
 
 def _gl2_central(
@@ -445,40 +430,13 @@ def _gl2_central(
         return hit[1]
     q = float(F.D * F.D) if twist_by_chi else float(F.D)
     t = src.t_psi
-    c = cfg.contour_re
-    taus = np.arange(0.0, cfg.im_cutoff + cfg.quad_step / 2, cfg.quad_step)
-    w = c + 1j * taus
-    log_g0 = (
-        -0.5 * math.log(math.pi)
-        + log_gamma((0.5 + 1j * t) / 2.0)
-        + log_gamma((0.5 - 1j * t) / 2.0)
-    )
-    g = np.empty(w.size, dtype=np.complex128)
-    for i, wi in enumerate(w):
-        lg = (
-            -(0.5 + wi) * math.log(math.pi)
-            + log_gamma((0.5 + wi + 1j * t) / 2.0)
-            + log_gamma((0.5 + wi - 1j * t) / 2.0)
-        )
-        g[i] = cmath.exp(lg - log_g0 + wi * wi) / wi
-    g[0] *= 0.5
-    g[-1] *= 0.5
-    g *= cfg.quad_step / math.pi
+    w, g = _contour_nodes(cfg, 0.5, (1j * t, -1j * t))
     N = int(200.0 * math.sqrt(q) * max(1.0, t))
     lpsi = lambda_psi_table(src, N)
     if twist_by_chi:
-        n_all = np.arange(N + 1)
-        chi = np.array([kronecker(F.D, r) for r in range(F.D)], dtype=np.float64)
-        lpsi = lpsi * chi[n_all % F.D]
+        lpsi = lpsi * kronecker_residues(F)[np.arange(N + 1) % F.D]
     n = np.arange(1, N + 1)
-    logx = 0.5 * math.log(q) - np.log(n)
-    V = (
-        np.exp(logx[:, None] * w[None, :].real)
-        * (
-            np.cos(logx[:, None] * w[None, :].imag) * g.real
-            - np.sin(logx[:, None] * w[None, :].imag) * g.imag
-        )
-    ).sum(axis=1)
+    V = _contour_sum(0.5 * math.log(q) - np.log(n), w, g)
     out = 2.0 * float(np.sum(lpsi[1:] / np.sqrt(n) * V))
     _GL2_CACHE[key] = (src, out)
     return out
@@ -536,13 +494,8 @@ def constants(
     ram = ramified_sum_factor(src, F)
     c_dpsi = 2.0 * l1chi / zd2 * l_one_sym2(src, F, X) * ram
 
-    sieve = np.ones(p_max + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(p_max)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
     log_prod = 0.0
-    for p in np.flatnonzero(sieve).tolist():
+    for p in primes_upto(p_max).tolist():
         if F.D % p == 0:
             continue
         th = vartheta(src, p)
@@ -581,8 +534,6 @@ def constants(
 
 def nu_index(n: int) -> int:
     """nu(n) = n prod_{p|n} (1 + 1/p)."""
-    from sympy import factorint
-
     v = n
     for p in factorint(n):
         v += v // p

@@ -176,11 +176,14 @@ def test_expected_value_vacuous(F):
     assert rep.passed and rep.computed == 0.0
 
 
-def test_mu_table_matches_pointwise(F):
-    k = 20
-    mu = mu_2k_table(F, k, 300)
-    for n in range(1, 301):
-        assert mu[n] == pytest.approx(mu_2k(F, k, n, nmax_hint=301), abs=1e-9), n
+def test_mu_table_matches_pointwise(admitted_fields):
+    assert len(admitted_fields) >= 3
+    for Fd in admitted_fields:
+        for k in (3, 20):
+            mu = mu_2k_table(Fd, k, 600)
+            for n in range(1, 601):
+                want = mu_2k(Fd, k, n, nmax_hint=601)
+                assert mu[n] == pytest.approx(want, abs=1e-12), (Fd.D, k, n)
 
 
 def test_mu_table_support(F):

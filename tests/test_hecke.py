@@ -14,6 +14,7 @@ from maassqv.hecke import (
     make_source,
     mu_2k,
     mu_2k_closed,
+    primes_upto,
     read_table,
     satake_square,
     vartheta,
@@ -172,3 +173,15 @@ def test_malformed_tables(tmp_path):
         p.write_text(content)
         with pytest.raises(MalformedTable):
             read_table(str(p))
+
+
+def test_primes_upto_matches_primerange():
+    for n in (0, 1, 2, 3, 4, 30, 97, 1000, 7919):
+        assert primes_upto(n).tolist() == list(primerange(2, n + 1)), n
+
+
+def test_lambda_pp_array_bit_identical(src):
+    primes = primes_upto(400)  # includes the ramified 3 and 7
+    for b in range(1, 8):
+        want = [src.lambda_pp(p, b) for p in primes.tolist()]
+        assert src.lambda_pp_array(primes, b).tolist() == want, b

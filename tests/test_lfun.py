@@ -12,12 +12,14 @@ from maassqv.errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from maassqv.hecke import lambda_psi, make_source, read_table
+from maassqv.hecke import HeckeSource, lambda_psi, make_source, primes_upto, read_table
 from maassqv.ideals import grossenchar, lambda_k_table
 from maassqv.lfun import (
     AfeConfig,
+    _gl2_central,
     afe_tail_bound,
     afe_weight,
+    afe_weight_many,
     central_value,
     classical_variance,
     constants,
@@ -28,6 +30,7 @@ from maassqv.lfun import (
     l_one_sym2,
     l_values,
     lambda_psi_table,
+    lambda_square_table,
     log_gamma,
     nu_index,
     ramified_sum_factor,
@@ -166,13 +169,63 @@ def test_lambda_psi_table_propagates_other_errors():
     class Boom(Exception):
         pass
 
-    def boom(p, b):
+    def boom(p, b=1):
         raise Boom(p)
 
+    # the table reads lambda_psi(p) once per prime and runs the Hecke
+    # recursion itself, so the failure is injected at that read
     fresh = make_source(synthetic=42, D=21)
+    fresh.lambda_p = boom
     fresh.lambda_pp = boom
     with pytest.raises(Boom):
         lambda_psi_table(fresh, 100)
+
+
+def test_lambda_psi_table_zero_hecke_values():
+    # lambda(2) = 0, and lambda(5) = 1 gives lambda(25) = 0: the fill must
+    # stay exact where a ratio of consecutive prime-power values is undefined
+    synth = make_source(synthetic=7, D=21)
+    values = {p: synth.lambda_p(p) for p in primes_upto(5000).tolist()}
+    values[2] = 0.0
+    values[5] = 1.0
+    tab_src = HeckeSource(level=21, t_psi=1.0, eta_D=1, parity="even", prime_values=values)
+    tab = lambda_psi_table(tab_src, 5000)
+    want = [0.0] + [lambda_psi(tab_src, n) for n in range(1, 5001)]
+    assert tab.tolist() == want
+    assert tab[2] == 0.0 and tab[50] == 0.0 and tab[75] == 0.0
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 11, 21])
+def test_lambda_square_table_matches_pointwise(src, a):
+    tab = lambda_square_table(src, 400, a=a)
+    assert tab[0] == 0.0
+    for m in range(1, 401):
+        assert tab[m] == pytest.approx(lambda_psi(src, a * m * m), abs=1e-12), (a, m)
+
+
+@pytest.mark.parametrize("X", [1.0e4, 2.0e5])
+def test_l_one_sym2_matches_pointwise_sum(F, X):
+    # the two cutoffs sit on either side of N^2 = 2^22, N = isqrt(40 X)
+    fresh = make_source(synthetic=42, D=21)
+    N = math.isqrt(int(40 * X))
+    m = np.arange(1, N + 1)
+    lam = np.array([lambda_psi(fresh, mm * mm) for mm in m.tolist()])
+    want = zeta_d_two(F) * float(np.sum(lam / m * np.exp(-m * m / X)))
+    assert l_one_sym2(fresh, F, X=X) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [5, 50])
+def test_afe_weight_contour_shift_invariance(F, k):
+    xis = np.geomspace(1e-3, 1e3, 121)
+    shifted = afe_weight_many(AfeConfig(contour_re=0.5), 0.5, xis, F, k)
+    base = afe_weight_many(AfeConfig(), 0.5, xis, F, k)
+    assert np.max(np.abs(shifted - base)) < 1e-9
+
+
+@pytest.mark.parametrize("twist", [False, True])
+def test_gl2_central_contour_shift_invariance(src, F, twist):
+    shifted = _gl2_central(src, F, twist, AfeConfig(contour_re=0.5))
+    assert shifted == pytest.approx(_gl2_central(src, F, twist, AfeConfig()), abs=1e-9)
 
 
 def test_afe_weight_small_xi_is_l_one_chi(F):
