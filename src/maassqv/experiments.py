@@ -3,16 +3,20 @@ diagonal isolation, first moments of Rankin-Selberg central values,
 variance assembly, Dirichlet-polynomial and moment-inequality checks,
 and non-split decay scans.  Every operation returns an ExperimentReport.
 
-Shared heavy state (ideal scans, bulk central values) is cached at module
-level; all loops run in a fixed (ascending) order so results are
-bit-for-bit reproducible.  Variance and expected value share one per-k
-Watson-Ichino loop; tables and primes come from `hecke`'s fill and sieve.
+Reused results (the matched cutoff, bulk central values, bulk L(1, phi_2k))
+are memoized by `functools.cache` on their value arguments; the ideal scan
+is cached in `ideals`.  All loops run in a fixed (ascending) order so
+results are bit-for-bit reproducible.  Variance and expected value share
+one per-k Watson-Ichino loop; tables and primes come from `hecke`'s fill
+and sieve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .lfun import (
     constants,
     classical_variance,
     dirichlet_l_one,
+    l_one_phi,
     l_one_sym2,
     lambda_psi_table,
     lambda_square_table,
@@ -79,7 +84,7 @@ def poisson_check(
     beta: QuadInt,
     K: float,
     r: int = 20,
-    sw: SmoothWeight | None = None,
+    sw: SmoothWeight = smooth_weight(),
     tol: float = 1e-6,
 ) -> ExperimentReport:
     """sum_k e(k theta/log eps) F(k/K) against K sum_l F^(K(l - theta/log eps)):
@@ -87,8 +92,6 @@ def poisson_check(
     principal ideal (beta).  The report carries the relative deviation."""
     if K < 50:
         raise HypothesisViolated("poisson_check needs K >= 50")
-    if sw is None:
-        sw = smooth_weight()
     with timed() as elapsed:
         theta = angle(F, canonical_generator(F, beta))
         alpha = theta / F.log_eps  # in [0, 2)
@@ -159,26 +162,18 @@ def _fhat_zero_profile(
     return K * out
 
 
+@functools.cache
 def matched_sym2_cutoff(
     F: FieldParams,
     K: float,
     sw: SmoothWeight,
     Lambda2: float = 1.0,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
     t_psi: float = 1.0,
 ) -> float:
     """The cutoff X such that the weight e^{-m^2/X} has the same logarithmic
     mean as the normalized diagonal profile F^(0;K,Lambda2 m^2)/(K phi~(1)
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
-    if cfg is None:
-        cfg = AfeConfig()
-    key = (
-        F.D, float(K), sw.x0, sw.x1, float(Lambda2), float(t_psi),
-        cfg.contour_re, cfg.im_cutoff, cfg.quad_step,
-    )
-    hit = _MATCH_CACHE.get(key)
-    if hit is not None:
-        return hit
     m = np.geomspace(0.5, 4000.0 * K / math.sqrt(Lambda2), 400)
     prof = _fhat_zero_profile(F, K, sw, Lambda2, m, cfg, t_psi)
     phit1 = sw.mellin(0).real
@@ -186,12 +181,7 @@ def matched_sym2_cutoff(
     lm = np.log(m)
     integrand = prof - (m < 1.0)
     log_meff = float(np.trapezoid(integrand, lm))
-    X = math.exp(2.0 * log_meff + _EULER_GAMMA)
-    _MATCH_CACHE[key] = X
-    return X
-
-
-_MATCH_CACHE: dict[tuple, float] = {}
+    return math.exp(2.0 * log_meff + _EULER_GAMMA)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +194,13 @@ def diagonal_check(
     K: float,
     a: int = 1,
     Lambda2: float = 1.0,
-    sw: SmoothWeight | None = None,
-    cfg: AfeConfig | None = None,
+    sw: SmoothWeight = smooth_weight(),
+    cfg: AfeConfig = AfeConfig(),
     tol: float = 0.05,
 ) -> ExperimentReport:
     """sum_n lambda_psi(a n^2)/n F^(0;K,Lambda2 n^2) against the diagonal
     main term vartheta(a) K/zeta_D(2) phi~(1) L(1,sym^2 psi) L(1,chi_D),
     with the sym^2 value taken at the matching cutoff scale."""
-    if sw is None:
-        sw = smooth_weight()
-    if cfg is None:
-        cfg = AfeConfig()
     with timed() as elapsed:
         ncut = int(150.0 * K * sw.x1 / math.sqrt(Lambda2))
         n = np.arange(1, ncut + 1)
@@ -228,7 +214,7 @@ def diagonal_check(
             * K
             / zeta_d_two(F)
             * phit1
-            * l_one_sym2(src, F, X=X)
+            * l_one_sym2(src, F, X)
             * dirichlet_l_one(F)
         )
     return ExperimentReport.build(
@@ -247,33 +233,25 @@ def diagonal_check(
 # Bulk central values L(1/2, psi x phi_2k) over a dyadic range of k.
 
 
-_BULK_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.cache
 def central_values_bulk(
     src: HeckeSource,
     F: FieldParams,
     k_lo: int,
     k_hi: int,
     mult: float = 4.0,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
 ) -> np.ndarray:
     """Array of L(1/2, psi x phi_2k) for k = k_lo .. k_hi, sharing one ideal
     scan.  Each value truncates the AFE series at mult * k^2 * D^{3/2} and
     completes the conjugation-fixed (coherent) part of the tail -- the
     ideals (m), p_1(m), p_2(m), (sqrt D)(m), whose Grossencharacter value
-    is identically 1 -- so only mean-zero oscillating terms are dropped."""
-    if cfg is None:
-        cfg = AfeConfig()
+    is identically 1 -- so only mean-zero oscillating terms are dropped.
+    The returned array is read-only."""
+    out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
-        return np.zeros(k_hi - k_lo + 1)
-    key = (
-        id(src), F.D, k_lo, k_hi, float(mult),
-        cfg.contour_re, cfg.im_cutoff, cfg.quad_step,
-    )
-    hit = _BULK_CACHE.get(key)
-    if hit is not None and hit[0] is src:
-        return hit[1]
+        out.setflags(write=False)
+        return out
 
     n_max = int(mult * k_hi * k_hi * F.D**1.5)
     norms, thetas = ideal_scan(F, n_max)
@@ -295,7 +273,6 @@ def central_values_bulk(
         m[0] = 1.0
         fam[a] = tab / (math.sqrt(a) * m)
 
-    out = np.empty(k_hi - k_lo + 1)
     for k in range(k_lo, k_hi + 1):
         n_k = int(mult * k * k * F.D**1.5)
         cut = int(np.searchsorted(norms, n_k, side="right"))
@@ -314,7 +291,7 @@ def central_values_bulk(
                 wt = np.interp(np.log(xis), np.log(grid), wgrid)
                 tail += float(np.sum(coef[m0 : m1 + 1] * wt))
         out[k - k_lo] = 2.0 * (half + tail)
-    _BULK_CACHE[key] = (src, out)
+    out.setflags(write=False)
     return out
 
 
@@ -340,10 +317,10 @@ def first_moment(
     src: HeckeSource,
     K: float,
     n_twist: int = 1,
-    sw: SmoothWeight | None = None,
+    sw: SmoothWeight = smooth_weight(),
     mode: str = "full",
     mult: float = 4.0,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
     tol: float | None = None,
 ) -> ExperimentReport:
     """sum_k L(1/2, psi x phi_2k) lambda_2k(n) phi(k/K), phi(y) = Phi(y)/y,
@@ -356,8 +333,6 @@ def first_moment(
         raise HypothesisViolated("desk bound K <= 2000")
     if n_twist < 1 or n_twist > 50:
         raise HypothesisViolated("n_twist must be in 1..50")
-    if sw is None:
-        sw = smooth_weight()
     if mode == "diagonal":
         return diagonal_check(F, src, K, a=n_twist, sw=sw, cfg=cfg)
     if mode != "full":
@@ -368,8 +343,6 @@ def first_moment(
             {"D": F.D, "K": K, "n_twist": n_twist},
             "root number -1: all central values vanish",
         )
-    if cfg is None:
-        cfg = AfeConfig()
     if tol is None:
         tol = 0.25 if n_twist == 1 else 0.30
     with timed() as elapsed:
@@ -391,7 +364,7 @@ def first_moment(
             2.0
             * dirichlet_l_one(F)
             / zeta_d_two(F)
-            * l_one_sym2(src, F, X=x_match)
+            * l_one_sym2(src, F, x_match)
             * ramified_sum_factor(src, F)
         )
         computed = m1 / (phit1 * K * h_factor)
@@ -420,24 +393,20 @@ def first_moment(
 # the X/2 sum reuses w^2 where w = e^{-n/X}).
 
 
-_LPHI_CACHE: dict[tuple[int, float], dict[int, float]] = {}
-
-
-def _l_one_phi_bulk(F: FieldParams, ms: Sequence[int], X: float = 4.0e5) -> dict[int, float]:
-    """{m: L(1, phi_m)} for the given m, memoized per (D, X): only the m not
-    yet computed for this field and cutoff are summed."""
-    memo = _LPHI_CACHE.setdefault((F.D, float(X)), {})
-    todo = [m for m in ms if m not in memo]
-    if todo:
-        n_max = int(25 * X)
-        norms, thetas = ideal_scan(F, n_max)
-        w = np.exp(-norms / X)
-        coef = (2.0 * w - w * w) / norms
-        del w
-        for m in todo:
-            ph = (math.pi * m / F.log_eps) * thetas
-            memo[m] = float(np.sum(coef * np.cos(ph)))
-    return {m: memo[m] for m in ms}
+@functools.cache
+def _l_one_phi_bulk(
+    F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
+) -> Mapping[int, float]:
+    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
+    norms, thetas = ideal_scan(F, int(25 * X))
+    w = np.exp(-norms / X)
+    coef = (2.0 * w - w * w) / norms
+    del w
+    out = {}
+    for m in ms:
+        ph = (math.pi * m / F.log_eps) * thetas
+        out[m] = float(np.sum(coef * np.cos(ph)))
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +428,9 @@ def _watson_ichino_terms(
     k_hi = int(math.floor(K * sw.x1))
     ks = range(k_lo, k_hi + 1)
     lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
-    lphi = _l_one_phi_bulk(F, [2 * k for k in ks])
+    lphi = _l_one_phi_bulk(F, tuple(2 * k for k in ks))
     x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
-    ls2 = l_one_sym2(src, F, X=x_match)
+    ls2 = l_one_sym2(src, F, x_match)
     terms = []
     for i, k in enumerate(ks):
         w = sw(k / K)
@@ -479,19 +448,15 @@ def variance_table(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    sw: SmoothWeight | None = None,
+    sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
     tol: float = 0.3,
     p_max: int = 30000,
 ) -> ExperimentReport:
     """Q^h = sum_k L(1,phi_2k)^2 |mu_k|^2 Phi(k/K) from Watson-Ichino
     values, against Phi~(0) A^h(psi) V(psi); the unweighted
     Q = sum_k |mu_k|^2 Phi(k/K) against Phi~(0) A^h C' V goes in extra."""
-    if sw is None:
-        sw = smooth_weight()
-    if cfg is None:
-        cfg = AfeConfig()
     if src.eta_D == -1 or src.parity == "odd":
         return _vacuous_report(
             "variance_table",
@@ -537,17 +502,13 @@ def expected_value(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    sw: SmoothWeight | None = None,
+    sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
     envelope_factor: float = 10.0,
 ) -> ExperimentReport:
     """(1/K) sum_k |mu_k(psi)| Phi(k/K) reported against the K^{-1/2}
     envelope.  The exponent is observed, not asserted."""
-    if sw is None:
-        sw = smooth_weight()
-    if cfg is None:
-        cfg = AfeConfig()
     with timed() as elapsed:
         if src.eta_D == -1 or src.parity == "odd":
             e_val = 0.0
@@ -604,8 +565,6 @@ def dirichlet_poly_check(
         raise HypothesisViolated("dirichlet_poly_check needs k >= 10")
     if x < 1000:
         raise TruncationInsufficient("polynomial length x below 10^3")
-    from .lfun import l_one_phi
-
     with timed() as elapsed:
         lhs = 1.0 / l_one_phi(F, 2 * k) ** 2
         mu = mu_2k_table(F, k, x)
@@ -694,15 +653,13 @@ def nonsplit_decay_scan(
     src: HeckeSource,
     Q: QuadPoly,
     Ys: Sequence[float] | None = None,
-    W: SmoothWeight | None = None,
+    W: SmoothWeight = SmoothWeight(),
     slack: float = 0.1,
 ) -> ExperimentReport:
     """|S(Y)|/sqrt(Y) across the Y ladder; each step may exceed the previous
     by at most the slack (a decreasing-in-envelope check, no main term)."""
     if Ys is None:
         Ys = [1e4 * 4.0**j for j in range(6)]
-    if W is None:
-        W = SmoothWeight()
     with timed() as elapsed:
         ratios = [abs(nonsplit_sum(src, Q, Y, W)) / math.sqrt(Y) for Y in Ys]
         steps = [b - a for a, b in zip(ratios, ratios[1:])]

@@ -4,18 +4,18 @@ series it controls.
 Contents: the theta multiplier epsilon_d, quadratic Gauss sums (brute force
 and closed piecewise forms), the two Fourier-coefficient factors b(n,s) and
 c(n,s) of the weight-1/2 Eisenstein series at levels M = 2^b0 p1^b1 p2^b2,
-the explicit residue constant at s = 3/4, the shifted Dirichlet series
-D_{psi,chi,t}(s,Delta), the non-split quadratic sum S and its contour
-reduction, and the symmetric-square Euler factorization check.
+the explicit residue constant at s = 3/4, the non-split quadratic sum S
+and its contour reduction through the shifted Dirichlet series
+D_psi(s, Delta), and the symmetric-square Euler factorization check.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from sympy import factorint
@@ -155,16 +155,20 @@ def gauss_closed(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@lru_cache(maxsize=1024)
+@functools.cache
 def _legendre_table(p: int) -> np.ndarray:
-    """(d/p) as a function of d mod p (odd prime p)."""
-    return np.array([kronecker(d, p) for d in range(p)], dtype=np.float64)
+    """(d/p) as a function of d mod p (odd prime p), read-only."""
+    out = np.array([kronecker(d, p) for d in range(p)], dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
-@lru_cache(maxsize=256)
+@functools.cache
 def _bottom_symbol_table(p: int) -> np.ndarray:
-    """(p/d) as a function of odd d, tabulated over one period 4p."""
-    return np.array([kronecker(p, d) for d in range(4 * p)], dtype=np.float64)
+    """(p/d) as a function of odd d, tabulated over one period 4p, read-only."""
+    out = np.array([kronecker(p, d) for d in range(4 * p)], dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def _inner_sum_weights(mp: int, d: np.ndarray) -> np.ndarray:
@@ -249,55 +253,6 @@ def _check_c_tail(n: int, sigma: float, L: LevelData, bound: int, tol: float) ->
             est += mp ** (1 - 2 * sigma)
     if est > tol:
         raise BoundTooSmall(f"n=0 tail estimate {est:.2e} > tol {tol:.2e}")
-
-
-def c_assembled(n: int, L: LevelData, s: complex) -> complex:
-    """c(n, s) assembled from the closed Gauss sums and the Chinese-remainder
-    sign factors; a finite exact sum for n >= 1 of admissible shape."""
-    primes = tuple(p for p, _ in L.odd_primes)
-    a0, alphas = _decompose(n, primes)  # BadDecomposition if shape fails
-    plist = L.odd_primes
-    k0max = 2 * a0 + 3
-    total = 0.0 + 0.0j
-    k_ranges = [range(beta, 2 * alphas[p] + 2) for p, beta in plist]
-
-    def _piece(k0: int, ks: tuple[int, ...], e: int) -> complex:
-        par = (sum(ks) + e) % 2
-        g2 = gauss_closed(n, "Gneg8" if par else "G8", k0, odd_primes=primes)
-        if g2 == 0:
-            return 0.0
-        val = g2
-        P = 1
-        for (p, _), kp in zip(plist, ks):
-            P *= p**kp
-        # sign factors from pulling inverses out of each Gauss sum
-        sign = kronecker(-4, P) ** par * kronecker(8, P) ** (k0 % 2)
-        for i, ((p, _), kp) in enumerate(zip(plist, ks)):
-            gp = gauss_closed(n, "Gp", kp, p=p, odd_primes=primes)
-            if gp == 0:
-                return 0.0
-            val *= gp
-            other = 2**k0
-            for j, ((q, _), kq) in enumerate(zip(plist, ks)):
-                if j != i:
-                    other *= q**kq
-            sign *= kronecker(-p, other) ** (kp % 2)
-        mp = 2**k0 * P
-        pref = (1 + 1j) / 2 if e == 0 else (1 - 1j) / 2
-        return pref * sign * val * mp ** (-2 * s)
-
-    def _loop(idx: int, ks: tuple[int, ...]) -> None:
-        nonlocal total
-        if idx == len(plist):
-            for k0 in range(L.beta0, k0max + 1):
-                for e in (0, 1):
-                    total += _piece(k0, ks, e)
-            return
-        for kp in k_ranges[idx]:
-            _loop(idx + 1, ks + (kp,))
-
-    _loop(0, ())
-    return total
 
 
 def c_closed(m: int, L: LevelData, s: complex = 0.75) -> complex:
@@ -513,51 +468,6 @@ class QuadPoly:
 
     def value(self, n: int) -> int:
         return self.a * n * n + self.b * n + self.c
-
-
-_THETA_ENV = 0.25  # generous |lambda(x)| <= 18 x^theta envelope for tails
-
-
-def d_series(
-    src: HeckeSource,
-    chi: Character,
-    t: int,
-    s: complex,
-    Delta: int,
-    a: int,
-    N: int,
-) -> tuple[complex, float]:
-    """Partial sum to N of the shifted series
-    sum_{n>=0} lambda((t n^2 - Delta)/4a)(2-delta)chi(n)n^nu
-    / (t n^2 + Delta + |t n^2 - Delta|)^{s+nu/2} * phase(t_psi),
-    plus a crude analytic tail bound."""
-    nu = chi.parity
-    sigma = complex(s).real
-    if 2 * sigma - 2 * _THETA_ENV <= 1:
-        raise TruncationInsufficient(f"no convergent tail bound at Re(s)={sigma}")
-    it = 1j * src.t_psi
-    total = 0.0 + 0.0j
-    for n in range(N + 1):
-        lam = lambda_psi_at(src, (t * n * n - Delta) / (4 * a))
-        if lam == 0.0:
-            continue
-        cv = chi(n)
-        if cv == 0:
-            continue
-        q = t * n * n - Delta
-        u = t * n * n + Delta + abs(q)
-        weight = 1.0 if n == 0 else 2.0
-        npow = 1.0 if nu == 0 else float(n)
-        total += (
-            lam * weight * cv * npow * u ** (-(s + nu / 2))
-            * cmath.exp(it * (math.log(2 * abs(q)) - math.log(u)))
-            if q != 0
-            else 0.0
-        )
-    expo = 0.5 + 2 * _THETA_ENV - 2 * sigma  # per-term n-exponent bound
-    c0 = 18.0 * float(t) ** (_THETA_ENV - sigma - nu / 2) * (4 * a) ** (-_THETA_ENV)
-    tail = c0 * float(max(N, 1)) ** (expo + 1) / (-expo - 1)
-    return total, tail
 
 
 def nonsplit_sum(

@@ -1,7 +1,7 @@
 """Hecke eigenvalue sources for the fixed even newform psi of level D with
 trivial nebentypus, plus the multiplicative functions built on top of them:
-the local series L(s, p^b) and its closed form, vartheta = L(1, .), the
-ideal-weighted h, the sieve weight g, and the short Moebius-type mu_2k.
+the local series L(s, p^b) and its closed form, vartheta = L(1, .) and
+the ideal-weighted h.
 
 Sources are either table-backed (one lambda_psi(p) per prime, extended by
 the Hecke recursion) or synthetic: lambda_psi(p) = 2 cos(theta_p) with
@@ -14,6 +14,7 @@ fill, `multiplicative_fill`, live here; every arithmetic table is a fill.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .errors import (
     MalformedTable,
     MissingPrime,
 )
-from .ideals import elements_of_norm, kronecker_chi, lambda_k
+from .ideals import elements_of_norm
 from .lattice import n_beta
 from .quadfield import FieldParams
 
@@ -37,16 +38,26 @@ def _chi0(D: int, p: int) -> int:
     return 0 if D % p == 0 else 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeckeSource:
+    """A Hecke eigenvalue source, compared and hashed by value: the spectral
+    data, the seed, and for a table-backed source a digest of its table.
+    prime_values holds the table, or for a synthetic source the lambda_psi(p)
+    drawn so far; it takes no part in the comparison."""
+
     level: int  # = D
     t_psi: float
     eta_D: int  # Atkin-Lehner eigenvalue in {-1, +1}
     parity: str  # "even" | "odd"
-    prime_values: dict[int, float]  # p -> lambda_psi(p); None-backed if synthetic
+    prime_values: dict[int, float] = field(compare=False)  # p -> lambda_psi(p)
     seed: int | None = None  # synthetic mode when not None
-    _pp_cache: dict[tuple[int, int], float] = field(default_factory=dict, repr=False)
-    _n_cache: dict[int, float] = field(default_factory=dict, repr=False)
+    _table_digest: str = field(default="", init=False, repr=False)
+
+    def __post_init__(self):
+        if self.seed is None:  # (p, lambda(p)) rows: primes are exact in float64
+            table = np.array(sorted(self.prime_values.items()), dtype=np.float64)
+            digest = hashlib.sha256(table.tobytes()).hexdigest()
+            object.__setattr__(self, "_table_digest", digest)
 
     def lambda_p(self, p: int) -> float:
         if p in self.prime_values:
@@ -63,19 +74,13 @@ class HeckeSource:
             return 0.0
         if b == 0:
             return 1.0
-        key = (p, b)
-        if key in self._pp_cache:
-            return self._pp_cache[key]
         lp = self.lambda_p(p)
         if self.level % p == 0:
-            v = lp**b
-        else:
-            prev2, prev1 = 1.0, lp
-            for _ in range(b - 1):
-                prev2, prev1 = prev1, lp * prev1 - prev2
-            v = prev1
-        self._pp_cache[key] = v
-        return v
+            return lp**b
+        prev2, prev1 = 1.0, lp
+        for _ in range(b - 1):
+            prev2, prev1 = prev1, lp * prev1 - prev2
+        return prev1
 
     def lambda_pp_array(self, primes: np.ndarray, b: int) -> np.ndarray:
         """lambda_psi(p^b), b >= 1, for an array of primes: the Hecke
@@ -224,19 +229,15 @@ def write_table(src: HeckeSource, path: str, pmax: int) -> None:
             fh.write(f"{p} {src.lambda_p(p):.17g}\n")
 
 
+@functools.cache
 def lambda_psi(src: HeckeSource, n: int) -> float:
     """Multiplicative extension; lambda(-n) = lambda(n), lambda(0) = 0."""
     n = abs(n)
     if n == 0:
         return 0.0
-    if n == 1:
-        return 1.0
-    v = src._n_cache.get(n)
-    if v is None:
-        v = 1.0
-        for p, b in factorint(n).items():
-            v *= src.lambda_pp(p, b)
-        src._n_cache[n] = v
+    v = 1.0
+    for p, b in factorint(n).items():
+        v *= src.lambda_pp(p, b)
     return v
 
 
@@ -289,68 +290,3 @@ def h_fn(src: HeckeSource, F: FieldParams, n: int, nmax_hint: int = 0) -> float:
         _, nb = n_beta(F, rep.gen)
         total += vartheta(src, nb) / math.sqrt(nb)
     return total
-
-
-def g_fn(src: HeckeSource, F: FieldParams, n: int) -> float:
-    """Multiplicative sieve weight: g(p) = -2h(p), g(p^2) = 3chi(p)+h(p^2),
-    g(p^3) = -2chi(p)h(p), g(p^4) = chi(p)^2, zero on higher powers."""
-    assert n >= 1
-    v = 1.0
-    for p, b in factorint(n).items():
-        chi = kronecker_chi(F, p)
-        if b == 1:
-            v *= -2.0 * h_fn(src, F, p)
-        elif b == 2:
-            v *= 3.0 * chi + h_fn(src, F, p * p)
-        elif b == 3:
-            v *= -2.0 * chi * h_fn(src, F, p)
-        elif b == 4:
-            v *= float(chi * chi)
-        else:
-            return 0.0
-    return v
-
-
-def mu_2k(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
-    """mu_2k(p) = -lambda_2k(p), mu_2k(p^2) = chi_D(p), zero on cubes."""
-    assert n >= 1
-    v = 1.0
-    for p, b in factorint(n).items():
-        if b == 1:
-            v *= -lambda_k(F, 2 * k, p, nmax_hint)
-        elif b == 2:
-            v *= kronecker_chi(F, p)
-        else:
-            return 0.0
-    return v
-
-
-def mu_2k_closed(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
-    """Closed form: for n = r^2 s with s squarefree,
-    chi_D(r) mu^2(r) mu(s) lambda_2k(s) when (r, s) = 1, else 0."""
-    assert n >= 1
-    r = 1
-    s = 1
-    mob_s = 1
-    sqfree_r = True
-    for p, b in factorint(n).items():
-        if b % 2 == 1:
-            s *= p
-            mob_s = -mob_s
-            if b > 1:
-                return 0.0  # p | r and p | s
-        else:
-            r *= p ** (b // 2)
-            if b // 2 > 1 or b > 2:
-                sqfree_r = False
-    if not sqfree_r:
-        return 0.0
-    return kronecker_chi(F, r) * mob_s * lambda_k(F, 2 * k, s, nmax_hint)
-
-
-def satake_square(src: HeckeSource, F: FieldParams, k: int, p: int) -> float:
-    """Second coefficient of the Rankin-Selberg local factor:
-    (lambda_psi(p^2) - 1)(lambda_4k(p) + 1 - chi_D(p))."""
-    return (src.lambda_pp(p, 2) - 1.0) * (
-        lambda_k(F, 4 * k, p) + 1.0 - kronecker_chi(F, p)
-    )

@@ -88,6 +88,8 @@ class IdealRep:
     theta: float
 
 
+# Not a functools.cache: one entry per field serves every smaller bound as a
+# prefix of the largest scan built so far, and a larger scan replaces it.
 _SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 _SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
 

@@ -5,6 +5,9 @@ leading constants of the variance asymptotics.
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes`, summed by `_contour_sum`.
+log Gamma is `scipy.special.loggamma`, vectorized over the contour nodes.
+Reused values (contour nodes, the L(s, chi_D) line, L-values) are memoized by
+`functools.cache` on value arguments; cached arrays are read-only.
 
 Numeric conventions used throughout:
   - t_m = pi*m/log(eps_D) is the spectral parameter of the index-m
@@ -17,12 +20,13 @@ Numeric conventions used throughout:
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import loggamma
 from sympy import factorint
 
 from .errors import (
@@ -33,63 +37,14 @@ from .errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from .hecke import HeckeSource, multiplicative_fill, primes_upto, vartheta
+from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import kronecker_chi, kronecker_residues, lambda_k_table, r_D
 from .quadfield import FieldParams
-
-# ---------------------------------------------------------------------------
-# log Gamma: upward recursion into the Stirling regime + asymptotic series.
-
-# B_{2n} / (2n (2n-1)) for n = 1..10
-_STIRLING = (
-    1.0 / 12,
-    -1.0 / 360,
-    1.0 / 1260,
-    -1.0 / 1680,
-    1.0 / 1188,
-    -691.0 / 360360,
-    1.0 / 156,
-    -3617.0 / 122400,
-    43867.0 / 244188,
-    -174611.0 / 125400,
-)
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma, accurate to ~1e-13 relative on
-    Re z in [-50, 50], |Im z| <= 1e4."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleInput(f"log_gamma pole at z={z}")
-    acc = 0.0 + 0.0j
-    w = z
-    # shift until the asymptotic series applies (large modulus, right of
-    # the negative real axis or far from it)
-    while not (abs(w) >= 16.0 and (w.real >= 0.0 or abs(w.imag) >= 16.0)):
-        acc -= cmath.log(w)
-        w += 1.0
-    series = 0.0 + 0.0j
-    winv2 = 1.0 / (w * w)
-    term = 1.0 / w
-    for c in _STIRLING:
-        series += c * term
-        term *= winv2
-    return acc + (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series
 
 
 def spectral_parameter(F: FieldParams, m: int) -> float:
     """t_m = pi * m / log eps_D for the index-m dihedral form."""
     return math.pi * m / F.log_eps
-
-
-def gamma_factor(s: complex, t_psi: float, t_2k: float) -> complex:
-    """pi^{-2s} prod over both sign choices of Gamma((s +- i t_psi +- i t_2k)/2)."""
-    total = -2.0 * complex(s) * math.log(math.pi)
-    for e1 in (1.0, -1.0):
-        for e2 in (1.0, -1.0):
-            total += log_gamma((s + 1j * (e1 * t_psi + e2 * t_2k)) / 2.0)
-    return cmath.exp(total)
 
 
 def gamma_ratio_stirling(t_psi: float, t_2k: float) -> tuple[float, float]:
@@ -102,15 +57,15 @@ def gamma_ratio_stirling(t_psi: float, t_2k: float) -> tuple[float, float]:
     a2 = (0.5 + 1j * (t_2k - t_psi)) / 2.0
     a3 = (1.0 + 1j * t_2k) / 2.0
     exact = math.exp(
-        2.0 * log_gamma(a1).real + 2.0 * log_gamma(a2).real - 4.0 * log_gamma(a3).real
+        2.0 * loggamma(a1).real + 2.0 * loggamma(a2).real - 4.0 * loggamma(a3).real
     )
     return exact, 2.0 / t_2k
 
 
 def classical_variance(t_psi: float) -> float:
     """|Gamma(1/4 + i t_psi/2)|^4 / (2 pi |Gamma(1/2 + i t_psi)|^2)."""
-    num = 4.0 * log_gamma(0.25 + 0.5j * t_psi).real
-    den = 2.0 * log_gamma(0.5 + 1j * t_psi).real
+    num = 4.0 * loggamma(0.25 + 0.5j * t_psi).real
+    den = 2.0 * loggamma(0.5 + 1j * t_psi).real
     return math.exp(num - den) / (2.0 * math.pi)
 
 
@@ -167,21 +122,27 @@ class AfeConfig:
         if self.series_cutoff_multiplier <= 0.0:
             raise ValueError("series_cutoff_multiplier must be positive")
 
+    def nodes(self) -> np.ndarray:
+        """The trapezoid nodes w = c + i tau, tau = 0, quad_step, ..,
+        im_cutoff, on the upper half of the contour Re w = c."""
+        taus = np.arange(0.0, self.im_cutoff + self.quad_step / 2, self.quad_step)
+        return self.contour_re + 1j * taus
 
-def _dirichlet_l_line(F: FieldParams, s_nodes: np.ndarray, nterms: int = 40000) -> np.ndarray:
-    """L(s, chi_D) at an array of points with Re s >= 2 (plain truncated
-    Dirichlet series; tail << |s| D / nterms^2 by partial summation)."""
-    n = np.arange(1, nterms + 1)
+
+@functools.cache
+def _dirichlet_l_line(F: FieldParams, s: complex, cfg: AfeConfig) -> np.ndarray:
+    """L(2w + 2s, chi_D), Re(2w + 2s) >= 2, at the contour nodes w of cfg:
+    40,000 terms, tail << |2w + 2s| D / 40000^2 by partial summation.  It does
+    not depend on k, so one cached line serves every AFE weight at (F, s, cfg)."""
+    n = np.arange(1, 40001)
     chin = kronecker_residues(F)[n % F.D]
     logn = np.log(n)
+    s_nodes = 2.0 * cfg.nodes() + 2.0 * s
     out = np.empty(s_nodes.size, dtype=np.complex128)
-    for i, s in enumerate(s_nodes):
-        out[i] = np.sum(chin * np.exp(-s * logn))
+    for i, sv in enumerate(s_nodes):
+        out[i] = np.sum(chin * np.exp(-sv * logn))
+    out.setflags(write=False)
     return out
-
-
-_L_NODE_CACHE: dict[tuple, np.ndarray] = {}
-_AFE_NODE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _contour_nodes(
@@ -195,27 +156,17 @@ def _contour_nodes(
     L(2w+2s, chi_D) when l_field is given, and gamma(s) = pi^{-ds/2}
     prod_j Gamma((s + mu_j)/2) over the d shifts mu_j.  The x-dependence
     x^w of the weight is applied by `_contour_sum`."""
-    c = cfg.contour_re
-    taus = np.arange(0.0, cfg.im_cutoff + cfg.quad_step / 2, cfg.quad_step)
-    w = c + 1j * taus
+    w = cfg.nodes()
     pi_pow = -0.5 * len(shifts)
     ln_pi = math.log(math.pi)
     log_g0 = pi_pow * complex(s) * ln_pi
+    lg = pi_pow * (s + w) * ln_pi
     for mu in shifts:
-        log_g0 += log_gamma((s + mu) / 2.0)
-    g = np.empty(w.size, dtype=np.complex128)
-    for i, wi in enumerate(w):
-        lg = pi_pow * (s + wi) * ln_pi
-        for mu in shifts:
-            lg += log_gamma((s + wi + mu) / 2.0)
-        g[i] = cmath.exp(lg - log_g0 + wi * wi) / wi
+        log_g0 += loggamma((s + mu) / 2.0)
+        lg += loggamma((s + w + mu) / 2.0)
+    g = np.exp(lg - log_g0 + w * w) / w
     if l_field is not None:
-        lkey = (l_field.D, complex(s), cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
-        lvals = _L_NODE_CACHE.get(lkey)
-        if lvals is None:
-            lvals = _dirichlet_l_line(l_field, 2.0 * w + 2.0 * s)
-            _L_NODE_CACHE[lkey] = lvals
-        g *= lvals
+        g *= _dirichlet_l_line(l_field, s, cfg)
     # endpoint must be negligible for the trapezoid tail to be safe
     ref = max(abs(g[0]), 1.0)
     if abs(g[-1]) > 1e-10 * ref:
@@ -241,20 +192,18 @@ def _contour_sum(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _afe_nodes(
     cfg: AfeConfig, F: FieldParams, k: int, s: complex, t_psi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The contour nodes of the AFE weight W: the four Gamma shifts
     i(+-t_psi +- t_2k) and the line L(2w+2s, chi_D)."""
-    key = (id(F), F.D, k, complex(s), t_psi, cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
-    hit = _AFE_NODE_CACHE.get(key)
-    if hit is not None:
-        return hit
     t2k = spectral_parameter(F, 2 * k)
     shifts = [1j * (e1 * t_psi + e2 * t2k) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
-    out = _contour_nodes(cfg, s, shifts, F)
-    _AFE_NODE_CACHE[key] = out
-    return out
+    w, g = _contour_nodes(cfg, s, shifts, F)
+    w.setflags(write=False)
+    g.setflags(write=False)
+    return w, g
 
 
 def afe_weight_many(
@@ -265,7 +214,8 @@ def afe_weight_many(
     k: int,
     t_psi: float = 1.0,
 ) -> np.ndarray:
-    """W_s(xi) for an array of positive xi (vectorized contour quadrature)."""
+    """W_s(xi), the smoothed-cutoff weight of the AFE, for an array of positive
+    xi: W(xi) -> L(1, chi_D) as xi -> 0, rapid decay once xi k^2 >> D^{3/2}."""
     if k == 0:
         raise PoleInput("k = 0 has no cuspidal dihedral form")
     w, g = _afe_nodes(cfg, F, abs(k), complex(s), t_psi)
@@ -274,15 +224,6 @@ def afe_weight_many(
         raise ValueError("xi must be positive")
     logx = 1.5 * math.log(F.D) - np.log(xis) - 2.0 * math.log(abs(k))
     return _contour_sum(logx, w, g)
-
-
-def afe_weight(
-    cfg: AfeConfig, s: complex, xi: float, F: FieldParams, k: int, t_psi: float = 1.0
-) -> float:
-    """W_s(xi): smoothed-cutoff weight of the approximate functional
-    equation; W(xi) -> L(1, chi_D) as xi -> 0 and decays rapidly once
-    xi k^2 >> D^{3/2}."""
-    return float(afe_weight_many(cfg, s, np.array([xi]), F, k, t_psi)[0])
 
 
 def afe_tail_bound(cfg: AfeConfig, F: FieldParams, xi: float) -> float:
@@ -335,19 +276,13 @@ def _smoothed_over_n(coeffs: np.ndarray, X: float) -> float:
     return float(np.sum(coeffs[1:] * np.exp(-n / X) / n))
 
 
-_L_ONE_CHI_CACHE: dict[tuple[int, float], float] = {}
-
-
+@functools.cache
 def dirichlet_l_one(F: FieldParams, X: float = 20000.0) -> float:
     """L(1, chi_D) by smoothed character sum; the exponential cutoff's
     Mellin corrections vanish to O(X^{-4}) for even chi_D except the
     X^{-2} L(-1, chi_D)/2 term, which is added in closed form."""
     if X < 100:
         raise TruncationInsufficient("cutoff X too small")
-    key = (F.D, float(X))
-    hit = _L_ONE_CHI_CACHE.get(key)
-    if hit is not None:
-        return hit
     N = int(40 * X)
     n = np.arange(1, N + 1)
     chi = kronecker_residues(F)
@@ -356,14 +291,10 @@ def dirichlet_l_one(F: FieldParams, X: float = 20000.0) -> float:
     a = np.arange(F.D)
     b2 = (a / F.D) ** 2 - (a / F.D) + 1.0 / 6.0
     l_minus1 = -0.5 * F.D * float(np.sum(chi[a % F.D] * b2))
-    out = S - 0.5 * l_minus1 / X**2
-    _L_ONE_CHI_CACHE[key] = out
-    return out
+    return S - 0.5 * l_minus1 / X**2
 
 
-_L_ONE_PHI_CACHE: dict[tuple[int, int, float], float] = {}
-
-
+@functools.cache
 def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
     """L(1, phi_m) = sum lambda_m(n)/n, smoothed; m = 2k, k != 0.
 
@@ -378,17 +309,12 @@ def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
         X = max(20000.0, 8.0 * scale)
     if X < 100:
         raise TruncationInsufficient("cutoff X too small")
-    key = (F.D, abs(m), float(X))
-    hit = _L_ONE_PHI_CACHE.get(key)
-    if hit is not None:
-        return hit
     N = int(30 * X)
     tab = lambda_k_table(F, abs(m), N)
-    out = 2.0 * _smoothed_over_n(tab, X) - _smoothed_over_n(tab, X / 2.0)
-    _L_ONE_PHI_CACHE[key] = out
-    return out
+    return 2.0 * _smoothed_over_n(tab, X) - _smoothed_over_n(tab, X / 2.0)
 
 
+@functools.cache
 def l_one_sym2(src: HeckeSource, F: FieldParams, X: float = 20000.0) -> float:
     """L(1, sym^2 psi) = zeta_D(2) * sum_n lambda_psi(n^2)/n (smoothed).
 
@@ -398,36 +324,22 @@ def l_one_sym2(src: HeckeSource, F: FieldParams, X: float = 20000.0) -> float:
     """
     if X < 100:
         raise TruncationInsufficient("cutoff X too small")
-    key = (id(src), float(X))
-    hit = _L_SYM2_CACHE.get(key)
-    if hit is not None and hit[0] is src:
-        return hit[1]
     N = int(math.isqrt(int(40 * X)))
     m = np.arange(1, N + 1)
     vals = lambda_square_table(src, N)[1:]
-    out = zeta_d_two(F) * float(np.sum(vals / m * np.exp(-m * m / X)))
-    _L_SYM2_CACHE[key] = (src, out)
-    return out
+    return zeta_d_two(F) * float(np.sum(vals / m * np.exp(-m * m / X)))
 
 
-_L_SYM2_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.cache
 def _gl2_central(
     src: HeckeSource,
     F: FieldParams,
     twist_by_chi: bool,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
 ) -> float:
     """Desk-scale L(1/2, psi) (or L(1/2, psi x chi_D)): one-sided
     approximate functional equation 2 sum lambda(n) chi(n) n^{-1/2} V(n)
     assuming root number +1 (a -1 root number drives the sum itself to 0)."""
-    if cfg is None:
-        cfg = AfeConfig()
-    key = (id(src), F.D, twist_by_chi, cfg.contour_re, cfg.im_cutoff, cfg.quad_step)
-    hit = _GL2_CACHE.get(key)
-    if hit is not None and hit[0] is src:
-        return hit[1]
     q = float(F.D * F.D) if twist_by_chi else float(F.D)
     t = src.t_psi
     w, g = _contour_nodes(cfg, 0.5, (1j * t, -1j * t))
@@ -437,25 +349,7 @@ def _gl2_central(
         lpsi = lpsi * kronecker_residues(F)[np.arange(N + 1) % F.D]
     n = np.arange(1, N + 1)
     V = _contour_sum(0.5 * math.log(q) - np.log(n), w, g)
-    out = 2.0 * float(np.sum(lpsi[1:] / np.sqrt(n) * V))
-    _GL2_CACHE[key] = (src, out)
-    return out
-
-
-_GL2_CACHE: dict[tuple, tuple] = {}
-
-
-def l_values(F: FieldParams, src: HeckeSource, k: int, X: float = 20000.0) -> dict:
-    """The auxiliary values feeding the constants, as a dict with keys
-    L1_chi, zeta_D2, L1_phi2k, L1_sym2."""
-    if k == 0:
-        raise PoleInput("k = 0 has no cuspidal dihedral form")
-    return {
-        "L1_chi": dirichlet_l_one(F, X),
-        "zeta_D2": zeta_d_two(F),
-        "L1_phi2k": l_one_phi(F, 2 * k, X),
-        "L1_sym2": l_one_sym2(src, F, X),
-    }
+    return 2.0 * float(np.sum(lpsi[1:] / np.sqrt(n) * V))
 
 
 def ramified_sum_factor(src: HeckeSource, F: FieldParams) -> float:
@@ -503,8 +397,6 @@ def constants(
         chi = kronecker_chi(F, p)
         term = -2.0 * th * rd * p**-1.5 + 2.0 * th * rd * chi * p**-2.5 + p**-5.0
         if p <= 500:
-            from .hecke import h_fn
-
             term += (3.0 * chi + h_fn(src, F, p * p, nmax_hint=1 << 12)) / p**3
         else:
             term += 3.0 * chi / p**3  # |h(p^2)| <= 6/p^{...}: negligible here
@@ -513,8 +405,8 @@ def constants(
     tail = 16.0 / (math.sqrt(p_max) * math.log(p_max))
 
     a_h = (
-        _gl2_central(src, F, False)
-        * _gl2_central(src, F, True)
+        _gl2_central(src, F, False, AfeConfig())
+        * _gl2_central(src, F, True, AfeConfig())
         * math.pi
         * F.log_eps
         / (2.0 * F.D**2 * zd2 * l1chi)
@@ -544,7 +436,7 @@ def watson_ichino_mu2(
     F: FieldParams,
     src: HeckeSource,
     k: int,
-    cfg: AfeConfig | None = None,
+    cfg: AfeConfig = AfeConfig(),
     l_half_cross: float | None = None,
     l_one_phi_val: float | None = None,
     l_sym2_val: float | None = None,
@@ -560,15 +452,13 @@ def watson_ichino_mu2(
         return 0.0
     if k == 0:
         raise PoleInput("k = 0 has no cuspidal dihedral form")
-    if cfg is None:
-        cfg = AfeConfig()
     D = F.D
     t = src.t_psi
     t2k = spectral_parameter(F, 2 * abs(k))
     ln_pi = math.log(math.pi)
 
-    def log_gamma2(s: float, tpar: float) -> float:
-        return -s * ln_pi + 2.0 * log_gamma((s + 1j * tpar) / 2.0).real
+    def log_arch2(s: float, tpar: float) -> float:
+        return -s * ln_pi + 2.0 * loggamma((s + 1j * tpar) / 2.0).real
 
     # the archimedean factors of numerator and denominator individually
     # underflow (e^{-pi t_2k/2} scale) at large k: assemble the whole
@@ -596,19 +486,19 @@ def watson_ichino_mu2(
     # conductor powers: D^{1/4} D^{1/2} D^{3/4} / (D * D * D) / sqrt(D)
     log_mag += (0.25 + 0.5 + 0.75 - 1.0 - 1.0 - 1.0 - 0.5) * math.log(D)
     # gamma factors
-    log_mag += 2.0 * log_gamma2(0.5, t)  # psi and psi x chi_D
+    log_mag += 2.0 * log_arch2(0.5, t)  # psi and psi x chi_D
     log_mag += -2.0 * 0.5 * ln_pi + sum(  # |gamma(1/2, psi x phi_2k)|
-        log_gamma((0.5 + 1j * (e1 * t + e2 * t2k)) / 2.0).real
+        loggamma((0.5 + 1j * (e1 * t + e2 * t2k)) / 2.0).real
         for e1 in (1.0, -1.0)
         for e2 in (1.0, -1.0)
     )
     log_mag -= (
         -1.5 * ln_pi
-        + 2.0 * log_gamma((1.0 + 2j * t) / 2.0).real
-        + log_gamma(0.5).real
+        + 2.0 * loggamma((1.0 + 2j * t) / 2.0).real
+        + loggamma(0.5).real
     )  # sym^2 at 1
-    log_mag -= 2.0 * (-0.5 * ln_pi + log_gamma(0.5).real)  # chi_D at 1, squared
-    log_mag -= 2.0 * log_gamma2(1.0, t2k)  # phi_2k at 1, squared
+    log_mag -= 2.0 * (-0.5 * ln_pi + loggamma(0.5).real)  # chi_D at 1, squared
+    log_mag -= 2.0 * log_arch2(1.0, t2k)  # phi_2k at 1, squared
     d1 = src.level
     log_mag -= math.log(8.0 * nu_index(D // d1))
     return sign * math.exp(log_mag)

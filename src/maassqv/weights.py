@@ -1,10 +1,11 @@
-"""Compactly supported smooth bump windows and their Mellin/Fourier
-transforms (adaptive quadrature)."""
+"""Compactly supported smooth bump windows and their Mellin transforms
+(adaptive quadrature, memoized per window and s)."""
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.integrate import quad
 
@@ -16,9 +17,6 @@ class SmoothWeight:
 
     x0: float = 1.0
     x1: float = 2.0
-    _mellin_cache: dict[complex, complex] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def __post_init__(self):
         assert self.x1 > self.x0 > 0
@@ -43,25 +41,11 @@ class SmoothWeight:
             prev = cur
         return best
 
+    @functools.cache
     def mellin(self, s: complex) -> complex:
         """Integral of W(x) x^{s-1} dx over the support."""
-        key = complex(s)
-        v = self._mellin_cache.get(key)
-        if v is not None:
-            return v
         re = quad(lambda x: self(x) * (x ** (s - 1)).real, self.x0, self.x1,
                   limit=200)[0]
         im = quad(lambda x: self(x) * (x ** (s - 1)).imag, self.x0, self.x1,
-                  limit=200)[0]
-        v = complex(re, im)
-        self._mellin_cache[key] = v
-        return v
-
-    def fourier(self, xi: float) -> complex:
-        """Integral of W(x) e(-xi x) dx over the support."""
-        tau = -2.0 * math.pi * xi
-        re = quad(lambda x: self(x) * math.cos(tau * x), self.x0, self.x1,
-                  limit=200)[0]
-        im = quad(lambda x: self(x) * math.sin(tau * x), self.x0, self.x1,
                   limit=200)[0]
         return complex(re, im)

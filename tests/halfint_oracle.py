@@ -1,0 +1,113 @@
+"""Reference routes of maassqv.halfint that only the tests use.
+
+`c_assembled` builds c(n, s) from the closed Gauss sums and the
+Chinese-remainder sign factors, the third route checked against the brute
+`c_series` and the merged `c_closed`.  `d_series` is the plain partial sum
+of the shifted Dirichlet series D_{psi,chi,t}(s, Delta) with a crude tail
+bound, one term at a time.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+from maassqv.characters import Character
+from maassqv.errors import TruncationInsufficient
+from maassqv.halfint import LevelData, _decompose, gauss_closed
+from maassqv.hecke import HeckeSource, lambda_psi_at
+from maassqv.ideals import kronecker
+
+
+def c_assembled(n: int, L: LevelData, s: complex) -> complex:
+    """c(n, s) assembled from the closed Gauss sums and the Chinese-remainder
+    sign factors; a finite exact sum for n >= 1 of admissible shape."""
+    primes = tuple(p for p, _ in L.odd_primes)
+    a0, alphas = _decompose(n, primes)  # BadDecomposition if shape fails
+    plist = L.odd_primes
+    k0max = 2 * a0 + 3
+    total = 0.0 + 0.0j
+    k_ranges = [range(beta, 2 * alphas[p] + 2) for p, beta in plist]
+
+    def _piece(k0: int, ks: tuple[int, ...], e: int) -> complex:
+        par = (sum(ks) + e) % 2
+        g2 = gauss_closed(n, "Gneg8" if par else "G8", k0, odd_primes=primes)
+        if g2 == 0:
+            return 0.0
+        val = g2
+        P = 1
+        for (p, _), kp in zip(plist, ks):
+            P *= p**kp
+        # sign factors from pulling inverses out of each Gauss sum
+        sign = kronecker(-4, P) ** par * kronecker(8, P) ** (k0 % 2)
+        for i, ((p, _), kp) in enumerate(zip(plist, ks)):
+            gp = gauss_closed(n, "Gp", kp, p=p, odd_primes=primes)
+            if gp == 0:
+                return 0.0
+            val *= gp
+            other = 2**k0
+            for j, ((q, _), kq) in enumerate(zip(plist, ks)):
+                if j != i:
+                    other *= q**kq
+            sign *= kronecker(-p, other) ** (kp % 2)
+        mp = 2**k0 * P
+        pref = (1 + 1j) / 2 if e == 0 else (1 - 1j) / 2
+        return pref * sign * val * mp ** (-2 * s)
+
+    def _loop(idx: int, ks: tuple[int, ...]) -> None:
+        nonlocal total
+        if idx == len(plist):
+            for k0 in range(L.beta0, k0max + 1):
+                for e in (0, 1):
+                    total += _piece(k0, ks, e)
+            return
+        for kp in k_ranges[idx]:
+            _loop(idx + 1, ks + (kp,))
+
+    _loop(0, ())
+    return total
+
+
+_THETA_ENV = 0.25  # generous |lambda(x)| <= 18 x^theta envelope for tails
+
+
+def d_series(
+    src: HeckeSource,
+    chi: Character,
+    t: int,
+    s: complex,
+    Delta: int,
+    a: int,
+    N: int,
+) -> tuple[complex, float]:
+    """Partial sum to N of the shifted series
+    sum_{n>=0} lambda((t n^2 - Delta)/4a)(2-delta)chi(n)n^nu
+    / (t n^2 + Delta + |t n^2 - Delta|)^{s+nu/2} * phase(t_psi),
+    plus a crude analytic tail bound."""
+    nu = chi.parity
+    sigma = complex(s).real
+    if 2 * sigma - 2 * _THETA_ENV <= 1:
+        raise TruncationInsufficient(f"no convergent tail bound at Re(s)={sigma}")
+    it = 1j * src.t_psi
+    total = 0.0 + 0.0j
+    for n in range(N + 1):
+        lam = lambda_psi_at(src, (t * n * n - Delta) / (4 * a))
+        if lam == 0.0:
+            continue
+        cv = chi(n)
+        if cv == 0:
+            continue
+        q = t * n * n - Delta
+        u = t * n * n + Delta + abs(q)
+        weight = 1.0 if n == 0 else 2.0
+        npow = 1.0 if nu == 0 else float(n)
+        total += (
+            lam * weight * cv * npow * u ** (-(s + nu / 2))
+            * cmath.exp(it * (math.log(2 * abs(q)) - math.log(u)))
+            if q != 0
+            else 0.0
+        )
+    expo = 0.5 + 2 * _THETA_ENV - 2 * sigma  # per-term n-exponent bound
+    c0 = 18.0 * float(t) ** (_THETA_ENV - sigma - nu / 2) * (4 * a) ** (-_THETA_ENV)
+    tail = c0 * float(max(N, 1)) ** (expo + 1) / (-expo - 1)
+    return total, tail

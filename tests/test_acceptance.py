@@ -185,6 +185,7 @@ def test_criterion_06_diagonal_isolation(F21, src42):
     assert time.perf_counter() - t0 < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_07_first_moment(F21, src42):
     t0 = time.perf_counter()
     rep = first_moment(F21, src42, 200.0, n_twist=1, tol=0.25)
@@ -195,6 +196,7 @@ def test_criterion_07_first_moment(F21, src42):
     assert time.perf_counter() - t0 < 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_08_variance_assembly(F21, src42):
     rep = variance_table(F21, src42, 200.0, tol=0.3)
     ratio = rep.computed / rep.reference
@@ -217,6 +219,7 @@ def test_criterion_09_dirichlet_polynomial(F21):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_nonsplit_decay_and_reduction(src42):
     # a | D and a | b in every polynomial below
     for Q in (QuadPoly(1, 0, -21), QuadPoly(3, 3, -5), QuadPoly(7, 7, -7)):

@@ -17,10 +17,12 @@ from maassqv.experiments import (
     nonsplit_decay_scan,
     poisson_check,
     smooth_weight,
+    variance_table,
 )
-from maassqv.halfint import QuadPoly
-from maassqv.hecke import make_source, mu_2k
-from maassqv.lfun import AfeConfig, central_value
+from hecke_oracle import mu_2k
+from maassqv.halfint import QuadPoly, _legendre_table
+from maassqv.hecke import make_source
+from maassqv.lfun import AfeConfig, _afe_nodes, central_value
 from maassqv.quadfield import QuadInt, make_field, multiply
 from maassqv.weights import SmoothWeight
 
@@ -100,8 +102,8 @@ def test_caches_keyed_by_config(F, src):
     sw = smooth_weight()
 
     def fresh(fn, *args):
-        experiments._MATCH_CACHE.clear()
-        experiments._BULK_CACHE.clear()
+        matched_sym2_cutoff.cache_clear()
+        central_values_bulk.cache_clear()
         return fn(*args)
 
     alt = AfeConfig(contour_re=2.0)
@@ -116,19 +118,39 @@ def test_caches_keyed_by_config(F, src):
 
 
 def test_l_one_phi_memo_keyed_by_cutoff(F, monkeypatch):
-    monkeypatch.setattr(experiments, "_LPHI_CACHE", {})
-    first = experiments._l_one_phi_bulk(F, [2, 4], X=2000.0)
+    experiments._l_one_phi_bulk.cache_clear()
+    first = experiments._l_one_phi_bulk(F, (2, 4), X=2000.0)
 
     def no_scan(*args):
         raise AssertionError("ideal_scan called for memoized values")
 
     with monkeypatch.context() as m:
         m.setattr(experiments, "ideal_scan", no_scan)
-        assert experiments._l_one_phi_bulk(F, [2, 4], X=2000.0) == first
-    other = experiments._l_one_phi_bulk(F, [2, 4, 6], X=3000.0)
-    experiments._LPHI_CACHE.clear()
-    assert other == experiments._l_one_phi_bulk(F, [2, 4, 6], X=3000.0)
+        assert experiments._l_one_phi_bulk(F, (2, 4), X=2000.0) == first
+    other = experiments._l_one_phi_bulk(F, (2, 4, 6), X=3000.0)
+    experiments._l_one_phi_bulk.cache_clear()
+    assert other == experiments._l_one_phi_bulk(F, (2, 4, 6), X=3000.0)
     assert other[2] != first[2]
+
+
+def test_variance_then_expected_value_reuse_cached_values(F, src):
+    # expected_value repeats variance_table's per-k loop at the same K
+    central_values_bulk.cache_clear()
+    experiments._l_one_phi_bulk.cache_clear()
+    variance_table(F, src, 10.0)
+    expected_value(F, src, 10.0)
+    assert central_values_bulk.cache_info().hits >= 1
+    assert experiments._l_one_phi_bulk.cache_info().hits >= 1
+
+
+def test_cached_arrays_are_read_only(F, src):
+    w, g = _afe_nodes(AfeConfig(), F, 3, 0.5 + 0j, 1.0)
+    bulk = central_values_bulk(src, F, 1, 3)
+    zero = central_values_bulk(make_source(synthetic=42, D=21, eta=-1), F, 1, 3)
+    for arr in (w, g, bulk, zero, _legendre_table(7)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_diagonal_small_K(F, src):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfint_oracle import c_assembled, d_series
 from maassqv.characters import Character, all_ones_character, characters_mod
 from maassqv.errors import (
     BadDecomposition,
@@ -19,10 +20,8 @@ from maassqv.halfint import (
     b_direct,
     b_residue,
     b_series,
-    c_assembled,
     c_closed,
     c_series,
-    d_series,
     eisenstein_residue_const,
     epsilon_d,
     gauss_closed,

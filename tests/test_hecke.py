@@ -4,19 +4,16 @@ import random
 import pytest
 from sympy import primerange
 
+from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square
 from maassqv.errors import MalformedTable, MissingPrime
 from maassqv.hecke import (
-    g_fn,
     h_fn,
     lambda_psi,
     lambda_psi_at,
     local_series,
     make_source,
-    mu_2k,
-    mu_2k_closed,
     primes_upto,
     read_table,
-    satake_square,
     vartheta,
     write_table,
 )
@@ -61,6 +58,17 @@ def test_synthetic_deterministic():
     c = make_source(synthetic=8, D=21)
     assert a.lambda_p(101) == b.lambda_p(101)
     assert a.lambda_p(101) != c.lambda_p(101)
+
+
+def test_synthetic_sources_are_values():
+    # equal spectral data and seed: equal and hashed alike, whatever lambda(p)
+    # either source has drawn so far
+    a = make_source(synthetic=42, D=21)
+    b = make_source(synthetic=42, D=21)
+    a.lambda_p(2)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_source(synthetic=43, D=21)
+    assert a != make_source(synthetic=42, D=21, eta=-1)
 
 
 def test_local_series_closed_vs_truncated(src):

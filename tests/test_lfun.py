@@ -1,11 +1,12 @@
 import cmath
 import math
-import random
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from ideal_oracle import oracle_elements
+from lfun_oracle import gamma_factor
 from maassqv.errors import (
     NegativeCentralValue,
     PoleInput,
@@ -16,22 +17,20 @@ from maassqv.hecke import HeckeSource, lambda_psi, make_source, primes_upto, rea
 from maassqv.ideals import grossenchar, lambda_k_table
 from maassqv.lfun import (
     AfeConfig,
+    _afe_nodes,
+    _dirichlet_l_line,
     _gl2_central,
     afe_tail_bound,
-    afe_weight,
     afe_weight_many,
     central_value,
     classical_variance,
     constants,
     dirichlet_l_one,
-    gamma_factor,
     gamma_ratio_stirling,
     l_one_phi,
     l_one_sym2,
-    l_values,
     lambda_psi_table,
     lambda_square_table,
-    log_gamma,
     nu_index,
     ramified_sum_factor,
     spectral_parameter,
@@ -51,36 +50,6 @@ def F():
 @pytest.fixture(scope="module")
 def src():
     return make_source(synthetic=42, D=21)
-
-
-def test_log_gamma_special_values():
-    assert abs(log_gamma(1.0)) < 1e-14
-    assert abs(log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
-    assert abs(log_gamma(5.0) - math.log(24.0)) < 1e-13
-
-
-def test_log_gamma_reflection():
-    rng = random.Random(3)
-    for _ in range(100):
-        z = complex(rng.uniform(-50, 50), rng.uniform(0.05, 40) * rng.choice([1, -1]))
-        lhs = cmath.exp(log_gamma(z) + log_gamma(1.0 - z))
-        rhs = math.pi / cmath.sin(math.pi * z)
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs), z
-
-
-def test_log_gamma_recursion_consistency():
-    rng = random.Random(4)
-    for _ in range(50):
-        z = complex(rng.uniform(-50, 50), rng.uniform(0.01, 1e4))
-        dev = log_gamma(z + 1) - log_gamma(z) - cmath.log(z)
-        # the identity holds up to 2*pi*i branch jumps; modulus is exact
-        assert abs(dev.real) < 1e-10 * max(1.0, abs(log_gamma(z))), z
-
-
-def test_log_gamma_pole():
-    for z in (0.0, -1.0, -37.0):
-        with pytest.raises(PoleInput):
-            log_gamma(z)
 
 
 def test_spectral_parameter(F):
@@ -104,7 +73,7 @@ def test_gamma_factor_is_product(F):
     prod = cmath.exp(-2 * s * math.log(math.pi))
     for e1 in (1, -1):
         for e2 in (1, -1):
-            prod *= cmath.exp(log_gamma((s + 1j * (e1 * 1.0 + e2 * t2k)) / 2))
+            prod *= cmath.exp(loggamma((s + 1j * (e1 * 1.0 + e2 * t2k)) / 2))
     assert gamma_factor(s, 1.0, t2k) == pytest.approx(prod)
 
 
@@ -169,14 +138,16 @@ def test_lambda_psi_table_propagates_other_errors():
     class Boom(Exception):
         pass
 
-    def boom(p, b=1):
-        raise Boom(p)
-
     # the table reads lambda_psi(p) once per prime and runs the Hecke
-    # recursion itself, so the failure is injected at that read
-    fresh = make_source(synthetic=42, D=21)
-    fresh.lambda_p = boom
-    fresh.lambda_pp = boom
+    # recursion itself, so the failure is injected at that read; sources are
+    # frozen values, so the injection is a subclass
+    class BoomSource(HeckeSource):
+        def lambda_p(self, p, b=1):
+            raise Boom(p)
+
+        lambda_pp = lambda_p
+
+    fresh = BoomSource(level=21, t_psi=1.0, eta_D=1, parity="even", prime_values={}, seed=42)
     with pytest.raises(Boom):
         lambda_psi_table(fresh, 100)
 
@@ -193,6 +164,24 @@ def test_lambda_psi_table_zero_hecke_values():
     want = [0.0] + [lambda_psi(tab_src, n) for n in range(1, 5001)]
     assert tab.tolist() == want
     assert tab[2] == 0.0 and tab[50] == 0.0 and tab[75] == 0.0
+
+
+def test_table_sources_keyed_by_their_table(F):
+    # two tables that differ in lambda(2) alone, called back to back, each
+    # get their own values; a rebuilt copy of a table is the same source
+    def table_source(values):
+        return HeckeSource(level=21, t_psi=1.0, eta_D=1, parity="even", prime_values=values)
+
+    synth = make_source(synthetic=5, D=21)
+    values = {p: synth.lambda_p(p) for p in primes_upto(5000).tolist()}
+    other = dict(values)
+    other[2] = 0.5 * values[2]
+    a, b = table_source(values), table_source(other)
+    assert a != b and a == table_source(dict(values))
+    assert len({a, b, table_source(dict(values))}) == 2
+    assert l_one_sym2(a, F, 1.0e4) != l_one_sym2(b, F, 1.0e4)
+    for twist in (False, True):
+        assert _gl2_central(a, F, twist, AfeConfig()) != _gl2_central(b, F, twist, AfeConfig())
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 5, 11, 21])
@@ -222,6 +211,22 @@ def test_afe_weight_contour_shift_invariance(F, k):
     assert np.max(np.abs(shifted - base)) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 7, 30])
+def test_afe_nodes_match_pointwise_gamma_factor(F, k):
+    # the vectorized log Gamma nodes against gamma(s+w)/gamma(s) e^{w^2}/w
+    # node by node, times the L(2w+2s, chi_D) line and the trapezoid weights
+    cfg = AfeConfig()
+    t2k = spectral_parameter(F, 2 * k)
+    w, g = _afe_nodes(cfg, F, k, 0.5 + 0j, 1.0)
+    trap = np.full(w.size, cfg.quad_step / math.pi)
+    trap[[0, -1]] *= 0.5
+    g0 = gamma_factor(0.5, 1.0, t2k)
+    want = np.array(
+        [gamma_factor(0.5 + wi, 1.0, t2k) / g0 * cmath.exp(wi * wi) / wi for wi in w.tolist()]
+    ) * _dirichlet_l_line(F, 0.5 + 0j, cfg) * trap
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("twist", [False, True])
 def test_gl2_central_contour_shift_invariance(src, F, twist):
     shifted = _gl2_central(src, F, twist, AfeConfig(contour_re=0.5))
@@ -232,29 +237,28 @@ def test_afe_weight_small_xi_is_l_one_chi(F):
     # W(xi) -> L(1, chi_D) = 2 h log eps / sqrt(D), h = 1
     cfg = AfeConfig()
     want = 2 * LOG_EPS_21 / math.sqrt(21)
-    got = afe_weight(cfg, 0.5, 1e-3, F, 100)
+    got = afe_weight_many(cfg, 0.5, np.array([1e-3]), F, 100)[0]
     assert abs(got / want - 1.0) < 0.02
 
 
 def test_afe_weight_decay(F):
     cfg = AfeConfig()
     # far past the conductor scale the weight is negligible
-    assert abs(afe_weight(cfg, 0.5, 1e3 * 21**1.5, F, 3)) <= 1e-6
-    # monotone tail: |W(2 xi)| <= |W(xi)| + 1e-8 for xi >= 10
-    xi = 10.0
-    while xi < 2e4:
-        assert abs(afe_weight(cfg, 0.5, 2 * xi, F, 3)) <= (
-            abs(afe_weight(cfg, 0.5, xi, F, 3)) + 1e-8
-        ), xi
-        xi *= 2.0
+    assert abs(afe_weight_many(cfg, 0.5, np.array([1e3 * 21**1.5]), F, 3)[0]) <= 1e-6
+    # monotone tail: |W(2 xi)| <= |W(xi)| + 1e-8 for xi = 10, 20, .., 10240
+    xis = 10.0 * 2.0 ** np.arange(12)
+    w = np.abs(afe_weight_many(cfg, 0.5, xis, F, 3))
+    for xi, w1, w2 in zip(xis, w, w[1:]):
+        assert w2 <= w1 + 1e-8, xi
     # heuristic tail bound dominates the computed values
     for x in (200.0, 1e3, 1e4, 1e5):
-        assert abs(afe_weight(cfg, 0.5, x, F, 3)) <= afe_tail_bound(cfg, F, x), x
+        w = afe_weight_many(cfg, 0.5, np.array([x]), F, 3)[0]
+        assert abs(w) <= afe_tail_bound(cfg, F, x), x
 
 
 def test_afe_weight_rejects_k_zero(F):
     with pytest.raises(PoleInput):
-        afe_weight(AfeConfig(), 0.5, 1.0, F, 0)
+        afe_weight_many(AfeConfig(), 0.5, np.array([1.0]), F, 0)
 
 
 def test_central_value_eta_minus_one_vanishes(F):
@@ -351,11 +355,12 @@ def test_l_one_sym2_regularized_value(src, F):
 
 
 def test_l_values_bundle(src, F):
-    lv = l_values(F, src, 3)
-    assert set(lv) == {"L1_chi", "zeta_D2", "L1_phi2k", "L1_sym2"}
-    assert lv["zeta_D2"] == pytest.approx(zeta_d_two(F))
+    # the four auxiliary values behind the constants, at one cutoff X
+    X = 20000.0
+    vals = (dirichlet_l_one(F, X), zeta_d_two(F), l_one_phi(F, 6, X), l_one_sym2(src, F, X))
+    assert all(math.isfinite(v) and v != 0.0 for v in vals)
     with pytest.raises(PoleInput):
-        l_values(F, src, 0)
+        l_one_phi(F, 0, X)
 
 
 def test_ramified_sum_factors(src, F):
@@ -366,12 +371,12 @@ def test_ramified_sum_factors(src, F):
 def test_constants(src, F):
     cs = constants(F, src, p_max=20000)
     assert set(cs) >= {"C_Dpsi", "C_Dpsi_prime", "A_h"}
-    lv = l_values(F, src, 1)
+    X = 20000.0
     want = (
         2.0
-        * lv["L1_chi"]
-        / lv["zeta_D2"]
-        * lv["L1_sym2"]
+        * dirichlet_l_one(F, X)
+        / zeta_d_two(F)
+        * l_one_sym2(src, F, X)
         * ramified_sum_factor(src, F)
     )
     assert cs["C_Dpsi"] == pytest.approx(want, rel=1e-9)
