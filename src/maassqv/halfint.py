@@ -490,34 +490,31 @@ def nonsplit_sum(
     return math.fsum(terms)
 
 
-def _contour_value(
-    src: HeckeSource,
-    Q: QuadPoly,
-    Y: float,
-    W: SmoothWeight,
-    N: int | None,
-    dtau: float,
-    second_form: bool,
-) -> complex:
-    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds by trapezoid
-    on the vertical line Re(s)=1, nodes pruned where Wtilde is negligible."""
-    a, Delta = Q.a, Q.Delta
+def _contour_t(Q: QuadPoly, second_form: bool) -> int:
+    """The square t of D_psi(s, Delta): a^2 in the second form, d^2 in the first."""
     if second_form:
         if Q.b % Q.a != 0 or Q.a % 2 == 0:
             raise WindowViolation("second form needs odd a with a | b")
-        t = a * a
+        return Q.a * Q.a
+    return Q.d * Q.d
+
+
+@functools.cache
+def _d_psi_coefficients(
+    src: HeckeSource, Q: QuadPoly, N: int, second_form: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(amp, log u) with D_psi(s, Delta) = sum_{n <= N} amp_n u_n^{-s}; the
+    character sums, split by parity, are folded into amp.  Read-only."""
+    a, Delta = Q.a, Q.Delta
+    t = _contour_t(Q, second_form)
+    if second_form:
         chars = [all_ones_character()]
         d, phi_ap, bp = 1, 1, 0
     else:
-        t = Q.d * Q.d
         d = Q.d
-        ap, bp = Q.a_prime, Q.b_prime
-        chars = characters_mod(ap)
+        bp = Q.b_prime
+        chars = characters_mod(Q.a_prime)
         phi_ap = len(chars)
-
-    if N is None:
-        # terms with t n^2 beyond the W window only feed the quadrature tail
-        N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * a * Y / t)) + 10)
 
     # per-n coefficient arrays, split by character parity
     ns = np.arange(N + 1, dtype=np.float64)
@@ -543,37 +540,103 @@ def _contour_value(
     base[q == 0] = 0.0
     amp0 = base * c0 / phi_ap
     amp1 = base * c1 / phi_ap * (math.sqrt(2) * d) / np.sqrt(u)
+    amp = amp0 + amp1
     logu = np.log(u)
+    amp.setflags(write=False)
+    logu.setflags(write=False)
+    return amp, logu
 
-    def D_psi(sv: complex) -> complex:
-        return complex(np.sum((amp0 + amp1) * np.exp(-sv * logu)))
 
-    log8aY = math.log(8 * a * Y)
+_LINE_BLOCK = 64  # tau nodes per cached block of a D_psi line
+
+
+@functools.cache
+def _d_psi_block(
+    src: HeckeSource, Q: QuadPoly, N: int, second_form: bool, dtau: float, j: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block j of the D_psi line at step dtau: the nodes tau_i, 64j <= i <
+    64(j+1), of the grid tau_0 = 0, tau_i = tau_{i-1} + dtau (repeated
+    addition, as the contour steps), with D_psi(1 + i tau) and
+    D_psi(1 - i tau) there.  Read-only."""
+    if j == 0:
+        tau = 0.0
+    else:
+        tau = _d_psi_block(src, Q, N, second_form, dtau, j - 1)[0][-1] + dtau
+    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
+    taus = np.empty(_LINE_BLOCK)
+    vals = np.empty((2, _LINE_BLOCK), dtype=np.complex128)
+    for i in range(_LINE_BLOCK):
+        taus[i] = tau
+        for row, x in enumerate((tau, -tau)):
+            sv = 1 + 1j * x
+            vals[row, i] = np.sum(amp * np.exp(-sv * logu))
+        tau += dtau
+    taus.setflags(write=False)
+    vals.setflags(write=False)
+    return taus, vals[0], vals[1]
+
+
+def _d_psi_line(
+    src: HeckeSource, Q: QuadPoly, N: int, second_form: bool, dtau: float, T: float
+) -> tuple[list[float], list[complex], list[complex]]:
+    """The grid nodes 0 = tau_0 < tau_1 < ... <= T at step dtau with
+    D_psi(1 + i tau) and D_psi(1 - i tau) there, joined from the cached
+    blocks: D_psi does not depend on Y, so every Y at the same
+    (src, Q, N, form, dtau) reads one line, and a smaller T a prefix of it."""
+    blocks = [_d_psi_block(src, Q, N, second_form, dtau, 0)]
+    while blocks[-1][0][-1] <= T:
+        blocks.append(_d_psi_block(src, Q, N, second_form, dtau, len(blocks)))
+    taus, plus, minus = (np.concatenate(part) for part in zip(*blocks))
+    cut = int(np.searchsorted(taus, T, side="right"))
+    return taus[:cut].tolist(), plus[:cut].tolist(), minus[:cut].tolist()
+
+
+def _contour_value(
+    src: HeckeSource,
+    Q: QuadPoly,
+    Y: float,
+    W: SmoothWeight,
+    N: int | None,
+    dtau: float,
+    second_form: bool,
+) -> complex:
+    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds by trapezoid
+    on the vertical line Re(s)=1 at the nodes tau = 0, +-dtau, +-2 dtau, ...
+    (repeated addition) up to T, pruned where Wtilde is negligible.  D_psi
+    at the nodes comes from the shared line `_d_psi_line`, which is the
+    same for every Y, so the y_ref and Y contours of a reduction check
+    evaluate it once."""
+    t = _contour_t(Q, second_form)
+    if N is None:
+        # terms with t n^2 beyond the W window only feed the quadrature tail
+        N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
+
+    log8aY = math.log(8 * Q.a * Y)
     P = W.sharpness
     T = 10.0 * P * math.log(max(Y, math.e))
     w0 = abs(W.mellin(1.0))
     cutoff = 1e-13 * max(w0, 1e-30)
 
-    taus = [0.0]
-    tau = dtau
+    taus, d_plus, d_minus = _d_psi_line(src, Q, N, second_form, dtau, T)
+    kept = []  # grid indices i >= 1 of the nodes +-tau_i in the trapezoid
     dead = 0
-    while tau <= T:
-        if abs(W.mellin(1 + 1j * tau)) > cutoff:
-            taus.append(tau)
-            taus.append(-tau)
+    for i in range(1, len(taus)):
+        if abs(W.mellin(1 + 1j * taus[i])) > cutoff:
+            kept.append(i)
             dead = 0
         else:
             dead += 1
             if dead > 10:
                 break
-        tau += dtau
-    taus.sort()
+    # ascending tau: -tau_i for i descending, then 0, then +tau_i
+    nodes = [(-taus[i], d_minus[i]) for i in reversed(kept)]
+    nodes += [(taus[i], d_plus[i]) for i in [0] + kept]
 
     total = 0.0 + 0.0j
     prev = None
-    for tau in taus:
+    for tau, d in nodes:
         sv = 1 + 1j * tau
-        f = D_psi(sv) * W.mellin(sv) * cmath.exp(sv * log8aY)
+        f = d * W.mellin(sv) * cmath.exp(sv * log8aY)
         if prev is not None:
             total += 0.5 * (f + prev[1]) * (tau - prev[0])
         prev = (tau, f)

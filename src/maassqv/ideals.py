@@ -92,6 +92,18 @@ class IdealRep:
 # prefix of the largest scan built so far, and a larger scan replaces it.
 _SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 _SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
+_SCAN_BYTES_MAX = 8 << 30  # largest scan ideal_scan will allocate, in bytes
+
+
+def _scan_bytes(F: FieldParams, bound: int) -> float:
+    """Estimated peak bytes of an `ideal_scan` build to norm `bound`.
+
+    The kept generators y = m + n*omega are the lattice points, of covolume
+    sqrt(D) in the (y, ybar) plane, of the region |y ybar| <= bound,
+    1 <= y/|ybar| < eps^2, whose area is 2 log(eps) bound.  Each costs 16
+    bytes in the norm and angle buffers, 8 in the sort order and 16 in the
+    sorted copies."""
+    return 40.0 * 2.0 * F.log_eps / F.sqrtD * bound
 
 
 def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +116,8 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     stable sort by norm are those of a scan of the whole bounding rectangle,
     so the result is the same bit for bit.  Results are cached per field
     with power-of-two rounding of nmax, and the cached arrays are read-only.
+    A scan whose `_scan_bytes` estimate exceeds 8 GiB raises
+    ScanBoundExceeded before anything is allocated.
     """
     bound = 1 << max(nmax - 1, 1).bit_length()
     hit = _SCAN_CACHE.get(F.D)
@@ -114,6 +128,12 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         cut = int(np.searchsorted(norms, nmax, side="right"))
         return norms[:cut], thetas[:cut]
 
+    need = _scan_bytes(F, bound)
+    if need > _SCAN_BYTES_MAX:
+        raise ScanBoundExceeded(
+            f"ideal scan to norm {bound} needs about {need / 2**30:.1f} GiB, "
+            f"over the {_SCAN_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
     eps_val = math.exp(F.log_eps)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form

@@ -133,14 +133,21 @@ class AfeConfig:
 def _dirichlet_l_line(F: FieldParams, s: complex, cfg: AfeConfig) -> np.ndarray:
     """L(2w + 2s, chi_D), Re(2w + 2s) >= 2, at the contour nodes w of cfg:
     40,000 terms, tail << |2w + 2s| D / 40000^2 by partial summation.  It does
-    not depend on k, so one cached line serves every AFE weight at (F, s, cfg)."""
+    not depend on k, so one cached line serves every AFE weight at (F, s, cfg).
+    The nodes share one real part sigma, so chi_D(n) n^{-sigma} is formed
+    once and each node needs only cos and sin of its -t log n; the terms are
+    summed as one complex array, in the order of the complex-exponential sum."""
     n = np.arange(1, 40001)
-    chin = kronecker_residues(F)[n % F.D]
     logn = np.log(n)
     s_nodes = 2.0 * cfg.nodes() + 2.0 * s
+    coef = kronecker_residues(F)[n % F.D] * np.exp(-s_nodes[0].real * logn)
+    terms = np.empty(n.size, dtype=np.complex128)
     out = np.empty(s_nodes.size, dtype=np.complex128)
-    for i, sv in enumerate(s_nodes):
-        out[i] = np.sum(chin * np.exp(-sv * logn))
+    for i, t in enumerate(s_nodes.imag.tolist()):
+        phase = -t * logn
+        np.multiply(coef, np.cos(phase), out=terms.real)
+        np.multiply(coef, np.sin(phase), out=terms.imag)
+        out[i] = np.sum(terms)
     out.setflags(write=False)
     return out
 

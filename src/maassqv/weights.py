@@ -1,5 +1,11 @@
 """Compactly supported smooth bump windows and their Mellin transforms
-(adaptive quadrature, memoized per window and s)."""
+(adaptive quadrature, memoized per window and s).
+
+The window is real, so its Mellin transform is conjugate-symmetric:
+W~(conj s) = conj W~(s).  `SmoothWeight.mellin` integrates only for
+Im s >= 0 and conjugates the cached value below the real axis; the two
+quadratures for -tau are exact negations of those for +tau, so this gives
+the same floats as integrating there."""
 
 from __future__ import annotations
 
@@ -43,9 +49,28 @@ class SmoothWeight:
 
     @functools.cache
     def mellin(self, s: complex) -> complex:
-        """Integral of W(x) x^{s-1} dx over the support."""
-        re = quad(lambda x: self(x) * (x ** (s - 1)).real, self.x0, self.x1,
-                  limit=200)[0]
-        im = quad(lambda x: self(x) * (x ** (s - 1)).imag, self.x0, self.x1,
-                  limit=200)[0]
-        return complex(re, im)
+        """Integral of W(x) x^{s-1} dx over the support.
+
+        The integrands are W(x) x^{sigma-1} cos(tau log x) and the same with
+        sin, s = sigma + i tau: for x > 0 these are the floats of the real and
+        imaginary parts of the complex power x^{s-1}.  A real s needs only
+        the first."""
+        s = complex(s)
+        if s.imag < 0.0:
+            return self.mellin(s.conjugate()).conjugate()
+        x0, width = self.x0, self.x1 - self.x0
+        sigma1, tau = s.real - 1.0, s.imag
+        exp, log = math.exp, math.log
+
+        def part(trig) -> float:
+            def integrand(x: float) -> float:
+                u = 2.0 * (x - x0) / width - 1.0
+                if abs(u) >= 1.0:
+                    return 0.0
+                return exp(1.0 - 1.0 / (1.0 - u * u)) * (
+                    x**sigma1 * trig(0.0 + tau * log(x))
+                )
+
+            return quad(integrand, self.x0, self.x1, limit=200)[0]
+
+        return complex(part(math.cos), part(math.sin) if tau else 0.0)

@@ -26,9 +26,11 @@ from maassqv.halfint import (
     epsilon_d,
     gauss_closed,
     gauss_sum,
+    _contour_value,
     _max_nonzero_mprime,
     make_level,
     nonsplit_sum,
+    reduction_check,
     reduction_check_second_form,
     symsq_factor_check,
     zeta_factor_at_M,
@@ -286,6 +288,26 @@ def test_nonsplit_decay(src):
     W = SmoothWeight()
     S = nonsplit_sum(src, QuadPoly(1, 0, -21), 1e6, W)
     assert abs(S) / 1e3 <= 0.5  # |S| / sqrt(Y) stays small: no main term
+
+
+def test_contour_values_pinned(src):
+    # the values of the plain route -- both Mellin quadratures at every s,
+    # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
+    W = SmoothWeight()
+    Q = QuadPoly(1, 0, -21)
+    assert _contour_value(src, Q, 1e4, W, None, 0.2, False) == complex(
+        8.310368473613812, -0.012224697371408619
+    )
+    assert _contour_value(src, Q, 1e4, W, None, 0.2, True) == complex(
+        8.310368493379507, -0.012224697371738721
+    )
+    rep = reduction_check(src, Q, 1e4, W)
+    assert rep.computed == 0.03289940252972379
+    assert rep.tolerance == 0.217488456501452
+    assert rep.extra["imag_part"] == 0.012202636161279649
+    rep = reduction_check_second_form(src, Q, 1e4, W)
+    assert rep.computed == 0.032893003844968405
+    assert rep.tolerance == 0.21749051908746
 
 
 def test_reduction_second_form(src):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ideal_oracle import oracle_elements, rectangle_scan
 from maassqv import ideals
 from maassqv.errors import ScanBoundExceeded
+from maassqv.experiments import first_moment
+from maassqv.hecke import make_source
 from maassqv.ideals import (
     elements_of_norm,
     grossenchar,
@@ -188,3 +190,36 @@ def test_lambda_table_matches_pointwise(F21):
     tab = lambda_k_table(F21, 3, 300)
     for n in (1, 2, 5, 25, 105, 300):
         assert tab[n] == pytest.approx(lambda_k(F21, 3, n, nmax_hint=300), abs=1e-12)
+
+
+def _allocation_reached(*args, **kwargs):
+    raise AssertionError("ideal_scan reached its allocations")
+
+
+def test_scan_guard_refuses_before_allocating(F21, monkeypatch):
+    # K = 2000 needs norms to ~6.2e9, a scan of about 219 GiB at 2^33; the
+    # guard must fire on the estimate alone, before _row_intervals allocates
+    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
+    monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    with pytest.raises(ScanBoundExceeded):
+        first_moment(F21, make_source(synthetic=42, D=21), 2000)
+    assert ideals._scan_bytes(F21, 1 << 33) > 100 * 2**30
+
+
+@pytest.mark.parametrize("log2_bound", [24, 26])
+def test_scan_guard_admits_desk_bounds(admitted_fields, monkeypatch, log2_bound):
+    # the bench's 2^24 scan and criterion 07's 2^26 stay under the limit:
+    # the build gets past the guard to its first allocation
+    monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    for F in admitted_fields:
+        monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
+        assert ideals._scan_bytes(F, 1 << log2_bound) <= ideals._SCAN_BYTES_MAX
+        with pytest.raises(AssertionError, match="reached its allocations"):
+            ideals.ideal_scan(F, 1 << log2_bound)
+
+
+def test_scan_bytes_counts_the_ideals(admitted_fields):
+    # the area estimate behind the guard against the ideals a scan keeps
+    for F in admitted_fields:
+        norms, _ = ideals.ideal_scan(F, 1 << 16)
+        assert ideals._scan_bytes(F, 1 << 16) / 40.0 == pytest.approx(norms.size, rel=0.01)

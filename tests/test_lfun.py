@@ -6,7 +6,7 @@ import pytest
 from scipy.special import loggamma
 
 from ideal_oracle import oracle_elements
-from lfun_oracle import gamma_factor
+from lfun_oracle import dirichlet_l_line_per_node, gamma_factor
 from maassqv.errors import (
     NegativeCentralValue,
     PoleInput,
@@ -209,6 +209,15 @@ def test_afe_weight_contour_shift_invariance(F, k):
     shifted = afe_weight_many(AfeConfig(contour_re=0.5), 0.5, xis, F, k)
     base = afe_weight_many(AfeConfig(), 0.5, xis, F, k)
     assert np.max(np.abs(shifted - base)) < 1e-9
+
+
+@pytest.mark.parametrize("s", [0.5 + 0j, 0.5 + 3.25j])
+@pytest.mark.parametrize("c", [1.0, 0.5])
+def test_dirichlet_l_line_matches_per_node_sum(F, s, c):
+    cfg = AfeConfig(contour_re=c)
+    got = _dirichlet_l_line(F, s, cfg)
+    want = dirichlet_l_line_per_node(F, s, cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])
