@@ -547,50 +547,6 @@ def _d_psi_coefficients(
     return amp, logu
 
 
-_LINE_BLOCK = 64  # tau nodes per cached block of a D_psi line
-
-
-@functools.cache
-def _d_psi_block(
-    src: HeckeSource, Q: QuadPoly, N: int, second_form: bool, dtau: float, j: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block j of the D_psi line at step dtau: the nodes tau_i, 64j <= i <
-    64(j+1), of the grid tau_0 = 0, tau_i = tau_{i-1} + dtau (repeated
-    addition, as the contour steps), with D_psi(1 + i tau) and
-    D_psi(1 - i tau) there.  Read-only."""
-    if j == 0:
-        tau = 0.0
-    else:
-        tau = _d_psi_block(src, Q, N, second_form, dtau, j - 1)[0][-1] + dtau
-    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
-    taus = np.empty(_LINE_BLOCK)
-    vals = np.empty((2, _LINE_BLOCK), dtype=np.complex128)
-    for i in range(_LINE_BLOCK):
-        taus[i] = tau
-        for row, x in enumerate((tau, -tau)):
-            sv = 1 + 1j * x
-            vals[row, i] = np.sum(amp * np.exp(-sv * logu))
-        tau += dtau
-    taus.setflags(write=False)
-    vals.setflags(write=False)
-    return taus, vals[0], vals[1]
-
-
-def _d_psi_line(
-    src: HeckeSource, Q: QuadPoly, N: int, second_form: bool, dtau: float, T: float
-) -> tuple[list[float], list[complex], list[complex]]:
-    """The grid nodes 0 = tau_0 < tau_1 < ... <= T at step dtau with
-    D_psi(1 + i tau) and D_psi(1 - i tau) there, joined from the cached
-    blocks: D_psi does not depend on Y, so every Y at the same
-    (src, Q, N, form, dtau) reads one line, and a smaller T a prefix of it."""
-    blocks = [_d_psi_block(src, Q, N, second_form, dtau, 0)]
-    while blocks[-1][0][-1] <= T:
-        blocks.append(_d_psi_block(src, Q, N, second_form, dtau, len(blocks)))
-    taus, plus, minus = (np.concatenate(part) for part in zip(*blocks))
-    cut = int(np.searchsorted(taus, T, side="right"))
-    return taus[:cut].tolist(), plus[:cut].tolist(), minus[:cut].tolist()
-
-
 def _contour_value(
     src: HeckeSource,
     Q: QuadPoly,
@@ -601,11 +557,10 @@ def _contour_value(
     second_form: bool,
 ) -> complex:
     """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds by trapezoid
-    on the vertical line Re(s)=1 at the nodes tau = 0, +-dtau, +-2 dtau, ...
-    (repeated addition) up to T, pruned where Wtilde is negligible.  D_psi
-    at the nodes comes from the shared line `_d_psi_line`, which is the
-    same for every Y, so the y_ref and Y contours of a reduction check
-    evaluate it once."""
+    on the vertical line Re(s)=1, nodes pruned where Wtilde is negligible.
+    The coefficients of D_psi are cached per (src, Q, N, form): the dtau and
+    dtau/2 contours at one Y share them, and so do two Y with the same N
+    (with N=None, only while both sit at its floor of 2000)."""
     t = _contour_t(Q, second_form)
     if N is None:
         # terms with t n^2 beyond the W window only feed the quadrature tail
@@ -617,26 +572,31 @@ def _contour_value(
     w0 = abs(W.mellin(1.0))
     cutoff = 1e-13 * max(w0, 1e-30)
 
-    taus, d_plus, d_minus = _d_psi_line(src, Q, N, second_form, dtau, T)
-    kept = []  # grid indices i >= 1 of the nodes +-tau_i in the trapezoid
+    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
+
+    def D_psi(sv: complex) -> complex:
+        return complex(np.sum(amp * np.exp(-sv * logu)))
+
+    taus = [0.0]
+    tau = dtau
     dead = 0
-    for i in range(1, len(taus)):
-        if abs(W.mellin(1 + 1j * taus[i])) > cutoff:
-            kept.append(i)
+    while tau <= T:
+        if abs(W.mellin(1 + 1j * tau)) > cutoff:
+            taus.append(tau)
+            taus.append(-tau)
             dead = 0
         else:
             dead += 1
             if dead > 10:
                 break
-    # ascending tau: -tau_i for i descending, then 0, then +tau_i
-    nodes = [(-taus[i], d_minus[i]) for i in reversed(kept)]
-    nodes += [(taus[i], d_plus[i]) for i in [0] + kept]
+        tau += dtau
+    taus.sort()
 
     total = 0.0 + 0.0j
     prev = None
-    for tau, d in nodes:
+    for tau in taus:
         sv = 1 + 1j * tau
-        f = d * W.mellin(sv) * cmath.exp(sv * log8aY)
+        f = D_psi(sv) * W.mellin(sv) * cmath.exp(sv * log8aY)
         if prev is not None:
             total += 0.5 * (f + prev[1]) * (tau - prev[0])
         prev = (tau, f)
