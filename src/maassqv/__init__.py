@@ -9,7 +9,7 @@ Modules:
   hecke       -- Hecke eigenvalue sources and multiplicative functions
   lattice     -- n_beta, off-diagonal frames, unit factorization identities
   halfint     -- Gauss sums, Eisenstein residue data, non-split Dirichlet series
-  lfun        -- gamma factors, AFE weights, central values, constants
+  lfun        -- gamma factors, AFE weights, L-values, constants, Watson-Ichino
   experiments -- CLI-driven numeric experiments and report serialization
 """
 

@@ -92,6 +92,3 @@ class TableExhausted(MaassqvError):
 class NegativeCentralValue(MaassqvError):
     pass
 
-
-class EtaNegative(MaassqvError):
-    pass

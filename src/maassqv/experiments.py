@@ -3,20 +3,22 @@ diagonal isolation, first moments of Rankin-Selberg central values,
 variance assembly, Dirichlet-polynomial and moment-inequality checks,
 and non-split decay scans.  Every operation returns an ExperimentReport.
 
-Reused results (the matched cutoff, bulk central values, bulk L(1, phi_2k))
-are memoized by `functools.cache` on their value arguments; the ideal scan
-is cached in `ideals`.  All loops run in a fixed (ascending) order so
-results are bit-for-bit reproducible.  Variance and expected value share
-one per-k Watson-Ichino loop; tables and primes come from `hecke`'s fill
-and sieve.
+Reused results (the matched cutoff, bulk central values) are memoized by
+`functools.cache` on their value arguments, as are `lfun`'s L-values; the
+ideal scan is cached in `ideals`.  All loops run in a fixed (ascending)
+order so results are bit-for-bit reproducible.  Variance and expected
+value share one per-k Watson-Ichino loop, whose values already carry
+L(1, phi_2k)^2: Q^h sums them as they are, and only the unweighted Q and
+the expected value divide by the bulk L(1, phi_2k) of
+`lfun._l_one_phi_bulk`.  Tables and primes come from `hecke`'s fill and
+sieve.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +28,9 @@ from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import ideal_scan, kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
 from .lfun import (
     AfeConfig,
+    _l_one_phi_bulk,
     afe_weight_many,
+    c_d_psi,
     constants,
     classical_variance,
     dirichlet_l_one,
@@ -34,7 +38,6 @@ from .lfun import (
     l_one_sym2,
     lambda_psi_table,
     lambda_square_table,
-    ramified_sum_factor,
     watson_ichino_mu2,
     zeta_d_two,
 )
@@ -318,7 +321,6 @@ def first_moment(
     K: float,
     n_twist: int = 1,
     sw: SmoothWeight = smooth_weight(),
-    mode: str = "full",
     mult: float = 4.0,
     cfg: AfeConfig = AfeConfig(),
     tol: float | None = None,
@@ -326,17 +328,12 @@ def first_moment(
     """sum_k L(1/2, psi x phi_2k) lambda_2k(n) phi(k/K), phi(y) = Phi(y)/y,
     normalized by phi~(1) K h(n/(n,D)) and compared to C_{D,psi}.
 
-    mode="diagonal" replaces the pipeline by its diagonal-mode isolation
-    (delegates to diagonal_check with a = n_twist).  A -1 root number makes
-    every central value vanish; the report is then trivially 0 = 0."""
+    A -1 root number makes every central value vanish; the report is then
+    trivially 0 = 0."""
     if K > 2000:
         raise HypothesisViolated("desk bound K <= 2000")
     if n_twist < 1 or n_twist > 50:
         raise HypothesisViolated("n_twist must be in 1..50")
-    if mode == "diagonal":
-        return diagonal_check(F, src, K, a=n_twist, sw=sw, cfg=cfg)
-    if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}")
     if src.eta_D == -1:
         return _vacuous_report(
             "first_moment",
@@ -360,13 +357,7 @@ def first_moment(
         n_red = n_twist // math.gcd(n_twist, F.D)
         h_factor = h_fn(src, F, n_red, nmax_hint=max(4, n_red))
         x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
-        c_dpsi = (
-            2.0
-            * dirichlet_l_one(F)
-            / zeta_d_two(F)
-            * l_one_sym2(src, F, x_match)
-            * ramified_sum_factor(src, F)
-        )
+        c_dpsi = c_d_psi(src, F, x_match)
         computed = m1 / (phit1 * K * h_factor)
     return ExperimentReport.build(
         name="first_moment",
@@ -389,27 +380,6 @@ def first_moment(
 
 
 # ---------------------------------------------------------------------------
-# L(1, phi_2k) in bulk (shared exponential cutoff, Richardson in closed form:
-# the X/2 sum reuses w^2 where w = e^{-n/X}).
-
-
-@functools.cache
-def _l_one_phi_bulk(
-    F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
-) -> Mapping[int, float]:
-    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
-    norms, thetas = ideal_scan(F, int(25 * X))
-    w = np.exp(-norms / X)
-    coef = (2.0 * w - w * w) / norms
-    del w
-    out = {}
-    for m in ms:
-        ph = (math.pi * m / F.log_eps) * thetas
-        out[m] = float(np.sum(coef * np.cos(ph)))
-    return MappingProxyType(out)
-
-
-# ---------------------------------------------------------------------------
 # Variance assembly.
 
 
@@ -421,9 +391,9 @@ def _watson_ichino_terms(
     mult: float,
     cfg: AfeConfig,
 ) -> tuple[list[tuple[float, float, float]], float]:
-    """(Phi(k/K), |mu_k|^2, L(1, phi_2k)) for each k of the weight's support
-    with Phi(k/K) != 0, in ascending k, and the matched sym^2 cutoff the
-    |mu_k|^2 were assembled at."""
+    """(Phi(k/K), L(1, phi_2k)^2 |mu_k|^2, L(1, phi_2k)) for each k of the
+    weight's support with Phi(k/K) != 0, in ascending k, and the matched
+    sym^2 cutoff the Watson-Ichino values were assembled at."""
     k_lo = max(1, int(math.ceil(K * sw.x0)))
     k_hi = int(math.floor(K * sw.x1))
     ks = range(k_lo, k_hi + 1)
@@ -436,11 +406,8 @@ def _watson_ichino_terms(
         w = sw(k / K)
         if w == 0.0:
             continue
-        mu2 = watson_ichino_mu2(
-            F, src, k, cfg,
-            l_half_cross=float(lvals[i]), l_one_phi_val=lphi[2 * k], l_sym2_val=ls2,
-        )
-        terms.append((w, mu2, lphi[2 * k]))
+        mu2h = watson_ichino_mu2(F, src, k, float(lvals[i]), ls2, cfg)
+        terms.append((w, mu2h, lphi[2 * k]))
     return terms, x_match
 
 
@@ -467,9 +434,9 @@ def variance_table(
         terms, x_match = _watson_ichino_terms(F, src, K, sw, mult, cfg)
         qh = 0.0
         q_plain = 0.0
-        for w, mu2, lphi in terms:
-            qh += lphi**2 * mu2 * w
-            q_plain += mu2 * w
+        for w, mu2h, lphi in terms:
+            qh += mu2h * w
+            q_plain += mu2h / lphi**2 * w
         cons = constants(F, src, p_max=p_max, X=x_match)
         v_psi = classical_variance(src.t_psi)
         phit0 = sw.mellin(0).real
@@ -515,8 +482,8 @@ def expected_value(
         else:
             terms, _ = _watson_ichino_terms(F, src, K, sw, mult, cfg)
             e_val = 0.0
-            for w, mu2, _ in terms:
-                e_val += math.sqrt(max(mu2, 0.0)) * w
+            for w, mu2h, lphi in terms:
+                e_val += math.sqrt(max(mu2h, 0.0)) / abs(lphi) * w
             e_val /= K
         ref = K**-0.5
     rep = ExperimentReport(

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
-from sympy import factorint
+from sympy import divisors, factorint, mobius
 
 from .characters import Character, all_ones_character, characters_mod
 from .errors import (
@@ -323,9 +324,7 @@ def zeta_factor_at_M(s: float, L: LevelData) -> float:
 
 def zeta_away_from_M(s: float, L: LevelData) -> float:
     """zeta_M(s) = zeta(s) prod_{p|M} (1 - p^{-s})."""
-    from mpmath import zeta as _zeta
-
-    v = float(_zeta(s))
+    v = float(mpmath.zeta(s))
     for p, _ in ((2, L.beta0),) + L.odd_primes:
         v *= 1 - float(p) ** (-s)
     return v
@@ -368,11 +367,11 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
         if math.gcd(ell, M) == 1
     )
     div = 0.0
-    for l1l2 in _divisors(m):
+    for l1l2 in divisors(m):
         if math.gcd(l1l2, M) != 1:
             continue
-        for ell1 in _divisors(l1l2):
-            mu = _moebius(ell1)
+        for ell1 in divisors(l1l2):
+            mu = int(mobius(ell1))
             if mu == 0:
                 continue
             ell2 = l1l2 // ell1
@@ -383,18 +382,6 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
                 * float(ell2) ** (2 - 4 * s)
             )
     return l1 / l2 * div
-
-
-def _divisors(n: int) -> list[int]:
-    from sympy import divisors
-
-    return divisors(n)
-
-
-def _moebius(n: int) -> int:
-    from sympy import mobius
-
-    return int(mobius(n))
 
 
 def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
@@ -547,30 +534,31 @@ def _d_psi_coefficients(
     return amp, logu
 
 
+_DTAU = 0.2  # tau-step of the reduction contours; the check halves it once
+_THETA = 7.0 / 64.0  # exponent of the error envelope P Delta / Y^(1/2 - theta)
+
+
 def _contour_value(
     src: HeckeSource,
     Q: QuadPoly,
     Y: float,
     W: SmoothWeight,
-    N: int | None,
     dtau: float,
     second_form: bool,
 ) -> complex:
     """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds by trapezoid
-    on the vertical line Re(s)=1, nodes pruned where Wtilde is negligible.
-    The coefficients of D_psi are cached per (src, Q, N, form): the dtau and
-    dtau/2 contours at one Y share them, and so do two Y with the same N
-    (with N=None, only while both sit at its floor of 2000)."""
+    on the vertical line Re(s)=1, on the tau-nodes 0, +-dtau, +-2 dtau, ...
+    up to T = 10 P log Y (the integrand is not negligible there: the
+    truncation at T is not bounded).  D_psi is truncated at the N with
+    t N^2 past the W window, at least 2000; its coefficients are cached per
+    (src, Q, N, form), so the dtau and dtau/2 contours at one Y share them."""
     t = _contour_t(Q, second_form)
-    if N is None:
-        # terms with t n^2 beyond the W window only feed the quadrature tail
-        N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
+    # terms with t n^2 beyond the W window only feed the quadrature tail
+    N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
 
     log8aY = math.log(8 * Q.a * Y)
     P = W.sharpness
     T = 10.0 * P * math.log(max(Y, math.e))
-    w0 = abs(W.mellin(1.0))
-    cutoff = 1e-13 * max(w0, 1e-30)
 
     amp, logu = _d_psi_coefficients(src, Q, N, second_form)
 
@@ -579,16 +567,9 @@ def _contour_value(
 
     taus = [0.0]
     tau = dtau
-    dead = 0
     while tau <= T:
-        if abs(W.mellin(1 + 1j * tau)) > cutoff:
-            taus.append(tau)
-            taus.append(-tau)
-            dead = 0
-        else:
-            dead += 1
-            if dead > 10:
-                break
+        taus.append(tau)
+        taus.append(-tau)
         tau += dtau
     taus.sort()
 
@@ -604,25 +585,17 @@ def _contour_value(
 
 
 def reduction_check(
-    src: HeckeSource,
-    Q: QuadPoly,
-    Y: float,
-    W: SmoothWeight,
-    *,
-    y_ref: float | None = None,
-    N: int | None = None,
-    dtau: float = 0.2,
+    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
 ) -> ExperimentReport:
     """Compare the direct non-split sum against its contour representation;
-    the error envelope constant is fitted at y_ref and the deviation at Y
-    must stay within 3x the scaled envelope."""
-    theta = 7.0 / 64.0
+    the error envelope constant is fitted at y_ref = Y/4 and the deviation
+    at Y must stay within 3x the scaled envelope."""
     P = W.sharpness
 
     def deviation(y: float) -> float:
         direct = nonsplit_sum(src, Q, y, W)
-        integ = _contour_value(src, Q, y, W, N, dtau, second_form=False)
-        integ2 = _contour_value(src, Q, y, W, N, dtau / 2, second_form=False)
+        integ = _contour_value(src, Q, y, W, _DTAU, second_form=False)
+        integ2 = _contour_value(src, Q, y, W, _DTAU / 2, second_form=False)
         if abs(integ - integ2) > 1e-3 * max(1.0, abs(integ2)):
             raise QuadratureNonconvergent(
                 f"dtau halving moved the integral by {abs(integ - integ2):.2e}"
@@ -630,16 +603,15 @@ def reduction_check(
         return abs(direct - integ2.real), abs(integ2.imag)
 
     with timed() as elapsed:
-        if y_ref is None:
-            y_ref = Y / 4
+        y_ref = Y / 4
         dev_ref, _ = deviation(y_ref)
-        env_ref = P * Q.Delta / y_ref ** (0.5 - theta)
+        env_ref = P * Q.Delta / y_ref ** (0.5 - _THETA)
         cfit = dev_ref / env_ref
         dev, imag_part = deviation(Y)
-        envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - theta)
+        envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
     return ExperimentReport.build(
         name="reduction_check",
-        parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref, "N": N},
+        parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref},
         computed=dev,
         reference=0.0,
         tolerance=envelope,
@@ -652,32 +624,23 @@ def reduction_check(
 
 
 def reduction_check_second_form(
-    src: HeckeSource,
-    Q: QuadPoly,
-    Y: float,
-    W: SmoothWeight,
-    *,
-    y_ref: float | None = None,
-    N: int | None = None,
-    dtau: float = 0.2,
+    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
 ) -> ExperimentReport:
     """Same comparison via the trivial-character form (odd a with a | b)."""
-    theta = 7.0 / 64.0
     P = W.sharpness
     with timed() as elapsed:
-        if y_ref is None:
-            y_ref = Y / 4
+        y_ref = Y / 4
         devs = []
         for y in (y_ref, Y):
             direct = nonsplit_sum(src, Q, y, W)
-            integ = _contour_value(src, Q, y, W, N, dtau, second_form=True)
+            integ = _contour_value(src, Q, y, W, _DTAU, second_form=True)
             devs.append(abs(direct - integ.real))
-        env_ref = P * Q.Delta / y_ref ** (0.5 - theta)
+        env_ref = P * Q.Delta / y_ref ** (0.5 - _THETA)
         cfit = devs[0] / env_ref
-        envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - theta)
+        envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
     return ExperimentReport.build(
         name="reduction_check_second_form",
-        parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref, "N": N},
+        parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref},
         computed=devs[1],
         reference=0.0,
         tolerance=envelope,
@@ -690,16 +653,6 @@ def reduction_check_second_form(
 
 # ---------------------------------------------------------------------------
 # Symmetric-square Euler factorization
-
-
-def _split_a1a2(a_prime: int) -> tuple[int, int]:
-    """a' = a1 a2^2 with a1 squarefree."""
-    a1, a2 = 1, 1
-    for p, e in factorint(a_prime).items():
-        if e % 2:
-            a1 *= p
-        a2 *= p ** (e // 2)
-    return a1, a2
 
 
 def symsq_factor_check(
@@ -719,7 +672,7 @@ def symsq_factor_check(
         d = math.gcd(4 * a, t)
         a_prime = 4 * a // d
         t_prime = t // d
-        a1, a2 = _split_a1a2(a_prime)
+        a1, a2 = _square_part(a_prime)
 
         lhs = 0.0 + 0.0j
         for n in range(1, truncation + 1):

@@ -42,8 +42,9 @@ def _chi0(D: int, p: int) -> int:
 class HeckeSource:
     """A Hecke eigenvalue source, compared and hashed by value: the spectral
     data, the seed, and for a table-backed source a digest of its table.
-    prime_values holds the table, or for a synthetic source the lambda_psi(p)
-    drawn so far; it takes no part in the comparison."""
+    prime_values holds the table (a synthetic source leaves it empty and
+    draws each lambda_psi(p) afresh from its seed); it takes no part in the
+    comparison."""
 
     level: int  # = D
     t_psi: float
@@ -64,9 +65,7 @@ class HeckeSource:
             return self.prime_values[p]
         if self.seed is None:
             raise MissingPrime(f"p={p} beyond table range")
-        v = _synthetic_lambda_p(self.seed, self.level, p)
-        self.prime_values[p] = v
-        return v
+        return _synthetic_lambda_p(self.seed, self.level, p)
 
     def lambda_pp(self, p: int, b: int) -> float:
         """lambda_psi(p^b) by the Hecke recursion (ramified: power model)."""

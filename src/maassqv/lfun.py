@@ -1,6 +1,11 @@
-"""Gamma factors, approximate-functional-equation weights, truncated
-central values L(1/2, psi x phi_2k), auxiliary values at s=1, and the
-leading constants of the variance asymptotics.
+"""Gamma factors, approximate-functional-equation weights, auxiliary
+values at s=1, the leading constants of the variance asymptotics and the
+Watson-Ichino assembly.
+
+Each L-value on the variance path has one route: L(1, phi_m) is
+`_l_one_phi_bulk` (one ideal scan, Richardson-weighted), C_{D,psi} is
+`c_d_psi`, and the central values L(1/2, psi x phi_2k) come in bulk from
+`experiments.central_values_bulk`; the pointwise AFE sum is a test oracle.
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
@@ -23,7 +28,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import loggamma
@@ -31,14 +37,13 @@ from sympy import factorint
 
 from .errors import (
     MissingPrime,
-    NegativeCentralValue,
     PoleInput,
     QuadratureNonconvergent,
     TableExhausted,
     TruncationInsufficient,
 )
 from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
-from .ideals import kronecker_chi, kronecker_residues, lambda_k_table, r_D
+from .ideals import ideal_scan, kronecker_chi, kronecker_residues, r_D
 from .quadfield import FieldParams
 
 
@@ -112,15 +117,12 @@ class AfeConfig:
     contour_re: float = 1.0  # the line c > 0
     im_cutoff: float = 8.0
     quad_step: float = 0.05
-    series_cutoff_multiplier: float = 100.0  # terms up to mult * k^2 * D^{3/2}
 
     def __post_init__(self):
         if not (self.contour_re > 0):
             raise ValueError("contour_re must be positive")
         if self.im_cutoff <= 1.0 or self.quad_step <= 0.0:
             raise ValueError("bad quadrature parameters")
-        if self.series_cutoff_multiplier <= 0.0:
-            raise ValueError("series_cutoff_multiplier must be positive")
 
     def nodes(self) -> np.ndarray:
         """The trapezoid nodes w = c + i tau, tau = 0, quad_step, ..,
@@ -233,41 +235,6 @@ def afe_weight_many(
     return _contour_sum(logx, w, g)
 
 
-def afe_tail_bound(cfg: AfeConfig, F: FieldParams, xi: float) -> float:
-    """Heuristic bound for |W(xi')| at xi' >= xi: contour shift to the
-    optimal Re w = A gives exp(-log(R)^2/4) with R = 4 log(eps)^2 xi/D^{3/2}."""
-    R = 4.0 * F.log_eps**2 * xi / F.D**1.5
-    if R <= 1.0:
-        return 3.0
-    return 30.0 * math.exp(-0.25 * math.log(R) ** 2)
-
-
-def central_value(src: HeckeSource, F: FieldParams, cfg: AfeConfig, k: int) -> float:
-    """L(1/2, psi x phi_2k) by the approximate functional equation:
-    2 * sum_n lambda_2k(n) lambda_psi(n) n^{-1/2} W(n/k^2) when the root
-    number eta_psi(D) = +1, and exactly 0 when eta_psi(D) = -1."""
-    if k == 0:
-        raise PoleInput("k = 0 has no cuspidal dihedral form")
-    if src.eta_D == -1:
-        return 0.0
-    k = abs(k)
-    N = int(cfg.series_cutoff_multiplier * k * k * F.D**1.5)
-    if N < 4:
-        raise TruncationInsufficient("series cutoff below 4 terms")
-    lam2k = lambda_k_table(F, 2 * k, N)
-    lpsi = lambda_psi_table(src, N)
-    n = np.arange(1, N + 1)
-    # W is smooth in log(xi): evaluate on a geometric grid and interpolate
-    grid = np.geomspace(1.0 / (k * k), (N + 1.0) / (k * k), 48 * 8 + 2)
-    wgrid = afe_weight_many(cfg, 0.5, grid, F, k, src.t_psi)
-    wvals = np.interp(np.log(n / (k * k)), np.log(grid), wgrid)
-    half = float(np.sum(lam2k[1:] * lpsi[1:] / np.sqrt(n) * wvals))
-    value = half + src.eta_D * half
-    if value < -1e-3 - afe_tail_bound(cfg, F, N / (k * k)):
-        raise NegativeCentralValue(f"L(1/2) = {value:.6g} at k={k}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Values at s = 1 and on the central line for the constants.
 
@@ -275,12 +242,6 @@ def central_value(src: HeckeSource, F: FieldParams, cfg: AfeConfig, k: int) -> f
 def zeta_d_two(F: FieldParams) -> float:
     """zeta_D(2) = zeta(2) (1 - p1^{-2})(1 - p2^{-2}) in closed form."""
     return (math.pi**2 / 6.0) * (1.0 - F.p1**-2) * (1.0 - F.p2**-2)
-
-
-def _smoothed_over_n(coeffs: np.ndarray, X: float) -> float:
-    """sum_{n>=1} a_n e^{-n/X} / n for a dense coefficient table a[0..N]."""
-    n = np.arange(1, coeffs.size)
-    return float(np.sum(coeffs[1:] * np.exp(-n / X) / n))
 
 
 @functools.cache
@@ -302,13 +263,29 @@ def dirichlet_l_one(F: FieldParams, X: float = 20000.0) -> float:
 
 
 @functools.cache
+def _l_one_phi_bulk(
+    F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
+) -> Mapping[int, float]:
+    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
+    norms, thetas = ideal_scan(F, int(25 * X))
+    w = np.exp(-norms / X)
+    coef = (2.0 * w - w * w) / norms
+    del w
+    out = {}
+    for m in ms:
+        ph = (math.pi * m / F.log_eps) * thetas
+        out[m] = float(np.sum(coef * np.cos(ph)))
+    return MappingProxyType(out)
+
+
 def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
     """L(1, phi_m) = sum lambda_m(n)/n, smoothed; m = 2k, k != 0.
 
     The exponential cutoff leaves Mellin corrections X^{-j} L(1-j, phi_m)/j!
     with |L(1-j)| of size (t_m sqrt(D)/2pi)^{2j-1}; the j=1 term is removed
-    by Richardson extrapolation between cutoffs X and X/2, and X (when not
-    given) is scaled with the conductor so the j>=2 terms stay small."""
+    by Richardson extrapolation between cutoffs X and X/2 (the weight
+    2 e^{-n/X} - e^{-2n/X} of `_l_one_phi_bulk`), and X (when not given) is
+    scaled with the conductor so the j>=2 terms stay small."""
     if m == 0:
         raise PoleInput("phi_0 is not cuspidal: L(1, phi_0) has a pole")
     if X is None:
@@ -316,9 +293,7 @@ def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
         X = max(20000.0, 8.0 * scale)
     if X < 100:
         raise TruncationInsufficient("cutoff X too small")
-    N = int(30 * X)
-    tab = lambda_k_table(F, abs(m), N)
-    return 2.0 * _smoothed_over_n(tab, X) - _smoothed_over_n(tab, X / 2.0)
+    return _l_one_phi_bulk(F, (abs(m),), X)[abs(m)]
 
 
 @functools.cache
@@ -373,6 +348,18 @@ def ramified_sum_factor(src: HeckeSource, F: FieldParams) -> float:
     )
 
 
+def c_d_psi(src: HeckeSource, F: FieldParams, X: float) -> float:
+    """C_{D,psi} = 2 L(1, chi_D)/zeta_D(2) L(1, sym^2 psi) (1 + ramified sums),
+    with L(1, sym^2 psi) at the cutoff X."""
+    return (
+        2.0
+        * dirichlet_l_one(F)
+        / zeta_d_two(F)
+        * l_one_sym2(src, F, X)
+        * ramified_sum_factor(src, F)
+    )
+
+
 def constants(
     F: FieldParams,
     src: HeckeSource,
@@ -380,7 +367,7 @@ def constants(
     X: float = 20000.0,
 ) -> dict:
     """The three leading constants of the asymptotics:
-      C_Dpsi       = 2 L(1,chi_D)/zeta_D(2) L(1,sym2 psi) (1 + ramified sums)
+      C_Dpsi       = `c_d_psi` at the cutoff X
       C_Dpsi_prime = Euler product over p coprime to D times prod_{p|D}(1-1/p)^2
       A_h          = L(1/2,psi) L(1/2,psi x chi_D) pi log(eps)
                      / (2 D^2 zeta_D(2) L(1,chi_D)) * (1 + ramified sums)
@@ -393,7 +380,6 @@ def constants(
     l1chi = dirichlet_l_one(F, min(X, 1.0e5))
     zd2 = zeta_d_two(F)
     ram = ramified_sum_factor(src, F)
-    c_dpsi = 2.0 * l1chi / zd2 * l_one_sym2(src, F, X) * ram
 
     log_prod = 0.0
     for p in primes_upto(p_max).tolist():
@@ -420,7 +406,7 @@ def constants(
         * ram
     )
     return {
-        "C_Dpsi": c_dpsi,
+        "C_Dpsi": c_d_psi(src, F, X),
         "C_Dpsi_prime": c_prime,
         "A_h": a_h,
         "C_Dpsi_prime_tail": tail,
@@ -443,18 +429,20 @@ def watson_ichino_mu2(
     F: FieldParams,
     src: HeckeSource,
     k: int,
+    l_half_cross: float,
+    l_sym2_val: float,
     cfg: AfeConfig = AfeConfig(),
-    l_half_cross: float | None = None,
-    l_one_phi_val: float | None = None,
-    l_sym2_val: float | None = None,
 ) -> float:
-    """|mu_k(psi)|^2 assembled from completed L-values:
+    """L(1, phi_2k)^2 |mu_k(psi)|^2 assembled from completed L-values:
     1/(8 sqrt(D) nu(D/D1)) * La(1/2,psi) La(1/2,psi x chi_D) La(1/2,psi x phi_2k)
-    / (La(1,sym2 psi) La(1,chi_D)^2 La(1,phi_2k)^2), with D1 = level of psi.
+    / (La(1,sym2 psi) La(1,chi_D)^2 G(1,phi_2k)^2), with D1 = level of psi and
+    G(1,phi_2k) the archimedean factor of La(1,phi_2k): Watson-Ichino's
+    |mu_k|^2 carries 1/L(1, phi_2k)^2, and the finite L(1, phi_2k)^2 that the
+    weighted variance Q^h multiplies back is left out.
 
-    Odd psi gives exactly 0. l_half_cross / l_one_phi_val / l_sym2_val
-    optionally supply precomputed L(1/2, psi x phi_2k), L(1, phi_2k) and
-    L(1, sym^2 psi) (bulk loops compute these once or at matched cutoffs)."""
+    l_half_cross = L(1/2, psi x phi_2k) and l_sym2_val = L(1, sym^2 psi) are
+    computed by the caller (in bulk, at matched cutoffs).  Odd psi gives
+    exactly 0."""
     if src.parity == "odd":
         return 0.0
     if k == 0:
@@ -470,16 +458,10 @@ def watson_ichino_mu2(
     # the archimedean factors of numerator and denominator individually
     # underflow (e^{-pi t_2k/2} scale) at large k: assemble the whole
     # ratio in log-magnitude space, tracking signs of the L-values
-    if l_half_cross is None:
-        l_half_cross = central_value(src, F, cfg, k)
-    if l_sym2_val is None:
-        l_sym2_val = l_one_sym2(src, F)
-    if l_one_phi_val is None:
-        l_one_phi_val = l_one_phi(F, 2 * abs(k))
     v_psi = _gl2_central(src, F, False, cfg)
     v_cross = _gl2_central(src, F, True, cfg)
     l_chi = dirichlet_l_one(F)
-    finite = (v_psi, v_cross, l_half_cross, l_sym2_val, l_chi, l_one_phi_val)
+    finite = (v_psi, v_cross, l_half_cross, l_sym2_val, l_chi)
     if any(v == 0.0 for v in finite):
         return 0.0
     sign = 1.0
@@ -487,7 +469,7 @@ def watson_ichino_mu2(
     for v in (v_psi, v_cross, l_half_cross):
         sign *= math.copysign(1.0, v)
         log_mag += math.log(abs(v))
-    for v, mult_pow in ((l_sym2_val, 1), (l_chi, 2), (l_one_phi_val, 2)):
+    for v, mult_pow in ((l_sym2_val, 1), (l_chi, 2)):
         sign *= math.copysign(1.0, v) ** mult_pow
         log_mag -= mult_pow * math.log(abs(v))
     # conductor powers: D^{1/4} D^{1/2} D^{3/4} / (D * D * D) / sqrt(D)

@@ -88,9 +88,6 @@ class FieldParams:
         """Real embedding sending omega to (1+sqrt(D))/2."""
         return a.m + a.n * self.omega
 
-    def embed_conj(self, a: QuadInt) -> float:
-        return a.m + a.n * (1.0 - self.sqrtD) / 2.0
-
 
 def norm(F: FieldParams, a: QuadInt) -> int:
     m, n = a.m, a.n

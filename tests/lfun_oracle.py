@@ -4,7 +4,11 @@
 evaluated pointwise; maassqv.lfun only ever needs its log-modulus or its
 ratios on the contour nodes.  `dirichlet_l_line_per_node` is the
 L(2w + 2s, chi_D) contour line summed with one complex exponential per
-term and node."""
+term and node.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
+approximate functional equation, the reference for
+`experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
+bound on the weight W.  `l_one_phi_dense` is L(1, phi_m) from the dense
+lambda_m table, the reference for `lfun._l_one_phi_bulk`."""
 
 from __future__ import annotations
 
@@ -14,7 +18,11 @@ import math
 import numpy as np
 from scipy.special import loggamma
 
-from maassqv.ideals import kronecker_residues
+from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
+from maassqv.hecke import HeckeSource
+from maassqv.ideals import kronecker_residues, lambda_k_table
+from maassqv.lfun import AfeConfig, afe_weight_many, lambda_psi_table
+from maassqv.quadfield import FieldParams
 
 
 def gamma_factor(s: complex, t_psi: float, t_2k: float) -> complex:
@@ -37,3 +45,57 @@ def dirichlet_l_line_per_node(F, s: complex, cfg) -> np.ndarray:
     for i, sv in enumerate(s_nodes):
         out[i] = np.sum(chin * np.exp(-sv * logn))
     return out
+
+
+def afe_tail_bound(cfg: AfeConfig, F: FieldParams, xi: float) -> float:
+    """Heuristic bound for |W(xi')| at xi' >= xi: contour shift to the
+    optimal Re w = A gives exp(-log(R)^2/4) with R = 4 log(eps)^2 xi/D^{3/2}."""
+    R = 4.0 * F.log_eps**2 * xi / F.D**1.5
+    if R <= 1.0:
+        return 3.0
+    return 30.0 * math.exp(-0.25 * math.log(R) ** 2)
+
+
+def central_value(
+    src: HeckeSource,
+    F: FieldParams,
+    cfg: AfeConfig,
+    k: int,
+    series_cutoff_multiplier: float = 100.0,
+) -> float:
+    """L(1/2, psi x phi_2k) by the approximate functional equation:
+    2 * sum_n lambda_2k(n) lambda_psi(n) n^{-1/2} W(n/k^2) when the root
+    number eta_psi(D) = +1, and exactly 0 when eta_psi(D) = -1; terms up to
+    series_cutoff_multiplier * k^2 * D^{3/2}."""
+    if k == 0:
+        raise PoleInput("k = 0 has no cuspidal dihedral form")
+    if src.eta_D == -1:
+        return 0.0
+    k = abs(k)
+    N = int(series_cutoff_multiplier * k * k * F.D**1.5)
+    if N < 4:
+        raise TruncationInsufficient("series cutoff below 4 terms")
+    lam2k = lambda_k_table(F, 2 * k, N)
+    lpsi = lambda_psi_table(src, N)
+    n = np.arange(1, N + 1)
+    # W is smooth in log(xi): evaluate on a geometric grid and interpolate
+    grid = np.geomspace(1.0 / (k * k), (N + 1.0) / (k * k), 48 * 8 + 2)
+    wgrid = afe_weight_many(cfg, 0.5, grid, F, k, src.t_psi)
+    wvals = np.interp(np.log(n / (k * k)), np.log(grid), wgrid)
+    half = float(np.sum(lam2k[1:] * lpsi[1:] / np.sqrt(n) * wvals))
+    value = half + src.eta_D * half
+    if value < -1e-3 - afe_tail_bound(cfg, F, N / (k * k)):
+        raise NegativeCentralValue(f"L(1/2) = {value:.6g} at k={k}")
+    return value
+
+
+def l_one_phi_dense(F: FieldParams, m: int, X: float) -> float:
+    """L(1, phi_m), m != 0, as 2 S(X) - S(X/2) with
+    S(Y) = sum_{n <= 30 X} lambda_m(n) e^{-n/Y}/n over the dense table."""
+    tab = lambda_k_table(F, abs(m), int(30 * X))
+    n = np.arange(1, tab.size)
+
+    def smoothed(Y: float) -> float:
+        return float(np.sum(tab[1:] * np.exp(-n / Y) / n))
+
+    return 2.0 * smoothed(X) - smoothed(X / 2.0)

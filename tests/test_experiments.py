@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maassqv import experiments
+from maassqv import experiments, lfun
 from maassqv.errors import HypothesisViolated, TruncationInsufficient
 from maassqv.experiments import (
     central_values_bulk,
@@ -20,9 +20,10 @@ from maassqv.experiments import (
     variance_table,
 )
 from hecke_oracle import mu_2k
+from lfun_oracle import central_value
 from maassqv.halfint import QuadPoly, _legendre_table
 from maassqv.hecke import make_source
-from maassqv.lfun import AfeConfig, _afe_nodes, central_value
+from maassqv.lfun import AfeConfig, _afe_nodes
 from maassqv.quadfield import QuadInt, make_field, multiply
 from maassqv.weights import SmoothWeight
 
@@ -125,7 +126,7 @@ def test_l_one_phi_memo_keyed_by_cutoff(F, monkeypatch):
         raise AssertionError("ideal_scan called for memoized values")
 
     with monkeypatch.context() as m:
-        m.setattr(experiments, "ideal_scan", no_scan)
+        m.setattr(lfun, "ideal_scan", no_scan)
         assert experiments._l_one_phi_bulk(F, (2, 4), X=2000.0) == first
     other = experiments._l_one_phi_bulk(F, (2, 4, 6), X=3000.0)
     experiments._l_one_phi_bulk.cache_clear()
@@ -141,6 +142,19 @@ def test_variance_then_expected_value_reuse_cached_values(F, src):
     expected_value(F, src, 10.0)
     assert central_values_bulk.cache_info().hits >= 1
     assert experiments._l_one_phi_bulk.cache_info().hits >= 1
+
+
+def test_variance_and_expected_value_pinned(F, src):
+    # D = 21, K = 10, seed 42: the values of the route that divided
+    # L(1, phi_2k)^2 out of |mu_k|^2 and multiplied it back into Q^h
+    rep = variance_table(F, src, 10.0)
+    assert rep.computed == pytest.approx(0.008483154291005213, rel=1e-13)
+    assert rep.reference == pytest.approx(0.008566390284426996, rel=1e-13)
+    assert rep.extra["Q_plain"] == pytest.approx(0.0016150534689593746, rel=1e-13)
+    assert rep.extra["Q_plain_ratio"] == pytest.approx(0.8060799961497225, rel=1e-13)
+    ev = expected_value(F, src, 10.0)
+    assert ev.computed == pytest.approx(0.011259772914707053, rel=1e-13)
+    assert ev.extra["observed_ratio"] == pytest.approx(0.03560652834674711, rel=1e-13)
 
 
 def test_cached_arrays_are_read_only(F, src):
@@ -184,12 +198,6 @@ def test_first_moment_vacuous_for_odd_root_number(F):
     rep = first_moment(F, src_m, 100.0)
     assert rep.passed and rep.computed == 0.0
     assert "vacuous" in rep.extra
-
-
-def test_first_moment_diagonal_mode_delegates(F, src):
-    rep = first_moment(F, src, 100.0, n_twist=3, mode="diagonal")
-    ref = diagonal_check(F, src, 100.0, a=3)
-    assert rep.computed == pytest.approx(ref.computed)
 
 
 def test_expected_value_vacuous(F):

@@ -295,10 +295,10 @@ def test_contour_values_pinned(src):
     # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
     W = SmoothWeight()
     Q = QuadPoly(1, 0, -21)
-    assert _contour_value(src, Q, 1e4, W, None, 0.2, False) == complex(
+    assert _contour_value(src, Q, 1e4, W, 0.2, False) == complex(
         8.310368473613812, -0.012224697371408619
     )
-    assert _contour_value(src, Q, 1e4, W, None, 0.2, True) == complex(
+    assert _contour_value(src, Q, 1e4, W, 0.2, True) == complex(
         8.310368493379507, -0.012224697371738721
     )
     rep = reduction_check(src, Q, 1e4, W)

@@ -1,0 +1,39 @@
+"""Every name a module of maassqv imports is used in that module.
+
+Deleting a function tends to leave its imports behind; this finds them
+with the standard-library parser.  `__init__.py` is exempt: its imports
+are the package's re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "maassqv"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by import statements of source that no other
+    expression of it reads."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def test_detector_flags_unused_and_keeps_used():
+    source = "import os\nimport numpy as np\nfrom math import pi, tau\nx = np.sqrt(pi)\n"
+    assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -6,7 +6,13 @@ import pytest
 from scipy.special import loggamma
 
 from ideal_oracle import oracle_elements
-from lfun_oracle import dirichlet_l_line_per_node, gamma_factor
+from lfun_oracle import (
+    afe_tail_bound,
+    central_value,
+    dirichlet_l_line_per_node,
+    gamma_factor,
+    l_one_phi_dense,
+)
 from maassqv.errors import (
     NegativeCentralValue,
     PoleInput,
@@ -20,9 +26,8 @@ from maassqv.lfun import (
     _afe_nodes,
     _dirichlet_l_line,
     _gl2_central,
-    afe_tail_bound,
     afe_weight_many,
-    central_value,
+    c_d_psi,
     classical_variance,
     constants,
     dirichlet_l_one,
@@ -277,10 +282,9 @@ def test_central_value_eta_minus_one_vanishes(F):
 
 def test_central_value_self_consistency(src, F):
     cfg = AfeConfig()
-    cfg2 = AfeConfig(series_cutoff_multiplier=2 * cfg.series_cutoff_multiplier)
     for k in (1, 2, 3):
         v1 = central_value(src, F, cfg, k)
-        v2 = central_value(src, F, cfg2, k)
+        v2 = central_value(src, F, cfg, k, series_cutoff_multiplier=200.0)
         assert abs(v1 - v2) <= 1e-4 * max(abs(v2), 1.0), k
 
 
@@ -299,10 +303,9 @@ def test_central_value_positivity_sweep(F):
     for k in range(1, 13):
         assert central_value(src11, F, cfg, k) >= -1e-3, k
     # larger k at reduced series cutoff
-    small = AfeConfig(series_cutoff_multiplier=30.0)
     for k in (16, 25, 40):
-        assert central_value(src11, F, small, k) >= -1e-3 - afe_tail_bound(
-            small, F, 30.0 * 21**1.5
+        assert central_value(src11, F, cfg, k, 30.0) >= -1e-3 - afe_tail_bound(
+            cfg, F, 30.0 * 21**1.5
         ), k
 
 
@@ -335,6 +338,14 @@ def test_l_one_phi_self_consistent(F):
         l_one_phi(F, 0)
     with pytest.raises(TruncationInsufficient):
         l_one_phi(F, 6, X=10.0)
+
+
+@pytest.mark.parametrize("m", [6, 20, 60])
+def test_l_one_phi_matches_dense_table_route(F, m):
+    # the bulk ideal-scan engine against the dense lambda_m table
+    want = l_one_phi_dense(F, m, 2.0e4)
+    assert l_one_phi(F, m, 2.0e4) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert l_one_phi(F, -m, 2.0e4) == l_one_phi(F, m, 2.0e4)
 
 
 def test_l_one_sym2_local_identity(src):
@@ -381,6 +392,7 @@ def test_constants(src, F):
     cs = constants(F, src, p_max=20000)
     assert set(cs) >= {"C_Dpsi", "C_Dpsi_prime", "A_h"}
     X = 20000.0
+    assert cs["C_Dpsi"] == c_d_psi(src, F, X)
     want = (
         2.0
         * dirichlet_l_one(F, X)
@@ -410,14 +422,17 @@ def test_nu_index():
 
 def test_watson_ichino(src, F):
     cfg = AfeConfig()
-    base = watson_ichino_mu2(F, src, 3, cfg)
-    assert base >= 0.0
-    # linear in the supplied central value
     lhalf = central_value(src, F, cfg, 3)
-    doubled = watson_ichino_mu2(F, src, 3, cfg, l_half_cross=2 * lhalf)
+    lsym2 = l_one_sym2(src, F)
+    base = watson_ichino_mu2(F, src, 3, lhalf, lsym2, cfg)
+    assert base >= 0.0
+    # linear in the supplied central value, inverse in L(1, sym^2 psi)
+    doubled = watson_ichino_mu2(F, src, 3, 2 * lhalf, lsym2, cfg)
     assert doubled == pytest.approx(2 * base, rel=1e-12)
+    halved = watson_ichino_mu2(F, src, 3, lhalf, 2 * lsym2, cfg)
+    assert halved == pytest.approx(base / 2, rel=1e-12)
     # odd spectral data contributes nothing
     src_odd = make_source(synthetic=42, D=21, parity="odd")
-    assert watson_ichino_mu2(F, src_odd, 3, cfg) == 0.0
+    assert watson_ichino_mu2(F, src_odd, 3, lhalf, lsym2, cfg) == 0.0
     with pytest.raises(PoleInput):
-        watson_ichino_mu2(F, src, 0, cfg)
+        watson_ichino_mu2(F, src, 0, lhalf, lsym2, cfg)
