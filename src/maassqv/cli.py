@@ -16,6 +16,7 @@ import sys
 from .halfint import (
     QuadPoly,
     b_direct,
+    b_residue,
     b_series,
     c_closed,
     c_series,
@@ -23,8 +24,6 @@ from .halfint import (
     make_level,
     reduction_check,
     reduction_check_second_form,
-    zeta_factor_at_M,
-    zeta_away_from_M,
     _max_nonzero_mprime,
 )
 from .hecke import make_source
@@ -48,11 +47,10 @@ def cmd_field_info(args) -> list[ExperimentReport]:
     F = make_field(args.D)
     print(f"D = {F.D} = {F.p1} * {F.p2}")
     print(f"fundamental unit: {F.unit_x} + {F.unit_y}*omega, log eps = {F.log_eps!r}")
-    L = dirichlet_l_one(F)
     ref = 2.0 * F.log_eps / math.sqrt(F.D)  # class-number-one value
     tol = args.tol if args.tol is not None else 1e-6
     with timed() as el:
-        pass
+        L = dirichlet_l_one(F)
     return [ExperimentReport.build(
         "field_info_class_number", {"D": F.D}, L, ref, tol, el(), mode="rel",
     )]
@@ -149,12 +147,9 @@ def cmd_verify_appendixb(args) -> list[ExperimentReport]:
     ))
     with timed() as el:
         got = eisenstein_residue_const(L)
-        want = (
-            math.pi / (4.0 * zeta_factor_at_M(1.0, L))
-            / zeta_away_from_M(2.0, L)
-        )
-        for p, beta in ((2, L.beta0),) + L.odd_primes:
-            want /= float(p) ** ((beta + 1) // 2)
+        # residue of b(0, s) times the constant term c(0, 3/4), whose
+        # prime-power factor comes from the geometric series of c_closed
+        want = 2 * math.pi * b_residue(0, L) * c_closed(0, L, 0.75).real
     out.append(ExperimentReport.build(
         "eisenstein_residue_closed_form", {"M": args.M}, got, want, 1e-12, el(),
         mode="rel",

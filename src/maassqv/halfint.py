@@ -7,6 +7,11 @@ c(n,s) of the weight-1/2 Eisenstein series at levels M = 2^b0 p1^b1 p2^b2,
 the explicit residue constant at s = 3/4, the non-split quadratic sum S
 and its contour reduction through the shifted Dirichlet series
 D_psi(s, Delta), and the symmetric-square Euler factorization check.
+
+The character sums in the coefficients of D_psi are taken by orthogonality
+as two congruence tests mod a', so no character group is built; both
+contour forms share that one coefficient formula, and both reduction
+checks share one envelope fit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import mpmath
 import numpy as np
 from sympy import divisors, factorint, mobius
 
-from .characters import Character, all_ones_character, characters_mod
+from .characters import Character
 from .errors import (
     BadDecomposition,
     BoundTooSmall,
@@ -31,7 +36,7 @@ from .errors import (
     TruncationInsufficient,
     WindowViolation,
 )
-from .hecke import HeckeSource, lambda_psi, lambda_psi_at, primes_upto
+from .hecke import HeckeSource, lambda_psi, primes_upto
 from .ideals import kronecker
 from .report import ExperimentReport, timed
 from .weights import SmoothWeight
@@ -490,44 +495,36 @@ def _contour_t(Q: QuadPoly, second_form: bool) -> int:
 def _d_psi_coefficients(
     src: HeckeSource, Q: QuadPoly, N: int, second_form: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(amp, log u) with D_psi(s, Delta) = sum_{n <= N} amp_n u_n^{-s}; the
-    character sums, split by parity, are folded into amp.  Read-only."""
+    """(amp, log u) with D_psi(s, Delta) = sum_{n <= N} amp_n u_n^{-s}.  Read-only.
+
+    The sum over the characters chi mod a', split by parity nu, collapses by
+    orthogonality (gcd(a', b') = 1) to two congruence tests:
+    (1/phi(a')) sum_{chi(-1) = (-1)^nu} conj chi(b') chi(n)
+    = ([n = b'] + (-1)^nu [n = -b']) / 2  (mod a').
+    The second form is the first at (a', b', d) = (1, 0, 1), where both
+    tests hold for every n, n = 0 included."""
     a, Delta = Q.a, Q.Delta
     t = _contour_t(Q, second_form)
-    if second_form:
-        chars = [all_ones_character()]
-        d, phi_ap, bp = 1, 1, 0
-    else:
-        d = Q.d
-        bp = Q.b_prime
-        chars = characters_mod(Q.a_prime)
-        phi_ap = len(chars)
+    r, bp, d = (1, 0, 1) if second_form else (Q.a_prime, Q.b_prime, Q.d)
 
-    # per-n coefficient arrays, split by character parity
+    lam = np.zeros(N + 1)
+    for n in range(N + 1):
+        v = t * n * n - Delta
+        if v % (4 * a) == 0:
+            lam[n] = lambda_psi(src, v // (4 * a))
     ns = np.arange(N + 1, dtype=np.float64)
     q = t * ns * ns - Delta
     u = t * ns * ns + Delta + np.abs(q)
-    lam = np.zeros(N + 1)
-    for n in range(N + 1):
-        lam[n] = lambda_psi_at(src, (t * n * n - Delta) / (4 * a))
     weight = np.full(N + 1, 2.0)
     weight[0] = 1.0
-    c0 = np.zeros(N + 1, dtype=np.complex128)
-    c1 = np.zeros(N + 1, dtype=np.complex128)
-    for ch in chars:
-        coef = np.conjugate(ch(bp)) if not second_form else 1.0
-        vals = np.array([ch(n) for n in range(N + 1)], dtype=np.complex128)
-        if ch.parity == 0:
-            c0 += coef * vals
-        else:
-            c1 += coef * vals * ns
     qa = np.where(q == 0, 1.0, np.abs(q))
     phase = np.exp(1j * src.t_psi * (np.log(2 * qa) - np.log(u)))
     base = lam * weight * phase
     base[q == 0] = 0.0
-    amp0 = base * c0 / phi_ap
-    amp1 = base * c1 / phi_ap * (math.sqrt(2) * d) / np.sqrt(u)
-    amp = amp0 + amp1
+    plus = (ns % r == bp % r).astype(np.float64)
+    minus = (ns % r == -bp % r).astype(np.float64)
+    odd_weight = ns * (math.sqrt(2) * d) / np.sqrt(u)  # n^nu (sqrt2 d)^nu u^{-nu/2}, nu = 1
+    amp = base * ((plus + minus) + (plus - minus) * odd_weight) / 2
     logu = np.log(u)
     amp.setflags(write=False)
     logu.setflags(write=False)
@@ -584,33 +581,21 @@ def _contour_value(
     return total / (4 * math.pi)
 
 
-def reduction_check(
-    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
+def _envelope_report(
+    name: str, Q: QuadPoly, Y: float, W: SmoothWeight, deviation
 ) -> ExperimentReport:
-    """Compare the direct non-split sum against its contour representation;
-    the error envelope constant is fitted at y_ref = Y/4 and the deviation
-    at Y must stay within 3x the scaled envelope."""
+    """The deviation at Y against 3x the envelope c P Delta / Y^(1/2 - theta),
+    with c fitted to the deviation at y_ref = Y/4; deviation(y) returns
+    |direct - contour| and the report's extra fields."""
     P = W.sharpness
-
-    def deviation(y: float) -> float:
-        direct = nonsplit_sum(src, Q, y, W)
-        integ = _contour_value(src, Q, y, W, _DTAU, second_form=False)
-        integ2 = _contour_value(src, Q, y, W, _DTAU / 2, second_form=False)
-        if abs(integ - integ2) > 1e-3 * max(1.0, abs(integ2)):
-            raise QuadratureNonconvergent(
-                f"dtau halving moved the integral by {abs(integ - integ2):.2e}"
-            )
-        return abs(direct - integ2.real), abs(integ2.imag)
-
     with timed() as elapsed:
         y_ref = Y / 4
         dev_ref, _ = deviation(y_ref)
-        env_ref = P * Q.Delta / y_ref ** (0.5 - _THETA)
-        cfit = dev_ref / env_ref
-        dev, imag_part = deviation(Y)
+        cfit = dev_ref / (P * Q.Delta / y_ref ** (0.5 - _THETA))
+        dev, extra = deviation(Y)
         envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
     return ExperimentReport.build(
-        name="reduction_check",
+        name=name,
         parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref},
         computed=dev,
         reference=0.0,
@@ -619,36 +604,41 @@ def reduction_check(
         mode="abs",
         envelope=envelope,
         fitted_constant=cfit,
-        imag_part=imag_part,
+        **extra,
     )
+
+
+def reduction_check(
+    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
+) -> ExperimentReport:
+    """Compare the direct non-split sum against its contour representation
+    within the fitted envelope; the contour is taken at dtau and dtau/2 and
+    must not move under the halving."""
+
+    def deviation(y: float) -> tuple[float, dict]:
+        direct = nonsplit_sum(src, Q, y, W)
+        integ = _contour_value(src, Q, y, W, _DTAU, second_form=False)
+        integ2 = _contour_value(src, Q, y, W, _DTAU / 2, second_form=False)
+        if abs(integ - integ2) > 1e-3 * max(1.0, abs(integ2)):
+            raise QuadratureNonconvergent(
+                f"dtau halving moved the integral by {abs(integ - integ2):.2e}"
+            )
+        return abs(direct - integ2.real), {"imag_part": abs(integ2.imag)}
+
+    return _envelope_report("reduction_check", Q, Y, W, deviation)
 
 
 def reduction_check_second_form(
     src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
 ) -> ExperimentReport:
     """Same comparison via the trivial-character form (odd a with a | b)."""
-    P = W.sharpness
-    with timed() as elapsed:
-        y_ref = Y / 4
-        devs = []
-        for y in (y_ref, Y):
-            direct = nonsplit_sum(src, Q, y, W)
-            integ = _contour_value(src, Q, y, W, _DTAU, second_form=True)
-            devs.append(abs(direct - integ.real))
-        env_ref = P * Q.Delta / y_ref ** (0.5 - _THETA)
-        cfit = devs[0] / env_ref
-        envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
-    return ExperimentReport.build(
-        name="reduction_check_second_form",
-        parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Y": Y, "y_ref": y_ref},
-        computed=devs[1],
-        reference=0.0,
-        tolerance=envelope,
-        runtime_seconds=elapsed(),
-        mode="abs",
-        envelope=envelope,
-        fitted_constant=cfit,
-    )
+
+    def deviation(y: float) -> tuple[float, dict]:
+        direct = nonsplit_sum(src, Q, y, W)
+        integ = _contour_value(src, Q, y, W, _DTAU, second_form=True)
+        return abs(direct - integ.real), {}
+
+    return _envelope_report("reduction_check_second_form", Q, Y, W, deviation)
 
 
 # ---------------------------------------------------------------------------

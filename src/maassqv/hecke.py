@@ -240,14 +240,6 @@ def lambda_psi(src: HeckeSource, n: int) -> float:
     return v
 
 
-def lambda_psi_at(src: HeckeSource, x: float) -> float:
-    """lambda_psi extended by zero off the integers."""
-    r = round(x)
-    if abs(x - r) > 1e-9:
-        return 0.0
-    return lambda_psi(src, r)
-
-
 def local_series(
     src: HeckeSource, s: complex, p: int, b: int, J: int = 60
 ) -> tuple[complex, complex]:

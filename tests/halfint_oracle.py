@@ -4,7 +4,8 @@
 Chinese-remainder sign factors, the third route checked against the brute
 `c_series` and the merged `c_closed`.  `d_series` is the plain partial sum
 of the shifted Dirichlet series D_{psi,chi,t}(s, Delta) with a crude tail
-bound, one term at a time.
+bound, one term at a time, reading lambda through `lambda_psi_at`'s float
+test rather than the exact congruence of `halfint._d_psi_coefficients`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,16 @@ import math
 from maassqv.characters import Character
 from maassqv.errors import TruncationInsufficient
 from maassqv.halfint import LevelData, _decompose, gauss_closed
-from maassqv.hecke import HeckeSource, lambda_psi_at
+from maassqv.hecke import HeckeSource, lambda_psi
 from maassqv.ideals import kronecker
+
+
+def lambda_psi_at(src: HeckeSource, x: float) -> float:
+    """lambda_psi extended by zero off the integers."""
+    r = round(x)
+    if abs(x - r) > 1e-9:
+        return 0.0
+    return lambda_psi(src, r)
 
 
 def c_assembled(n: int, L: LevelData, s: complex) -> complex:

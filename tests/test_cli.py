@@ -1,9 +1,17 @@
 import argparse
 import csv
+import time
 
 import pytest
 
-from maassqv.cli import _build_parser, cmd_lambda_table, main
+from maassqv import cli
+from maassqv.cli import (
+    _build_parser,
+    cmd_field_info,
+    cmd_lambda_table,
+    cmd_verify_appendixb,
+    main,
+)
 from maassqv.ideals import lambda_k
 from maassqv.quadfield import make_field
 
@@ -36,3 +44,26 @@ def test_lambda_table_out_not_overwritten_by_report(tmp_path):
 def test_threads_flag_removed():
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["--threads", "2", "field-info", "--D", "21"])
+
+
+def test_field_info_times_its_computation(monkeypatch):
+    real = cli.dirichlet_l_one
+
+    def slow(F):
+        time.sleep(0.05)
+        return real(F)
+
+    monkeypatch.setattr(cli, "dirichlet_l_one", slow)
+    (rep,) = cmd_field_info(argparse.Namespace(D=21, tol=None))
+    assert rep.passed
+    assert rep.runtime_seconds >= 0.05
+
+
+def test_verify_appendixb_residue_check_can_fail(monkeypatch):
+    args = argparse.Namespace(M=84, tol=None)
+    assert all(r.passed for r in cmd_verify_appendixb(args))
+    real = cli.c_closed
+    monkeypatch.setattr(cli, "c_closed", lambda *a: 2 * real(*a))
+    reports = {r.name: r for r in cmd_verify_appendixb(args)}
+    assert reports["residue_series_vs_direct"].passed
+    assert not reports["eisenstein_residue_closed_form"].passed

@@ -3,10 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfint_oracle import c_assembled, d_series
-from maassqv.characters import Character, all_ones_character, characters_mod
+from maassqv.characters import Character, all_ones_character
 from maassqv.errors import (
     BadDecomposition,
     BoundTooSmall,
@@ -27,6 +28,7 @@ from maassqv.halfint import (
     gauss_closed,
     gauss_sum,
     _contour_value,
+    _d_psi_coefficients,
     _max_nonzero_mprime,
     make_level,
     nonsplit_sum,
@@ -308,6 +310,47 @@ def test_contour_values_pinned(src):
     rep = reduction_check_second_form(src, Q, 1e4, W)
     assert rep.computed == 0.032893003844968405
     assert rep.tolerance == 0.21749051908746
+    # a' = 2: the first form tests n = +-b' mod 2, the second form runs at
+    # modulus 1; they agree because lambda vanishes at even n here
+    Q = QuadPoly(3, 3, -5)
+    want = complex(-4.206292140066351, 0.0014794147723689855)
+    assert _contour_value(src, Q, 1e4, W, 0.2, False) == want
+    assert _contour_value(src, Q, 1e4, W, 0.2, True) == want
+
+
+def _table(r: int, f) -> Character:
+    return Character(r, tuple(complex(f(n)) for n in range(r)))
+
+
+@pytest.mark.parametrize(
+    "abc, chars",
+    [
+        # principal character and chi_{-4} mod 4
+        ((2, 1, -5), [_table(4, lambda n: n % 2), _table(4, lambda n: kronecker(-4, n))]),
+        # principal and odd character mod 6
+        (
+            (3, 1, -1),
+            [
+                _table(6, lambda n: math.gcd(n, 6) == 1),
+                _table(6, lambda n: {1: 1, 5: -1}.get(n, 0)),
+            ],
+        ),
+    ],
+)
+def test_d_psi_coefficients_match_character_sums(src, abc, chars):
+    # D_psi(s) = (1/phi(a')) sum_chi conj chi(b') (sqrt2 d)^nu D_{psi,chi,d^2}(s)
+    Q = QuadPoly(*abc)
+    assert Q.a_prime == chars[0].modulus  # phi(4) = phi(6) = 2 = len(chars)
+    s, N = 1.3, 2000
+    amp, logu = _d_psi_coefficients(src, Q, N, False)
+    got = complex(np.sum(amp * np.exp(-s * logu)))
+    want = sum(
+        chi(Q.b_prime).conjugate()
+        * (math.sqrt(2) * Q.d) ** chi.parity
+        * d_series(src, chi, Q.d * Q.d, s, Q.Delta, Q.a, N)[0]
+        for chi in chars
+    ) / len(chars)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_reduction_second_form(src):
@@ -319,7 +362,7 @@ def test_reduction_second_form(src):
 def test_symsq_factorization(src):
     rep = symsq_factor_check(src, all_ones_character(), 1, 1, 1.5, truncation=100000)
     assert rep.passed and rep.computed <= 1e-6
-    om = [c for c in characters_mod(5) if c.parity == 0 and not c.is_trivial()][0]
+    om = Character(5, tuple(float(kronecker(n, 5)) for n in range(5)))  # (n/5), even
     rep = symsq_factor_check(src, om, 3, 2, 1.6, truncation=50000)
     assert rep.computed <= 1e-5
     with pytest.raises(TruncationInsufficient):

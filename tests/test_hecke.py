@@ -4,12 +4,12 @@ import random
 import pytest
 from sympy import primerange
 
+from halfint_oracle import lambda_psi_at
 from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square
 from maassqv.errors import MalformedTable, MissingPrime
 from maassqv.hecke import (
     h_fn,
     lambda_psi,
-    lambda_psi_at,
     local_series,
     make_source,
     primes_upto,
