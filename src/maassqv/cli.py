@@ -13,6 +13,7 @@ import math
 import random
 import sys
 
+from .errors import TruncationInsufficient
 from .halfint import (
     QuadPoly,
     b_direct,
@@ -188,6 +189,8 @@ def cmd_dirichlet_poly(args) -> list[ExperimentReport]:
 
 
 def cmd_nonsplit(args) -> list[ExperimentReport]:
+    if args.Ymax < 1.0e4:
+        raise TruncationInsufficient(f"--Ymax {args.Ymax:g} is below the first Y = 1e4")
     src = _source_from_args(args)
     Q = QuadPoly(args.a, args.b, args.c)
     W = SmoothWeight()

@@ -27,7 +27,6 @@ from .halfint import QuadPoly, nonsplit_sum
 from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import ideal_scan, kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
 from .lfun import (
-    AfeConfig,
     _l_one_phi_bulk,
     afe_weight_many,
     c_d_psi,
@@ -47,21 +46,15 @@ from .weights import SmoothWeight
 
 _EULER_GAMMA = 0.5772156649015329
 
-_SUPPORTS = {
-    "bump_half_two": (0.5, 2.0),
-    "bump_one_two": (1.0, 2.0),
-}
+_EV_ENVELOPE = 10.0  # expected_value passes while E <= 10 K^{-1/2}
 
 
-def smooth_weight(kind: str = "bump_half_two", P: float = 1.0) -> SmoothWeight:
-    """The C-infinity bump on the named support; P >= 1 shrinks the support
-    toward its left edge by 1/P, scaling sup|W'| up by P."""
-    if kind not in _SUPPORTS:
-        raise ValueError(f"unknown weight kind {kind!r}")
+def smooth_weight(P: float = 1.0) -> SmoothWeight:
+    """The C-infinity bump on (1/2, 2); P >= 1 shrinks the support toward
+    its left edge by 1/P, scaling sup|W'| up by P."""
     if P < 1.0:
         raise ValueError("P must be >= 1")
-    x0, x1 = _SUPPORTS[kind]
-    return SmoothWeight(x0, x0 + (x1 - x0) / P)
+    return SmoothWeight(0.5, 0.5 + 1.5 / P)
 
 
 def _fourier_many(sw: SmoothWeight, xis: np.ndarray, nodes: int = 1 << 16) -> np.ndarray:
@@ -141,13 +134,11 @@ def _fhat_zero_profile(
     F: FieldParams,
     K: float,
     sw: SmoothWeight,
-    Lambda2: float,
     n_arr: np.ndarray,
-    cfg: AfeConfig,
     t_psi: float,
 ) -> np.ndarray:
-    """F^(0; K, Lambda2 n^2) = K int phi(u) W(Lambda2 n^2/(Ku)^2) du on the
-    array n_arr, with phi(u) = Phi(u)/u and the AFE weight index k = Ku."""
+    """F^(0; K, n^2) = K int phi(u) W(n^2/(Ku)^2) du on the array n_arr,
+    with phi(u) = Phi(u)/u and the AFE weight index k = Ku."""
     nodes = 48
     us = np.linspace(sw.x0, sw.x1, nodes + 1)
     du = (us[1] - us[0])
@@ -157,9 +148,9 @@ def _fhat_zero_profile(
         if phi_u == 0.0:
             continue
         ku = K * float(u)
-        xis = Lambda2 * n_arr.astype(np.float64) ** 2 / ku**2
+        xis = n_arr.astype(np.float64) ** 2 / ku**2
         grid = np.geomspace(xis.min() * 0.99, xis.max() * 1.01, 300)
-        wg = afe_weight_many(cfg, 0.5, grid, F, ku, t_psi)
+        wg = afe_weight_many(grid, F, ku, t_psi)
         wv = np.interp(np.log(xis), np.log(grid), wg)
         out += phi_u * wv * du
     return K * out
@@ -170,15 +161,13 @@ def matched_sym2_cutoff(
     F: FieldParams,
     K: float,
     sw: SmoothWeight,
-    Lambda2: float = 1.0,
-    cfg: AfeConfig = AfeConfig(),
     t_psi: float = 1.0,
 ) -> float:
     """The cutoff X such that the weight e^{-m^2/X} has the same logarithmic
-    mean as the normalized diagonal profile F^(0;K,Lambda2 m^2)/(K phi~(1)
+    mean as the normalized diagonal profile F^(0;K,m^2)/(K phi~(1)
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
-    m = np.geomspace(0.5, 4000.0 * K / math.sqrt(Lambda2), 400)
-    prof = _fhat_zero_profile(F, K, sw, Lambda2, m, cfg, t_psi)
+    m = np.geomspace(0.5, 4000.0 * K, 400)
+    prof = _fhat_zero_profile(F, K, sw, m, t_psi)
     phit1 = sw.mellin(0).real
     prof /= K * phit1 * dirichlet_l_one(F)
     lm = np.log(m)
@@ -196,21 +185,19 @@ def diagonal_check(
     src: HeckeSource,
     K: float,
     a: int = 1,
-    Lambda2: float = 1.0,
     sw: SmoothWeight = smooth_weight(),
-    cfg: AfeConfig = AfeConfig(),
     tol: float = 0.05,
 ) -> ExperimentReport:
-    """sum_n lambda_psi(a n^2)/n F^(0;K,Lambda2 n^2) against the diagonal
+    """sum_n lambda_psi(a n^2)/n F^(0;K,n^2) against the diagonal
     main term vartheta(a) K/zeta_D(2) phi~(1) L(1,sym^2 psi) L(1,chi_D),
     with the sym^2 value taken at the matching cutoff scale."""
     with timed() as elapsed:
-        ncut = int(150.0 * K * sw.x1 / math.sqrt(Lambda2))
+        ncut = int(150.0 * K * sw.x1)
         n = np.arange(1, ncut + 1)
-        prof = _fhat_zero_profile(F, K, sw, Lambda2, n, cfg, src.t_psi)
+        prof = _fhat_zero_profile(F, K, sw, n, src.t_psi)
         lam_sq = lambda_square_table(src, ncut, a=a)[1:]
         lhs = float(np.sum(lam_sq / n * prof))
-        X = matched_sym2_cutoff(F, K, sw, Lambda2, cfg, src.t_psi)
+        X = matched_sym2_cutoff(F, K, sw, src.t_psi)
         phit1 = sw.mellin(0).real
         ref = (
             vartheta(src, a)
@@ -222,7 +209,7 @@ def diagonal_check(
         )
     return ExperimentReport.build(
         name="diagonal_check",
-        parameters={"D": F.D, "K": K, "a": a, "Lambda2": Lambda2, "ncut": ncut},
+        parameters={"D": F.D, "K": K, "a": a, "ncut": ncut},
         computed=lhs,
         reference=ref,
         tolerance=tol,
@@ -243,7 +230,6 @@ def central_values_bulk(
     k_lo: int,
     k_hi: int,
     mult: float = 4.0,
-    cfg: AfeConfig = AfeConfig(),
 ) -> np.ndarray:
     """Array of L(1/2, psi x phi_2k) for k = k_lo .. k_hi, sharing one ideal
     scan.  Each value truncates the AFE series at mult * k^2 * D^{3/2} and
@@ -280,7 +266,7 @@ def central_values_bulk(
         n_k = int(mult * k * k * F.D**1.5)
         cut = int(np.searchsorted(norms, n_k, side="right"))
         grid = np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400)
-        wgrid = afe_weight_many(cfg, 0.5, grid, F, k, src.t_psi)
+        wgrid = afe_weight_many(grid, F, k, src.t_psi)
         wv = np.interp(np.log(norms[:cut] / (k * k)), np.log(grid), wgrid)
         half = float(np.sum(pref[:cut] * np.cos(k * phase_unit[:cut]) * wv))
         # coherent tail: a m^2 > n_k, W still non-negligible
@@ -300,6 +286,15 @@ def central_values_bulk(
 
 # ---------------------------------------------------------------------------
 # First moment of the Rankin-Selberg central values (full pipeline).
+
+
+def _k_window(K: float, sw: SmoothWeight) -> tuple[int, int]:
+    """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of sw."""
+    k_lo = max(1, int(math.ceil(K * sw.x0)))
+    k_hi = int(math.floor(K * sw.x1))
+    if k_hi < k_lo:
+        raise HypothesisViolated(f"no k >= 1 has k/K in ({sw.x0}, {sw.x1}) at K = {K}")
+    return k_lo, k_hi
 
 
 def _vacuous_report(name: str, parameters: dict, note: str) -> ExperimentReport:
@@ -322,7 +317,6 @@ def first_moment(
     n_twist: int = 1,
     sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
-    cfg: AfeConfig = AfeConfig(),
     tol: float | None = None,
 ) -> ExperimentReport:
     """sum_k L(1/2, psi x phi_2k) lambda_2k(n) phi(k/K), phi(y) = Phi(y)/y,
@@ -334,6 +328,7 @@ def first_moment(
         raise HypothesisViolated("desk bound K <= 2000")
     if n_twist < 1 or n_twist > 50:
         raise HypothesisViolated("n_twist must be in 1..50")
+    k_lo, k_hi = _k_window(K, sw)
     if src.eta_D == -1:
         return _vacuous_report(
             "first_moment",
@@ -343,10 +338,8 @@ def first_moment(
     if tol is None:
         tol = 0.25 if n_twist == 1 else 0.30
     with timed() as elapsed:
-        k_lo = max(1, int(math.ceil(K * sw.x0)))
-        k_hi = int(math.floor(K * sw.x1))
         ks = np.arange(k_lo, k_hi + 1)
-        lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
+        lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
         phi_w = np.array([sw(k / K) / (k / K) for k in ks])
         if n_twist == 1:
             lam_t = np.ones(ks.size)
@@ -356,7 +349,7 @@ def first_moment(
         phit1 = sw.mellin(0).real
         n_red = n_twist // math.gcd(n_twist, F.D)
         h_factor = h_fn(src, F, n_red, nmax_hint=max(4, n_red))
-        x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
+        x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
         c_dpsi = c_d_psi(src, F, x_match)
         computed = m1 / (phit1 * K * h_factor)
     return ExperimentReport.build(
@@ -389,24 +382,22 @@ def _watson_ichino_terms(
     K: float,
     sw: SmoothWeight,
     mult: float,
-    cfg: AfeConfig,
 ) -> tuple[list[tuple[float, float, float]], float]:
     """(Phi(k/K), L(1, phi_2k)^2 |mu_k|^2, L(1, phi_2k)) for each k of the
     weight's support with Phi(k/K) != 0, in ascending k, and the matched
     sym^2 cutoff the Watson-Ichino values were assembled at."""
-    k_lo = max(1, int(math.ceil(K * sw.x0)))
-    k_hi = int(math.floor(K * sw.x1))
+    k_lo, k_hi = _k_window(K, sw)
     ks = range(k_lo, k_hi + 1)
-    lvals = central_values_bulk(src, F, k_lo, k_hi, mult, cfg)
+    lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
     lphi = _l_one_phi_bulk(F, tuple(2 * k for k in ks))
-    x_match = matched_sym2_cutoff(F, K, sw, 1.0, cfg, src.t_psi)
+    x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
     ls2 = l_one_sym2(src, F, x_match)
     terms = []
     for i, k in enumerate(ks):
         w = sw(k / K)
         if w == 0.0:
             continue
-        mu2h = watson_ichino_mu2(F, src, k, float(lvals[i]), ls2, cfg)
+        mu2h = watson_ichino_mu2(F, src, k, float(lvals[i]), ls2)
         terms.append((w, mu2h, lphi[2 * k]))
     return terms, x_match
 
@@ -417,13 +408,12 @@ def variance_table(
     K: float,
     sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
-    cfg: AfeConfig = AfeConfig(),
     tol: float = 0.3,
-    p_max: int = 30000,
 ) -> ExperimentReport:
     """Q^h = sum_k L(1,phi_2k)^2 |mu_k|^2 Phi(k/K) from Watson-Ichino
     values, against Phi~(0) A^h(psi) V(psi); the unweighted
     Q = sum_k |mu_k|^2 Phi(k/K) against Phi~(0) A^h C' V goes in extra."""
+    _k_window(K, sw)  # an empty window is an error even where Q^h = 0
     if src.eta_D == -1 or src.parity == "odd":
         return _vacuous_report(
             "variance_table",
@@ -431,13 +421,13 @@ def variance_table(
             "vanishing matrix coefficients: Q^h = Q = 0",
         )
     with timed() as elapsed:
-        terms, x_match = _watson_ichino_terms(F, src, K, sw, mult, cfg)
+        terms, x_match = _watson_ichino_terms(F, src, K, sw, mult)
         qh = 0.0
         q_plain = 0.0
         for w, mu2h, lphi in terms:
             qh += mu2h * w
             q_plain += mu2h / lphi**2 * w
-        cons = constants(F, src, p_max=p_max, X=x_match)
+        cons = constants(F, src)
         v_psi = classical_variance(src.t_psi)
         phit0 = sw.mellin(0).real
         ref_h = phit0 * cons["A_h"] * v_psi
@@ -455,6 +445,7 @@ def variance_table(
         Q_plain_ratio=q_plain / ref_plain if ref_plain else float("nan"),
         A_h=cons["A_h"],
         C_prime=cons["C_Dpsi_prime"],
+        C_prime_tail=cons["C_Dpsi_prime_tail"],
         V_psi=v_psi,
         matched_cutoff=x_match,
     )
@@ -471,16 +462,15 @@ def expected_value(
     K: float,
     sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
-    cfg: AfeConfig = AfeConfig(),
-    envelope_factor: float = 10.0,
 ) -> ExperimentReport:
     """(1/K) sum_k |mu_k(psi)| Phi(k/K) reported against the K^{-1/2}
     envelope.  The exponent is observed, not asserted."""
+    _k_window(K, sw)
     with timed() as elapsed:
         if src.eta_D == -1 or src.parity == "odd":
             e_val = 0.0
         else:
-            terms, _ = _watson_ichino_terms(F, src, K, sw, mult, cfg)
+            terms, _ = _watson_ichino_terms(F, src, K, sw, mult)
             e_val = 0.0
             for w, mu2h, lphi in terms:
                 e_val += math.sqrt(max(mu2h, 0.0)) / abs(lphi) * w
@@ -491,8 +481,8 @@ def expected_value(
         parameters={"D": F.D, "K": K, "seed": src.seed},
         computed=e_val,
         reference=ref,
-        tolerance=envelope_factor,
-        passed=bool(e_val <= envelope_factor * ref),
+        tolerance=_EV_ENVELOPE,
+        passed=bool(e_val <= _EV_ENVELOPE * ref),
         runtime_seconds=elapsed(),
         mode="ratio",
         extra={"envelope_only": True, "observed_ratio": e_val / ref},
@@ -559,12 +549,11 @@ def moment_bound_check(
     K: int,
     r: int,
     x: float,
-    a_p: dict[int, float] | None = None,
     enforce_hypothesis: bool = False,
     slack: float = 0.1,
 ) -> ExperimentReport:
-    """(1/K) sum_{K<k<=2K} (sum_{p<=x, p coprime to D} a_p lambda_2k(p)/sqrt p)^{2r}
-    against (2r)!/(2^r r!) (2 sum_{p<=x, chi_D(p)=1} a_p^2/p)^r (1+slack).
+    """(1/K) sum_{K<k<=2K} (sum_{p<=x, p coprime to D} lambda_2k(p)/sqrt p)^{2r}
+    against (2r)!/(2^r r!) (2 sum_{p<=x, chi_D(p)=1} 1/p)^r (1+slack).
 
     The supporting lemma assumes x <= K^{1/(10r)}, which admits no primes at
     desk scale; by default the inequality is checked in the larger-x regime
@@ -578,24 +567,14 @@ def moment_bound_check(
     with timed() as elapsed:
         primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
         norms, thetas = ideal_scan(F, int(x) + 1)
-        coeffs = []
-        for p in primes:
-            ap = 1.0 if a_p is None else a_p.get(p, 0.0)
-            ths = thetas[norms == p]
-            coeffs.append((ap / math.sqrt(p), ths))
         ks = np.arange(K + 1, 2 * K + 1)
         s_k = np.zeros(ks.size)
-        for w, ths in coeffs:
-            if ths.size == 0:
-                continue
-            for th in ths.tolist():
+        for p in primes:
+            w = 1.0 / math.sqrt(p)
+            for th in thetas[norms == p].tolist():
                 s_k += w * np.cos((2.0 * math.pi / F.log_eps) * th * ks)
         empirical = float(np.mean(s_k ** (2 * r)))
-        diag = sum(
-            (1.0 if a_p is None else a_p.get(p, 0.0)) ** 2 / p
-            for p in primes
-            if kronecker_chi(F, p) == 1
-        )
+        diag = sum(1.0 / p for p in primes if kronecker_chi(F, p) == 1)
         bound = (
             math.factorial(2 * r) / (2**r * math.factorial(r)) * (2.0 * diag) ** r
         )

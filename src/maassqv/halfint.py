@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from sympy import divisors, factorint, mobius
 
@@ -319,19 +318,19 @@ def _square_part(n: int) -> tuple[int, int]:
     return t, m
 
 
-def zeta_factor_at_M(s: float, L: LevelData) -> float:
-    """zeta_{(M)}(s) = prod_{p|M} (1 - p^{-s})^{-1}."""
+def zeta_factor_at_M(L: LevelData) -> float:
+    """zeta_{(M)}(1) = prod_{p|M} (1 - p^{-1})^{-1}."""
     v = 1.0
     for p, _ in ((2, L.beta0),) + L.odd_primes:
-        v /= 1 - float(p) ** (-s)
+        v /= 1 - 1 / p
     return v
 
 
-def zeta_away_from_M(s: float, L: LevelData) -> float:
-    """zeta_M(s) = zeta(s) prod_{p|M} (1 - p^{-s})."""
-    v = float(mpmath.zeta(s))
+def zeta_away_from_M(L: LevelData) -> float:
+    """zeta_M(2) = pi^2/6 prod_{p|M} (1 - p^{-2}) in closed form."""
+    v = math.pi**2 / 6.0
     for p, _ in ((2, L.beta0),) + L.odd_primes:
-        v *= 1 - float(p) ** (-s)
+        v *= 1 - p**-2
     return v
 
 
@@ -411,7 +410,7 @@ def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
 def b_residue(n: int, L: LevelData) -> float:
     """Residue at s = 3/4: 1/(4 zeta_{(M)}(1) zeta_M(2)) for n = 0, twice
     that for square n >= 1, zero otherwise."""
-    denom = 4 * zeta_factor_at_M(1.0, L) * zeta_away_from_M(2.0, L)
+    denom = 4 * zeta_factor_at_M(L) * zeta_away_from_M(L)
     if n == 0:
         return 1.0 / denom
     t, _ = _square_part(n)
@@ -420,7 +419,7 @@ def b_residue(n: int, L: LevelData) -> float:
 
 def eisenstein_residue_const(L: LevelData) -> float:
     """pi/(4 zeta_{(M)}(1) zeta_M(2)) * prod_{j=0..2} p_j^{-[(beta_j+1)/2]}."""
-    v = math.pi / (4 * zeta_factor_at_M(1.0, L) * zeta_away_from_M(2.0, L))
+    v = math.pi / (4 * zeta_factor_at_M(L) * zeta_away_from_M(L))
     for p, beta in ((2, L.beta0),) + L.odd_primes:
         v *= float(p) ** (-((beta + 1) // 2))
     return v

@@ -9,7 +9,8 @@ Each L-value on the variance path has one route: L(1, phi_m) is
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
-L(1/2, psi x chi_D)) is built by `_contour_nodes`, summed by `_contour_sum`.
+L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
+the nodes of `_afe_line`, and summed by `_contour_sum`.
 log Gamma is `scipy.special.loggamma`, vectorized over the contour nodes.
 Reused values (contour nodes, the L(s, chi_D) line, L-values) are memoized by
 `functools.cache` on value arguments; cached arrays are read-only.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -112,36 +112,31 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
 # Approximate functional equation weight.
 
 
-@dataclass(frozen=True)
-class AfeConfig:
-    contour_re: float = 1.0  # the line c > 0
-    im_cutoff: float = 8.0
-    quad_step: float = 0.05
+_AFE_IM_CUTOFF = 8.0
+_AFE_STEP = 0.05
 
-    def __post_init__(self):
-        if not (self.contour_re > 0):
-            raise ValueError("contour_re must be positive")
-        if self.im_cutoff <= 1.0 or self.quad_step <= 0.0:
-            raise ValueError("bad quadrature parameters")
 
-    def nodes(self) -> np.ndarray:
-        """The trapezoid nodes w = c + i tau, tau = 0, quad_step, ..,
-        im_cutoff, on the upper half of the contour Re w = c."""
-        taus = np.arange(0.0, self.im_cutoff + self.quad_step / 2, self.quad_step)
-        return self.contour_re + 1j * taus
+def _afe_line(c: float) -> np.ndarray:
+    """The trapezoid nodes w = c + i tau, tau = 0, 0.05, .., 8, on the upper
+    half of the contour Re w = c.  Lines right of 1 lose accuracy (the
+    contour self-check is 4e-7 at c = 1.5), so 0 < c <= 1."""
+    if not 0.0 < c <= 1.0:
+        raise ValueError("the contour line needs 0 < c <= 1")
+    return c + 1j * np.arange(0.0, _AFE_IM_CUTOFF + _AFE_STEP / 2, _AFE_STEP)
 
 
 @functools.cache
-def _dirichlet_l_line(F: FieldParams, s: complex, cfg: AfeConfig) -> np.ndarray:
-    """L(2w + 2s, chi_D), Re(2w + 2s) >= 2, at the contour nodes w of cfg:
-    40,000 terms, tail << |2w + 2s| D / 40000^2 by partial summation.  It does
-    not depend on k, so one cached line serves every AFE weight at (F, s, cfg).
-    The nodes share one real part sigma, so chi_D(n) n^{-sigma} is formed
-    once and each node needs only cos and sin of its -t log n; the terms are
-    summed as one complex array, in the order of the complex-exponential sum."""
+def _dirichlet_l_line(F: FieldParams, c: float = 1.0) -> np.ndarray:
+    """L(2w + 1, chi_D), Re(2w + 1) >= 2, at the contour nodes w of the line
+    c: 40,000 terms, tail << |2w + 1| D / 40000^2 by partial summation.  It
+    does not depend on k, so one cached line serves every AFE weight at
+    (F, c).  The nodes share one real part sigma, so chi_D(n) n^{-sigma} is
+    formed once and each node needs only cos and sin of its -t log n; the
+    terms are summed as one complex array, in the order of the
+    complex-exponential sum."""
     n = np.arange(1, 40001)
     logn = np.log(n)
-    s_nodes = 2.0 * cfg.nodes() + 2.0 * s
+    s_nodes = 2.0 * _afe_line(c) + 1.0
     coef = kronecker_residues(F)[n % F.D] * np.exp(-s_nodes[0].real * logn)
     terms = np.empty(n.size, dtype=np.complex128)
     out = np.empty(s_nodes.size, dtype=np.complex128)
@@ -155,17 +150,17 @@ def _dirichlet_l_line(F: FieldParams, s: complex, cfg: AfeConfig) -> np.ndarray:
 
 
 def _contour_nodes(
-    cfg: AfeConfig,
-    s: complex,
     shifts: Sequence[complex],
     l_field: FieldParams | None = None,
+    c: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(w_nodes, g_nodes) on the upper half of the contour Re w = c, where
-    g(w) = gamma(s+w)/gamma(s) * e^{w^2} * trapezoid weight / w, times
-    L(2w+2s, chi_D) when l_field is given, and gamma(s) = pi^{-ds/2}
-    prod_j Gamma((s + mu_j)/2) over the d shifts mu_j.  The x-dependence
-    x^w of the weight is applied by `_contour_sum`."""
-    w = cfg.nodes()
+    g(w) = gamma(s+w)/gamma(s) * e^{w^2} * trapezoid weight / w at the
+    centre s = 1/2, times L(2w+1, chi_D) when l_field is given, and
+    gamma(s) = pi^{-ds/2} prod_j Gamma((s + mu_j)/2) over the d shifts mu_j.
+    The x-dependence x^w of the weight is applied by `_contour_sum`."""
+    s = 0.5
+    w = _afe_line(c)
     pi_pow = -0.5 * len(shifts)
     ln_pi = math.log(math.pi)
     log_g0 = pi_pow * complex(s) * ln_pi
@@ -175,7 +170,7 @@ def _contour_nodes(
         lg += loggamma((s + w + mu) / 2.0)
     g = np.exp(lg - log_g0 + w * w) / w
     if l_field is not None:
-        g *= _dirichlet_l_line(l_field, s, cfg)
+        g *= _dirichlet_l_line(l_field, c)
     # endpoint must be negligible for the trapezoid tail to be safe
     ref = max(abs(g[0]), 1.0)
     if abs(g[-1]) > 1e-10 * ref:
@@ -184,7 +179,7 @@ def _contour_nodes(
         )
     g[0] *= 0.5
     g[-1] *= 0.5
-    return w, g * (cfg.quad_step / math.pi)
+    return w, g * (_AFE_STEP / math.pi)
 
 
 def _contour_sum(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -203,31 +198,31 @@ def _contour_sum(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _afe_nodes(
-    cfg: AfeConfig, F: FieldParams, k: int, s: complex, t_psi: float
+    F: FieldParams, k: int, t_psi: float, c: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The contour nodes of the AFE weight W: the four Gamma shifts
-    i(+-t_psi +- t_2k) and the line L(2w+2s, chi_D)."""
+    i(+-t_psi +- t_2k) and the line L(2w+1, chi_D)."""
     t2k = spectral_parameter(F, 2 * k)
     shifts = [1j * (e1 * t_psi + e2 * t2k) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
-    w, g = _contour_nodes(cfg, s, shifts, F)
+    w, g = _contour_nodes(shifts, F, c)
     w.setflags(write=False)
     g.setflags(write=False)
     return w, g
 
 
 def afe_weight_many(
-    cfg: AfeConfig,
-    s: complex,
     xis: np.ndarray,
     F: FieldParams,
     k: int,
     t_psi: float = 1.0,
+    c: float = 1.0,
 ) -> np.ndarray:
-    """W_s(xi), the smoothed-cutoff weight of the AFE, for an array of positive
-    xi: W(xi) -> L(1, chi_D) as xi -> 0, rapid decay once xi k^2 >> D^{3/2}."""
+    """W(xi), the smoothed-cutoff weight of the AFE at the centre s = 1/2,
+    for an array of positive xi: W(xi) -> L(1, chi_D) as xi -> 0, rapid
+    decay once xi k^2 >> D^{3/2}."""
     if k == 0:
         raise PoleInput("k = 0 has no cuspidal dihedral form")
-    w, g = _afe_nodes(cfg, F, abs(k), complex(s), t_psi)
+    w, g = _afe_nodes(F, abs(k), t_psi, c)
     xis = np.asarray(xis, dtype=np.float64)
     if np.any(xis <= 0):
         raise ValueError("xi must be positive")
@@ -245,12 +240,13 @@ def zeta_d_two(F: FieldParams) -> float:
 
 
 @functools.cache
-def dirichlet_l_one(F: FieldParams, X: float = 20000.0) -> float:
-    """L(1, chi_D) by smoothed character sum; the exponential cutoff's
-    Mellin corrections vanish to O(X^{-4}) for even chi_D except the
-    X^{-2} L(-1, chi_D)/2 term, which is added in closed form."""
-    if X < 100:
-        raise TruncationInsufficient("cutoff X too small")
+def dirichlet_l_one(F: FieldParams) -> float:
+    """L(1, chi_D) by smoothed character sum at the cutoff X = 20,000; the
+    exponential cutoff's Mellin corrections vanish to O(X^{-4}) for even
+    chi_D except the X^{-2} L(-1, chi_D)/2 term, which is added in closed
+    form.  The sum converges outright, so this cutoff is exact to machine
+    precision."""
+    X = 20000.0
     N = int(40 * X)
     n = np.arange(1, N + 1)
     chi = kronecker_residues(F)
@@ -317,14 +313,14 @@ def _gl2_central(
     src: HeckeSource,
     F: FieldParams,
     twist_by_chi: bool,
-    cfg: AfeConfig = AfeConfig(),
+    c: float = 1.0,
 ) -> float:
     """Desk-scale L(1/2, psi) (or L(1/2, psi x chi_D)): one-sided
     approximate functional equation 2 sum lambda(n) chi(n) n^{-1/2} V(n)
     assuming root number +1 (a -1 root number drives the sum itself to 0)."""
     q = float(F.D * F.D) if twist_by_chi else float(F.D)
     t = src.t_psi
-    w, g = _contour_nodes(cfg, 0.5, (1j * t, -1j * t))
+    w, g = _contour_nodes((1j * t, -1j * t), c=c)
     N = int(200.0 * math.sqrt(q) * max(1.0, t))
     lpsi = lambda_psi_table(src, N)
     if twist_by_chi:
@@ -360,14 +356,8 @@ def c_d_psi(src: HeckeSource, F: FieldParams, X: float) -> float:
     )
 
 
-def constants(
-    F: FieldParams,
-    src: HeckeSource,
-    p_max: int = 100000,
-    X: float = 20000.0,
-) -> dict:
-    """The three leading constants of the asymptotics:
-      C_Dpsi       = `c_d_psi` at the cutoff X
+def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
+    """The two leading constants of the variance asymptotics:
       C_Dpsi_prime = Euler product over p coprime to D times prod_{p|D}(1-1/p)^2
       A_h          = L(1/2,psi) L(1/2,psi x chi_D) pi log(eps)
                      / (2 D^2 zeta_D(2) L(1,chi_D)) * (1 + ramified sums)
@@ -375,9 +365,7 @@ def constants(
     'C_Dpsi_prime_tail' (relative)."""
     if p_max < 1000:
         raise TruncationInsufficient("Euler product cutoff too small")
-    # the character sum converges outright: a moderate cutoff is exact to
-    # machine precision, and large X would only inflate the dense arrays
-    l1chi = dirichlet_l_one(F, min(X, 1.0e5))
+    l1chi = dirichlet_l_one(F)
     zd2 = zeta_d_two(F)
     ram = ramified_sum_factor(src, F)
 
@@ -398,19 +386,14 @@ def constants(
     tail = 16.0 / (math.sqrt(p_max) * math.log(p_max))
 
     a_h = (
-        _gl2_central(src, F, False, AfeConfig())
-        * _gl2_central(src, F, True, AfeConfig())
+        _gl2_central(src, F, False)
+        * _gl2_central(src, F, True)
         * math.pi
         * F.log_eps
         / (2.0 * F.D**2 * zd2 * l1chi)
         * ram
     )
-    return {
-        "C_Dpsi": c_d_psi(src, F, X),
-        "C_Dpsi_prime": c_prime,
-        "A_h": a_h,
-        "C_Dpsi_prime_tail": tail,
-    }
+    return {"C_Dpsi_prime": c_prime, "A_h": a_h, "C_Dpsi_prime_tail": tail}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +414,6 @@ def watson_ichino_mu2(
     k: int,
     l_half_cross: float,
     l_sym2_val: float,
-    cfg: AfeConfig = AfeConfig(),
 ) -> float:
     """L(1, phi_2k)^2 |mu_k(psi)|^2 assembled from completed L-values:
     1/(8 sqrt(D) nu(D/D1)) * La(1/2,psi) La(1/2,psi x chi_D) La(1/2,psi x phi_2k)
@@ -458,8 +440,8 @@ def watson_ichino_mu2(
     # the archimedean factors of numerator and denominator individually
     # underflow (e^{-pi t_2k/2} scale) at large k: assemble the whole
     # ratio in log-magnitude space, tracking signs of the L-values
-    v_psi = _gl2_central(src, F, False, cfg)
-    v_cross = _gl2_central(src, F, True, cfg)
+    v_psi = _gl2_central(src, F, False)
+    v_cross = _gl2_central(src, F, True)
     l_chi = dirichlet_l_one(F)
     finite = (v_psi, v_cross, l_half_cross, l_sym2_val, l_chi)
     if any(v == 0.0 for v in finite):

@@ -94,7 +94,7 @@ def norm(F: FieldParams, a: QuadInt) -> int:
     return _chk(m * m + m * n + n * n * F.omega_norm)
 
 
-def conjugate(F: FieldParams, a: QuadInt) -> QuadInt:
+def conjugate(a: QuadInt) -> QuadInt:
     return QuadInt(_chk(a.m + a.n), -a.n)
 
 
@@ -125,7 +125,7 @@ def unit_power(F: FieldParams, j: int) -> QuadInt:
     """eps^j for j of either sign (inverse via conj since N(eps)=1)."""
     eps = F.eps
     if j < 0:
-        eps = conjugate(F, eps)  # eps^{-1} = conj(eps) when N(eps)=1
+        eps = conjugate(eps)  # eps^{-1} = conj(eps) when N(eps)=1
         j = -j
     out = QuadInt(1, 0)
     for _ in range(j):
@@ -148,7 +148,7 @@ def canonical_generator(F: FieldParams, a: QuadInt) -> QuadInt:
         if tc < -1e-12:
             cand = multiply(F, cand, F.eps)
         elif tc >= period - 1e-12 and tc >= period * (1 - 1e-12):
-            cand = multiply(F, cand, conjugate(F, F.eps))
+            cand = multiply(F, cand, conjugate(F.eps))
         else:
             break
     if F.embed(cand) < 0:

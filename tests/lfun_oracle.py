@@ -21,7 +21,7 @@ from scipy.special import loggamma
 from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker_residues, lambda_k_table
-from maassqv.lfun import AfeConfig, afe_weight_many, lambda_psi_table
+from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table
 from maassqv.quadfield import FieldParams
 
 
@@ -34,20 +34,20 @@ def gamma_factor(s: complex, t_psi: float, t_2k: float) -> complex:
     return cmath.exp(total)
 
 
-def dirichlet_l_line_per_node(F, s: complex, cfg) -> np.ndarray:
-    """L(2w + 2s, chi_D) at the contour nodes w of cfg, 40,000 terms, as
-    sum chi_D(n) exp(-(2w + 2s) log n) node by node."""
+def dirichlet_l_line_per_node(F, s: complex, c: float) -> np.ndarray:
+    """L(2w + 2s, chi_D) at the contour nodes w of the line c, 40,000 terms,
+    as sum chi_D(n) exp(-(2w + 2s) log n) node by node."""
     n = np.arange(1, 40001)
     chin = kronecker_residues(F)[n % F.D]
     logn = np.log(n)
-    s_nodes = 2.0 * cfg.nodes() + 2.0 * s
+    s_nodes = 2.0 * _afe_line(c) + 2.0 * s
     out = np.empty(s_nodes.size, dtype=np.complex128)
     for i, sv in enumerate(s_nodes):
         out[i] = np.sum(chin * np.exp(-sv * logn))
     return out
 
 
-def afe_tail_bound(cfg: AfeConfig, F: FieldParams, xi: float) -> float:
+def afe_tail_bound(F: FieldParams, xi: float) -> float:
     """Heuristic bound for |W(xi')| at xi' >= xi: contour shift to the
     optimal Re w = A gives exp(-log(R)^2/4) with R = 4 log(eps)^2 xi/D^{3/2}."""
     R = 4.0 * F.log_eps**2 * xi / F.D**1.5
@@ -59,7 +59,6 @@ def afe_tail_bound(cfg: AfeConfig, F: FieldParams, xi: float) -> float:
 def central_value(
     src: HeckeSource,
     F: FieldParams,
-    cfg: AfeConfig,
     k: int,
     series_cutoff_multiplier: float = 100.0,
 ) -> float:
@@ -80,11 +79,11 @@ def central_value(
     n = np.arange(1, N + 1)
     # W is smooth in log(xi): evaluate on a geometric grid and interpolate
     grid = np.geomspace(1.0 / (k * k), (N + 1.0) / (k * k), 48 * 8 + 2)
-    wgrid = afe_weight_many(cfg, 0.5, grid, F, k, src.t_psi)
+    wgrid = afe_weight_many(grid, F, k, src.t_psi)
     wvals = np.interp(np.log(n / (k * k)), np.log(grid), wgrid)
     half = float(np.sum(lam2k[1:] * lpsi[1:] / np.sqrt(n) * wvals))
     value = half + src.eta_D * half
-    if value < -1e-3 - afe_tail_bound(cfg, F, N / (k * k)):
+    if value < -1e-3 - afe_tail_bound(F, N / (k * k)):
         raise NegativeCentralValue(f"L(1/2) = {value:.6g} at k={k}")
     return value
 

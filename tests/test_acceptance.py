@@ -179,7 +179,7 @@ def test_criterion_05_poisson_identity(F21):
 def test_criterion_06_diagonal_isolation(F21, src42):
     t0 = time.perf_counter()
     for a in (1, 2, 3, 5, 11):
-        rep = diagonal_check(F21, src42, 500.0, a=a, Lambda2=1.0, tol=0.05)
+        rep = diagonal_check(F21, src42, 500.0, a=a, tol=0.05)
         ratio = rep.computed / rep.reference
         assert 0.95 <= ratio <= 1.05, (a, ratio)
     assert time.perf_counter() - t0 < 300.0

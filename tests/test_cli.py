@@ -12,6 +12,7 @@ from maassqv.cli import (
     cmd_verify_appendixb,
     main,
 )
+from maassqv.errors import TruncationInsufficient
 from maassqv.ideals import lambda_k
 from maassqv.quadfield import make_field
 
@@ -67,3 +68,9 @@ def test_verify_appendixb_residue_check_can_fail(monkeypatch):
     reports = {r.name: r for r in cmd_verify_appendixb(args)}
     assert reports["residue_series_vs_direct"].passed
     assert not reports["eisenstein_residue_closed_form"].passed
+
+
+def test_nonsplit_ymax_below_ladder_floor_rejected():
+    # the Y ladder starts at 1e4, so --Ymax 5000 leaves no Y to check
+    with pytest.raises(TruncationInsufficient, match="1e4"):
+        main(["nonsplit", "--Ymax", "5000"])

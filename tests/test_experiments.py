@@ -23,7 +23,7 @@ from hecke_oracle import mu_2k
 from lfun_oracle import central_value
 from maassqv.halfint import QuadPoly, _legendre_table
 from maassqv.hecke import make_source
-from maassqv.lfun import AfeConfig, _afe_nodes
+from maassqv.lfun import _afe_nodes
 from maassqv.quadfield import QuadInt, make_field, multiply
 from maassqv.weights import SmoothWeight
 
@@ -39,13 +39,11 @@ def src():
 
 
 def test_smooth_weight_kinds():
+    # the experiments' window lives on (1/2, 2), the non-split one on (1, 2)
     sw = smooth_weight()
     assert (sw.x0, sw.x1) == (0.5, 2.0)
     assert sw(0.5) == 0.0 and sw(2.0) == 0.0 and sw(1.0) > 0.0
-    sw12 = smooth_weight("bump_one_two")
-    assert (sw12.x0, sw12.x1) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        smooth_weight("triangle")
+    assert (SmoothWeight().x0, SmoothWeight().x1) == (1.0, 2.0)
     with pytest.raises(ValueError):
         smooth_weight(P=0.5)
 
@@ -99,25 +97,6 @@ def test_matched_cutoff_grows_with_K(F):
     assert 1.0e5 < x1 < x2
 
 
-def test_caches_keyed_by_config(F, src):
-    sw = smooth_weight()
-
-    def fresh(fn, *args):
-        matched_sym2_cutoff.cache_clear()
-        central_values_bulk.cache_clear()
-        return fn(*args)
-
-    alt = AfeConfig(contour_re=2.0)
-    want = fresh(matched_sym2_cutoff, F, 60.0, sw, 1.0, alt)
-    fresh(matched_sym2_cutoff, F, 60.0, sw, 1.0, AfeConfig())
-    assert matched_sym2_cutoff(F, 60.0, sw, 1.0, alt) == want
-
-    alt = AfeConfig(im_cutoff=6.0)
-    want = fresh(central_values_bulk, src, F, 1, 3, 4.0, alt)
-    fresh(central_values_bulk, src, F, 1, 3, 4.0, AfeConfig())
-    assert np.array_equal(central_values_bulk(src, F, 1, 3, 4.0, alt), want)
-
-
 def test_l_one_phi_memo_keyed_by_cutoff(F, monkeypatch):
     experiments._l_one_phi_bulk.cache_clear()
     first = experiments._l_one_phi_bulk(F, (2, 4), X=2000.0)
@@ -157,8 +136,14 @@ def test_variance_and_expected_value_pinned(F, src):
     assert ev.extra["observed_ratio"] == pytest.approx(0.03560652834674711, rel=1e-13)
 
 
+def test_variance_reports_c_prime_tail(F, src):
+    # the relative truncation error of the C' Euler product at p <= 30000
+    rep = variance_table(F, src, 10.0)
+    assert rep.extra["C_prime_tail"] == 16.0 / (math.sqrt(30000) * math.log(30000))
+
+
 def test_cached_arrays_are_read_only(F, src):
-    w, g = _afe_nodes(AfeConfig(), F, 3, 0.5 + 0j, 1.0)
+    w, g = _afe_nodes(F, 3, 1.0)
     bulk = central_values_bulk(src, F, 1, 3)
     zero = central_values_bulk(make_source(synthetic=42, D=21, eta=-1), F, 1, 3)
     for arr in (w, g, bulk, zero, _legendre_table(7)):
@@ -174,10 +159,9 @@ def test_diagonal_small_K(F, src):
 
 
 def test_bulk_matches_single_central_values(F, src):
-    cfg = AfeConfig()
-    bulk = central_values_bulk(src, F, 3, 10, mult=20.0, cfg=cfg)
+    bulk = central_values_bulk(src, F, 3, 10, mult=20.0)
     for k in (3, 6, 10):
-        direct = central_value(src, F, cfg, k)
+        direct = central_value(src, F, k)
         assert bulk[k - 3] == pytest.approx(direct, abs=0.05), k
 
 
@@ -191,6 +175,24 @@ def test_first_moment_input_validation(F, src):
         first_moment(F, src, 5000.0)
     with pytest.raises(HypothesisViolated):
         first_moment(F, src, 100.0, n_twist=0)
+
+
+@pytest.mark.parametrize("K", [-5.0, 0.0, 0.3])
+@pytest.mark.parametrize(
+    "experiment", [first_moment, variance_table, expected_value], ids=lambda f: f.__name__
+)
+def test_empty_k_window_rejected_before_scan(F, src, monkeypatch, experiment, K):
+    # K * x1 < 1: no k >= 1 has k/K in the support of the window (1/2, 2)
+    def no_scan(*args, **kwargs):
+        raise AssertionError("ideal_scan called for an empty k-window")
+
+    monkeypatch.setattr(experiments, "ideal_scan", no_scan)
+    monkeypatch.setattr(lfun, "ideal_scan", no_scan)
+    with pytest.raises(HypothesisViolated, match="no k >= 1"):
+        experiment(F, src, K)
+    # a source whose values all vanish does not make the window valid
+    with pytest.raises(HypothesisViolated, match="no k >= 1"):
+        experiment(F, make_source(synthetic=42, D=21, eta=-1), K)
 
 
 def test_first_moment_vacuous_for_odd_root_number(F):

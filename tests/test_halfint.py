@@ -190,7 +190,7 @@ def test_b_series_vs_direct():
 
 def test_b_residue():
     L = make_level(4)
-    assert zeta_factor_at_M(1.0, L) == pytest.approx(2.0)
+    assert zeta_factor_at_M(L) == pytest.approx(2.0)
     base = 1.0 / (4 * 2 * (math.pi**2 / 8))
     assert b_residue(0, L) == pytest.approx(base)
     assert b_residue(36, L) == pytest.approx(2 * base)
@@ -236,7 +236,7 @@ def test_eisenstein_residue_const():
     r84 = eisenstein_residue_const(make_level(84))
     want = (
         math.pi
-        / (4 * zeta_factor_at_M(1.0, make_level(84)))
+        / (4 * zeta_factor_at_M(make_level(84)))
         / (math.pi**2 / 6 * (1 - 0.25) * (1 - 1 / 49) * (1 - 1 / 9))
         / (2 * 7 * 3)
     )

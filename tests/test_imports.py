@@ -1,9 +1,12 @@
-"""Every name a module of maassqv imports is used in that module, and
-every function or class it defines is named somewhere else.
+"""Every name a module of maassqv imports is used in that module, every
+function or class it defines is named somewhere else, and every parameter
+of its functions is read.
 
 Deleting a function tends to leave its imports and its private helpers
-behind; this finds them with the standard-library parser.  `__init__.py`
-is exempt: its imports are the package's re-exports."""
+behind, and deleting a setting tends to leave a parameter that nothing
+reads; this finds them with the standard-library parser.  `__init__.py`
+is exempt from the import check: its imports are the package's
+re-exports."""
 
 import ast
 import re
@@ -65,3 +68,52 @@ def test_dead_definition_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(path):
     assert dead_definitions(path.read_text(), CORPUS) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """The parameters of every function of source, nested ones and lambdas
+    included, that its body never reads; `self` and `cls` are exempt."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        out += [
+            f"{name}.{p} (line {node.lineno})"
+            for p in params
+            if p not in read and p not in ("self", "cls")
+        ]
+    return out
+
+
+def test_unused_parameter_detector():
+    source = (
+        "def f(self, a, b, cfg=None, *rest, **kw):\n"
+        "    b = 1\n"
+        "    def inner(x, y):\n"
+        "        return a + y\n"
+        "    return inner(kw, 0)\n"
+        "g = lambda u, v: u\n"
+    )
+    assert sorted(unused_parameters(source)) == [
+        "<lambda>.v (line 6)",
+        "f.b (line 1)",
+        "f.cfg (line 1)",
+        "f.rest (line 1)",
+        "inner.x (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
