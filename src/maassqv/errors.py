@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one allocation limit
+that the ideal scan and the dense table fills enforce."""
+
+ALLOC_BYTES_MAX = 8 << 30  # largest scan or table build allowed, in bytes
 
 
 class MaassqvError(Exception):
@@ -32,6 +35,10 @@ class ZeroElement(MaassqvError):
 
 # ideals / hecke
 class ScanBoundExceeded(MaassqvError):
+    pass
+
+
+class TableBoundExceeded(MaassqvError):
     pass
 
 

@@ -24,9 +24,11 @@ import numpy as np
 from sympy import factorint, isprime
 
 from .errors import (
+    ALLOC_BYTES_MAX,
     DivergentDenominator,
     MalformedTable,
     MissingPrime,
+    TableBoundExceeded,
 )
 from .ideals import elements_of_norm
 from .lattice import n_beta
@@ -122,7 +124,16 @@ def multiplicative_fill(
     and f(p^b) = local(primes, b)[i] for the ascending primes with p^b <= nmax.
     Each f(n) is the product of its local factors in ascending p, with no
     division (zero local values are safe); primes p > sqrt(nmax) divide n
-    at most once and go in one vectorised step per cofactor j = n/p."""
+    at most once and go in one vectorised step per cofactor j = n/p.
+    A fill whose table (8 bytes per integer) and prime sieve (1 byte)
+    together exceed 8 GiB raises TableBoundExceeded before anything is
+    allocated."""
+    need = 9.0 * (nmax + 1)
+    if need > ALLOC_BYTES_MAX:
+        raise TableBoundExceeded(
+            f"table fill to {nmax} needs about {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
     out = np.ones(nmax + 1)
     out[0] = 0.0
     primes = primes_upto(nmax)

@@ -1,17 +1,22 @@
 """Principal ideals of Q(sqrt(D)) by norm, Grossencharacters, and the
 dihedral eigenvalues lambda_k(n) = sum over ideals of norm n of Xi_k.
 
-One enumerator serves everything: `ideal_scan` keeps, for each principal
-ideal, the one generator y = m + n*omega with positive real embedding y
-and angle theta = 2 log y - log|N| in the fundamental domain
+One enumerator serves everything: `ideal_chunks` keeps, for each
+principal ideal, the one generator y = m + n*omega with positive real
+embedding y and angle theta = 2 log y - log|N| in the fundamental domain
 [0, 2 log eps) of the unit group.  On a row n of the (m, n)-lattice the
 difference c = y - ybar = n sqrt(D) is fixed, so the window and the norm
 bound cut the row to at most two m-intervals, one on each side of the
 band around y = c that the window excludes; rows n < 0 are empty.  Only
 those strips are tested with numpy, and their ends are widened well past
-the floating-point error of the test, so no ideal is lost.  The scan
-returns the sorted norms and the angles, cached per field as read-only
-arrays.  `elements_of_norm` cuts one norm out of that scan and recovers
+the floating-point error of the test, so no ideal is lost.
+
+The enumerator has two views.  `ideal_chunks` yields the kept ideals
+chunk by chunk, unsorted and uncached, at the exact bound: a sum over
+all ideals (L(1, phi_m)) reads it in O(chunk) memory.  `ideal_scan`
+collects the same chunks, sorts them stably by norm and caches the
+result per field as read-only arrays, for consumers that cut norm
+ranges.  `elements_of_norm` cuts one norm out of that scan and recovers
 each canonical generator exactly from (N, theta).
 """
 
@@ -20,10 +25,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ScanBoundExceeded
+from .errors import ALLOC_BYTES_MAX, ScanBoundExceeded
 from .quadfield import FieldParams, QuadInt, angle
 
 _SCAN_MAX = 10**7  # largest norm bound elements_of_norm will scan to
@@ -92,7 +98,6 @@ class IdealRep:
 # prefix of the largest scan built so far, and a larger scan replaces it.
 _SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 _SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
-_SCAN_BYTES_MAX = 8 << 30  # largest scan ideal_scan will allocate, in bytes
 
 
 def _scan_bytes(F: FieldParams, bound: int) -> float:
@@ -106,55 +111,22 @@ def _scan_bytes(F: FieldParams, bound: int) -> float:
     return 40.0 * 2.0 * F.log_eps / F.sqrtD * bound
 
 
-def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax.
+def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(norms, thetas) of all principal ideals with 1 <= |N| <= bound, one
+    chunk of about `_SCAN_CHUNK` candidates at a time, unsorted.
 
     Enumerates one generator per ideal directly: the generator with
     positive real embedding y and theta = 2 log y - log|N| in [0, 2 log eps).
     Only the at most two m-intervals per row n that `_row_intervals` admits
-    are tested.  The test, the row-major order of the kept points and the
-    stable sort by norm are those of a scan of the whole bounding rectangle,
-    so the result is the same bit for bit.  Results are cached per field
-    with power-of-two rounding of nmax, and the cached arrays are read-only.
-    A scan whose `_scan_bytes` estimate exceeds 8 GiB raises
-    ScanBoundExceeded before anything is allocated.
+    are tested, in row-major order, so the chunks concatenated are the
+    kept points of a scan of the whole bounding rectangle in its order.
+    The bound is used as given, and nothing is cached: a consumer that
+    needs no norm order reads the ideals in O(chunk) memory.
     """
-    bound = 1 << max(nmax - 1, 1).bit_length()
-    hit = _SCAN_CACHE.get(F.D)
-    if hit is not None and hit[0] >= bound:
-        norms, thetas = hit[1], hit[2]
-        if hit[0] == nmax:
-            return norms, thetas
-        cut = int(np.searchsorted(norms, nmax, side="right"))
-        return norms[:cut], thetas[:cut]
-
-    need = _scan_bytes(F, bound)
-    if need > _SCAN_BYTES_MAX:
-        raise ScanBoundExceeded(
-            f"ideal scan to norm {bound} needs about {need / 2**30:.1f} GiB, "
-            f"over the {_SCAN_BYTES_MAX / 2**30:.0f} GiB limit"
-        )
+    starts, counts, row_of, ends = _candidate_pieces(F, bound)
     eps_val = math.exp(F.log_eps)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    # Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
-    # forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
-    # stays below that for every admitted field up to bound 10^14.
-    n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
-    rows = np.arange(0, n_hi + 1, dtype=np.int64)
-    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, om, eps_val, bound)
-    # per row: lower piece, then upper piece, in increasing m
-    starts = np.stack([lo1, lo2], axis=1).ravel()
-    counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
-    row_of = np.repeat(rows, 2)
-    ends = np.cumsum(counts)
-
-    # kept points go straight into buffers sized by the candidate count, an
-    # upper bound: chunk parts freed after a concatenate would stay resident
-    # in the C heap and raise the build peak
-    norms = np.empty(int(ends[-1]), np.int64)
-    thetas = np.empty(int(ends[-1]), np.float64)
-    kept = 0
     i0 = 0
     while i0 < counts.size:
         done = int(ends[i0] - counts[i0])
@@ -176,11 +148,53 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
             & (y2 >= aq * (1.0 - 1e-9))
             & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
         )
-        k = int(np.count_nonzero(ok))
-        norms[kept : kept + k] = aq[ok]
-        thetas[kept : kept + k] = np.log(y2[ok] / aq[ok])
-        kept += k
+        norms = aq[ok]
+        thetas = np.log(y2[ok] / norms)
+        del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
+        yield norms, thetas
         i0 = i1
+
+
+def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax,
+    sorted by norm: the `ideal_chunks` scan, stably sorted and cached.
+
+    The stable sort keeps the row-major order of the chunks within a norm,
+    so the result is that of a scan of the whole bounding rectangle bit for
+    bit.  Results are cached per field with power-of-two rounding of nmax,
+    and the cached arrays are read-only.  A scan whose `_scan_bytes`
+    estimate exceeds 8 GiB raises ScanBoundExceeded before anything is
+    allocated.
+    """
+    bound = 1 << max(nmax - 1, 1).bit_length()
+    hit = _SCAN_CACHE.get(F.D)
+    if hit is not None and hit[0] >= bound:
+        norms, thetas = hit[1], hit[2]
+        if hit[0] == nmax:
+            return norms, thetas
+        cut = int(np.searchsorted(norms, nmax, side="right"))
+        return norms[:cut], thetas[:cut]
+
+    need = _scan_bytes(F, bound)
+    if need > ALLOC_BYTES_MAX:
+        raise ScanBoundExceeded(
+            f"ideal scan to norm {bound} needs about {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
+    # kept points go straight into buffers sized by the candidate count, an
+    # upper bound: chunk parts freed after a concatenate would stay resident
+    # in the C heap and raise the build peak.  ideal_chunks recomputes the
+    # pieces, which costs O(sqrt(bound)).
+    size = int(_candidate_pieces(F, bound)[3][-1])
+    norms = np.empty(size, np.int64)
+    thetas = np.empty(size, np.float64)
+    kept = 0
+    for chunk_norms, chunk_thetas in ideal_chunks(F, bound):
+        k = chunk_norms.size
+        norms[kept : kept + k] = chunk_norms
+        thetas[kept : kept + k] = chunk_thetas
+        kept += k
+    del chunk_norms, chunk_thetas  # not kept alive through the sort
     order = np.argsort(norms[:kept], kind="stable")
     norms = norms[order]
     thetas = thetas[order]
@@ -192,6 +206,25 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         return norms, thetas
     cut = int(np.searchsorted(norms, nmax, side="right"))
     return norms[:cut], thetas[:cut]
+
+
+def _candidate_pieces(
+    F: FieldParams, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, counts, rows, ends) of the m-intervals a scan to `bound`
+    tests, per row the lower piece and then the upper one: interval i holds
+    m = starts[i] .. starts[i] + counts[i] - 1 on row rows[i], and ends is
+    the running total of counts.  The rows number O(sqrt(bound))."""
+    eps_val = math.exp(F.log_eps)
+    # Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
+    # forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
+    # stays below that for every admitted field up to bound 10^14.
+    n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+    rows = np.arange(0, n_hi + 1, dtype=np.int64)
+    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, bound)
+    starts = np.stack([lo1, lo2], axis=1).ravel()
+    counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
+    return starts, counts, np.repeat(rows, 2), np.cumsum(counts)
 
 
 def _row_intervals(
@@ -241,11 +274,9 @@ def elements_of_norm(F: FieldParams, n: int, nmax_hint: int = 0) -> list[IdealRe
     (m, k) has norm exactly sigma*n and reproduces theta.
     """
     assert n >= 1
-    bound = max(n, nmax_hint)
-    # round the cache key up so nearby queries share one scan
-    bound = 1 << max(bound - 1, 1).bit_length()
+    bound = max(n, nmax_hint)  # ideal_scan rounds it up to share one scan
     if bound > _SCAN_MAX:
-        raise ScanBoundExceeded(f"norm bound {bound} exceeds scan limit")
+        raise ScanBoundExceeded(f"norm bound {bound} exceeds scan limit {_SCAN_MAX}")
     norms, thetas = ideal_scan(F, bound)
     lo = int(np.searchsorted(norms, n, side="left"))
     hi = int(np.searchsorted(norms, n, side="right"))

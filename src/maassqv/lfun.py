@@ -3,9 +3,12 @@ values at s=1, the leading constants of the variance asymptotics and the
 Watson-Ichino assembly.
 
 Each L-value on the variance path has one route: L(1, phi_m) is
-`_l_one_phi_bulk` (one ideal scan, Richardson-weighted), C_{D,psi} is
-`c_d_psi`, and the central values L(1/2, psi x phi_2k) come in bulk from
-`experiments.central_values_bulk`; the pointwise AFE sum is a test oracle.
+`_l_one_phi_bulk` (one Richardson-weighted pass over the chunked view
+`ideals.ideal_chunks` of the one ideal enumerator, every m at once),
+C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
+in bulk from `experiments.central_values_bulk`, which reads the sorted,
+cached view `ideals.ideal_scan`; the pointwise AFE sum and the
+sorted-scan L(1, phi_m) sum are test oracles.
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
@@ -43,7 +46,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
-from .ideals import ideal_scan, kronecker_chi, kronecker_residues, r_D
+from .ideals import ideal_chunks, kronecker_chi, kronecker_residues, r_D
 from .quadfield import FieldParams
 
 
@@ -258,20 +261,54 @@ def dirichlet_l_one(F: FieldParams) -> float:
     return S - 0.5 * l_minus1 / X**2
 
 
+_RESEED = 32  # cos(m x) recurrence steps between np.cos re-seeds
+
+
 @functools.cache
 def _l_one_phi_bulk(
     F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
 ) -> Mapping[int, float]:
-    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
-    norms, thetas = ideal_scan(F, int(25 * X))
-    w = np.exp(-norms / X)
-    coef = (2.0 * w - w * w) / norms
-    del w
-    out = {}
-    for m in ms:
-        ph = (math.pi * m / F.log_eps) * thetas
-        out[m] = float(np.sum(coef * np.cos(ph)))
-    return MappingProxyType(out)
+    """{m: L(1, phi_m)} (read-only) for the m in ms, from one unsorted pass
+    over the ideals with |N| <= 25 X.
+
+    L(1, phi_m) is the sum over ideals of (2 e^{-N/X} - e^{-2N/X}) cos(m x)/N
+    with x = pi theta/log eps (the Richardson weight of `l_one_phi`).  The
+    ideals come chunk by chunk from `ideal_chunks`, in its row-major order;
+    each chunk's weight is formed once, each m's chunk term is summed by
+    `np.einsum` (a fixed order, where a BLAS dot's order follows its thread
+    count), and the chunk sums are added in chunk order.  The distinct m
+    run in ascending order, and along a run of equal steps s the cosines
+    follow cos((m + s)x) = 2 cos(s x) cos(m x) - cos((m - s)x); the first
+    two m of a run, and two in every 32 along it, are re-seeded from
+    np.cos.  Against one np.cos per m over the norm-sorted scan the values
+    differ by at most 2.2e-13 relative, observed for m = 200..800 at
+    X = 2e4 and 4e5.  That is the size of the rounding of the phase m x
+    itself (up to about 5e-13 at m = 800), which a direct np.cos takes
+    and the recurrence does not."""
+    order = sorted(set(ms))
+    sums = np.zeros(len(order))
+    for norms, thetas in ideal_chunks(F, int(25 * X)):
+        w = np.exp(-norms / X)
+        coef = (2.0 * w - w * w) / norms
+        del w
+        prev, cur, nxt = (np.empty_like(thetas) for _ in range(3))
+        step = run = 0  # run: position in the current run of equal steps
+        seeded = True
+        for j, m in enumerate(order):
+            if j and m - order[j - 1] != step:
+                # a new step; the previous m opens its run if it was seeded
+                step, run = m - order[j - 1], int(seeded)
+            seeded = run % _RESEED < 2
+            if seeded:
+                np.cos(np.multiply(math.pi * m / F.log_eps, thetas, out=nxt), out=nxt)
+            else:
+                if run == 2:
+                    two_cos = 2.0 * np.cos((math.pi * step / F.log_eps) * thetas)
+                np.subtract(np.multiply(two_cos, cur, out=nxt), prev, out=nxt)
+            prev, cur, nxt = cur, nxt, prev
+            run += 1
+            sums[j] += float(np.einsum("i,i->", coef, cur))
+    return MappingProxyType(dict(zip(order, sums.tolist())))
 
 
 def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:

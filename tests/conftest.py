@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from maassqv import ideals
 from maassqv.quadfield import make_field
 
 
@@ -18,3 +21,18 @@ def admitted_fields():
         except Exception:
             pass
     return out
+
+
+@pytest.fixture
+def forbid_scans(monkeypatch):
+    """Every call of the ideal enumerator, `ideal_scan` or `ideal_chunks`,
+    fails, through whichever maassqv module namespace binds it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ideals were enumerated")
+
+    for name in ("ideal_scan", "ideal_chunks"):
+        fn = getattr(ideals, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "maassqv" and vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, refuse)

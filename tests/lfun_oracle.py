@@ -8,19 +8,23 @@ term and node.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
 approximate functional equation, the reference for
 `experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
 bound on the weight W.  `l_one_phi_dense` is L(1, phi_m) from the dense
-lambda_m table, the reference for `lfun._l_one_phi_bulk`."""
+lambda_m table, and `l_one_phi_sorted_scan` the same Richardson-weighted
+sum over the norm-sorted ideal scan with one np.cos per m, the two
+references for `lfun._l_one_phi_bulk`."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 from scipy.special import loggamma
 
 from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
-from maassqv.ideals import kronecker_residues, lambda_k_table
+from maassqv.ideals import ideal_scan, kronecker_residues, lambda_k_table
 from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table
 from maassqv.quadfield import FieldParams
 
@@ -98,3 +102,18 @@ def l_one_phi_dense(F: FieldParams, m: int, X: float) -> float:
         return float(np.sum(tab[1:] * np.exp(-n / Y) / n))
 
     return 2.0 * smoothed(X) - smoothed(X / 2.0)
+
+
+def l_one_phi_sorted_scan(
+    F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
+) -> Mapping[int, float]:
+    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
+    norms, thetas = ideal_scan(F, int(25 * X))
+    w = np.exp(-norms / X)
+    coef = (2.0 * w - w * w) / norms
+    del w
+    out = {}
+    for m in ms:
+        ph = (math.pi * m / F.log_eps) * thetas
+        out[m] = float(np.sum(coef * np.cos(ph)))
+    return MappingProxyType(out)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maassqv import experiments, lfun
+from maassqv import experiments
 from maassqv.errors import HypothesisViolated, TruncationInsufficient
 from maassqv.experiments import (
     central_values_bulk,
@@ -97,20 +97,17 @@ def test_matched_cutoff_grows_with_K(F):
     assert 1.0e5 < x1 < x2
 
 
-def test_l_one_phi_memo_keyed_by_cutoff(F, monkeypatch):
-    experiments._l_one_phi_bulk.cache_clear()
-    first = experiments._l_one_phi_bulk(F, (2, 4), X=2000.0)
-
-    def no_scan(*args):
-        raise AssertionError("ideal_scan called for memoized values")
-
-    with monkeypatch.context() as m:
-        m.setattr(lfun, "ideal_scan", no_scan)
-        assert experiments._l_one_phi_bulk(F, (2, 4), X=2000.0) == first
-    other = experiments._l_one_phi_bulk(F, (2, 4, 6), X=3000.0)
-    experiments._l_one_phi_bulk.cache_clear()
-    assert other == experiments._l_one_phi_bulk(F, (2, 4, 6), X=3000.0)
+def test_l_one_phi_memo_keyed_by_cutoff(F, request):
+    bulk = experiments._l_one_phi_bulk
+    bulk.cache_clear()
+    other = bulk(F, (2, 4, 6), X=3000.0)
+    bulk.cache_clear()
+    assert bulk(F, (2, 4, 6), X=3000.0) == other  # a recomputation is bit-identical
+    first = bulk(F, (2, 4), X=2000.0)
     assert other[2] != first[2]
+    request.getfixturevalue("forbid_scans")  # memoized values enumerate nothing
+    assert bulk(F, (2, 4), X=2000.0) == first
+    assert bulk(F, (2, 4, 6), X=3000.0) == other
 
 
 def test_variance_then_expected_value_reuse_cached_values(F, src):
@@ -181,13 +178,8 @@ def test_first_moment_input_validation(F, src):
 @pytest.mark.parametrize(
     "experiment", [first_moment, variance_table, expected_value], ids=lambda f: f.__name__
 )
-def test_empty_k_window_rejected_before_scan(F, src, monkeypatch, experiment, K):
+def test_empty_k_window_rejected_before_scan(F, src, forbid_scans, experiment, K):
     # K * x1 < 1: no k >= 1 has k/K in the support of the window (1/2, 2)
-    def no_scan(*args, **kwargs):
-        raise AssertionError("ideal_scan called for an empty k-window")
-
-    monkeypatch.setattr(experiments, "ideal_scan", no_scan)
-    monkeypatch.setattr(lfun, "ideal_scan", no_scan)
     with pytest.raises(HypothesisViolated, match="no k >= 1"):
         experiment(F, src, K)
     # a source whose values all vanish does not make the window valid

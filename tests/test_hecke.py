@@ -1,23 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from sympy import primerange
 
 from halfint_oracle import lambda_psi_at
 from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square
-from maassqv.errors import MalformedTable, MissingPrime
+from maassqv.errors import ALLOC_BYTES_MAX, MalformedTable, MissingPrime, TableBoundExceeded
 from maassqv.hecke import (
     h_fn,
     lambda_psi,
     local_series,
     make_source,
+    multiplicative_fill,
     primes_upto,
     read_table,
     vartheta,
     write_table,
 )
 from maassqv.ideals import kronecker_chi, lambda_k, r_D
+from maassqv.lfun import lambda_psi_table
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +196,20 @@ def test_lambda_pp_array_bit_identical(src):
     for b in range(1, 8):
         want = [src.lambda_pp(p, b) for p in primes.tolist()]
         assert src.lambda_pp_array(primes, b).tolist() == want, b
+
+
+def test_fill_guard_refuses_before_allocating(src, monkeypatch):
+    # 9 bytes per integer (the float64 table and the bool sieve): the first
+    # nmax over 8 GiB is refused on the estimate, the one below it is not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fill reached its allocations")
+
+    monkeypatch.setattr(np, "ones", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    over = ALLOC_BYTES_MAX // 9
+    with pytest.raises(TableBoundExceeded):
+        multiplicative_fill(over, lambda primes, b: np.zeros(primes.size))
+    with pytest.raises(TableBoundExceeded):
+        lambda_psi_table(src, over)
+    with pytest.raises(AssertionError, match="reached its allocations"):
+        multiplicative_fill(over - 1, lambda primes, b: np.zeros(primes.size))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ideal_oracle import oracle_elements, rectangle_scan
 from maassqv import ideals
-from maassqv.errors import ScanBoundExceeded
+from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded
 from maassqv.experiments import first_moment
 from maassqv.hecke import make_source
 from maassqv.ideals import (
@@ -104,6 +104,25 @@ def test_ideal_scan_matches_rectangle_oracle(D, log2_cap, monkeypatch):
         assert np.array_equal(thetas.view(np.int64), all_thetas[:cut].view(np.int64)), nmax
 
 
+@pytest.mark.parametrize("D", [21, 33])
+@pytest.mark.parametrize("bound", [1000, 123457])
+def test_ideal_chunks_sorted_union_is_the_scan(D, bound, monkeypatch):
+    # the chunks stop at the bound itself; small chunks split rows across
+    # chunk ends, and their union, stably sorted, is the cached scan
+    F = make_field(D)
+    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
+    want_norms, want_thetas = ideals.ideal_scan(F, bound)
+    monkeypatch.setattr(ideals, "_SCAN_CHUNK", 1 << 10)
+    chunks = list(ideals.ideal_chunks(F, bound))
+    assert len(chunks) > 1
+    norms = np.concatenate([c[0] for c in chunks])
+    thetas = np.concatenate([c[1] for c in chunks])
+    assert norms.max() <= bound
+    order = np.argsort(norms, kind="stable")
+    assert np.array_equal(norms[order], want_norms)
+    assert np.array_equal(thetas[order].view(np.int64), want_thetas.view(np.int64))
+
+
 def test_ideal_scan_cache_is_read_only(F21, monkeypatch):
     monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
     norms, thetas = ideals.ideal_scan(F21, 1024)  # the cached arrays themselves
@@ -121,9 +140,22 @@ def test_elements_of_norm_raises_on_unrecoverable_scan(F21, monkeypatch):
         elements_of_norm(F21, 5)
 
 
-def test_elements_of_norm_scan_limit(F21):
-    with pytest.raises(ScanBoundExceeded):
-        elements_of_norm(F21, 10**7)
+def test_elements_of_norm_scan_limit(F21, monkeypatch):
+    # the requested bound is held against the limit, not its power-of-two
+    # rounding (9e6 rounds to 2^24 > 10^7); the stub scan enumerates nothing
+    asked = []
+
+    def empty_scan(F, nmax):
+        asked.append(nmax)
+        return np.zeros(0, np.int64), np.zeros(0)
+
+    monkeypatch.setattr(ideals, "ideal_scan", empty_scan)
+    assert elements_of_norm(F21, 9_000_000) == []
+    assert elements_of_norm(F21, 5, nmax_hint=10**7) == []
+    for n, hint in ((10**7 + 1, 0), (5, 10**7 + 1)):
+        with pytest.raises(ScanBoundExceeded):
+            elements_of_norm(F21, n, nmax_hint=hint)
+    assert asked == [9_000_000, 10**7]
 
 
 def test_reps_are_canonical(F21):
@@ -213,7 +245,7 @@ def test_scan_guard_admits_desk_bounds(admitted_fields, monkeypatch, log2_bound)
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     for F in admitted_fields:
         monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
-        assert ideals._scan_bytes(F, 1 << log2_bound) <= ideals._SCAN_BYTES_MAX
+        assert ideals._scan_bytes(F, 1 << log2_bound) <= ALLOC_BYTES_MAX
         with pytest.raises(AssertionError, match="reached its allocations"):
             ideals.ideal_scan(F, 1 << log2_bound)
 

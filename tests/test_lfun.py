@@ -12,6 +12,7 @@ from lfun_oracle import (
     dirichlet_l_line_per_node,
     gamma_factor,
     l_one_phi_dense,
+    l_one_phi_sorted_scan,
 )
 from maassqv.errors import (
     NegativeCentralValue,
@@ -23,6 +24,7 @@ from maassqv.hecke import HeckeSource, lambda_psi, make_source, primes_upto, rea
 from maassqv.ideals import grossenchar, lambda_k_table
 from maassqv.lfun import (
     _afe_line,
+    _l_one_phi_bulk,
     _afe_nodes,
     _dirichlet_l_line,
     _gl2_central,
@@ -349,6 +351,27 @@ def test_l_one_phi_matches_dense_table_route(F, m):
     want = l_one_phi_dense(F, m, 2.0e4)
     assert l_one_phi(F, m, 2.0e4) == pytest.approx(want, rel=1e-14, abs=0.0)
     assert l_one_phi(F, -m, 2.0e4) == l_one_phi(F, m, 2.0e4)
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [
+        tuple(range(2, 81, 2)),  # 40 m: a re-seed 32 steps in
+        tuple(range(200, 801, 2)),
+        (2, 4, 10, 12, 14, 40),  # the step changes
+        (40, 2, 2, 6),  # unsorted, with a duplicate
+        (14,),
+    ],
+    ids=["2..80", "200..800", "mixed-steps", "unsorted-duplicate", "single"],
+)
+def test_l_one_phi_bulk_matches_sorted_scan(F, ms):
+    # the streamed cos(m x) recurrence against one np.cos per m over the
+    # norm-sorted scan
+    got = _l_one_phi_bulk(F, ms, 2.0e4)
+    want = l_one_phi_sorted_scan(F, ms, 2.0e4)
+    assert sorted(got) == sorted(set(ms))
+    for m in ms:
+        assert got[m] == pytest.approx(want[m], rel=1e-12, abs=0.0), m
 
 
 def test_l_one_sym2_local_identity(src):
