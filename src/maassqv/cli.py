@@ -25,6 +25,7 @@ from .halfint import (
     make_level,
     reduction_check,
     reduction_check_second_form,
+    _contour_t,
     _max_nonzero_mprime,
 )
 from .hecke import make_source
@@ -191,8 +192,9 @@ def cmd_dirichlet_poly(args) -> list[ExperimentReport]:
 def cmd_nonsplit(args) -> list[ExperimentReport]:
     if args.Ymax < 1.0e4:
         raise TruncationInsufficient(f"--Ymax {args.Ymax:g} is below the first Y = 1e4")
-    src = _source_from_args(args)
     Q = QuadPoly(args.a, args.b, args.c)
+    _contour_t(Q, second_form=True)  # the last report's precondition, before any sum
+    src = _source_from_args(args)
     W = SmoothWeight()
     Ys = []
     y = 1.0e4

@@ -53,7 +53,7 @@ def smooth_weight(P: float = 1.0) -> SmoothWeight:
     """The C-infinity bump on (1/2, 2); P >= 1 shrinks the support toward
     its left edge by 1/P, scaling sup|W'| up by P."""
     if P < 1.0:
-        raise ValueError("P must be >= 1")
+        raise HypothesisViolated(f"P must be >= 1, got {P}")
     return SmoothWeight(0.5, 0.5 + 1.5 / P)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .errors import (
     BadDecomposition,
     BoundTooSmall,
     EvenInput,
+    HypothesisViolated,
     PoleInput,
     QuadratureNonconvergent,
     TruncationInsufficient,
@@ -437,9 +439,9 @@ class QuadPoly:
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError("need a > 0 (negate the polynomial if needed)")
+            raise HypothesisViolated("need a > 0 (negate the polynomial if needed)")
         if self.Delta <= 0:
-            raise ValueError(f"need Delta > 0, got {self.Delta}")
+            raise HypothesisViolated(f"need Delta > 0, got {self.Delta}")
 
     @property
     def Delta(self) -> int:
@@ -547,36 +549,45 @@ def _contour_value(
     up to T = 10 P log Y (the integrand is not negligible there: the
     truncation at T is not bounded).  D_psi is truncated at the N with
     t N^2 past the W window, at least 2000; its coefficients are cached per
-    (src, Q, N, form), so the dtau and dtau/2 contours at one Y share them."""
+    (src, Q, N, form), so the dtau and dtau/2 contours at one Y share them.
+
+    The exponents -s log u at -tau and +tau are exact conjugates, and so
+    are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
+    nodes.  The nodes are summed in ascending tau, as one exp per node
+    would sum them."""
     t = _contour_t(Q, second_form)
     # terms with t n^2 beyond the W window only feed the quadrature tail
     N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
 
     log8aY = math.log(8 * Q.a * Y)
-    P = W.sharpness
-    T = 10.0 * P * math.log(max(Y, math.e))
+    T = 10.0 * W.sharpness * math.log(max(Y, math.e))
 
     amp, logu = _d_psi_coefficients(src, Q, N, second_form)
 
-    def D_psi(sv: complex) -> complex:
-        return complex(np.sum(amp * np.exp(-sv * logu)))
-
-    taus = [0.0]
-    tau = dtau
+    taus, tau = [], 0.0
     while tau <= T:
         taus.append(tau)
-        taus.append(-tau)
         tau += dtau
-    taus.sort()
+
+    def f(sv: complex, terms: np.ndarray) -> complex:
+        return complex(np.sum(terms)) * W.mellin(sv) * cmath.exp(sv * log8aY)
+
+    def ascending():
+        # the integrand at +tau comes with the one at -tau and waits in
+        # `upper` until the sum reaches it
+        upper = []
+        for tau in reversed(taus):
+            sv = 1 + 1j * tau
+            e = np.exp(-sv * logu)
+            upper.append(f(sv, amp * e))
+            if tau:
+                yield -tau, f(sv.conjugate(), amp * np.conj(e))
+        for tau in taus:
+            yield tau, upper.pop()
 
     total = 0.0 + 0.0j
-    prev = None
-    for tau in taus:
-        sv = 1 + 1j * tau
-        f = D_psi(sv) * W.mellin(sv) * cmath.exp(sv * log8aY)
-        if prev is not None:
-            total += 0.5 * (f + prev[1]) * (tau - prev[0])
-        prev = (tau, f)
+    for (tau0, f0), (tau1, f1) in itertools.pairwise(ascending()):
+        total += 0.5 * (f1 + f0) * (tau1 - tau0)
     return total / (4 * math.pi)
 
 

@@ -6,6 +6,9 @@ Chinese-remainder sign factors, the third route checked against the brute
 of the shifted Dirichlet series D_{psi,chi,t}(s, Delta) with a crude tail
 bound, one term at a time, reading lambda through `lambda_psi_at`'s float
 test rather than the exact congruence of `halfint._d_psi_coefficients`.
+`contour_value_per_node` is the reduction contour with one N-term complex
+exp per tau-node, the nodes sorted before summing; `halfint._contour_value`
+takes one exp per tau >= 0 and conjugates it for -tau.
 """
 
 from __future__ import annotations
@@ -13,11 +16,21 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from maassqv.characters import Character
 from maassqv.errors import TruncationInsufficient
-from maassqv.halfint import LevelData, _decompose, gauss_closed
+from maassqv.halfint import (
+    LevelData,
+    QuadPoly,
+    _contour_t,
+    _d_psi_coefficients,
+    _decompose,
+    gauss_closed,
+)
 from maassqv.hecke import HeckeSource, lambda_psi
 from maassqv.ideals import kronecker
+from maassqv.weights import SmoothWeight
 
 
 def lambda_psi_at(src: HeckeSource, x: float) -> float:
@@ -120,3 +133,43 @@ def d_series(
     c0 = 18.0 * float(t) ** (_THETA_ENV - sigma - nu / 2) * (4 * a) ** (-_THETA_ENV)
     tail = c0 * float(max(N, 1)) ** (expo + 1) / (-expo - 1)
     return total, tail
+
+
+def contour_value_per_node(
+    src: HeckeSource,
+    Q: QuadPoly,
+    Y: float,
+    W: SmoothWeight,
+    dtau: float,
+    second_form: bool,
+) -> complex:
+    """`halfint._contour_value` with D_psi evaluated afresh at every node."""
+    t = _contour_t(Q, second_form)
+    N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
+
+    log8aY = math.log(8 * Q.a * Y)
+    P = W.sharpness
+    T = 10.0 * P * math.log(max(Y, math.e))
+
+    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
+
+    def D_psi(sv: complex) -> complex:
+        return complex(np.sum(amp * np.exp(-sv * logu)))
+
+    taus = [0.0]
+    tau = dtau
+    while tau <= T:
+        taus.append(tau)
+        taus.append(-tau)
+        tau += dtau
+    taus.sort()
+
+    total = 0.0 + 0.0j
+    prev = None
+    for tau in taus:
+        sv = 1 + 1j * tau
+        f = D_psi(sv) * W.mellin(sv) * cmath.exp(sv * log8aY)
+        if prev is not None:
+            total += 0.5 * (f + prev[1]) * (tau - prev[0])
+        prev = (tau, f)
+    return total / (4 * math.pi)

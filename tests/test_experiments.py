@@ -44,7 +44,7 @@ def test_smooth_weight_kinds():
     assert (sw.x0, sw.x1) == (0.5, 2.0)
     assert sw(0.5) == 0.0 and sw(2.0) == 0.0 and sw(1.0) > 0.0
     assert (SmoothWeight().x0, SmoothWeight().x1) == (1.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated):
         smooth_weight(P=0.5)
 
 

@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from halfint_oracle import c_assembled, d_series
+from halfint_oracle import c_assembled, contour_value_per_node, d_series
 from maassqv.characters import Character, all_ones_character
 from maassqv.errors import (
     BadDecomposition,
     BoundTooSmall,
     EvenInput,
+    HypothesisViolated,
     PoleInput,
     TruncationInsufficient,
     WindowViolation,
@@ -37,6 +38,8 @@ from maassqv.halfint import (
     symsq_factor_check,
     zeta_factor_at_M,
 )
+from maassqv import experiments, halfint
+from maassqv.cli import main
 from maassqv.hecke import make_source
 from maassqv.ideals import kronecker
 from maassqv.weights import SmoothWeight
@@ -248,9 +251,11 @@ def test_quad_poly():
     assert (Q.Delta, Q.d, Q.a_prime, Q.b_prime) == (84, 2, 1, 0)
     Q = QuadPoly(3, 3, -5)
     assert (Q.Delta, Q.d, Q.a_prime, Q.b_prime) == (69, 3, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated):
         QuadPoly(-1, 0, 21)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated):
+        QuadPoly(0, 1, 1)
+    with pytest.raises(HypothesisViolated):
         QuadPoly(1, 0, 21)  # Delta < 0
 
 
@@ -316,6 +321,32 @@ def test_contour_values_pinned(src):
     want = complex(-4.206292140066351, 0.0014794147723689855)
     assert _contour_value(src, Q, 1e4, W, 0.2, False) == want
     assert _contour_value(src, Q, 1e4, W, 0.2, True) == want
+
+
+@pytest.mark.parametrize("dtau", [0.2, 0.1])
+@pytest.mark.parametrize("Y", [1e4, 4e4])
+@pytest.mark.parametrize("abc", [(1, 0, -21), (3, 3, -5), (7, 7, -7)])
+def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
+    # one exp per tau >= 0, conjugated for -tau, gives the per-node floats
+    W = SmoothWeight()
+    Q = QuadPoly(*abc)
+    for second_form in (False, True):
+        assert _contour_value(src, Q, Y, W, dtau, second_form) == contour_value_per_node(
+            src, Q, Y, W, dtau, second_form
+        ), second_form
+
+
+def test_second_form_rejected_before_any_sum(monkeypatch):
+    # a = 2 is even: `nonsplit` fails on the second form's precondition
+    # before the decay scan or the first-form check sums anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum ran before the precondition was checked")
+
+    for mod in (halfint, experiments):
+        monkeypatch.setattr(mod, "nonsplit_sum", refuse)
+    monkeypatch.setattr(halfint, "_contour_value", refuse)
+    with pytest.raises(WindowViolation, match="second form"):
+        main(["nonsplit", "--a", "2", "--b", "1", "--c", "-5", "--Ymax", "1e4"])
 
 
 def _table(r: int, f) -> Character:

@@ -1,5 +1,6 @@
 import pytest
 
+from maassqv.errors import HypothesisViolated
 from maassqv.experiments import smooth_weight
 from maassqv.weights import SmoothWeight
 from weights_oracle import mellin as mellin_oracle
@@ -41,3 +42,17 @@ def test_mellin_lower_half_plane_is_conjugate_first():
     s = 1 - 37.3j
     assert W.mellin(s) == mellin_oracle(W, s)
     assert W.mellin(s) == W.mellin(s.conjugate()).conjugate()
+
+
+def test_mellin_node_table_is_per_window():
+    # three windows asked in turn at one s: each quadrature reads W(x) from
+    # its own window's node table
+    s = 1 + 7.3j
+    for W in (SmoothWeight(), SmoothWeight(1.0, 1.75), smooth_weight()):
+        assert W.mellin(s) == mellin_oracle(W, s), (W.x0, W.x1)
+
+
+def test_window_needs_ordered_positive_support():
+    for x0, x1 in ((2.0, 1.0), (0.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(HypothesisViolated):
+            SmoothWeight(x0, x1)
