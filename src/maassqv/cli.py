@@ -2,18 +2,17 @@
 
 Every subcommand builds a list of ExperimentReport objects, prints one
 line per report, optionally serializes them, and exits 0 iff all passed.
-A JSON config file may pre-set any flag; explicit CLI flags win.
+A typed `MaassqvError` is printed as one line to stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
 
-from .errors import TruncationInsufficient
+from .errors import MaassqvError, TruncationInsufficient
 from .halfint import (
     QuadPoly,
     b_direct,
@@ -223,22 +222,15 @@ _COMMANDS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="maassqv")
-    p.add_argument("--config", help="JSON file pre-setting any flag")
     p.add_argument("--out", help="write reports to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=float, default=None)
     sub = p.add_subparsers(dest="command", required=True)
-    required: dict[str, list[str]] = {}
 
     def add(name, **flags):
         sp = sub.add_parser(name)
-        required[name] = []
         for flag, (typ, req, default) in flags.items():
-            # "required" flags may come from the config file instead, so
-            # enforcement happens after both sources are merged
-            sp.add_argument(f"--{flag}", type=typ, default=default)
-            if req:
-                required[name].append(flag.replace("-", "_"))
+            sp.add_argument(f"--{flag}", type=typ, required=req, default=default)
         return sp
 
     add("field-info", D=(int, True, None))
@@ -259,32 +251,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("nonsplit", D=(int, False, 21), a=(int, False, 1), b=(int, False, 0),
         c=(int, False, -21), Ymax=(float, False, 1.0e6),
         table=(str, False, None), seed=(int, False, None))
-    p.set_defaults(_required=required)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    # two-stage parse so a JSON config can pre-set defaults
-    peek = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    peek.add_argument("--config")
-    known, _ = peek.parse_known_args(argv)
-    if known.config:
-        with open(known.config) as fh:
-            cfg = json.load(fh)
-        parser.set_defaults(**{k.replace("-", "_"): v for k, v in cfg.items()})
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{
-                k.replace("-", "_"): v for k, v in cfg.items()
-                if any(k.replace("-", "_") == a.dest for a in sp._actions)
-            })
-    args = parser.parse_args(argv)
-    missing = [f for f in args._required.get(args.command, ())
-               if getattr(args, f, None) is None]
-    if missing:
-        parser.error(f"{args.command}: missing required flag(s): "
-                     + ", ".join(f"--{m}" for m in missing))
-    reports = _COMMANDS[args.command](args)
+    args = _build_parser().parse_args(argv)
+    try:
+        reports = _COMMANDS[args.command](args)
+    except MaassqvError as exc:
+        print(f"maassqv: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: computed={r.computed:.6g} "

@@ -5,7 +5,7 @@ and non-split decay scans.  Every operation returns an ExperimentReport.
 
 Reused results (the matched cutoff, bulk central values) are memoized by
 `functools.cache` on their value arguments, as are `lfun`'s L-values; the
-ideal scan is cached in `ideals`.  All loops run in a fixed (ascending)
+ideal scan itself is not cached.  All loops run in a fixed (ascending)
 order so results are bit-for-bit reproducible.  Variance and expected
 value share one per-k Watson-Ichino loop, whose values already carry
 L(1, phi_2k)^2: Q^h sums them as they are, and only the unweighted Q and
@@ -348,7 +348,7 @@ def first_moment(
         m1 = float(np.sum(lvals * lam_t * phi_w))
         phit1 = sw.mellin(0).real
         n_red = n_twist // math.gcd(n_twist, F.D)
-        h_factor = h_fn(src, F, n_red, nmax_hint=max(4, n_red))
+        h_factor = h_fn(src, F, n_red)
         x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
         c_dpsi = c_d_psi(src, F, x_match)
         computed = m1 / (phit1 * K * h_factor)

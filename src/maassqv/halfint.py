@@ -572,21 +572,18 @@ def _contour_value(
     def f(sv: complex, terms: np.ndarray) -> complex:
         return complex(np.sum(terms)) * W.mellin(sv) * cmath.exp(sv * log8aY)
 
-    def ascending():
-        # the integrand at +tau comes with the one at -tau and waits in
-        # `upper` until the sum reaches it
-        upper = []
-        for tau in reversed(taus):
-            sv = 1 + 1j * tau
-            e = np.exp(-sv * logu)
-            upper.append(f(sv, amp * e))
-            if tau:
-                yield -tau, f(sv.conjugate(), amp * np.conj(e))
-        for tau in taus:
-            yield tau, upper.pop()
+    plus, minus = [], []  # the integrand at +tau, and at -tau for tau > 0
+    for tau in taus:
+        sv = 1 + 1j * tau
+        e = np.exp(-sv * logu)
+        plus.append(f(sv, amp * e))
+        if tau:
+            minus.append(f(sv.conjugate(), amp * np.conj(e)))
+    nodes = [-tau for tau in taus[:0:-1]] + taus
+    values = minus[::-1] + plus
 
     total = 0.0 + 0.0j
-    for (tau0, f0), (tau1, f1) in itertools.pairwise(ascending()):
+    for (tau0, f0), (tau1, f1) in itertools.pairwise(zip(nodes, values)):
         total += 0.5 * (f1 + f0) * (tau1 - tau0)
     return total / (4 * math.pi)
 

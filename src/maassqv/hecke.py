@@ -284,11 +284,11 @@ def vartheta(src: HeckeSource, n: int) -> float:
     return v
 
 
-def h_fn(src: HeckeSource, F: FieldParams, n: int, nmax_hint: int = 0) -> float:
+def h_fn(src: HeckeSource, F: FieldParams, n: int) -> float:
     """sum over principal ideals of norm n of vartheta(|n_beta|)/sqrt(|n_beta|)."""
     assert n >= 1
     total = 0.0
-    for rep in elements_of_norm(F, n, nmax_hint):
+    for rep in elements_of_norm(F, n):
         _, nb = n_beta(F, rep.gen)
         total += vartheta(src, nb) / math.sqrt(nb)
     return total

@@ -1,23 +1,24 @@
 """Principal ideals of Q(sqrt(D)) by norm, Grossencharacters, and the
 dihedral eigenvalues lambda_k(n) = sum over ideals of norm n of Xi_k.
 
-One enumerator serves everything: `ideal_chunks` keeps, for each
-principal ideal, the one generator y = m + n*omega with positive real
-embedding y and angle theta = 2 log y - log|N| in the fundamental domain
-[0, 2 log eps) of the unit group.  On a row n of the (m, n)-lattice the
-difference c = y - ybar = n sqrt(D) is fixed, so the window and the norm
-bound cut the row to at most two m-intervals, one on each side of the
-band around y = c that the window excludes; rows n < 0 are empty.  Only
-those strips are tested with numpy, and their ends are widened well past
-the floating-point error of the test, so no ideal is lost.
+One enumerator serves everything: each principal ideal is kept as its one
+generator y = m + n*omega with positive real embedding y and angle
+theta = 2 log y - log|N| in the fundamental domain [0, 2 log eps) of the
+unit group, by the one window test `_in_window`, on the rows
+n = 0 .. `_last_row` of the (m, n)-lattice; rows n < 0 are empty.
 
-The enumerator has two views.  `ideal_chunks` yields the kept ideals
-chunk by chunk, unsorted and uncached, at the exact bound: a sum over
-all ideals (L(1, phi_m)) reads it in O(chunk) memory.  `ideal_scan`
-collects the same chunks, sorts them stably by norm and caches the
-result per field as read-only arrays, for consumers that cut norm
-ranges.  `elements_of_norm` cuts one norm out of that scan and recovers
-each canonical generator exactly from (N, theta).
+`ideal_chunks` scans every norm up to a bound.  On a row n the difference
+c = y - ybar = n sqrt(D) is fixed, so the window and the norm bound cut
+the row to at most two m-intervals, one on each side of the band around
+y = c that the window excludes.  Only those strips are tested with numpy,
+and their ends are widened well past the floating-point error of the
+test, so no ideal is lost.  The kept ideals come chunk by chunk, unsorted,
+in O(chunk) memory; `ideal_scan` collects the same chunks and sorts them
+stably by norm.  Nothing is cached.
+
+`elements_of_norm` solves one norm exactly instead: on row k the norm form
+is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n, so it costs O(sqrt(n))
+and builds no scan, and the window test keeps the generator the scan keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ALLOC_BYTES_MAX, ScanBoundExceeded
 from .quadfield import FieldParams, QuadInt, angle
 
-_SCAN_MAX = 10**7  # largest norm bound elements_of_norm will scan to
+_SCAN_MAX = 10**7  # largest norm elements_of_norm solves for
 
 
 def kronecker(a: int, n: int) -> int:
@@ -94,9 +95,6 @@ class IdealRep:
     theta: float
 
 
-# Not a functools.cache: one entry per field serves every smaller bound as a
-# prefix of the largest scan built so far, and a larger scan replaces it.
-_SCAN_CACHE: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
 _SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
 
 
@@ -111,6 +109,30 @@ def _scan_bytes(F: FieldParams, bound: int) -> float:
     return 40.0 * 2.0 * F.log_eps / F.sqrtD * bound
 
 
+def _last_row(F: FieldParams, bound: int) -> int:
+    """The last row n_hi of the (m, n)-lattice that can hold a kept
+    generator of norm at most `bound`.
+
+    A kept y has y - ybar = n sqrt(D) <= y + bound/y < (eps + 1) sqrt(bound).
+    Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
+    forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
+    stays below that for every admitted field up to bound 10^14."""
+    eps_val = math.exp(F.log_eps)
+    return int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+
+
+def _in_window(y, y2, aq, eps_val: float):
+    """The canonical-window test of y = m + n*omega, with y2 = y*y and
+    aq = |N(y)|: y > 0 and 1 <= y^2/|N| < eps^2, each end with a margin of
+    1e-9 relative.  Elementwise on numpy arrays; both enumerators call it
+    with the same float expressions, so they keep the same generator."""
+    return (
+        (y > 0.0)
+        & (y2 >= aq * (1.0 - 1e-9))
+        & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
+    )
+
+
 def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(norms, thetas) of all principal ideals with 1 <= |N| <= bound, one
     chunk of about `_SCAN_CHUNK` candidates at a time, unsorted.
@@ -120,8 +142,7 @@ def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.nd
     Only the at most two m-intervals per row n that `_row_intervals` admits
     are tested, in row-major order, so the chunks concatenated are the
     kept points of a scan of the whole bounding rectangle in its order.
-    The bound is used as given, and nothing is cached: a consumer that
-    needs no norm order reads the ideals in O(chunk) memory.
+    A consumer that needs no norm order reads the ideals in O(chunk) memory.
     """
     starts, counts, row_of, ends = _candidate_pieces(F, bound)
     eps_val = math.exp(F.log_eps)
@@ -141,13 +162,7 @@ def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.nd
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
         y2 = y * y
-        ok = (
-            (y > 0.0)
-            & (aq >= 1)
-            & (aq <= bound)
-            & (y2 >= aq * (1.0 - 1e-9))
-            & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
-        )
+        ok = (aq >= 1) & (aq <= bound) & _in_window(y, y2, aq, eps_val)
         norms = aq[ok]
         thetas = np.log(y2[ok] / norms)
         del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
@@ -157,55 +172,37 @@ def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.nd
 
 def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax,
-    sorted by norm: the `ideal_chunks` scan, stably sorted and cached.
+    sorted by norm: the `ideal_chunks` scan to nmax, stably sorted.
 
     The stable sort keeps the row-major order of the chunks within a norm,
     so the result is that of a scan of the whole bounding rectangle bit for
-    bit.  Results are cached per field with power-of-two rounding of nmax,
-    and the cached arrays are read-only.  A scan whose `_scan_bytes`
-    estimate exceeds 8 GiB raises ScanBoundExceeded before anything is
-    allocated.
+    bit, and a scan to a larger bound cut at nmax is this scan.  A scan
+    whose `_scan_bytes` estimate exceeds 8 GiB raises ScanBoundExceeded
+    before anything is allocated.
     """
-    bound = 1 << max(nmax - 1, 1).bit_length()
-    hit = _SCAN_CACHE.get(F.D)
-    if hit is not None and hit[0] >= bound:
-        norms, thetas = hit[1], hit[2]
-        if hit[0] == nmax:
-            return norms, thetas
-        cut = int(np.searchsorted(norms, nmax, side="right"))
-        return norms[:cut], thetas[:cut]
-
-    need = _scan_bytes(F, bound)
+    need = _scan_bytes(F, nmax)
     if need > ALLOC_BYTES_MAX:
         raise ScanBoundExceeded(
-            f"ideal scan to norm {bound} needs about {need / 2**30:.1f} GiB, "
+            f"ideal scan to norm {nmax} needs about {need / 2**30:.1f} GiB, "
             f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
         )
     # kept points go straight into buffers sized by the candidate count, an
     # upper bound: chunk parts freed after a concatenate would stay resident
     # in the C heap and raise the build peak.  ideal_chunks recomputes the
-    # pieces, which costs O(sqrt(bound)).
-    size = int(_candidate_pieces(F, bound)[3][-1])
+    # pieces, which costs O(sqrt(nmax)).
+    size = int(_candidate_pieces(F, nmax)[3][-1])
     norms = np.empty(size, np.int64)
     thetas = np.empty(size, np.float64)
     kept = 0
-    for chunk_norms, chunk_thetas in ideal_chunks(F, bound):
+    for chunk_norms, chunk_thetas in ideal_chunks(F, nmax):
         k = chunk_norms.size
         norms[kept : kept + k] = chunk_norms
         thetas[kept : kept + k] = chunk_thetas
         kept += k
     del chunk_norms, chunk_thetas  # not kept alive through the sort
     order = np.argsort(norms[:kept], kind="stable")
-    norms = norms[order]
-    thetas = thetas[order]
-    del order
-    norms.flags.writeable = False
-    thetas.flags.writeable = False
-    _SCAN_CACHE[F.D] = (bound, norms, thetas)
-    if bound == nmax:
-        return norms, thetas
-    cut = int(np.searchsorted(norms, nmax, side="right"))
-    return norms[:cut], thetas[:cut]
+    norms = norms[order]  # frees the unsorted buffer before thetas[order]
+    return norms, thetas[order]
 
 
 def _candidate_pieces(
@@ -216,11 +213,7 @@ def _candidate_pieces(
     m = starts[i] .. starts[i] + counts[i] - 1 on row rows[i], and ends is
     the running total of counts.  The rows number O(sqrt(bound))."""
     eps_val = math.exp(F.log_eps)
-    # Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
-    # forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
-    # stays below that for every admitted field up to bound 10^14.
-    n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
-    rows = np.arange(0, n_hi + 1, dtype=np.int64)
+    rows = np.arange(0, _last_row(F, bound) + 1, dtype=np.int64)
     lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, bound)
     starts = np.stack([lo1, lo2], axis=1).ravel()
     counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
@@ -263,43 +256,37 @@ def _row_intervals(
     return lo1, hi1, lo2, hi2
 
 
-def elements_of_norm(F: FieldParams, n: int, nmax_hint: int = 0) -> list[IdealRep]:
+def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
     """All distinct principal ideals with |N| = n, canonical representatives,
     ordered by theta.
 
-    Each generator m + k*omega is recovered exactly from its scan entry
-    (n, theta): y = sqrt(n) e^{theta/2} is the real embedding and
-    sigma*n/y the conjugate one, so k = (y - sigma*n/y)/sqrt(D) and
-    m = y - k*omega; the sign sigma of the norm is the one whose rounded
-    (m, k) has norm exactly sigma*n and reproduces theta.
+    On each row k = 0 .. `_last_row(F, n)` the norm form
+    m^2 + m k + k^2 (1 - D)/4 equals +-n exactly at m = (-k +- s)/2 with
+    s^2 = D k^2 +- 4n (s = k mod 2 always, as D = 1 mod 4); of those (m, k)
+    `_in_window` keeps the generator that `ideal_chunks` keeps.  The square
+    test runs in int64 and is exact while D k^2 + 4n < 2^53; n > 10^7, or a
+    unit so large that the last row passes that, raises ScanBoundExceeded.
     """
     assert n >= 1
-    bound = max(n, nmax_hint)  # ideal_scan rounds it up to share one scan
-    if bound > _SCAN_MAX:
-        raise ScanBoundExceeded(f"norm bound {bound} exceeds scan limit {_SCAN_MAX}")
-    norms, thetas = ideal_scan(F, bound)
-    lo = int(np.searchsorted(norms, n, side="left"))
-    hi = int(np.searchsorted(norms, n, side="right"))
-    reps = []
-    for th in thetas[lo:hi].tolist():
-        y = math.sqrt(n) * math.exp(0.5 * th)
-        found = []
-        for sigma in (1, -1):
-            k = round((y - sigma * n / y) / F.sqrtD)
-            m = round(y - k * F.omega)
-            if m * m + m * k + F.omega_norm * k * k != sigma * n:
-                continue
-            gen = QuadInt(m, k)
-            theta = angle(F, gen)
-            if abs(theta - th) <= 1e-9:
-                found.append(IdealRep(gen=gen, norm_abs=n, theta=theta))
-        if len(found) != 1:
-            raise RuntimeError(
-                f"norm {n}, theta {th!r}: {len(found)} generators recovered"
-            )
-        reps.append(found[0])
-    reps.sort(key=lambda r: (r.theta, r.gen.m, r.gen.n))
-    return reps
+    k_hi = _last_row(F, n)
+    if n > _SCAN_MAX or F.D * k_hi * k_hi + 4 * n >= 2**53:
+        raise ScanBoundExceeded(f"norm {n} exceeds the exact-solve limit {_SCAN_MAX}")
+    k = np.arange(k_hi + 1, dtype=np.int64)
+    ms, ks = [], []
+    for sign in (1, -1):
+        t = F.D * k * k + sign * 4 * n
+        s = np.rint(np.sqrt(np.maximum(t, 0))).astype(np.int64)
+        hit = (t >= 0) & (s * s == t)
+        kh, sh = k[hit], s[hit]
+        pos = sh > 0  # s = 0 gives one root, not two
+        ms += [(sh - kh) // 2, (-sh[pos] - kh[pos]) // 2]
+        ks += [kh, kh[pos]]
+    m, k = np.concatenate(ms), np.concatenate(ks)
+    y = m + k * F.omega
+    keep = _in_window(y, y * y, n, math.exp(F.log_eps))
+    gens = map(QuadInt, m[keep].tolist(), k[keep].tolist())
+    reps = [IdealRep(gen=g, norm_abs=n, theta=angle(F, g)) for g in gens]
+    return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
 
 
 def grossenchar(F: FieldParams, k: int, a: IdealRep) -> complex:
@@ -307,10 +294,10 @@ def grossenchar(F: FieldParams, k: int, a: IdealRep) -> complex:
     return cmath.exp(1j * math.pi * k * a.theta / F.log_eps)
 
 
-def lambda_k(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
+def lambda_k(F: FieldParams, k: int, n: int) -> float:
     """Dihedral Hecke eigenvalue: sum of Xi_k over ideals of norm n."""
     total = 0.0 + 0.0j
-    for a in elements_of_norm(F, n, nmax_hint):
+    for a in elements_of_norm(F, n):
         total += grossenchar(F, k, a)
     assert abs(total.imag) <= 1e-9 * max(1.0, abs(total.real)) + 1e-9
     return total.real
@@ -318,9 +305,13 @@ def lambda_k(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
 
 def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     """Dense numpy table [lambda_k(0) .. lambda_k(nmax)] of the index-k
-    dihedral Hecke eigenvalues (index 0 unused, 0.0)."""
-    norms, thetas = ideal_scan(F, nmax)
+    dihedral Hecke eigenvalues (index 0 unused, 0.0).
+
+    One np.add.at per `ideal_chunks` chunk: it adds into each bin in index
+    order, so each norm's terms are summed in row-major order, as over the
+    stably sorted `ideal_scan`, and the table is that sum bit for bit."""
     out = np.zeros(nmax + 1)
     # Xi_k(ideal) = exp(i pi k theta / log eps); the n-sums are real
-    np.add.at(out, norms, np.cos((math.pi * k / F.log_eps) * thetas))
+    for norms, thetas in ideal_chunks(F, nmax):
+        np.add.at(out, norms, np.cos((math.pi * k / F.log_eps) * thetas))
     return out

@@ -6,8 +6,8 @@ Each L-value on the variance path has one route: L(1, phi_m) is
 `_l_one_phi_bulk` (one Richardson-weighted pass over the chunked view
 `ideals.ideal_chunks` of the one ideal enumerator, every m at once),
 C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
-in bulk from `experiments.central_values_bulk`, which reads the sorted,
-cached view `ideals.ideal_scan`; the pointwise AFE sum and the
+in bulk from `experiments.central_values_bulk`, which reads the
+norm-sorted view `ideals.ideal_scan`; the pointwise AFE sum and the
 sorted-scan L(1, phi_m) sum are test oracles.
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
@@ -415,7 +415,7 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
         chi = kronecker_chi(F, p)
         term = -2.0 * th * rd * p**-1.5 + 2.0 * th * rd * chi * p**-2.5 + p**-5.0
         if p <= 500:
-            term += (3.0 * chi + h_fn(src, F, p * p, nmax_hint=1 << 12)) / p**3
+            term += (3.0 * chi + h_fn(src, F, p * p)) / p**3
         else:
             term += 3.0 * chi / p**3  # |h(p^2)| <= 6/p^{...}: negligible here
         log_prod += math.log1p(term)

@@ -25,8 +25,9 @@ def admitted_fields():
 
 @pytest.fixture
 def forbid_scans(monkeypatch):
-    """Every call of the ideal enumerator, `ideal_scan` or `ideal_chunks`,
-    fails, through whichever maassqv module namespace binds it."""
+    """Every call of a scan over all norms to a bound, `ideal_scan` or
+    `ideal_chunks`, fails, through whichever maassqv module namespace binds
+    it."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the ideals were enumerated")

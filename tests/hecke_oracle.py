@@ -34,13 +34,13 @@ def g_fn(src: HeckeSource, F: FieldParams, n: int) -> float:
     return v
 
 
-def mu_2k(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
+def mu_2k(F: FieldParams, k: int, n: int) -> float:
     """mu_2k(p) = -lambda_2k(p), mu_2k(p^2) = chi_D(p), zero on cubes."""
     assert n >= 1
     v = 1.0
     for p, b in factorint(n).items():
         if b == 1:
-            v *= -lambda_k(F, 2 * k, p, nmax_hint)
+            v *= -lambda_k(F, 2 * k, p)
         elif b == 2:
             v *= kronecker_chi(F, p)
         else:
@@ -48,7 +48,7 @@ def mu_2k(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
     return v
 
 
-def mu_2k_closed(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
+def mu_2k_closed(F: FieldParams, k: int, n: int) -> float:
     """Closed form: for n = r^2 s with s squarefree,
     chi_D(r) mu^2(r) mu(s) lambda_2k(s) when (r, s) = 1, else 0."""
     assert n >= 1
@@ -68,7 +68,7 @@ def mu_2k_closed(F: FieldParams, k: int, n: int, nmax_hint: int = 0) -> float:
                 sqfree_r = False
     if not sqfree_r:
         return 0.0
-    return kronecker_chi(F, r) * mob_s * lambda_k(F, 2 * k, s, nmax_hint)
+    return kronecker_chi(F, r) * mob_s * lambda_k(F, 2 * k, s)
 
 
 def satake_square(src: HeckeSource, F: FieldParams, k: int, p: int) -> float:

@@ -7,10 +7,18 @@ embeddings obey that bound, so the scan is exhaustive.  It is slow and
 independent of the numpy scan in maassqv.ideals, which is checked
 against it.
 
+`norm_oracle` finds the ideals of one norm n in the same box without a
+table: on each row it takes every integer root m of the norm form = +-n
+(exact, by math.isqrt) and deduplicates through canonical_generator, so
+it is independent of the window test that maassqv.ideals.elements_of_norm
+keeps its generator by.
+
 `rectangle_scan` is the numpy scan that maassqv.ideals.ideal_scan used
 before it enumerated only the admissible strips of each row: it tests
-every point of the bounding rectangle of (m, n)-coordinates, uncached.
-`ideal_scan` must match it bit for bit.
+every point of the bounding rectangle of (m, n)-coordinates.  `ideal_scan`
+must match it bit for bit.  `lambda_table_from_scan` sums the table of
+lambda_k in one np.add.at over the norm-sorted `ideal_scan`;
+`lambda_k_table`, which sums chunk by chunk, must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from maassqv.errors import ScanBoundExceeded
-from maassqv.ideals import _SCAN_MAX, IdealRep
+from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan
 from maassqv.quadfield import FieldParams, QuadInt, angle, canonical_generator
 
 
@@ -65,15 +73,33 @@ def oracle_elements(F: FieldParams, n: int, nmax: int) -> list[IdealRep]:
     return list(table.get(n, ()))
 
 
+def norm_oracle(F: FieldParams, n: int) -> list[IdealRep]:
+    """The canonical ideals of norm n, sorted as elements_of_norm sorts them:
+    every element of norm +-n whose embeddings are both at most
+    sqrt(n)*eps, mapped to its canonical generator."""
+    B = math.sqrt(n) * math.exp(F.log_eps) + 1e-9
+    kmax = int((2 * B) / F.sqrtD) + 2
+    gens = set()
+    for k in range(-kmax, kmax + 1):
+        for sign in (1, -1):
+            t = F.D * k * k + sign * 4 * n
+            s = math.isqrt(t) if t >= 0 else -1
+            if s * s != t:
+                continue
+            for m in {(-k + s) // 2, (-k - s) // 2}:
+                gens.add(canonical_generator(F, QuadInt(m, k)))
+    reps = [IdealRep(gen=g, norm_abs=n, theta=angle(F, g)) for g in gens]
+    return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
+
+
 def rectangle_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax, from
     a masked scan of the whole rectangle |n| <= n_hi, 0 <= y < width."""
-    bound = 1 << max(nmax - 1, 1).bit_length()
     eps_val = math.exp(F.log_eps)
-    B = math.sqrt(bound) * eps_val * (1.0 + 1e-12)
+    B = math.sqrt(nmax) * eps_val * (1.0 + 1e-12)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    n_hi = int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+    n_hi = int((eps_val + 1.0) * math.sqrt(nmax) / F.sqrtD) + 2
 
     norm_parts: list[np.ndarray] = []
     theta_parts: list[np.ndarray] = []
@@ -91,7 +117,7 @@ def rectangle_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         ok = (
             (y > 0.0)
             & (aq >= 1)
-            & (aq <= bound)
+            & (aq <= nmax)
             & (y2 >= aq * (1.0 - 1e-9))
             & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
         )
@@ -101,6 +127,13 @@ def rectangle_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     norms = np.concatenate(norm_parts) if norm_parts else np.empty(0, np.int64)
     thetas = np.concatenate(theta_parts) if theta_parts else np.empty(0, np.float64)
     order = np.argsort(norms, kind="stable")
-    norms, thetas = norms[order], thetas[order]
-    cut = int(np.searchsorted(norms, nmax, side="right"))
-    return norms[:cut], thetas[:cut]
+    return norms[order], thetas[order]
+
+
+def lambda_table_from_scan(F: FieldParams, k: int, nmax: int) -> np.ndarray:
+    """[lambda_k(0) .. lambda_k(nmax)] by one np.add.at over the norm-sorted
+    ideal scan."""
+    norms, thetas = ideal_scan(F, nmax)
+    out = np.zeros(nmax + 1)
+    np.add.at(out, norms, np.cos((math.pi * k / F.log_eps) * thetas))
+    return out

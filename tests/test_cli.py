@@ -12,7 +12,6 @@ from maassqv.cli import (
     cmd_verify_appendixb,
     main,
 )
-from maassqv.errors import TruncationInsufficient
 from maassqv.ideals import lambda_k
 from maassqv.quadfield import make_field
 
@@ -29,7 +28,7 @@ def test_lambda_table_csv_has_plain_floats(tmp_path):
     for row in rows:
         k, n = int(row["k"]), int(row["n"])
         value = float(row["lambda_k_n"])  # a plain float repr, not np.float64(...)
-        assert value == pytest.approx(lambda_k(F, k, n, nmax_hint=60), abs=1e-12)
+        assert value == pytest.approx(lambda_k(F, k, n), abs=1e-12)
 
 
 def test_lambda_table_out_not_overwritten_by_report(tmp_path):
@@ -45,6 +44,20 @@ def test_lambda_table_out_not_overwritten_by_report(tmp_path):
 def test_threads_flag_removed():
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["--threads", "2", "field-info", "--D", "21"])
+
+
+def test_config_flag_removed(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"D": 21}')
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["--config", str(config), "field-info"])
+
+
+def test_required_flag_missing_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["field-info"])
+    assert exc.value.code == 2
+    assert "--D" in capsys.readouterr().err
 
 
 def test_field_info_times_its_computation(monkeypatch):
@@ -70,7 +83,25 @@ def test_verify_appendixb_residue_check_can_fail(monkeypatch):
     assert not reports["eisenstein_residue_closed_form"].passed
 
 
-def test_nonsplit_ymax_below_ladder_floor_rejected():
+def test_nonsplit_ymax_below_ladder_floor_rejected(capsys):
     # the Y ladder starts at 1e4, so --Ymax 5000 leaves no Y to check
-    with pytest.raises(TruncationInsufficient, match="1e4"):
-        main(["nonsplit", "--Ymax", "5000"])
+    assert main(["nonsplit", "--Ymax", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maassqv: TruncationInsufficient: ")
+    assert "1e4" in err and err.count("\n") == 1
+
+
+def test_nonsplit_zero_leading_coefficient_rejected(capsys):
+    assert main(["nonsplit", "--a", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "maassqv: HypothesisViolated: need a > 0 (negate the polynomial if needed)\n"
+
+
+def test_untyped_errors_keep_their_traceback(monkeypatch):
+    # only MaassqvError becomes a one-line message; a bug still raises
+    def broken(args):
+        raise ZeroDivisionError("not a package error")
+
+    monkeypatch.setitem(cli._COMMANDS, "field-info", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["field-info", "--D", "21"])

@@ -206,7 +206,7 @@ def test_mu_table_matches_pointwise(admitted_fields):
         for k in (3, 20):
             mu = mu_2k_table(Fd, k, 600)
             for n in range(1, 601):
-                want = mu_2k(Fd, k, n, nmax_hint=601)
+                want = mu_2k(Fd, k, n)
                 assert mu[n] == pytest.approx(want, abs=1e-12), (Fd.D, k, n)
 
 

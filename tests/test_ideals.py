@@ -7,11 +7,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_oracle import oracle_elements, rectangle_scan
+from ideal_oracle import lambda_table_from_scan, norm_oracle, oracle_elements, rectangle_scan
 from maassqv import ideals
 from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded
 from maassqv.experiments import first_moment
-from maassqv.hecke import make_source
+from maassqv.hecke import h_fn, make_source, primes_upto
 from maassqv.ideals import (
     elements_of_norm,
     grossenchar,
@@ -68,28 +68,35 @@ def test_elements_of_norm_basic(F21):
 
 def test_enumeration_count_equals_divisor_sum(F21):
     for n in range(1, 2001):
-        assert len(elements_of_norm(F21, n, nmax_hint=2000)) == r_D(F21, n), n
+        assert len(elements_of_norm(F21, n)) == r_D(F21, n), n
 
 
 @pytest.mark.parametrize(
     "D, log2_nmax", [(21, 16), (33, 12), (57, 8), (69, 12), (77, 12), (93, 12)]
 )
 def test_elements_of_norm_matches_oracle(D, log2_nmax):
+    # every norm up to nmax, and the p^2 (p < 500) that lfun.constants asks for
     F = make_field(D)
     nmax = 1 << log2_nmax
-    for n in range(1, nmax + 1):
-        got = elements_of_norm(F, n, nmax)
-        want = oracle_elements(F, n, nmax)
+    cases = [(n, oracle_elements(F, n, nmax)) for n in range(1, nmax + 1)]
+    cases += [(p * p, norm_oracle(F, p * p)) for p in primes_upto(499).tolist()]
+    for n, want in cases:
+        got = elements_of_norm(F, n)
         assert [r.gen for r in got] == [r.gen for r in want], n
         assert all(r.norm_abs == n for r in got), n
         for a, b in zip(got, want):
             assert abs(a.theta - b.theta) <= 1e-12, (n, a, b)
 
 
+def test_norm_oracle_matches_table_oracle(F21):
+    for n in range(1, 1001):
+        assert norm_oracle(F21, n) == oracle_elements(F21, n, 1000), n
+
+
 @pytest.mark.parametrize(
     "D, log2_cap", [(21, 18), (33, 14), (57, 11), (69, 14), (77, 14), (93, 14)]
 )
-def test_ideal_scan_matches_rectangle_oracle(D, log2_cap, monkeypatch):
+def test_ideal_scan_matches_rectangle_oracle(D, log2_cap):
     F = make_field(D)
     cap = 1 << log2_cap
     # the oracle's stable sort keeps row-major order within a norm, so its
@@ -97,7 +104,6 @@ def test_ideal_scan_matches_rectangle_oracle(D, log2_cap, monkeypatch):
     all_norms, all_thetas = rectangle_scan(F, cap)
     bounds = [1 << e for e in range(1, log2_cap + 1)] + [3, 10, 1000, 12345]
     for nmax in sorted(b for b in bounds if b <= cap):
-        monkeypatch.setattr(ideals, "_SCAN_CACHE", {})  # a fresh build each time
         norms, thetas = ideals.ideal_scan(F, nmax)
         cut = int(np.searchsorted(all_norms, nmax, side="right"))
         assert np.array_equal(norms, all_norms[:cut]), nmax
@@ -108,9 +114,8 @@ def test_ideal_scan_matches_rectangle_oracle(D, log2_cap, monkeypatch):
 @pytest.mark.parametrize("bound", [1000, 123457])
 def test_ideal_chunks_sorted_union_is_the_scan(D, bound, monkeypatch):
     # the chunks stop at the bound itself; small chunks split rows across
-    # chunk ends, and their union, stably sorted, is the cached scan
+    # chunk ends, and their union, stably sorted, is the scan
     F = make_field(D)
-    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
     want_norms, want_thetas = ideals.ideal_scan(F, bound)
     monkeypatch.setattr(ideals, "_SCAN_CHUNK", 1 << 10)
     chunks = list(ideals.ideal_chunks(F, bound))
@@ -123,39 +128,42 @@ def test_ideal_chunks_sorted_union_is_the_scan(D, bound, monkeypatch):
     assert np.array_equal(thetas[order].view(np.int64), want_thetas.view(np.int64))
 
 
-def test_ideal_scan_cache_is_read_only(F21, monkeypatch):
-    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
-    norms, thetas = ideals.ideal_scan(F21, 1024)  # the cached arrays themselves
-    cut_norms, cut_thetas = ideals.ideal_scan(F21, 999)
-    for arr in (norms, thetas, cut_norms, cut_thetas):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+@pytest.mark.parametrize("D", [21, 33, 57])
+@pytest.mark.parametrize("k", [0, 3, 40])
+def test_lambda_k_table_matches_sorted_scan_oracle(D, k, monkeypatch):
+    # summed chunk by chunk, small chunks included, the table is the sum
+    # over the norm-sorted scan bit for bit
+    F = make_field(D)
+    wants = {nmax: lambda_table_from_scan(F, k, nmax) for nmax in (1, 999, 4096, 30001)}
+    for chunk in (ideals._SCAN_CHUNK, 1 << 10):
+        monkeypatch.setattr(ideals, "_SCAN_CHUNK", chunk)
+        for nmax, want in wants.items():
+            got = lambda_k_table(F, k, nmax)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (chunk, nmax)
 
 
-def test_elements_of_norm_raises_on_unrecoverable_scan(F21, monkeypatch):
-    # norm 5 has no generator at these angles: recovery must not guess
-    fake = (8, np.array([5, 5]), np.array([0.123, 0.456]))
-    monkeypatch.setitem(ideals._SCAN_CACHE, F21.D, fake)
-    with pytest.raises(RuntimeError):
-        elements_of_norm(F21, 5)
+def test_elements_of_norm_scan_limit(F21):
+    # the limit is on n itself: 10^7 is solved row by row, 10^7 + 1 refused
+    assert len(elements_of_norm(F21, 10**7)) == r_D(F21, 10**7)
+    with pytest.raises(ScanBoundExceeded):
+        elements_of_norm(F21, 10**7 + 1)
 
 
-def test_elements_of_norm_scan_limit(F21, monkeypatch):
-    # the requested bound is held against the limit, not its power-of-two
-    # rounding (9e6 rounds to 2^24 > 10^7); the stub scan enumerates nothing
-    asked = []
+def test_elements_of_norm_refuses_inexact_square_test():
+    # D = 129 has eps ~ 3.4e4: at n = 10^7 the last row puts D k^2 + 4n
+    # past 2^53, where the float square root no longer decides squares
+    F = make_field(129)
+    assert elements_of_norm(F, 5) == norm_oracle(F, 5)
+    with pytest.raises(ScanBoundExceeded):
+        elements_of_norm(F, 10**7)
 
-    def empty_scan(F, nmax):
-        asked.append(nmax)
-        return np.zeros(0, np.int64), np.zeros(0)
 
-    monkeypatch.setattr(ideals, "ideal_scan", empty_scan)
-    assert elements_of_norm(F21, 9_000_000) == []
-    assert elements_of_norm(F21, 5, nmax_hint=10**7) == []
-    for n, hint in ((10**7 + 1, 0), (5, 10**7 + 1)):
-        with pytest.raises(ScanBoundExceeded):
-            elements_of_norm(F21, n, nmax_hint=hint)
-    assert asked == [9_000_000, 10**7]
+def test_per_norm_values_build_no_scan(F21, forbid_scans):
+    src = make_source(synthetic=42, D=21)
+    for n in (1, 5, 105, 441, 499**2):
+        assert len(elements_of_norm(F21, n)) == r_D(F21, n)
+        assert lambda_k(F21, 0, n) == pytest.approx(r_D(F21, n), abs=1e-10)
+        assert math.isfinite(h_fn(src, F21, n))
 
 
 def test_reps_are_canonical(F21):
@@ -186,7 +194,7 @@ def test_lambda_k_basics(F21):
 
 def test_lambda_0_is_divisor_sum(F21):
     for n in range(1, 501):
-        assert lambda_k(F21, 0, n, nmax_hint=500) == pytest.approx(
+        assert lambda_k(F21, 0, n) == pytest.approx(
             r_D(F21, n), abs=1e-10
         )
 
@@ -199,7 +207,7 @@ def test_lambda_reality(F21):
         for n in range(1, 500):
             tot = sum(
                 cmath.exp(1j * math.pi * k * a.theta / F21.log_eps)
-                for a in elements_of_norm(F21, n, nmax_hint=500)
+                for a in elements_of_norm(F21, n)
             )
             assert abs(complex(tot).imag) <= 1e-12
 
@@ -221,7 +229,7 @@ def test_hecke_relation(F21):
 def test_lambda_table_matches_pointwise(F21):
     tab = lambda_k_table(F21, 3, 300)
     for n in (1, 2, 5, 25, 105, 300):
-        assert tab[n] == pytest.approx(lambda_k(F21, 3, n, nmax_hint=300), abs=1e-12)
+        assert tab[n] == pytest.approx(lambda_k(F21, 3, n), abs=1e-12)
 
 
 def _allocation_reached(*args, **kwargs):
@@ -229,13 +237,13 @@ def _allocation_reached(*args, **kwargs):
 
 
 def test_scan_guard_refuses_before_allocating(F21, monkeypatch):
-    # K = 2000 needs norms to ~6.2e9, a scan of about 219 GiB at 2^33; the
-    # guard must fire on the estimate alone, before _row_intervals allocates
-    monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
+    # K = 2000 sums k up to about 2K, so norms to 4 (2K)^2 D^1.5 ~ 6.2e9: a
+    # scan of about 157 GiB.  The guard must fire on the estimate alone,
+    # before _row_intervals allocates
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     with pytest.raises(ScanBoundExceeded):
         first_moment(F21, make_source(synthetic=42, D=21), 2000)
-    assert ideals._scan_bytes(F21, 1 << 33) > 100 * 2**30
+    assert ideals._scan_bytes(F21, int(4 * 4000**2 * 21**1.5)) > 100 * 2**30
 
 
 @pytest.mark.parametrize("log2_bound", [24, 26])
@@ -244,7 +252,6 @@ def test_scan_guard_admits_desk_bounds(admitted_fields, monkeypatch, log2_bound)
     # the build gets past the guard to its first allocation
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     for F in admitted_fields:
-        monkeypatch.setattr(ideals, "_SCAN_CACHE", {})
         assert ideals._scan_bytes(F, 1 << log2_bound) <= ALLOC_BYTES_MAX
         with pytest.raises(AssertionError, match="reached its allocations"):
             ideals.ideal_scan(F, 1 << log2_bound)

@@ -1,12 +1,14 @@
 """Every name a module of maassqv imports is used in that module, every
-function or class it defines is named somewhere else, and every parameter
-of its functions is read.
+function or class it defines is named somewhere else, every parameter
+of its functions is read, and no module keeps a hand-rolled memo.
 
 Deleting a function tends to leave its imports and its private helpers
 behind, and deleting a setting tends to leave a parameter that nothing
 reads; this finds them with the standard-library parser.  `__init__.py`
 is exempt from the import check: its imports are the package's
-re-exports."""
+re-exports.  The package has one cache mechanism, `functools.cache` on
+value arguments, so a module-level name bound to an empty container is
+flagged."""
 
 import ast
 import re
@@ -117,3 +119,57 @@ def test_unused_parameter_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def module_memos(source: str) -> list[str]:
+    """The module-level names of source bound to an empty {}, [], set() or
+    dict(), the shape of a hand-rolled memo."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("set", "dict")
+                and not value.args
+                and not value.keywords
+            )
+        )
+        if empty:
+            out += [f"{t.id} (line {node.lineno})" for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_module_memo_detector():
+    source = (
+        "_SCAN_CACHE: dict[int, tuple] = {}\n"
+        "_seen = []\n"
+        "_PRIMES = set()\n"
+        "_MEMO = dict()\n"
+        "_TABLE = {1: 2}\n"
+        "_NAMES = ['a']\n"
+        "_BOUND: int\n"
+        "def f():\n"
+        "    local = {}\n"
+        "    return local\n"
+    )
+    assert module_memos(source) == [
+        "_SCAN_CACHE (line 1)",
+        "_seen (line 2)",
+        "_PRIMES (line 3)",
+        "_MEMO (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_memos(path):
+    assert module_memos(path.read_text()) == []
