@@ -12,6 +12,12 @@ L(1, phi_2k)^2: Q^h sums them as they are, and only the unweighted Q and
 the expected value divide by the bulk L(1, phi_2k) of
 `lfun._l_one_phi_bulk`.  Tables and primes come from `hecke`'s fill and
 sieve.
+
+The central values L(1/2, psi x phi_2k) of every k come from one pass over
+the norm-sorted ideal scan in chunks of `_CV_CHUNK` ideals: chunks outside,
+k inside, with e^{ik phi} rotated by one complex multiply per k and
+re-seeded from np.exp every `lfun._RESEED` k, so temporaries are the size
+of a chunk and no k recomputes a cosine over its whole cut.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .halfint import QuadPoly, nonsplit_sum
 from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import ideal_scan, kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
 from .lfun import (
+    _RESEED,
     _l_one_phi_bulk,
     afe_weight_many,
     c_d_psi,
@@ -223,6 +230,9 @@ def diagonal_check(
 # Bulk central values L(1/2, psi x phi_2k) over a dyadic range of k.
 
 
+_CV_CHUNK = 1 << 16  # ideals per chunk of the central-value loop
+
+
 @functools.cache
 def central_values_bulk(
     src: HeckeSource,
@@ -236,6 +246,19 @@ def central_values_bulk(
     completes the conjugation-fixed (coherent) part of the tail -- the
     ideals (m), p_1(m), p_2(m), (sqrt D)(m), whose Grossencharacter value
     is identically 1 -- so only mean-zero oscillating terms are dropped.
+
+    The series runs over the norm-sorted `ideal_scan` in chunks of
+    `_CV_CHUNK` ideals, with the chunks outside and k inside.  Each chunk
+    forms log n, lambda_psi(n)/sqrt(n) and e^{i phi}, phi = 2 pi theta/log
+    eps, once; the k whose cut n <= n_k reaches into the chunk then run in
+    ascending order, e^{i k phi} advancing by one complex multiply per k and
+    re-seeded from np.exp at the chunk's first k and every `lfun._RESEED`
+    k after it.  W comes from np.interp at log n - 2 log k, each k's chunk
+    term is an np.sum, and the chunk terms are added in chunk order.
+    Temporaries are the size of a chunk.  Against one np.cos per k over the
+    whole cut (`tests/lfun_oracle.central_values_per_k`) the values differ
+    by the rounding of the re-associated sums: at most 4e-12 of max_k |L_k|
+    at D = 21, K <= 100.
     The returned array is read-only."""
     out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
@@ -245,9 +268,6 @@ def central_values_bulk(
     n_max = int(mult * k_hi * k_hi * F.D**1.5)
     norms, thetas = ideal_scan(F, n_max)
     lpsi = lambda_psi_table(src, n_max)
-    pref = lpsi[norms] / np.sqrt(norms.astype(np.float64))
-    del lpsi
-    phase_unit = thetas * (2.0 * math.pi / F.log_eps)  # k=1 phase per ideal
 
     # coherent completion data: lambda_psi(a m^2)/sqrt(a m^2) for the four
     # conjugation-fixed families a in {1, p1, p2, D}
@@ -262,24 +282,47 @@ def central_values_bulk(
         m[0] = 1.0
         fam[a] = tab / (math.sqrt(a) * m)
 
-    for k in range(k_lo, k_hi + 1):
-        n_k = int(mult * k * k * F.D**1.5)
-        cut = int(np.searchsorted(norms, n_k, side="right"))
-        grid = np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400)
-        wgrid = afe_weight_many(grid, F, k, src.t_psi)
-        wv = np.interp(np.log(norms[:cut] / (k * k)), np.log(grid), wgrid)
-        half = float(np.sum(pref[:cut] * np.cos(k * phase_unit[:cut]) * wv))
+    ks = range(k_lo, k_hi + 1)
+    n_ks = [int(mult * k * k * F.D**1.5) for k in ks]
+    cuts = np.searchsorted(norms, n_ks, side="right").tolist()  # ascending in k
+    grids = [np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400) for k in ks]
+    log_grids = [np.log(grid) for grid in grids]
+    wgrids = [afe_weight_many(grid, F, k, src.t_psi) for grid, k in zip(grids, ks)]
+    two_log_k = [2.0 * math.log(k) for k in ks]
+
+    half = [0.0] * len(ks)
+    first = 0  # the first k whose cut reaches past the chunk start
+    for c0 in range(0, cuts[-1], _CV_CHUNK):
+        while cuts[first] <= c0:
+            first += 1
+        c1 = min(c0 + _CV_CHUNK, cuts[-1])
+        n = norms[c0:c1].astype(np.float64)
+        logn = np.log(n)
+        pref = lpsi[norms[c0:c1]] / np.sqrt(n)
+        phase = thetas[c0:c1] * (2.0 * math.pi / F.log_eps)
+        unit = np.exp(1j * phase)
+        for j in range(first, len(ks)):
+            k = ks[j]
+            if (j - first) % _RESEED == 0:
+                rot = np.exp(1j * (k * phase))
+            else:
+                rot *= unit
+            size = min(cuts[j], c1) - c0
+            wv = np.interp(logn[:size] - two_log_k[j], log_grids[j], wgrids[j])
+            half[j] += float(np.sum(pref[:size] * rot.real[:size] * wv))
+
+    for j, k in enumerate(ks):
         # coherent tail: a m^2 > n_k, W still non-negligible
         tail = 0.0
         for a, coef in fam.items():
-            m0 = int(math.isqrt(n_k // a)) + 1
+            m0 = int(math.isqrt(n_ks[j] // a)) + 1
             m1 = min(m_hi, int(math.sqrt(xi_tail_max / a) * k) + 1)
             if m1 >= m0:
                 ms = np.arange(m0, m1 + 1)
                 xis = a * ms.astype(np.float64) ** 2 / (k * k)
-                wt = np.interp(np.log(xis), np.log(grid), wgrid)
+                wt = np.interp(np.log(xis), log_grids[j], wgrids[j])
                 tail += float(np.sum(coef[m0 : m1 + 1] * wt))
-        out[k - k_lo] = 2.0 * (half + tail)
+        out[j] = 2.0 * (half[j] + tail)
     out.setflags(write=False)
     return out
 

@@ -7,6 +7,9 @@ Sources are either table-backed (one lambda_psi(p) per prime, extended by
 the Hecke recursion) or synthetic: lambda_psi(p) = 2 cos(theta_p) with
 theta_p uniform in [0, pi] for p not dividing D, and lambda_psi(p) =
 +-p^{-1/2} with lambda(p^b) = lambda(p)^b at the two ramified primes.
+`HeckeSource.lambda_p_array` draws the synthetic values of a whole array
+of primes in one batch (one sha256 digest per prime, then one vectorised
+map); `lambda_p` and `lambda_pp_array` read it, so the draw is written once.
 
 The package's one prime sieve, `primes_upto`, and one dense multiplicative
 fill, `multiplicative_fill`, live here; every arithmetic table is a fill.
@@ -45,8 +48,8 @@ class HeckeSource:
     """A Hecke eigenvalue source, compared and hashed by value: the spectral
     data, the seed, and for a table-backed source a digest of its table.
     prime_values holds the table (a synthetic source leaves it empty and
-    draws each lambda_psi(p) afresh from its seed); it takes no part in the
-    comparison."""
+    draws lambda_psi(p) afresh from its seed, a batch of primes at a time);
+    it takes no part in the comparison."""
 
     level: int  # = D
     t_psi: float
@@ -63,11 +66,31 @@ class HeckeSource:
             object.__setattr__(self, "_table_digest", digest)
 
     def lambda_p(self, p: int) -> float:
-        if p in self.prime_values:
-            return self.prime_values[p]
+        return float(self.lambda_p_array(np.array([p], dtype=np.int64))[0])
+
+    def lambda_p_array(self, primes: np.ndarray) -> np.ndarray:
+        """lambda_psi(p) for an array of primes, in one batch.
+
+        A table-backed source reads its table and raises MissingPrime past
+        its end.  A synthetic source draws every prime at once: u(p) is the
+        first 8 bytes of sha256(b"<seed>:<p>"), big-endian, over 2^64, and
+        lambda_psi(p) is 2 cos(pi u) for p not dividing D and
+        +-p^{-1/2} (+ when u < 1/2) at the ramified primes.  This is the one
+        hash-to-lambda map; `lambda_p` reads it for a single prime."""
+        plist = primes.tolist()
         if self.seed is None:
-            raise MissingPrime(f"p={p} beyond table range")
-        return _synthetic_lambda_p(self.seed, self.level, p)
+            try:
+                return np.array([self.prime_values[p] for p in plist], dtype=np.float64)
+            except KeyError as exc:
+                raise MissingPrime(f"p={exc.args[0]} beyond table range") from None
+        seed, sha = self.seed, hashlib.sha256
+        raw = b"".join([sha(b"%d:%d" % (seed, p)).digest()[:8] for p in plist])
+        u = np.frombuffer(raw, dtype=">u8") / 2.0**64  # uniform [0, 1)
+        out = 2.0 * np.cos(np.pi * u)
+        ram = self.level % primes == 0
+        if ram.any():
+            out[ram] = np.where(u[ram] < 0.5, 1.0, -1.0) / np.sqrt(primes[ram])
+        return out
 
     def lambda_pp(self, p: int, b: int) -> float:
         """lambda_psi(p^b) by the Hecke recursion (ramified: power model)."""
@@ -88,21 +111,13 @@ class HeckeSource:
         recursion and ramified power model of `lambda_pp` run elementwise on
         the lambda_psi(p) values, so each value equals lambda_pp(p, b) bit
         for bit."""
-        lp = np.array([self.lambda_p(p) for p in primes.tolist()], dtype=np.float64)
+        lp = self.lambda_p_array(primes)
         prev2, prev1 = np.ones_like(lp), lp
         for _ in range(b - 1):
             prev2, prev1 = prev1, lp * prev1 - prev2
         for i in np.flatnonzero(self.level % primes == 0).tolist():
             prev1[i] = float(lp[i]) ** b
         return prev1
-
-
-def _synthetic_lambda_p(seed: int, D: int, p: int) -> float:
-    h = hashlib.sha256(f"{seed}:{p}".encode()).digest()
-    u = int.from_bytes(h[:8], "big") / 2**64  # uniform [0,1)
-    if D % p == 0:
-        return (1.0 if u < 0.5 else -1.0) / math.sqrt(p)
-    return 2.0 * math.cos(math.pi * u)
 
 
 def primes_upto(n: int) -> np.ndarray:

@@ -105,8 +105,38 @@ def _scan_bytes(F: FieldParams, bound: int) -> float:
     sqrt(D) in the (y, ybar) plane, of the region |y ybar| <= bound,
     1 <= y/|ybar| < eps^2, whose area is 2 log(eps) bound.  Each costs 16
     bytes in the norm and angle buffers, 8 in the sort order and 16 in the
-    sorted copies."""
+    sorted copies.  The per-row arrays come on top (`_check_scan`)."""
     return 40.0 * 2.0 * F.log_eps / F.sqrtD * bound
+
+
+_ROW_BYTES = 128  # peak bytes per row of _row_intervals and _candidate_pieces
+
+
+def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
+    """Raise ScanBoundExceeded before a scan to `bound` allocates anything:
+    when `kept_bytes` plus the per-row arrays of `_row_intervals` and
+    `_candidate_pieces` (about 16 float or int64 values on each of the
+    `_last_row` + 1 rows) pass 8 GiB, or when the int64 norm form
+    m^2 + m n + omega_norm n^2 of `ideal_chunks` could pass 2^63.
+
+    The rows grow like eps sqrt(bound)/sqrt(D), so on fields with large
+    units they, not the ideals, set the size.  A tested m is y - n omega
+    with -3 <= y <= (n sqrt(D) + sqrt(bound))(1 + 1e-6) + 3, the widened
+    ends of `_row_intervals`, so |m| <= (n omega + sqrt(bound))(1 + 1e-6) + 3
+    bounds every term of the form."""
+    rows = _last_row(F, bound) + 1
+    need = kept_bytes + _ROW_BYTES * rows
+    if need > ALLOC_BYTES_MAX:
+        raise ScanBoundExceeded(
+            f"ideal scan to norm {bound} needs about {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
+    m_abs = (rows * F.omega + math.sqrt(bound)) * (1.0 + 1e-6) + 3.0
+    if m_abs * m_abs + m_abs * rows + abs(F.omega_norm) * rows * rows >= 2.0**63:
+        raise ScanBoundExceeded(
+            f"ideal scan to norm {bound} leaves int64: |m| reaches {m_abs:.3g} "
+            f"on {rows} rows"
+        )
 
 
 def _last_row(F: FieldParams, bound: int) -> int:
@@ -177,15 +207,10 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     The stable sort keeps the row-major order of the chunks within a norm,
     so the result is that of a scan of the whole bounding rectangle bit for
     bit, and a scan to a larger bound cut at nmax is this scan.  A scan
-    whose `_scan_bytes` estimate exceeds 8 GiB raises ScanBoundExceeded
-    before anything is allocated.
+    whose kept ideals (`_scan_bytes`) and rows together are estimated above
+    8 GiB raises ScanBoundExceeded before anything is allocated.
     """
-    need = _scan_bytes(F, nmax)
-    if need > ALLOC_BYTES_MAX:
-        raise ScanBoundExceeded(
-            f"ideal scan to norm {nmax} needs about {need / 2**30:.1f} GiB, "
-            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
-        )
+    _check_scan(F, nmax, _scan_bytes(F, nmax))
     # kept points go straight into buffers sized by the candidate count, an
     # upper bound: chunk parts freed after a concatenate would stay resident
     # in the C heap and raise the build peak.  ideal_chunks recomputes the
@@ -211,7 +236,10 @@ def _candidate_pieces(
     """(starts, counts, rows, ends) of the m-intervals a scan to `bound`
     tests, per row the lower piece and then the upper one: interval i holds
     m = starts[i] .. starts[i] + counts[i] - 1 on row rows[i], and ends is
-    the running total of counts.  The rows number O(sqrt(bound))."""
+    the running total of counts.  The rows number O(eps sqrt(bound)/sqrt(D));
+    a scan whose rows `_check_scan` refuses raises ScanBoundExceeded here,
+    before they are allocated, for `ideal_chunks` and `ideal_scan` alike."""
+    _check_scan(F, bound, 0.0)
     eps_val = math.exp(F.log_eps)
     rows = np.arange(0, _last_row(F, bound) + 1, dtype=np.int64)
     lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, bound)

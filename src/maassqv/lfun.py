@@ -13,7 +13,11 @@ sorted-scan L(1, phi_m) sum are test oracles.
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
-the nodes of `_afe_line`, and summed by `_contour_sum`.
+the nodes of `_afe_line`, and summed by `_contour_sum`.  The line
+L(2w + 1, chi_D) of W steps n^{-it} from node to node by one complex
+multiply, and `_l_one_phi_bulk` steps cos(m x) by a three-term recurrence;
+both re-seed from np.exp or np.cos every `_RESEED` steps, the constant the
+per-k rotation of `experiments.central_values_bulk` reads too.
 log Gamma is `scipy.special.loggamma`, vectorized over the contour nodes.
 Reused values (contour nodes, the L(s, chi_D) line, L-values) are memoized by
 `functools.cache` on value arguments; cached arrays are read-only.
@@ -117,6 +121,7 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
 
 _AFE_IM_CUTOFF = 8.0
 _AFE_STEP = 0.05
+_RESEED = 32  # recurrence or rotation steps between re-seeds from np.cos/np.exp
 
 
 def _afe_line(c: float) -> np.ndarray:
@@ -134,19 +139,24 @@ def _dirichlet_l_line(F: FieldParams, c: float = 1.0) -> np.ndarray:
     c: 40,000 terms, tail << |2w + 1| D / 40000^2 by partial summation.  It
     does not depend on k, so one cached line serves every AFE weight at
     (F, c).  The nodes share one real part sigma, so chi_D(n) n^{-sigma} is
-    formed once and each node needs only cos and sin of its -t log n; the
-    terms are summed as one complex array, in the order of the
-    complex-exponential sum."""
+    formed once.  They are equally spaced in t = Im(2w + 1), so n^{-it}
+    advances from node to node by one complex multiply with n^{-i dt},
+    re-seeded from np.exp at the first node and every `_RESEED` nodes after
+    it; each node's terms are summed as one complex array, in the order of
+    the complex-exponential sum."""
     n = np.arange(1, 40001)
     logn = np.log(n)
     s_nodes = 2.0 * _afe_line(c) + 1.0
     coef = kronecker_residues(F)[n % F.D] * np.exp(-s_nodes[0].real * logn)
+    step = np.exp(-2j * _AFE_STEP * logn)
     terms = np.empty(n.size, dtype=np.complex128)
     out = np.empty(s_nodes.size, dtype=np.complex128)
     for i, t in enumerate(s_nodes.imag.tolist()):
-        phase = -t * logn
-        np.multiply(coef, np.cos(phase), out=terms.real)
-        np.multiply(coef, np.sin(phase), out=terms.imag)
+        if i % _RESEED == 0:
+            rot = np.exp(-1j * t * logn)
+        else:
+            rot *= step
+        np.multiply(rot, coef, out=terms)
         out[i] = np.sum(terms)
     out.setflags(write=False)
     return out
@@ -259,9 +269,6 @@ def dirichlet_l_one(F: FieldParams) -> float:
     b2 = (a / F.D) ** 2 - (a / F.D) + 1.0 / 6.0
     l_minus1 = -0.5 * F.D * float(np.sum(chi[a % F.D] * b2))
     return S - 0.5 * l_minus1 / X**2
-
-
-_RESEED = 32  # cos(m x) recurrence steps between np.cos re-seeds
 
 
 @functools.cache

@@ -3,15 +3,29 @@ use: the sieve weight g, the short Moebius-type mu_2k (by prime powers and
 in closed form) and the second Rankin-Selberg Satake coefficient.  Each is
 evaluated one n at a time through sympy's factorint; `mu_2k` is the
 reference that `maassqv.experiments.mu_2k_table` is checked against.
+`synthetic_lambda_p` is the synthetic draw of lambda_psi(p) one prime at a
+time, the reference for the batched `HeckeSource.lambda_p_array`.
 """
 
 from __future__ import annotations
+
+import hashlib
+import math
 
 from sympy import factorint
 
 from maassqv.hecke import HeckeSource, h_fn
 from maassqv.ideals import kronecker_chi, lambda_k
 from maassqv.quadfield import FieldParams
+
+
+def synthetic_lambda_p(seed: int, D: int, p: int) -> float:
+    """lambda_psi(p) of the synthetic source with this seed and level D."""
+    h = hashlib.sha256(f"{seed}:{p}".encode()).digest()
+    u = int.from_bytes(h[:8], "big") / 2**64  # uniform [0,1)
+    if D % p == 0:
+        return (1.0 if u < 0.5 else -1.0) / math.sqrt(p)
+    return 2.0 * math.cos(math.pi * u)
 
 
 def g_fn(src: HeckeSource, F: FieldParams, n: int) -> float:

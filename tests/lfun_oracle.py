@@ -7,10 +7,12 @@ L(2w + 2s, chi_D) contour line summed with one complex exponential per
 term and node.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
 approximate functional equation, the reference for
 `experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
-bound on the weight W.  `l_one_phi_dense` is L(1, phi_m) from the dense
-lambda_m table, and `l_one_phi_sorted_scan` the same Richardson-weighted
-sum over the norm-sorted ideal scan with one np.cos per m, the two
-references for `lfun._l_one_phi_bulk`."""
+bound on the weight W.  `central_values_per_k` is the bulk engine's sum
+with k outside: one np.cos over the whole cut per k, the reference for
+its chunk-outer loop and rotated e^{ik phi}.  `l_one_phi_dense` is
+L(1, phi_m) from the dense lambda_m table, and `l_one_phi_sorted_scan`
+the same Richardson-weighted sum over the norm-sorted ideal scan with one
+np.cos per m, the two references for `lfun._l_one_phi_bulk`."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from scipy.special import loggamma
 from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import ideal_scan, kronecker_residues, lambda_k_table
-from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table
+from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table, lambda_square_table
 from maassqv.quadfield import FieldParams
 
 
@@ -90,6 +92,50 @@ def central_value(
     if value < -1e-3 - afe_tail_bound(F, N / (k * k)):
         raise NegativeCentralValue(f"L(1/2) = {value:.6g} at k={k}")
     return value
+
+
+def central_values_per_k(
+    src: HeckeSource, F: FieldParams, k_lo: int, k_hi: int, mult: float
+) -> np.ndarray:
+    """L(1/2, psi x phi_2k) for k = k_lo .. k_hi by the sum of
+    `experiments.central_values_bulk` taken one k at a time: for each k,
+    lambda_psi(n)/sqrt(n) cos(k phi) W over the whole cut n <= n_k of the
+    norm-sorted scan, plus the same coherent tail."""
+    out = np.zeros(k_hi - k_lo + 1)
+    if src.eta_D == -1:
+        return out
+    n_max = int(mult * k_hi * k_hi * F.D**1.5)
+    norms, thetas = ideal_scan(F, n_max)
+    lpsi = lambda_psi_table(src, n_max)
+    pref = lpsi[norms] / np.sqrt(norms.astype(np.float64))
+    del lpsi
+    phase_unit = thetas * (2.0 * math.pi / F.log_eps)  # k=1 phase per ideal
+    xi_tail_max = max(225.0 * F.D**1.5 / F.log_eps**2, 2.0 * mult * F.D**1.5)
+    m_hi = int(math.sqrt(xi_tail_max) * k_hi) + 2
+    fam = {}
+    for a in (1, F.p1, F.p2, F.D):
+        tab = lambda_square_table(src, m_hi, a=a)
+        m = np.arange(m_hi + 1, dtype=np.float64)
+        m[0] = 1.0
+        fam[a] = tab / (math.sqrt(a) * m)
+    for k in range(k_lo, k_hi + 1):
+        n_k = int(mult * k * k * F.D**1.5)
+        cut = int(np.searchsorted(norms, n_k, side="right"))
+        grid = np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400)
+        wgrid = afe_weight_many(grid, F, k, src.t_psi)
+        wv = np.interp(np.log(norms[:cut] / (k * k)), np.log(grid), wgrid)
+        half = float(np.sum(pref[:cut] * np.cos(k * phase_unit[:cut]) * wv))
+        tail = 0.0
+        for a, coef in fam.items():
+            m0 = int(math.isqrt(n_k // a)) + 1
+            m1 = min(m_hi, int(math.sqrt(xi_tail_max / a) * k) + 1)
+            if m1 >= m0:
+                ms = np.arange(m0, m1 + 1)
+                xis = a * ms.astype(np.float64) ** 2 / (k * k)
+                wt = np.interp(np.log(xis), np.log(grid), wgrid)
+                tail += float(np.sum(coef[m0 : m1 + 1] * wt))
+        out[k - k_lo] = 2.0 * (half + tail)
+    return out
 
 
 def l_one_phi_dense(F: FieldParams, m: int, X: float) -> float:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from maassqv.experiments import (
     variance_table,
 )
 from hecke_oracle import mu_2k
-from lfun_oracle import central_value
+from lfun_oracle import central_value, central_values_per_k
 from maassqv.halfint import QuadPoly, _legendre_table
 from maassqv.hecke import make_source
 from maassqv.lfun import _afe_nodes
@@ -160,6 +161,25 @@ def test_bulk_matches_single_central_values(F, src):
     for k in (3, 6, 10):
         direct = central_value(src, F, k)
         assert bulk[k - 3] == pytest.approx(direct, abs=0.05), k
+
+
+@functools.cache
+def _per_k_values(D: int, mult: float) -> np.ndarray:
+    return central_values_per_k(make_source(synthetic=42, D=D), make_field(D), 3, 40, mult)
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 10])
+@pytest.mark.parametrize("mult", [4.0, 20.0])
+@pytest.mark.parametrize("D", [21, 33])
+def test_bulk_matches_per_k_oracle(D, mult, chunk, monkeypatch):
+    # the chunk-outer loop with a rotated e^{ik phi} against one np.cos per
+    # k over the whole cut; 2^10-ideal chunks end partway through the cuts,
+    # and the 38 k run past a re-seed period inside one chunk
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CV_CHUNK", chunk)
+    got = central_values_bulk.__wrapped__(make_source(synthetic=42, D=D), make_field(D), 3, 40, mult)
+    want = _per_k_values(D, mult)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_bulk_zero_for_minus_root_number(F):

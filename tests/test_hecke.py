@@ -6,7 +6,7 @@ import pytest
 from sympy import primerange
 
 from halfint_oracle import lambda_psi_at
-from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square
+from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square, synthetic_lambda_p
 from maassqv.errors import ALLOC_BYTES_MAX, MalformedTable, MissingPrime, TableBoundExceeded
 from maassqv.hecke import (
     h_fn,
@@ -189,6 +189,18 @@ def test_malformed_tables(tmp_path):
 def test_primes_upto_matches_primerange():
     for n in (0, 1, 2, 3, 4, 30, 97, 1000, 7919):
         assert primes_upto(n).tolist() == list(primerange(2, n + 1)), n
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_lambda_p_array_matches_per_prime_draw(seed):
+    # the batched draw against the per-prime formula, bit for bit, on every
+    # prime below 10^5 (the ramified 3 and 7 included); lambda_p reads it
+    source = make_source(synthetic=seed, D=21)
+    primes = primes_upto(10**5)
+    want = [synthetic_lambda_p(seed, 21, p) for p in primes.tolist()]
+    assert source.lambda_p_array(primes).tolist() == want
+    for p in (2, 3, 7, 99991):
+        assert source.lambda_p(p) == synthetic_lambda_p(seed, 21, p)
 
 
 def test_lambda_pp_array_bit_identical(src):

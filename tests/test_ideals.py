@@ -257,6 +257,41 @@ def test_scan_guard_admits_desk_bounds(admitted_fields, monkeypatch, log2_bound)
             ideals.ideal_scan(F, 1 << log2_bound)
 
 
+@pytest.mark.parametrize("D", [201, 217])
+def test_scan_guard_counts_the_rows(D, monkeypatch):
+    # large units: at norm 10^6 the rows (7.3e7 for D = 201, 5.2e8 for
+    # D = 217) outweigh the ideals (under 0.1 GiB); both views refuse
+    # before _row_intervals allocates them
+    monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    F = make_field(D)
+    assert ideals._scan_bytes(F, 10**6) < 2**30
+    with pytest.raises(ScanBoundExceeded, match="GiB"):
+        ideals.ideal_scan(F, 10**6)
+    with pytest.raises(ScanBoundExceeded, match="GiB"):
+        next(ideals.ideal_chunks(F, 10**6))
+
+
+def test_scan_guard_refuses_int64_overflow(monkeypatch):
+    # with no byte limit, D = 217 at 10^6 still has m up to ~7.7e9, where
+    # ideal_chunks' int64 m * m passes 2^63
+    monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    monkeypatch.setattr(ideals, "ALLOC_BYTES_MAX", float("inf"))
+    F = make_field(217)
+    for scan in (ideals.ideal_scan, lambda F, b: next(ideals.ideal_chunks(F, b))):
+        with pytest.raises(ScanBoundExceeded, match="int64"):
+            scan(F, 10**6)
+
+
+@pytest.mark.parametrize("bound", [int(4 * 60**2 * 21**1.5), int(4 * 20**2 * 21**1.5), 10**7])
+def test_scan_guard_admits_bench_bounds(F21, monkeypatch, bound):
+    # the bench's first-moment (K = 30) and variance (K = 10) scans and the
+    # 10^7 stream of _l_one_phi_bulk reach their first allocation
+    monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    for scan in (ideals.ideal_scan, lambda F, b: next(ideals.ideal_chunks(F, b))):
+        with pytest.raises(AssertionError, match="reached its allocations"):
+            scan(F21, bound)
+
+
 def test_scan_bytes_counts_the_ideals(admitted_fields):
     # the area estimate behind the guard against the ideals a scan keeps
     for F in admitted_fields:

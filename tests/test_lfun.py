@@ -145,14 +145,12 @@ def test_lambda_psi_table_propagates_other_errors():
     class Boom(Exception):
         pass
 
-    # the table reads lambda_psi(p) once per prime and runs the Hecke
-    # recursion itself, so the failure is injected at that read; sources are
+    # the table draws every lambda_psi(p) in one batch and runs the Hecke
+    # recursion itself, so the failure is injected at that draw; sources are
     # frozen values, so the injection is a subclass
     class BoomSource(HeckeSource):
-        def lambda_p(self, p, b=1):
-            raise Boom(p)
-
-        lambda_pp = lambda_p
+        def lambda_p_array(self, primes):
+            raise Boom(primes)
 
     fresh = BoomSource(level=21, t_psi=1.0, eta_D=1, parity="even", prime_values={}, seed=42)
     with pytest.raises(Boom):
