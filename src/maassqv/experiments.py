@@ -17,7 +17,11 @@ The central values L(1/2, psi x phi_2k) of every k come from one pass over
 the norm-sorted ideal scan in chunks of `_CV_CHUNK` ideals: chunks outside,
 k inside, with e^{ik phi} rotated by one complex multiply per k and
 re-seeded from np.exp every `lfun._RESEED` k, so temporaries are the size
-of a chunk and no k recomputes a cosine over its whole cut.
+of a chunk and no k recomputes a cosine over its whole cut.  The scan holds
+the half window theta in [0, log eps] (`ideals`): each ideal's term is
+even under conjugation and counts with its multiplicity, so the values are
+those of the full window up to rounding (within 2e-13 of max_k |L_k| at
+D = 21, K <= 100).
 """
 
 from __future__ import annotations
@@ -247,18 +251,19 @@ def central_values_bulk(
     ideals (m), p_1(m), p_2(m), (sqrt D)(m), whose Grossencharacter value
     is identically 1 -- so only mean-zero oscillating terms are dropped.
 
-    The series runs over the norm-sorted `ideal_scan` in chunks of
-    `_CV_CHUNK` ideals, with the chunks outside and k inside.  Each chunk
-    forms log n, lambda_psi(n)/sqrt(n) and e^{i phi}, phi = 2 pi theta/log
-    eps, once; the k whose cut n <= n_k reaches into the chunk then run in
+    The series runs over the norm-sorted half-window `ideal_scan` in chunks
+    of `_CV_CHUNK` ideals, with the chunks outside and k inside.  Each chunk
+    forms log n, lambda_psi(n)/sqrt(n) times the multiplicity and e^{i phi},
+    phi = 2 pi theta/log eps, once (a conjugate has phase 4 pi - phi and the
+    same cos(k phi)); the k whose cut n <= n_k reaches into the chunk run in
     ascending order, e^{i k phi} advancing by one complex multiply per k and
     re-seeded from np.exp at the chunk's first k and every `lfun._RESEED`
     k after it.  W comes from np.interp at log n - 2 log k, each k's chunk
     term is an np.sum, and the chunk terms are added in chunk order.
     Temporaries are the size of a chunk.  Against one np.cos per k over the
-    whole cut (`tests/lfun_oracle.central_values_per_k`) the values differ
-    by the rounding of the re-associated sums: at most 4e-12 of max_k |L_k|
-    at D = 21, K <= 100.
+    whole cut of the full-window scan (`tests/lfun_oracle.central_values_per_k`)
+    the values differ by the rounding of the re-associated sums: at most
+    1.5e-13 of max_k |L_k| at D = 21, K <= 100.
     The returned array is read-only."""
     out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
@@ -266,7 +271,7 @@ def central_values_bulk(
         return out
 
     n_max = int(mult * k_hi * k_hi * F.D**1.5)
-    norms, thetas = ideal_scan(F, n_max)
+    norms, thetas, mults = ideal_scan(F, n_max)
     lpsi = lambda_psi_table(src, n_max)
 
     # coherent completion data: lambda_psi(a m^2)/sqrt(a m^2) for the four
@@ -298,7 +303,7 @@ def central_values_bulk(
         c1 = min(c0 + _CV_CHUNK, cuts[-1])
         n = norms[c0:c1].astype(np.float64)
         logn = np.log(n)
-        pref = lpsi[norms[c0:c1]] / np.sqrt(n)
+        pref = lpsi[norms[c0:c1]] / np.sqrt(n) * mults[c0:c1]
         phase = thetas[c0:c1] * (2.0 * math.pi / F.log_eps)
         unit = np.exp(1j * phase)
         for j in range(first, len(ks)):
@@ -609,13 +614,15 @@ def moment_bound_check(
         )
     with timed() as elapsed:
         primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
-        norms, thetas = ideal_scan(F, int(x) + 1)
+        norms, thetas, mults = ideal_scan(F, int(x) + 1)
+        starts = np.searchsorted(norms, primes, side="left").tolist()
+        stops = np.searchsorted(norms, primes, side="right").tolist()
         ks = np.arange(K + 1, 2 * K + 1)
         s_k = np.zeros(ks.size)
-        for p in primes:
+        for p, i0, i1 in zip(primes, starts, stops):
             w = 1.0 / math.sqrt(p)
-            for th in thetas[norms == p].tolist():
-                s_k += w * np.cos((2.0 * math.pi / F.log_eps) * th * ks)
+            for th, mu in zip(thetas[i0:i1].tolist(), mults[i0:i1].tolist()):
+                s_k += (mu * w) * np.cos((2.0 * math.pi / F.log_eps) * th * ks)
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = sum(1.0 / p for p in primes if kronecker_chi(F, p) == 1)
         bound = (

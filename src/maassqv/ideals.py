@@ -7,6 +7,17 @@ theta = 2 log y - log|N| in the fundamental domain [0, 2 log eps) of the
 unit group, by the one window test `_in_window`, on the rows
 n = 0 .. `_last_row` of the (m, n)-lattice; rows n < 0 are empty.
 
+Conjugation maps theta to 2 log eps - theta, so Xi_k of a conjugate ideal
+is the complex conjugate of Xi_k, and every sum over ideals this package
+takes is even under conjugation: cos(k phi) in
+`experiments.central_values_bulk`, cos(m x) in `lfun._l_one_phi_bulk`,
+`lambda_k_table` and `experiments.moment_bound_check` (the weights
+lambda_psi(n)/sqrt(n), e^{-N/X}/N, 1/sqrt(p) depend on the norm only).
+So `ideal_chunks` scans the closed half window theta in [0, log eps] and
+gives each ideal a multiplicity: 1 on the self-conjugate lines theta = 0
+and theta = log eps, decided exactly in (m, n), and 2 elsewhere.  The
+multiplicity-1 ideals are one per norm a m^2, a in {1, p1, p2, D}.
+
 `ideal_chunks` scans every norm up to a bound.  On a row n the difference
 c = y - ybar = n sqrt(D) is fixed, so the window and the norm bound cut
 the row to at most two m-intervals, one on each side of the band around
@@ -16,9 +27,10 @@ test, so no ideal is lost.  The kept ideals come chunk by chunk, unsorted,
 in O(chunk) memory; `ideal_scan` collects the same chunks and sorts them
 stably by norm.  Nothing is cached.
 
-`elements_of_norm` solves one norm exactly instead: on row k the norm form
-is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n, so it costs O(sqrt(n))
-and builds no scan, and the window test keeps the generator the scan keeps.
+`elements_of_norm` solves one norm exactly instead, over the full window:
+on row k the norm form is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n,
+so it costs O(sqrt(n)) and builds no scan, and the window test keeps the
+canonical generator.
 """
 
 from __future__ import annotations
@@ -95,7 +107,9 @@ class IdealRep:
     theta: float
 
 
-_SCAN_CHUNK = 1 << 20  # candidates evaluated per numpy pass
+_SCAN_CHUNK = 1 << 16  # candidates evaluated per numpy pass: cache-sized temporaries
+
+_IDEAL_BYTES = 42  # peak bytes per kept ideal of an ideal_scan build
 
 
 def _scan_bytes(F: FieldParams, bound: int) -> float:
@@ -103,10 +117,14 @@ def _scan_bytes(F: FieldParams, bound: int) -> float:
 
     The kept generators y = m + n*omega are the lattice points, of covolume
     sqrt(D) in the (y, ybar) plane, of the region |y ybar| <= bound,
-    1 <= y/|ybar| < eps^2, whose area is 2 log(eps) bound.  Each costs 16
-    bytes in the norm and angle buffers, 8 in the sort order and 16 in the
-    sorted copies.  The per-row arrays come on top (`_check_scan`)."""
-    return 40.0 * 2.0 * F.log_eps / F.sqrtD * bound
+    1 <= y/|ybar| <= eps, whose area is log(eps) bound.  The area counts
+    half of the points on its two closed edges, the self-conjugate ideals,
+    one for each norm a m^2 <= bound with a in {1, p1, p2, D}; the other
+    half is added.  Each ideal costs 17 bytes in the norm, angle and
+    multiplicity buffers, 8 in the sort order and 17 in the sorted copies.
+    The per-row arrays come on top (`_check_scan`)."""
+    edges = sum(math.sqrt(bound / a) for a in (1, F.p1, F.p2, F.D))
+    return _IDEAL_BYTES * (F.log_eps * bound / F.sqrtD + 0.5 * edges)
 
 
 _ROW_BYTES = 128  # peak bytes per row of _row_intervals and _candidate_pieces
@@ -116,15 +134,16 @@ def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
     """Raise ScanBoundExceeded before a scan to `bound` allocates anything:
     when `kept_bytes` plus the per-row arrays of `_row_intervals` and
     `_candidate_pieces` (about 16 float or int64 values on each of the
-    `_last_row` + 1 rows) pass 8 GiB, or when the int64 norm form
-    m^2 + m n + omega_norm n^2 of `ideal_chunks` could pass 2^63.
+    `_last_row` + 1 rows) pass 8 GiB, or when an int64 product of
+    `ideal_chunks` could pass 2^63: the norm form m^2 + m n + omega_norm n^2,
+    or the multiplicity test m b - n a against the lines of `_fixed_lines`.
 
-    The rows grow like eps sqrt(bound)/sqrt(D), so on fields with large
-    units they, not the ideals, set the size.  A tested m is y - n omega
-    with -3 <= y <= (n sqrt(D) + sqrt(bound))(1 + 1e-6) + 3, the widened
-    ends of `_row_intervals`, so |m| <= (n omega + sqrt(bound))(1 + 1e-6) + 3
-    bounds every term of the form."""
-    rows = _last_row(F, bound) + 1
+    The rows grow like sqrt(eps bound)/sqrt(D), so on fields with large
+    units they, not the ideals, set the size at small bounds.  A tested m is
+    y - n*omega with -3 <= y <= (n sqrt(D) + sqrt(bound))(1 + 1e-6) + 3, the
+    widened ends of `_row_intervals`, so |m| <= (n omega + sqrt(bound))
+    (1 + 1e-6) + 3 bounds every term."""
+    rows = _last_row(F, bound, math.exp(F.log_eps)) + 1
     need = kept_bytes + _ROW_BYTES * rows
     if need > ALLOC_BYTES_MAX:
         raise ScanBoundExceeded(
@@ -132,50 +151,77 @@ def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
             f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
         )
     m_abs = (rows * F.omega + math.sqrt(bound)) * (1.0 + 1e-6) + 3.0
-    if m_abs * m_abs + m_abs * rows + abs(F.omega_norm) * rows * rows >= 2.0**63:
+    v_abs = float(max(abs(c) for line in _fixed_lines(F) for c in line))
+    form = m_abs * m_abs + m_abs * rows + abs(F.omega_norm) * rows * rows
+    if max(form, (m_abs + rows) * v_abs) >= 2.0**63:
         raise ScanBoundExceeded(
             f"ideal scan to norm {bound} leaves int64: |m| reaches {m_abs:.3g} "
             f"on {rows} rows"
         )
 
 
-def _last_row(F: FieldParams, bound: int) -> int:
-    """The last row n_hi of the (m, n)-lattice that can hold a kept
-    generator of norm at most `bound`.
+def _last_row(F: FieldParams, bound: int, ratio: float) -> int:
+    """The last row n_hi of the (m, n)-lattice that can hold a generator of
+    norm at most `bound` in the window 1 <= y/|ybar| <= ratio: eps for the
+    half window of the scan, eps^2 for the full window of `elements_of_norm`.
 
-    A kept y has y - ybar = n sqrt(D) <= y + bound/y < (eps + 1) sqrt(bound).
+    Such a y has y - ybar = n sqrt(D) <= y + |ybar| = (sqrt(t) + 1/sqrt(t))
+    sqrt(|N|) with t = y/|ybar|, so n sqrt(D) < (sqrt(ratio) + 1) sqrt(bound).
     Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
     forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
     stays below that for every admitted field up to bound 10^14."""
-    eps_val = math.exp(F.log_eps)
-    return int((eps_val + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+    return int((math.sqrt(ratio) + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
 
 
-def _in_window(y, y2, aq, eps_val: float):
-    """The canonical-window test of y = m + n*omega, with y2 = y*y and
-    aq = |N(y)|: y > 0 and 1 <= y^2/|N| < eps^2, each end with a margin of
-    1e-9 relative.  Elementwise on numpy arrays; both enumerators call it
-    with the same float expressions, so they keep the same generator."""
-    return (
-        (y > 0.0)
-        & (y2 >= aq * (1.0 - 1e-9))
-        & (y2 < aq * (eps_val * eps_val) * (1.0 - 1e-9))
-    )
+def _in_window(y, y2, aq, end: float):
+    """The window test of y = m + n*omega, with y2 = y*y and aq = |N(y)|:
+    y > 0 and 1 - 1e-9 <= y^2/|N| < end, where `end` is the window's upper
+    ratio with its margin: eps (1 + 1e-9) for the closed half window
+    theta in [0, log eps] of `ideal_chunks`, eps^2 (1 - 1e-9) for the
+    half-open full window [0, 2 log eps) of `elements_of_norm`.
+
+    The margins decide only the points on an end's line: off the line
+    theta = 0, |y - |ybar|| >= 1 (it is |n| sqrt(D) or |2m + n|), and off
+    theta = j log eps, z = y -+ eps^j ybar has |z|^2 = eps^j |N(z)| >= eps^j,
+    so y^2/|N| is at least 1/sqrt(|N|) relative away from each end.
+    Elementwise on numpy arrays."""
+    return (y > 0.0) & (y2 >= aq * (1.0 - 1e-9)) & (y2 < aq * end)
 
 
-def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(norms, thetas) of all principal ideals with 1 <= |N| <= bound, one
-    chunk of about `_SCAN_CHUNK` candidates at a time, unsorted.
+def _fixed_lines(F: FieldParams) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Primitive (m, n) on the lines y = eps ybar and y = -eps ybar, the
+    angle theta = log eps: 1 + eps and 1 - eps lie on them, since eps
+    conj(1 +- eps) = eps +- 1."""
+    lines = []
+    for a, b in ((1 + F.unit_x, F.unit_y), (1 - F.unit_x, -F.unit_y)):
+        g = math.gcd(a, b)
+        lines.append((a // g, b // g))
+    return lines[0], lines[1]
+
+
+def ideal_chunks(
+    F: FieldParams, bound: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(norms, thetas, mults) of the principal ideals with 1 <= |N| <= bound
+    and theta in the closed half window [0, log eps], one chunk of about
+    `_SCAN_CHUNK` candidates at a time, unsorted.
 
     Enumerates one generator per ideal directly: the generator with
-    positive real embedding y and theta = 2 log y - log|N| in [0, 2 log eps).
+    positive real embedding y and theta = 2 log y - log|N| in [0, log eps].
+    Conjugation maps theta to 2 log eps - theta, so the other half of the
+    fundamental domain holds the conjugates: mults (int8) is 1 on the two
+    self-conjugate lines theta = 0 and theta = log eps and 2 everywhere
+    else.  The lines are decided exactly in (m, n): theta = 0 where n = 0
+    (y = ybar) or 2m + n = 0 (y = -ybar), theta = log eps where (m, n) lies
+    on a line of `_fixed_lines` (y = +-eps ybar).
     Only the at most two m-intervals per row n that `_row_intervals` admits
     are tested, in row-major order, so the chunks concatenated are the
     kept points of a scan of the whole bounding rectangle in its order.
     A consumer that needs no norm order reads the ideals in O(chunk) memory.
     """
     starts, counts, row_of, ends = _candidate_pieces(F, bound)
-    eps_val = math.exp(F.log_eps)
+    end = math.exp(F.log_eps) * (1.0 + 1e-9)
+    (a1, b1), (a2, b2) = _fixed_lines(F)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
     i0 = 0
@@ -192,17 +238,20 @@ def ideal_chunks(F: FieldParams, bound: int) -> Iterator[tuple[np.ndarray, np.nd
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
         y2 = y * y
-        ok = (aq >= 1) & (aq <= bound) & _in_window(y, y2, aq, eps_val)
+        ok = (aq >= 1) & (aq <= bound) & _in_window(y, y2, aq, end)
+        m, n = mm[ok], nn[ok]
         norms = aq[ok]
         thetas = np.log(y2[ok] / norms)
         del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
-        yield norms, thetas
+        fixed = (n == 0) | (2 * m + n == 0) | (m * b1 == n * a1) | (m * b2 == n * a2)
+        yield norms, thetas, np.where(fixed, np.int8(1), np.int8(2))
         i0 = i1
 
 
-def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax,
-    sorted by norm: the `ideal_chunks` scan to nmax, stably sorted.
+def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(norms, thetas, mults) of the principal ideals with 1 <= |N| <= nmax
+    and theta in [0, log eps], sorted by norm: the `ideal_chunks` scan to
+    nmax, stably sorted.
 
     The stable sort keeps the row-major order of the chunks within a norm,
     so the result is that of a scan of the whole bounding rectangle bit for
@@ -216,18 +265,19 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     # in the C heap and raise the build peak.  ideal_chunks recomputes the
     # pieces, which costs O(sqrt(nmax)).
     size = int(_candidate_pieces(F, nmax)[3][-1])
-    norms = np.empty(size, np.int64)
-    thetas = np.empty(size, np.float64)
+    bufs = (np.empty(size, np.int64), np.empty(size, np.float64), np.empty(size, np.int8))
     kept = 0
-    for chunk_norms, chunk_thetas in ideal_chunks(F, nmax):
-        k = chunk_norms.size
-        norms[kept : kept + k] = chunk_norms
-        thetas[kept : kept + k] = chunk_thetas
+    for chunk in ideal_chunks(F, nmax):
+        k = chunk[0].size
+        for buf, part in zip(bufs, chunk):
+            buf[kept : kept + k] = part
         kept += k
-    del chunk_norms, chunk_thetas  # not kept alive through the sort
+    del chunk  # not kept alive through the sort
+    norms, thetas, mults = bufs
+    del bufs
     order = np.argsort(norms[:kept], kind="stable")
     norms = norms[order]  # frees the unsorted buffer before thetas[order]
-    return norms, thetas[order]
+    return norms, thetas[order], mults[order]
 
 
 def _candidate_pieces(
@@ -236,12 +286,13 @@ def _candidate_pieces(
     """(starts, counts, rows, ends) of the m-intervals a scan to `bound`
     tests, per row the lower piece and then the upper one: interval i holds
     m = starts[i] .. starts[i] + counts[i] - 1 on row rows[i], and ends is
-    the running total of counts.  The rows number O(eps sqrt(bound)/sqrt(D));
-    a scan whose rows `_check_scan` refuses raises ScanBoundExceeded here,
-    before they are allocated, for `ideal_chunks` and `ideal_scan` alike."""
+    the running total of counts.  The rows number
+    O(sqrt(eps bound)/sqrt(D)); a scan whose rows `_check_scan` refuses
+    raises ScanBoundExceeded here, before they are allocated, for
+    `ideal_chunks` and `ideal_scan` alike."""
     _check_scan(F, bound, 0.0)
     eps_val = math.exp(F.log_eps)
-    rows = np.arange(0, _last_row(F, bound) + 1, dtype=np.int64)
+    rows = np.arange(0, _last_row(F, bound, eps_val) + 1, dtype=np.int64)
     lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, bound)
     starts = np.stack([lo1, lo2], axis=1).ravel()
     counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
@@ -249,29 +300,29 @@ def _candidate_pieces(
 
 
 def _row_intervals(
-    rows: np.ndarray, sqrtD: float, om: float, eps_val: float, bound: int
+    rows: np.ndarray, sqrtD: float, om: float, ratio: float, bound: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integer m-ranges [lo1, hi1] < [lo2, hi2] per row n >= 0 that contain
-    every m which `ideal_scan`'s test can keep.
+    every m which `ideal_chunks`' test keeps in the window
+    1 <= y/|ybar| <= ratio.
 
     With y = m + n*omega, ybar = y - c and c = n sqrt(D) >= 0 the test asks
-    y >= (1 - 1e-9)|ybar|, y|ybar| <= bound and |ybar| > y/eps^2.  So
+    y >= (1 - 1e-9)|ybar|, y|ybar| <= bound and |ybar| >= y/ratio.  So
     y >= c(1 - 1e-9)/(2 - 1e-9); y <= (c + sqrt(c^2 + 4 bound))/2; below
     y = c also y >= (c + sqrt(c^2 - 4 bound))/2 when c^2 > 4 bound; and the
-    band c eps^2/(eps^2 + 1) <= y <= c eps^2/(eps^2 - 1) around y = c is
+    band c ratio/(ratio + 1) < y < c ratio/(ratio - 1) around y = c is
     empty.  The test computes in floating point with relative errors near
-    1e-15; each end is widened by 1e-6 relative and 2 lattice steps, far
-    more than those errors move it.  Empty ranges have hi < lo.
+    1e-15 and a margin of 1e-9; each end is widened by 1e-6 relative and 2
+    lattice steps, far more than those move it.  Empty ranges have hi < lo.
     """
     c = rows * sqrtD
-    e2 = eps_val * eps_val
     disc = c * c - 4.0 * bound
     lo_y1 = np.maximum(
         c * ((1.0 - 1e-9) / (2.0 - 1e-9)),
         np.where(disc > 0.0, 0.5 * (c + np.sqrt(np.maximum(disc, 0.0))), 0.0),
     )
-    hi_y1 = c * (e2 / (e2 + 1.0))
-    lo_y2 = c * (e2 / (e2 - 1.0))
+    hi_y1 = c * (ratio / (ratio + 1.0))
+    lo_y2 = c * (ratio / (ratio - 1.0))
     hi_y2 = 0.5 * (c + np.sqrt(c * c + 4.0 * bound))
     shift = rows * om
     lo1 = np.floor(lo_y1 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
@@ -288,15 +339,18 @@ def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
     """All distinct principal ideals with |N| = n, canonical representatives,
     ordered by theta.
 
-    On each row k = 0 .. `_last_row(F, n)` the norm form
+    On each row k = 0 .. `_last_row` the norm form
     m^2 + m k + k^2 (1 - D)/4 equals +-n exactly at m = (-k +- s)/2 with
     s^2 = D k^2 +- 4n (s = k mod 2 always, as D = 1 mod 4); of those (m, k)
-    `_in_window` keeps the generator that `ideal_chunks` keeps.  The square
-    test runs in int64 and is exact while D k^2 + 4n < 2^53; n > 10^7, or a
-    unit so large that the last row passes that, raises ScanBoundExceeded.
+    `_in_window` keeps the generator with theta in the full window
+    [0, 2 log eps), by the test that cuts `ideal_chunks` to its half.  The
+    square test runs in int64 and is exact while D k^2 + 4n < 2^53;
+    n > 10^7, or a unit so large that the last row passes that, raises
+    ScanBoundExceeded.
     """
     assert n >= 1
-    k_hi = _last_row(F, n)
+    eps_val = math.exp(F.log_eps)
+    k_hi = _last_row(F, n, eps_val * eps_val)
     if n > _SCAN_MAX or F.D * k_hi * k_hi + 4 * n >= 2**53:
         raise ScanBoundExceeded(f"norm {n} exceeds the exact-solve limit {_SCAN_MAX}")
     k = np.arange(k_hi + 1, dtype=np.int64)
@@ -311,7 +365,7 @@ def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
         ks += [kh, kh[pos]]
     m, k = np.concatenate(ms), np.concatenate(ks)
     y = m + k * F.omega
-    keep = _in_window(y, y * y, n, math.exp(F.log_eps))
+    keep = _in_window(y, y * y, n, eps_val * eps_val * (1.0 - 1e-9))
     gens = map(QuadInt, m[keep].tolist(), k[keep].tolist())
     reps = [IdealRep(gen=g, norm_abs=n, theta=angle(F, g)) for g in gens]
     return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
@@ -335,11 +389,13 @@ def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     """Dense numpy table [lambda_k(0) .. lambda_k(nmax)] of the index-k
     dihedral Hecke eigenvalues (index 0 unused, 0.0).
 
-    One np.add.at per `ideal_chunks` chunk: it adds into each bin in index
-    order, so each norm's terms are summed in row-major order, as over the
-    stably sorted `ideal_scan`, and the table is that sum bit for bit."""
+    Xi_k of a conjugate ideal is the complex conjugate, so each norm's sum
+    is real and each half-window ideal adds its multiplicity times
+    cos(pi k theta/log eps).  One np.add.at per `ideal_chunks` chunk: it
+    adds into each bin in index order, so each norm's terms are summed in
+    row-major order, as over the stably sorted `ideal_scan`, and the table
+    is that sum bit for bit."""
     out = np.zeros(nmax + 1)
-    # Xi_k(ideal) = exp(i pi k theta / log eps); the n-sums are real
-    for norms, thetas in ideal_chunks(F, nmax):
-        np.add.at(out, norms, np.cos((math.pi * k / F.log_eps) * thetas))
+    for norms, thetas, mults in ideal_chunks(F, nmax):
+        np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))
     return out

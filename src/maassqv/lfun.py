@@ -8,7 +8,10 @@ Each L-value on the variance path has one route: L(1, phi_m) is
 C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
 in bulk from `experiments.central_values_bulk`, which reads the
 norm-sorted view `ideals.ideal_scan`; the pointwise AFE sum and the
-sorted-scan L(1, phi_m) sum are test oracles.
+sorted-scan L(1, phi_m) sum are test oracles.  Both scans hold the half
+window theta in [0, log eps] with a multiplicity per ideal; the sums they
+feed are even under conjugation, so the values are those of the full
+window up to rounding (within 2e-13 relative for L(1, phi_m), m <= 800).
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
 fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
@@ -49,8 +52,8 @@ from .errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
-from .ideals import ideal_chunks, kronecker_chi, kronecker_residues, r_D
+from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto
+from .ideals import ideal_chunks, kronecker_residues
 from .quadfield import FieldParams
 
 
@@ -279,24 +282,27 @@ def _l_one_phi_bulk(
     over the ideals with |N| <= 25 X.
 
     L(1, phi_m) is the sum over ideals of (2 e^{-N/X} - e^{-2N/X}) cos(m x)/N
-    with x = pi theta/log eps (the Richardson weight of `l_one_phi`).  The
-    ideals come chunk by chunk from `ideal_chunks`, in its row-major order;
+    with x = pi theta/log eps (the Richardson weight of `l_one_phi`).
+    Conjugation maps x to 2 pi - x and leaves cos(m x) as it is, so the sum
+    runs over the half window of `ideal_chunks`, each ideal's weight times
+    its multiplicity.  The ideals come chunk by chunk, in row-major order;
     each chunk's weight is formed once, each m's chunk term is summed by
     `np.einsum` (a fixed order, where a BLAS dot's order follows its thread
     count), and the chunk sums are added in chunk order.  The distinct m
     run in ascending order, and along a run of equal steps s the cosines
     follow cos((m + s)x) = 2 cos(s x) cos(m x) - cos((m - s)x); the first
     two m of a run, and two in every 32 along it, are re-seeded from
-    np.cos.  Against one np.cos per m over the norm-sorted scan the values
-    differ by at most 2.2e-13 relative, observed for m = 200..800 at
-    X = 2e4 and 4e5.  That is the size of the rounding of the phase m x
-    itself (up to about 5e-13 at m = 800), which a direct np.cos takes
-    and the recurrence does not."""
+    np.cos.  Against one np.cos per m over the norm-sorted full-window scan
+    (`tests/lfun_oracle.l_one_phi_sorted_scan`) the values differ by at
+    most 1.7e-13 relative, observed for m = 2..800 at X = 2e4 and 4e5.
+    That is the size of the rounding of the phase m x itself (up to about
+    5e-13 at m = 800), which a direct np.cos takes and the recurrence does
+    not."""
     order = sorted(set(ms))
     sums = np.zeros(len(order))
-    for norms, thetas in ideal_chunks(F, int(25 * X)):
+    for norms, thetas, mults in ideal_chunks(F, int(25 * X)):
         w = np.exp(-norms / X)
-        coef = (2.0 * w - w * w) / norms
+        coef = (2.0 * w - w * w) / norms * mults
         del w
         prev, cur, nxt = (np.empty_like(thetas) for _ in range(3))
         step = run = 0  # run: position in the current run of equal steps
@@ -413,13 +419,15 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
     zd2 = zeta_d_two(F)
     ram = ramified_sum_factor(src, F)
 
+    # at a prime p coprime to D: vartheta(p) = lambda(p)/(1 + 1/p),
+    # r_D(p) = 1 + chi_D(p); lambda(p) is drawn for all p in one batch
+    primes = primes_upto(p_max)
+    primes = primes[F.D % primes != 0]
+    chis = kronecker_residues(F)[primes % F.D]
+    ths = src.lambda_p_array(primes) / (1.0 + 1.0 / primes)
+    rds = 1.0 + chis
     log_prod = 0.0
-    for p in primes_upto(p_max).tolist():
-        if F.D % p == 0:
-            continue
-        th = vartheta(src, p)
-        rd = r_D(F, p)
-        chi = kronecker_chi(F, p)
+    for p, th, rd, chi in zip(primes.tolist(), ths.tolist(), rds.tolist(), chis.tolist()):
         term = -2.0 * th * rd * p**-1.5 + 2.0 * th * rd * chi * p**-2.5 + p**-5.0
         if p <= 500:
             term += (3.0 * chi + h_fn(src, F, p * p)) / p**3

@@ -13,12 +13,17 @@ table: on each row it takes every integer root m of the norm form = +-n
 it is independent of the window test that maassqv.ideals.elements_of_norm
 keeps its generator by.
 
-`rectangle_scan` is the numpy scan that maassqv.ideals.ideal_scan used
-before it enumerated only the admissible strips of each row: it tests
-every point of the bounding rectangle of (m, n)-coordinates.  `ideal_scan`
-must match it bit for bit.  `lambda_table_from_scan` sums the table of
-lambda_k in one np.add.at over the norm-sorted `ideal_scan`;
-`lambda_k_table`, which sums chunk by chunk, must match it bit for bit.
+`rectangle_scan` is a masked numpy scan of the full window
+theta in [0, 2 log eps): it tests every lattice point of the rectangle
+0 < y <= eps sqrt(nmax), |ybar| <= sqrt(nmax) of the (y, ybar) plane, row
+by row, where maassqv.ideals enumerates only the admissible strips of the
+half window.  `half_window` cuts it to theta <= log eps and gives each
+ideal its multiplicity from the angle alone (1 within 1e-9 of theta = 0
+or theta = log eps, else 2), independent of the exact (m, n) test of
+maassqv.ideals; `ideal_scan` must match the cut bit for bit.
+`lambda_table_from_scan` sums the table of lambda_k in one np.add.at over
+the norm-sorted `ideal_scan`; `lambda_k_table`, which sums chunk by chunk,
+must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -93,22 +98,31 @@ def norm_oracle(F: FieldParams, n: int) -> list[IdealRep]:
 
 
 def rectangle_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax, from
-    a masked scan of the whole rectangle |n| <= n_hi, 0 <= y < width."""
+    """(norms, thetas) over all principal ideals with 1 <= |N| <= nmax and
+    theta in [0, 2 log eps), sorted by norm, from a masked scan of the
+    rectangle 0 < y <= eps sqrt(nmax), |ybar| <= sqrt(nmax): a kept y has
+    y^2 < eps^2 |N| and |ybar|^2 = N^2/y^2 <= |N|(1 + 1e-9), so it lies in
+    the rectangle.  Rows n = (y - ybar)/sqrt(D) run in ascending order and m
+    ascending within a row, over m-ranges of width 2 sqrt(nmax) + 4 that
+    hold the row's part of the rectangle."""
     eps_val = math.exp(F.log_eps)
-    B = math.sqrt(nmax) * eps_val * (1.0 + 1e-12)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    n_hi = int((eps_val + 1.0) * math.sqrt(nmax) / F.sqrtD) + 2
+    side = math.sqrt(nmax) * (1.0 + 1e-6) + 1.0  # bound on |ybar|
+    top = math.sqrt(nmax) * eps_val * (1.0 + 1e-6) + 1.0  # bound on y
+    n_lo = -int(side / F.sqrtD) - 1
+    n_hi = int((top + side) / F.sqrtD) + 1
 
     norm_parts: list[np.ndarray] = []
     theta_parts: list[np.ndarray] = []
-    width = int(B) + 2
-    chunk = max(1, (1 << 24) // width)
-    rows = np.arange(-n_hi, n_hi + 1, dtype=np.int64)
+    width = int(2.0 * side) + 4
+    chunk = max(1, (1 << 22) // width)
+    rows = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     for i0 in range(0, rows.size, chunk):
         nn = rows[i0 : i0 + chunk, None]
-        m_start = np.ceil(-nn * om).astype(np.int64)
+        # y from max(0, c - side) - 1 up, with c = n sqrt(D) = y - ybar
+        y_lo = np.maximum(nn * F.sqrtD - side, 0.0) - 1.0
+        m_start = np.floor(y_lo - nn * om).astype(np.int64)
         mm = m_start + np.arange(width, dtype=np.int64)[None, :]
         y = mm + nn * om
         q = mm * mm + mm * nn + c_norm * nn * nn
@@ -130,10 +144,23 @@ def rectangle_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     return norms[order], thetas[order]
 
 
+def half_window(
+    F: FieldParams, norms: np.ndarray, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(norms, thetas, mults) of a full-window scan cut to theta <= log eps,
+    with multiplicity 1 on the self-conjugate angles 0 and log eps (within
+    1e-9; a lattice point off them is at least 1/sqrt(|N|) away) and 2
+    elsewhere."""
+    keep = thetas <= F.log_eps + 1e-9
+    norms, thetas = norms[keep], thetas[keep]
+    fixed = (np.abs(thetas) <= 1e-9) | (np.abs(thetas - F.log_eps) <= 1e-9)
+    return norms, thetas, np.where(fixed, 1, 2).astype(np.int8)
+
+
 def lambda_table_from_scan(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     """[lambda_k(0) .. lambda_k(nmax)] by one np.add.at over the norm-sorted
-    ideal scan."""
-    norms, thetas = ideal_scan(F, nmax)
+    half-window ideal scan, each cosine times its multiplicity."""
+    norms, thetas, mults = ideal_scan(F, nmax)
     out = np.zeros(nmax + 1)
-    np.add.at(out, norms, np.cos((math.pi * k / F.log_eps) * thetas))
+    np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))
     return out

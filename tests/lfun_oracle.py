@@ -9,10 +9,13 @@ approximate functional equation, the reference for
 `experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
 bound on the weight W.  `central_values_per_k` is the bulk engine's sum
 with k outside: one np.cos over the whole cut per k, the reference for
-its chunk-outer loop and rotated e^{ik phi}.  `l_one_phi_dense` is
-L(1, phi_m) from the dense lambda_m table, and `l_one_phi_sorted_scan`
-the same Richardson-weighted sum over the norm-sorted ideal scan with one
-np.cos per m, the two references for `lfun._l_one_phi_bulk`."""
+its chunk-outer loop, rotated e^{ik phi} and conjugation fold.
+`l_one_phi_dense` is L(1, phi_m) from the dense lambda_m table, and
+`l_one_phi_sorted_scan` the same Richardson-weighted sum with one np.cos
+per m, the two references for `lfun._l_one_phi_bulk`.  The two sums over
+ideals read `ideal_oracle.rectangle_scan`, every ideal of the full window
+theta in [0, 2 log eps) once, where the package sums the half window
+theta in [0, log eps] with multiplicities."""
 
 from __future__ import annotations
 
@@ -24,9 +27,10 @@ from typing import Mapping
 import numpy as np
 from scipy.special import loggamma
 
+from ideal_oracle import rectangle_scan
 from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
-from maassqv.ideals import ideal_scan, kronecker_residues, lambda_k_table
+from maassqv.ideals import kronecker_residues, lambda_k_table
 from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table, lambda_square_table
 from maassqv.quadfield import FieldParams
 
@@ -100,12 +104,12 @@ def central_values_per_k(
     """L(1/2, psi x phi_2k) for k = k_lo .. k_hi by the sum of
     `experiments.central_values_bulk` taken one k at a time: for each k,
     lambda_psi(n)/sqrt(n) cos(k phi) W over the whole cut n <= n_k of the
-    norm-sorted scan, plus the same coherent tail."""
+    norm-sorted full-window scan, plus the same coherent tail."""
     out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
         return out
     n_max = int(mult * k_hi * k_hi * F.D**1.5)
-    norms, thetas = ideal_scan(F, n_max)
+    norms, thetas = rectangle_scan(F, n_max)
     lpsi = lambda_psi_table(src, n_max)
     pref = lpsi[norms] / np.sqrt(norms.astype(np.float64))
     del lpsi
@@ -153,8 +157,9 @@ def l_one_phi_dense(F: FieldParams, m: int, X: float) -> float:
 def l_one_phi_sorted_scan(
     F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
 ) -> Mapping[int, float]:
-    """{m: L(1, phi_m)} (read-only) for the m in ms, from one ideal scan."""
-    norms, thetas = ideal_scan(F, int(25 * X))
+    """{m: L(1, phi_m)} (read-only) for the m in ms, from one full-window
+    ideal scan."""
+    norms, thetas = rectangle_scan(F, int(25 * X))
     w = np.exp(-norms / X)
     coef = (2.0 * w - w * w) / norms
     del w

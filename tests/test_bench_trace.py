@@ -1,6 +1,8 @@
-"""The traced bench child end to end: a traced `first-moment` run must
-find every per-layer function BENCHMARK.json names, and its metrics must be
-finite and strict JSON, or the bench's last line carries no result."""
+"""The traced bench children end to end: a traced `first-moment` or
+`variance` run must find every per-layer function BENCHMARK.json names,
+leave its sample as one line of strict JSON, and give finite metrics, or
+the bench's last line carries no result.  The scan it records is the
+half-window scan of the central values."""
 
 import json
 import math
@@ -9,18 +11,27 @@ import subprocess
 import sys
 import time
 
+from ideal_oracle import half_window, rectangle_scan
+from maassqv.quadfield import make_field
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 
 
-def test_traced_child_resolves_every_layer(tmp_path):
+def _strict(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _run_traced(tmp_path, argv: list[str], k_hi: int) -> int:
+    """Run one traced child; the size of the scan it recorded."""
     result = tmp_path / "result.json"
     # no bytecode caches are written under bench/
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = ["first-moment", "--D", "21", "--K", "8", "--seed", "42"]
     cmd = [sys.executable, os.path.join(BENCH, "child.py"), str(result), repr(time.monotonic()), "traced"]
     subprocess.run(cmd + argv, env=env, cwd=tmp_path, check=True, timeout=300)
-    out = json.loads(result.read_text())
+    text = result.read_text()
+    assert len(text.splitlines()) == 1
+    out = json.loads(text, parse_constant=_strict)
     assert out["error"] is None and out["exit_code"] == 0
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)["per_layer"]]
@@ -37,3 +48,18 @@ def test_traced_child_resolves_every_layer(tmp_path):
     metrics = tracer.summarize(out["trace"])
     assert all(math.isfinite(v) for v in metrics.values())
     json.dumps(metrics, allow_nan=False)
+    # the central values' scan to 4 k_hi^2 D^1.5 holds the half window only
+    F = make_field(21)
+    folded, _, _ = half_window(F, *rectangle_scan(F, int(4.0 * k_hi * k_hi * F.D**1.5)))
+    assert metrics["lfun.ideal_scan.ideals"] == folded.size
+    return folded.size
+
+
+def test_traced_child_resolves_every_layer(tmp_path):
+    _run_traced(tmp_path, ["first-moment", "--D", "21", "--K", "8", "--seed", "42"], 16)
+
+
+def test_traced_variance_child_resolves_every_layer(tmp_path):
+    # the bench's variance input: _l_one_phi_bulk and constants() run too
+    argv = ["variance", "--D", "21", "--K", "10", "--seed", "42"]
+    assert _run_traced(tmp_path, argv, 20) == 53_077

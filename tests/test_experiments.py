@@ -23,7 +23,8 @@ from maassqv.experiments import (
 from hecke_oracle import mu_2k
 from lfun_oracle import central_value, central_values_per_k
 from maassqv.halfint import QuadPoly, _legendre_table
-from maassqv.hecke import make_source
+from maassqv.hecke import make_source, primes_upto
+from maassqv.ideals import lambda_k
 from maassqv.lfun import _afe_nodes
 from maassqv.quadfield import QuadInt, make_field, multiply
 from maassqv.weights import SmoothWeight
@@ -256,6 +257,19 @@ def test_moment_bound_r1(F):
     rep = moment_bound_check(F, 200, 1, 30.0)
     assert rep.passed
     assert rep.extra["hypothesis_ok"] is False  # desk scale: K^(1/10) < 30
+
+
+@pytest.mark.parametrize("D", [21, 33])
+def test_moment_bound_matches_pointwise_eigenvalues(D):
+    # the half-window scan with multiplicities against lambda_2k(p) summed
+    # over the full window of elements_of_norm, one prime at a time
+    F = make_field(D)
+    K, r, x = 40, 2, 60.0
+    rep = moment_bound_check(F, K, r, x)
+    primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
+    s_k = [sum(lambda_k(F, 2 * k, p) / math.sqrt(p) for p in primes) for k in range(K + 1, 2 * K + 1)]
+    want = sum(v ** (2 * r) for v in s_k) / K
+    assert rep.computed == pytest.approx(want, rel=1e-12)
 
 
 def test_moment_bound_hypothesis_enforced(F):

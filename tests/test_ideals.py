@@ -7,7 +7,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideal_oracle import lambda_table_from_scan, norm_oracle, oracle_elements, rectangle_scan
+from ideal_oracle import (
+    half_window,
+    lambda_table_from_scan,
+    norm_oracle,
+    oracle_elements,
+    rectangle_scan,
+)
 from maassqv import ideals
 from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded
 from maassqv.experiments import first_moment
@@ -97,17 +103,39 @@ def test_norm_oracle_matches_table_oracle(F21):
     "D, log2_cap", [(21, 18), (33, 14), (57, 11), (69, 14), (77, 14), (93, 14)]
 )
 def test_ideal_scan_matches_rectangle_oracle(D, log2_cap):
+    # the half window of the full-window oracle, with multiplicities from
+    # the angle alone; the oracle's stable sort keeps row-major order within
+    # a norm, so its scan to cap, cut at nmax, is its scan to nmax
     F = make_field(D)
     cap = 1 << log2_cap
-    # the oracle's stable sort keeps row-major order within a norm, so its
-    # scan to cap, cut at nmax, is its scan to nmax
-    all_norms, all_thetas = rectangle_scan(F, cap)
+    all_norms, all_thetas, all_mults = half_window(F, *rectangle_scan(F, cap))
     bounds = [1 << e for e in range(1, log2_cap + 1)] + [3, 10, 1000, 12345]
     for nmax in sorted(b for b in bounds if b <= cap):
-        norms, thetas = ideals.ideal_scan(F, nmax)
+        norms, thetas, mults = ideals.ideal_scan(F, nmax)
         cut = int(np.searchsorted(all_norms, nmax, side="right"))
         assert np.array_equal(norms, all_norms[:cut]), nmax
         assert np.array_equal(thetas.view(np.int64), all_thetas[:cut].view(np.int64)), nmax
+        assert mults.dtype == np.int8 and np.array_equal(mults, all_mults[:cut]), nmax
+
+
+@pytest.mark.parametrize(
+    "D, log2_cap", [(21, 18), (33, 14), (57, 11), (69, 14), (77, 14), (93, 14)]
+)
+def test_self_conjugate_ideals_are_the_coherent_families(D, log2_cap):
+    # the multiplicity-1 ideals are one per norm a m^2, a in {1, p1, p2, D}:
+    # the conjugation-fixed families central_values_bulk completes, and
+    # the full window holds each other ideal's conjugate
+    F = make_field(D)
+    cap = 1 << log2_cap
+    norms, _, mults = ideals.ideal_scan(F, cap)
+    want = sorted(
+        a * m * m for a in (1, F.p1, F.p2, F.D) for m in range(1, math.isqrt(cap) + 1)
+        if a * m * m <= cap
+    )
+    assert np.array_equal(norms[mults == 1], want)
+    full_norms, _ = rectangle_scan(F, cap)
+    assert int(mults.sum(dtype=np.int64)) == full_norms.size
+    assert set(np.unique(mults).tolist()) == {1, 2}
 
 
 @pytest.mark.parametrize("D", [21, 33])
@@ -116,16 +144,16 @@ def test_ideal_chunks_sorted_union_is_the_scan(D, bound, monkeypatch):
     # the chunks stop at the bound itself; small chunks split rows across
     # chunk ends, and their union, stably sorted, is the scan
     F = make_field(D)
-    want_norms, want_thetas = ideals.ideal_scan(F, bound)
-    monkeypatch.setattr(ideals, "_SCAN_CHUNK", 1 << 10)
+    want = ideals.ideal_scan(F, bound)
+    monkeypatch.setattr(ideals, "_SCAN_CHUNK", 1 << 8)
     chunks = list(ideals.ideal_chunks(F, bound))
     assert len(chunks) > 1
-    norms = np.concatenate([c[0] for c in chunks])
-    thetas = np.concatenate([c[1] for c in chunks])
+    norms, thetas, mults = (np.concatenate(part) for part in zip(*chunks))
     assert norms.max() <= bound
     order = np.argsort(norms, kind="stable")
-    assert np.array_equal(norms[order], want_norms)
-    assert np.array_equal(thetas[order].view(np.int64), want_thetas.view(np.int64))
+    assert np.array_equal(norms[order], want[0])
+    assert np.array_equal(thetas[order].view(np.int64), want[1].view(np.int64))
+    assert np.array_equal(mults[order], want[2])
 
 
 @pytest.mark.parametrize("D", [21, 33, 57])
@@ -238,12 +266,12 @@ def _allocation_reached(*args, **kwargs):
 
 def test_scan_guard_refuses_before_allocating(F21, monkeypatch):
     # K = 2000 sums k up to about 2K, so norms to 4 (2K)^2 D^1.5 ~ 6.2e9: a
-    # scan of about 157 GiB.  The guard must fire on the estimate alone,
+    # scan of about 82 GiB.  The guard must fire on the estimate alone,
     # before _row_intervals allocates
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     with pytest.raises(ScanBoundExceeded):
         first_moment(F21, make_source(synthetic=42, D=21), 2000)
-    assert ideals._scan_bytes(F21, int(4 * 4000**2 * 21**1.5)) > 100 * 2**30
+    assert ideals._scan_bytes(F21, int(4 * 4000**2 * 21**1.5)) > 64 * 2**30
 
 
 @pytest.mark.parametrize("log2_bound", [24, 26])
@@ -259,27 +287,29 @@ def test_scan_guard_admits_desk_bounds(admitted_fields, monkeypatch, log2_bound)
 
 @pytest.mark.parametrize("D", [201, 217])
 def test_scan_guard_counts_the_rows(D, monkeypatch):
-    # large units: at norm 10^6 the rows (7.3e7 for D = 201, 5.2e8 for
-    # D = 217) outweigh the ideals (under 0.1 GiB); both views refuse
-    # before _row_intervals allocates them
+    # large units: at norm 10^4 the rows (7,169 for D = 201, 18,832 for
+    # D = 217) outweigh the ideals; under a 0.5 MiB limit that the ideals
+    # alone stay below, both views refuse before _row_intervals allocates
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    monkeypatch.setattr(ideals, "ALLOC_BYTES_MAX", float(1 << 19))
     F = make_field(D)
-    assert ideals._scan_bytes(F, 10**6) < 2**30
+    rows = ideals._last_row(F, 10**4, math.exp(F.log_eps)) + 1
+    assert ideals._scan_bytes(F, 10**4) < ideals.ALLOC_BYTES_MAX < ideals._ROW_BYTES * rows
     with pytest.raises(ScanBoundExceeded, match="GiB"):
-        ideals.ideal_scan(F, 10**6)
+        ideals.ideal_scan(F, 10**4)
     with pytest.raises(ScanBoundExceeded, match="GiB"):
-        next(ideals.ideal_chunks(F, 10**6))
+        next(ideals.ideal_chunks(F, 10**4))
 
 
 def test_scan_guard_refuses_int64_overflow(monkeypatch):
-    # with no byte limit, D = 217 at 10^6 still has m up to ~7.7e9, where
+    # with no byte limit, D = 217 at 10^13 has m up to ~4.7e9, where
     # ideal_chunks' int64 m * m passes 2^63
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     monkeypatch.setattr(ideals, "ALLOC_BYTES_MAX", float("inf"))
     F = make_field(217)
     for scan in (ideals.ideal_scan, lambda F, b: next(ideals.ideal_chunks(F, b))):
         with pytest.raises(ScanBoundExceeded, match="int64"):
-            scan(F, 10**6)
+            scan(F, 10**13)
 
 
 @pytest.mark.parametrize("bound", [int(4 * 60**2 * 21**1.5), int(4 * 20**2 * 21**1.5), 10**7])
@@ -295,5 +325,6 @@ def test_scan_guard_admits_bench_bounds(F21, monkeypatch, bound):
 def test_scan_bytes_counts_the_ideals(admitted_fields):
     # the area estimate behind the guard against the ideals a scan keeps
     for F in admitted_fields:
-        norms, _ = ideals.ideal_scan(F, 1 << 16)
-        assert ideals._scan_bytes(F, 1 << 16) / 40.0 == pytest.approx(norms.size, rel=0.01)
+        norms, _, _ = ideals.ideal_scan(F, 1 << 16)
+        kept = ideals._scan_bytes(F, 1 << 16) / ideals._IDEAL_BYTES
+        assert kept == pytest.approx(norms.size, rel=0.01)
