@@ -26,7 +26,7 @@ class UnitNormNotOne(MaassqvError):
 
 
 class Overflow(MaassqvError):
-    """Integer left the enforced 128-bit signed range."""
+    """Integer left an enforced range: 128-bit signed, or FACTOR_MAX."""
 
 
 class ZeroElement(MaassqvError):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from sympy import divisors, factorint, mobius
 
 from .characters import Character
 from .errors import (
@@ -39,6 +38,8 @@ from .errors import (
 )
 from .hecke import HeckeSource, lambda_psi, primes_upto
 from .ideals import kronecker
+from .lfun import lambda_square_table
+from .quadfield import factorize
 from .report import ExperimentReport, timed
 from .weights import SmoothWeight
 
@@ -85,7 +86,7 @@ class LevelData:
 
 
 def make_level(M: int) -> LevelData:
-    fac = factorint(M)
+    fac = factorize(M)
     beta0 = fac.pop(2, 0)
     if beta0 < 2:
         raise BadDecomposition(f"M={M} must be divisible by 4")
@@ -182,9 +183,8 @@ def _inner_sum_weights(mp: int, d: np.ndarray) -> np.ndarray:
     """epsilon_d * (mp/d) on the odd-d grid, via multiplicativity in the top
     argument: (mp/d) = (2/d)^{k0} prod_p (p/d)^{kp}, each factor a short
     periodic table in d."""
-    eps = np.where(d % 4 == 1, 1.0 + 0.0j, 1.0j)
-    w = eps
-    for p, k in factorint(mp).items():
+    w = np.where(d % 4 == 1, 1.0 + 0.0j, 1.0j)  # epsilon_d
+    for p, k in factorize(mp).items():
         if p == 2:
             if k % 2:
                 w = w * _bottom_symbol_table(2)[d % 8]
@@ -272,7 +272,7 @@ def c_closed(m: int, L: LevelData, s: complex = 0.75) -> complex:
     """
     if m == 0:
         return _c_closed_zero(L, s)
-    fac = factorint(m)
+    fac = factorize(m)
     a0 = fac.pop(2, 0)
     f2 = sum(
         2.0 ** (-k0 * (2 * s - 1))
@@ -313,7 +313,7 @@ def _c_closed_zero(L: LevelData, s: complex) -> complex:
 def _square_part(n: int) -> tuple[int, int]:
     """n = t m^2 with t squarefree; returns (t, m)."""
     t, m = 1, 1
-    for p, e in factorint(n).items():
+    for p, e in factorize(n).items():
         if e % 2:
             t *= p
         m *= p ** (e // 2)
@@ -372,21 +372,21 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
         for ell in range(1, trunc + 1)
         if math.gcd(ell, M) == 1
     )
+    mobius = {1: 1}  # mu(d) for every divisor d of m
+    for p, e in factorize(m).items():
+        pk = [(p**k, (1, -1, 0)[min(k, 2)]) for k in range(e + 1)]
+        mobius = {d * q: mu * v for d, mu in mobius.items() for q, v in pk}
+    divs = sorted(mobius)
     div = 0.0
-    for l1l2 in divisors(m):
+    for l1l2 in divs:
         if math.gcd(l1l2, M) != 1:
             continue
-        for ell1 in divisors(l1l2):
-            mu = int(mobius(ell1))
-            if mu == 0:
+        for ell1 in divs:
+            mu = mobius[ell1]
+            if l1l2 % ell1 or mu == 0:
                 continue
-            ell2 = l1l2 // ell1
-            div += (
-                mu
-                * _omega1(t, ell1)
-                * float(ell1) ** (0.5 - 2 * s)
-                * float(ell2) ** (2 - 4 * s)
-            )
+            w1 = mu * _omega1(t, ell1) * float(ell1) ** (0.5 - 2 * s)
+            div += w1 * float(l1l2 // ell1) ** (2 - 4 * s)
     return l1 / l2 * div
 
 
@@ -399,7 +399,7 @@ def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
             continue
         d = np.arange(1, q + 1, dtype=np.int64)
         kr = np.ones(q, dtype=np.float64)
-        for p, e in factorint(q).items():
+        for p, e in factorize(q).items():
             if e % 2:
                 kr *= _legendre_table(p)[d % p]
             else:
@@ -667,32 +667,25 @@ def symsq_factor_check(
         raise TruncationInsufficient(f"need Re(2s-1/2) > 1, got {u}")
     with timed() as elapsed:
         d = math.gcd(4 * a, t)
-        a_prime = 4 * a // d
-        t_prime = t // d
-        a1, a2 = _square_part(a_prime)
-
+        a1, a2 = _square_part(4 * a // d)  # a' = 4a/d = a1 a2^2, a1 squarefree
+        ta1, step = t // d * a1, a1 * a2
+        # a' is prime to t' = t/d, so a' | t' n^2 exactly when n = step * m,
+        # and then t n^2/4a = ta1 m^2: one table of lambda_psi(ta1 m^2)
+        lam = lambda_square_table(src, truncation // step, ta1)
         lhs = 0.0 + 0.0j
-        for n in range(1, truncation + 1):
-            if (t * n * n) % (4 * a) != 0:
-                continue
-            ov = np.conjugate(omega(n))
+        for m in range(1, truncation // step + 1):
+            ov = np.conjugate(omega(step * m))
             if ov == 0:
                 continue
-            lhs += lambda_psi(src, t * n * n // (4 * a)) * ov * float(n) ** (-u)
+            lhs += lam[m] * ov * float(step * m) ** (-u)
 
-        ta1 = t_prime * a1
-        pref = lambda_psi(src, -1) * np.conjugate(omega(a1 * a2)) * float(a1 * a2) ** (-u)
-        rhs = complex(pref)
-        lmax = 60
+        rhs = complex(np.conjugate(omega(step)) * float(step) ** (-u))  # lambda(1) = 1
+        ta1_exp = factorize(ta1)
         for p in primes_upto(truncation).tolist():
-            rp = 0
-            q = ta1
-            while q % p == 0:
-                q //= p
-                rp += 1
+            rp = ta1_exp.get(p, 0)
             loc = 0.0 + 0.0j
             lp = math.log(p)
-            for ell in range(lmax + 1):
+            for ell in range(61):
                 expo = -ell * u
                 if complex(expo).real * lp < -120:
                     break

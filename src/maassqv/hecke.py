@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from sympy import factorint, isprime
 
 from .errors import (
     ALLOC_BYTES_MAX,
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .ideals import elements_of_norm
 from .lattice import n_beta
-from .quadfield import FieldParams
+from .quadfield import FieldParams, factorize
 
 
 def _chi0(D: int, p: int) -> int:
@@ -201,8 +200,11 @@ def make_source(
 
 
 def read_table(path: str) -> HeckeSource:
+    """The source of a `write_table` file.  Its primes are checked against
+    one sieve, of 1 byte per integer up to the last prime."""
     header = None
     values: dict[int, float] = {}
+    linenos: list[int] = []  # the line of each row, in row order
     last_p = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -220,14 +222,19 @@ def read_table(path: str) -> HeckeSource:
                 p, lam = int(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise MalformedTable(f"{path}:{lineno}: {exc}") from exc
-            if not isprime(p):
-                raise MalformedTable(f"{path}:{lineno}: {p} is not prime")
             if p <= last_p:
                 raise MalformedTable(f"{path}:{lineno}: primes must ascend")
+            if p >= ALLOC_BYTES_MAX:
+                raise TableBoundExceeded(f"{path}:{lineno}: {p} is past the sieve limit")
             last_p = p
             values[p] = lam
+            linenos.append(lineno)
     if header is None:
         raise MalformedTable(f"{path}: missing header line")
+    listed = np.fromiter(values, dtype=np.int64, count=len(values))
+    bad = np.flatnonzero(~np.isin(listed, primes_upto(last_p)))
+    if bad.size:
+        raise MalformedTable(f"{path}:{linenos[bad[0]]}: {listed[bad[0]]} is not prime")
     meta: dict[str, str] = {}
     for tok in header.lstrip("#").split():
         if "=" not in tok:
@@ -261,7 +268,7 @@ def lambda_psi(src: HeckeSource, n: int) -> float:
     if n == 0:
         return 0.0
     v = 1.0
-    for p, b in factorint(n).items():
+    for p, b in factorize(n).items():
         v *= src.lambda_pp(p, b)
     return v
 
@@ -291,7 +298,7 @@ def vartheta(src: HeckeSource, n: int) -> float:
     """Multiplicative; local value = closed local series at s=1."""
     assert n >= 1
     v = 1.0
-    for p, b in factorint(n).items():
+    for p, b in factorize(n).items():
         chi0 = _chi0(src.level, p)
         v *= (src.lambda_pp(p, b) - chi0 * src.lambda_pp(p, b - 2) / p) / (
             1 + chi0 / p

@@ -88,18 +88,6 @@ def kronecker_residues(F: FieldParams) -> np.ndarray:
     return np.array([kronecker(F.D, r) for r in range(F.D)], dtype=np.float64)
 
 
-def r_D(F: FieldParams, n: int) -> int:
-    """Ideal-counting function sum_{d|n} chi_D(d)."""
-    assert n >= 1
-    total = 0
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            total += kronecker_chi(F, d)
-            if d != n // d:
-                total += kronecker_chi(F, n // d)
-    return total
-
-
 @dataclass(frozen=True)
 class IdealRep:
     gen: QuadInt  # canonical generator, theta in [0, 2 log eps)

@@ -43,7 +43,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import loggamma
-from sympy import factorint
 
 from .errors import (
     MissingPrime,
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto
 from .ideals import ideal_chunks, kronecker_residues
-from .quadfield import FieldParams
+from .quadfield import FieldParams, factorize
 
 
 def spectral_parameter(F: FieldParams, m: int) -> float:
@@ -101,7 +100,7 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
     """Dense table [lambda_psi(a * 0^2) .. lambda_psi(a * m_max^2)] (index 0
     unused, 0.0): the fill of lambda_psi(p^{v_p(a) + 2b}) over m, times
     lambda_psi(p^{v_p(a)}) where p | a does not divide m."""
-    a_exp = factorint(a) if a > 1 else {}
+    a_exp = factorize(a)
 
     def local(primes: np.ndarray, b: int) -> np.ndarray:
         v = src.lambda_pp_array(primes, 2 * b)
@@ -455,7 +454,7 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
 def nu_index(n: int) -> int:
     """nu(n) = n prod_{p|n} (1 + 1/p)."""
     v = n
-    for p in factorint(n):
+    for p in factorize(n):
         v += v // p
     return v
 

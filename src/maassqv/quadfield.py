@@ -8,6 +8,8 @@ omega^2 = omega + (D-1)/4.  The binary quadratic form
 is the field norm in these coordinates.  The fundamental unit eps = x+y*omega
 is found by brute-force Pell search; fields whose fundamental unit has norm
 -1 are rejected because every downstream identity assumes N(eps) = +1.
+`factorize` is the package's one integer factorization: trial division,
+refused with Overflow above FACTOR_MAX = 10^12.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
 )
 
 _INT_MAX = 2**127 - 1  # checked 128-bit signed arithmetic
+FACTOR_MAX = 10**12  # largest n that factorize takes: trial division to 10^6
 
 
 def _chk(v: int) -> int:
@@ -33,17 +36,21 @@ def _chk(v: int) -> int:
     return v
 
 
-def _factor_two_primes(D: int) -> tuple[int, int]:
-    """Return the two prime factors of squarefree D, raising otherwise."""
-    from sympy import factorint
-
-    fac = factorint(D)
-    if any(e > 1 for e in fac.values()):
-        raise NotSquarefree(f"D={D} is not squarefree")
-    if len(fac) != 2:
-        raise NotTwoPrimeProduct(f"D={D} has {len(fac)} prime factors, need 2")
-    p, q = sorted(fac)
-    return p, q
+def factorize(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for n >= 1 by trial division, primes ascending; an n
+    over FACTOR_MAX raises Overflow before any division."""
+    if n > FACTOR_MAX:
+        raise Overflow(f"{n} exceeds the trial-division limit {FACTOR_MAX}")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,12 @@ def make_field(D: int, y_max: int = 10**6) -> FieldParams:
         raise NotTwoPrimeProduct(f"D={D} too small")
     if D % 4 != 1:
         raise NotOneMod4(f"D={D} is {D % 4} mod 4, need 1")
-    q1, q2 = _factor_two_primes(D)
+    fac = factorize(D)
+    if any(e > 1 for e in fac.values()):
+        raise NotSquarefree(f"D={D} is not squarefree")
+    if len(fac) != 2:
+        raise NotTwoPrimeProduct(f"D={D} has {len(fac)} prime factors, need 2")
+    q1, q2 = fac
 
     # (2x+y)^2 - D y^2 = +-4; scan y ascending so the first unit > 1 is
     # the fundamental one.

@@ -24,6 +24,9 @@ maassqv.ideals; `ideal_scan` must match the cut bit for bit.
 `lambda_table_from_scan` sums the table of lambda_k in one np.add.at over
 the norm-sorted `ideal_scan`; `lambda_k_table`, which sums chunk by chunk,
 must match it bit for bit.
+
+`r_D` counts the ideals of norm n as the divisor sum of chi_D, the count
+`elements_of_norm` and `lambda_k(0, n)` are checked against.
 """
 
 from __future__ import annotations
@@ -34,8 +37,20 @@ from functools import lru_cache
 import numpy as np
 
 from maassqv.errors import ScanBoundExceeded
-from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan
+from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan, kronecker_chi
 from maassqv.quadfield import FieldParams, QuadInt, angle, canonical_generator
+
+
+def r_D(F: FieldParams, n: int) -> int:
+    """Ideal-counting function sum_{d|n} chi_D(d)."""
+    assert n >= 1
+    total = 0
+    for d in range(1, int(math.isqrt(n)) + 1):
+        if n % d == 0:
+            total += kronecker_chi(F, d)
+            if d != n // d:
+                total += kronecker_chi(F, n // d)
+    return total
 
 
 @lru_cache(maxsize=32)

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from ideal_oracle import r_D
 from maassqv.characters import Character
 from maassqv.halfint import (
     QuadPoly,
@@ -39,7 +40,6 @@ from maassqv.ideals import (
     kronecker,
     kronecker_chi,
     lambda_k_table,
-    r_D,
 )
 from maassqv.lattice import n_beta, offdiag_frame
 from maassqv.lfun import gamma_ratio_stirling, spectral_parameter

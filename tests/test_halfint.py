@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from maassqv.errors import (
     BoundTooSmall,
     EvenInput,
     HypothesisViolated,
+    Overflow,
     PoleInput,
     TruncationInsufficient,
     WindowViolation,
@@ -129,6 +131,13 @@ def test_make_level():
     for bad in (2, 6, 20, 4 * 5):
         with pytest.raises(BadDecomposition):
             make_level(bad)
+
+
+def test_make_level_refuses_unfactorable_M_at_once():
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match="trial-division limit"):
+        make_level(4 * 1000000007 * 1000000087)  # two primes = 3 mod 4
+    assert time.perf_counter() - start < 1.0
 
 
 def test_c_three_routes_agree():
@@ -403,3 +412,23 @@ def test_symsq_factorization(src):
     from maassqv.hecke import lambda_psi
 
     assert lambda_psi(src, -1) == 1.0
+
+
+@pytest.mark.parametrize("t,a", [(1, 1), (3, 2), (9, 3)])
+def test_symsq_lhs_table_matches_pointwise_sum(src, t, a):
+    # the lhs reads one lambda_square_table; the pointwise route tests
+    # 4a | t n^2 at every n and evaluates lambda_psi(t n^2 / 4a) one by one
+    from maassqv.hecke import lambda_psi
+
+    om = Character(5, tuple(float(kronecker(n, 5)) for n in range(5)))
+    s, truncation = 1.6, 2000
+    u = 2 * s - 0.5
+    want = sum(
+        lambda_psi(src, t * n * n // (4 * a)) * np.conjugate(om(n)) * float(n) ** (-u)
+        for n in range(1, truncation + 1)
+        if (t * n * n) % (4 * a) == 0
+    )
+    rep = symsq_factor_check(src, om, t, a, s, truncation=truncation)
+    got = complex(rep.extra["lhs"])
+    assert want != 0
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)

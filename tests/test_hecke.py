@@ -7,6 +7,8 @@ from sympy import primerange
 
 from halfint_oracle import lambda_psi_at
 from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square, synthetic_lambda_p
+from ideal_oracle import r_D
+from maassqv import hecke
 from maassqv.errors import ALLOC_BYTES_MAX, MalformedTable, MissingPrime, TableBoundExceeded
 from maassqv.hecke import (
     h_fn,
@@ -19,7 +21,7 @@ from maassqv.hecke import (
     vartheta,
     write_table,
 )
-from maassqv.ideals import kronecker_chi, lambda_k, r_D
+from maassqv.ideals import kronecker_chi, lambda_k
 from maassqv.lfun import lambda_psi_table
 
 
@@ -184,6 +186,24 @@ def test_malformed_tables(tmp_path):
         p.write_text(content)
         with pytest.raises(MalformedTable):
             read_table(str(p))
+
+
+def test_read_table_names_the_composite_line(tmp_path):
+    path = tmp_path / "composite.tbl"
+    path.write_text("# D=21 t_psi=1.0 eta=+1 parity=even\n2 1.0\n3 1.0\n\n9 1.0\n11 1.0\n")
+    with pytest.raises(MalformedTable, match=r"composite\.tbl:5: 9 is not prime"):
+        read_table(str(path))
+
+
+def test_read_table_refuses_a_sieve_past_the_limit(tmp_path, monkeypatch):
+    # the last prime sizes the one primality sieve (1 byte per integer); a
+    # row past ALLOC_BYTES_MAX (1 MB here, so a missing check costs 1 MB, not
+    # 8 GiB) is refused on its line, before the sieve is built
+    monkeypatch.setattr(hecke, "ALLOC_BYTES_MAX", 10**6)
+    path = tmp_path / "huge.tbl"
+    path.write_text("# D=21 t_psi=1.0 eta=+1 parity=even\n2 1.0\n999983 1.0\n1000003 1.0\n")
+    with pytest.raises(TableBoundExceeded, match=r"huge\.tbl:4:"):
+        read_table(str(path))
 
 
 def test_primes_upto_matches_primerange():

@@ -12,6 +12,7 @@ from ideal_oracle import (
     lambda_table_from_scan,
     norm_oracle,
     oracle_elements,
+    r_D,
     rectangle_scan,
 )
 from maassqv import ideals
@@ -25,7 +26,6 @@ from maassqv.ideals import (
     kronecker_chi,
     lambda_k,
     lambda_k_table,
-    r_D,
 )
 from maassqv.quadfield import QuadInt, canonical_generator, make_field
 

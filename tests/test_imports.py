@@ -1,6 +1,7 @@
 """Every name a module of maassqv imports is used in that module, every
 function or class it defines is named somewhere else, every parameter
-of its functions is read, and no module keeps a hand-rolled memo.
+of its functions is read, no module keeps a hand-rolled memo, and none
+imports sympy, which only the tests use as an oracle.
 
 Deleting a function tends to leave its imports and its private helpers
 behind, and deleting a setting tends to leave a parameter that nothing
@@ -11,7 +12,10 @@ value arguments, so a module-level name bound to an empty container is
 flagged."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +177,48 @@ def test_module_memo_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_memos(path):
     assert module_memos(path.read_text()) == []
+
+
+def sympy_imports(source: str) -> list[str]:
+    """The import statements of source, at any depth, that bind sympy or
+    one of its submodules."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+def test_sympy_import_detector():
+    source = (
+        "import numpy as np\n"
+        "import sympy\n"
+        "from sympy import factorint\n"
+        "from .sympyish import f\n"
+        "def g():\n"
+        "    from sympy.ntheory import isprime\n"
+        "    import sympy_extra\n"
+        "    return isprime\n"
+    )
+    assert sympy_imports(source) == ["line 2", "line 3", "line 6"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_sympy_imports(path):
+    assert sympy_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # a fresh interpreter, so modules the test session loaded do not count
+    code = "import sys, maassqv.cli; print('sympy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

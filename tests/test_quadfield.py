@@ -1,7 +1,9 @@
 import math
 import random
+import time
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,12 @@ from maassqv.errors import (
     ZeroElement,
 )
 from maassqv.quadfield import (
+    FACTOR_MAX,
     QuadInt,
     angle,
     canonical_generator,
     conjugate,
+    factorize,
     make_field,
     multiply,
     norm,
@@ -55,6 +59,27 @@ def test_make_field_rejects():
         make_field(65)
     with pytest.raises(NotTwoPrimeProduct):
         make_field(105)  # three primes
+
+
+def test_factorize_matches_sympy():
+    # every n <= 20000 and 300 random n up to the limit: the same primes and
+    # exponents as sympy.factorint, with the primes in ascending order
+    rng = random.Random(11)
+    ns = list(range(1, 20001)) + [rng.randrange(1, FACTOR_MAX + 1) for _ in range(300)]
+    for n in ns + [FACTOR_MAX, 999999999989]:  # 10^12 - 11 is prime
+        got = factorize(n)
+        assert got == sympy.factorint(n) and list(got) == sorted(got), n
+    with pytest.raises(Overflow, match="trial-division limit"):
+        factorize(FACTOR_MAX + 1)
+
+
+def test_make_field_refuses_unfactorable_D_at_once():
+    # D = p q with p, q = 3 mod 4 the primes 1000000007 and 1000000087:
+    # trial division would run for minutes, so the size is refused first
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match="trial-division limit"):
+        make_field(1000000007 * 1000000087)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unit_is_pell_solution(admitted_fields):
