@@ -12,7 +12,7 @@ import math
 import random
 import sys
 
-from .errors import MaassqvError, TruncationInsufficient
+from .errors import HypothesisViolated, MaassqvError, TruncationInsufficient
 from .halfint import (
     QuadPoly,
     b_direct,
@@ -37,11 +37,13 @@ from .weights import SmoothWeight
 from . import experiments
 
 
-def _source_from_args(args: argparse.Namespace):
-    if getattr(args, "table", None):
-        return make_source(table=args.table)
-    seed = getattr(args, "seed", None)
-    return make_source(synthetic=42 if seed is None else seed, D=args.D)
+def _field_and_source(args: argparse.Namespace):
+    """(F, psi) for --D and --table or --seed; psi's level must be D."""
+    F = make_field(args.D)
+    src = make_source(table=args.table) if args.table else make_source(synthetic=args.seed, D=F.D)
+    if src.level != F.D:
+        raise HypothesisViolated(f"--table {args.table} has level {src.level}, not --D {F.D}")
+    return F, src
 
 
 def cmd_field_info(args) -> list[ExperimentReport]:
@@ -166,15 +168,13 @@ def cmd_poisson(args) -> list[ExperimentReport]:
 
 
 def cmd_first_moment(args) -> list[ExperimentReport]:
-    F = make_field(args.D)
-    src = _source_from_args(args)
+    F, src = _field_and_source(args)
     kw = {} if args.tol is None else {"tol": args.tol}
     return [experiments.first_moment(F, src, args.K, n_twist=args.twist, **kw)]
 
 
 def cmd_variance(args) -> list[ExperimentReport]:
-    F = make_field(args.D)
-    src = _source_from_args(args)
+    F, src = _field_and_source(args)
     kw = {} if args.tol is None else {"tol": args.tol}
     return [
         experiments.variance_table(F, src, args.K, **kw),
@@ -193,7 +193,7 @@ def cmd_nonsplit(args) -> list[ExperimentReport]:
         raise TruncationInsufficient(f"--Ymax {args.Ymax:g} is below the first Y = 1e4")
     Q = QuadPoly(args.a, args.b, args.c)
     _contour_t(Q, second_form=True)  # the last report's precondition, before any sum
-    src = _source_from_args(args)
+    _, src = _field_and_source(args)
     W = SmoothWeight()
     Ys = []
     y = 1.0e4
@@ -243,14 +243,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("poisson", D=(int, True, None), K=(float, False, 100.0),
         beta=(str, False, "1,1"))
     add("first-moment", D=(int, True, None), K=(float, False, 100.0),
-        twist=(int, False, 1), table=(str, False, None), seed=(int, False, None))
+        twist=(int, False, 1), table=(str, False, None), seed=(int, False, 42))
     add("variance", D=(int, True, None), K=(float, False, 100.0),
-        table=(str, False, None), seed=(int, False, None))
+        table=(str, False, None), seed=(int, False, 42))
     add("dirichlet-poly", D=(int, True, None), k=(int, False, 20),
         x=(int, False, 10000))
     add("nonsplit", D=(int, False, 21), a=(int, False, 1), b=(int, False, 0),
         c=(int, False, -21), Ymax=(float, False, 1.0e6),
-        table=(str, False, None), seed=(int, False, None))
+        table=(str, False, None), seed=(int, False, 42))
     return p
 
 

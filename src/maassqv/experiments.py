@@ -211,7 +211,7 @@ def diagonal_check(
         X = matched_sym2_cutoff(F, K, sw, src.t_psi)
         phit1 = sw.mellin(0).real
         ref = (
-            vartheta(src, a)
+            float(vartheta(src, a))
             * K
             / zeta_d_two(F)
             * phit1
@@ -396,7 +396,7 @@ def first_moment(
         m1 = float(np.sum(lvals * lam_t * phi_w))
         phit1 = sw.mellin(0).real
         n_red = n_twist // math.gcd(n_twist, F.D)
-        h_factor = h_fn(src, F, n_red)
+        h_factor = float(h_fn(src, F, n_red))
         x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
         c_dpsi = c_d_psi(src, F, x_match)
         computed = m1 / (phit1 * K * h_factor)
@@ -652,14 +652,15 @@ def nonsplit_decay_scan(
     W: SmoothWeight = SmoothWeight(),
     slack: float = 0.1,
 ) -> ExperimentReport:
-    """|S(Y)|/sqrt(Y) across the Y ladder; each step may exceed the previous
-    by at most the slack (a decreasing-in-envelope check, no main term)."""
+    """|S(Y)|/sqrt(Y) across a ladder of at least two Y; each step may exceed
+    the previous by at most the slack (a decreasing-in-envelope check, no main term)."""
     if Ys is None:
         Ys = [1e4 * 4.0**j for j in range(6)]
+    if len(Ys) < 2:
+        raise TruncationInsufficient(f"the Y ladder {list(Ys)} needs at least two Y")
     with timed() as elapsed:
         ratios = [abs(nonsplit_sum(src, Q, Y, W)) / math.sqrt(Y) for Y in Ys]
-        steps = [b - a for a, b in zip(ratios, ratios[1:])]
-        worst = max(steps) if steps else 0.0
+        worst = max(b - a for a, b in zip(ratios, ratios[1:]))
     return ExperimentReport.build(
         name="nonsplit_decay_scan",
         parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Ys": list(Ys)},

@@ -11,7 +11,8 @@ D_psi(s, Delta), and the symmetric-square Euler factorization check.
 The character sums in the coefficients of D_psi are taken by orthogonality
 as two congruence tests mod a', so no character group is built; both
 contour forms share that one coefficient formula, and both reduction
-checks share one envelope fit.
+checks share one envelope fit.  Each sum reads lambda_psi in one
+`hecke.lambda_psi` call, with no dense table.
 """
 
 from __future__ import annotations
@@ -474,13 +475,9 @@ def nonsplit_sum(
     if disc < 0:
         return 0.0
     nmax = int((-Q.b + math.sqrt(disc)) / (2 * Q.a)) + 2
-    terms = []
-    for n in range(1, nmax + 1):
-        v = Q.value(n)
-        w = W(v / Y)
-        if w != 0.0:
-            terms.append(lambda_psi(src, v) * w)
-    return math.fsum(terms)
+    vs = [Q.value(n) for n in range(1, nmax + 1)]
+    ws = np.array([W(v / Y) for v in vs])
+    return math.fsum((lambda_psi(src, vs) * ws)[ws != 0.0].tolist())
 
 
 def _contour_t(Q: QuadPoly, second_form: bool) -> int:
@@ -508,12 +505,10 @@ def _d_psi_coefficients(
     t = _contour_t(Q, second_form)
     r, bp, d = (1, 0, 1) if second_form else (Q.a_prime, Q.b_prime, Q.d)
 
-    lam = np.zeros(N + 1)
-    for n in range(N + 1):
-        v = t * n * n - Delta
-        if v % (4 * a) == 0:
-            lam[n] = lambda_psi(src, v // (4 * a))
-    ns = np.arange(N + 1, dtype=np.float64)
+    nint = np.arange(N + 1, dtype=np.int64)
+    v = t * nint * nint - Delta
+    lam = np.where(v % (4 * a) == 0, lambda_psi(src, v // (4 * a)), 0.0)
+    ns = nint.astype(np.float64)
     q = t * ns * ns - Delta
     u = t * ns * ns + Delta + np.abs(q)
     weight = np.full(N + 1, 2.0)

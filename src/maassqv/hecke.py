@@ -1,7 +1,6 @@
 """Hecke eigenvalue sources for the fixed even newform psi of level D with
-trivial nebentypus, plus the multiplicative functions built on top of them:
-the local series L(s, p^b) and its closed form, vartheta = L(1, .) and
-the ideal-weighted h.
+trivial nebentypus, and the multiplicative functions built on them:
+lambda_psi(n), vartheta = L(1, .) and the ideal-weighted h.
 
 Sources are either table-backed (one lambda_psi(p) per prime, extended by
 the Hecke recursion) or synthetic: lambda_psi(p) = 2 cos(theta_p) with
@@ -9,15 +8,18 @@ theta_p uniform in [0, pi] for p not dividing D, and lambda_psi(p) =
 +-p^{-1/2} with lambda(p^b) = lambda(p)^b at the two ramified primes.
 `HeckeSource.lambda_p_array` draws the synthetic values of a whole array
 of primes in one batch (one sha256 digest per prime, then one vectorised
-map); `lambda_p` and `lambda_pp_array` read it, so the draw is written once.
+map) and `lambda_pp_array` runs the Hecke recursion on them; `lambda_p`
+and `lambda_pp` read those for one prime.
 
-The package's one prime sieve, `primes_upto`, and one dense multiplicative
-fill, `multiplicative_fill`, live here; every arithmetic table is a fill.
+A multiplicative function is one callback, local(primes, b) = f(p^b), and
+one of two engines over it: `multiplicative_fill`, the dense table that
+every arithmetic table is, or `multiplicative_at`, f at scattered n
+(`lambda_psi`, `vartheta`).  Both multiply the local factors in ascending
+p, so they agree bit for bit.  The one prime sieve, `primes_upto`, is here.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -27,19 +29,14 @@ import numpy as np
 
 from .errors import (
     ALLOC_BYTES_MAX,
-    DivergentDenominator,
     MalformedTable,
     MissingPrime,
+    Overflow,
     TableBoundExceeded,
 )
 from .ideals import elements_of_norm
 from .lattice import n_beta
-from .quadfield import FieldParams, factorize
-
-
-def _chi0(D: int, p: int) -> int:
-    """Principal character mod D at p."""
-    return 0 if D % p == 0 else 1
+from .quadfield import FACTOR_MAX, FieldParams
 
 
 @dataclass(frozen=True)
@@ -92,24 +89,14 @@ class HeckeSource:
         return out
 
     def lambda_pp(self, p: int, b: int) -> float:
-        """lambda_psi(p^b) by the Hecke recursion (ramified: power model)."""
-        if b < 0:
-            return 0.0
-        if b == 0:
-            return 1.0
-        lp = self.lambda_p(p)
-        if self.level % p == 0:
-            return lp**b
-        prev2, prev1 = 1.0, lp
-        for _ in range(b - 1):
-            prev2, prev1 = prev1, lp * prev1 - prev2
-        return prev1
+        return float(self.lambda_pp_array(np.array([p], dtype=np.int64), b)[0])
 
     def lambda_pp_array(self, primes: np.ndarray, b: int) -> np.ndarray:
-        """lambda_psi(p^b), b >= 1, for an array of primes: the Hecke
-        recursion and ramified power model of `lambda_pp` run elementwise on
-        the lambda_psi(p) values, so each value equals lambda_pp(p, b) bit
-        for bit."""
+        """lambda_psi(p^b) for an array of primes: 1 at b = 0 and 0 at
+        b < 0 (no draw); for b >= 1 the one Hecke recursion, run elementwise
+        on the lambda_psi(p) values, and the power model at ramified p."""
+        if b <= 0:
+            return np.full(primes.shape, float(b == 0))
         lp = self.lambda_p_array(primes)
         prev2, prev1 = np.ones_like(lp), lp
         for _ in range(b - 1):
@@ -131,11 +118,22 @@ def primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(sieve).astype(np.int64)
 
 
+def _local_values(primes: np.ndarray, nmax: int, local: Callable) -> list[np.ndarray]:
+    """loc[b - 1][i] = f(primes[i]^b) for the primes with p^b <= nmax."""
+    loc = []
+    pb = primes
+    while pb.size:
+        loc.append(np.asarray(local(primes[: pb.size], len(loc) + 1), dtype=np.float64))
+        pb = pb * primes[: pb.size]
+        pb = pb[pb <= nmax]
+    return loc
+
+
 def multiplicative_fill(
     nmax: int, local: Callable[[np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
     """Dense table [f(0) .. f(nmax)] of the multiplicative f with f(0) = 0
-    and f(p^b) = local(primes, b)[i] for the ascending primes with p^b <= nmax.
+    and f(p^b) = local(primes, b)[i] for an ascending array of primes.
     Each f(n) is the product of its local factors in ascending p, with no
     division (zero local values are safe); primes p > sqrt(nmax) divide n
     at most once and go in one vectorised step per cofactor j = n/p.
@@ -153,12 +151,7 @@ def multiplicative_fill(
     primes = primes_upto(nmax)
     if not primes.size:
         return out
-    loc = []  # loc[b - 1][i]: f at primes[i]^b, for the primes with p^b <= nmax
-    pb = primes
-    while pb.size:
-        loc.append(np.asarray(local(primes[: pb.size], len(loc) + 1), dtype=np.float64))
-        pb = pb * primes[: pb.size]
-        pb = pb[pb <= nmax]
+    loc = _local_values(primes, nmax, local)
     n_small = loc[1].size if len(loc) > 1 else 0  # the primes with p^2 <= nmax
     for i, p in enumerate(primes[:n_small].tolist()):
         # out[p::p] holds n = j p; p^b divides n exactly when p^{b-1} | j
@@ -177,6 +170,38 @@ def multiplicative_fill(
         out[j * big] *= lbig
         j += 1
     return out
+
+
+def multiplicative_at(ns, local: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+    """The f of `multiplicative_fill` at every n >= 0 of the array ns, by
+    vectorised trial division with the primes p <= sqrt(max n), each n
+    dropping out once its cofactor is below p^2; the local factors multiply
+    in ascending p as in the fill, so the values are the fill's bit for
+    bit.  An n over FACTOR_MAX raises Overflow at once."""
+    ns = np.asarray(ns)
+    nmax = int(ns.max()) if ns.size else 0
+    if nmax > FACTOR_MAX:
+        raise Overflow(f"{nmax} exceeds the trial-division limit {FACTOR_MAX}")
+    rest = ns.astype(np.int64).ravel()
+    out = np.where(rest == 0, 0.0, 1.0)
+    primes = primes_upto(math.isqrt(nmax))
+    loc = _local_values(primes, nmax, local)
+    live = np.flatnonzero(rest > 1)
+    for i, p in enumerate(primes.tolist()):
+        live = live[rest[live] >= p * p]  # below p^2, rest is 1 or a prime
+        if not live.size:
+            break
+        hit = live[rest[live] % p == 0]
+        b = np.zeros(hit.size, dtype=np.int64)  # the exponent of p in n
+        while (more := np.flatnonzero(rest[hit] % p == 0)).size:
+            rest[hit[more]] //= p
+            b[more] += 1
+        out[hit] *= np.array([1.0] + [loc[e][i] for e in range(b.max(initial=0))])[b]
+    last = np.flatnonzero(rest > 1)  # the largest prime factor, left over: last
+    if last.size:
+        q, where = np.unique(rest[last], return_inverse=True)
+        out[last] *= np.asarray(local(q, 1), dtype=np.float64)[where]
+    return out.reshape(ns.shape)
 
 
 def make_source(
@@ -257,60 +282,38 @@ def write_table(src: HeckeSource, path: str, pmax: int) -> None:
     eta = "+1" if src.eta_D > 0 else "-1"
     with open(path, "w") as fh:
         fh.write(f"# D={src.level} t_psi={src.t_psi!r} eta={eta} parity={src.parity}\n")
-        for p in primes_upto(pmax).tolist():
-            fh.write(f"{p} {src.lambda_p(p):.17g}\n")
+        primes = primes_upto(pmax)
+        for p, lam in zip(primes.tolist(), src.lambda_p_array(primes).tolist()):
+            fh.write(f"{p} {lam:.17g}\n")
 
 
-@functools.cache
-def lambda_psi(src: HeckeSource, n: int) -> float:
-    """Multiplicative extension; lambda(-n) = lambda(n), lambda(0) = 0."""
-    n = abs(n)
-    if n == 0:
-        return 0.0
-    v = 1.0
-    for p, b in factorize(n).items():
-        v *= src.lambda_pp(p, b)
-    return v
+def lambda_psi(src: HeckeSource, ns) -> np.ndarray:
+    """lambda_psi(n) for an array of integers: the multiplicative extension
+    of the Hecke values, lambda(-n) = lambda(n) and lambda(0) = 0."""
+    return multiplicative_at(np.abs(np.asarray(ns)), src.lambda_pp_array)
 
 
-def local_series(
-    src: HeckeSource, s: complex, p: int, b: int, J: int = 60
-) -> tuple[complex, complex]:
-    """(closed, truncated) for the local ratio
-    sum_j lambda(p^{b+2j}) p^{-js} / sum_j lambda(p^{2j}) p^{-js}."""
-    assert J >= 1
-    chi0 = _chi0(src.level, p)
-    ps = p ** (-s)
-    if b == 0:
-        closed = 1.0 + 0.0j  # numerator and denominator series coincide
-    else:
-        closed = (src.lambda_pp(p, b) - chi0 * src.lambda_pp(p, b - 2) * ps) / (
-            1 + chi0 * ps
-        )
-    num = sum(src.lambda_pp(p, b + 2 * j) * ps**j for j in range(J + 1))
-    den = sum(src.lambda_pp(p, 2 * j) * ps**j for j in range(J + 1))
-    if abs(den) < 1e-12:
-        raise DivergentDenominator(f"local denominator ~0 at p={p}, s={s}")
-    return closed, num / den
+def vartheta(src: HeckeSource, ns) -> np.ndarray:
+    """vartheta(n) for an array of n >= 1: multiplicative, its local value
+    the closed local series at s = 1."""
+
+    def local(primes: np.ndarray, b: int) -> np.ndarray:
+        chi0 = (src.level % primes != 0).astype(np.float64)
+        lam, lam2 = src.lambda_pp_array(primes, b), src.lambda_pp_array(primes, b - 2)
+        return (lam - chi0 * lam2 / primes) / (1 + chi0 / primes)
+
+    return multiplicative_at(ns, local)
 
 
-def vartheta(src: HeckeSource, n: int) -> float:
-    """Multiplicative; local value = closed local series at s=1."""
-    assert n >= 1
-    v = 1.0
-    for p, b in factorize(n).items():
-        chi0 = _chi0(src.level, p)
-        v *= (src.lambda_pp(p, b) - chi0 * src.lambda_pp(p, b - 2) / p) / (
-            1 + chi0 / p
-        )
-    return v
-
-
-def h_fn(src: HeckeSource, F: FieldParams, n: int) -> float:
-    """sum over principal ideals of norm n of vartheta(|n_beta|)/sqrt(|n_beta|)."""
-    assert n >= 1
-    total = 0.0
-    for rep in elements_of_norm(F, n):
-        _, nb = n_beta(F, rep.gen)
-        total += vartheta(src, nb) / math.sqrt(nb)
-    return total
+def h_fn(src: HeckeSource, F: FieldParams, ns) -> np.ndarray:
+    """h(n) for an array of n >= 1: the sum over the principal ideals of
+    norm n, in enumeration order, of vartheta(|n_beta|)/sqrt(|n_beta|)."""
+    ns = np.asarray(ns)
+    rows = [[n_beta(F, rep.gen)[1] for rep in elements_of_norm(F, n)] for n in ns.ravel().tolist()]
+    nbs = np.array([nb for row in rows for nb in row], dtype=np.int64)
+    terms = iter((vartheta(src, nbs) / np.sqrt(nbs)).tolist())  # one vartheta call
+    out = np.zeros(len(rows))
+    for i, row in enumerate(rows):
+        for _ in row:
+            out[i] += next(terms)
+    return out.reshape(ns.shape)

@@ -14,7 +14,8 @@ feed are even under conjugation, so the values are those of the full
 window up to rounding (within 2e-13 relative for L(1, phi_m), m <= 800).
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
-fills; every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
+fills; C' reads vartheta(p) and h(p^2) in one `hecke` call each;
+every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
 the nodes of `_afe_line`, and summed by `_contour_sum`.  The line
 L(2w + 1, chi_D) of W steps n^{-it} from node to node by one complex
@@ -51,7 +52,7 @@ from .errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto
+from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import ideal_chunks, kronecker_residues
 from .quadfield import FieldParams, factorize
 
@@ -418,20 +419,18 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
     zd2 = zeta_d_two(F)
     ram = ramified_sum_factor(src, F)
 
-    # at a prime p coprime to D: vartheta(p) = lambda(p)/(1 + 1/p),
-    # r_D(p) = 1 + chi_D(p); lambda(p) is drawn for all p in one batch
+    # at a prime p coprime to D, r_D(p) = 1 + chi_D(p)
     primes = primes_upto(p_max)
     primes = primes[F.D % primes != 0]
     chis = kronecker_residues(F)[primes % F.D]
-    ths = src.lambda_p_array(primes) / (1.0 + 1.0 / primes)
+    ths = vartheta(src, primes)
     rds = 1.0 + chis
+    hs = np.zeros(primes.size)  # h(p^2), dropped above p = 500: |h(p^2)| <= 6/p^{...}
+    hs[primes <= 500] = h_fn(src, F, primes[primes <= 500] ** 2)
     log_prod = 0.0
-    for p, th, rd, chi in zip(primes.tolist(), ths.tolist(), rds.tolist(), chis.tolist()):
+    for p, th, rd, chi, h in zip(*(v.tolist() for v in (primes, ths, rds, chis, hs))):
         term = -2.0 * th * rd * p**-1.5 + 2.0 * th * rd * chi * p**-2.5 + p**-5.0
-        if p <= 500:
-            term += (3.0 * chi + h_fn(src, F, p * p)) / p**3
-        else:
-            term += 3.0 * chi / p**3  # |h(p^2)| <= 6/p^{...}: negligible here
+        term += (3.0 * chi + h) / p**3
         log_prod += math.log1p(term)
     c_prime = math.exp(log_prod) * (1.0 - 1.0 / F.p1) ** 2 * (1.0 - 1.0 / F.p2) ** 2
     tail = 16.0 / (math.sqrt(p_max) * math.log(p_max))

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from hecke_oracle import lambda_psi
 from maassqv.characters import Character
 from maassqv.errors import TruncationInsufficient
 from maassqv.halfint import (
@@ -28,7 +29,7 @@ from maassqv.halfint import (
     _decompose,
     gauss_closed,
 )
-from maassqv.hecke import HeckeSource, lambda_psi
+from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker
 from maassqv.weights import SmoothWeight
 

@@ -1,8 +1,9 @@
-"""The traced bench children end to end: a traced `first-moment` or
-`variance` run must find every per-layer function BENCHMARK.json names,
-leave its sample as one line of strict JSON, and give finite metrics, or
-the bench's last line carries no result.  The scan it records is the
-half-window scan of the central values."""
+"""The traced bench children end to end: a traced `first-moment`,
+`variance` or `nonsplit` run must find every per-layer function
+BENCHMARK.json names, leave its sample as one line of strict JSON, and give
+finite metrics, or the bench's last line carries no result.  The scan the
+central values record is their half-window scan; `nonsplit` runs no scan.
+"""
 
 import json
 import math
@@ -22,8 +23,8 @@ def _strict(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
-def _run_traced(tmp_path, argv: list[str], k_hi: int) -> int:
-    """Run one traced child; the size of the scan it recorded."""
+def _run_traced(tmp_path, argv: list[str]) -> dict:
+    """Run one traced child; its per-layer metrics."""
     result = tmp_path / "result.json"
     # no bytecode caches are written under bench/
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -48,18 +49,32 @@ def _run_traced(tmp_path, argv: list[str], k_hi: int) -> int:
     metrics = tracer.summarize(out["trace"])
     assert all(math.isfinite(v) for v in metrics.values())
     json.dumps(metrics, allow_nan=False)
-    # the central values' scan to 4 k_hi^2 D^1.5 holds the half window only
+    return metrics
+
+
+def _half_window_size(k_hi: int) -> int:
+    """The size of the central values' scan to 4 k_hi^2 D^1.5, which holds
+    the half window only."""
     F = make_field(21)
     folded, _, _ = half_window(F, *rectangle_scan(F, int(4.0 * k_hi * k_hi * F.D**1.5)))
-    assert metrics["lfun.ideal_scan.ideals"] == folded.size
     return folded.size
 
 
 def test_traced_child_resolves_every_layer(tmp_path):
-    _run_traced(tmp_path, ["first-moment", "--D", "21", "--K", "8", "--seed", "42"], 16)
+    metrics = _run_traced(tmp_path, ["first-moment", "--D", "21", "--K", "8", "--seed", "42"])
+    assert metrics["lfun.ideal_scan.ideals"] == _half_window_size(16)
 
 
 def test_traced_variance_child_resolves_every_layer(tmp_path):
     # the bench's variance input: _l_one_phi_bulk and constants() run too
     argv = ["variance", "--D", "21", "--K", "10", "--seed", "42"]
-    assert _run_traced(tmp_path, argv, 20) == 53_077
+    metrics = _run_traced(tmp_path, argv)
+    assert metrics["lfun.ideal_scan.ideals"] == _half_window_size(20) == 53_077
+
+
+def test_traced_nonsplit_child_resolves_every_layer(tmp_path):
+    # the bench's own nonsplit argv, where hecke.lambda_psi takes arrays
+    with open(os.path.join(BENCH, "workloads.json")) as fh:
+        argv = json.load(fh)["workloads"]["nonsplit"]["argv"]
+    metrics = _run_traced(tmp_path, [a.replace("{seed}", "42") for a in argv])
+    assert metrics["hecke.lambda_psi.calls"] > 0

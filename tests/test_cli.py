@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from maassqv import cli
+from maassqv import cli, experiments
 from maassqv.cli import (
     _build_parser,
     cmd_field_info,
@@ -12,6 +12,7 @@ from maassqv.cli import (
     cmd_verify_appendixb,
     main,
 )
+from maassqv.hecke import make_source, write_table
 from maassqv.ideals import lambda_k
 from maassqv.quadfield import make_field
 
@@ -105,3 +106,38 @@ def test_untyped_errors_keep_their_traceback(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "field-info", broken)
     with pytest.raises(ZeroDivisionError):
         main(["field-info", "--D", "21"])
+
+
+@pytest.mark.parametrize(
+    "D, error", [("22", "NotOneMod4"), ("0", "NotTwoPrimeProduct"), ("-5", "NotTwoPrimeProduct")]
+)
+def test_nonsplit_rejects_a_bad_field(capsys, D, error):
+    # psi's level is --D, so --D must name an admitted field
+    assert main(["nonsplit", "--D", D, "--Ymax", "4e4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"maassqv: {error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["first-moment", "variance", "nonsplit"])
+def test_table_of_another_level_rejected_before_any_sum(tmp_path, monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum ran before the level was checked")
+
+    for name in ("first_moment", "variance_table", "nonsplit_decay_scan"):
+        monkeypatch.setattr(cli.experiments, name, refuse)
+    path = tmp_path / "psi33.tbl"
+    write_table(make_source(synthetic=1, D=33), str(path), 100)
+    assert main([command, "--D", "21", "--table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"maassqv: HypothesisViolated: --table {path} has level 33, not --D 21\n"
+
+
+def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
+    # --Ymax in [1e4, 4e4) leaves one Y: the decay scan would compare nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum ran before the ladder was checked")
+
+    monkeypatch.setattr(experiments, "nonsplit_sum", refuse)
+    assert main(["nonsplit", "--Ymax", "3e4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maassqv: TruncationInsufficient: ") and err.count("\n") == 1

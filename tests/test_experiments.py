@@ -281,3 +281,9 @@ def test_nonsplit_decay_short_ladder(src):
     rep = nonsplit_decay_scan(src, QuadPoly(1, 0, -21), Ys=[1e4, 4e4, 1.6e5])
     assert rep.passed
     assert len(rep.extra["ratios"]) == 3
+
+
+def test_nonsplit_decay_needs_two_y(src):
+    for Ys in ([], [1e4]):
+        with pytest.raises(TruncationInsufficient):
+            nonsplit_decay_scan(src, QuadPoly(1, 0, -21), Ys=Ys)

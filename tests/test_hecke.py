@@ -6,23 +6,38 @@ import pytest
 from sympy import primerange
 
 from halfint_oracle import lambda_psi_at
-from hecke_oracle import g_fn, mu_2k, mu_2k_closed, satake_square, synthetic_lambda_p
+import hecke_oracle
+from hecke_oracle import (
+    g_fn,
+    local_series,
+    mu_2k,
+    mu_2k_closed,
+    satake_square,
+    synthetic_lambda_p,
+)
 from ideal_oracle import r_D
 from maassqv import hecke
-from maassqv.errors import ALLOC_BYTES_MAX, MalformedTable, MissingPrime, TableBoundExceeded
+from maassqv.errors import (
+    ALLOC_BYTES_MAX,
+    MalformedTable,
+    MissingPrime,
+    Overflow,
+    TableBoundExceeded,
+)
 from maassqv.hecke import (
     h_fn,
     lambda_psi,
-    local_series,
     make_source,
+    multiplicative_at,
     multiplicative_fill,
     primes_upto,
     read_table,
     vartheta,
     write_table,
 )
-from maassqv.ideals import kronecker_chi, lambda_k
+from maassqv.ideals import kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
 from maassqv.lfun import lambda_psi_table
+from maassqv.quadfield import FACTOR_MAX
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +46,11 @@ def src():
 
 
 def test_lambda_basics(src):
-    assert lambda_psi(src, 1) == 1.0
-    assert lambda_psi(src, 0) == 0.0
-    assert lambda_psi(src, -6) == lambda_psi(src, 6)
-    assert lambda_psi(src, 6) == pytest.approx(
-        lambda_psi(src, 2) * lambda_psi(src, 3)
-    )
+    # array in, array out: lambda(0) = 0, lambda(-n) = lambda(n), lambda(1) = 1
+    lam = lambda_psi(src, [1, 0, -6, 6, 2, 3])
+    assert lam.tolist()[:4] == [1.0, 0.0, lam[3], lam[3]]
+    assert lam[3] == pytest.approx(lam[4] * lam[5])
+    assert lambda_psi(src, 7).shape == ()
     assert lambda_psi_at(src, 2.5) == 0.0
     assert lambda_psi_at(src, 7.0) == lambda_psi(src, 7)
 
@@ -104,6 +118,13 @@ def test_vartheta(src):
     assert vartheta(src, 11**3) == pytest.approx(complex(closed).real)
 
 
+def test_vartheta_matches_pointwise_oracle(src):
+    rng = random.Random(11)
+    ns = [rng.randrange(1, 10**7) for _ in range(1000)] + list(range(1, 400))
+    want = np.array([hecke_oracle.vartheta(src, n) for n in ns])
+    assert np.array_equal(vartheta(src, ns).view(np.int64), want.view(np.int64))
+
+
 def test_h_fn(src, F21):
     assert h_fn(src, F21, 1) == 1.0
     assert h_fn(src, F21, 2) == 0.0
@@ -112,11 +133,19 @@ def test_h_fn(src, F21):
     )
 
 
+def test_h_fn_matches_pointwise_oracle(src, F21):
+    # one vartheta call for all n, each h(n) summed in enumeration order
+    ns = list(range(1, 300)) + [p * p for p in primes_upto(500).tolist()]
+    want = np.array([hecke_oracle.h_pointwise(src, F21, n) for n in ns])
+    assert np.array_equal(h_fn(src, F21, ns).view(np.int64), want.view(np.int64))
+    assert h_fn(src, F21, np.array([[4, 5], [9, 1]])).shape == (2, 2)
+
+
 def test_multiplicativity(src, F21):
     rng = random.Random(2)
     fns = {
-        "vartheta": lambda n: vartheta(src, n),
-        "h": lambda n: h_fn(src, F21, n),
+        "vartheta": lambda n: float(vartheta(src, n)),
+        "h": lambda n: float(h_fn(src, F21, n)),
         "g": lambda n: g_fn(src, F21, n),
         "mu": lambda n: mu_2k(F21, 2, n),
     }
@@ -156,7 +185,7 @@ def test_mu_2k(F21):
 
 def test_satake_square(src, F21):
     k, p = 2, 5
-    expect = (lambda_psi(src, 25) - 1) * (
+    expect = (hecke_oracle.lambda_psi(src, 25) - 1) * (
         lambda_k(F21, 4 * k, p) + 1 - kronecker_chi(F21, p)
     )
     assert satake_square(src, F21, k, p) == pytest.approx(expect)
@@ -167,10 +196,18 @@ def test_table_roundtrip(src, tmp_path):
     write_table(src, path, 2000)
     src2 = read_table(path)
     assert (src2.level, src2.t_psi, src2.eta_D, src2.parity) == (21, 1.0, 1, "even")
-    for n in range(1, 2001):
-        assert lambda_psi(src2, n) == lambda_psi(src, n)  # bit-exact
+    ns = np.arange(1, 2001)
+    assert lambda_psi(src2, ns).tolist() == lambda_psi(src, ns).tolist()  # bit-exact
     with pytest.raises(MissingPrime):
         src2.lambda_p(2003)
+
+
+def test_write_table_bytes_match_per_prime_draw(src, tmp_path):
+    # one batched draw writes the bytes the per-prime draw would write
+    path = tmp_path / "psi.tbl"
+    write_table(src, str(path), 5000)
+    rows = [f"{p} {synthetic_lambda_p(42, 21, p):.17g}\n" for p in primes_upto(5000).tolist()]
+    assert path.read_text() == "# D=21 t_psi=1.0 eta=+1 parity=even\n" + "".join(rows)
 
 
 def test_malformed_tables(tmp_path):
@@ -224,10 +261,64 @@ def test_lambda_p_array_matches_per_prime_draw(seed):
 
 
 def test_lambda_pp_array_bit_identical(src):
+    # against the scalar recursion, b = -1 and 0 included (no draw there)
     primes = primes_upto(400)  # includes the ramified 3 and 7
-    for b in range(1, 8):
-        want = [src.lambda_pp(p, b) for p in primes.tolist()]
+    for b in range(-1, 7):
+        want = [hecke_oracle.lambda_pp(src, p, b) for p in primes.tolist()]
         assert src.lambda_pp_array(primes, b).tolist() == want, b
+        assert src.lambda_pp(7, b) == hecke_oracle.lambda_pp(src, 7, b), b
+
+
+def _locals(src, F):
+    """The lambda_psi, vartheta and mu_6 local callbacks at D = 21."""
+    lam6, chi = lambda_k_table(F, 6, 10**5), kronecker_residues(F)
+
+    def theta(primes, b):
+        chi0 = (21 % primes != 0).astype(np.float64)
+        lam, lam2 = src.lambda_pp_array(primes, b), src.lambda_pp_array(primes, b - 2)
+        return (lam - chi0 * lam2 / primes) / (1 + chi0 / primes)
+
+    def mu(primes, b):
+        if b > 2:
+            return np.zeros(primes.size)
+        return -lam6[primes] if b == 1 else chi[primes % 21]
+
+    return {"lambda_psi": src.lambda_pp_array, "vartheta": theta, "mu": mu}
+
+
+@pytest.mark.parametrize("name", ["lambda_psi", "vartheta", "mu"])
+def test_multiplicative_at_matches_fill(src, F21, name):
+    # the sparse engine against the dense table's slice, bit for bit, at
+    # random n, 0, 1, the top and powers of small primes
+    local = _locals(src, F21)[name]
+    nmax = 10**5
+    table = multiplicative_fill(nmax, local)
+    rng = np.random.default_rng(3)
+    ns = np.concatenate([rng.integers(0, nmax + 1, 3000), [0, 1, nmax, 2**16, 3**10, 99991]])
+    got = multiplicative_at(ns.reshape(2, -1), local)
+    assert got.shape == (2, ns.size // 2)
+    assert np.array_equal(got.ravel().view(np.int64), table[ns].view(np.int64))
+
+
+def test_lambda_psi_matches_pointwise_oracle(src):
+    # random n up to 10^12, bit for bit, and the non-split inputs at
+    # Q = (1, 0, -21): Q(n) = n^2 - 21 (both signs) and the D_psi arguments
+    # n^2 + 21, up to 4 10^6
+    rng = random.Random(4)
+    ns = [rng.randrange(1, 10**12) for _ in range(300)] + [10**12, 999999999989]
+    ns += [n * n + c for n in range(2001) for c in (-21, 21)]
+    want = np.array([hecke_oracle.lambda_psi(src, n) for n in ns])
+    assert np.array_equal(lambda_psi(src, ns).view(np.int64), want.view(np.int64))
+
+
+def test_lambda_psi_refuses_past_factor_max_before_dividing(src, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a division ran")
+
+    monkeypatch.setattr(hecke, "primes_upto", refuse)
+    for ns in ([FACTOR_MAX + 1], [5, -(FACTOR_MAX + 1)], [10**20]):
+        with pytest.raises(Overflow):
+            lambda_psi(src, ns)
 
 
 def test_fill_guard_refuses_before_allocating(src, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
+from hecke_oracle import lambda_psi
 from ideal_oracle import oracle_elements
 from lfun_oracle import (
     afe_tail_bound,
@@ -20,7 +21,7 @@ from maassqv.errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from maassqv.hecke import HeckeSource, lambda_psi, make_source, primes_upto, read_table
+from maassqv.hecke import HeckeSource, make_source, primes_upto, read_table
 from maassqv.ideals import grossenchar, lambda_k_table
 from maassqv.lfun import (
     _afe_line,
