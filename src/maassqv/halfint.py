@@ -675,20 +675,32 @@ def symsq_factor_check(
             lhs += lam[m] * ov * float(step * m) ** (-u)
 
         rhs = complex(np.conjugate(omega(step)) * float(step) ** (-u))  # lambda(1) = 1
+        primes = primes_upto(truncation)
+        plist = primes.tolist()
+        lps = [math.log(p) for p in plist]
         ta1_exp = factorize(ta1)
-        for p in primes_upto(truncation).tolist():
-            rp = ta1_exp.get(p, 0)
+        # lam[ell][i] = lambda(p_i^{2 ell + r_p}) over the primes still live at
+        # ell (those with ell Re(u) log p <= 120, a prefix of the ascending
+        # primes): one draw per ell, then the few p | ta1 at their own r_p
+        lam = []
+        live, lp_arr = len(plist), np.array(lps)
+        for ell in range(61):
+            live = int(np.count_nonzero(complex(-ell * u).real * lp_arr[:live] >= -120))
+            if not live:
+                break
+            vals = src.lambda_pp_array(primes[:live], 2 * ell)
+            for p, rp in ta1_exp.items():
+                i = int(np.searchsorted(primes, p))  # p is primes[i] when i < live
+                if i < live:
+                    vals[i] = src.lambda_pp(p, 2 * ell + rp)
+            lam.append(vals.tolist())
+        for i, (p, lp) in enumerate(zip(plist, lps)):
             loc = 0.0 + 0.0j
-            lp = math.log(p)
             for ell in range(61):
                 expo = -ell * u
                 if complex(expo).real * lp < -120:
                     break
-                loc += (
-                    np.conjugate(omega(p**ell))
-                    * src.lambda_pp(p, 2 * ell + rp)
-                    * cmath.exp(expo * lp)
-                )
+                loc += np.conjugate(omega(p**ell)) * lam[ell][i] * cmath.exp(expo * lp)
             rhs *= loc
 
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)

@@ -79,8 +79,12 @@ class HeckeSource:
                 return np.array([self.prime_values[p] for p in plist], dtype=np.float64)
             except KeyError as exc:
                 raise MissingPrime(f"p={exc.args[0]} beyond table range") from None
-        seed, sha = self.seed, hashlib.sha256
-        raw = b"".join([sha(b"%d:%d" % (seed, p)).digest()[:8] for p in plist])
+        prefix = hashlib.sha256(b"%d:" % self.seed)  # hashed once, copied per prime
+        raw = bytearray()
+        for p in plist:
+            h = prefix.copy()
+            h.update(b"%d" % p)
+            raw += h.digest()[:8]
         u = np.frombuffer(raw, dtype=">u8") / 2.0**64  # uniform [0, 1)
         out = 2.0 * np.cos(np.pi * u)
         ram = self.level % primes == 0

@@ -4,7 +4,9 @@
 evaluated pointwise; maassqv.lfun only ever needs its log-modulus or its
 ratios on the contour nodes.  `dirichlet_l_line_per_node` is the
 L(2w + 2s, chi_D) contour line summed with one complex exponential per
-term and node.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
+term and node, and `contour_sum_per_node` the AFE contour sum with one
+exp, cos and sin per point and node, the reference for the block sum of
+`lfun._contour_sum`.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
 approximate functional equation, the reference for
 `experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
 bound on the weight W.  `central_values_per_k` is the bulk engine's sum
@@ -168,3 +170,17 @@ def l_one_phi_sorted_scan(
         ph = (math.pi * m / F.log_eps) * thetas
         out[m] = float(np.sum(coef * np.cos(ph)))
     return MappingProxyType(out)
+
+
+def contour_sum_per_node(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Re sum over nodes of e^{logx * w} g, for each entry of logx, with one
+    exp, one cos and one sin per point and node."""
+    out = np.empty(logx.size)
+    chunk = max(1, (1 << 22) // w.size)
+    for i0 in range(0, logx.size, chunk):
+        lx = logx[i0 : i0 + chunk, None]
+        out[i0 : i0 + chunk] = (
+            np.exp(lx * w[None, :].real)
+            * (np.cos(lx * w[None, :].imag) * g.real - np.sin(lx * w[None, :].imag) * g.imag)
+        ).sum(axis=1)
+    return out

@@ -403,9 +403,18 @@ def test_reduction_second_form(src):
 def test_symsq_factorization(src):
     rep = symsq_factor_check(src, all_ones_character(), 1, 1, 1.5, truncation=100000)
     assert rep.passed and rep.computed <= 1e-6
+    # both sides pinned bit for bit: the Euler product draws one lambda(p^{2l})
+    # array per l, summed in ascending l per p and multiplied in ascending p
+    assert rep.extra["lhs"] == "(0.23129803716736966+0j)"
+    assert rep.extra["rhs"] == "(0.23129804213065222+0j)"
     om = Character(5, tuple(float(kronecker(n, 5)) for n in range(5)))  # (n/5), even
     rep = symsq_factor_check(src, om, 3, 2, 1.6, truncation=50000)
     assert rep.computed <= 1e-5
+    assert rep.extra["lhs"] == "(0.019463443701909885+0j)"
+    assert rep.extra["rhs"] == "(0.019463443695416395+0j)"
+    # t' a1 = 7: the prime 7 reads lambda(7^{2l + 1}) in place of the draw
+    rep = symsq_factor_check(src, om, 84, 3, 1.6 + 0.3j, truncation=20000)
+    assert rep.extra["rhs"] == "(0.2859424318817317+0.03959530759578854j)"
     with pytest.raises(TruncationInsufficient):
         symsq_factor_check(src, all_ones_character(), 1, 1, 0.7)
     # even sources have lambda(-1) = 1

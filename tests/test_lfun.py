@@ -10,6 +10,7 @@ from ideal_oracle import oracle_elements
 from lfun_oracle import (
     afe_tail_bound,
     central_value,
+    contour_sum_per_node,
     dirichlet_l_line_per_node,
     gamma_factor,
     l_one_phi_dense,
@@ -27,6 +28,8 @@ from maassqv.lfun import (
     _afe_line,
     _l_one_phi_bulk,
     _afe_nodes,
+    _contour_nodes,
+    _contour_sum,
     _dirichlet_l_line,
     _gl2_central,
     afe_weight_many,
@@ -215,6 +218,50 @@ def test_afe_weight_contour_shift_invariance(F, k):
     shifted = afe_weight_many(xis, F, k, c=0.5)
     base = afe_weight_many(xis, F, k)
     assert np.max(np.abs(shifted - base)) < 1e-9
+
+
+def _assert_contour_sum_matches_oracle(logx, w, g):
+    # the block product carries the phase x (tau_Rm + tau_r) for x tau_{Rm+r}:
+    # rounding of the size of every node's term, so the bound scales with
+    # sum_j |g_j| e^{x Re w_j}, the sum before any cancellation
+    got = _contour_sum(logx, w, g)
+    want = contour_sum_per_node(logx, w, g)
+    scale = np.exp(logx[:, None] * w.real[None, :]) @ np.abs(g)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+@pytest.mark.parametrize("k", [3, 30, 60, 400])
+@pytest.mark.parametrize("D", [21, 33, 77])
+def test_contour_sum_matches_per_node_oracle_on_w_lines(D, k, c):
+    # log x = 1.5 log D - log xi - 2 log k over the callers' xi: from
+    # 1.5 log D + 1.4 (matched_sym2_cutoff's smallest n) down past -19
+    Fd = make_field(D)
+    w, g = _afe_nodes(Fd, k, 1.0, c)
+    _assert_contour_sum_matches_oracle(np.linspace(-20.0, 1.5 * math.log(D) + 2.0, 2000), w, g)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+@pytest.mark.parametrize("twist", [False, True])
+@pytest.mark.parametrize("D", [21, 33, 77])
+def test_contour_sum_matches_per_node_oracle_on_v_lines(D, twist, c):
+    # _gl2_central's V at log x = log(q)/2 - log n, n = 1 .. 200 sqrt(q)
+    q = float(D * D) if twist else float(D)
+    w, g = _contour_nodes((1j, -1j), c=c)
+    n = np.arange(1, int(200.0 * math.sqrt(q)) + 1)
+    _assert_contour_sum_matches_oracle(0.5 * math.log(q) - np.log(n), w, g)
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 161])
+def test_contour_sum_pads_synthetic_lines(size):
+    # lines that end short of, on and just past a block of 32, and lines
+    # that start off the real axis; g of size one at every node, so no node
+    # (the padded last block's included) is negligible
+    rng = np.random.default_rng(size)
+    for c, tau0, h in ((0.7, 0.0, 0.05), (0.3, 1.3, 0.11), (1.0, -2.0, 0.05)):
+        w = c + 1j * (tau0 + h * np.arange(size))
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        _assert_contour_sum_matches_oracle(np.linspace(-4.0, 4.0, 301), w, g)
 
 
 @pytest.mark.parametrize("s", [0.5 + 0j])
