@@ -14,14 +14,16 @@ the expected value divide by the bulk L(1, phi_2k) of
 sieve.
 
 The central values L(1/2, psi x phi_2k) of every k come from one pass over
-the norm-sorted ideal scan in chunks of `_CV_CHUNK` ideals: chunks outside,
-k inside, with e^{ik phi} rotated by one complex multiply per k and
-re-seeded from np.exp every `lfun._RESEED` k, so temporaries are the size
-of a chunk and no k recomputes a cosine over its whole cut.  The scan holds
-the half window theta in [0, log eps] (`ideals`): each ideal's term is
-even under conjugation and counts with its multiplicity, so the values are
-those of the full window up to rounding (within 2e-13 of max_k |L_k| at
-D = 21, K <= 100).
+the norms in bands of about `_CV_BAND` ideals: bands outside, k inside.
+Each band is scanned (`ideals.ideal_scan`) and its lambda_psi segment
+filled (`lfun.lambda_psi_table`, from one draw of lambda_psi(p) per run)
+on its own, and e^{ik phi} is rotated by one complex multiply per k and
+re-seeded from np.exp every `lfun._RESEED` k, so memory is set by one band
+and not by K, and no k recomputes a cosine over its whole cut.  The scan
+holds the half window theta in [0, log eps] (`ideals`): each ideal's term
+is even under conjugation and counts with its multiplicity, so the values
+are those of the full window up to rounding (within 2e-13 of max_k |L_k|
+at D = 21, K <= 100).
 """
 
 from __future__ import annotations
@@ -34,8 +36,16 @@ import numpy as np
 
 from .errors import HypothesisViolated, TruncationInsufficient
 from .halfint import QuadPoly, nonsplit_sum
-from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
-from .ideals import ideal_scan, kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
+from .hecke import HeckeSource, check_fill, h_fn, multiplicative_fill, primes_upto, vartheta
+from .ideals import (
+    _check_scan,
+    _scan_bytes,
+    ideal_scan,
+    kronecker_chi,
+    kronecker_residues,
+    lambda_k,
+    lambda_k_table,
+)
 from .lfun import (
     _RESEED,
     _l_one_phi_bulk,
@@ -46,6 +56,7 @@ from .lfun import (
     dirichlet_l_one,
     l_one_phi,
     l_one_sym2,
+    lambda_psi_factors,
     lambda_psi_table,
     lambda_square_table,
     watson_ichino_mu2,
@@ -234,7 +245,25 @@ def diagonal_check(
 # Bulk central values L(1/2, psi x phi_2k) over a dyadic range of k.
 
 
-_CV_CHUNK = 1 << 16  # ideals per chunk of the central-value loop
+_CV_BAND = 1 << 16  # ideals per norm band of the central-value loop
+
+
+def _band_width(F: FieldParams) -> int:
+    """The norms per band: the half window holds about log(eps)/sqrt(D)
+    ideals per norm (`ideals._scan_bytes`), so a band of this width holds
+    about `_CV_BAND`."""
+    return max(1, int(_CV_BAND * F.sqrtD / F.log_eps))
+
+
+def _check_bands(F: FieldParams, n_max: int) -> None:
+    """Raise before a central-value run to n_max allocates anything: the
+    scan of one band (ScanBoundExceeded), with the ideals of the first band,
+    which has the most, and the rows of the last; and the lambda_psi fill
+    (TableBoundExceeded), with its sieve and per-prime arrays to n_max and
+    one band of the table.  Arithmetic only."""
+    width = _band_width(F)
+    _check_scan(F, n_max, _scan_bytes(F, min(width, n_max)))
+    check_fill(n_max, width + 1)
 
 
 @functools.cache
@@ -251,19 +280,23 @@ def central_values_bulk(
     ideals (m), p_1(m), p_2(m), (sqrt D)(m), whose Grossencharacter value
     is identically 1 -- so only mean-zero oscillating terms are dropped.
 
-    The series runs over the norm-sorted half-window `ideal_scan` in chunks
-    of `_CV_CHUNK` ideals, with the chunks outside and k inside.  Each chunk
-    forms log n, lambda_psi(n)/sqrt(n) times the multiplicity and e^{i phi},
+    The series runs over the half-window ideals in norm bands
+    lo < n <= lo + `_band_width`, with the bands outside and k inside; each
+    band is the norm-sorted `ideal_scan` of the band and the
+    `lambda_psi_table` segment of the band, from lambda_psi(p) drawn once
+    (`lfun.lambda_psi_factors`), so the whole run holds one band, and
+    `_check_bands` refuses a run before it allocates.  Each band forms log n,
+    lambda_psi(n)/sqrt(n) times the multiplicity and e^{i phi},
     phi = 2 pi theta/log eps, once (a conjugate has phase 4 pi - phi and the
-    same cos(k phi)); the k whose cut n <= n_k reaches into the chunk run in
+    same cos(k phi)); the k whose cut n <= n_k reaches into the band run in
     ascending order, e^{i k phi} advancing by one complex multiply per k and
-    re-seeded from np.exp at the chunk's first k and every `lfun._RESEED`
-    k after it.  W comes from np.interp at log n - 2 log k, each k's chunk
-    term is an np.sum, and the chunk terms are added in chunk order.
-    Temporaries are the size of a chunk.  Against one np.cos per k over the
-    whole cut of the full-window scan (`tests/lfun_oracle.central_values_per_k`)
-    the values differ by the rounding of the re-associated sums: at most
-    1.5e-13 of max_k |L_k| at D = 21, K <= 100.
+    re-seeded from np.exp at the band's first k and every `lfun._RESEED`
+    k after it.  W comes from np.interp at log n - 2 log k, each k's band
+    term is an np.sum, and the band terms are added in band order.
+    Against one np.cos per k over the whole cut of the full-window scan
+    (`tests/lfun_oracle.central_values_per_k`) the values differ by the
+    rounding of the re-associated sums: at most 1.5e-13 of max_k |L_k| at
+    D = 21, K <= 100.
     The returned array is read-only."""
     out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
@@ -271,8 +304,8 @@ def central_values_bulk(
         return out
 
     n_max = int(mult * k_hi * k_hi * F.D**1.5)
-    norms, thetas, mults = ideal_scan(F, n_max)
-    lpsi = lambda_psi_table(src, n_max)
+    _check_bands(F, n_max)
+    factors = lambda_psi_factors(src, n_max, F)
 
     # coherent completion data: lambda_psi(a m^2)/sqrt(a m^2) for the four
     # conjugation-fixed families a in {1, p1, p2, D}
@@ -288,23 +321,27 @@ def central_values_bulk(
         fam[a] = tab / (math.sqrt(a) * m)
 
     ks = range(k_lo, k_hi + 1)
-    n_ks = [int(mult * k * k * F.D**1.5) for k in ks]
-    cuts = np.searchsorted(norms, n_ks, side="right").tolist()  # ascending in k
+    n_ks = [int(mult * k * k * F.D**1.5) for k in ks]  # ascending; the last is n_max
     grids = [np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400) for k in ks]
     log_grids = [np.log(grid) for grid in grids]
     wgrids = [afe_weight_many(grid, F, k, src.t_psi) for grid, k in zip(grids, ks)]
     two_log_k = [2.0 * math.log(k) for k in ks]
 
     half = [0.0] * len(ks)
-    first = 0  # the first k whose cut reaches past the chunk start
-    for c0 in range(0, cuts[-1], _CV_CHUNK):
-        while cuts[first] <= c0:
+    first = 0  # the first k whose cut reaches past the band start
+    width = _band_width(F)
+    for lo in range(0, n_max, width):
+        while n_ks[first] <= lo:
             first += 1
-        c1 = min(c0 + _CV_CHUNK, cuts[-1])
-        n = norms[c0:c1].astype(np.float64)
+        hi = min(lo + width, n_max)
+        norms, thetas, mults = ideal_scan(F, hi, lo)
+        lpsi = lambda_psi_table(src, hi, lo, factors)
+        cuts = np.searchsorted(norms, n_ks[first:], side="right").tolist()
+        n = norms.astype(np.float64)
         logn = np.log(n)
-        pref = lpsi[norms[c0:c1]] / np.sqrt(n) * mults[c0:c1]
-        phase = thetas[c0:c1] * (2.0 * math.pi / F.log_eps)
+        pref = lpsi[norms - lo] / np.sqrt(n) * mults
+        del lpsi, norms, mults
+        phase = thetas * (2.0 * math.pi / F.log_eps)
         unit = np.exp(1j * phase)
         for j in range(first, len(ks)):
             k = ks[j]
@@ -312,9 +349,10 @@ def central_values_bulk(
                 rot = np.exp(1j * (k * phase))
             else:
                 rot *= unit
-            size = min(cuts[j], c1) - c0
+            size = cuts[j - first]
             wv = np.interp(logn[:size] - two_log_k[j], log_grids[j], wgrids[j])
             half[j] += float(np.sum(pref[:size] * rot.real[:size] * wv))
+        del thetas, n, logn, pref, phase, unit, rot, wv  # not alive through the next scan
 
     for j, k in enumerate(ks):
         # coherent tail: a m^2 > n_k, W still non-negligible

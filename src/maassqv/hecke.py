@@ -12,10 +12,14 @@ map) and `lambda_pp_array` runs the Hecke recursion on them; `lambda_p`
 and `lambda_pp` read those for one prime.
 
 A multiplicative function is one callback, local(primes, b) = f(p^b), and
-one of two engines over it: `multiplicative_fill`, the dense table that
-every arithmetic table is, or `multiplicative_at`, f at scattered n
-(`lambda_psi`, `vartheta`).  Both multiply the local factors in ascending
-p, so they agree bit for bit.  The one prime sieve, `primes_upto`, is here.
+one of two engines over it: `fill_segment`, the table of f on a segment
+[lo, hi] of the integers, or `multiplicative_at`, f at scattered n
+(`lambda_psi`, `vartheta`).  `local_factors` takes the local values once,
+so a run that fills many segments draws each lambda_psi(p) once, and
+`multiplicative_fill`, the dense table that every arithmetic table is, is
+the segment [0, nmax].  Both engines multiply the local factors in
+ascending p, so they agree bit for bit, and a value does not depend on the
+segment that holds it.  The one prime sieve, `primes_upto`, is here.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .errors import (
     Overflow,
     TableBoundExceeded,
 )
-from .ideals import elements_of_norm
+from .ideals import elements_of_norm, interval_chunks
 from .lattice import n_beta
 from .quadfield import FACTOR_MAX, FieldParams
+
+_DRAW_BLOCK = 1 << 16  # primes per block of the synthetic draw
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,18 @@ class HeckeSource:
         lambda_psi(p) is 2 cos(pi u) for p not dividing D and
         +-p^{-1/2} (+ when u < 1/2) at the ramified primes.  This is the one
         hash-to-lambda map; `lambda_p` reads it for a single prime."""
-        plist = primes.tolist()
         if self.seed is None:
             try:
-                return np.array([self.prime_values[p] for p in plist], dtype=np.float64)
+                return np.array([self.prime_values[p] for p in primes.tolist()], dtype=np.float64)
             except KeyError as exc:
                 raise MissingPrime(f"p={exc.args[0]} beyond table range") from None
         prefix = hashlib.sha256(b"%d:" % self.seed)  # hashed once, copied per prime
         raw = bytearray()
-        for p in plist:
-            h = prefix.copy()
-            h.update(b"%d" % p)
-            raw += h.digest()[:8]
+        for i0 in range(0, primes.size, _DRAW_BLOCK):  # bounds the Python ints
+            for p in primes[i0 : i0 + _DRAW_BLOCK].tolist():
+                h = prefix.copy()
+                h.update(b"%d" % p)
+                raw += h.digest()[:8]
         u = np.frombuffer(raw, dtype=">u8") / 2.0**64  # uniform [0, 1)
         out = 2.0 * np.cos(np.pi * u)
         ram = self.level % primes == 0
@@ -119,7 +125,7 @@ def primes_upto(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def _local_values(primes: np.ndarray, nmax: int, local: Callable) -> list[np.ndarray]:
@@ -133,47 +139,89 @@ def _local_values(primes: np.ndarray, nmax: int, local: Callable) -> list[np.nda
     return loc
 
 
-def multiplicative_fill(
-    nmax: int, local: Callable[[np.ndarray, int], np.ndarray]
-) -> np.ndarray:
-    """Dense table [f(0) .. f(nmax)] of the multiplicative f with f(0) = 0
-    and f(p^b) = local(primes, b)[i] for an ascending array of primes.
-    Each f(n) is the product of its local factors in ascending p, with no
-    division (zero local values are safe); primes p > sqrt(nmax) divide n
-    at most once and go in one vectorised step per cofactor j = n/p.
-    A fill whose table (8 bytes per integer) and prime sieve (1 byte)
-    together exceed 8 GiB raises TableBoundExceeded before anything is
-    allocated."""
-    need = 9.0 * (nmax + 1)
+_PRIME_BYTES = 48  # peak bytes per prime of local_factors: primes, f(p), the draw
+_SEGMENT_BYTES = 12  # bytes per integer of a segment: the table and p = 2's factors
+_FILL_CHUNK = 1 << 16  # (cofactor, prime) pairs per numpy pass of the large primes
+
+
+def check_fill(nmax: int, width: int) -> None:
+    """Raise TableBoundExceeded before a fill allocates anything: when the
+    prime sieve to nmax (1 byte per integer), the per-prime arrays of
+    `local_factors` to nmax (`_PRIME_BYTES` for each of the at most
+    1.25506 nmax/log nmax primes, Rosser-Schoenfeld) and a segment of
+    `width` integers (`_SEGMENT_BYTES` each) together pass 8 GiB."""
+    primes = 1.25506 * nmax / math.log(nmax) if nmax > 1 else 0.0
+    need = (nmax + 1) + _PRIME_BYTES * primes + _SEGMENT_BYTES * width
     if need > ALLOC_BYTES_MAX:
         raise TableBoundExceeded(
             f"table fill to {nmax} needs about {need / 2**30:.1f} GiB, "
             f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
         )
-    out = np.ones(nmax + 1)
-    out[0] = 0.0
+
+
+def local_factors(
+    nmax: int, local: Callable[[np.ndarray, int], np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(primes, loc): the primes p <= nmax in ascending order and
+    loc[b - 1][i] = f(primes[i]^b) = local(primes, b)[i] for the primes with
+    p^b <= nmax, the local values every segment of `fill_segment` up to
+    nmax reads.  Refused by `check_fill` before the sieve allocates."""
+    check_fill(nmax, 0)
     primes = primes_upto(nmax)
-    if not primes.size:
-        return out
-    loc = _local_values(primes, nmax, local)
-    n_small = loc[1].size if len(loc) > 1 else 0  # the primes with p^2 <= nmax
+    return primes, _local_values(primes, nmax, local)
+
+
+def fill_segment(
+    factors: tuple[np.ndarray, list[np.ndarray]], lo: int, hi: int
+) -> np.ndarray:
+    """Table [f(lo) .. f(hi)] of the multiplicative f with f(0) = 0 whose
+    `local_factors` to a bound >= hi are `factors`.
+
+    Each f(n) is the product of its local factors in ascending p, with no
+    division (zero local values are safe): first the primes with p^2 <= hi,
+    by stride over their multiples in the segment, then the at most one
+    prime p > sqrt(hi) that divides n, last, through its cofactor j = n/p:
+    every pair (j, p) with lo <= j p <= hi, `_FILL_CHUNK` pairs per numpy
+    pass.  So f(n) is the same bits in every segment that holds n."""
+    primes, loc = factors
+    out = np.ones(hi - lo + 1)
+    if lo == 0:
+        out[0] = 0.0
+    n_small = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     for i, p in enumerate(primes[:n_small].tolist()):
-        # out[p::p] holds n = j p; p^b divides n exactly when p^{b-1} | j
-        fac = np.full(nmax // p, loc[0][i])
+        t0 = max(1, -(-lo // p))  # the multiples t p of p in the segment
+        if t0 > hi // p:
+            continue
+        fac = np.full(hi // p - t0 + 1, loc[0][i])
         q, b = p, 1
-        while q * p <= nmax:
+        while q * p <= hi:
+            # p^b divides t p exactly when p^{b-1} = q divides t
             b += 1
-            fac[q - 1 :: q] = loc[b - 1][i]
+            fac[-t0 % q :: q] = loc[b - 1][i]
             q *= p
-        out[p::p] *= fac
-    big, lbig = primes[n_small:], loc[0][n_small:]
-    j = 1
-    while big.size:
-        cnt = int(np.searchsorted(big, nmax // j, side="right"))
-        big, lbig = big[:cnt], lbig[:cnt]
-        out[j * big] *= lbig
-        j += 1
+        out[t0 * p - lo :: p] *= fac
+        del fac  # not alive next to the next prime's
+    top = int(np.searchsorted(primes, hi, side="right"))
+    if top == n_small:
+        return out
+    big, lbig = primes[n_small:top], loc[0][n_small:top]
+    js = np.arange(1, hi // int(big[0]) + 1)
+    first = np.searchsorted(big, -(-lo // js))  # the primes with lo <= j p <= hi
+    counts = np.maximum(np.searchsorted(big, hi // js, side="right") - first, 0)
+    for idx, j in interval_chunks(first, counts, js, _FILL_CHUNK):
+        out[j * big[idx] - lo] *= lbig[idx]
     return out
+
+
+def multiplicative_fill(
+    nmax: int, local: Callable[[np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """Dense table [f(0) .. f(nmax)] of the multiplicative f with f(0) = 0
+    and f(p^b) = local(primes, b)[i] for an ascending array of primes: the
+    segment [0, nmax] of `fill_segment`.  A fill that `check_fill` estimates
+    above 8 GiB raises TableBoundExceeded before anything is allocated."""
+    check_fill(nmax, nmax + 1)
+    return fill_segment(local_factors(nmax, local), 0, nmax)
 
 
 def multiplicative_at(ns, local: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:

@@ -18,14 +18,20 @@ gives each ideal a multiplicity: 1 on the self-conjugate lines theta = 0
 and theta = log eps, decided exactly in (m, n), and 2 elsewhere.  The
 multiplicity-1 ideals are one per norm a m^2, a in {1, p1, p2, D}.
 
-`ideal_chunks` scans every norm up to a bound.  On a row n the difference
-c = y - ybar = n sqrt(D) is fixed, so the window and the norm bound cut
-the row to at most two m-intervals, one on each side of the band around
-y = c that the window excludes.  Only those strips are tested with numpy,
-and their ends are widened well past the floating-point error of the
-test, so no ideal is lost.  The kept ideals come chunk by chunk, unsorted,
-in O(chunk) memory; `ideal_scan` collects the same chunks and sorts them
-stably by norm.  Nothing is cached.
+`ideal_chunks` scans every norm of a band lo < |N| <= hi; the band
+(0, hi] is every norm up to hi.  On a row n the difference
+c = y - ybar = n sqrt(D) is fixed, and |N| falls with y on one side of the
+stretch around y = c that the window excludes and rises with y on the
+other, so the window and the two norm bounds cut the row to at most two
+m-intervals: the difference of the intervals of the bounds hi and lo.
+Only those strips are tested with numpy, and their ends are widened well
+past the floating-point error of the test, so no ideal is lost; the exact
+integer test lo < |N| <= hi decides the band.  The kept ideals come chunk
+by chunk, unsorted, in O(chunk) memory; `ideal_scan` collects the same
+chunks and sorts them stably by norm, so the bands (0, n1], (n1, n2], ..
+of a scan, sorted one at a time and concatenated, are the scan of
+(0, n_max] bit for bit, and a consumer holds one band at a time.  Nothing
+is cached.
 
 `elements_of_norm` solves one norm exactly instead, over the full window:
 on row k the norm form is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n,
@@ -100,31 +106,36 @@ _SCAN_CHUNK = 1 << 16  # candidates evaluated per numpy pass: cache-sized tempor
 _IDEAL_BYTES = 42  # peak bytes per kept ideal of an ideal_scan build
 
 
-def _scan_bytes(F: FieldParams, bound: int) -> float:
-    """Estimated peak bytes of an `ideal_scan` build to norm `bound`.
+def _scan_bytes(F: FieldParams, hi: int, lo: int = 0) -> float:
+    """Estimated peak bytes of an `ideal_scan` build of the band
+    lo < |N| <= hi.
 
     The kept generators y = m + n*omega are the lattice points, of covolume
-    sqrt(D) in the (y, ybar) plane, of the region |y ybar| <= bound,
-    1 <= y/|ybar| <= eps, whose area is log(eps) bound.  The area counts
+    sqrt(D) in the (y, ybar) plane, of the region lo < |y ybar| <= hi,
+    1 <= y/|ybar| <= eps, whose area is log(eps) (hi - lo).  The area counts
     half of the points on its two closed edges, the self-conjugate ideals,
-    one for each norm a m^2 <= bound with a in {1, p1, p2, D}; the other
+    one for each norm a m^2 in the band with a in {1, p1, p2, D}; the other
     half is added.  Each ideal costs 17 bytes in the norm, angle and
     multiplicity buffers, 8 in the sort order and 17 in the sorted copies.
     The per-row arrays come on top (`_check_scan`)."""
-    edges = sum(math.sqrt(bound / a) for a in (1, F.p1, F.p2, F.D))
-    return _IDEAL_BYTES * (F.log_eps * bound / F.sqrtD + 0.5 * edges)
+
+    def edges(bound: int) -> float:
+        return sum(math.sqrt(bound / a) for a in (1, F.p1, F.p2, F.D))
+
+    return _IDEAL_BYTES * (F.log_eps * (hi - lo) / F.sqrtD + 0.5 * (edges(hi) - edges(lo)))
 
 
 _ROW_BYTES = 128  # peak bytes per row of _row_intervals and _candidate_pieces
 
 
 def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
-    """Raise ScanBoundExceeded before a scan to `bound` allocates anything:
-    when `kept_bytes` plus the per-row arrays of `_row_intervals` and
-    `_candidate_pieces` (about 16 float or int64 values on each of the
-    `_last_row` + 1 rows) pass 8 GiB, or when an int64 product of
-    `ideal_chunks` could pass 2^63: the norm form m^2 + m n + omega_norm n^2,
-    or the multiplicity test m b - n a against the lines of `_fixed_lines`.
+    """Raise ScanBoundExceeded before a scan of a band up to `bound`
+    allocates anything: when `kept_bytes` plus the per-row arrays of
+    `_row_intervals` and `_candidate_pieces` (about 16 float or int64
+    values on each of the `_last_row` + 1 rows) pass 8 GiB, or when an
+    int64 product of `ideal_chunks` could pass 2^63: the norm form
+    m^2 + m n + omega_norm n^2, or the multiplicity test m b - n a against
+    the lines of `_fixed_lines`.
 
     The rows grow like sqrt(eps bound)/sqrt(D), so on fields with large
     units they, not the ideals, set the size at small bounds.  A tested m is
@@ -188,9 +199,9 @@ def _fixed_lines(F: FieldParams) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def ideal_chunks(
-    F: FieldParams, bound: int
+    F: FieldParams, hi: int, lo: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(norms, thetas, mults) of the principal ideals with 1 <= |N| <= bound
+    """(norms, thetas, mults) of the principal ideals with lo < |N| <= hi
     and theta in the closed half window [0, log eps], one chunk of about
     `_SCAN_CHUNK` candidates at a time, unsorted.
 
@@ -207,55 +218,67 @@ def ideal_chunks(
     kept points of a scan of the whole bounding rectangle in its order.
     A consumer that needs no norm order reads the ideals in O(chunk) memory.
     """
-    starts, counts, row_of, ends = _candidate_pieces(F, bound)
+    starts, counts, row_of = _candidate_pieces(F, hi, lo)
     end = math.exp(F.log_eps) * (1.0 + 1e-9)
     (a1, b1), (a2, b2) = _fixed_lines(F)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    i0 = 0
-    while i0 < counts.size:
-        done = int(ends[i0] - counts[i0])
-        i1 = int(np.searchsorted(ends, done + _SCAN_CHUNK, side="right"))
-        i1 = max(i1, i0 + 1)
-        cnt = counts[i0:i1]
-        total = int(cnt.sum())
-        first = np.cumsum(cnt) - cnt
-        mm = np.arange(total, dtype=np.int64) + np.repeat(starts[i0:i1] - first, cnt)
-        nn = np.repeat(row_of[i0:i1], cnt)
+    for mm, nn in interval_chunks(starts, counts, row_of, _SCAN_CHUNK):
         y = mm + nn * om
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
         y2 = y * y
-        ok = (aq >= 1) & (aq <= bound) & _in_window(y, y2, aq, end)
+        ok = (aq > lo) & (aq <= hi) & _in_window(y, y2, aq, end)
         m, n = mm[ok], nn[ok]
         norms = aq[ok]
         thetas = np.log(y2[ok] / norms)
         del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
         fixed = (n == 0) | (2 * m + n == 0) | (m * b1 == n * a1) | (m * b2 == n * a2)
         yield norms, thetas, np.where(fixed, np.int8(1), np.int8(2))
+
+
+def interval_chunks(
+    starts: np.ndarray, counts: np.ndarray, labels: np.ndarray, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(values, labels) of the integer intervals starts[i] ..
+    starts[i] + counts[i] - 1 (int64, counts >= 0) in order, each value
+    with the label of its interval, whole intervals of about `chunk` values
+    at a time: one interval longer than `chunk` comes alone."""
+    ends = np.cumsum(counts)
+    i0 = 0
+    while i0 < counts.size:
+        done = int(ends[i0] - counts[i0])
+        i1 = max(i0 + 1, int(np.searchsorted(ends, done + chunk, side="right")))
+        cnt = counts[i0:i1]
+        first = np.cumsum(cnt) - cnt
+        values = np.arange(int(cnt.sum()), dtype=np.int64) + np.repeat(starts[i0:i1] - first, cnt)
+        yield values, np.repeat(labels[i0:i1], cnt)
         i0 = i1
 
 
-def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, thetas, mults) of the principal ideals with 1 <= |N| <= nmax
-    and theta in [0, log eps], sorted by norm: the `ideal_chunks` scan to
-    nmax, stably sorted.
+def ideal_scan(
+    F: FieldParams, hi: int, lo: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(norms, thetas, mults) of the principal ideals with lo < |N| <= hi
+    and theta in [0, log eps], sorted by norm: the `ideal_chunks` scan of
+    the band, stably sorted.
 
     The stable sort keeps the row-major order of the chunks within a norm,
     so the result is that of a scan of the whole bounding rectangle bit for
-    bit, and a scan to a larger bound cut at nmax is this scan.  A scan
+    bit: a scan to a larger bound cut to the band is this scan, and
+    consecutive bands concatenated are the scan of their union.  A band
     whose kept ideals (`_scan_bytes`) and rows together are estimated above
     8 GiB raises ScanBoundExceeded before anything is allocated.
     """
-    _check_scan(F, nmax, _scan_bytes(F, nmax))
+    _check_scan(F, hi, _scan_bytes(F, hi, lo))
     # kept points go straight into buffers sized by the candidate count, an
     # upper bound: chunk parts freed after a concatenate would stay resident
     # in the C heap and raise the build peak.  ideal_chunks recomputes the
-    # pieces, which costs O(sqrt(nmax)).
-    size = int(_candidate_pieces(F, nmax)[3][-1])
+    # pieces, which costs O(sqrt(hi)).
+    size = int(_candidate_pieces(F, hi, lo)[1].sum())
     bufs = (np.empty(size, np.int64), np.empty(size, np.float64), np.empty(size, np.int8))
     kept = 0
-    for chunk in ideal_chunks(F, nmax):
+    for chunk in ideal_chunks(F, hi, lo):
         k = chunk[0].size
         for buf, part in zip(bufs, chunk):
             buf[kept : kept + k] = part
@@ -269,49 +292,56 @@ def ideal_scan(F: FieldParams, nmax: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _candidate_pieces(
-    F: FieldParams, bound: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, counts, rows, ends) of the m-intervals a scan to `bound`
-    tests, per row the lower piece and then the upper one: interval i holds
-    m = starts[i] .. starts[i] + counts[i] - 1 on row rows[i], and ends is
-    the running total of counts.  The rows number
-    O(sqrt(eps bound)/sqrt(D)); a scan whose rows `_check_scan` refuses
+    F: FieldParams, hi: int, lo: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, counts, rows) of the m-intervals a scan of the band
+    lo < |N| <= hi tests, per row the lower piece and then the upper one:
+    interval i holds m = starts[i] .. starts[i] + counts[i] - 1 on row
+    rows[i].  The rows number
+    O(sqrt(eps hi)/sqrt(D)); a scan whose rows `_check_scan` refuses
     raises ScanBoundExceeded here, before they are allocated, for
     `ideal_chunks` and `ideal_scan` alike."""
-    _check_scan(F, bound, 0.0)
+    _check_scan(F, hi, 0.0)
     eps_val = math.exp(F.log_eps)
-    rows = np.arange(0, _last_row(F, bound, eps_val) + 1, dtype=np.int64)
-    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, bound)
+    rows = np.arange(0, _last_row(F, hi, eps_val) + 1, dtype=np.int64)
+    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, hi, lo)
     starts = np.stack([lo1, lo2], axis=1).ravel()
     counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
-    return starts, counts, np.repeat(rows, 2), np.cumsum(counts)
+    return starts, counts, np.repeat(rows, 2)
 
 
 def _row_intervals(
-    rows: np.ndarray, sqrtD: float, om: float, ratio: float, bound: int
+    rows: np.ndarray, sqrtD: float, om: float, ratio: float, hi: int, lo: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integer m-ranges [lo1, hi1] < [lo2, hi2] per row n >= 0 that contain
     every m which `ideal_chunks`' test keeps in the window
-    1 <= y/|ybar| <= ratio.
+    1 <= y/|ybar| <= ratio and the band lo < |N| <= hi.
 
     With y = m + n*omega, ybar = y - c and c = n sqrt(D) >= 0 the test asks
-    y >= (1 - 1e-9)|ybar|, y|ybar| <= bound and |ybar| >= y/ratio.  So
-    y >= c(1 - 1e-9)/(2 - 1e-9); y <= (c + sqrt(c^2 + 4 bound))/2; below
-    y = c also y >= (c + sqrt(c^2 - 4 bound))/2 when c^2 > 4 bound; and the
-    band c ratio/(ratio + 1) < y < c ratio/(ratio - 1) around y = c is
-    empty.  The test computes in floating point with relative errors near
-    1e-15 and a margin of 1e-9; each end is widened by 1e-6 relative and 2
-    lattice steps, far more than those move it.  Empty ranges have hi < lo.
+    y >= (1 - 1e-9)|ybar|, lo < y|ybar| <= hi and |ybar| >= y/ratio.  The
+    stretch c ratio/(ratio + 1) < y < c ratio/(ratio - 1) around y = c is
+    empty.  Below it, y >= c(1 - 1e-9)/(2 - 1e-9) and |N| = y(c - y) falls
+    as y rises past c/2, so (c + sqrt(c^2 - 4 hi))/2 <= y, when c^2 > 4 hi,
+    and y < (c + sqrt(c^2 - 4 lo))/2, or y <= c/2 when c^2 <= 4 lo; the
+    points left of c/2 lie in [c(1 - 1e-9)/(2 - 1e-9), c/2].  Above it,
+    |N| = y(y - c) rises with y, so (c + sqrt(c^2 + 4 lo))/2 < y <=
+    (c + sqrt(c^2 + 4 hi))/2.  Each range is the difference of the ranges
+    of the bounds hi and lo.  The test computes in floating point with
+    relative errors near 1e-15 and a margin of 1e-9; each end is widened
+    outward by 1e-6 relative and 2 lattice steps, far more than those move
+    it.  Empty ranges have hi < lo.
     """
     c = rows * sqrtD
-    disc = c * c - 4.0 * bound
+    disc = c * c - 4.0 * hi
     lo_y1 = np.maximum(
         c * ((1.0 - 1e-9) / (2.0 - 1e-9)),
         np.where(disc > 0.0, 0.5 * (c + np.sqrt(np.maximum(disc, 0.0))), 0.0),
     )
-    hi_y1 = c * (ratio / (ratio + 1.0))
-    lo_y2 = c * (ratio / (ratio - 1.0))
-    hi_y2 = 0.5 * (c + np.sqrt(c * c + 4.0 * bound))
+    hi_y1 = np.minimum(
+        c * (ratio / (ratio + 1.0)), 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * lo, 0.0)))
+    )
+    lo_y2 = np.maximum(c * (ratio / (ratio - 1.0)), 0.5 * (c + np.sqrt(c * c + 4.0 * lo)))
+    hi_y2 = 0.5 * (c + np.sqrt(c * c + 4.0 * hi))
     shift = rows * om
     lo1 = np.floor(lo_y1 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
     hi1 = np.ceil(hi_y1 * (1.0 + 1e-6) + 2.0 - shift).astype(np.int64)

@@ -7,14 +7,19 @@ Each L-value on the variance path has one route: L(1, phi_m) is
 `ideals.ideal_chunks` of the one ideal enumerator, every m at once),
 C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
 in bulk from `experiments.central_values_bulk`, which reads the
-norm-sorted view `ideals.ideal_scan`; the pointwise AFE sum and the
-sorted-scan L(1, phi_m) sum are test oracles.  Both scans hold the half
-window theta in [0, log eps] with a multiplicity per ideal; the sums they
-feed are even under conjugation, so the values are those of the full
-window up to rounding (within 2e-13 relative for L(1, phi_m), m <= 800).
+norm-sorted view `ideals.ideal_scan` one norm band at a time; the
+pointwise AFE sum and the sorted-scan L(1, phi_m) sum are test oracles.
+Both scans hold the half window theta in [0, log eps] with a multiplicity
+per ideal; the sums they feed are even under conjugation, so the values
+are those of the full window up to rounding (within 2e-13 relative for
+L(1, phi_m), m <= 800).
 
-The tables lambda_psi(n), lambda_psi(a m^2) are `hecke.multiplicative_fill`
-fills; C' reads vartheta(p) and h(p^2) in one `hecke` call each;
+The tables lambda_psi(n), lambda_psi(a m^2) are `hecke` fills: a
+segment lo <= n <= hi of lambda_psi (`lambda_psi_table`) reads the local
+values that `lambda_psi_factors` draws once, so the central values fill
+one norm band at a time, and the dense tables are the segments from 0.
+L(1, chi_D) sums its character series in blocks of `_SUM_BLOCK` terms.
+C' reads vartheta(p) and h(p^2) in one `hecke` call each;
 every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
 the nodes of `_afe_line`, and summed by `_contour_sum` in blocks: with
@@ -57,7 +62,16 @@ from .errors import (
     TableExhausted,
     TruncationInsufficient,
 )
-from .hecke import HeckeSource, h_fn, multiplicative_fill, primes_upto, vartheta
+from .hecke import (
+    HeckeSource,
+    check_fill,
+    fill_segment,
+    h_fn,
+    local_factors,
+    multiplicative_fill,
+    primes_upto,
+    vartheta,
+)
 from .ideals import ideal_chunks, kronecker_residues
 from .quadfield import FieldParams, factorize
 
@@ -93,13 +107,48 @@ def classical_variance(t_psi: float) -> float:
 # Dense lambda_psi tables (numpy): multiplicative fills.
 
 
-def lambda_psi_table(src: HeckeSource, nmax: int) -> np.ndarray:
-    """Dense numpy table [lambda_psi(0) .. lambda_psi(nmax)]: the
-    multiplicative fill of the Hecke values lambda_psi(p^b)."""
+def lambda_psi_factors(
+    src: HeckeSource, nmax: int, F: FieldParams | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The `hecke.local_factors` of lambda_psi to nmax: lambda_psi(p^b) by
+    the Hecke recursion on one draw of lambda_psi(p) per prime.
+
+    With F, the factors of lambda_psi(n) [n is an ideal norm of F]: an
+    inert p (chi_D(p) = -1) divides an ideal norm to an even power only, so
+    its odd powers get 0 and are not drawn.  lambda_psi(p) is then drawn for
+    every p <= sqrt(nmax) and for the p above it that are not inert, and
+    each ideal norm keeps its value bit for bit."""
+    local = src.lambda_pp_array
+    if F is not None:
+        chi = kronecker_residues(F)
+
+        def local(primes: np.ndarray, b: int) -> np.ndarray:
+            out = np.zeros(primes.size)
+            keep = chi[primes % F.D] != -1.0 if b % 2 else slice(None)
+            out[keep] = src.lambda_pp_array(primes[keep], b)
+            return out
+
     try:
-        return multiplicative_fill(nmax, src.lambda_pp_array)
+        return local_factors(nmax, local)
     except MissingPrime as exc:  # table-backed source ran out of primes
         raise TableExhausted(f"prime table exhausted below {nmax}") from exc
+
+
+def lambda_psi_table(
+    src: HeckeSource,
+    nmax: int,
+    lo: int = 0,
+    factors: tuple[np.ndarray, list[np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Table [lambda_psi(lo) .. lambda_psi(nmax)]: a segment of the
+    multiplicative fill of the Hecke values lambda_psi(p^b), dense from 0
+    by default.  `factors` are those of `lambda_psi_factors` to a bound
+    >= nmax, drawn once for many segments; without them every prime to
+    nmax is drawn here, after `hecke.check_fill` admits the fill."""
+    if factors is None:
+        check_fill(nmax, nmax - lo + 1)
+        factors = lambda_psi_factors(src, nmax)
+    return fill_segment(factors, lo, nmax)
 
 
 def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
@@ -126,6 +175,8 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Approximate functional equation weight.
 
+
+_SUM_BLOCK = 1 << 16  # terms per block of the L(1, chi_D) series
 
 _AFE_IM_CUTOFF = 8.0
 _AFE_STEP = 0.05
@@ -284,12 +335,21 @@ def dirichlet_l_one(F: FieldParams) -> float:
     exponential cutoff's Mellin corrections vanish to O(X^{-4}) for even
     chi_D except the X^{-2} L(-1, chi_D)/2 term, which is added in closed
     form.  The sum converges outright, so this cutoff is exact to machine
-    precision."""
+    precision.  Its 800,000 terms are summed in blocks of `_SUM_BLOCK`,
+    the block sums added in order, so temporaries are the size of a
+    block."""
     X = 20000.0
     N = int(40 * X)
-    n = np.arange(1, N + 1)
     chi = kronecker_residues(F)
-    S = float(np.sum(chi[n % F.D] / n * np.exp(-n / X)))
+    S = 0.0
+    for n0 in range(1, N + 1, _SUM_BLOCK):
+        n = np.arange(n0, min(n0 + _SUM_BLOCK, N + 1))
+        terms = chi[n % F.D]
+        terms /= n
+        cut = np.divide(n, -X)
+        terms *= np.exp(cut, out=cut)
+        S += float(np.sum(terms))
+        del n, terms, cut  # not alive next to the next block's
     # L(-1, chi) = -B_{2,chi}/2 with B_{2,chi} = D sum_a chi(a) B_2(a/D)
     a = np.arange(F.D)
     b2 = (a / F.D) ** 2 - (a / F.D) + 1.0 / 6.0

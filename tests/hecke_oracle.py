@@ -10,7 +10,10 @@ local factors multiplied in ascending p:
   closed form; the reference for `maassqv.experiments.mu_2k_table`) and
   the second Rankin-Selberg Satake coefficient;
 - `synthetic_lambda_p`, the synthetic draw of lambda_psi(p) one prime at a
-  time, the reference for the batched `HeckeSource.lambda_p_array`.
+  time, the reference for the batched `HeckeSource.lambda_p_array`;
+- `dense_fill`, the whole-table multiplicative fill that `fill_segment`
+  replaced (numpy, not pointwise), the reference for the dense tables it
+  builds.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 from sympy import factorint
 
 from maassqv.errors import DivergentDenominator
-from maassqv.hecke import HeckeSource, h_fn
+from maassqv.hecke import HeckeSource, h_fn, local_factors
 from maassqv.ideals import elements_of_norm, kronecker_chi, lambda_k
 from maassqv.lattice import n_beta
 from maassqv.quadfield import FieldParams
@@ -166,3 +170,31 @@ def satake_square(src: HeckeSource, F: FieldParams, k: int, p: int) -> float:
     return (lambda_pp(src, p, 2) - 1.0) * (
         lambda_k(F, 4 * k, p) + 1.0 - kronecker_chi(F, p)
     )
+
+
+def dense_fill(nmax: int, local) -> np.ndarray:
+    """[f(0) .. f(nmax)] in one table: each small prime (p^2 <= nmax) by
+    stride over all its multiples, then each prime p > sqrt(nmax) through
+    its cofactors j = 1, 2, .. one at a time, local factors in ascending p."""
+    out = np.ones(nmax + 1)
+    out[0] = 0.0
+    primes, loc = local_factors(nmax, local)
+    if not primes.size:
+        return out
+    n_small = loc[1].size if len(loc) > 1 else 0  # the primes with p^2 <= nmax
+    for i, p in enumerate(primes[:n_small].tolist()):
+        fac = np.full(nmax // p, loc[0][i])
+        q, b = p, 1
+        while q * p <= nmax:
+            b += 1
+            fac[q - 1 :: q] = loc[b - 1][i]
+            q *= p
+        out[p::p] *= fac
+    big, lbig = primes[n_small:], loc[0][n_small:]
+    j = 1
+    while big.size:
+        cnt = int(np.searchsorted(big, nmax // j, side="right"))
+        big, lbig = big[:cnt], lbig[:cnt]
+        out[j * big] *= lbig
+        j += 1
+    return out

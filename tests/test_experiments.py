@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,14 +174,28 @@ def _per_k_values(D: int, mult: float) -> np.ndarray:
 @pytest.mark.parametrize("mult", [4.0, 20.0])
 @pytest.mark.parametrize("D", [21, 33])
 def test_bulk_matches_per_k_oracle(D, mult, chunk, monkeypatch):
-    # the chunk-outer loop with a rotated e^{ik phi} against one np.cos per
-    # k over the whole cut; 2^10-ideal chunks end partway through the cuts,
-    # and the 38 k run past a re-seed period inside one chunk
+    # the band-outer loop with a rotated e^{ik phi} against one np.cos per
+    # k over the whole cut; bands of about 2^10 ideals end partway through
+    # the cuts, and the 38 k run past a re-seed period inside one band
     if chunk is not None:
-        monkeypatch.setattr(experiments, "_CV_CHUNK", chunk)
+        monkeypatch.setattr(experiments, "_CV_BAND", chunk)
     got = central_values_bulk.__wrapped__(make_source(synthetic=42, D=D), make_field(D), 3, 40, mult)
     want = _per_k_values(D, mult)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_bulk_holds_one_band(F, src):
+    # tracemalloc counts numpy's buffers: at the bench's first-moment input
+    # (k up to 60, n_max = 1,385,770, about 7 bands) the run holds one band
+    # of the scan, of the lambda_psi table and of the per-k temporaries,
+    # and the lambda_psi(p) of the primes to n_max
+    tracemalloc.start()
+    try:
+        central_values_bulk.__wrapped__(src, F, 15, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_bulk_zero_for_minus_root_number(F):

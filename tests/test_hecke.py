@@ -8,6 +8,7 @@ from sympy import primerange
 from halfint_oracle import lambda_psi_at
 import hecke_oracle
 from hecke_oracle import (
+    dense_fill,
     g_fn,
     local_series,
     mu_2k,
@@ -16,7 +17,7 @@ from hecke_oracle import (
     synthetic_lambda_p,
 )
 from ideal_oracle import r_D
-from maassqv import hecke
+from maassqv import experiments, hecke, lfun
 from maassqv.errors import (
     ALLOC_BYTES_MAX,
     MalformedTable,
@@ -35,8 +36,14 @@ from maassqv.hecke import (
     vartheta,
     write_table,
 )
-from maassqv.ideals import kronecker_chi, kronecker_residues, lambda_k, lambda_k_table
-from maassqv.lfun import lambda_psi_table
+from maassqv.ideals import (
+    ideal_scan,
+    kronecker_chi,
+    kronecker_residues,
+    lambda_k,
+    lambda_k_table,
+)
+from maassqv.lfun import lambda_psi_factors, lambda_psi_table
 from maassqv.quadfield import FACTOR_MAX
 
 
@@ -300,6 +307,58 @@ def test_multiplicative_at_matches_fill(src, F21, name):
     assert np.array_equal(got.ravel().view(np.int64), table[ns].view(np.int64))
 
 
+@pytest.mark.parametrize("name", ["lambda_psi", "vartheta", "mu"])
+@pytest.mark.parametrize("nmax", [0, 1, 2, 3, 4, 97, 10**5])
+def test_fill_matches_dense_oracle(src, F21, name, nmax):
+    # the segment [0, nmax] against the whole-table fill it replaced
+    local = _locals(src, F21)[name]
+    want = dense_fill(nmax, local)
+    assert np.array_equal(multiplicative_fill(nmax, local).view(np.int64), want.view(np.int64))
+
+
+def test_other_fills_unchanged(src, F21, monkeypatch):
+    # lambda_square_table and mu_2k_table, the other tables of the fill,
+    # bit for bit against the same tables built on the whole-table fill
+    got = [lfun.lambda_square_table(src, 5000, a=a) for a in (1, 3, 7, 21, 12)]
+    got += [experiments.mu_2k_table(F21, k, 20000) for k in (3, 15)]
+    monkeypatch.setattr(lfun, "multiplicative_fill", dense_fill)
+    monkeypatch.setattr(experiments, "multiplicative_fill", dense_fill)
+    want = [lfun.lambda_square_table(src, 5000, a=a) for a in (1, 3, 7, 21, 12)]
+    want += [experiments.mu_2k_table(F21, k, 20000) for k in (3, 15)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_lambda_psi_segments_match_the_fill(src, F21):
+    # segments of the ideal-norm table from one draw: lambda_psi(n) bit for
+    # bit at every ideal norm of the band, and 0 where an inert prime (2 and
+    # 11 are inert in Q(sqrt 21), and so is 300,017 > sqrt(n_max)) divides n
+    # to an odd power; edges fall on 2^16, on 3 * 300,017 and next to n_max
+    n_max = 10**6
+    assert kronecker_chi(F21, 2) == kronecker_chi(F21, 11) == kronecker_chi(F21, 300_017) == -1
+    dense = lambda_psi_table(src, n_max)
+    factors = lambda_psi_factors(src, n_max, F21)
+    chi = kronecker_residues(F21)
+
+    def norm_shape(primes, b):  # 0 where an inert p divides n to an odd power
+        return np.where((chi[primes % 21] == -1.0) & (b % 2 == 1), 0.0, 1.0)
+
+    edges = [0, 1, 2, 1 << 16, 3 * 300_017, n_max - 1, n_max]
+    for lo, hi in zip(edges, edges[1:]):
+        seg = lambda_psi_table(src, hi, lo, factors)
+        assert seg.size == hi - lo + 1
+        norms = np.unique(ideal_scan(F21, hi, lo)[0])
+        assert np.array_equal(seg[norms - lo].view(np.int64), dense[norms].view(np.int64))
+        n = np.arange(lo, hi + 1)
+        shape = multiplicative_at(n, norm_shape)
+        assert not np.any(seg[shape == 0.0])
+        kept = shape == 1.0
+        assert np.array_equal(seg[kept].view(np.int64), dense[lo : hi + 1][kept].view(np.int64))
+        for n_inert in (2 * 3 * 5, 11 * 7, 11**3, 3 * 300_017):
+            if lo <= n_inert <= hi:
+                assert seg[n_inert - lo] == 0.0 and dense[n_inert] != 0.0
+
+
 def test_lambda_psi_matches_pointwise_oracle(src):
     # random n up to 10^12, bit for bit, and the non-split inputs at
     # Q = (1, 0, -21): Q(n) = n^2 - 21 (both signs) and the D_psi arguments
@@ -322,14 +381,22 @@ def test_lambda_psi_refuses_past_factor_max_before_dividing(src, monkeypatch):
 
 
 def test_fill_guard_refuses_before_allocating(src, monkeypatch):
-    # 9 bytes per integer (the float64 table and the bool sieve): the first
-    # nmax over 8 GiB is refused on the estimate, the one below it is not
+    # the bool sieve, the per-prime arrays and the float64 table: the first
+    # nmax whose estimate passes 8 GiB is refused, the one below it is not
     def refuse(*args, **kwargs):
         raise AssertionError("the fill reached its allocations")
 
     monkeypatch.setattr(np, "ones", refuse)
     monkeypatch.setattr(np, "empty", refuse)
-    over = ALLOC_BYTES_MAX // 9
+    lo, over = 1, ALLOC_BYTES_MAX // 9  # the sieve and table alone refuse over
+    while over - lo > 1:
+        mid = (lo + over) // 2
+        try:
+            hecke.check_fill(mid, mid + 1)
+            lo = mid
+        except TableBoundExceeded:
+            over = mid
+    assert over < ALLOC_BYTES_MAX // 9
     with pytest.raises(TableBoundExceeded):
         multiplicative_fill(over, lambda primes, b: np.zeros(primes.size))
     with pytest.raises(TableBoundExceeded):

@@ -15,8 +15,8 @@ from ideal_oracle import (
     r_D,
     rectangle_scan,
 )
-from maassqv import ideals
-from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded
+from maassqv import experiments, hecke, ideals
+from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded, TableBoundExceeded
 from maassqv.experiments import first_moment
 from maassqv.hecke import h_fn, make_source, primes_upto
 from maassqv.ideals import (
@@ -136,6 +136,33 @@ def test_self_conjugate_ideals_are_the_coherent_families(D, log2_cap):
     full_norms, _ = rectangle_scan(F, cap)
     assert int(mults.sum(dtype=np.int64)) == full_norms.size
     assert set(np.unique(mults).tolist()) == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "D, n_max",
+    [(21, 1 << 20), (33, 1 << 17), (57, 1 << 15), (69, 1 << 17), (77, 1 << 17), (93, 1 << 17)],
+)
+def test_bands_concatenated_are_the_scan(D, n_max):
+    # bands (0, n1], (n1, n2], .. each sorted on its own and concatenated
+    # are the scan to n_max bit for bit; edges fall on norms held by several
+    # ideals, on a self-conjugate norm a m^2 and on both sides of each
+    F = make_field(D)
+    want = ideals.ideal_scan(F, n_max)
+    norms, counts = np.unique(want[0], return_counts=True)
+    shared = norms[counts >= 3]
+    a = F.p2
+    square = a * math.isqrt(n_max // (3 * a)) ** 2
+    assert np.any(want[0][want[2] == 1] == square)
+    edges = {int(shared[len(shared) // 3]), int(shared[-1]), square, square - 1, square + 1}
+    edges |= set(range(n_max // 29, n_max, n_max // 29))
+    edges = [0] + sorted(e for e in edges if 0 < e < n_max) + [n_max]
+    bands = [ideals.ideal_scan(F, hi, lo) for lo, hi in zip(edges, edges[1:])]
+    for (lo, hi), band in zip(zip(edges, edges[1:]), bands):
+        assert band[0].size == 0 or (band[0][0] > lo and band[0][-1] <= hi)
+    got = [np.concatenate(part) for part in zip(*bands)]
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    assert got[2].dtype == np.int8 and np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("D", [21, 33])
@@ -266,12 +293,34 @@ def _allocation_reached(*args, **kwargs):
 
 def test_scan_guard_refuses_before_allocating(F21, monkeypatch):
     # K = 2000 sums k up to about 2K, so norms to 4 (2K)^2 D^1.5 ~ 6.2e9: a
-    # scan of about 82 GiB.  The guard must fire on the estimate alone,
-    # before _row_intervals allocates
+    # whole scan of about 82 GiB.  The central values scan one band at a
+    # time, so there the primes to 6.2e9 of the lambda_psi fill are over the
+    # limit.  Both guards must fire on the estimate alone, before
+    # _row_intervals or the prime sieve allocates
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
+    monkeypatch.setattr(hecke, "primes_upto", _allocation_reached)
+    n_max = int(4 * 4000**2 * 21**1.5)
+    assert ideals._scan_bytes(F21, n_max) > 64 * 2**30
     with pytest.raises(ScanBoundExceeded):
+        ideals.ideal_scan(F21, n_max)
+    with pytest.raises(TableBoundExceeded):
         first_moment(F21, make_source(synthetic=42, D=21), 2000)
-    assert ideals._scan_bytes(F21, int(4 * 4000**2 * 21**1.5)) > 64 * 2**30
+
+
+def test_band_guard_admits_the_field_sweep(admitted_fields, monkeypatch):
+    # first-moment --K 100 (k up to 200) on every admitted field and K = 200
+    # (k up to 400) on D = 33 and 77 pass the central values' guard, which
+    # counts one band of the scan and of the lambda_psi table and the
+    # primes to n_max; K = 2000 on D = 21 does not.  Arithmetic only
+    for name in ("ones", "empty", "zeros", "arange", "full"):
+        monkeypatch.setattr(np, name, _allocation_reached)
+    assert sorted(F.D for F in admitted_fields) == [21, 33, 57, 69, 77, 93]
+    runs = [(F, 200) for F in admitted_fields]
+    runs += [(F, 400) for F in admitted_fields if F.D in (33, 77)]
+    for F, k_hi in runs:
+        experiments._check_bands(F, int(4.0 * k_hi * k_hi * F.D**1.5))
+    with pytest.raises(TableBoundExceeded):
+        experiments._check_bands(admitted_fields[0], int(4.0 * 4000**2 * 21**1.5))
 
 
 @pytest.mark.parametrize("log2_bound", [24, 26])

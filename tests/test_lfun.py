@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,19 @@ def test_central_value_rejects_k_zero(src, F):
 def test_l_one_chi_class_number(F):
     want = 2 * LOG_EPS_21 / math.sqrt(21)
     assert abs(dirichlet_l_one(F) - want) < 1e-6
+
+
+def test_l_one_chi_holds_one_block(F):
+    # tracemalloc counts numpy's buffers: the 800,000 terms are summed in
+    # blocks, so the sum holds about three 2^16-term arrays at a time
+    tracemalloc.start()
+    try:
+        value = dirichlet_l_one.__wrapped__(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == dirichlet_l_one(F)
+    assert peak <= 2e6
 
 
 def test_zeta_d_two_closed_form(F):
