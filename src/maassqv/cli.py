@@ -8,6 +8,7 @@ A typed `MaassqvError` is printed as one line to stderr and exits 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -60,6 +61,8 @@ def cmd_field_info(args) -> list[ExperimentReport]:
 
 
 def cmd_lambda_table(args) -> list[ExperimentReport]:
+    if args.nmax < 1:
+        raise TruncationInsufficient(f"--nmax {args.nmax} leaves no n to check")
     F = make_field(args.D)
     with timed() as el:
         tables = {k: lambda_k_table(F, k, args.nmax) for k in range(0, args.kmax + 1, 2)}
@@ -96,8 +99,10 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
 
 
 def cmd_verify_lattice(args) -> list[ExperimentReport]:
-    F = make_field(args.D)
     bound = args.norm_bound
+    if bound < 1:
+        raise TruncationInsufficient(f"--norm-bound {bound} admits no element")
+    F = make_field(args.D)
     box = int(2.2 * math.sqrt(bound)) + 2
     with timed() as el:
         failures = 0
@@ -162,7 +167,10 @@ def cmd_verify_appendixb(args) -> list[ExperimentReport]:
 
 def cmd_poisson(args) -> list[ExperimentReport]:
     F = make_field(args.D)
-    m, n = (int(s) for s in args.beta.split(","))
+    try:
+        m, n = (int(s) for s in args.beta.split(","))
+    except ValueError:
+        raise HypothesisViolated(f"--beta {args.beta!r} is not two integers m,n") from None
     tol = args.tol if args.tol is not None else 1e-6
     return [experiments.poisson_check(F, QuadInt(m, n), args.K, tol=tol)]
 
@@ -189,17 +197,16 @@ def cmd_dirichlet_poly(args) -> list[ExperimentReport]:
 
 
 def cmd_nonsplit(args) -> list[ExperimentReport]:
+    if not math.isfinite(args.Ymax):
+        raise HypothesisViolated(f"--Ymax {args.Ymax:g}: the Y ladder would not end")
     if args.Ymax < 1.0e4:
         raise TruncationInsufficient(f"--Ymax {args.Ymax:g} is below the first Y = 1e4")
     Q = QuadPoly(args.a, args.b, args.c)
     _contour_t(Q, second_form=True)  # the last report's precondition, before any sum
     _, src = _field_and_source(args)
     W = SmoothWeight()
-    Ys = []
-    y = 1.0e4
-    while y <= args.Ymax:
-        Ys.append(y)
-        y *= 4.0
+    ladder = (1.0e4 * 4.0**j for j in itertools.count())
+    Ys = list(itertools.takewhile(lambda y: y <= args.Ymax, ladder))
     out = [experiments.nonsplit_decay_scan(src, Q, Ys=Ys, W=W)]
     out.append(reduction_check(src, Q, Ys[-1], W))
     out.append(reduction_check_second_form(src, Q, Ys[-1], W))

@@ -17,13 +17,13 @@ The central values L(1/2, psi x phi_2k) of every k come from one pass over
 the norms in bands of about `_CV_BAND` ideals: bands outside, k inside.
 Each band is scanned (`ideals.ideal_scan`) and its lambda_psi segment
 filled (`lfun.lambda_psi_table`, from one draw of lambda_psi(p) per run)
-on its own, and e^{ik phi} is rotated by one complex multiply per k and
-re-seeded from np.exp every `lfun._RESEED` k, so memory is set by one band
-and not by K, and no k recomputes a cosine over its whole cut.  The scan
-holds the half window theta in [0, log eps] (`ideals`): each ideal's term
-is even under conjugation and counts with its multiplicity, so the values
-are those of the full window up to rounding (within 2e-13 of max_k |L_k|
-at D = 21, K <= 100).
+on its own, and cos(k phi) comes from `lfun.phase_steps`, so memory is set
+by one band and not by K, and no k recomputes a cosine over its whole
+cut.  The moment inequality takes its cos(k phi) from the same stepper.
+The scan holds the half window theta in [0, log eps] (`ideals`): each
+ideal's term is even under conjugation and counts with its multiplicity,
+so the values are those of the full window up to rounding (within 2e-13
+of max_k |L_k| at D = 21, K <= 100).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .ideals import (
     lambda_k_table,
 )
 from .lfun import (
-    _RESEED,
     _l_one_phi_bulk,
     afe_weight_many,
     c_d_psi,
@@ -59,6 +58,7 @@ from .lfun import (
     lambda_psi_factors,
     lambda_psi_table,
     lambda_square_table,
+    phase_steps,
     watson_ichino_mu2,
     zeta_d_two,
 )
@@ -108,13 +108,12 @@ def poisson_check(
     """sum_k e(k theta/log eps) F(k/K) against K sum_l F^(K(l - theta/log eps)):
     the two sides of Poisson summation for the frequency sum attached to the
     principal ideal (beta).  The report carries the relative deviation."""
-    if K < 50:
-        raise HypothesisViolated("poisson_check needs K >= 50")
+    if not K >= 50:
+        raise HypothesisViolated(f"poisson_check needs K >= 50, got {K}")
+    k_lo, k_hi = _k_window(K, sw)
     with timed() as elapsed:
         theta = angle(F, canonical_generator(F, beta))
         alpha = theta / F.log_eps  # in [0, 2)
-        k_lo = int(math.ceil(K * sw.x0)) - 1
-        k_hi = int(math.floor(K * sw.x1)) + 1
         direct = 0.0 + 0.0j
         for k in range(k_lo, k_hi + 1):
             w = sw(k / K)
@@ -286,17 +285,15 @@ def central_values_bulk(
     `lambda_psi_table` segment of the band, from lambda_psi(p) drawn once
     (`lfun.lambda_psi_factors`), so the whole run holds one band, and
     `_check_bands` refuses a run before it allocates.  Each band forms log n,
-    lambda_psi(n)/sqrt(n) times the multiplicity and e^{i phi},
-    phi = 2 pi theta/log eps, once (a conjugate has phase 4 pi - phi and the
-    same cos(k phi)); the k whose cut n <= n_k reaches into the band run in
-    ascending order, e^{i k phi} advancing by one complex multiply per k and
-    re-seeded from np.exp at the band's first k and every `lfun._RESEED`
-    k after it.  W comes from np.interp at log n - 2 log k, each k's band
-    term is an np.sum, and the band terms are added in band order.
-    Against one np.cos per k over the whole cut of the full-window scan
-    (`tests/lfun_oracle.central_values_per_k`) the values differ by the
-    rounding of the re-associated sums: at most 1.5e-13 of max_k |L_k| at
-    D = 21, K <= 100.
+    lambda_psi(n)/sqrt(n) times the multiplicity and phi = 2 pi theta/log eps
+    once (a conjugate has phase 4 pi - phi and the same cos(k phi)); the k
+    whose cut n <= n_k reaches into the band run in ascending order, with
+    cos(k phi) from `lfun.phase_steps`.  W comes from np.interp at
+    log n - 2 log k, each k's band term is an np.sum, and the band terms are
+    added in band order.  Against one np.cos per k over the whole cut of the
+    full-window scan (`tests/lfun_oracle.central_values_per_k`) the values
+    differ by the rounding of the re-associated sums: at most 1.5e-13 of
+    max_k |L_k| at D = 21, K <= 100.
     The returned array is read-only."""
     out = np.zeros(k_hi - k_lo + 1)
     if src.eta_D == -1:
@@ -342,17 +339,11 @@ def central_values_bulk(
         pref = lpsi[norms - lo] / np.sqrt(n) * mults
         del lpsi, norms, mults
         phase = thetas * (2.0 * math.pi / F.log_eps)
-        unit = np.exp(1j * phase)
-        for j in range(first, len(ks)):
-            k = ks[j]
-            if (j - first) % _RESEED == 0:
-                rot = np.exp(1j * (k * phase))
-            else:
-                rot *= unit
+        for j, cos_kphi in enumerate(phase_steps(phase, ks[first:]), start=first):
             size = cuts[j - first]
             wv = np.interp(logn[:size] - two_log_k[j], log_grids[j], wgrids[j])
-            half[j] += float(np.sum(pref[:size] * rot.real[:size] * wv))
-        del thetas, n, logn, pref, phase, unit, rot, wv  # not alive through the next scan
+            half[j] += float(np.sum(pref[:size] * cos_kphi[:size] * wv))
+        del thetas, n, logn, pref, phase, cos_kphi, wv  # not alive through the next scan
 
     for j, k in enumerate(ks):
         # coherent tail: a m^2 > n_k, W still non-negligible
@@ -376,6 +367,8 @@ def central_values_bulk(
 
 def _k_window(K: float, sw: SmoothWeight) -> tuple[int, int]:
     """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of sw."""
+    if not math.isfinite(K):
+        raise HypothesisViolated(f"K must be finite, got {K}")
     k_lo = max(1, int(math.ceil(K * sw.x0)))
     k_hi = int(math.floor(K * sw.x1))
     if k_hi < k_lo:
@@ -644,7 +637,9 @@ def moment_bound_check(
     The supporting lemma assumes x <= K^{1/(10r)}, which admits no primes at
     desk scale; by default the inequality is checked in the larger-x regime
     (where the diagonal still dominates) and the hypothesis status is
-    recorded.  enforce_hypothesis=True raises instead."""
+    recorded.  enforce_hypothesis=True raises instead.  Each s_k is an
+    `np.einsum` over the half-window ideals of prime norm, with
+    multiplicity/sqrt p and cos(k phi) from `lfun.phase_steps`."""
     hyp_ok = x <= K ** (1.0 / (10 * r))
     if enforce_hypothesis and not hyp_ok:
         raise HypothesisViolated(
@@ -653,14 +648,12 @@ def moment_bound_check(
     with timed() as elapsed:
         primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
         norms, thetas, mults = ideal_scan(F, int(x) + 1)
-        starts = np.searchsorted(norms, primes, side="left").tolist()
-        stops = np.searchsorted(norms, primes, side="right").tolist()
-        ks = np.arange(K + 1, 2 * K + 1)
-        s_k = np.zeros(ks.size)
-        for p, i0, i1 in zip(primes, starts, stops):
-            w = 1.0 / math.sqrt(p)
-            for th, mu in zip(thetas[i0:i1].tolist(), mults[i0:i1].tolist()):
-                s_k += (mu * w) * np.cos((2.0 * math.pi / F.log_eps) * th * ks)
+        keep = np.isin(norms, primes)
+        coef = mults[keep] / np.sqrt(norms[keep])
+        phase = thetas[keep] * (2.0 * math.pi / F.log_eps)
+        s_k = np.array(
+            [np.einsum("i,i->", coef, c) for c in phase_steps(phase, range(K + 1, 2 * K + 1))]
+        )
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = sum(1.0 / p for p in primes if kronecker_chi(F, p) == 1)
         bound = (

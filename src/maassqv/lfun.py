@@ -26,12 +26,10 @@ the nodes of `_afe_line`, and summed by `_contour_sum` in blocks: with
 j = 32 m + r, e^{x w_j} = e^{x w_{32m}} e^{x (w_r - w_0)}, so a point costs
 32 + 6 exact complex exps on the 161 nodes, and the sum stays within
 1.1e-15 of sum_j |g_j| e^{x Re w_j} of the one-exp-cos-sin-per-node sum
-(a test oracle).  The line L(2w + 1, chi_D) of W steps n^{-it} from node
-to node by one complex multiply, and `_l_one_phi_bulk` steps cos(m x) by a
-three-term recurrence; both re-seed from np.exp or np.cos every `_RESEED`
-steps, the constant the per-k rotation of
-`experiments.central_values_bulk` and the block length of `_contour_sum`
-read too.
+(a test oracle).  Every harmonic advanced along its index (n^{-it} on the
+line L(2w + 1, chi_D), cos(m x) in `_l_one_phi_bulk`, cos(k phi) in the
+central values and the moment check of `experiments`) comes from the one
+recurrence `phase_steps`.
 log Gamma is `scipy.special.loggamma`, vectorized over the contour nodes.
 Reused values (contour nodes, the L(s, chi_D) line, L-values) are memoized by
 `functools.cache` on value arguments; cached arrays are read-only.
@@ -50,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.special import loggamma
@@ -180,7 +178,40 @@ _SUM_BLOCK = 1 << 16  # terms per block of the L(1, chi_D) series
 
 _AFE_IM_CUTOFF = 8.0
 _AFE_STEP = 0.05
-_RESEED = 32  # steps between re-seeds from np.cos/np.exp; `_contour_sum`'s block
+_RESEED = 32  # steps between re-seeds of `phase_steps`; `_contour_sum`'s block
+
+
+def phase_steps(
+    x: np.ndarray, ms: Iterable[int], seed: Callable[[np.ndarray], np.ndarray] = np.cos
+) -> Iterator[np.ndarray]:
+    """Yield seed(m x) for each m of the ascending, distinct ms: the one
+    stepper of harmonics along m, for seed np.cos or a -> e^{i a}.
+
+    Along a run of equal steps s, f((m + s)x) = 2 cos(s x) f(m x) - f((m - s)x)
+    for both seeds; the first two m of a run, and two in every `_RESEED`
+    along it, are seed(m x).  A recurrence step writes into the array of two
+    steps before (a seed is a new array), so a yielded array holds through
+    the next step only.  Against np.cos(m x) the values differ
+    by at most 5e-11 absolute at m <= 1600: the seeds' argument rounding,
+    carried across up to `_RESEED` steps."""
+    prev = cur = nxt = two_cos = None
+    last = step = run = 0  # run: position in the current run of equal steps
+    seeded = True  # for the previous m
+    for j, m in enumerate(ms):
+        if j and m - last != step:
+            # a new step; the previous m opens its run if it was seeded
+            step, run = m - last, int(seeded)
+        seeded = run % _RESEED < 2
+        if seeded:
+            nxt = seed(m * x)
+        else:
+            if run == 2:  # in the values' dtype: a real-by-complex product casts
+                two_cos = (2.0 * np.cos(step * x)).astype(cur.dtype, copy=False)
+            nxt = np.multiply(two_cos, cur, out=nxt)  # out=None on the first one
+            np.subtract(nxt, prev, out=nxt)
+        prev, cur, nxt = cur, nxt, prev
+        last, run = m, run + 1
+        yield cur
 
 
 def _afe_line(c: float) -> np.ndarray:
@@ -198,25 +229,14 @@ def _dirichlet_l_line(F: FieldParams, c: float = 1.0) -> np.ndarray:
     c: 40,000 terms, tail << |2w + 1| D / 40000^2 by partial summation.  It
     does not depend on k, so one cached line serves every AFE weight at
     (F, c).  The nodes share one real part sigma, so chi_D(n) n^{-sigma} is
-    formed once.  They are equally spaced in t = Im(2w + 1), so n^{-it}
-    advances from node to node by one complex multiply with n^{-i dt},
-    re-seeded from np.exp at the first node and every `_RESEED` nodes after
-    it; each node's terms are summed as one complex array, in the order of
-    the complex-exponential sum."""
+    formed once; node j sits at t = Im(2w + 1) = 2 j `_AFE_STEP`, so n^{-it}
+    is e^{i j x}, x = -2 `_AFE_STEP` log n, from `phase_steps`."""
     n = np.arange(1, 40001)
     logn = np.log(n)
     s_nodes = 2.0 * _afe_line(c) + 1.0
     coef = kronecker_residues(F)[n % F.D] * np.exp(-s_nodes[0].real * logn)
-    step = np.exp(-2j * _AFE_STEP * logn)
-    terms = np.empty(n.size, dtype=np.complex128)
-    out = np.empty(s_nodes.size, dtype=np.complex128)
-    for i, t in enumerate(s_nodes.imag.tolist()):
-        if i % _RESEED == 0:
-            rot = np.exp(-1j * t * logn)
-        else:
-            rot *= step
-        np.multiply(rot, coef, out=terms)
-        out[i] = np.sum(terms)
+    rots = phase_steps(-2.0 * _AFE_STEP * logn, range(s_nodes.size), lambda a: np.exp(1j * a))
+    out = np.array([np.sum(rot * coef) for rot in rots])
     out.setflags(write=False)
     return out
 
@@ -372,38 +392,16 @@ def _l_one_phi_bulk(
     each chunk's weight is formed once, each m's chunk term is summed by
     `np.einsum` (a fixed order, where a BLAS dot's order follows its thread
     count), and the chunk sums are added in chunk order.  The distinct m
-    run in ascending order, and along a run of equal steps s the cosines
-    follow cos((m + s)x) = 2 cos(s x) cos(m x) - cos((m - s)x); the first
-    two m of a run, and two in every 32 along it, are re-seeded from
-    np.cos.  Against one np.cos per m over the norm-sorted full-window scan
-    (`tests/lfun_oracle.l_one_phi_sorted_scan`) the values differ by at
-    most 1.7e-13 relative, observed for m = 2..800 at X = 2e4 and 4e5.
-    That is the size of the rounding of the phase m x itself (up to about
-    5e-13 at m = 800), which a direct np.cos takes and the recurrence does
-    not."""
+    run in ascending order, their cosines from `phase_steps`."""
     order = sorted(set(ms))
     sums = np.zeros(len(order))
     for norms, thetas, mults in ideal_chunks(F, int(25 * X)):
         w = np.exp(-norms / X)
         coef = (2.0 * w - w * w) / norms * mults
         del w
-        prev, cur, nxt = (np.empty_like(thetas) for _ in range(3))
-        step = run = 0  # run: position in the current run of equal steps
-        seeded = True
-        for j, m in enumerate(order):
-            if j and m - order[j - 1] != step:
-                # a new step; the previous m opens its run if it was seeded
-                step, run = m - order[j - 1], int(seeded)
-            seeded = run % _RESEED < 2
-            if seeded:
-                np.cos(np.multiply(math.pi * m / F.log_eps, thetas, out=nxt), out=nxt)
-            else:
-                if run == 2:
-                    two_cos = 2.0 * np.cos((math.pi * step / F.log_eps) * thetas)
-                np.subtract(np.multiply(two_cos, cur, out=nxt), prev, out=nxt)
-            prev, cur, nxt = cur, nxt, prev
-            run += 1
-            sums[j] += float(np.einsum("i,i->", coef, cur))
+        x = thetas * (math.pi / F.log_eps)
+        for j, cos_mx in enumerate(phase_steps(x, order)):
+            sums[j] += float(np.einsum("i,i->", coef, cos_mx))
     return MappingProxyType(dict(zip(order, sums.tolist())))
 
 

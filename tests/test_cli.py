@@ -141,3 +141,39 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
     assert main(["nonsplit", "--Ymax", "3e4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("maassqv: TruncationInsufficient: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["nonsplit", "--Ymax", "inf"], "HypothesisViolated"),
+        (["first-moment", "--D", "21", "--K", "nan"], "HypothesisViolated"),
+        (["variance", "--D", "21", "--K", "nan"], "HypothesisViolated"),
+        (["variance", "--D", "21", "--K", "inf"], "HypothesisViolated"),
+        (["poisson", "--D", "21", "--K", "nan"], "HypothesisViolated"),
+        (["poisson", "--D", "21", "--K", "inf"], "HypothesisViolated"),
+        (["poisson", "--D", "21", "--beta", "1"], "HypothesisViolated"),
+        (["poisson", "--D", "21", "--beta", "x,1"], "HypothesisViolated"),
+        (["lambda-table", "--D", "21", "--nmax", "0"], "TruncationInsufficient"),
+        (["lambda-table", "--D", "21", "--nmax", "-3"], "TruncationInsufficient"),
+        (["verify-lattice", "--D", "21", "--norm-bound", "-1"], "TruncationInsufficient"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys, argv, error):
+    # each of these once crashed with an untyped error (exit 1, as a FAIL)
+    # or, for --Ymax inf, grew the Y ladder without end
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum ran before the input was checked")
+
+    for module, name in (
+        (experiments, "central_values_bulk"),
+        (experiments, "nonsplit_sum"),
+        (experiments, "angle"),
+        (cli, "lambda_k_table"),
+        (cli, "n_beta"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"maassqv: {error}: ") and err.count("\n") == 1

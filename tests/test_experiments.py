@@ -174,9 +174,9 @@ def _per_k_values(D: int, mult: float) -> np.ndarray:
 @pytest.mark.parametrize("mult", [4.0, 20.0])
 @pytest.mark.parametrize("D", [21, 33])
 def test_bulk_matches_per_k_oracle(D, mult, chunk, monkeypatch):
-    # the band-outer loop with a rotated e^{ik phi} against one np.cos per
-    # k over the whole cut; bands of about 2^10 ideals end partway through
-    # the cuts, and the 38 k run past a re-seed period inside one band
+    # the band-outer loop with cos(k phi) from the phase stepper against one
+    # np.cos per k over the whole cut; bands of about 2^10 ideals end partway
+    # through the cuts, and the 38 k run past a re-seed period inside one band
     if chunk is not None:
         monkeypatch.setattr(experiments, "_CV_BAND", chunk)
     got = central_values_bulk.__wrapped__(make_source(synthetic=42, D=D), make_field(D), 3, 40, mult)
@@ -274,12 +274,20 @@ def test_moment_bound_r1(F):
     assert rep.extra["hypothesis_ok"] is False  # desk scale: K^(1/10) < 30
 
 
-@pytest.mark.parametrize("D", [21, 33])
-def test_moment_bound_matches_pointwise_eigenvalues(D):
+@pytest.mark.parametrize(
+    "D, K, r, x",
+    [
+        pytest.param(21, 40, 2, 60.0, id="21"),
+        pytest.param(33, 40, 2, 60.0, id="33"),
+        # k up to 1000 runs the phase stepper across 16 re-seed periods;
+        # measured 2.1e-13 relative
+        pytest.param(21, 500, 2, 40.0, id="21-500-2-40.0"),
+    ],
+)
+def test_moment_bound_matches_pointwise_eigenvalues(D, K, r, x):
     # the half-window scan with multiplicities against lambda_2k(p) summed
     # over the full window of elements_of_norm, one prime at a time
     F = make_field(D)
-    K, r, x = 40, 2, 60.0
     rep = moment_bound_check(F, K, r, x)
     primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
     s_k = [sum(lambda_k(F, 2 * k, p) / math.sqrt(p) for p in primes) for k in range(K + 1, 2 * K + 1)]
