@@ -29,7 +29,7 @@ from .halfint import (
     _max_nonzero_mprime,
 )
 from .hecke import make_source
-from .ideals import kronecker_chi, lambda_k_table
+from .ideals import kronecker_table, lambda_k_table
 from .lattice import n_beta, offdiag_frame
 from .lfun import dirichlet_l_one
 from .quadfield import QuadInt, make_field, norm
@@ -63,6 +63,8 @@ def cmd_field_info(args) -> list[ExperimentReport]:
 def cmd_lambda_table(args) -> list[ExperimentReport]:
     if args.nmax < 1:
         raise TruncationInsufficient(f"--nmax {args.nmax} leaves no n to check")
+    if args.kmax < 0:
+        raise TruncationInsufficient(f"--kmax {args.kmax} leaves no k to check")
     F = make_field(args.D)
     with timed() as el:
         tables = {k: lambda_k_table(F, k, args.nmax) for k in range(0, args.kmax + 1, 2)}
@@ -76,6 +78,7 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
                     for n, v in enumerate(tab[1:].tolist(), start=1):
                         w.writerow([k, n, repr(v)])
         # Hecke relation spot-check: lam(m)lam(n) = sum_{d | (m,n)} chi(d) lam(mn/d^2)
+        chi = kronecker_table(F.D)
         rng = random.Random(0)
         worst = 0.0
         checks = 0
@@ -84,7 +87,7 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
                 m = rng.randint(1, int(math.isqrt(args.nmax)))
                 n = rng.randint(1, args.nmax // m)
                 rhs = sum(
-                    kronecker_chi(F, d) * tab[m * n // (d * d)]
+                    chi[d % F.D] * tab[m * n // (d * d)]
                     for d in range(1, math.gcd(m, n) + 1)
                     if m % d == 0 and n % d == 0
                 )
@@ -127,6 +130,8 @@ def cmd_verify_lattice(args) -> list[ExperimentReport]:
 
 
 def cmd_verify_gauss(args) -> list[ExperimentReport]:
+    if args.nmax < 1:
+        raise TruncationInsufficient(f"--nmax {args.nmax} leaves no m to check")
     L = make_level(args.M)
     tol = args.tol if args.tol is not None else 1e-10
     with timed() as el:

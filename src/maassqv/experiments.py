@@ -41,8 +41,7 @@ from .ideals import (
     _check_scan,
     _scan_bytes,
     ideal_scan,
-    kronecker_chi,
-    kronecker_residues,
+    kronecker_table,
     lambda_k,
     lambda_k_table,
 )
@@ -366,9 +365,13 @@ def central_values_bulk(
 
 
 def _k_window(K: float, sw: SmoothWeight) -> tuple[int, int]:
-    """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of sw."""
+    """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of sw.
+    Every experiment over k takes its window here first, so K > 2000, past
+    the desk scale, is refused before any sum."""
     if not math.isfinite(K):
         raise HypothesisViolated(f"K must be finite, got {K}")
+    if K > 2000:
+        raise HypothesisViolated(f"desk bound K <= 2000, got K = {K:g}")
     k_lo = max(1, int(math.ceil(K * sw.x0)))
     k_hi = int(math.floor(K * sw.x1))
     if k_hi < k_lo:
@@ -403,8 +406,6 @@ def first_moment(
 
     A -1 root number makes every central value vanish; the report is then
     trivially 0 = 0."""
-    if K > 2000:
-        raise HypothesisViolated("desk bound K <= 2000")
     if n_twist < 1 or n_twist > 50:
         raise HypothesisViolated("n_twist must be in 1..50")
     k_lo, k_hi = _k_window(K, sw)
@@ -577,7 +578,7 @@ def mu_2k_table(F: FieldParams, k: int, x: int) -> np.ndarray:
     """Dense table [mu_2k(0) .. mu_2k(x)]: the multiplicative fill of
     mu(p) = -lambda_2k(p), mu(p^2) = chi_D(p), zero on cubes and higher."""
     lam = lambda_k_table(F, 2 * k, x)
-    chi = kronecker_residues(F)
+    chi = kronecker_table(F.D)
 
     def local(primes: np.ndarray, b: int) -> np.ndarray:
         if b == 1:
@@ -646,7 +647,8 @@ def moment_bound_check(
             f"x = {x} exceeds K^(1/(10r)) = {K ** (1.0 / (10 * r)):.3f}"
         )
     with timed() as elapsed:
-        primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]
+        primes = primes_upto(int(x))
+        primes = primes[F.D % primes != 0]
         norms, thetas, mults = ideal_scan(F, int(x) + 1)
         keep = np.isin(norms, primes)
         coef = mults[keep] / np.sqrt(norms[keep])
@@ -655,7 +657,7 @@ def moment_bound_check(
             [np.einsum("i,i->", coef, c) for c in phase_steps(phase, range(K + 1, 2 * K + 1))]
         )
         empirical = float(np.mean(s_k ** (2 * r)))
-        diag = sum(1.0 / p for p in primes if kronecker_chi(F, p) == 1)
+        diag = float(np.sum(1.0 / primes[kronecker_table(F.D)[primes % F.D] == 1.0]))
         bound = (
             math.factorial(2 * r) / (2**r * math.factorial(r)) * (2.0 * diag) ** r
         )

@@ -13,6 +13,11 @@ as two congruence tests mod a', so no character group is built; both
 contour forms share that one coefficient formula, and both reduction
 checks share one envelope fit.  Each sum reads lambda_psi in one
 `hecke.lambda_psi` call, with no dense table.
+
+Every real character array here (the Legendre symbols (d/p) of b_direct,
+the symbols (p/d) of c(n, s) and the characters omega_t of b(n, s)) is
+one period of `ideals.kronecker_table`, and b(n, s)'s two L_M series run
+on one array of the l <= trunc coprime to M.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (
     WindowViolation,
 )
 from .hecke import HeckeSource, lambda_psi, primes_upto
-from .ideals import kronecker
+from .ideals import kronecker, kronecker_table
 from .lfun import lambda_square_table
 from .quadfield import factorize
 from .report import ExperimentReport, timed
@@ -164,34 +169,17 @@ def gauss_closed(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-@functools.cache
-def _legendre_table(p: int) -> np.ndarray:
-    """(d/p) as a function of d mod p (odd prime p), read-only."""
-    out = np.array([kronecker(d, p) for d in range(p)], dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
-@functools.cache
-def _bottom_symbol_table(p: int) -> np.ndarray:
-    """(p/d) as a function of odd d, tabulated over one period 4p, read-only."""
-    out = np.array([kronecker(p, d) for d in range(4 * p)], dtype=np.float64)
-    out.setflags(write=False)
-    return out
-
-
 def _inner_sum_weights(mp: int, d: np.ndarray) -> np.ndarray:
     """epsilon_d * (mp/d) on the odd-d grid, via multiplicativity in the top
-    argument: (mp/d) = (2/d)^{k0} prod_p (p/d)^{kp}, each factor a short
-    periodic table in d."""
+    argument: (mp/d) = prod_p (p/d)^{kp}.  An odd power is (p/d) from
+    `kronecker_table(p)`, which holds at odd d; an even power is 1 where p
+    does not divide d."""
     w = np.where(d % 4 == 1, 1.0 + 0.0j, 1.0j)  # epsilon_d
     for p, k in factorize(mp).items():
-        if p == 2:
-            if k % 2:
-                w = w * _bottom_symbol_table(2)[d % 8]
-        elif k % 2:
-            w = w * _bottom_symbol_table(p)[d % (4 * p)]
-        else:
+        if k % 2:
+            tab = kronecker_table(p)
+            w = w * tab[d % tab.size]
+        elif p != 2:
             w = w * (d % p != 0)
     return w
 
@@ -337,13 +325,6 @@ def zeta_away_from_M(L: LevelData) -> float:
     return v
 
 
-def _omega1(t: int, ell: int) -> int:
-    """Primitive quadratic character attached to squarefree t, as a Kronecker
-    symbol with fundamental-discriminant argument."""
-    disc = t if t % 4 == 1 else 4 * t
-    return kronecker(disc, ell)
-
-
 def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
     """Closed-form b(n, s) with the two L_M factors evaluated as truncated
     sums over integers coprime to M; n = 0 uses the ratio formula."""
@@ -352,27 +333,20 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
     sigma = complex(s).real
     if 4 * sigma - 1 <= 1:
         raise TruncationInsufficient(f"denominator L-series diverges at s={s}")
-    M = L.M
-    l2 = sum(
-        float(ell) ** (1 - 4 * s) for ell in range(1, trunc + 1) if math.gcd(ell, M) == 1
-    )
+    ell = np.arange(1, trunc + 1)
+    ell = ell[np.gcd(ell, L.M) == 1]  # the l of the L_M sums, coprime to M
+    l2 = np.sum(ell ** (1.0 - 4 * s))
     if n == 0:
         if 4 * sigma - 2 <= 1:
             raise PoleInput(f"b(0, s) has a pole/divergence at s={s}")
-        l0 = sum(
-            float(ell) ** (2 - 4 * s)
-            for ell in range(1, trunc + 1)
-            if math.gcd(ell, M) == 1
-        )
-        return l0 / l2
+        return (np.sum(ell ** (2.0 - 4 * s)) / l2).item()
     t, m = _square_part(n)
     if t == 1 and 2 * sigma - 0.5 <= 1:
         raise PoleInput(f"b(m^2, s) has a pole at s={s}")
-    l1 = sum(
-        _omega1(t, ell) * float(ell) ** (0.5 - 2 * s)
-        for ell in range(1, trunc + 1)
-        if math.gcd(ell, M) == 1
-    )
+    # omega_t, the primitive character of squarefree t: (disc/l) with the
+    # fundamental discriminant disc = t or 4t, of period |disc|
+    omega = kronecker_table(t if t % 4 == 1 else 4 * t)
+    l1 = np.sum(omega[ell % omega.size] * ell ** (0.5 - 2 * s))
     mobius = {1: 1}  # mu(d) for every divisor d of m
     for p, e in factorize(m).items():
         pk = [(p**k, (1, -1, 0)[min(k, 2)]) for k in range(e + 1)]
@@ -380,15 +354,15 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
     divs = sorted(mobius)
     div = 0.0
     for l1l2 in divs:
-        if math.gcd(l1l2, M) != 1:
+        if math.gcd(l1l2, L.M) != 1:
             continue
         for ell1 in divs:
             mu = mobius[ell1]
             if l1l2 % ell1 or mu == 0:
                 continue
-            w1 = mu * _omega1(t, ell1) * float(ell1) ** (0.5 - 2 * s)
+            w1 = mu * omega[ell1 % omega.size] * float(ell1) ** (0.5 - 2 * s)
             div += w1 * float(l1l2 // ell1) ** (2 - 4 * s)
-    return l1 / l2 * div
+    return (l1 / l2 * div).item()
 
 
 def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
@@ -401,8 +375,8 @@ def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
         d = np.arange(1, q + 1, dtype=np.int64)
         kr = np.ones(q, dtype=np.float64)
         for p, e in factorize(q).items():
-            if e % 2:
-                kr *= _legendre_table(p)[d % p]
+            if e % 2:  # (d/p) = (p*/d), p* = +-p = 1 mod 4: a table of period p
+                kr *= kronecker_table(p if p % 4 == 1 else -p)[d % p]
             else:
                 kr *= d % p != 0
         g = complex(np.sum(kr * np.exp(2j * np.pi * ((n * d) % q) / q)))

@@ -37,21 +37,27 @@ is cached.
 on row k the norm form is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n,
 so it costs O(sqrt(n)) and builds no scan, and the window test keeps the
 canonical generator.
+
+Every array of a real character chi(n) = (a/n) in the package is one
+cached period of `kronecker_table(a)`, built in O(|a|) from the scalar
+`kronecker`, the one evaluator of the symbol.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ALLOC_BYTES_MAX, ScanBoundExceeded
+from .errors import ALLOC_BYTES_MAX, ScanBoundExceeded, TableBoundExceeded
 from .quadfield import FieldParams, QuadInt, angle
 
 _SCAN_MAX = 10**7  # largest norm elements_of_norm solves for
+_KRONECKER_TABLE_MAX = 10**7  # longest period kronecker_table builds
 
 
 def kronecker(a: int, n: int) -> int:
@@ -84,14 +90,21 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def kronecker_chi(F: FieldParams, n: int) -> int:
-    """The real character chi_D(n) = (D/n)."""
-    return kronecker(F.D, n)
-
-
-def kronecker_residues(F: FieldParams) -> np.ndarray:
-    """chi_D(r) for r = 0 .. D-1 as floats, so chi_D(n) = table[n % D]."""
-    return np.array([kronecker(F.D, r) for r in range(F.D)], dtype=np.float64)
+@functools.cache
+def kronecker_table(a: int) -> np.ndarray:
+    """One period of n -> (a/n) as read-only floats for a != 0, so
+    (a/n) = tab[n % tab.size]: the period is |a| when a = 0, 1 mod 4, and
+    then it holds for every n >= 0; otherwise it is 4|a|, and it holds for
+    odd n only.  Built from `kronecker` in O(|a|); a period over
+    `_KRONECKER_TABLE_MAX` raises TableBoundExceeded first."""
+    size = abs(a) if a % 4 in (0, 1) else 4 * abs(a)
+    if size > _KRONECKER_TABLE_MAX:
+        raise TableBoundExceeded(
+            f"Kronecker table of {a} has period {size}, over {_KRONECKER_TABLE_MAX}"
+        )
+    out = np.array([kronecker(a, n) for n in range(size)], dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

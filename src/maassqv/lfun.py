@@ -70,7 +70,7 @@ from .hecke import (
     primes_upto,
     vartheta,
 )
-from .ideals import ideal_chunks, kronecker_residues
+from .ideals import ideal_chunks, kronecker_table
 from .quadfield import FieldParams, factorize
 
 
@@ -118,7 +118,7 @@ def lambda_psi_factors(
     each ideal norm keeps its value bit for bit."""
     local = src.lambda_pp_array
     if F is not None:
-        chi = kronecker_residues(F)
+        chi = kronecker_table(F.D)
 
         def local(primes: np.ndarray, b: int) -> np.ndarray:
             out = np.zeros(primes.size)
@@ -234,7 +234,7 @@ def _dirichlet_l_line(F: FieldParams, c: float = 1.0) -> np.ndarray:
     n = np.arange(1, 40001)
     logn = np.log(n)
     s_nodes = 2.0 * _afe_line(c) + 1.0
-    coef = kronecker_residues(F)[n % F.D] * np.exp(-s_nodes[0].real * logn)
+    coef = kronecker_table(F.D)[n % F.D] * np.exp(-s_nodes[0].real * logn)
     rots = phase_steps(-2.0 * _AFE_STEP * logn, range(s_nodes.size), lambda a: np.exp(1j * a))
     out = np.array([np.sum(rot * coef) for rot in rots])
     out.setflags(write=False)
@@ -360,7 +360,7 @@ def dirichlet_l_one(F: FieldParams) -> float:
     block."""
     X = 20000.0
     N = int(40 * X)
-    chi = kronecker_residues(F)
+    chi = kronecker_table(F.D)
     S = 0.0
     for n0 in range(1, N + 1, _SUM_BLOCK):
         n = np.arange(n0, min(n0 + _SUM_BLOCK, N + 1))
@@ -455,7 +455,7 @@ def _gl2_central(
     N = int(200.0 * math.sqrt(q) * max(1.0, t))
     lpsi = lambda_psi_table(src, N)
     if twist_by_chi:
-        lpsi = lpsi * kronecker_residues(F)[np.arange(N + 1) % F.D]
+        lpsi = lpsi * kronecker_table(F.D)[np.arange(N + 1) % F.D]
     n = np.arange(1, N + 1)
     V = _contour_sum(0.5 * math.log(q) - np.log(n), w, g)
     return 2.0 * float(np.sum(lpsi[1:] / np.sqrt(n) * V))
@@ -503,7 +503,7 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
     # at a prime p coprime to D, r_D(p) = 1 + chi_D(p)
     primes = primes_upto(p_max)
     primes = primes[F.D % primes != 0]
-    chis = kronecker_residues(F)[primes % F.D]
+    chis = kronecker_table(F.D)[primes % F.D]
     ths = vartheta(src, primes)
     rds = 1.0 + chis
     hs = np.zeros(primes.size)  # h(p^2), dropped above p = 500: |h(p^2)| <= 6/p^{...}

@@ -64,7 +64,7 @@ def timed():
 
 
 def write_jsonl(reports: list[ExperimentReport], path: str) -> None:
-    with open(path, "a") as fh:
+    with open(path, "w") as fh:
         for r in reports:
             fh.write(r.to_json() + "\n")
 

@@ -26,7 +26,7 @@ from sympy import factorint
 
 from maassqv.errors import DivergentDenominator
 from maassqv.hecke import HeckeSource, h_fn, local_factors
-from maassqv.ideals import elements_of_norm, kronecker_chi, lambda_k
+from maassqv.ideals import elements_of_norm, kronecker, lambda_k
 from maassqv.lattice import n_beta
 from maassqv.quadfield import FieldParams
 
@@ -113,7 +113,7 @@ def g_fn(src: HeckeSource, F: FieldParams, n: int) -> float:
     assert n >= 1
     v = 1.0
     for p, b in factorint(n).items():
-        chi = kronecker_chi(F, p)
+        chi = kronecker(F.D, p)
         if b == 1:
             v *= -2.0 * float(h_fn(src, F, p))
         elif b == 2:
@@ -135,7 +135,7 @@ def mu_2k(F: FieldParams, k: int, n: int) -> float:
         if b == 1:
             v *= -lambda_k(F, 2 * k, p)
         elif b == 2:
-            v *= kronecker_chi(F, p)
+            v *= kronecker(F.D, p)
         else:
             return 0.0
     return v
@@ -161,14 +161,14 @@ def mu_2k_closed(F: FieldParams, k: int, n: int) -> float:
                 sqfree_r = False
     if not sqfree_r:
         return 0.0
-    return kronecker_chi(F, r) * mob_s * lambda_k(F, 2 * k, s)
+    return kronecker(F.D, r) * mob_s * lambda_k(F, 2 * k, s)
 
 
 def satake_square(src: HeckeSource, F: FieldParams, k: int, p: int) -> float:
     """Second coefficient of the Rankin-Selberg local factor:
     (lambda_psi(p^2) - 1)(lambda_4k(p) + 1 - chi_D(p))."""
     return (lambda_pp(src, p, 2) - 1.0) * (
-        lambda_k(F, 4 * k, p) + 1.0 - kronecker_chi(F, p)
+        lambda_k(F, 4 * k, p) + 1.0 - kronecker(F.D, p)
     )
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from maassqv.errors import ScanBoundExceeded
-from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan, kronecker_chi
+from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan, kronecker
 from maassqv.quadfield import FieldParams, QuadInt, angle, canonical_generator
 
 
@@ -47,9 +47,9 @@ def r_D(F: FieldParams, n: int) -> int:
     total = 0
     for d in range(1, int(math.isqrt(n)) + 1):
         if n % d == 0:
-            total += kronecker_chi(F, d)
+            total += kronecker(F.D, d)
             if d != n // d:
-                total += kronecker_chi(F, n // d)
+                total += kronecker(F.D, n // d)
     return total
 
 

@@ -32,7 +32,7 @@ from scipy.special import loggamma
 from ideal_oracle import rectangle_scan
 from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
-from maassqv.ideals import kronecker_residues, lambda_k_table
+from maassqv.ideals import kronecker_table, lambda_k_table
 from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table, lambda_square_table
 from maassqv.quadfield import FieldParams
 
@@ -50,7 +50,7 @@ def dirichlet_l_line_per_node(F, s: complex, c: float) -> np.ndarray:
     """L(2w + 2s, chi_D) at the contour nodes w of the line c, 40,000 terms,
     as sum chi_D(n) exp(-(2w + 2s) log n) node by node."""
     n = np.arange(1, 40001)
-    chin = kronecker_residues(F)[n % F.D]
+    chin = kronecker_table(F.D)[n % F.D]
     logn = np.log(n)
     s_nodes = 2.0 * _afe_line(c) + 2.0 * s
     out = np.empty(s_nodes.size, dtype=np.complex128)

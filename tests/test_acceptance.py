@@ -39,7 +39,6 @@ from maassqv.ideals import (
     elements_of_norm,
     grossenchar,
     kronecker,
-    kronecker_chi,
     lambda_k_table,
 )
 from maassqv.lattice import n_beta, offdiag_frame
@@ -140,7 +139,7 @@ def test_criterion_03_hecke_structure(F21):
             a = rng.randint(1, 200)
             b = rng.randint(1, 200)
             rhs = sum(
-                kronecker_chi(F, d) * tab[a * b // (d * d)]
+                kronecker(F.D, d) * tab[a * b // (d * d)]
                 for d in range(1, math.gcd(a, b) + 1)
                 if a % d == 0 and b % d == 0
             )
@@ -148,7 +147,7 @@ def test_criterion_03_hecke_structure(F21):
     # lambda_0(n) = sum_{d | n} chi_D(d), exactly as integers
     tab0 = lambda_k_table(F, 0, 500)
     for n in range(1, 501):
-        want = sum(kronecker_chi(F, d) for d in range(1, n + 1) if n % d == 0)
+        want = sum(kronecker(F.D, d) for d in range(1, n + 1) if n % d == 0)
         assert round(tab0[n]) == want and abs(tab0[n] - want) < 1e-9, n
         assert r_D(F, n) == want
 

@@ -1,9 +1,15 @@
 import argparse
 import csv
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import maassqv
 from maassqv import cli, experiments
 from maassqv.cli import (
     _build_parser,
@@ -156,6 +162,8 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
         (["poisson", "--D", "21", "--beta", "x,1"], "HypothesisViolated"),
         (["lambda-table", "--D", "21", "--nmax", "0"], "TruncationInsufficient"),
         (["lambda-table", "--D", "21", "--nmax", "-3"], "TruncationInsufficient"),
+        (["lambda-table", "--D", "21", "--kmax", "-2"], "TruncationInsufficient"),
+        (["verify-gauss", "--M", "84", "--nmax", "0"], "TruncationInsufficient"),
         (["verify-lattice", "--D", "21", "--norm-bound", "-1"], "TruncationInsufficient"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
@@ -172,8 +180,34 @@ def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys
         (experiments, "angle"),
         (cli, "lambda_k_table"),
         (cli, "n_beta"),
+        (cli, "c_series"),
     ):
         monkeypatch.setattr(module, name, refuse)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"maassqv: {error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["first-moment", "variance", "poisson"])
+def test_k_past_the_desk_bound_is_refused_before_any_sum(command):
+    # poisson once summed over about 1.5 K values of k with no bound on K,
+    # so the run goes to a fresh interpreter with a timeout: a hang fails
+    env = {**os.environ, "PYTHONPATH": str(Path(maassqv.__file__).parents[1])}
+    argv = [sys.executable, "-m", "maassqv.cli", command, "--D", "21", "--K", "1e9"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr == "maassqv: HypothesisViolated: desk bound K <= 2000, got K = 1e+09\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_holds_the_last_run_in_either_format(tmp_path, fmt):
+    path = tmp_path / f"reports.{fmt}"
+    argv = ["--out", str(path), "--format", fmt, "field-info", "--D", "21"]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    with open(path, newline="") as fh:
+        if fmt == "csv":
+            names = [row["name"] for row in csv.DictReader(fh)]
+        else:
+            names = [json.loads(line)["name"] for line in fh]
+    assert names == ["field_info_class_number"]

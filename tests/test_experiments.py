@@ -23,9 +23,9 @@ from maassqv.experiments import (
 )
 from hecke_oracle import mu_2k
 from lfun_oracle import central_value, central_values_per_k
-from maassqv.halfint import QuadPoly, _legendre_table
+from maassqv.halfint import QuadPoly
 from maassqv.hecke import make_source, primes_upto
-from maassqv.ideals import lambda_k
+from maassqv.ideals import kronecker_table, lambda_k
 from maassqv.lfun import _afe_nodes
 from maassqv.quadfield import QuadInt, make_field, multiply
 from maassqv.weights import SmoothWeight
@@ -146,7 +146,7 @@ def test_cached_arrays_are_read_only(F, src):
     w, g = _afe_nodes(F, 3, 1.0)
     bulk = central_values_bulk(src, F, 1, 3)
     zero = central_values_bulk(make_source(synthetic=42, D=21, eta=-1), F, 1, 3)
-    for arr in (w, g, bulk, zero, _legendre_table(7)):
+    for arr in (w, g, bulk, zero, kronecker_table(-7)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0

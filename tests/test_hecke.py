@@ -38,8 +38,8 @@ from maassqv.hecke import (
 )
 from maassqv.ideals import (
     ideal_scan,
-    kronecker_chi,
-    kronecker_residues,
+    kronecker,
+    kronecker_table,
     lambda_k,
     lambda_k_table,
 )
@@ -168,7 +168,7 @@ def test_multiplicativity(src, F21):
 
 def test_g_values(src, F21):
     for p in (5, 11, 13):
-        chi = kronecker_chi(F21, p)
+        chi = kronecker(F21.D, p)
         assert g_fn(src, F21, p) == pytest.approx(-2 * h_fn(src, F21, p))
         assert g_fn(src, F21, p * p) == pytest.approx(
             3 * chi + h_fn(src, F21, p * p)
@@ -182,7 +182,7 @@ def test_mu_2k(F21):
     k = 3
     assert mu_2k(F21, k, 5**3) == 0.0
     assert mu_2k(F21, k, 12) == pytest.approx(
-        -kronecker_chi(F21, 2) * lambda_k(F21, 2 * k, 3)
+        -kronecker(F21.D, 2) * lambda_k(F21, 2 * k, 3)
     )
     for n in range(1, 10001):
         assert mu_2k(F21, k, n) == pytest.approx(
@@ -193,7 +193,7 @@ def test_mu_2k(F21):
 def test_satake_square(src, F21):
     k, p = 2, 5
     expect = (hecke_oracle.lambda_psi(src, 25) - 1) * (
-        lambda_k(F21, 4 * k, p) + 1 - kronecker_chi(F21, p)
+        lambda_k(F21, 4 * k, p) + 1 - kronecker(F21.D, p)
     )
     assert satake_square(src, F21, k, p) == pytest.approx(expect)
 
@@ -278,7 +278,7 @@ def test_lambda_pp_array_bit_identical(src):
 
 def _locals(src, F):
     """The lambda_psi, vartheta and mu_6 local callbacks at D = 21."""
-    lam6, chi = lambda_k_table(F, 6, 10**5), kronecker_residues(F)
+    lam6, chi = lambda_k_table(F, 6, 10**5), kronecker_table(F.D)
 
     def theta(primes, b):
         chi0 = (21 % primes != 0).astype(np.float64)
@@ -335,10 +335,10 @@ def test_lambda_psi_segments_match_the_fill(src, F21):
     # 11 are inert in Q(sqrt 21), and so is 300,017 > sqrt(n_max)) divides n
     # to an odd power; edges fall on 2^16, on 3 * 300,017 and next to n_max
     n_max = 10**6
-    assert kronecker_chi(F21, 2) == kronecker_chi(F21, 11) == kronecker_chi(F21, 300_017) == -1
+    assert kronecker(F21.D, 2) == kronecker(F21.D, 11) == kronecker(F21.D, 300_017) == -1
     dense = lambda_psi_table(src, n_max)
     factors = lambda_psi_factors(src, n_max, F21)
-    chi = kronecker_residues(F21)
+    chi = kronecker_table(F21.D)
 
     def norm_shape(primes, b):  # 0 where an inert p divides n to an odd power
         return np.where((chi[primes % 21] == -1.0) & (b % 2 == 1), 0.0, 1.0)

@@ -23,7 +23,7 @@ from maassqv.ideals import (
     elements_of_norm,
     grossenchar,
     kronecker,
-    kronecker_chi,
+    kronecker_table,
     lambda_k,
     lambda_k_table,
 )
@@ -55,13 +55,31 @@ def test_kronecker_multiplicative(a, b, n):
 
 
 def test_chi21_values(F21):
-    assert kronecker_chi(F21, 1) == 1
-    assert kronecker_chi(F21, 2) == -1
-    assert kronecker_chi(F21, 5) == 1
-    # period D on positives coprime to D
-    for n in range(1, 400):
-        if math.gcd(n, 21) == 1:
-            assert kronecker_chi(F21, n) == kronecker_chi(F21, n + 21)
+    chi = kronecker_table(21)
+    assert chi.size == F21.D  # period D, at every n >= 0
+    assert chi.tolist() == [kronecker(21, n) for n in range(21)]
+    assert chi[1] == 1 and chi[2] == -1 and chi[5] == 1 and chi[7] == 0
+    for n in range(0, 400):
+        assert chi[n % 21] == kronecker(21, n) == kronecker(21, n + 21)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-300, 300).filter(bool))
+def test_kronecker_table_matches_scalar_symbol(a):
+    tab = kronecker_table(a)
+    assert not tab.flags.writeable
+    if a % 4 in (0, 1):  # period |a|, at every n >= 0
+        assert tab.size == abs(a)
+        ns = range(3 * tab.size)
+    else:  # period 4|a|, at odd n only
+        assert tab.size == 4 * abs(a)
+        ns = range(1, 3 * tab.size, 2)
+    assert [tab[n % tab.size] for n in ns] == [kronecker(a, n) for n in ns]
+
+
+def test_kronecker_table_refuses_a_long_period_before_building():
+    with pytest.raises(TableBoundExceeded):
+        kronecker_table(10**7 + 1)  # = 1 mod 4: period 10^7 + 1
 
 
 def test_elements_of_norm_basic(F21):
@@ -69,7 +87,7 @@ def test_elements_of_norm_basic(F21):
     assert [r.gen for r in ones] == [QuadInt(1, 0)]
     assert elements_of_norm(F21, 2) == []
     fives = elements_of_norm(F21, 5)
-    assert len(fives) == 2 == 1 + kronecker_chi(F21, 5)
+    assert len(fives) == 2 == 1 + kronecker(F21.D, 5)
 
 
 def test_enumeration_count_equals_divisor_sum(F21):
@@ -274,7 +292,7 @@ def test_hecke_relation(F21):
         a, b = rng.randint(1, 200), rng.randint(1, 200)
         g = math.gcd(a, b)
         rhs = sum(
-            kronecker_chi(F21, d) * tab[a * b // (d * d)]
+            kronecker(F21.D, d) * tab[a * b // (d * d)]
             for d in range(1, g + 1)
             if g % d == 0
         )
