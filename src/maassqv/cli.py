@@ -34,7 +34,6 @@ from .lattice import n_beta, offdiag_frame
 from .lfun import dirichlet_l_one
 from .quadfield import QuadInt, make_field, norm
 from .report import ExperimentReport, timed, write_csv, write_jsonl
-from .weights import SmoothWeight
 from . import experiments
 
 
@@ -209,12 +208,11 @@ def cmd_nonsplit(args) -> list[ExperimentReport]:
     Q = QuadPoly(args.a, args.b, args.c)
     _contour_t(Q, second_form=True)  # the last report's precondition, before any sum
     _, src = _field_and_source(args)
-    W = SmoothWeight()
     ladder = (1.0e4 * 4.0**j for j in itertools.count())
     Ys = list(itertools.takewhile(lambda y: y <= args.Ymax, ladder))
-    out = [experiments.nonsplit_decay_scan(src, Q, Ys=Ys, W=W)]
-    out.append(reduction_check(src, Q, Ys[-1], W))
-    out.append(reduction_check_second_form(src, Q, Ys[-1], W))
+    out = [experiments.nonsplit_decay_scan(src, Q, Ys=Ys)]
+    out.append(reduction_check(src, Q, Ys[-1]))
+    out.append(reduction_check_second_form(src, Q, Ys[-1]))
     return out
 
 

@@ -63,29 +63,23 @@ from .lfun import (
 )
 from .quadfield import FieldParams, QuadInt, angle, canonical_generator
 from .report import ExperimentReport, timed
-from .weights import SmoothWeight
+from .weights import PHI
 
 _EULER_GAMMA = 0.5772156649015329
 
 _EV_ENVELOPE = 10.0  # expected_value passes while E <= 10 K^{-1/2}
+_FOURIER_NODES = 1 << 16  # trapezoid intervals of _fourier_many
+_POISSON_TERMS = 20  # the dual sum of poisson_check runs over |l| <= this
 
 
-def smooth_weight(P: float = 1.0) -> SmoothWeight:
-    """The C-infinity bump on (1/2, 2); P >= 1 shrinks the support toward
-    its left edge by 1/P, scaling sup|W'| up by P."""
-    if P < 1.0:
-        raise HypothesisViolated(f"P must be >= 1, got {P}")
-    return SmoothWeight(0.5, 0.5 + 1.5 / P)
-
-
-def _fourier_many(sw: SmoothWeight, xis: np.ndarray, nodes: int = 1 << 16) -> np.ndarray:
-    """integral of W(x) e(-xi x) dx on an array of xi by dense trapezoid;
-    all derivatives of W vanish at the endpoints, so the rule converges
+def _fourier_many(xis: np.ndarray) -> np.ndarray:
+    """integral of Phi(x) e(-xi x) dx on an array of xi by dense trapezoid;
+    all derivatives of Phi vanish at the endpoints, so the rule converges
     superalgebraically once the oscillation is resolved (needs
-    nodes >> |xi| (x1-x0))."""
-    x = np.linspace(sw.x0, sw.x1, nodes + 1)
-    wv = np.array([sw(float(t)) for t in x.tolist()])
-    h = (sw.x1 - sw.x0) / nodes
+    _FOURIER_NODES >> |xi| (x1-x0))."""
+    x = np.linspace(PHI.x0, PHI.x1, _FOURIER_NODES + 1)
+    wv = np.array([PHI(float(t)) for t in x.tolist()])
+    h = (PHI.x1 - PHI.x0) / _FOURIER_NODES
     wv[0] *= 0.5
     wv[-1] *= 0.5
     phase = -2.0 * math.pi * np.asarray(xis)[:, None] * x[None, :]
@@ -100,8 +94,6 @@ def poisson_check(
     F: FieldParams,
     beta: QuadInt,
     K: float,
-    r: int = 20,
-    sw: SmoothWeight = smooth_weight(),
     tol: float = 1e-6,
 ) -> ExperimentReport:
     """sum_k e(k theta/log eps) F(k/K) against K sum_l F^(K(l - theta/log eps)):
@@ -109,29 +101,29 @@ def poisson_check(
     principal ideal (beta).  The report carries the relative deviation."""
     if not K >= 50:
         raise HypothesisViolated(f"poisson_check needs K >= 50, got {K}")
-    k_lo, k_hi = _k_window(K, sw)
+    k_lo, k_hi = _k_window(K)
     with timed() as elapsed:
         theta = angle(F, canonical_generator(F, beta))
         alpha = theta / F.log_eps  # in [0, 2)
         direct = 0.0 + 0.0j
         for k in range(k_lo, k_hi + 1):
-            w = sw(k / K)
+            w = PHI(k / K)
             if w:
                 direct += w * complex(
                     math.cos(2.0 * math.pi * k * alpha),
                     math.sin(2.0 * math.pi * k * alpha),
                 )
-        ells = np.arange(-r, r + 1)
-        fvals = _fourier_many(sw, K * (ells - alpha))
+        ells = np.arange(-_POISSON_TERMS, _POISSON_TERMS + 1)
+        fvals = _fourier_many(K * (ells - alpha))
         dual = K * complex(fvals.sum())
-        fhat0 = abs(complex(_fourier_many(sw, np.array([0.0]))[0]))
+        fhat0 = abs(complex(_fourier_many(np.array([0.0]))[0]))
         # when theta/log(eps) is far from every integer both sides are
         # superalgebraically small; measure against the natural scale then
         scale = max(abs(dual), 1e-3 * K * fhat0)
         err = abs(direct - dual) / scale
     return ExperimentReport.build(
         name="poisson_check",
-        parameters={"D": F.D, "beta": [beta.m, beta.n], "K": K, "r": r},
+        parameters={"D": F.D, "beta": [beta.m, beta.n], "K": K, "r": _POISSON_TERMS},
         computed=err,
         reference=0.0,
         tolerance=tol,
@@ -153,18 +145,17 @@ def poisson_check(
 def _fhat_zero_profile(
     F: FieldParams,
     K: float,
-    sw: SmoothWeight,
     n_arr: np.ndarray,
     t_psi: float,
 ) -> np.ndarray:
     """F^(0; K, n^2) = K int phi(u) W(n^2/(Ku)^2) du on the array n_arr,
     with phi(u) = Phi(u)/u and the AFE weight index k = Ku."""
     nodes = 48
-    us = np.linspace(sw.x0, sw.x1, nodes + 1)
+    us = np.linspace(PHI.x0, PHI.x1, nodes + 1)
     du = (us[1] - us[0])
     out = np.zeros(n_arr.size)
     for u in us[1:-1]:  # endpoints vanish to all orders
-        phi_u = sw(float(u)) / float(u)
+        phi_u = PHI(float(u)) / float(u)
         if phi_u == 0.0:
             continue
         ku = K * float(u)
@@ -180,15 +171,14 @@ def _fhat_zero_profile(
 def matched_sym2_cutoff(
     F: FieldParams,
     K: float,
-    sw: SmoothWeight,
     t_psi: float = 1.0,
 ) -> float:
     """The cutoff X such that the weight e^{-m^2/X} has the same logarithmic
     mean as the normalized diagonal profile F^(0;K,m^2)/(K phi~(1)
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
     m = np.geomspace(0.5, 4000.0 * K, 400)
-    prof = _fhat_zero_profile(F, K, sw, m, t_psi)
-    phit1 = sw.mellin(0).real
+    prof = _fhat_zero_profile(F, K, m, t_psi)
+    phit1 = PHI.mellin(0).real
     prof /= K * phit1 * dirichlet_l_one(F)
     lm = np.log(m)
     integrand = prof - (m < 1.0)
@@ -205,20 +195,19 @@ def diagonal_check(
     src: HeckeSource,
     K: float,
     a: int = 1,
-    sw: SmoothWeight = smooth_weight(),
     tol: float = 0.05,
 ) -> ExperimentReport:
     """sum_n lambda_psi(a n^2)/n F^(0;K,n^2) against the diagonal
     main term vartheta(a) K/zeta_D(2) phi~(1) L(1,sym^2 psi) L(1,chi_D),
     with the sym^2 value taken at the matching cutoff scale."""
     with timed() as elapsed:
-        ncut = int(150.0 * K * sw.x1)
+        ncut = int(150.0 * K * PHI.x1)
         n = np.arange(1, ncut + 1)
-        prof = _fhat_zero_profile(F, K, sw, n, src.t_psi)
+        prof = _fhat_zero_profile(F, K, n, src.t_psi)
         lam_sq = lambda_square_table(src, ncut, a=a)[1:]
         lhs = float(np.sum(lam_sq / n * prof))
-        X = matched_sym2_cutoff(F, K, sw, src.t_psi)
-        phit1 = sw.mellin(0).real
+        X = matched_sym2_cutoff(F, K, src.t_psi)
+        phit1 = PHI.mellin(0).real
         ref = (
             float(vartheta(src, a))
             * K
@@ -364,18 +353,18 @@ def central_values_bulk(
 # First moment of the Rankin-Selberg central values (full pipeline).
 
 
-def _k_window(K: float, sw: SmoothWeight) -> tuple[int, int]:
-    """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of sw.
+def _k_window(K: float) -> tuple[int, int]:
+    """(k_lo, k_hi), the range of the k >= 1 with k/K in the support of Phi.
     Every experiment over k takes its window here first, so K > 2000, past
     the desk scale, is refused before any sum."""
     if not math.isfinite(K):
         raise HypothesisViolated(f"K must be finite, got {K}")
     if K > 2000:
         raise HypothesisViolated(f"desk bound K <= 2000, got K = {K:g}")
-    k_lo = max(1, int(math.ceil(K * sw.x0)))
-    k_hi = int(math.floor(K * sw.x1))
+    k_lo = max(1, int(math.ceil(K * PHI.x0)))
+    k_hi = int(math.floor(K * PHI.x1))
     if k_hi < k_lo:
-        raise HypothesisViolated(f"no k >= 1 has k/K in ({sw.x0}, {sw.x1}) at K = {K}")
+        raise HypothesisViolated(f"no k >= 1 has k/K in ({PHI.x0}, {PHI.x1}) at K = {K}")
     return k_lo, k_hi
 
 
@@ -397,7 +386,6 @@ def first_moment(
     src: HeckeSource,
     K: float,
     n_twist: int = 1,
-    sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
     tol: float | None = None,
 ) -> ExperimentReport:
@@ -408,7 +396,7 @@ def first_moment(
     trivially 0 = 0."""
     if n_twist < 1 or n_twist > 50:
         raise HypothesisViolated("n_twist must be in 1..50")
-    k_lo, k_hi = _k_window(K, sw)
+    k_lo, k_hi = _k_window(K)
     if src.eta_D == -1:
         return _vacuous_report(
             "first_moment",
@@ -420,16 +408,16 @@ def first_moment(
     with timed() as elapsed:
         ks = np.arange(k_lo, k_hi + 1)
         lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
-        phi_w = np.array([sw(k / K) / (k / K) for k in ks])
+        phi_w = np.array([PHI(k / K) / (k / K) for k in ks])
         if n_twist == 1:
             lam_t = np.ones(ks.size)
         else:
             lam_t = np.array([lambda_k(F, 2 * k, n_twist) for k in ks.tolist()])
         m1 = float(np.sum(lvals * lam_t * phi_w))
-        phit1 = sw.mellin(0).real
+        phit1 = PHI.mellin(0).real
         n_red = n_twist // math.gcd(n_twist, F.D)
         h_factor = float(h_fn(src, F, n_red))
-        x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
+        x_match = matched_sym2_cutoff(F, K, src.t_psi)
         c_dpsi = c_d_psi(src, F, x_match)
         computed = m1 / (phit1 * K * h_factor)
     return ExperimentReport.build(
@@ -460,21 +448,20 @@ def _watson_ichino_terms(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    sw: SmoothWeight,
     mult: float,
 ) -> tuple[list[tuple[float, float, float]], float]:
     """(Phi(k/K), L(1, phi_2k)^2 |mu_k|^2, L(1, phi_2k)) for each k of the
-    weight's support with Phi(k/K) != 0, in ascending k, and the matched
+    support of Phi with Phi(k/K) != 0, in ascending k, and the matched
     sym^2 cutoff the Watson-Ichino values were assembled at."""
-    k_lo, k_hi = _k_window(K, sw)
+    k_lo, k_hi = _k_window(K)
     ks = range(k_lo, k_hi + 1)
     lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
     lphi = _l_one_phi_bulk(F, tuple(2 * k for k in ks))
-    x_match = matched_sym2_cutoff(F, K, sw, src.t_psi)
+    x_match = matched_sym2_cutoff(F, K, src.t_psi)
     ls2 = l_one_sym2(src, F, x_match)
     terms = []
     for i, k in enumerate(ks):
-        w = sw(k / K)
+        w = PHI(k / K)
         if w == 0.0:
             continue
         mu2h = watson_ichino_mu2(F, src, k, float(lvals[i]), ls2)
@@ -486,14 +473,13 @@ def variance_table(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
     tol: float = 0.3,
 ) -> ExperimentReport:
     """Q^h = sum_k L(1,phi_2k)^2 |mu_k|^2 Phi(k/K) from Watson-Ichino
     values, against Phi~(0) A^h(psi) V(psi); the unweighted
     Q = sum_k |mu_k|^2 Phi(k/K) against Phi~(0) A^h C' V goes in extra."""
-    _k_window(K, sw)  # an empty window is an error even where Q^h = 0
+    _k_window(K)  # an empty window is an error even where Q^h = 0
     if src.eta_D == -1 or src.parity == "odd":
         return _vacuous_report(
             "variance_table",
@@ -501,7 +487,7 @@ def variance_table(
             "vanishing matrix coefficients: Q^h = Q = 0",
         )
     with timed() as elapsed:
-        terms, x_match = _watson_ichino_terms(F, src, K, sw, mult)
+        terms, x_match = _watson_ichino_terms(F, src, K, mult)
         qh = 0.0
         q_plain = 0.0
         for w, mu2h, lphi in terms:
@@ -509,7 +495,7 @@ def variance_table(
             q_plain += mu2h / lphi**2 * w
         cons = constants(F, src)
         v_psi = classical_variance(src.t_psi)
-        phit0 = sw.mellin(0).real
+        phit0 = PHI.mellin(0).real
         ref_h = phit0 * cons["A_h"] * v_psi
         ref_plain = phit0 * cons["A_h"] * cons["C_Dpsi_prime"] * v_psi
     return ExperimentReport.build(
@@ -540,17 +526,16 @@ def expected_value(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    sw: SmoothWeight = smooth_weight(),
     mult: float = 4.0,
 ) -> ExperimentReport:
     """(1/K) sum_k |mu_k(psi)| Phi(k/K) reported against the K^{-1/2}
     envelope.  The exponent is observed, not asserted."""
-    _k_window(K, sw)
+    _k_window(K)
     with timed() as elapsed:
         if src.eta_D == -1 or src.parity == "odd":
             e_val = 0.0
         else:
-            terms, _ = _watson_ichino_terms(F, src, K, sw, mult)
+            terms, _ = _watson_ichino_terms(F, src, K, mult)
             e_val = 0.0
             for w, mu2h, lphi in terms:
                 e_val += math.sqrt(max(mu2h, 0.0)) / abs(lphi) * w
@@ -682,7 +667,6 @@ def nonsplit_decay_scan(
     src: HeckeSource,
     Q: QuadPoly,
     Ys: Sequence[float] | None = None,
-    W: SmoothWeight = SmoothWeight(),
     slack: float = 0.1,
 ) -> ExperimentReport:
     """|S(Y)|/sqrt(Y) across a ladder of at least two Y; each step may exceed
@@ -692,7 +676,7 @@ def nonsplit_decay_scan(
     if len(Ys) < 2:
         raise TruncationInsufficient(f"the Y ladder {list(Ys)} needs at least two Y")
     with timed() as elapsed:
-        ratios = [abs(nonsplit_sum(src, Q, Y, W)) / math.sqrt(Y) for Y in Ys]
+        ratios = [abs(nonsplit_sum(src, Q, Y)) / math.sqrt(Y) for Y in Ys]
         worst = max(b - a for a, b in zip(ratios, ratios[1:]))
     return ExperimentReport.build(
         name="nonsplit_decay_scan",

@@ -47,9 +47,7 @@ from .ideals import kronecker, kronecker_table
 from .lfun import lambda_square_table
 from .quadfield import factorize
 from .report import ExperimentReport, timed
-from .weights import SmoothWeight
-
-_E8 = cmath.exp(1j * math.pi / 4)  # e(1/8)
+from .weights import W_NONSPLIT
 
 
 def epsilon_d(d: int) -> complex:
@@ -438,19 +436,17 @@ class QuadPoly:
         return self.a * n * n + self.b * n + self.c
 
 
-def nonsplit_sum(
-    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
-) -> float:
-    """Direct sum of lambda(Q(n)) W(Q(n)/Y) over n >= 1."""
+def nonsplit_sum(src: HeckeSource, Q: QuadPoly, Y: float) -> float:
+    """Direct sum of lambda(Q(n)) W(Q(n)/Y) over n >= 1, W = `W_NONSPLIT`."""
     if Q.Delta > 10.0 * math.sqrt(Y):
         raise WindowViolation(f"Delta={Q.Delta} too large for Y={Y}")
-    top = W.x1 * Y
+    top = W_NONSPLIT.x1 * Y
     disc = Q.b * Q.b + 4 * Q.a * (top - Q.c)
     if disc < 0:
         return 0.0
     nmax = int((-Q.b + math.sqrt(disc)) / (2 * Q.a)) + 2
     vs = [Q.value(n) for n in range(1, nmax + 1)]
-    ws = np.array([W(v / Y) for v in vs])
+    ws = np.array([W_NONSPLIT(v / Y) for v in vs])
     return math.fsum((lambda_psi(src, vs) * ws)[ws != 0.0].tolist())
 
 
@@ -506,19 +502,15 @@ _THETA = 7.0 / 64.0  # exponent of the error envelope P Delta / Y^(1/2 - theta)
 
 
 def _contour_value(
-    src: HeckeSource,
-    Q: QuadPoly,
-    Y: float,
-    W: SmoothWeight,
-    dtau: float,
-    second_form: bool,
+    src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool
 ) -> complex:
-    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds by trapezoid
-    on the vertical line Re(s)=1, on the tau-nodes 0, +-dtau, +-2 dtau, ...
-    up to T = 10 P log Y (the integrand is not negligible there: the
-    truncation at T is not bounded).  D_psi is truncated at the N with
-    t N^2 past the W window, at least 2000; its coefficients are cached per
-    (src, Q, N, form), so the dtau and dtau/2 contours at one Y share them.
+    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds with
+    W = `W_NONSPLIT`, by trapezoid on the vertical line Re(s)=1, on the
+    tau-nodes 0, +-dtau, +-2 dtau, ... up to T = 10 P log Y (the integrand
+    is not negligible there: the truncation at T is not bounded).  D_psi is
+    truncated at the N with t N^2 past the W window, at least 2000; its
+    coefficients are cached per (src, Q, N, form), so the dtau and dtau/2
+    contours at one Y share them.
 
     The exponents -s log u at -tau and +tau are exact conjugates, and so
     are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
@@ -526,10 +518,10 @@ def _contour_value(
     would sum them."""
     t = _contour_t(Q, second_form)
     # terms with t n^2 beyond the W window only feed the quadrature tail
-    N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
+    N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
 
     log8aY = math.log(8 * Q.a * Y)
-    T = 10.0 * W.sharpness * math.log(max(Y, math.e))
+    T = 10.0 * W_NONSPLIT.sharpness * math.log(max(Y, math.e))
 
     amp, logu = _d_psi_coefficients(src, Q, N, second_form)
 
@@ -539,7 +531,7 @@ def _contour_value(
         tau += dtau
 
     def f(sv: complex, terms: np.ndarray) -> complex:
-        return complex(np.sum(terms)) * W.mellin(sv) * cmath.exp(sv * log8aY)
+        return complex(np.sum(terms)) * W_NONSPLIT.mellin(sv) * cmath.exp(sv * log8aY)
 
     plus, minus = [], []  # the integrand at +tau, and at -tau for tau > 0
     for tau in taus:
@@ -557,13 +549,12 @@ def _contour_value(
     return total / (4 * math.pi)
 
 
-def _envelope_report(
-    name: str, Q: QuadPoly, Y: float, W: SmoothWeight, deviation
-) -> ExperimentReport:
+def _envelope_report(name: str, Q: QuadPoly, Y: float, deviation) -> ExperimentReport:
     """The deviation at Y against 3x the envelope c P Delta / Y^(1/2 - theta),
-    with c fitted to the deviation at y_ref = Y/4; deviation(y) returns
-    |direct - contour| and the report's extra fields."""
-    P = W.sharpness
+    P the sharpness of `W_NONSPLIT`, with c fitted to the deviation at
+    y_ref = Y/4; deviation(y) returns |direct - contour| and the report's
+    extra fields."""
+    P = W_NONSPLIT.sharpness
     with timed() as elapsed:
         y_ref = Y / 4
         dev_ref, _ = deviation(y_ref)
@@ -584,37 +575,33 @@ def _envelope_report(
     )
 
 
-def reduction_check(
-    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
-) -> ExperimentReport:
+def reduction_check(src: HeckeSource, Q: QuadPoly, Y: float) -> ExperimentReport:
     """Compare the direct non-split sum against its contour representation
     within the fitted envelope; the contour is taken at dtau and dtau/2 and
     must not move under the halving."""
 
     def deviation(y: float) -> tuple[float, dict]:
-        direct = nonsplit_sum(src, Q, y, W)
-        integ = _contour_value(src, Q, y, W, _DTAU, second_form=False)
-        integ2 = _contour_value(src, Q, y, W, _DTAU / 2, second_form=False)
+        direct = nonsplit_sum(src, Q, y)
+        integ = _contour_value(src, Q, y, _DTAU, second_form=False)
+        integ2 = _contour_value(src, Q, y, _DTAU / 2, second_form=False)
         if abs(integ - integ2) > 1e-3 * max(1.0, abs(integ2)):
             raise QuadratureNonconvergent(
                 f"dtau halving moved the integral by {abs(integ - integ2):.2e}"
             )
         return abs(direct - integ2.real), {"imag_part": abs(integ2.imag)}
 
-    return _envelope_report("reduction_check", Q, Y, W, deviation)
+    return _envelope_report("reduction_check", Q, Y, deviation)
 
 
-def reduction_check_second_form(
-    src: HeckeSource, Q: QuadPoly, Y: float, W: SmoothWeight
-) -> ExperimentReport:
+def reduction_check_second_form(src: HeckeSource, Q: QuadPoly, Y: float) -> ExperimentReport:
     """Same comparison via the trivial-character form (odd a with a | b)."""
 
     def deviation(y: float) -> tuple[float, dict]:
-        direct = nonsplit_sum(src, Q, y, W)
-        integ = _contour_value(src, Q, y, W, _DTAU, second_form=True)
+        direct = nonsplit_sum(src, Q, y)
+        integ = _contour_value(src, Q, y, _DTAU, second_form=True)
         return abs(direct - integ.real), {}
 
-    return _envelope_report("reduction_check_second_form", Q, Y, W, deviation)
+    return _envelope_report("reduction_check_second_form", Q, Y, deviation)
 
 
 # ---------------------------------------------------------------------------

@@ -278,12 +278,17 @@ def make_source(
 
 def read_table(path: str) -> HeckeSource:
     """The source of a `write_table` file.  Its primes are checked against
-    one sieve, of 1 byte per integer up to the last prime."""
+    one sieve, of 1 byte per integer up to the last prime.  A file that
+    cannot be opened is a MalformedTable too."""
     header = None
     values: dict[int, float] = {}
     linenos: list[int] = []  # the line of each row, in row order
     last_p = 0
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise MalformedTable(f"{path}: {exc.strerror}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:

@@ -425,7 +425,14 @@ def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     cos(pi k theta/log eps).  One np.add.at per `ideal_chunks` chunk: it
     adds into each bin in index order, so each norm's terms are summed in
     row-major order, as over the stably sorted `ideal_scan`, and the table
-    is that sum bit for bit."""
+    is that sum bit for bit.  A table over 8 GiB raises TableBoundExceeded
+    before anything is allocated."""
+    need = 8.0 * (nmax + 1)
+    if need > ALLOC_BYTES_MAX:
+        raise TableBoundExceeded(
+            f"lambda_k table to {nmax} needs {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
     out = np.zeros(nmax + 1)
     for norms, thetas, mults in ideal_chunks(F, nmax):
         np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))

@@ -28,6 +28,7 @@ from .errors import (
 
 _INT_MAX = 2**127 - 1  # checked 128-bit signed arithmetic
 FACTOR_MAX = 10**12  # largest n that factorize takes: trial division to 10^6
+_UNIT_Y_MAX = 10**6  # make_field looks for the fundamental unit with y <= this
 
 
 def _chk(v: int) -> int:
@@ -163,7 +164,7 @@ def canonical_generator(F: FieldParams, a: QuadInt) -> QuadInt:
     return cand
 
 
-def make_field(D: int, y_max: int = 10**6) -> FieldParams:
+def make_field(D: int) -> FieldParams:
     if D < 5:
         raise NotTwoPrimeProduct(f"D={D} too small")
     if D % 4 != 1:
@@ -178,7 +179,7 @@ def make_field(D: int, y_max: int = 10**6) -> FieldParams:
     # (2x+y)^2 - D y^2 = +-4; scan y ascending so the first unit > 1 is
     # the fundamental one.
     x = y = 0
-    for yy in range(1, y_max + 1):
+    for yy in range(1, _UNIT_Y_MAX + 1):
         t = D * yy * yy - 4
         r = math.isqrt(t)
         if r * r == t and (r - yy) % 2 == 0:
@@ -189,7 +190,7 @@ def make_field(D: int, y_max: int = 10**6) -> FieldParams:
             x, y = (r - yy) // 2, yy
             break
     else:
-        raise Overflow(f"no fundamental unit found with y <= {y_max}")
+        raise Overflow(f"no fundamental unit found with y <= {_UNIT_Y_MAX}")
 
     if q1 % 4 != 3 or q2 % 4 != 3:
         raise NotTwoPrimeProduct(f"D={D}: prime factors must be 3 mod 4")

@@ -21,6 +21,12 @@ class ExperimentReport:
     mode: str = "abs"  # "abs" | "rel" | "ratio" (tolerance interpretation)
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # numpy scalars would be written as np.float64(...) by write_csv
+        self.computed = float(self.computed)
+        self.reference = float(self.reference)
+        self.tolerance = float(self.tolerance)
+
     @staticmethod
     def build(
         name: str,

@@ -1,6 +1,10 @@
 """Compactly supported smooth bump windows and their Mellin transforms
 (adaptive quadrature, memoized per window and s).
 
+The paper's two windows are this module's constants: `PHI` of the moment,
+variance, Poisson and diagonal sums, and `W_NONSPLIT` of the non-split
+sums, whose `sharpness` is the P of their envelope.  No function takes one.
+
 The window is real, so its Mellin transform is conjugate-symmetric:
 W~(conj s) = conj W~(s).  `SmoothWeight.mellin` integrates only for
 Im s >= 0 and conjugates the cached value below the real axis; the two
@@ -40,8 +44,8 @@ class SmoothWeight:
     """W(x) = exp(1 - 1/(1-u^2)) on (x0, x1), u the affine map to (-1, 1);
     zero outside, all derivatives vanish at the endpoints, max value 1."""
 
-    x0: float = 1.0
-    x1: float = 2.0
+    x0: float
+    x1: float
 
     def __post_init__(self):
         if not self.x1 > self.x0 > 0:
@@ -95,3 +99,7 @@ class SmoothWeight:
             return quad(integrand, self.x0, self.x1, limit=200)[0]
 
         return complex(part(math.cos), part(math.sin) if tau else 0.0)
+
+
+PHI = SmoothWeight(0.5, 2.0)  # Phi of the moment and variance sums, on (1/2, 2)
+W_NONSPLIT = SmoothWeight(1.0, 2.0)  # W of the non-split sums, on (1, 2)

@@ -31,7 +31,7 @@ from maassqv.halfint import (
 )
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker
-from maassqv.weights import SmoothWeight
+from maassqv.weights import W_NONSPLIT
 
 
 def lambda_psi_at(src: HeckeSource, x: float) -> float:
@@ -140,16 +140,15 @@ def contour_value_per_node(
     src: HeckeSource,
     Q: QuadPoly,
     Y: float,
-    W: SmoothWeight,
     dtau: float,
     second_form: bool,
 ) -> complex:
     """`halfint._contour_value` with D_psi evaluated afresh at every node."""
     t = _contour_t(Q, second_form)
-    N = max(2000, int(2.0 * math.sqrt(W.x1 * 8 * Q.a * Y / t)) + 10)
+    N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
 
     log8aY = math.log(8 * Q.a * Y)
-    P = W.sharpness
+    P = W_NONSPLIT.sharpness
     T = 10.0 * P * math.log(max(Y, math.e))
 
     amp, logu = _d_psi_coefficients(src, Q, N, second_form)
@@ -169,7 +168,7 @@ def contour_value_per_node(
     prev = None
     for tau in taus:
         sv = 1 + 1j * tau
-        f = D_psi(sv) * W.mellin(sv) * cmath.exp(sv * log8aY)
+        f = D_psi(sv) * W_NONSPLIT.mellin(sv) * cmath.exp(sv * log8aY)
         if prev is not None:
             total += 0.5 * (f + prev[1]) * (tau - prev[0])
         prev = (tau, f)

@@ -44,7 +44,6 @@ from maassqv.ideals import (
 from maassqv.lattice import n_beta, offdiag_frame
 from maassqv.lfun import gamma_ratio_stirling, spectral_parameter
 from maassqv.quadfield import QuadInt, make_field, norm
-from maassqv.weights import SmoothWeight
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +224,6 @@ def test_criterion_10_nonsplit_decay_and_reduction(src42):
     for Q in (QuadPoly(1, 0, -21), QuadPoly(3, 3, -5), QuadPoly(7, 7, -7)):
         rep = nonsplit_decay_scan(src42, Q, slack=0.1)
         assert rep.passed, (Q, rep.extra["ratios"])
-    W = SmoothWeight()
     sets = [
         (QuadPoly(1, 0, -21), 4.0e4),
         (QuadPoly(3, 3, -5), 4.0e4),
@@ -235,7 +233,7 @@ def test_criterion_10_nonsplit_decay_and_reduction(src42):
     ]
     for i, (Q, Y) in enumerate(sets):
         rep = (reduction_check if i % 2 == 0 else reduction_check_second_form)(
-            src42, Q, Y, W
+            src42, Q, Y
         )
         assert rep.passed, (Q, Y, rep.computed, rep.tolerance)
 

@@ -165,6 +165,7 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
         (["lambda-table", "--D", "21", "--kmax", "-2"], "TruncationInsufficient"),
         (["verify-gauss", "--M", "84", "--nmax", "0"], "TruncationInsufficient"),
         (["verify-lattice", "--D", "21", "--norm-bound", "-1"], "TruncationInsufficient"),
+        (["first-moment", "--D", "21", "--K", "30", "--table", "/nonexistent"], "MalformedTable"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
@@ -197,6 +198,55 @@ def test_k_past_the_desk_bound_is_refused_before_any_sum(command):
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert out.stderr == "maassqv: HypothesisViolated: desk bound K <= 2000, got K = 1e+09\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda-table", "--D", "21", "--kmax", "0", "--nmax", "3000000000"],
+        ["dirichlet-poly", "--D", "21", "--x", "3000000000"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_table_past_the_allocation_limit_is_refused_before_allocating(argv):
+    # 3e9 float64 entries are 22.4 GiB: under a 1 GiB address-space limit an
+    # allocation would fail with an untyped MemoryError traceback (exit 1)
+    code = (
+        "import resource, runpy, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "sys.argv[0] = 'maassqv'; "
+        "runpy.run_module('maassqv.cli', run_name='__main__')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(maassqv.__file__).parents[1])}
+    cmd = [sys.executable, "-c", code, *argv]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("maassqv: TableBoundExceeded: ")
+    assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-info", "--D", "21"],
+        ["lambda-table", "--D", "21"],
+        ["verify-gauss", "--M", "84"],
+        ["verify-lattice", "--D", "21"],
+        ["poisson", "--D", "21"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_report_csv_numbers_are_plain_floats(tmp_path, argv):
+    # a numpy scalar in a report once reached the CSV as np.float64(...)
+    path = tmp_path / "reports.csv"
+    assert main(["--out", str(path)] + argv) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for col in ("computed", "reference", "tolerance", "runtime_seconds"):
+            assert "np." not in row[col]
+            float(row[col])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

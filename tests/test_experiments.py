@@ -18,7 +18,6 @@ from maassqv.experiments import (
     mu_2k_table,
     nonsplit_decay_scan,
     poisson_check,
-    smooth_weight,
     variance_table,
 )
 from hecke_oracle import mu_2k
@@ -28,7 +27,7 @@ from maassqv.hecke import make_source, primes_upto
 from maassqv.ideals import kronecker_table, lambda_k
 from maassqv.lfun import _afe_nodes
 from maassqv.quadfield import QuadInt, make_field, multiply
-from maassqv.weights import SmoothWeight
+from maassqv.weights import PHI, W_NONSPLIT
 
 
 @pytest.fixture(scope="module")
@@ -43,25 +42,14 @@ def src():
 
 def test_smooth_weight_kinds():
     # the experiments' window lives on (1/2, 2), the non-split one on (1, 2)
-    sw = smooth_weight()
-    assert (sw.x0, sw.x1) == (0.5, 2.0)
-    assert sw(0.5) == 0.0 and sw(2.0) == 0.0 and sw(1.0) > 0.0
-    assert (SmoothWeight().x0, SmoothWeight().x1) == (1.0, 2.0)
-    with pytest.raises(HypothesisViolated):
-        smooth_weight(P=0.5)
-
-
-def test_smooth_weight_sharpening():
-    # P shrinks the support toward x0, keeping the left edge
-    sw = smooth_weight(P=3.0)
-    assert sw.x0 == 0.5
-    assert sw.x1 == pytest.approx(1.0)
+    assert (PHI.x0, PHI.x1) == (0.5, 2.0)
+    assert PHI(0.5) == 0.0 and PHI(2.0) == 0.0 and PHI(1.0) > 0.0
+    assert (W_NONSPLIT.x0, W_NONSPLIT.x1) == (1.0, 2.0)
 
 
 def test_smooth_weight_mellin_decay():
-    sw = smooth_weight()
-    flat = abs(sw.mellin(1.0))
-    vals = [abs(sw.mellin(1.0 + 1j * t)) for t in (10.0, 50.0, 200.0)]
+    flat = abs(PHI.mellin(1.0))
+    vals = [abs(PHI.mellin(1.0 + 1j * t)) for t in (10.0, 50.0, 200.0)]
     assert vals[0] < flat and vals[1] < vals[0] and vals[2] < vals[1]
     assert vals[2] <= flat * 1e-4
 
@@ -94,9 +82,8 @@ def test_poisson_small_K_rejected(F):
 
 
 def test_matched_cutoff_grows_with_K(F):
-    sw = smooth_weight()
-    x1 = matched_sym2_cutoff(F, 100.0, sw)
-    x2 = matched_sym2_cutoff(F, 200.0, sw)
+    x1 = matched_sym2_cutoff(F, 100.0)
+    x2 = matched_sym2_cutoff(F, 200.0)
     assert 1.0e5 < x1 < x2
 
 

@@ -44,7 +44,6 @@ from maassqv import experiments, halfint
 from maassqv.cli import main
 from maassqv.hecke import make_source
 from maassqv.ideals import kronecker
-from maassqv.weights import SmoothWeight
 
 
 @pytest.fixture(scope="module")
@@ -293,43 +292,40 @@ def test_d_series_truncation_error(src):
 
 
 def test_nonsplit_sum_window(src):
-    W = SmoothWeight()
     # [100, 200] falls between consecutive values 99 and 224 of 25n^2 - 1
-    assert nonsplit_sum(src, QuadPoly(25, 0, -1), 100.0, W) == 0.0
+    assert nonsplit_sum(src, QuadPoly(25, 0, -1), 100.0) == 0.0
     with pytest.raises(WindowViolation):
-        nonsplit_sum(src, QuadPoly(1, 0, -21), 30.0, W)
+        nonsplit_sum(src, QuadPoly(1, 0, -21), 30.0)
 
 
 def test_nonsplit_decay(src):
-    W = SmoothWeight()
-    S = nonsplit_sum(src, QuadPoly(1, 0, -21), 1e6, W)
+    S = nonsplit_sum(src, QuadPoly(1, 0, -21), 1e6)
     assert abs(S) / 1e3 <= 0.5  # |S| / sqrt(Y) stays small: no main term
 
 
 def test_contour_values_pinned(src):
     # the values of the plain route -- both Mellin quadratures at every s,
     # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
-    W = SmoothWeight()
     Q = QuadPoly(1, 0, -21)
-    assert _contour_value(src, Q, 1e4, W, 0.2, False) == complex(
+    assert _contour_value(src, Q, 1e4, 0.2, False) == complex(
         8.310368473613812, -0.012224697371408619
     )
-    assert _contour_value(src, Q, 1e4, W, 0.2, True) == complex(
+    assert _contour_value(src, Q, 1e4, 0.2, True) == complex(
         8.310368493379507, -0.012224697371738721
     )
-    rep = reduction_check(src, Q, 1e4, W)
+    rep = reduction_check(src, Q, 1e4)
     assert rep.computed == 0.03289940252972379
     assert rep.tolerance == 0.217488456501452
     assert rep.extra["imag_part"] == 0.012202636161279649
-    rep = reduction_check_second_form(src, Q, 1e4, W)
+    rep = reduction_check_second_form(src, Q, 1e4)
     assert rep.computed == 0.032893003844968405
     assert rep.tolerance == 0.21749051908746
     # a' = 2: the first form tests n = +-b' mod 2, the second form runs at
     # modulus 1; they agree because lambda vanishes at even n here
     Q = QuadPoly(3, 3, -5)
     want = complex(-4.206292140066351, 0.0014794147723689855)
-    assert _contour_value(src, Q, 1e4, W, 0.2, False) == want
-    assert _contour_value(src, Q, 1e4, W, 0.2, True) == want
+    assert _contour_value(src, Q, 1e4, 0.2, False) == want
+    assert _contour_value(src, Q, 1e4, 0.2, True) == want
 
 
 @pytest.mark.parametrize("dtau", [0.2, 0.1])
@@ -337,11 +333,10 @@ def test_contour_values_pinned(src):
 @pytest.mark.parametrize("abc", [(1, 0, -21), (3, 3, -5), (7, 7, -7)])
 def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
     # one exp per tau >= 0, conjugated for -tau, gives the per-node floats
-    W = SmoothWeight()
     Q = QuadPoly(*abc)
     for second_form in (False, True):
-        assert _contour_value(src, Q, Y, W, dtau, second_form) == contour_value_per_node(
-            src, Q, Y, W, dtau, second_form
+        assert _contour_value(src, Q, Y, dtau, second_form) == contour_value_per_node(
+            src, Q, Y, dtau, second_form
         ), second_form
 
 
@@ -395,8 +390,7 @@ def test_d_psi_coefficients_match_character_sums(src, abc, chars):
 
 
 def test_reduction_second_form(src):
-    W = SmoothWeight()
-    rep = reduction_check_second_form(src, QuadPoly(3, 3, -5), 4e4, W)
+    rep = reduction_check_second_form(src, QuadPoly(3, 3, -5), 4e4)
     assert rep.passed, (rep.computed, rep.tolerance)
 
 

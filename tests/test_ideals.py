@@ -325,6 +325,13 @@ def test_scan_guard_refuses_before_allocating(F21, monkeypatch):
         first_moment(F21, make_source(synthetic=42, D=21), 2000)
 
 
+def test_lambda_k_table_refuses_before_allocating(F21, monkeypatch):
+    # 3e9 + 1 float64 entries are 22.4 GiB, over the 8 GiB limit
+    monkeypatch.setattr(np, "zeros", _allocation_reached)
+    with pytest.raises(TableBoundExceeded):
+        lambda_k_table(F21, 2, 3_000_000_000)
+
+
 def test_band_guard_admits_the_field_sweep(admitted_fields, monkeypatch):
     # first-moment --K 100 (k up to 200) on every admitted field and K = 200
     # (k up to 400) on D = 33 and 77 pass the central values' guard, which

@@ -1,7 +1,7 @@
 """Every name a module of maassqv imports is used in that module, every
-function or class it defines is named somewhere else, every parameter
-of its functions is read, no module keeps a hand-rolled memo, and none
-imports sympy, which only the tests use as an oracle.
+function, class or constant it defines is named somewhere else, every
+parameter of its functions is read, no module keeps a hand-rolled memo,
+and none imports sympy, which only the tests use as an oracle.
 
 Deleting a function tends to leave its imports and its private helpers
 behind, and deleting a setting tends to leave a parameter that nothing
@@ -55,20 +55,50 @@ def test_no_unused_imports(path):
 
 
 def dead_definitions(source: str, corpus: list[str]) -> list[str]:
-    """The module-level functions and classes of source whose name the
-    corpus mentions nowhere but in a `def`/`class` statement."""
+    """The module-level functions, classes and assigned names of source
+    whose name the corpus mentions nowhere but where it is bound: in a
+    `def`/`class` statement or on the left of an `=` (the binding is not a
+    read)."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            ref = re.compile(rf"(?<!def )(?<!class )\b{re.escape(node.name)}\b")
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            # not after def/class, and not before an optional annotation and
+            # a lone "="
+            ref = re.compile(
+                rf"(?<!def )(?<!class )\b{re.escape(name)}\b(?!\s*(?::[^=\n]*)?=(?!=))"
+            )
             if not any(ref.search(text) for text in corpus):
-                out.append(f"{node.name} (line {node.lineno})")
+                out.append(f"{name} (line {node.lineno})")
     return out
 
 
 def test_dead_definition_detector():
-    source = "def used():\n    pass\n\ndef orphan():\n    return used()\n\nclass Lone:\n    pass\n"
-    assert dead_definitions(source, [source]) == ["orphan (line 4)", "Lone (line 7)"]
+    source = (
+        "def used():\n"
+        "    return _LIMIT == 8\n"
+        "\n"
+        "def orphan():\n"
+        "    return used()\n"
+        "\n"
+        "class Lone:\n"
+        "    pass\n"
+        "\n"
+        "_LIMIT = 8\n"
+        "_UNREAD: complex = 1j\n"
+    )
+    assert dead_definitions(source, [source]) == [
+        "orphan (line 4)",
+        "Lone (line 7)",
+        "_UNREAD (line 11)",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

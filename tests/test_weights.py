@@ -1,8 +1,7 @@
 import pytest
 
 from maassqv.errors import HypothesisViolated
-from maassqv.experiments import smooth_weight
-from maassqv.weights import SmoothWeight
+from maassqv.weights import PHI, W_NONSPLIT, SmoothWeight
 from weights_oracle import mellin as mellin_oracle
 
 
@@ -16,7 +15,7 @@ def _grid(dtau: float, top: float) -> list[float]:
     return out
 
 
-@pytest.mark.parametrize("W", [SmoothWeight(), smooth_weight()], ids=["one_two", "half_two"])
+@pytest.mark.parametrize("W", [W_NONSPLIT, PHI], ids=["one_two", "half_two"])
 def test_mellin_real_arguments_match_oracle(W):
     # the experiments pass s = 0 as an int, the contour s = 1.0
     for s in (0, 1.0):
@@ -26,7 +25,7 @@ def test_mellin_real_arguments_match_oracle(W):
 @pytest.mark.parametrize("dtau", [0.2, 0.1])
 def test_mellin_contour_arguments_match_oracle(dtau):
     # every 23rd node of the accumulated grid up to tau = 500, and the last
-    W = SmoothWeight()
+    W = W_NONSPLIT
     taus = _grid(dtau, 500.0)
     for tau in taus[::23] + taus[-1:]:
         for s in (1 + 1j * tau, 1 + 1j * -tau):
@@ -48,7 +47,7 @@ def test_mellin_node_table_is_per_window():
     # three windows asked in turn at one s: each quadrature reads W(x) from
     # its own window's node table
     s = 1 + 7.3j
-    for W in (SmoothWeight(), SmoothWeight(1.0, 1.75), smooth_weight()):
+    for W in (W_NONSPLIT, SmoothWeight(1.0, 1.75), PHI):
         assert W.mellin(s) == mellin_oracle(W, s), (W.x0, W.x1)
 
 
