@@ -8,6 +8,8 @@ A typed `MaassqvError` is printed as one line to stderr and exits 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import itertools
 import math
 import random
@@ -65,23 +67,22 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
     if args.kmax < 0:
         raise TruncationInsufficient(f"--kmax {args.kmax} leaves no k to check")
     F = make_field(args.D)
-    with timed() as el:
-        tables = {k: lambda_k_table(F, k, args.nmax) for k in range(0, args.kmax + 1, 2)}
-        if args.table_out:
-            import csv
-
-            with open(args.table_out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["k", "n", "lambda_k_n"])
-                for k, tab in tables.items():
-                    for n, v in enumerate(tab[1:].tolist(), start=1):
-                        w.writerow([k, n, repr(v)])
-        # Hecke relation spot-check: lam(m)lam(n) = sum_{d | (m,n)} chi(d) lam(mn/d^2)
-        chi = kronecker_table(F.D)
-        rng = random.Random(0)
-        worst = 0.0
-        checks = 0
-        for k, tab in tables.items():
+    chi = kronecker_table(F.D)
+    rng = random.Random(0)
+    worst = 0.0
+    checks = 0
+    with timed() as el, contextlib.ExitStack() as stack:
+        # one table at a time: build it, write its rows, check it, drop it,
+        # so lambda_k_table's memory guard covers the whole command
+        for k in range(0, args.kmax + 1, 2):
+            tab = lambda_k_table(F, k, args.nmax)
+            if args.table_out:
+                if k == 0:  # every k has one size: the guard has passed
+                    rows = csv.writer(stack.enter_context(open(args.table_out, "w", newline="")))
+                    rows.writerow(["k", "n", "lambda_k_n"])
+                for n, v in enumerate(tab[1:].tolist(), start=1):
+                    rows.writerow([k, n, repr(v)])
+            # Hecke relation spot-check: lam(m)lam(n) = sum_{d | (m,n)} chi(d) lam(mn/d^2)
             for _ in range(40):
                 m = rng.randint(1, int(math.isqrt(args.nmax)))
                 n = rng.randint(1, args.nmax // m)
@@ -92,6 +93,7 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
                 )
                 worst = max(worst, abs(tab[m] * tab[n] - rhs))
                 checks += 1
+            del tab
     tol = args.tol if args.tol is not None else 1e-9
     return [ExperimentReport.build(
         "lambda_table_hecke_relation",

@@ -178,7 +178,7 @@ def matched_sym2_cutoff(
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
     m = np.geomspace(0.5, 4000.0 * K, 400)
     prof = _fhat_zero_profile(F, K, m, t_psi)
-    phit1 = PHI.mellin(0).real
+    phit1 = PHI.mellin_zero
     prof /= K * phit1 * dirichlet_l_one(F)
     lm = np.log(m)
     integrand = prof - (m < 1.0)
@@ -207,7 +207,7 @@ def diagonal_check(
         lam_sq = lambda_square_table(src, ncut, a=a)[1:]
         lhs = float(np.sum(lam_sq / n * prof))
         X = matched_sym2_cutoff(F, K, src.t_psi)
-        phit1 = PHI.mellin(0).real
+        phit1 = PHI.mellin_zero
         ref = (
             float(vartheta(src, a))
             * K
@@ -414,7 +414,7 @@ def first_moment(
         else:
             lam_t = np.array([lambda_k(F, 2 * k, n_twist) for k in ks.tolist()])
         m1 = float(np.sum(lvals * lam_t * phi_w))
-        phit1 = PHI.mellin(0).real
+        phit1 = PHI.mellin_zero
         n_red = n_twist // math.gcd(n_twist, F.D)
         h_factor = float(h_fn(src, F, n_red))
         x_match = matched_sym2_cutoff(F, K, src.t_psi)
@@ -495,7 +495,7 @@ def variance_table(
             q_plain += mu2h / lphi**2 * w
         cons = constants(F, src)
         v_psi = classical_variance(src.t_psi)
-        phit0 = PHI.mellin(0).real
+        phit0 = PHI.mellin_zero
         ref_h = phit0 * cons["A_h"] * v_psi
         ref_plain = phit0 * cons["A_h"] * cons["C_Dpsi_prime"] * v_psi
     return ExperimentReport.build(

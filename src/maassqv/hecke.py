@@ -279,38 +279,41 @@ def make_source(
 def read_table(path: str) -> HeckeSource:
     """The source of a `write_table` file.  Its primes are checked against
     one sieve, of 1 byte per integer up to the last prime.  A file that
-    cannot be opened is a MalformedTable too."""
+    cannot be opened, or is not UTF-8 text, is a MalformedTable too."""
     header = None
     values: dict[int, float] = {}
     linenos: list[int] = []  # the line of each row, in row order
     last_p = 0
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise MalformedTable(f"{path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None:
-                    header = line
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedTable(f"{path}:{lineno}: need '<prime> <lambda>'")
-            try:
-                p, lam = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise MalformedTable(f"{path}:{lineno}: {exc}") from exc
-            if p <= last_p:
-                raise MalformedTable(f"{path}:{lineno}: primes must ascend")
-            if p >= ALLOC_BYTES_MAX:
-                raise TableBoundExceeded(f"{path}:{lineno}: {p} is past the sieve limit")
-            last_p = p
-            values[p] = lam
-            linenos.append(lineno)
+    try:
+        with fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    if header is None:
+                        header = line
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise MalformedTable(f"{path}:{lineno}: need '<prime> <lambda>'")
+                try:
+                    p, lam = int(parts[0]), float(parts[1])
+                except ValueError as exc:
+                    raise MalformedTable(f"{path}:{lineno}: {exc}") from exc
+                if p <= last_p:
+                    raise MalformedTable(f"{path}:{lineno}: primes must ascend")
+                if p >= ALLOC_BYTES_MAX:
+                    raise TableBoundExceeded(f"{path}:{lineno}: {p} is past the sieve limit")
+                last_p = p
+                values[p] = lam
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise MalformedTable(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if header is None:
         raise MalformedTable(f"{path}: missing header line")
     listed = np.fromiter(values, dtype=np.int64, count=len(values))

@@ -209,19 +209,28 @@ def test_no_module_memos(path):
     assert module_memos(path.read_text()) == []
 
 
-def sympy_imports(source: str) -> list[str]:
-    """The import statements of source, at any depth, that bind sympy or
-    one of its submodules."""
+def package_imports(source: str, package: str) -> list[str]:
+    """The import statements of source, at any depth, that bind package or
+    one of its submodules, in source order, each as "line N", followed by
+    " in Q" when it sits inside the function or class of dotted name Q."""
     out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(n == "sympy" or n.startswith("sympy.") for n in names):
-            out.append(f"line {node.lineno}")
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".") for n in names):
+                out.append(f"line {child.lineno}" + (f" in {scope}" if scope else ""))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
     return out
 
 
@@ -235,20 +244,56 @@ def test_sympy_import_detector():
         "    from sympy.ntheory import isprime\n"
         "    import sympy_extra\n"
         "    return isprime\n"
+        "class W:\n"
+        "    def mellin(self):\n"
+        "        from scipy.integrate import quad\n"
+        "        return quad\n"
+        "import scipy.special as sc\n"
     )
-    assert sympy_imports(source) == ["line 2", "line 3", "line 6"]
+    assert package_imports(source, "sympy") == ["line 2", "line 3", "line 6 in g"]
+    assert package_imports(source, "scipy") == ["line 11 in W.mellin", "line 13"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_sympy_imports(path):
-    assert sympy_imports(path.read_text()) == []
+    assert package_imports(path.read_text(), "sympy") == []
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    # a fresh interpreter, so modules the test session loaded do not count
-    code = "import sys, maassqv.cli; print('sympy' in sys.modules)"
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_imported_only_in_mellin(path):
+    # QUADPACK on the non-split contour line is the package's one scipy use
+    found = package_imports(path.read_text(), "scipy")
+    if path.name == "weights.py":
+        assert len(found) == 1 and found[0].endswith(" in SmoothWeight.mellin"), found
+    else:
+        assert found == []
+
+
+def _loaded_after(code: str) -> dict[str, bool]:
+    """Whether sympy and scipy are in sys.modules after code runs in a
+    fresh interpreter, so that modules the test session loaded do not count."""
+    code += "\nprint(*('sympy' in sys.modules, 'scipy' in sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    sympy, scipy = out.stdout.split()[-2:]
+    return {"sympy": sympy == "True", "scipy": scipy == "True"}
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    assert _loaded_after("import sys, maassqv.cli") == {"sympy": False, "scipy": False}
+
+
+@pytest.mark.parametrize(
+    "argv, scipy",
+    [
+        (["first-moment", "--D", "21", "--K", "30"], False),
+        (["variance", "--D", "21", "--K", "10"], False),
+        (["nonsplit", "--Ymax", "4e4"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_only_nonsplit_loads_scipy(argv, scipy):
+    code = f"import sys, maassqv.cli\nmaassqv.cli.main({argv!r})"
+    assert _loaded_after(code) == {"sympy": False, "scipy": scipy}
