@@ -28,6 +28,7 @@ from .halfint import (
     reduction_check,
     reduction_check_second_form,
     _contour_t,
+    _level_divisors,
     _max_nonzero_mprime,
 )
 from .hecke import make_source
@@ -37,6 +38,10 @@ from .lfun import dirichlet_l_one
 from .quadfield import QuadInt, make_field, norm
 from .report import ExperimentReport, timed, write_csv, write_jsonl
 from . import experiments
+
+# desk bounds, each refused before any sum: about a minute's run on a 2-vCPU VM
+_NORM_BOUND_MAX = 500_000  # verify-lattice --norm-bound: 71 s at the bound
+_GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M = 84
 
 
 def _field_and_source(args: argparse.Namespace):
@@ -106,6 +111,8 @@ def cmd_verify_lattice(args) -> list[ExperimentReport]:
     bound = args.norm_bound
     if bound < 1:
         raise TruncationInsufficient(f"--norm-bound {bound} admits no element")
+    if bound > _NORM_BOUND_MAX:
+        raise HypothesisViolated(f"desk bound --norm-bound <= {_NORM_BOUND_MAX}, got {bound}")
     F = make_field(args.D)
     box = int(2.2 * math.sqrt(bound)) + 2
     with timed() as el:
@@ -134,12 +141,22 @@ def cmd_verify_gauss(args) -> list[ExperimentReport]:
     if args.nmax < 1:
         raise TruncationInsufficient(f"--nmax {args.nmax} leaves no m to check")
     L = make_level(args.M)
+    # c_series(m^2) sums (M' + 1) // 2 odd d for each M' up to its bound:
+    # the run time is the total, refused past the desk bound as it passes it
+    bounds, terms = [], 0
+    for m in range(1, args.nmax + 1):
+        bounds.append(4 * _max_nonzero_mprime(m * m, L))
+        terms += sum((mp + 1) // 2 for mp in _level_divisors(L, bounds[-1]))
+        if terms > _GAUSS_TERMS_MAX:
+            raise HypothesisViolated(
+                f"desk bound of {_GAUSS_TERMS_MAX} summed terms passed at m = {m} "
+                f"of --nmax {args.nmax}"
+            )
     tol = args.tol if args.tol is not None else 1e-10
     with timed() as el:
         worst = 0.0
-        for m in range(1, args.nmax + 1):
-            n = m * m
-            brute = c_series(n, 0.75, L, bound=4 * _max_nonzero_mprime(n, L))
+        for m, bound in enumerate(bounds, start=1):
+            brute = c_series(m * m, 0.75, L, bound=bound)
             worst = max(worst, abs(brute - c_closed(m, L, 0.75)))
     return [ExperimentReport.build(
         "gauss_c_closed_vs_series", {"M": args.M, "nmax": args.nmax},

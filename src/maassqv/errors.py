@@ -50,10 +50,6 @@ class MissingPrime(MaassqvError):
     pass
 
 
-class DivergentDenominator(MaassqvError):
-    pass
-
-
 # lattice
 class BezoutRangeImpossible(MaassqvError):
     pass
@@ -93,9 +89,5 @@ class PoleInput(MaassqvError):
 
 
 class TableExhausted(MaassqvError):
-    pass
-
-
-class NegativeCentralValue(MaassqvError):
     pass
 

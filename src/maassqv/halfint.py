@@ -31,7 +31,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import Character
 from .errors import (
     BadDecomposition,
     BoundTooSmall,
@@ -50,21 +49,22 @@ from .report import ExperimentReport, timed
 from .weights import W_NONSPLIT
 
 
+_EPSILON = np.array([0, 1, 0, 1j])  # epsilon_d = _EPSILON[d % 4] at odd d
+
+
 def epsilon_d(d: int) -> complex:
-    """Theta multiplier: 1 for d = 1 mod 4, i for d = 3 mod 4; extended to
-    negative odd d by the chi_{-4} interpolation (1+i)/2 + (1-i)/2*chi_{-4}(d),
-    which keeps epsilon_d^2 = chi_{-4}(d)."""
+    """Theta multiplier: 1 for d = 1 mod 4, i for d = 3 mod 4, negative odd
+    d included, which keeps epsilon_d^2 = chi_{-4}(d)."""
     if d % 2 == 0:
         raise EvenInput(f"epsilon_d needs odd d, got {d}")
-    chi = kronecker(-4, d)
-    return (1 + 1j) / 2 + (1 - 1j) / 2 * chi
+    return complex(_EPSILON[d % 4])
 
 
-def gauss_sum(n: int, chi: Character) -> complex:
-    """G_n(chi) = sum_{d=1}^{r} chi(d) e(dn/r)."""
-    r = chi.modulus
+def gauss_sum(n: int, chi: np.ndarray) -> complex:
+    """G_n(chi) = sum_{d=1}^{r} chi(d) e(dn/r), chi one period of r values."""
+    r = chi.size
     terms = [
-        chi(d) * cmath.exp(2j * math.pi * ((n * d) % r) / r) for d in range(1, r + 1)
+        chi[d % r] * cmath.exp(2j * math.pi * ((n * d) % r) / r) for d in range(1, r + 1)
     ]
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
@@ -172,7 +172,7 @@ def _inner_sum_weights(mp: int, d: np.ndarray) -> np.ndarray:
     argument: (mp/d) = prod_p (p/d)^{kp}.  An odd power is (p/d) from
     `kronecker_table(p)`, which holds at odd d; an even power is 1 where p
     does not divide d."""
-    w = np.where(d % 4 == 1, 1.0 + 0.0j, 1.0j)  # epsilon_d
+    w = _EPSILON[d % 4]
     for p, k in factorize(mp).items():
         if k % 2:
             tab = kronecker_table(p)
@@ -201,21 +201,27 @@ def _level_divisors(L: LevelData, bound: int) -> list[int]:
     return sorted(out)
 
 
+_D_BLOCK = 1 << 16  # odd d per block of c_series' sum over one M'
+
+
 def c_series(
     n: int, s: complex, L: LevelData, bound: int, tol: float | None = None
 ) -> complex:
     """Brute-force c(n, s): sum over M | M' | M^infty, M' <= bound, of the
     twisted theta Gauss sum times (M')^{-2s}. Only odd d contribute since
-    (M'/d) = 0 for even d."""
+    (M'/d) = 0 for even d.  Each M' sums its odd d in blocks of `_D_BLOCK`,
+    the block sums added in order, so temporaries are the size of a block."""
     sigma = s.real if isinstance(s, complex) else s
     if tol is not None:
         _check_c_tail(n, sigma, L, bound, tol)
     total = 0.0 + 0.0j
     for mp in _level_divisors(L, bound):
-        d = np.arange(1, mp + 1, 2, dtype=np.int64)
-        w = _inner_sum_weights(mp, d)
-        phase = np.exp(2j * np.pi * ((n * d) % mp) / mp)
-        total += complex(np.sum(w * phase)) * mp ** (-2 * s)
+        gauss = 0.0 + 0.0j
+        for d0 in range(1, mp + 1, 2 * _D_BLOCK):
+            d = np.arange(d0, min(d0 + 2 * _D_BLOCK, mp + 1), 2, dtype=np.int64)
+            phase = np.exp(2j * np.pi * ((n * d) % mp) / mp)
+            gauss += complex(np.sum(_inner_sum_weights(mp, d) * phase))
+        total += gauss * mp ** (-2 * s)
     return total
 
 
@@ -615,7 +621,7 @@ def reduction_check_second_form(src: HeckeSource, Q: QuadPoly, Y: float) -> Expe
 
 def symsq_factor_check(
     src: HeckeSource,
-    omega: Character,
+    omega: np.ndarray,
     t: int,
     a: int,
     s: complex,
@@ -626,6 +632,7 @@ def symsq_factor_check(
     u = 2 * s - 0.5
     if complex(u).real <= 1.05:
         raise TruncationInsufficient(f"need Re(2s-1/2) > 1, got {u}")
+    r = omega.size  # omega(n) = omega[n % r]
     with timed() as elapsed:
         d = math.gcd(4 * a, t)
         a1, a2 = _square_part(4 * a // d)  # a' = 4a/d = a1 a2^2, a1 squarefree
@@ -635,12 +642,12 @@ def symsq_factor_check(
         lam = lambda_square_table(src, truncation // step, ta1)
         lhs = 0.0 + 0.0j
         for m in range(1, truncation // step + 1):
-            ov = np.conjugate(omega(step * m))
+            ov = np.conjugate(omega[step * m % r])
             if ov == 0:
                 continue
             lhs += lam[m] * ov * float(step * m) ** (-u)
 
-        rhs = complex(np.conjugate(omega(step)) * float(step) ** (-u))  # lambda(1) = 1
+        rhs = complex(np.conjugate(omega[step % r]) * float(step) ** (-u))  # lambda(1) = 1
         primes = primes_upto(truncation)
         plist = primes.tolist()
         lps = [math.log(p) for p in plist]
@@ -666,7 +673,7 @@ def symsq_factor_check(
                 expo = -ell * u
                 if complex(expo).real * lp < -120:
                     break
-                loc += np.conjugate(omega(p**ell)) * lam[ell][i] * cmath.exp(expo * lp)
+                loc += np.conjugate(omega[p**ell % r]) * lam[ell][i] * cmath.exp(expo * lp)
             rhs *= loc
 
         dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)

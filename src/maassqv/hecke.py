@@ -117,9 +117,15 @@ class HeckeSource:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """The primes p <= n in ascending order (sieve of Eratosthenes)."""
+    """The primes p <= n in ascending order (sieve of Eratosthenes).  A sieve
+    of n + 1 bytes past ALLOC_BYTES_MAX raises TableBoundExceeded first."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
+    if n + 1 > ALLOC_BYTES_MAX:
+        raise TableBoundExceeded(
+            f"prime sieve to {n} needs {(n + 1) / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):

@@ -8,7 +8,9 @@ bound, one term at a time, reading lambda through `lambda_psi_at`'s float
 test rather than the exact congruence of `halfint._d_psi_coefficients`.
 `contour_value_per_node` is the reduction contour with one N-term complex
 exp per tau-node, the nodes sorted before summing; `halfint._contour_value`
-takes one exp per tau >= 0 and conjugates it for -tau.
+takes one exp per tau >= 0 and conjugates it for -tau.  `chi_mod2k` and
+`chi_modpk` build the characters of the closed Gauss sums, each one period
+array chi with chi(n) = chi[n % chi.size].
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 import numpy as np
 
 from hecke_oracle import lambda_psi
-from maassqv.characters import Character
 from maassqv.errors import TruncationInsufficient
 from maassqv.halfint import (
     LevelData,
@@ -32,6 +33,38 @@ from maassqv.halfint import (
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker
 from maassqv.weights import W_NONSPLIT
+
+
+def chi_mod2k(k: int, with_m4: bool) -> np.ndarray:
+    """chi_8^k (times chi_{-4} if asked) restricted mod 2^k."""
+    r = max(2**k, 1)
+    vals = []
+    for d in range(r):
+        if k and d % 2 == 0:
+            vals.append(0.0)
+            continue
+        v = kronecker(8, d) ** (k % 2) if k else 1
+        if with_m4:
+            v *= kronecker(-4, d)
+        vals.append(float(v))
+    return np.array(vals, dtype=complex)
+
+
+def chi_modpk(p: int, k: int) -> np.ndarray:
+    """chi_{-p}^k restricted mod p^k."""
+    r = max(p**k, 1)
+    vals = []
+    for d in range(r):
+        if k and math.gcd(d, p) != 1:
+            vals.append(0.0)
+        else:
+            vals.append(float(kronecker(-p, d)) if k % 2 else 1.0)
+    return np.array(vals, dtype=complex)
+
+
+def parity(chi: np.ndarray) -> int:
+    """nu in {0, 1} with chi(-1) = chi[-1] = (-1)^nu."""
+    return 0 if abs(chi[-1] - 1) < 1e-9 else 1
 
 
 def lambda_psi_at(src: HeckeSource, x: float) -> float:
@@ -96,7 +129,7 @@ _THETA_ENV = 0.25  # generous |lambda(x)| <= 18 x^theta envelope for tails
 
 def d_series(
     src: HeckeSource,
-    chi: Character,
+    chi: np.ndarray,
     t: int,
     s: complex,
     Delta: int,
@@ -106,8 +139,8 @@ def d_series(
     """Partial sum to N of the shifted series
     sum_{n>=0} lambda((t n^2 - Delta)/4a)(2-delta)chi(n)n^nu
     / (t n^2 + Delta + |t n^2 - Delta|)^{s+nu/2} * phase(t_psi),
-    plus a crude analytic tail bound."""
-    nu = chi.parity
+    plus a crude analytic tail bound; chi is one period array."""
+    nu = parity(chi)
     sigma = complex(s).real
     if 2 * sigma - 2 * _THETA_ENV <= 1:
         raise TruncationInsufficient(f"no convergent tail bound at Re(s)={sigma}")
@@ -117,7 +150,7 @@ def d_series(
         lam = lambda_psi_at(src, (t * n * n - Delta) / (4 * a))
         if lam == 0.0:
             continue
-        cv = chi(n)
+        cv = chi[n % chi.size]
         if cv == 0:
             continue
         q = t * n * n - Delta

@@ -14,6 +14,8 @@ local factors multiplied in ascending p:
 - `dense_fill`, the whole-table multiplicative fill that `fill_segment`
   replaced (numpy, not pointwise), the reference for the dense tables it
   builds.
+`DivergentDenominator` is the error of `local_series` when the truncated
+denominator vanishes.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ import math
 import numpy as np
 from sympy import factorint
 
-from maassqv.errors import DivergentDenominator
+from maassqv.errors import MaassqvError
 from maassqv.hecke import HeckeSource, h_fn, local_factors
 from maassqv.ideals import elements_of_norm, kronecker, lambda_k
 from maassqv.lattice import n_beta
 from maassqv.quadfield import FieldParams
+
+
+class DivergentDenominator(MaassqvError):
+    pass
 
 
 def synthetic_lambda_p(seed: int, D: int, p: int) -> float:

@@ -9,7 +9,8 @@ exp, cos and sin per point and node, the reference for the block sum of
 `lfun._contour_sum`.  `central_value` is L(1/2, psi x phi_2k) by the pointwise
 approximate functional equation, the reference for
 `experiments.central_values_bulk`, and `afe_tail_bound` its heuristic
-bound on the weight W.  `central_values_per_k` is the bulk engine's sum
+bound on the weight W; a value below that bound raises
+`NegativeCentralValue`.  `central_values_per_k` is the bulk engine's sum
 with k outside: one np.cos over the whole cut per k, the reference for
 its chunk-outer loop, rotated e^{ik phi} and conjugation fold.
 `l_one_phi_dense` is L(1, phi_m) from the dense lambda_m table, and
@@ -30,11 +31,15 @@ import numpy as np
 from scipy.special import loggamma
 
 from ideal_oracle import rectangle_scan
-from maassqv.errors import NegativeCentralValue, PoleInput, TruncationInsufficient
+from maassqv.errors import MaassqvError, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker_table, lambda_k_table
 from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table, lambda_square_table
 from maassqv.quadfield import FieldParams
+
+
+class NegativeCentralValue(MaassqvError):
+    pass
 
 
 def gamma_factor(s: complex, t_psi: float, t_2k: float) -> complex:

@@ -9,9 +9,9 @@ import time
 
 import pytest
 
+from halfint_oracle import chi_mod2k, chi_modpk
 from hecke_oracle import local_series
 from ideal_oracle import r_D
-from maassqv.characters import Character
 from maassqv.halfint import (
     QuadPoly,
     _max_nonzero_mprime,
@@ -72,42 +72,17 @@ def test_criterion_01_lattice_identities_exact(admitted_fields):
     assert time.perf_counter() - t0 < 30.0
 
 
-def _chi_mod2k(k: int, with_m4: bool) -> Character:
-    r = max(2**k, 1)
-    vals = []
-    for d in range(r):
-        if k and d % 2 == 0:
-            vals.append(0.0)
-            continue
-        v = kronecker(8, d) ** (k % 2) if k else 1
-        if with_m4:
-            v *= kronecker(-4, d)
-        vals.append(float(v))
-    return Character(r, tuple(vals))
-
-
-def _chi_modpk(p: int, k: int) -> Character:
-    r = max(p**k, 1)
-    vals = []
-    for d in range(r):
-        if k and math.gcd(d, p) != 1:
-            vals.append(0.0)
-        else:
-            vals.append(float(kronecker(-p, d)) if k % 2 else 1.0)
-    return Character(r, tuple(vals))
-
-
 def test_criterion_02_gauss_grid_and_residues():
     t0 = time.perf_counter()
     for m in (1, 2, 3, 6, 7, 12, 21):
         n = m * m
         for k in (0, 2, 3, 4, 5, 6):
-            assert abs(gauss_closed(n, "G8", k) - gauss_sum(n, _chi_mod2k(k, False))) < 1e-10
+            assert abs(gauss_closed(n, "G8", k) - gauss_sum(n, chi_mod2k(k, False))) < 1e-10
             if k >= 2:
-                assert abs(gauss_closed(n, "Gneg8", k) - gauss_sum(n, _chi_mod2k(k, True))) < 1e-10
+                assert abs(gauss_closed(n, "Gneg8", k) - gauss_sum(n, chi_mod2k(k, True))) < 1e-10
         for p in (3, 7):
             for k in range(6):
-                assert abs(gauss_closed(n, "Gp", k, p=p) - gauss_sum(n, _chi_modpk(p, k))) < 1e-10
+                assert abs(gauss_closed(n, "Gp", k, p=p) - gauss_sum(n, chi_modpk(p, k))) < 1e-10
     for M in (4, 12, 84):
         L = make_level(M)
         for m in (1, 2, 4, 6, 7, 12):

@@ -192,13 +192,17 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
         (["lambda-table", "--D", "21", "--kmax", "-2"], "TruncationInsufficient"),
         (["verify-gauss", "--M", "84", "--nmax", "0"], "TruncationInsufficient"),
         (["verify-lattice", "--D", "21", "--norm-bound", "-1"], "TruncationInsufficient"),
+        (["verify-lattice", "--D", "21", "--norm-bound", "100000000"], "HypothesisViolated"),
+        (["verify-gauss", "--M", "4", "--nmax", "8192"], "HypothesisViolated"),
+        (["verify-gauss", "--M", "84", "--nmax", "300"], "HypothesisViolated"),
         (["first-moment", "--D", "21", "--K", "30", "--table", "/nonexistent"], "MalformedTable"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
 def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys, argv, error):
-    # each of these once crashed with an untyped error (exit 1, as a FAIL)
-    # or, for --Ymax inf, grew the Y ladder without end
+    # each of these once crashed with an untyped error (exit 1, as a FAIL),
+    # or, for --Ymax inf, grew the Y ladder without end, or, past the desk
+    # bounds of verify-lattice and verify-gauss, ran for hours
     def refuse(*args, **kwargs):
         raise AssertionError("a sum ran before the input was checked")
 

@@ -2,13 +2,20 @@ import cmath
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from halfint_oracle import c_assembled, contour_value_per_node, d_series
-from maassqv.characters import Character, all_ones_character
+from halfint_oracle import (
+    c_assembled,
+    chi_mod2k,
+    chi_modpk,
+    contour_value_per_node,
+    d_series,
+    parity,
+)
 from maassqv.errors import (
     BadDecomposition,
     BoundTooSmall,
@@ -51,32 +58,6 @@ def src():
     return make_source(synthetic=42, D=21)
 
 
-def _chi_mod2k(k: int, with_m4: bool) -> Character:
-    """chi_8^k (times chi_{-4} if asked) restricted mod 2^k."""
-    r = max(2**k, 1)
-    vals = []
-    for d in range(r):
-        if k and d % 2 == 0:
-            vals.append(0.0)
-            continue
-        v = kronecker(8, d) ** (k % 2) if k else 1
-        if with_m4:
-            v *= kronecker(-4, d)
-        vals.append(float(v))
-    return Character(r, tuple(vals))
-
-
-def _chi_modpk(p: int, k: int) -> Character:
-    r = max(p**k, 1)
-    vals = []
-    for d in range(r):
-        if k and math.gcd(d, p) != 1:
-            vals.append(0.0)
-        else:
-            vals.append(float(kronecker(-p, d)) if k % 2 else 1.0)
-    return Character(r, tuple(vals))
-
-
 def test_epsilon_d():
     assert epsilon_d(1) == 1
     assert epsilon_d(3) == 1j
@@ -87,10 +68,10 @@ def test_epsilon_d():
 
 
 def test_gauss_sum_examples():
-    assert gauss_sum(1, all_ones_character()) == pytest.approx(1.0)
-    chi_m4 = Character(4, (0.0, 1.0, 0.0, -1.0))
+    assert gauss_sum(1, np.ones(1, dtype=complex)) == pytest.approx(1.0)
+    chi_m4 = np.array([0.0, 1.0, 0.0, -1.0], dtype=complex)
     assert gauss_sum(1, chi_m4) == pytest.approx(2j)
-    chi_m3 = Character(3, tuple(float(kronecker(-3, d)) for d in range(3)))
+    chi_m3 = np.array([float(kronecker(-3, d)) for d in range(3)], dtype=complex)
     assert gauss_sum(4, chi_m3) == pytest.approx(1j * math.sqrt(3))
 
 
@@ -99,14 +80,14 @@ def test_gauss_closed_vs_brute():
         n = m * m
         for k in (0, 2, 3, 4, 5, 6):
             got = gauss_closed(n, "G8", k)
-            assert abs(got - gauss_sum(n, _chi_mod2k(k, False))) < 1e-10, (m, k)
+            assert abs(got - gauss_sum(n, chi_mod2k(k, False))) < 1e-10, (m, k)
             if k >= 2:
                 got = gauss_closed(n, "Gneg8", k)
-                assert abs(got - gauss_sum(n, _chi_mod2k(k, True))) < 1e-10, (m, k)
+                assert abs(got - gauss_sum(n, chi_mod2k(k, True))) < 1e-10, (m, k)
         for p in (3, 7):
             for k in range(6):
                 got = gauss_closed(n, "Gp", k, p=p)
-                assert abs(got - gauss_sum(n, _chi_modpk(p, k))) < 1e-10, (m, p, k)
+                assert abs(got - gauss_sum(n, chi_modpk(p, k))) < 1e-10, (m, p, k)
 
 
 def test_gauss_closed_branch_examples():
@@ -175,6 +156,22 @@ def test_c_series_errors():
         c_closed(0, L, 0.4)
     with pytest.raises(BadDecomposition):
         c_assembled(3, L, 0.75)
+
+
+def test_c_series_sums_in_blocks_of_d():
+    # M' up to 2^21 is 16 blocks of odd d: the blocked sum keeps c_closed's
+    # value, and tracemalloc (which counts numpy's buffers) sees about one
+    # block's arrays at a time, where one array per M' held about 20 bytes
+    # per unit of M'
+    L = make_level(4)
+    tracemalloc.start()
+    try:
+        brute = c_series(256 * 256, 0.75, L, bound=1 << 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(brute - c_closed(256, L, 0.75)) < 1e-12
+    assert peak <= 8e6
 
 
 def test_c_zero_closed_vs_brute():
@@ -269,7 +266,7 @@ def test_quad_poly():
 
 def test_d_series_unsolvable_is_zero(src):
     # n^2 = 2 mod 4 has no solution, so every lambda argument is fractional
-    v, _ = d_series(src, all_ones_character(), 1, 1.2, 2, 1, 2000)
+    v, _ = d_series(src, np.ones(1, dtype=complex), 1, 1.2, 2, 1, 2000)
     assert v == 0.0
 
 
@@ -279,7 +276,7 @@ def test_d_series_self_consistency(src):
         t = rng.choice([1, 4, 9])
         a = rng.choice([1, 2, 3])
         Delta = rng.randint(1, 200)
-        chi = all_ones_character()
+        chi = np.ones(1, dtype=complex)
         s = 1.0 + rng.random()
         v1, tail1 = d_series(src, chi, t, s, Delta, a, 2000)
         v2, _ = d_series(src, chi, t, s, Delta, a, 4000)
@@ -288,7 +285,7 @@ def test_d_series_self_consistency(src):
 
 def test_d_series_truncation_error(src):
     with pytest.raises(TruncationInsufficient):
-        d_series(src, all_ones_character(), 1, 0.7, 84, 1, 100)
+        d_series(src, np.ones(1, dtype=complex), 1, 0.7, 84, 1, 100)
 
 
 def test_nonsplit_sum_window(src):
@@ -354,8 +351,8 @@ def test_second_form_rejected_before_any_sum(monkeypatch, capsys):
     assert err.startswith("maassqv: WindowViolation: ") and "second form" in err
 
 
-def _table(r: int, f) -> Character:
-    return Character(r, tuple(complex(f(n)) for n in range(r)))
+def _table(r: int, f) -> np.ndarray:
+    return np.array([complex(f(n)) for n in range(r)])
 
 
 @pytest.mark.parametrize(
@@ -376,13 +373,13 @@ def _table(r: int, f) -> Character:
 def test_d_psi_coefficients_match_character_sums(src, abc, chars):
     # D_psi(s) = (1/phi(a')) sum_chi conj chi(b') (sqrt2 d)^nu D_{psi,chi,d^2}(s)
     Q = QuadPoly(*abc)
-    assert Q.a_prime == chars[0].modulus  # phi(4) = phi(6) = 2 = len(chars)
+    assert Q.a_prime == chars[0].size  # phi(4) = phi(6) = 2 = len(chars)
     s, N = 1.3, 2000
     amp, logu = _d_psi_coefficients(src, Q, N, False)
     got = complex(np.sum(amp * np.exp(-s * logu)))
     want = sum(
-        chi(Q.b_prime).conjugate()
-        * (math.sqrt(2) * Q.d) ** chi.parity
+        chi[Q.b_prime % chi.size].conjugate()
+        * (math.sqrt(2) * Q.d) ** parity(chi)
         * d_series(src, chi, Q.d * Q.d, s, Q.Delta, Q.a, N)[0]
         for chi in chars
     ) / len(chars)
@@ -395,13 +392,13 @@ def test_reduction_second_form(src):
 
 
 def test_symsq_factorization(src):
-    rep = symsq_factor_check(src, all_ones_character(), 1, 1, 1.5, truncation=100000)
+    rep = symsq_factor_check(src, np.ones(1, dtype=complex), 1, 1, 1.5, truncation=100000)
     assert rep.passed and rep.computed <= 1e-6
     # both sides pinned bit for bit: the Euler product draws one lambda(p^{2l})
     # array per l, summed in ascending l per p and multiplied in ascending p
     assert rep.extra["lhs"] == "(0.23129803716736966+0j)"
     assert rep.extra["rhs"] == "(0.23129804213065222+0j)"
-    om = Character(5, tuple(float(kronecker(n, 5)) for n in range(5)))  # (n/5), even
+    om = np.array([float(kronecker(n, 5)) for n in range(5)], dtype=complex)  # (n/5), even
     rep = symsq_factor_check(src, om, 3, 2, 1.6, truncation=50000)
     assert rep.computed <= 1e-5
     assert rep.extra["lhs"] == "(0.019463443701909885+0j)"
@@ -410,7 +407,7 @@ def test_symsq_factorization(src):
     rep = symsq_factor_check(src, om, 84, 3, 1.6 + 0.3j, truncation=20000)
     assert rep.extra["rhs"] == "(0.2859424318817317+0.03959530759578854j)"
     with pytest.raises(TruncationInsufficient):
-        symsq_factor_check(src, all_ones_character(), 1, 1, 0.7)
+        symsq_factor_check(src, np.ones(1, dtype=complex), 1, 1, 0.7)
     # even sources have lambda(-1) = 1
     from maassqv.hecke import lambda_psi
 
@@ -423,11 +420,11 @@ def test_symsq_lhs_table_matches_pointwise_sum(src, t, a):
     # 4a | t n^2 at every n and evaluates lambda_psi(t n^2 / 4a) one by one
     from hecke_oracle import lambda_psi
 
-    om = Character(5, tuple(float(kronecker(n, 5)) for n in range(5)))
+    om = np.array([float(kronecker(n, 5)) for n in range(5)], dtype=complex)
     s, truncation = 1.6, 2000
     u = 2 * s - 0.5
     want = sum(
-        lambda_psi(src, t * n * n // (4 * a)) * np.conjugate(om(n)) * float(n) ** (-u)
+        lambda_psi(src, t * n * n // (4 * a)) * np.conjugate(om[n % om.size]) * float(n) ** (-u)
         for n in range(1, truncation + 1)
         if (t * n * n) % (4 * a) == 0
     )

@@ -250,6 +250,22 @@ def test_read_table_refuses_a_sieve_past_the_limit(tmp_path, monkeypatch):
         read_table(str(path))
 
 
+def test_primes_upto_refuses_a_sieve_past_the_limit(F21, monkeypatch):
+    # the sieve is n + 1 bytes: with ALLOC_BYTES_MAX at 1 MB it runs to
+    # 10^6 - 1, and moment_bound_check to x = 2e6 is refused before the
+    # sieve or the ideal scan allocates
+    monkeypatch.setattr(hecke, "ALLOC_BYTES_MAX", 10**6)
+    assert primes_upto(10**6 - 1)[-1] == 999983
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sieve or the scan allocated")
+
+    monkeypatch.setattr(np, "ones", refuse)
+    monkeypatch.setattr(experiments, "ideal_scan", refuse)
+    with pytest.raises(TableBoundExceeded, match="prime sieve to 2000000 "):
+        experiments.moment_bound_check(F21, 200, 1, 2.0e6)
+
+
 def test_primes_upto_matches_primerange():
     for n in (0, 1, 2, 3, 4, 30, 97, 1000, 7919):
         assert primes_upto(n).tolist() == list(primerange(2, n + 1)), n

@@ -1,7 +1,8 @@
 """Every name a module of maassqv imports is used in that module, every
 function, class or constant it defines is named somewhere else, every
-parameter of its functions is read, no module keeps a hand-rolled memo,
-and none imports sympy, which only the tests use as an oracle.
+parameter of its functions is read, every error class of `errors` is
+raised by some module, no module keeps a hand-rolled memo, and none
+imports sympy, which only the tests use as an oracle.
 
 Deleting a function tends to leave its imports and its private helpers
 behind, and deleting a setting tends to leave a parameter that nothing
@@ -104,6 +105,56 @@ def test_dead_definition_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(path):
     assert dead_definitions(path.read_text(), CORPUS) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The subclasses of MaassqvError that errors_source defines, directly or
+    through another of them, and that no `raise` statement of sources names
+    (as `raise E(...)`, `raise E` or `raise errors.E`)."""
+    defined, out = {"MaassqvError"}, []
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in defined for b in node.bases
+        ):
+            defined.add(node.name)
+            out.append(node.name)
+    raised = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return [name for name in out if name not in raised]
+
+
+def test_unraised_error_detector():
+    errors = (
+        "class MaassqvError(Exception):\n    pass\n"
+        "class Called(MaassqvError):\n    pass\n"
+        "class Bare(MaassqvError):\n    pass\n"
+        "class Dotted(Bare):\n    pass\n"
+        "class Orphan(Bare):\n    pass\n"
+        "class Caught(MaassqvError):\n    pass\n"
+        "class Foreign(ValueError):\n    pass\n"
+    )
+    source = (
+        "from . import errors\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Called(x) from None\n"
+        "    except Caught:\n"
+        "        raise\n"
+        "    raise Bare\n"
+        "def g():\n"
+        "    raise errors.Dotted('d')\n"
+    )
+    assert unraised_errors(errors, [source]) == ["Orphan", "Caught"]
+
+
+def test_every_error_class_is_raised():
+    # an error class only a test oracle raises lives in that oracle
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unraised_errors((SRC / "errors.py").read_text(), sources) == []
 
 
 def unused_parameters(source: str) -> list[str]:

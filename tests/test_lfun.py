@@ -9,6 +9,7 @@ from scipy.special import loggamma as scipy_loggamma
 from hecke_oracle import lambda_psi
 from ideal_oracle import oracle_elements
 from lfun_oracle import (
+    NegativeCentralValue,
     afe_tail_bound,
     central_value,
     contour_sum_per_node,
@@ -18,7 +19,6 @@ from lfun_oracle import (
     l_one_phi_sorted_scan,
 )
 from maassqv.errors import (
-    NegativeCentralValue,
     PoleInput,
     TableExhausted,
     TruncationInsufficient,
