@@ -508,6 +508,23 @@ _THETA = 7.0 / 64.0  # exponent of the error envelope P Delta / Y^(1/2 - theta)
 _TAU_BLOCK = 8  # tau-nodes per 2-D exp of D_psi; 64 raised nonsplit's peak by 6 MB
 
 
+def _contour_taus(Y: float, dtau: float) -> list[float]:
+    """The contour's tau-nodes >= 0: 0, dtau, 2 dtau, ... by repeated
+    addition, up to T = 10 P log Y."""
+    T = 10.0 * W_NONSPLIT.sharpness * math.log(max(Y, math.e))
+    taus, tau = [], 0.0
+    while tau <= T:
+        taus.append(tau)
+        tau += dtau
+    return taus
+
+
+def _times(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray):
+    """The real and imaginary parts of (ar + i ai)(br + i bi), rounded as
+    Python's complex product rounds them."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _contour_value(
     src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool
 ) -> complex:
@@ -522,37 +539,38 @@ def _contour_value(
     The exponents -s log u at -tau and +tau are exact conjugates, and so
     are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
     nodes.  The exps run `_TAU_BLOCK` tau at a time as one 2-D array, each
-    row summed as the 1-D sum of its tau would be.  The nodes are summed in
-    ascending tau, as one exp per node would sum them."""
+    row summed as the 1-D sum of its tau would be.  Wtilde comes from one
+    `SmoothWeight.mellin` call over all nodes, and the integrand is formed
+    as arrays, its complex products written out so that they round as
+    Python's do.  The nodes are summed in ascending tau, as one exp per
+    node would sum them."""
     t = _contour_t(Q, second_form)
     # terms with t n^2 beyond the W window only feed the quadrature tail
     N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
 
     log8aY = math.log(8 * Q.a * Y)
-    T = 10.0 * W_NONSPLIT.sharpness * math.log(max(Y, math.e))
-
     amp, logu = _d_psi_coefficients(src, Q, N, second_form)
 
-    taus, tau = [], 0.0
-    while tau <= T:
-        taus.append(tau)
-        tau += dtau
-
-    def f(sv: complex, d_psi: complex) -> complex:
-        return d_psi * W_NONSPLIT.mellin(sv) * cmath.exp(sv * log8aY)
-
-    plus, minus = [], []  # the integrand at +tau, and at -tau for tau > 0
-    for i in range(0, len(taus), _TAU_BLOCK):
-        svs = [1 + 1j * tau for tau in taus[i : i + _TAU_BLOCK]]
-        e = np.exp(-np.array(svs)[:, None] * logu)
-        d_plus = (amp * e).sum(axis=1).tolist()
-        d_minus = (amp * np.conj(e)).sum(axis=1).tolist()
-        for sv, dp, dm in zip(svs, d_plus, d_minus):
-            plus.append(f(sv, dp))
-            if sv.imag:
-                minus.append(f(sv.conjugate(), dm))
+    taus = _contour_taus(Y, dtau)
     nodes = [-tau for tau in taus[:0:-1]] + taus
-    values = minus[::-1] + plus
+    svs = 1.0 + 1j * np.array(nodes)
+    plus = svs[len(taus) - 1 :]  # the nodes tau >= 0
+
+    d_plus, d_minus = [], []  # D_psi at +tau, and at -tau
+    for i in range(0, len(plus), _TAU_BLOCK):
+        e = np.exp(-plus[i : i + _TAU_BLOCK, None] * logu)
+        d_plus.append((amp * e).sum(axis=1))
+        d_minus.append((amp * np.conj(e)).sum(axis=1))
+    d_psi = np.concatenate([np.concatenate(d_minus)[:0:-1], *d_plus])
+
+    # d_psi Wtilde(s) exp(s log 8aY); numpy's complex multiply may fuse
+    # its products and round differently
+    mellin = W_NONSPLIT.mellin(svs)
+    theta = np.array(nodes) * log8aY
+    scale = math.exp(log8aY)
+    re, im = _times(d_psi.real, d_psi.imag, mellin.real, mellin.imag)
+    re, im = _times(re, im, scale * np.cos(theta), scale * np.sin(theta))
+    values = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
 
     total = 0.0 + 0.0j
     for (tau0, f0), (tau1, f1) in itertools.pairwise(zip(nodes, values)):

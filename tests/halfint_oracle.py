@@ -206,3 +206,20 @@ def contour_value_per_node(
             total += 0.5 * (f + prev[1]) * (tau - prev[0])
         prev = (tau, f)
     return total / (4 * math.pi)
+
+
+def inverted_value(src: HeckeSource, Q: QuadPoly, Y: float, second_form: bool) -> complex:
+    """The value `halfint._contour_value` approximates, by Mellin inversion:
+    D_psi truncated at N is a finite Dirichlet series, so
+    (1/4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds
+    = 1/2 sum_{n <= N} amp_n W(u_n / 8aY), W = `W_NONSPLIT`, where only
+    8aY < u_n < 16aY contribute.  The same N and coefficients as the contour."""
+    t = _contour_t(Q, second_form)
+    N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
+    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
+    x = np.exp(logu) / (8 * Q.a * Y)
+    inside = np.flatnonzero((x > W_NONSPLIT.x0) & (x < W_NONSPLIT.x1))
+    total = 0.0 + 0.0j
+    for n in inside.tolist():
+        total += complex(amp[n]) * W_NONSPLIT(float(x[n]))
+    return total / 2

@@ -14,6 +14,7 @@ from halfint_oracle import (
     chi_modpk,
     contour_value_per_node,
     d_series,
+    inverted_value,
     parity,
 )
 from maassqv.errors import (
@@ -37,6 +38,7 @@ from maassqv.halfint import (
     epsilon_d,
     gauss_closed,
     gauss_sum,
+    _DTAU,
     _contour_value,
     _d_psi_coefficients,
     _max_nonzero_mprime,
@@ -335,6 +337,33 @@ def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
         assert _contour_value(src, Q, Y, dtau, second_form) == contour_value_per_node(
             src, Q, Y, dtau, second_form
         ), second_form
+
+
+# |contour.real - inverted.real| measured at the bench input Q = (1, 0, -21):
+# its two contour heights y_ref = 1e4 and Y = 4e4, both forms, each at the
+# dtau its report uses; the bounds are the measurements, rounded up
+_INVERSION_GAP = {
+    (42, 1e4, False): 6.7e-6,
+    (42, 1e4, True): 1.4e-5,
+    (42, 4e4, False): 3.7e-5,
+    (42, 4e4, True): 4.7e-5,
+    (7, 1e4, False): 1.4e-5,
+    (7, 1e4, True): 2.2e-5,
+    (7, 4e4, False): 1.3e-4,
+    (7, 4e4, True): 6.9e-5,
+}
+
+
+@pytest.mark.parametrize("seed, Y, second_form", list(_INVERSION_GAP))
+def test_contour_against_exact_inversion(seed, Y, second_form):
+    # the tau-trapezoid's error against the finite Dirichlet series it
+    # integrates: the evidence for replacing the contour by the inversion
+    src = make_source(synthetic=seed, D=21)
+    Q = QuadPoly(1, 0, -21)
+    dtau = _DTAU if second_form else _DTAU / 2
+    contour = _contour_value(src, Q, Y, dtau, second_form)
+    gap = abs(contour.real - inverted_value(src, Q, Y, second_form).real)
+    assert gap <= _INVERSION_GAP[seed, Y, second_form]
 
 
 def test_second_form_rejected_before_any_sum(monkeypatch, capsys):

@@ -263,7 +263,8 @@ def test_no_module_memos(path):
 def package_imports(source: str, package: str) -> list[str]:
     """The import statements of source, at any depth, that bind package or
     one of its submodules, in source order, each as "line N", followed by
-    " in Q" when it sits inside the function or class of dotted name Q."""
+    " in Q" when it sits inside the function or class of dotted name Q.
+    source is a module of maassqv: `from .m import x` imports maassqv.m."""
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -272,6 +273,9 @@ def package_imports(source: str, package: str) -> list[str]:
                 names = [alias.name for alias in child.names]
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 names = [child.module or ""]
+            elif isinstance(child, ast.ImportFrom) and child.level == 1:
+                base = "maassqv" + (f".{child.module}" if child.module else "")
+                names = [base] + [f"{base}.{alias.name}" for alias in child.names]
             else:
                 names = []
             if any(n == package or n.startswith(package + ".") for n in names):
@@ -300,9 +304,14 @@ def test_sympy_import_detector():
         "        from scipy.integrate import quad\n"
         "        return quad\n"
         "import scipy.special as sc\n"
+        "def h():\n"
+        "    from .quadpack import qags\n"
+        "    from . import quadpack\n"
+        "    return qags, quadpack\n"
     )
     assert package_imports(source, "sympy") == ["line 2", "line 3", "line 6 in g"]
     assert package_imports(source, "scipy") == ["line 11 in W.mellin", "line 13"]
+    assert package_imports(source, "maassqv.quadpack") == ["line 15 in h", "line 16 in h"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -312,8 +321,11 @@ def test_no_sympy_imports(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_scipy_imported_only_in_mellin(path):
-    # QUADPACK on the non-split contour line is the package's one scipy use
-    found = package_imports(path.read_text(), "scipy")
+    # QUADPACK on the non-split contour line, once the package's one scipy
+    # use, is the in-package port `quadpack`: no module imports scipy, and
+    # `SmoothWeight.mellin` alone imports the port, when it first integrates
+    assert package_imports(path.read_text(), "scipy") == []
+    found = package_imports(path.read_text(), "maassqv.quadpack")
     if path.name == "weights.py":
         assert len(found) == 1 and found[0].endswith(" in SmoothWeight.mellin"), found
     else:
@@ -321,19 +333,23 @@ def test_scipy_imported_only_in_mellin(path):
 
 
 def _loaded_after(code: str) -> dict[str, bool]:
-    """Whether sympy and scipy are in sys.modules after code runs in a
-    fresh interpreter, so that modules the test session loaded do not count."""
-    code += "\nprint(*('sympy' in sys.modules, 'scipy' in sys.modules))"
+    """Whether sympy, scipy and the QUADPACK port `maassqv.quadpack` are in
+    sys.modules after code runs in a fresh interpreter, so that modules the
+    test session loaded do not count."""
+    names = ("sympy", "scipy", "maassqv.quadpack")
+    code += f"\nprint(*(name in sys.modules for name in {names!r}))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    sympy, scipy = out.stdout.split()[-2:]
-    return {"sympy": sympy == "True", "scipy": scipy == "True"}
+    flags = out.stdout.split()[-len(names) :]
+    return {name.split(".")[-1]: flag == "True" for name, flag in zip(names, flags)}
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    assert _loaded_after("import sys, maassqv.cli") == {"sympy": False, "scipy": False}
+    # nor scipy, nor the QUADPACK port: importing the CLI does no quadrature work
+    want = {"sympy": False, "scipy": False, "quadpack": False}
+    assert _loaded_after("import sys, maassqv.cli") == want
 
 
 @pytest.mark.parametrize(
@@ -341,10 +357,12 @@ def test_cli_import_leaves_sympy_unloaded():
     [
         (["first-moment", "--D", "21", "--K", "30"], False),
         (["variance", "--D", "21", "--K", "10"], False),
-        (["nonsplit", "--Ymax", "4e4"], True),
+        (["nonsplit", "--Ymax", "4e4"], False),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )
 def test_only_nonsplit_loads_scipy(argv, scipy):
+    # no command loads scipy; only nonsplit's contours load the port
     code = f"import sys, maassqv.cli\nmaassqv.cli.main({argv!r})"
-    assert _loaded_after(code) == {"sympy": False, "scipy": scipy}
+    want = {"sympy": False, "scipy": scipy, "quadpack": argv[0] == "nonsplit"}
+    assert _loaded_after(code) == want
