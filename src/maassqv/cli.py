@@ -43,6 +43,13 @@ from . import experiments
 _NORM_BOUND_MAX = 500_000  # verify-lattice --norm-bound: 71 s at the bound
 _GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M = 84
 
+# each report's fixed tolerance; the other commands' checks own theirs
+_CLASS_NUMBER_TOL = 1e-6  # field-info: relative
+_HECKE_RELATION_TOL = 1e-9  # lambda-table: absolute
+_GAUSS_TOL = 1e-10  # verify-gauss: absolute
+_APPENDIX_B_TOL = 1e-4  # verify-appendixB, series against direct: absolute
+_RESIDUE_TOL = 1e-12  # verify-appendixB, the Eisenstein residue: relative
+
 
 def _field_and_source(args: argparse.Namespace):
     """(F, psi) for --D and --table or --seed; psi's level must be D."""
@@ -58,11 +65,10 @@ def cmd_field_info(args) -> list[ExperimentReport]:
     print(f"D = {F.D} = {F.p1} * {F.p2}")
     print(f"fundamental unit: {F.unit_x} + {F.unit_y}*omega, log eps = {F.log_eps!r}")
     ref = 2.0 * F.log_eps / math.sqrt(F.D)  # class-number-one value
-    tol = args.tol if args.tol is not None else 1e-6
     with timed() as el:
         L = dirichlet_l_one(F)
     return [ExperimentReport.build(
-        "field_info_class_number", {"D": F.D}, L, ref, tol, el(), mode="rel",
+        "field_info_class_number", {"D": F.D}, L, ref, _CLASS_NUMBER_TOL, el(), mode="rel",
     )]
 
 
@@ -99,11 +105,10 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
                 worst = max(worst, abs(tab[m] * tab[n] - rhs))
                 checks += 1
             del tab
-    tol = args.tol if args.tol is not None else 1e-9
     return [ExperimentReport.build(
         "lambda_table_hecke_relation",
         {"D": F.D, "kmax": args.kmax, "nmax": args.nmax, "checks": checks},
-        worst, 0.0, tol, el(), mode="abs",
+        worst, 0.0, _HECKE_RELATION_TOL, el(), mode="abs",
     )]
 
 
@@ -152,7 +157,6 @@ def cmd_verify_gauss(args) -> list[ExperimentReport]:
                 f"desk bound of {_GAUSS_TERMS_MAX} summed terms passed at m = {m} "
                 f"of --nmax {args.nmax}"
             )
-    tol = args.tol if args.tol is not None else 1e-10
     with timed() as el:
         worst = 0.0
         for m, bound in enumerate(bounds, start=1):
@@ -160,13 +164,12 @@ def cmd_verify_gauss(args) -> list[ExperimentReport]:
             worst = max(worst, abs(brute - c_closed(m, L, 0.75)))
     return [ExperimentReport.build(
         "gauss_c_closed_vs_series", {"M": args.M, "nmax": args.nmax},
-        worst, 0.0, tol, el(), mode="abs",
+        worst, 0.0, _GAUSS_TOL, el(), mode="abs",
     )]
 
 
 def cmd_verify_appendixb(args) -> list[ExperimentReport]:
     L = make_level(args.M)
-    tol = args.tol if args.tol is not None else 1e-4
     out = []
     with timed() as el:
         worst = 0.0
@@ -174,7 +177,8 @@ def cmd_verify_appendixb(args) -> list[ExperimentReport]:
             dev = abs(b_series(n, 1.5, L, trunc=40000) - b_direct(n, 1.5, L, qmax=2001))
             worst = max(worst, dev)
     out.append(ExperimentReport.build(
-        "residue_series_vs_direct", {"M": args.M}, worst, 0.0, tol, el(), mode="abs",
+        "residue_series_vs_direct", {"M": args.M}, worst, 0.0, _APPENDIX_B_TOL, el(),
+        mode="abs",
     ))
     with timed() as el:
         got = eisenstein_residue_const(L)
@@ -182,7 +186,7 @@ def cmd_verify_appendixb(args) -> list[ExperimentReport]:
         # prime-power factor comes from the geometric series of c_closed
         want = 2 * math.pi * b_residue(0, L) * c_closed(0, L, 0.75).real
     out.append(ExperimentReport.build(
-        "eisenstein_residue_closed_form", {"M": args.M}, got, want, 1e-12, el(),
+        "eisenstein_residue_closed_form", {"M": args.M}, got, want, _RESIDUE_TOL, el(),
         mode="rel",
     ))
     return out
@@ -194,29 +198,21 @@ def cmd_poisson(args) -> list[ExperimentReport]:
         m, n = (int(s) for s in args.beta.split(","))
     except ValueError:
         raise HypothesisViolated(f"--beta {args.beta!r} is not two integers m,n") from None
-    tol = args.tol if args.tol is not None else 1e-6
-    return [experiments.poisson_check(F, QuadInt(m, n), args.K, tol=tol)]
+    return [experiments.poisson_check(F, QuadInt(m, n), args.K)]
 
 
 def cmd_first_moment(args) -> list[ExperimentReport]:
     F, src = _field_and_source(args)
-    kw = {} if args.tol is None else {"tol": args.tol}
-    return [experiments.first_moment(F, src, args.K, n_twist=args.twist, **kw)]
+    return [experiments.first_moment(F, src, args.K, n_twist=args.twist)]
 
 
 def cmd_variance(args) -> list[ExperimentReport]:
     F, src = _field_and_source(args)
-    kw = {} if args.tol is None else {"tol": args.tol}
-    return [
-        experiments.variance_table(F, src, args.K, **kw),
-        experiments.expected_value(F, src, args.K),
-    ]
+    return [experiments.variance_table(F, src, args.K), experiments.expected_value(F, src, args.K)]
 
 
 def cmd_dirichlet_poly(args) -> list[ExperimentReport]:
-    F = make_field(args.D)
-    kw = {} if args.tol is None else {"tol": args.tol}
-    return [experiments.dirichlet_poly_check(F, args.k, args.x, **kw)]
+    return [experiments.dirichlet_poly_check(make_field(args.D), args.k, args.x)]
 
 
 def cmd_nonsplit(args) -> list[ExperimentReport]:
@@ -253,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="maassqv")
     p.add_argument("--out", help="write reports to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, **flags):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HypothesisViolated, TruncationInsufficient
+from .errors import ALLOC_BYTES_MAX, HypothesisViolated, TableBoundExceeded, TruncationInsufficient
 from .halfint import QuadPoly, nonsplit_sum
 from .hecke import HeckeSource, check_fill, h_fn, multiplicative_fill, primes_upto, vartheta
 from .ideals import (
@@ -67,7 +67,22 @@ from .weights import PHI
 
 _EULER_GAMMA = 0.5772156649015329
 
+_K_DESK = 2000  # the desk scale: no k or K past it is summed
+_AFE_MULT = 4.0  # each central value truncates its AFE series at _AFE_MULT k^2 D^{3/2}
+
+# each check's fixed tolerance
+_POISSON_TOL = 1e-6  # poisson_check: relative deviation of the two sides
+_DIAGONAL_TOL = 0.05  # diagonal_check: ratio
+_FIRST_MOMENT_TOL = 0.25  # first_moment at n = 1: ratio
+_TWISTED_MOMENT_TOL = 0.30  # first_moment at a twist n > 1: ratio
+_VARIANCE_TOL = 0.3  # variance_table: ratio
+_DIRICHLET_POLY_TOL = 1e-3  # dirichlet_poly_check: absolute
+_MOMENT_BOUND_SLACK = 0.1  # moment_bound_check: one-sided ratio
+_DECAY_SLACK = 0.1  # nonsplit_decay_scan: largest rise of |S(Y)|/sqrt(Y)
 _EV_ENVELOPE = 10.0  # expected_value passes while E <= 10 K^{-1/2}
+# peak bytes per n of dirichlet_poly_check: the convolution's mu table and
+# five x-long 8-byte temporaries; tracemalloc read 48.0 B/n at x = 1e6 and 1e7
+_POLY_BYTES = 48
 _FOURIER_NODES = 1 << 16  # trapezoid intervals of _fourier_many
 _POISSON_TERMS = 20  # the dual sum of poisson_check runs over |l| <= this
 
@@ -90,12 +105,7 @@ def _fourier_many(xis: np.ndarray) -> np.ndarray:
 # Poisson summation on the angle coordinate.
 
 
-def poisson_check(
-    F: FieldParams,
-    beta: QuadInt,
-    K: float,
-    tol: float = 1e-6,
-) -> ExperimentReport:
+def poisson_check(F: FieldParams, beta: QuadInt, K: float) -> ExperimentReport:
     """sum_k e(k theta/log eps) F(k/K) against K sum_l F^(K(l - theta/log eps)):
     the two sides of Poisson summation for the frequency sum attached to the
     principal ideal (beta).  The report carries the relative deviation."""
@@ -126,7 +136,7 @@ def poisson_check(
         parameters={"D": F.D, "beta": [beta.m, beta.n], "K": K, "r": _POISSON_TERMS},
         computed=err,
         reference=0.0,
-        tolerance=tol,
+        tolerance=_POISSON_TOL,
         runtime_seconds=elapsed(),
         mode="abs",
         direct=[direct.real, direct.imag],
@@ -168,11 +178,7 @@ def _fhat_zero_profile(
 
 
 @functools.cache
-def matched_sym2_cutoff(
-    F: FieldParams,
-    K: float,
-    t_psi: float = 1.0,
-) -> float:
+def matched_sym2_cutoff(F: FieldParams, K: float, t_psi: float) -> float:
     """The cutoff X such that the weight e^{-m^2/X} has the same logarithmic
     mean as the normalized diagonal profile F^(0;K,m^2)/(K phi~(1)
     L(1,chi_D)): matching log m_eff = (log X - gamma)/2."""
@@ -190,13 +196,7 @@ def matched_sym2_cutoff(
 # Diagonal isolation (the h = 0 Poisson mode of the moment computation).
 
 
-def diagonal_check(
-    F: FieldParams,
-    src: HeckeSource,
-    K: float,
-    a: int = 1,
-    tol: float = 0.05,
-) -> ExperimentReport:
+def diagonal_check(F: FieldParams, src: HeckeSource, K: float, a: int = 1) -> ExperimentReport:
     """sum_n lambda_psi(a n^2)/n F^(0;K,n^2) against the diagonal
     main term vartheta(a) K/zeta_D(2) phi~(1) L(1,sym^2 psi) L(1,chi_D),
     with the sym^2 value taken at the matching cutoff scale."""
@@ -221,7 +221,7 @@ def diagonal_check(
         parameters={"D": F.D, "K": K, "a": a, "ncut": ncut},
         computed=lhs,
         reference=ref,
-        tolerance=tol,
+        tolerance=_DIAGONAL_TOL,
         runtime_seconds=elapsed(),
         mode="ratio",
         matched_cutoff=X,
@@ -254,15 +254,9 @@ def _check_bands(F: FieldParams, n_max: int) -> None:
 
 
 @functools.cache
-def central_values_bulk(
-    src: HeckeSource,
-    F: FieldParams,
-    k_lo: int,
-    k_hi: int,
-    mult: float = 4.0,
-) -> np.ndarray:
+def central_values_bulk(src: HeckeSource, F: FieldParams, k_lo: int, k_hi: int) -> np.ndarray:
     """Array of L(1/2, psi x phi_2k) for k = k_lo .. k_hi, sharing one ideal
-    scan.  Each value truncates the AFE series at mult * k^2 * D^{3/2} and
+    scan.  Each value truncates the AFE series at `_AFE_MULT` k^2 D^{3/2} and
     completes the conjugation-fixed (coherent) part of the tail -- the
     ideals (m), p_1(m), p_2(m), (sqrt D)(m), whose Grossencharacter value
     is identically 1 -- so only mean-zero oscillating terms are dropped.
@@ -288,7 +282,7 @@ def central_values_bulk(
         out.setflags(write=False)
         return out
 
-    n_max = int(mult * k_hi * k_hi * F.D**1.5)
+    n_max = int(_AFE_MULT * k_hi * k_hi * F.D**1.5)
     _check_bands(F, n_max)
     factors = lambda_psi_factors(src, n_max, F)
 
@@ -296,7 +290,7 @@ def central_values_bulk(
     # conjugation-fixed families a in {1, p1, p2, D}
     # W drops below ~3e-4 once R = 4 log(eps)^2 xi / D^{3/2} > ~900
     xi_tail_max = 225.0 * F.D**1.5 / F.log_eps**2
-    xi_tail_max = max(xi_tail_max, 2.0 * mult * F.D**1.5)
+    xi_tail_max = max(xi_tail_max, 2.0 * _AFE_MULT * F.D**1.5)
     m_hi = int(math.sqrt(xi_tail_max) * k_hi) + 2
     fam = {}
     for a in (1, F.p1, F.p2, F.D):
@@ -306,7 +300,7 @@ def central_values_bulk(
         fam[a] = tab / (math.sqrt(a) * m)
 
     ks = range(k_lo, k_hi + 1)
-    n_ks = [int(mult * k * k * F.D**1.5) for k in ks]  # ascending; the last is n_max
+    n_ks = [int(_AFE_MULT * k * k * F.D**1.5) for k in ks]  # ascending; the last is n_max
     grids = [np.geomspace(1.0 / (k * k), xi_tail_max * 1.1, 400) for k in ks]
     log_grids = [np.log(grid) for grid in grids]
     wgrids = [afe_weight_many(grid, F, k, src.t_psi) for grid, k in zip(grids, ks)]
@@ -359,8 +353,8 @@ def _k_window(K: float) -> tuple[int, int]:
     the desk scale, is refused before any sum."""
     if not math.isfinite(K):
         raise HypothesisViolated(f"K must be finite, got {K}")
-    if K > 2000:
-        raise HypothesisViolated(f"desk bound K <= 2000, got K = {K:g}")
+    if K > _K_DESK:
+        raise HypothesisViolated(f"desk bound K <= {_K_DESK}, got K = {K:g}")
     k_lo = max(1, int(math.ceil(K * PHI.x0)))
     k_hi = int(math.floor(K * PHI.x1))
     if k_hi < k_lo:
@@ -381,14 +375,7 @@ def _vacuous_report(name: str, parameters: dict, note: str) -> ExperimentReport:
     )
 
 
-def first_moment(
-    F: FieldParams,
-    src: HeckeSource,
-    K: float,
-    n_twist: int = 1,
-    mult: float = 4.0,
-    tol: float | None = None,
-) -> ExperimentReport:
+def first_moment(F: FieldParams, src: HeckeSource, K: float, n_twist: int = 1) -> ExperimentReport:
     """sum_k L(1/2, psi x phi_2k) lambda_2k(n) phi(k/K), phi(y) = Phi(y)/y,
     normalized by phi~(1) K h(n/(n,D)) and compared to C_{D,psi}.
 
@@ -403,11 +390,9 @@ def first_moment(
             {"D": F.D, "K": K, "n_twist": n_twist},
             "root number -1: all central values vanish",
         )
-    if tol is None:
-        tol = 0.25 if n_twist == 1 else 0.30
     with timed() as elapsed:
         ks = np.arange(k_lo, k_hi + 1)
-        lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
+        lvals = central_values_bulk(src, F, k_lo, k_hi)
         phi_w = np.array([PHI(k / K) / (k / K) for k in ks])
         if n_twist == 1:
             lam_t = np.ones(ks.size)
@@ -426,12 +411,12 @@ def first_moment(
             "D": F.D,
             "K": K,
             "n_twist": n_twist,
-            "mult": mult,
+            "mult": _AFE_MULT,
             "seed": src.seed,
         },
         computed=computed,
         reference=c_dpsi,
-        tolerance=tol,
+        tolerance=_FIRST_MOMENT_TOL if n_twist == 1 else _TWISTED_MOMENT_TOL,
         runtime_seconds=elapsed(),
         mode="ratio",
         h_factor=h_factor,
@@ -448,14 +433,13 @@ def _watson_ichino_terms(
     F: FieldParams,
     src: HeckeSource,
     K: float,
-    mult: float,
 ) -> tuple[list[tuple[float, float, float]], float]:
     """(Phi(k/K), L(1, phi_2k)^2 |mu_k|^2, L(1, phi_2k)) for each k of the
     support of Phi with Phi(k/K) != 0, in ascending k, and the matched
     sym^2 cutoff the Watson-Ichino values were assembled at."""
     k_lo, k_hi = _k_window(K)
     ks = range(k_lo, k_hi + 1)
-    lvals = central_values_bulk(src, F, k_lo, k_hi, mult)
+    lvals = central_values_bulk(src, F, k_lo, k_hi)
     lphi = _l_one_phi_bulk(F, tuple(2 * k for k in ks))
     x_match = matched_sym2_cutoff(F, K, src.t_psi)
     ls2 = l_one_sym2(src, F, x_match)
@@ -469,13 +453,7 @@ def _watson_ichino_terms(
     return terms, x_match
 
 
-def variance_table(
-    F: FieldParams,
-    src: HeckeSource,
-    K: float,
-    mult: float = 4.0,
-    tol: float = 0.3,
-) -> ExperimentReport:
+def variance_table(F: FieldParams, src: HeckeSource, K: float) -> ExperimentReport:
     """Q^h = sum_k L(1,phi_2k)^2 |mu_k|^2 Phi(k/K) from Watson-Ichino
     values, against Phi~(0) A^h(psi) V(psi); the unweighted
     Q = sum_k |mu_k|^2 Phi(k/K) against Phi~(0) A^h C' V goes in extra."""
@@ -487,7 +465,7 @@ def variance_table(
             "vanishing matrix coefficients: Q^h = Q = 0",
         )
     with timed() as elapsed:
-        terms, x_match = _watson_ichino_terms(F, src, K, mult)
+        terms, x_match = _watson_ichino_terms(F, src, K)
         qh = 0.0
         q_plain = 0.0
         for w, mu2h, lphi in terms:
@@ -500,10 +478,10 @@ def variance_table(
         ref_plain = phit0 * cons["A_h"] * cons["C_Dpsi_prime"] * v_psi
     return ExperimentReport.build(
         name="variance_table",
-        parameters={"D": F.D, "K": K, "mult": mult, "seed": src.seed},
+        parameters={"D": F.D, "K": K, "mult": _AFE_MULT, "seed": src.seed},
         computed=qh,
         reference=ref_h,
-        tolerance=tol,
+        tolerance=_VARIANCE_TOL,
         runtime_seconds=elapsed(),
         mode="ratio",
         Q_plain=q_plain,
@@ -522,12 +500,7 @@ def variance_table(
 # signs of the matrix coefficients, so this upper-bounds |E(psi;K)|).
 
 
-def expected_value(
-    F: FieldParams,
-    src: HeckeSource,
-    K: float,
-    mult: float = 4.0,
-) -> ExperimentReport:
+def expected_value(F: FieldParams, src: HeckeSource, K: float) -> ExperimentReport:
     """(1/K) sum_k |mu_k(psi)| Phi(k/K) reported against the K^{-1/2}
     envelope.  The exponent is observed, not asserted."""
     _k_window(K)
@@ -535,7 +508,7 @@ def expected_value(
         if src.eta_D == -1 or src.parity == "odd":
             e_val = 0.0
         else:
-            terms, _ = _watson_ichino_terms(F, src, K, mult)
+            terms, _ = _watson_ichino_terms(F, src, K)
             e_val = 0.0
             for w, mu2h, lphi in terms:
                 e_val += math.sqrt(max(mu2h, 0.0)) / abs(lphi) * w
@@ -575,18 +548,24 @@ def mu_2k_table(F: FieldParams, k: int, x: int) -> np.ndarray:
     return multiplicative_fill(x, local)
 
 
-def dirichlet_poly_check(
-    F: FieldParams,
-    k: int,
-    x: int,
-    tol: float = 1e-3,
-) -> ExperimentReport:
+def dirichlet_poly_check(F: FieldParams, k: int, x: int) -> ExperimentReport:
     """1/L(1, phi_2k)^2 against the truncated Dirichlet polynomial
-    sum_{n <= x} (mu_2k * mu_2k)(n)/n (Dirichlet convolution)."""
+    sum_{n <= x} (mu_2k * mu_2k)(n)/n (Dirichlet convolution).  Refused
+    before any sum past the desk scale k <= `_K_DESK` (the L(1, phi_2k) pass
+    grows like k^2), and when the run's peak, `_POLY_BYTES` per n, would
+    pass ALLOC_BYTES_MAX."""
     if k < 10:
         raise HypothesisViolated("dirichlet_poly_check needs k >= 10")
+    if k > _K_DESK:
+        raise HypothesisViolated(f"desk bound k <= {_K_DESK}, got k = {k}")
     if x < 1000:
         raise TruncationInsufficient("polynomial length x below 10^3")
+    need = _POLY_BYTES * (x + 1)
+    if need > ALLOC_BYTES_MAX:
+        raise TableBoundExceeded(
+            f"Dirichlet polynomial to x = {x} needs about {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
     with timed() as elapsed:
         lhs = 1.0 / l_one_phi(F, 2 * k) ** 2
         mu = mu_2k_table(F, k, x)
@@ -599,7 +578,7 @@ def dirichlet_poly_check(
         parameters={"D": F.D, "k": k, "x": x},
         computed=rhs,
         reference=lhs,
-        tolerance=tol,
+        tolerance=_DIRICHLET_POLY_TOL,
         runtime_seconds=elapsed(),
         mode="abs",
     )
@@ -609,28 +588,17 @@ def dirichlet_poly_check(
 # Moment inequality for short Dirichlet polynomials in lambda_2k(p).
 
 
-def moment_bound_check(
-    F: FieldParams,
-    K: int,
-    r: int,
-    x: float,
-    enforce_hypothesis: bool = False,
-    slack: float = 0.1,
-) -> ExperimentReport:
+def moment_bound_check(F: FieldParams, K: int, r: int, x: float) -> ExperimentReport:
     """(1/K) sum_{K<k<=2K} (sum_{p<=x, p coprime to D} lambda_2k(p)/sqrt p)^{2r}
-    against (2r)!/(2^r r!) (2 sum_{p<=x, chi_D(p)=1} 1/p)^r (1+slack).
+    against (2r)!/(2^r r!) (2 sum_{p<=x, chi_D(p)=1} 1/p)^r (1 + `_MOMENT_BOUND_SLACK`).
 
     The supporting lemma assumes x <= K^{1/(10r)}, which admits no primes at
-    desk scale; by default the inequality is checked in the larger-x regime
-    (where the diagonal still dominates) and the hypothesis status is
-    recorded.  enforce_hypothesis=True raises instead.  Each s_k is an
-    `np.einsum` over the half-window ideals of prime norm, with
-    multiplicity/sqrt p and cos(k phi) from `lfun.phase_steps`."""
+    desk scale; the inequality is checked in the larger-x regime (where the
+    diagonal still dominates) and the hypothesis status is recorded in
+    extra["hypothesis_ok"].  Each s_k is an `np.einsum` over the half-window
+    ideals of prime norm, with multiplicity/sqrt p and cos(k phi) from
+    `lfun.phase_steps`."""
     hyp_ok = x <= K ** (1.0 / (10 * r))
-    if enforce_hypothesis and not hyp_ok:
-        raise HypothesisViolated(
-            f"x = {x} exceeds K^(1/(10r)) = {K ** (1.0 / (10 * r)):.3f}"
-        )
     with timed() as elapsed:
         primes = primes_upto(int(x))
         primes = primes[F.D % primes != 0]
@@ -651,8 +619,8 @@ def moment_bound_check(
         parameters={"D": F.D, "K": K, "r": r, "x": x},
         computed=empirical,
         reference=bound,
-        tolerance=slack,
-        passed=bool(empirical <= bound * (1.0 + slack)),
+        tolerance=_MOMENT_BOUND_SLACK,
+        passed=bool(empirical <= bound * (1.0 + _MOMENT_BOUND_SLACK)),
         runtime_seconds=elapsed(),
         mode="ratio",
         extra={"hypothesis_ok": bool(hyp_ok), "one_sided": True},
@@ -667,10 +635,10 @@ def nonsplit_decay_scan(
     src: HeckeSource,
     Q: QuadPoly,
     Ys: Sequence[float] | None = None,
-    slack: float = 0.1,
 ) -> ExperimentReport:
     """|S(Y)|/sqrt(Y) across a ladder of at least two Y; each step may exceed
-    the previous by at most the slack (a decreasing-in-envelope check, no main term)."""
+    the previous by at most `_DECAY_SLACK` (a decreasing-in-envelope check,
+    no main term)."""
     if Ys is None:
         Ys = [1e4 * 4.0**j for j in range(6)]
     if len(Ys) < 2:
@@ -683,7 +651,7 @@ def nonsplit_decay_scan(
         parameters={"a": Q.a, "b": Q.b, "c": Q.c, "Ys": list(Ys)},
         computed=worst,
         reference=0.0,
-        tolerance=slack,
+        tolerance=_DECAY_SLACK,
         runtime_seconds=elapsed(),
         mode="abs",
         ratios=ratios,

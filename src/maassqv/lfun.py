@@ -209,6 +209,7 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
 
 
 _SUM_BLOCK = 1 << 16  # terms per block of the L(1, chi_D) series
+_EULER_P_MAX = 30000  # the C' Euler product of `constants` runs over p <= this
 
 _AFE_IM_CUTOFF = 8.0
 _AFE_STEP = 0.05
@@ -360,7 +361,7 @@ def afe_weight_many(
     xis: np.ndarray,
     F: FieldParams,
     k: int,
-    t_psi: float = 1.0,
+    t_psi: float,
     c: float = 1.0,
 ) -> np.ndarray:
     """W(xi), the smoothed-cutoff weight of the AFE at the centre s = 1/2,
@@ -523,21 +524,20 @@ def c_d_psi(src: HeckeSource, F: FieldParams, X: float) -> float:
     )
 
 
-def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
+def constants(F: FieldParams, src: HeckeSource) -> dict:
     """The two leading constants of the variance asymptotics:
-      C_Dpsi_prime = Euler product over p coprime to D times prod_{p|D}(1-1/p)^2
+      C_Dpsi_prime = Euler product over p <= `_EULER_P_MAX` coprime to D
+                     times prod_{p|D}(1-1/p)^2
       A_h          = L(1/2,psi) L(1/2,psi x chi_D) pi log(eps)
                      / (2 D^2 zeta_D(2) L(1,chi_D)) * (1 + ramified sums)
     The C' Euler product truncation error is reported under
     'C_Dpsi_prime_tail' (relative)."""
-    if p_max < 1000:
-        raise TruncationInsufficient("Euler product cutoff too small")
     l1chi = dirichlet_l_one(F)
     zd2 = zeta_d_two(F)
     ram = ramified_sum_factor(src, F)
 
     # at a prime p coprime to D, r_D(p) = 1 + chi_D(p)
-    primes = primes_upto(p_max)
+    primes = primes_upto(_EULER_P_MAX)
     primes = primes[F.D % primes != 0]
     chis = kronecker_table(F.D)[primes % F.D]
     ths = vartheta(src, primes)
@@ -550,7 +550,7 @@ def constants(F: FieldParams, src: HeckeSource, p_max: int = 30000) -> dict:
         term += (3.0 * chi + h) / p**3
         log_prod += math.log1p(term)
     c_prime = math.exp(log_prod) * (1.0 - 1.0 / F.p1) ** 2 * (1.0 - 1.0 / F.p2) ** 2
-    tail = 16.0 / (math.sqrt(p_max) * math.log(p_max))
+    tail = 16.0 / (math.sqrt(_EULER_P_MAX) * math.log(_EULER_P_MAX))
 
     a_h = (
         _gl2_central(src, F, False)

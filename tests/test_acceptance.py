@@ -145,7 +145,8 @@ def test_criterion_05_poisson_identity(F21):
         if beta.is_zero():
             beta = QuadInt(1, 1)
         K = rng.choice([100.0, 200.0])
-        rep = poisson_check(F21, beta, K, tol=1e-6)
+        rep = poisson_check(F21, beta, K)
+        assert rep.tolerance == 1e-6
         assert rep.passed, (i, beta, K, rep.computed)
     assert time.perf_counter() - t0 < 60.0
 
@@ -153,7 +154,8 @@ def test_criterion_05_poisson_identity(F21):
 def test_criterion_06_diagonal_isolation(F21, src42):
     t0 = time.perf_counter()
     for a in (1, 2, 3, 5, 11):
-        rep = diagonal_check(F21, src42, 500.0, a=a, tol=0.05)
+        rep = diagonal_check(F21, src42, 500.0, a=a)
+        assert rep.tolerance == 0.05
         ratio = rep.computed / rep.reference
         assert 0.95 <= ratio <= 1.05, (a, ratio)
     assert time.perf_counter() - t0 < 300.0
@@ -162,17 +164,20 @@ def test_criterion_06_diagonal_isolation(F21, src42):
 @pytest.mark.slow
 def test_criterion_07_first_moment(F21, src42):
     t0 = time.perf_counter()
-    rep = first_moment(F21, src42, 200.0, n_twist=1, tol=0.25)
+    rep = first_moment(F21, src42, 200.0, n_twist=1)
+    assert rep.tolerance == 0.25
     assert rep.passed, rep.computed / rep.reference
     for n in (5, 25):
-        rep = first_moment(F21, src42, 200.0, n_twist=n, tol=0.30)
+        rep = first_moment(F21, src42, 200.0, n_twist=n)
+        assert rep.tolerance == 0.30
         assert rep.passed, (n, rep.computed / rep.reference)
     assert time.perf_counter() - t0 < 1800.0
 
 
 @pytest.mark.slow
 def test_criterion_08_variance_assembly(F21, src42):
-    rep = variance_table(F21, src42, 200.0, tol=0.3)
+    rep = variance_table(F21, src42, 200.0)
+    assert rep.tolerance == 0.3
     ratio = rep.computed / rep.reference
     assert 0.7 <= ratio <= 1.3, ratio
     # Stirling ratio of the central Gamma factors reaches 2/t_2k by k = 50
@@ -182,7 +187,8 @@ def test_criterion_08_variance_assembly(F21, src42):
 
 
 def test_criterion_09_dirichlet_polynomial(F21):
-    rep = dirichlet_poly_check(F21, 100, 10**5, tol=1e-3)
+    rep = dirichlet_poly_check(F21, 100, 10**5)
+    assert rep.tolerance == 1e-3
     dev = abs(rep.computed - rep.reference)
     assert dev <= 1e-3, (
         f"deviation {dev:.2e} exceeds the pinned 1e-3 at k=100, x=1e5. "
@@ -197,7 +203,8 @@ def test_criterion_09_dirichlet_polynomial(F21):
 def test_criterion_10_nonsplit_decay_and_reduction(src42):
     # a | D and a | b in every polynomial below
     for Q in (QuadPoly(1, 0, -21), QuadPoly(3, 3, -5), QuadPoly(7, 7, -7)):
-        rep = nonsplit_decay_scan(src42, Q, slack=0.1)
+        rep = nonsplit_decay_scan(src42, Q)
+        assert rep.tolerance == 0.1
         assert rep.passed, (Q, rep.extra["ratios"])
     sets = [
         (QuadPoly(1, 0, -21), 4.0e4),
@@ -215,5 +222,6 @@ def test_criterion_10_nonsplit_decay_and_reduction(src42):
 
 def test_criterion_11_moment_inequality(F21):
     for r in (1, 2):
-        rep = moment_bound_check(F21, 500, r, 40.0, slack=0.1)
+        rep = moment_bound_check(F21, 500, r, 40.0)
+        assert rep.tolerance == 0.1
         assert rep.passed, (r, rep.computed, rep.reference)

@@ -27,7 +27,7 @@ from maassqv.quadfield import make_field
 
 def test_lambda_table_csv_has_plain_floats(tmp_path):
     path = tmp_path / "lam.csv"
-    args = argparse.Namespace(D=21, kmax=4, nmax=60, table_out=str(path), tol=None)
+    args = argparse.Namespace(D=21, kmax=4, nmax=60, table_out=str(path))
     (rep,) = cmd_lambda_table(args)
     assert rep.passed
     F = make_field(21)
@@ -56,10 +56,10 @@ def test_lambda_table_holds_one_table_at_a_time():
     # temporaries of its build: measured 1.22 tables, where holding all
     # three tables at once peaked at 3.2
     nmax = 4_000_000
-    cmd_lambda_table(argparse.Namespace(D=21, kmax=0, nmax=100, table_out=None, tol=None))
+    cmd_lambda_table(argparse.Namespace(D=21, kmax=0, nmax=100, table_out=None))
     tracemalloc.start()
     try:
-        (rep,) = cmd_lambda_table(argparse.Namespace(D=21, kmax=4, nmax=nmax, table_out=None, tol=None))
+        (rep,) = cmd_lambda_table(argparse.Namespace(D=21, kmax=4, nmax=nmax, table_out=None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -102,13 +102,13 @@ def test_field_info_times_its_computation(monkeypatch):
         return real(F)
 
     monkeypatch.setattr(cli, "dirichlet_l_one", slow)
-    (rep,) = cmd_field_info(argparse.Namespace(D=21, tol=None))
+    (rep,) = cmd_field_info(argparse.Namespace(D=21))
     assert rep.passed
     assert rep.runtime_seconds >= 0.05
 
 
 def test_verify_appendixb_residue_check_can_fail(monkeypatch):
-    args = argparse.Namespace(M=84, tol=None)
+    args = argparse.Namespace(M=84)
     assert all(r.passed for r in cmd_verify_appendixb(args))
     real = cli.c_closed
     monkeypatch.setattr(cli, "c_closed", lambda *a: 2 * real(*a))
@@ -196,13 +196,16 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
         (["verify-gauss", "--M", "4", "--nmax", "8192"], "HypothesisViolated"),
         (["verify-gauss", "--M", "84", "--nmax", "300"], "HypothesisViolated"),
         (["first-moment", "--D", "21", "--K", "30", "--table", "/nonexistent"], "MalformedTable"),
+        (["dirichlet-poly", "--D", "21", "--k", "2001"], "HypothesisViolated"),
+        (["dirichlet-poly", "--D", "21", "--x", "200000000"], "TableBoundExceeded"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
 def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys, argv, error):
     # each of these once crashed with an untyped error (exit 1, as a FAIL),
     # or, for --Ymax inf, grew the Y ladder without end, or, past the desk
-    # bounds of verify-lattice and verify-gauss, ran for hours
+    # bounds of verify-lattice and verify-gauss, ran for hours; dirichlet-poly
+    # took 76 s at k = 1600, and about 9.6 GB at x = 2e8, before its bounds
     def refuse(*args, **kwargs):
         raise AssertionError("a sum ran before the input was checked")
 
@@ -210,6 +213,9 @@ def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys
         (experiments, "central_values_bulk"),
         (experiments, "nonsplit_sum"),
         (experiments, "angle"),
+        (experiments, "l_one_phi"),
+        (experiments, "mu_2k_table"),
+        (experiments, "lambda_k_table"),
         (cli, "lambda_k_table"),
         (cli, "n_beta"),
         (cli, "c_series"),
@@ -278,6 +284,29 @@ def test_report_csv_numbers_are_plain_floats(tmp_path, argv):
         for col in ("computed", "reference", "tolerance", "runtime_seconds"):
             assert "np." not in row[col]
             float(row[col])
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        (["field-info", "--D", "21"], [1e-6]),
+        (["lambda-table", "--D", "21"], [1e-9]),
+        (["verify-gauss", "--M", "84", "--nmax", "3"], [1e-10]),
+        (["verify-appendixB", "--M", "84"], [1e-4, 1e-12]),
+        (["poisson", "--D", "21"], [1e-6]),
+        (["dirichlet-poly", "--D", "21", "--k", "20", "--x", "1000"], [1e-3]),
+    ],
+    ids=["field-info", "lambda-table", "verify-gauss", "verify-appendixB", "poisson", "dirichlet-poly"],
+)
+def test_each_report_has_its_fixed_tolerance(tmp_path, argv, tolerances):
+    # no flag sets a tolerance: each check owns its own
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", "1"] + argv)
+    assert exc.value.code == 2
+    path = tmp_path / "reports.json"
+    assert main(["--out", str(path), "--format", "json"] + argv) != 2
+    with open(path) as fh:
+        assert [json.loads(line)["tolerance"] for line in fh] == tolerances
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -82,8 +82,8 @@ def test_poisson_small_K_rejected(F):
 
 
 def test_matched_cutoff_grows_with_K(F):
-    x1 = matched_sym2_cutoff(F, 100.0)
-    x2 = matched_sym2_cutoff(F, 200.0)
+    x1 = matched_sym2_cutoff(F, 100.0, 1.0)
+    x2 = matched_sym2_cutoff(F, 200.0, 1.0)
     assert 1.0e5 < x1 < x2
 
 
@@ -145,8 +145,10 @@ def test_diagonal_small_K(F, src):
     assert abs(rep.computed / rep.reference - 1.0) < 0.1
 
 
-def test_bulk_matches_single_central_values(F, src):
-    bulk = central_values_bulk(src, F, 3, 10, mult=20.0)
+def test_bulk_matches_single_central_values(F, src, monkeypatch):
+    # the uncached function, so no cached value is one of another truncation
+    monkeypatch.setattr(experiments, "_AFE_MULT", 20.0)
+    bulk = central_values_bulk.__wrapped__(src, F, 3, 10)
     for k in (3, 6, 10):
         direct = central_value(src, F, k)
         assert bulk[k - 3] == pytest.approx(direct, abs=0.05), k
@@ -166,7 +168,8 @@ def test_bulk_matches_per_k_oracle(D, mult, chunk, monkeypatch):
     # through the cuts, and the 38 k run past a re-seed period inside one band
     if chunk is not None:
         monkeypatch.setattr(experiments, "_CV_BAND", chunk)
-    got = central_values_bulk.__wrapped__(make_source(synthetic=42, D=D), make_field(D), 3, 40, mult)
+    monkeypatch.setattr(experiments, "_AFE_MULT", mult)
+    got = central_values_bulk.__wrapped__(make_source(synthetic=42, D=D), make_field(D), 3, 40)
     want = _per_k_values(D, mult)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -187,7 +190,7 @@ def test_bulk_holds_one_band(F, src):
 
 def test_bulk_zero_for_minus_root_number(F):
     src_m = make_source(synthetic=42, D=21, eta=-1)
-    assert not np.any(central_values_bulk(src_m, F, 2, 6, mult=4.0))
+    assert not np.any(central_values_bulk(src_m, F, 2, 6))
 
 
 def test_first_moment_input_validation(F, src):
@@ -241,8 +244,8 @@ def test_mu_table_support(F):
 
 
 def test_dirichlet_poly_refines(F):
-    r1 = dirichlet_poly_check(F, 20, 10**3, tol=1.0)
-    r2 = dirichlet_poly_check(F, 20, 10**5, tol=1.0)
+    r1 = dirichlet_poly_check(F, 20, 10**3)
+    r2 = dirichlet_poly_check(F, 20, 10**5)
     d1 = abs(r1.computed - r1.reference)
     d2 = abs(r2.computed - r2.reference)
     assert d2 <= d1
@@ -280,11 +283,6 @@ def test_moment_bound_matches_pointwise_eigenvalues(D, K, r, x):
     s_k = [sum(lambda_k(F, 2 * k, p) / math.sqrt(p) for p in primes) for k in range(K + 1, 2 * K + 1)]
     want = sum(v ** (2 * r) for v in s_k) / K
     assert rep.computed == pytest.approx(want, rel=1e-12)
-
-
-def test_moment_bound_hypothesis_enforced(F):
-    with pytest.raises(HypothesisViolated):
-        moment_bound_check(F, 200, 1, 30.0, enforce_hypothesis=True)
 
 
 def test_nonsplit_decay_short_ladder(src):

@@ -242,8 +242,8 @@ def test_l_one_sym2_matches_pointwise_sum(F, X):
 @pytest.mark.parametrize("k", [5, 50])
 def test_afe_weight_contour_shift_invariance(F, k):
     xis = np.geomspace(1e-3, 1e3, 121)
-    shifted = afe_weight_many(xis, F, k, c=0.5)
-    base = afe_weight_many(xis, F, k)
+    shifted = afe_weight_many(xis, F, k, 1.0, c=0.5)
+    base = afe_weight_many(xis, F, k, 1.0)
     assert np.max(np.abs(shifted - base)) < 1e-9
 
 
@@ -330,7 +330,7 @@ def test_afe_line_rejects_lines_outside_zero_one(F, c):
     with pytest.raises(ValueError):
         _afe_line(c)
     with pytest.raises(ValueError):
-        afe_weight_many(np.array([1.0]), F, 3, c=c)
+        afe_weight_many(np.array([1.0]), F, 3, 1.0, c=c)
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])
@@ -357,27 +357,27 @@ def test_gl2_central_contour_shift_invariance(src, F, twist):
 def test_afe_weight_small_xi_is_l_one_chi(F):
     # W(xi) -> L(1, chi_D) = 2 h log eps / sqrt(D), h = 1
     want = 2 * LOG_EPS_21 / math.sqrt(21)
-    got = afe_weight_many(np.array([1e-3]), F, 100)[0]
+    got = afe_weight_many(np.array([1e-3]), F, 100, 1.0)[0]
     assert abs(got / want - 1.0) < 0.02
 
 
 def test_afe_weight_decay(F):
     # far past the conductor scale the weight is negligible
-    assert abs(afe_weight_many(np.array([1e3 * 21**1.5]), F, 3)[0]) <= 1e-6
+    assert abs(afe_weight_many(np.array([1e3 * 21**1.5]), F, 3, 1.0)[0]) <= 1e-6
     # monotone tail: |W(2 xi)| <= |W(xi)| + 1e-8 for xi = 10, 20, .., 10240
     xis = 10.0 * 2.0 ** np.arange(12)
-    w = np.abs(afe_weight_many(xis, F, 3))
+    w = np.abs(afe_weight_many(xis, F, 3, 1.0))
     for xi, w1, w2 in zip(xis, w, w[1:]):
         assert w2 <= w1 + 1e-8, xi
     # heuristic tail bound dominates the computed values
     for x in (200.0, 1e3, 1e4, 1e5):
-        w = afe_weight_many(np.array([x]), F, 3)[0]
+        w = afe_weight_many(np.array([x]), F, 3, 1.0)[0]
         assert abs(w) <= afe_tail_bound(F, x), x
 
 
 def test_afe_weight_rejects_k_zero(F):
     with pytest.raises(PoleInput):
-        afe_weight_many(np.array([1.0]), F, 0)
+        afe_weight_many(np.array([1.0]), F, 0, 1.0)
 
 
 def test_central_value_eta_minus_one_vanishes(F):
@@ -525,7 +525,7 @@ def test_ramified_sum_factors(src, F):
 
 
 def test_constants(src, F):
-    cs = constants(F, src, p_max=20000)
+    cs = constants(F, src)
     assert set(cs) == {"C_Dpsi_prime", "A_h", "C_Dpsi_prime_tail"}
     X = 20000.0
     want = (
@@ -538,8 +538,6 @@ def test_constants(src, F):
     assert c_d_psi(src, F, X) == pytest.approx(want, rel=1e-9)
     assert cs["C_Dpsi_prime"] > 0
     assert cs["C_Dpsi_prime_tail"] < 0.05
-    with pytest.raises(TruncationInsufficient):
-        constants(F, src, p_max=10)
 
 
 def test_constants_p_dividing_d_factor(F):
