@@ -26,7 +26,6 @@ from .halfint import (
     eisenstein_residue_const,
     make_level,
     reduction_check,
-    reduction_check_second_form,
     _contour_t,
     _level_divisors,
     _max_nonzero_mprime,
@@ -226,9 +225,7 @@ def cmd_nonsplit(args) -> list[ExperimentReport]:
     ladder = (1.0e4 * 4.0**j for j in itertools.count())
     Ys = list(itertools.takewhile(lambda y: y <= args.Ymax, ladder))
     out = [experiments.nonsplit_decay_scan(src, Q, Ys=Ys)]
-    out.append(reduction_check(src, Q, Ys[-1]))
-    out.append(reduction_check_second_form(src, Q, Ys[-1]))
-    return out
+    return out + [reduction_check(src, Q, Ys[-1], form) for form in (False, True)]
 
 
 _COMMANDS = {

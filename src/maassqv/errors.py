@@ -68,10 +68,6 @@ class BadDecomposition(MaassqvError):
     pass
 
 
-class BoundTooSmall(MaassqvError):
-    pass
-
-
 class TruncationInsufficient(MaassqvError):
     pass
 

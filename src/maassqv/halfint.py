@@ -10,9 +10,10 @@ D_psi(s, Delta), and the symmetric-square Euler factorization check.
 
 The character sums in the coefficients of D_psi are taken by orthogonality
 as two congruence tests mod a', so no character group is built; both
-contour forms share that one coefficient formula, and both reduction
-checks share one envelope fit.  Each sum reads lambda_psi in one
-`hecke.lambda_psi` call, with no dense table.
+contour forms share that one coefficient formula.  One `reduction_check`
+runs either form on one contour per Y, and its dtau-halving check reads
+the coarse trapezoid off every other node of that contour.  Each sum reads
+lambda_psi in one `hecke.lambda_psi` call, with no dense table.
 
 Every real character array here (the Legendre symbols (d/p) of b_direct,
 the symbols (p/d) of c(n, s) and the characters omega_t of b(n, s)) is
@@ -23,7 +24,6 @@ on one array of the l <= trunc coprime to M.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     BadDecomposition,
-    BoundTooSmall,
     EvenInput,
     HypothesisViolated,
     PoleInput,
@@ -204,16 +203,11 @@ def _level_divisors(L: LevelData, bound: int) -> list[int]:
 _D_BLOCK = 1 << 16  # odd d per block of c_series' sum over one M'
 
 
-def c_series(
-    n: int, s: complex, L: LevelData, bound: int, tol: float | None = None
-) -> complex:
+def c_series(n: int, s: complex, L: LevelData, bound: int) -> complex:
     """Brute-force c(n, s): sum over M | M' | M^infty, M' <= bound, of the
     twisted theta Gauss sum times (M')^{-2s}. Only odd d contribute since
     (M'/d) = 0 for even d.  Each M' sums its odd d in blocks of `_D_BLOCK`,
     the block sums added in order, so temporaries are the size of a block."""
-    sigma = s.real if isinstance(s, complex) else s
-    if tol is not None:
-        _check_c_tail(n, sigma, L, bound, tol)
     total = 0.0 + 0.0j
     for mp in _level_divisors(L, bound):
         gauss = 0.0 + 0.0j
@@ -234,25 +228,6 @@ def _max_nonzero_mprime(n: int, L: LevelData) -> int:
     for p, _ in L.odd_primes:
         m *= p ** (2 * alphas[p] + 1)
     return m
-
-
-def _check_c_tail(n: int, sigma: float, L: LevelData, bound: int, tol: float) -> None:
-    if n >= 1:
-        try:
-            mmax = _max_nonzero_mprime(n, L)
-        except BadDecomposition:
-            raise BoundTooSmall("no tail estimate for non-admissible n")
-        if bound < mmax:
-            raise BoundTooSmall(f"bound {bound} < largest contributing M' {mmax}")
-        return
-    # n = 0: only square M' contribute phi(M) M'/M; geometric tail
-    est = 0.0
-    for mp in _level_divisors(L, 16 * bound * bound):
-        r = math.isqrt(mp)
-        if r * r == mp and mp > bound:
-            est += mp ** (1 - 2 * sigma)
-    if est > tol:
-        raise BoundTooSmall(f"n=0 tail estimate {est:.2e} > tol {tol:.2e}")
 
 
 def c_closed(m: int, L: LevelData, s: complex = 0.75) -> complex:
@@ -465,11 +440,10 @@ def _contour_t(Q: QuadPoly, second_form: bool) -> int:
     return Q.d * Q.d
 
 
-@functools.cache
 def _d_psi_coefficients(
     src: HeckeSource, Q: QuadPoly, N: int, second_form: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(amp, log u) with D_psi(s, Delta) = sum_{n <= N} amp_n u_n^{-s}.  Read-only.
+    """(amp, log u) with D_psi(s, Delta) = sum_{n <= N} amp_n u_n^{-s}.
 
     The sum over the characters chi mod a', split by parity nu, collapses by
     orthogonality (gcd(a', b') = 1) to two congruence tests:
@@ -497,13 +471,11 @@ def _d_psi_coefficients(
     minus = (ns % r == -bp % r).astype(np.float64)
     odd_weight = ns * (math.sqrt(2) * d) / np.sqrt(u)  # n^nu (sqrt2 d)^nu u^{-nu/2}, nu = 1
     amp = base * ((plus + minus) + (plus - minus) * odd_weight) / 2
-    logu = np.log(u)
-    amp.setflags(write=False)
-    logu.setflags(write=False)
-    return amp, logu
+    return amp, np.log(u)
 
 
-_DTAU = 0.2  # tau-step of the reduction contours; the check halves it once
+_DTAU = 0.2  # tau-step of the second form's contour; the first form's is _DTAU / 2
+_HALVING_TOL = 1e-3  # a contour's move under dtau halving, relative to max(1, |value|)
 _THETA = 7.0 / 64.0  # exponent of the error envelope P Delta / Y^(1/2 - theta)
 _TAU_BLOCK = 8  # tau-nodes per 2-D exp of D_psi; 64 raised nonsplit's peak by 6 MB
 
@@ -525,16 +497,24 @@ def _times(ar: np.ndarray, ai: np.ndarray, br: np.ndarray, bi: np.ndarray):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _trapezoid(nodes: list[float], values: list[complex]) -> complex:
+    """The trapezoid sum of values over nodes, added in node order."""
+    total = 0.0 + 0.0j
+    for (tau0, f0), (tau1, f1) in itertools.pairwise(zip(nodes, values)):
+        total += 0.5 * (f1 + f0) * (tau1 - tau0)
+    return total
+
+
 def _contour_value(
     src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool
-) -> complex:
+) -> tuple[complex, complex]:
     """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds with
     W = `W_NONSPLIT`, by trapezoid on the vertical line Re(s)=1, on the
     tau-nodes 0, +-dtau, +-2 dtau, ... up to T = 10 P log Y (the integrand
     is not negligible there: the truncation at T is not bounded).  D_psi is
-    truncated at the N with t N^2 past the W window, at least 2000; its
-    coefficients are cached per (src, Q, N, form), so the dtau and dtau/2
-    contours at one Y share them.
+    truncated at the N with t N^2 past the W window, at least 2000.
+    Returns (fine, coarse): the trapezoid on every node, and the one on
+    every other node from tau = 0 out, the same integral at step 2 dtau.
 
     The exponents -s log u at -tau and +tau are exact conjugates, and so
     are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
@@ -572,23 +552,41 @@ def _contour_value(
     re, im = _times(re, im, scale * np.cos(theta), scale * np.sin(theta))
     values = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
 
-    total = 0.0 + 0.0j
-    for (tau0, f0), (tau1, f1) in itertools.pairwise(zip(nodes, values)):
-        total += 0.5 * (f1 + f0) * (tau1 - tau0)
-    return total / (4 * math.pi)
+    even = (len(taus) - 1) % 2  # nodes[len(taus) - 1] is tau = 0
+    fine = _trapezoid(nodes, values)
+    coarse = _trapezoid(nodes[even::2], values[even::2])
+    return fine / (4 * math.pi), coarse / (4 * math.pi)
 
 
-def _envelope_report(name: str, Q: QuadPoly, Y: float, deviation) -> ExperimentReport:
-    """The deviation at Y against 3x the envelope c P Delta / Y^(1/2 - theta),
-    P the sharpness of `W_NONSPLIT`, with c fitted to the deviation at
-    y_ref = Y/4; deviation(y) returns |direct - contour| and the report's
-    extra fields."""
+def reduction_check(
+    src: HeckeSource, Q: QuadPoly, Y: float, second_form: bool
+) -> ExperimentReport:
+    """Compare the direct non-split sum against its contour representation:
+    the first form at dtau/2, or the trivial-character second form (odd a
+    with a | b) at dtau.  The deviation at Y is held to 3x the envelope
+    c P Delta / Y^(1/2 - theta), P the sharpness of `W_NONSPLIT`, with c
+    fitted to the deviation at y_ref = Y/4.  At both heights the contour
+    read at twice its step must agree within `_HALVING_TOL`."""
+    name = "reduction_check_second_form" if second_form else "reduction_check"
+    dtau = _DTAU if second_form else _DTAU / 2
     P = W_NONSPLIT.sharpness
+
+    def deviation(y: float) -> tuple[float, complex]:
+        direct = nonsplit_sum(src, Q, y)
+        integ, coarse = _contour_value(src, Q, y, dtau, second_form)
+        move, bound = abs(coarse - integ), _HALVING_TOL * max(1.0, abs(integ))
+        if move > bound:
+            raise QuadratureNonconvergent(
+                f"{name} at Y = {y:g}: dtau halving moved the integral by "
+                f"{move:.2e}, past the bound {bound:.2e}"
+            )
+        return abs(direct - integ.real), integ
+
     with timed() as elapsed:
         y_ref = Y / 4
         dev_ref, _ = deviation(y_ref)
         cfit = dev_ref / (P * Q.Delta / y_ref ** (0.5 - _THETA))
-        dev, extra = deviation(Y)
+        dev, integ = deviation(Y)
         envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
     return ExperimentReport.build(
         name=name,
@@ -600,37 +598,8 @@ def _envelope_report(name: str, Q: QuadPoly, Y: float, deviation) -> ExperimentR
         mode="abs",
         envelope=envelope,
         fitted_constant=cfit,
-        **extra,
+        imag_part=abs(integ.imag),
     )
-
-
-def reduction_check(src: HeckeSource, Q: QuadPoly, Y: float) -> ExperimentReport:
-    """Compare the direct non-split sum against its contour representation
-    within the fitted envelope; the contour is taken at dtau and dtau/2 and
-    must not move under the halving."""
-
-    def deviation(y: float) -> tuple[float, dict]:
-        direct = nonsplit_sum(src, Q, y)
-        integ = _contour_value(src, Q, y, _DTAU, second_form=False)
-        integ2 = _contour_value(src, Q, y, _DTAU / 2, second_form=False)
-        if abs(integ - integ2) > 1e-3 * max(1.0, abs(integ2)):
-            raise QuadratureNonconvergent(
-                f"dtau halving moved the integral by {abs(integ - integ2):.2e}"
-            )
-        return abs(direct - integ2.real), {"imag_part": abs(integ2.imag)}
-
-    return _envelope_report("reduction_check", Q, Y, deviation)
-
-
-def reduction_check_second_form(src: HeckeSource, Q: QuadPoly, Y: float) -> ExperimentReport:
-    """Same comparison via the trivial-character form (odd a with a | b)."""
-
-    def deviation(y: float) -> tuple[float, dict]:
-        direct = nonsplit_sum(src, Q, y)
-        integ = _contour_value(src, Q, y, _DTAU, second_form=True)
-        return abs(direct - integ.real), {}
-
-    return _envelope_report("reduction_check_second_form", Q, Y, deviation)
 
 
 # ---------------------------------------------------------------------------

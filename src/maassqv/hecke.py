@@ -267,7 +267,6 @@ def make_source(
     table: str | None = None,
     synthetic: int | None = None,
     D: int | None = None,
-    t_psi: float = 1.0,
     eta: int = 1,
     parity: str = "even",
 ) -> HeckeSource:
@@ -277,7 +276,7 @@ def make_source(
         return read_table(table)
     assert D is not None
     return HeckeSource(
-        level=D, t_psi=t_psi, eta_D=eta, parity=parity,
+        level=D, t_psi=1.0, eta_D=eta, parity=parity,
         prime_values={}, seed=synthetic,
     )
 

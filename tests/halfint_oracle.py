@@ -175,8 +175,10 @@ def contour_value_per_node(
     Y: float,
     dtau: float,
     second_form: bool,
-) -> complex:
-    """`halfint._contour_value` with D_psi evaluated afresh at every node."""
+) -> tuple[complex, complex]:
+    """`halfint._contour_value` with D_psi evaluated afresh at every node:
+    (fine, coarse), the trapezoid on every node and on every other node
+    from tau = 0 out."""
     t = _contour_t(Q, second_form)
     N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
 
@@ -197,15 +199,17 @@ def contour_value_per_node(
         tau += dtau
     taus.sort()
 
-    total = 0.0 + 0.0j
-    prev = None
-    for tau in taus:
-        sv = 1 + 1j * tau
-        f = D_psi(sv) * W_NONSPLIT.mellin(sv) * cmath.exp(sv * log8aY)
-        if prev is not None:
-            total += 0.5 * (f + prev[1]) * (tau - prev[0])
-        prev = (tau, f)
-    return total / (4 * math.pi)
+    fs = [D_psi(1 + 1j * tau) * W_NONSPLIT.mellin(1 + 1j * tau)
+          * cmath.exp((1 + 1j * tau) * log8aY) for tau in taus]
+
+    def trapezoid(nodes, values):
+        total = 0.0 + 0.0j
+        for i in range(1, len(nodes)):
+            total += 0.5 * (values[i] + values[i - 1]) * (nodes[i] - nodes[i - 1])
+        return total / (4 * math.pi)
+
+    even = taus.index(0.0) % 2
+    return trapezoid(taus, fs), trapezoid(taus[even::2], fs[even::2])
 
 
 def inverted_value(src: HeckeSource, Q: QuadPoly, Y: float, second_form: bool) -> complex:

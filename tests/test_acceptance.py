@@ -23,7 +23,6 @@ from maassqv.halfint import (
     gauss_sum,
     make_level,
     reduction_check,
-    reduction_check_second_form,
 )
 from maassqv.hecke import make_source, vartheta
 from maassqv.experiments import (
@@ -214,9 +213,7 @@ def test_criterion_10_nonsplit_decay_and_reduction(src42):
         (QuadPoly(3, 3, -5), 1.0e5),
     ]
     for i, (Q, Y) in enumerate(sets):
-        rep = (reduction_check if i % 2 == 0 else reduction_check_second_form)(
-            src42, Q, Y
-        )
+        rep = reduction_check(src42, Q, Y, second_form=i % 2 == 1)
         assert rep.passed, (Q, Y, rep.computed, rep.tolerance)
 
 

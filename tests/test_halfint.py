@@ -19,11 +19,11 @@ from halfint_oracle import (
 )
 from maassqv.errors import (
     BadDecomposition,
-    BoundTooSmall,
     EvenInput,
     HypothesisViolated,
     Overflow,
     PoleInput,
+    QuadratureNonconvergent,
     TruncationInsufficient,
     WindowViolation,
 )
@@ -45,7 +45,6 @@ from maassqv.halfint import (
     make_level,
     nonsplit_sum,
     reduction_check,
-    reduction_check_second_form,
     symsq_factor_check,
     zeta_factor_at_M,
 )
@@ -150,10 +149,6 @@ def test_c_forced_zero_branches():
 
 def test_c_series_errors():
     L = make_level(4)
-    with pytest.raises(BoundTooSmall):
-        c_series(64, 0.75, L, bound=64, tol=1e-8)  # max M' = 2^9
-    with pytest.raises(BoundTooSmall):
-        c_series(0, 0.75, L, bound=4096, tol=1e-8)
     with pytest.raises(PoleInput):
         c_closed(0, L, 0.4)
     with pytest.raises(BadDecomposition):
@@ -306,32 +301,33 @@ def test_contour_values_pinned(src):
     # the values of the plain route -- both Mellin quadratures at every s,
     # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
     Q = QuadPoly(1, 0, -21)
-    assert _contour_value(src, Q, 1e4, 0.2, False) == complex(
+    assert _contour_value(src, Q, 1e4, 0.2, False)[0] == complex(
         8.310368473613812, -0.012224697371408619
     )
-    assert _contour_value(src, Q, 1e4, 0.2, True) == complex(
+    assert _contour_value(src, Q, 1e4, 0.2, True)[0] == complex(
         8.310368493379507, -0.012224697371738721
     )
-    rep = reduction_check(src, Q, 1e4)
+    rep = reduction_check(src, Q, 1e4, False)
     assert rep.computed == 0.03289940252972379
     assert rep.tolerance == 0.217488456501452
     assert rep.extra["imag_part"] == 0.012202636161279649
-    rep = reduction_check_second_form(src, Q, 1e4)
+    rep = reduction_check(src, Q, 1e4, True)
     assert rep.computed == 0.032893003844968405
     assert rep.tolerance == 0.21749051908746
     # a' = 2: the first form tests n = +-b' mod 2, the second form runs at
     # modulus 1; they agree because lambda vanishes at even n here
     Q = QuadPoly(3, 3, -5)
     want = complex(-4.206292140066351, 0.0014794147723689855)
-    assert _contour_value(src, Q, 1e4, 0.2, False) == want
-    assert _contour_value(src, Q, 1e4, 0.2, True) == want
+    assert _contour_value(src, Q, 1e4, 0.2, False)[0] == want
+    assert _contour_value(src, Q, 1e4, 0.2, True)[0] == want
 
 
 @pytest.mark.parametrize("dtau", [0.2, 0.1])
 @pytest.mark.parametrize("Y", [1e4, 4e4])
 @pytest.mark.parametrize("abc", [(1, 0, -21), (3, 3, -5), (7, 7, -7)])
 def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
-    # one exp per tau >= 0, conjugated for -tau, gives the per-node floats
+    # one exp per tau >= 0, conjugated for -tau, gives the per-node floats;
+    # both trapezoids, the coarse one anchored at tau = 0
     Q = QuadPoly(*abc)
     for second_form in (False, True):
         assert _contour_value(src, Q, Y, dtau, second_form) == contour_value_per_node(
@@ -361,7 +357,7 @@ def test_contour_against_exact_inversion(seed, Y, second_form):
     src = make_source(synthetic=seed, D=21)
     Q = QuadPoly(1, 0, -21)
     dtau = _DTAU if second_form else _DTAU / 2
-    contour = _contour_value(src, Q, Y, dtau, second_form)
+    contour, _ = _contour_value(src, Q, Y, dtau, second_form)
     gap = abs(contour.real - inverted_value(src, Q, Y, second_form).real)
     assert gap <= _INVERSION_GAP[seed, Y, second_form]
 
@@ -378,6 +374,34 @@ def test_second_form_rejected_before_any_sum(monkeypatch, capsys):
     assert main(["nonsplit", "--a", "2", "--b", "1", "--c", "-5", "--Ymax", "1e4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("maassqv: WindowViolation: ") and "second form" in err
+
+
+def test_one_contour_per_form_and_height(monkeypatch, capsys):
+    # the halving check reads its coarse trapezoid off the same nodes, so
+    # each form integrates once at each of y_ref = 1e4 and Y = 4e4
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return _contour_value(*args)
+
+    monkeypatch.setattr(halfint, "_contour_value", counted)
+    assert main(["nonsplit", "--Ymax", "4e4"]) == 0
+    capsys.readouterr()
+    assert calls == [
+        (1e4, _DTAU / 2, False), (4e4, _DTAU / 2, False), (1e4, _DTAU, True), (4e4, _DTAU, True)
+    ]
+
+
+@pytest.mark.parametrize("second_form", [False, True])
+def test_halving_check_guards_both_forms(src, monkeypatch, second_form):
+    # at a zero bound any move of the step-2 dtau trapezoid is a failure,
+    # named with its form, its Y and the move against the bound
+    monkeypatch.setattr(halfint, "_HALVING_TOL", 0.0)
+    name = "reduction_check_second_form" if second_form else "reduction_check"
+    want = rf"^{name} at Y = 10000: .* by \S+, past the bound 0\.00e\+00$"
+    with pytest.raises(QuadratureNonconvergent, match=want):
+        reduction_check(src, QuadPoly(1, 0, -21), 4e4, second_form)
 
 
 def _table(r: int, f) -> np.ndarray:
@@ -416,7 +440,7 @@ def test_d_psi_coefficients_match_character_sums(src, abc, chars):
 
 
 def test_reduction_second_form(src):
-    rep = reduction_check_second_form(src, QuadPoly(3, 3, -5), 4e4)
+    rep = reduction_check(src, QuadPoly(3, 3, -5), 4e4, True)
     assert rep.passed, (rep.computed, rep.tolerance)
 
 

@@ -128,7 +128,7 @@ def test_problems_of_one_call_are_independent():
         x = kronrod_nodes(lo, hi)
         return np.cos((1.0 + rows[:, None] / 1000.0) * x) / np.sqrt(x)
 
-    n = 4100  # three blocks
+    n = 4100  # five blocks
     batch = qags(integrand, 0.0, 1.0, n)
     for k in (0, 2500, 4099):
         alone = qags(lambda rows, lo, hi, k=k: integrand(rows + k, lo, hi), 0.0, 1.0, 1)
