@@ -82,8 +82,3 @@ class QuadratureNonconvergent(MaassqvError):
 
 class PoleInput(MaassqvError):
     pass
-
-
-class TableExhausted(MaassqvError):
-    pass
-

@@ -631,16 +631,10 @@ def moment_bound_check(F: FieldParams, K: int, r: int, x: float) -> ExperimentRe
 # Non-split decay ladder.
 
 
-def nonsplit_decay_scan(
-    src: HeckeSource,
-    Q: QuadPoly,
-    Ys: Sequence[float] | None = None,
-) -> ExperimentReport:
+def nonsplit_decay_scan(src: HeckeSource, Q: QuadPoly, Ys: Sequence[float]) -> ExperimentReport:
     """|S(Y)|/sqrt(Y) across a ladder of at least two Y; each step may exceed
     the previous by at most `_DECAY_SLACK` (a decreasing-in-envelope check,
     no main term)."""
-    if Ys is None:
-        Ys = [1e4 * 4.0**j for j in range(6)]
     if len(Ys) < 2:
         raise TruncationInsufficient(f"the Y ladder {list(Ys)} needs at least two Y")
     with timed() as elapsed:

@@ -18,7 +18,7 @@ lambda_psi in one `hecke.lambda_psi` call, with no dense table.
 Every real character array here (the Legendre symbols (d/p) of b_direct,
 the symbols (p/d) of c(n, s) and the characters omega_t of b(n, s)) is
 one period of `ideals.kronecker_table`, and b(n, s)'s two L_M series run
-on one array of the l <= trunc coprime to M.
+on one array of the l <= `_B_TRUNC` coprime to M.
 """
 
 from __future__ import annotations
@@ -304,15 +304,18 @@ def zeta_away_from_M(L: LevelData) -> float:
     return v
 
 
-def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
+_B_TRUNC = 40000  # b_series' L_M sums run over l <= this
+_B_QMAX = 2001  # b_direct's sum runs over odd q <= this
+
+
+def b_series(n: int, s: complex, L: LevelData) -> complex:
     """Closed-form b(n, s) with the two L_M factors evaluated as truncated
-    sums over integers coprime to M; n = 0 uses the ratio formula."""
-    if trunc < 100:
-        raise TruncationInsufficient(f"trunc={trunc} too small")
+    sums over the integers l <= `_B_TRUNC` coprime to M; n = 0 uses the
+    ratio formula."""
     sigma = complex(s).real
     if 4 * sigma - 1 <= 1:
         raise TruncationInsufficient(f"denominator L-series diverges at s={s}")
-    ell = np.arange(1, trunc + 1)
+    ell = np.arange(1, _B_TRUNC + 1)
     ell = ell[np.gcd(ell, L.M) == 1]  # the l of the L_M sums, coprime to M
     l2 = np.sum(ell ** (1.0 - 4 * s))
     if n == 0:
@@ -344,11 +347,12 @@ def b_series(n: int, s: complex, L: LevelData, trunc: int = 20000) -> complex:
     return (l1 / l2 * div).item()
 
 
-def b_direct(n: int, s: complex, L: LevelData, qmax: int) -> complex:
-    """b(n, s) straight from its definition: sum over q odd coprime to M of
-    (-1/q) epsilon_q q^{-2s} G_n((./q)). Absolutely convergent Re(s) > 3/4."""
+def b_direct(n: int, s: complex, L: LevelData) -> complex:
+    """b(n, s) straight from its definition: sum over q odd coprime to M,
+    q <= `_B_QMAX`, of (-1/q) epsilon_q q^{-2s} G_n((./q)). Absolutely
+    convergent Re(s) > 3/4."""
     total = 0.0 + 0.0j
-    for q in range(1, qmax + 1, 2):
+    for q in range(1, _B_QMAX + 1, 2):
         if math.gcd(q, L.M) != 1:
             continue
         d = np.arange(1, q + 1, dtype=np.int64)

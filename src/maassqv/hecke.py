@@ -267,17 +267,16 @@ def make_source(
     table: str | None = None,
     synthetic: int | None = None,
     D: int | None = None,
-    eta: int = 1,
-    parity: str = "even",
 ) -> HeckeSource:
+    """The source of a `write_table` file, or the synthetic source of level
+    D with this seed: t_psi = 1, root number eta_D = +1 and even parity."""
     if (table is None) == (synthetic is None):
         raise ValueError("exactly one of table=, synthetic= required")
     if table is not None:
         return read_table(table)
     assert D is not None
     return HeckeSource(
-        level=D, t_psi=1.0, eta_D=eta, parity=parity,
-        prime_values={}, seed=synthetic,
+        level=D, t_psi=1.0, eta_D=1, parity="even", prime_values={}, seed=synthetic,
     )
 
 
@@ -376,9 +375,7 @@ def h_fn(src: HeckeSource, F: FieldParams, ns) -> np.ndarray:
     ns = np.asarray(ns)
     rows = [[n_beta(F, rep.gen)[1] for rep in elements_of_norm(F, n)] for n in ns.ravel().tolist()]
     nbs = np.array([nb for row in rows for nb in row], dtype=np.int64)
-    terms = iter((vartheta(src, nbs) / np.sqrt(nbs)).tolist())  # one vartheta call
+    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     out = np.zeros(len(rows))
-    for i, row in enumerate(rows):
-        for _ in row:
-            out[i] += next(terms)
+    np.add.at(out, row_of, vartheta(src, nbs) / np.sqrt(nbs))  # one vartheta call
     return out.reshape(ns.shape)

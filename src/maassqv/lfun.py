@@ -22,7 +22,8 @@ L(1, chi_D) sums its character series in blocks of `_SUM_BLOCK` terms.
 C' reads vartheta(p) and h(p^2) in one `hecke` call each;
 every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
-the nodes of `_afe_line`, and summed by `_contour_sum` in blocks: with
+the nodes of `_afe_line` on the line Re w = 1 (only the contour-shift
+tests move it), and summed by `_contour_sum` in blocks: with
 j = 32 m + r, e^{x w_j} = e^{x w_{32m}} e^{x (w_r - w_0)}, so a point costs
 32 + 6 exact complex exps on the 161 nodes, and the sum stays within
 1.1e-15 of sum_j |g_j| e^{x Re w_j} of the one-exp-cos-sin-per-node sum
@@ -55,10 +56,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    MissingPrime,
     PoleInput,
     QuadratureNonconvergent,
-    TableExhausted,
     TruncationInsufficient,
 )
 from .hecke import (
@@ -160,10 +159,7 @@ def lambda_psi_factors(
             out[keep] = src.lambda_pp_array(primes[keep], b)
             return out
 
-    try:
-        return local_factors(nmax, local)
-    except MissingPrime as exc:  # table-backed source ran out of primes
-        raise TableExhausted(f"prime table exhausted below {nmax}") from exc
+    return local_factors(nmax, local)
 
 
 def lambda_psi_table(
@@ -259,7 +255,7 @@ def _afe_line(c: float) -> np.ndarray:
 
 
 @functools.cache
-def _dirichlet_l_line(F: FieldParams, c: float = 1.0) -> np.ndarray:
+def _dirichlet_l_line(F: FieldParams, c: float) -> np.ndarray:
     """L(2w + 1, chi_D), Re(2w + 1) >= 2, at the contour nodes w of the line
     c: 40,000 terms, tail << |2w + 1| D / 40000^2 by partial summation.  It
     does not depend on k, so one cached line serves every AFE weight at
@@ -344,32 +340,24 @@ def _contour_sum(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _afe_nodes(
-    F: FieldParams, k: int, t_psi: float, c: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The contour nodes of the AFE weight W: the four Gamma shifts
-    i(+-t_psi +- t_2k) and the line L(2w+1, chi_D)."""
+def _afe_nodes(F: FieldParams, k: int, t_psi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The contour nodes of the AFE weight W on the line Re w = 1: the four
+    Gamma shifts i(+-t_psi +- t_2k) and the line L(2w+1, chi_D)."""
     t2k = spectral_parameter(F, 2 * k)
     shifts = [1j * (e1 * t_psi + e2 * t2k) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
-    w, g = _contour_nodes(shifts, F, c)
+    w, g = _contour_nodes(shifts, F)
     w.setflags(write=False)
     g.setflags(write=False)
     return w, g
 
 
-def afe_weight_many(
-    xis: np.ndarray,
-    F: FieldParams,
-    k: int,
-    t_psi: float,
-    c: float = 1.0,
-) -> np.ndarray:
+def afe_weight_many(xis: np.ndarray, F: FieldParams, k: int, t_psi: float) -> np.ndarray:
     """W(xi), the smoothed-cutoff weight of the AFE at the centre s = 1/2,
     for an array of positive xi: W(xi) -> L(1, chi_D) as xi -> 0, rapid
     decay once xi k^2 >> D^{3/2}."""
     if k == 0:
         raise PoleInput("k = 0 has no cuspidal dihedral form")
-    w, g = _afe_nodes(F, abs(k), t_psi, c)
+    w, g = _afe_nodes(F, abs(k), t_psi)
     xis = np.asarray(xis, dtype=np.float64)
     if np.any(xis <= 0):
         raise ValueError("xi must be positive")
@@ -442,26 +430,23 @@ def _l_one_phi_bulk(
     return MappingProxyType(dict(zip(order, sums.tolist())))
 
 
-def l_one_phi(F: FieldParams, m: int, X: float | None = None) -> float:
+def l_one_phi(F: FieldParams, m: int) -> float:
     """L(1, phi_m) = sum lambda_m(n)/n, smoothed; m = 2k, k != 0.
 
     The exponential cutoff leaves Mellin corrections X^{-j} L(1-j, phi_m)/j!
     with |L(1-j)| of size (t_m sqrt(D)/2pi)^{2j-1}; the j=1 term is removed
     by Richardson extrapolation between cutoffs X and X/2 (the weight
-    2 e^{-n/X} - e^{-2n/X} of `_l_one_phi_bulk`), and X (when not given) is
-    scaled with the conductor so the j>=2 terms stay small."""
+    2 e^{-n/X} - e^{-2n/X} of `_l_one_phi_bulk`), and X is scaled with the
+    conductor, X = max(20000, 8 (t_m sqrt(D)/2pi)^2), so the j>=2 terms
+    stay small."""
     if m == 0:
         raise PoleInput("phi_0 is not cuspidal: L(1, phi_0) has a pole")
-    if X is None:
-        scale = (spectral_parameter(F, abs(m)) * math.sqrt(F.D) / (2.0 * math.pi)) ** 2
-        X = max(20000.0, 8.0 * scale)
-    if X < 100:
-        raise TruncationInsufficient("cutoff X too small")
-    return _l_one_phi_bulk(F, (abs(m),), X)[abs(m)]
+    scale = (spectral_parameter(F, abs(m)) * math.sqrt(F.D) / (2.0 * math.pi)) ** 2
+    return _l_one_phi_bulk(F, (abs(m),), max(20000.0, 8.0 * scale))[abs(m)]
 
 
 @functools.cache
-def l_one_sym2(src: HeckeSource, F: FieldParams, X: float = 20000.0) -> float:
+def l_one_sym2(src: HeckeSource, F: FieldParams, X: float) -> float:
     """L(1, sym^2 psi) = zeta_D(2) * sum_n lambda_psi(n^2)/n (smoothed).
 
     The identity sum lambda(n^2) n^{-s} = L(s, sym^2 psi)/zeta_D(2s) holds
@@ -477,18 +462,14 @@ def l_one_sym2(src: HeckeSource, F: FieldParams, X: float = 20000.0) -> float:
 
 
 @functools.cache
-def _gl2_central(
-    src: HeckeSource,
-    F: FieldParams,
-    twist_by_chi: bool,
-    c: float = 1.0,
-) -> float:
+def _gl2_central(src: HeckeSource, F: FieldParams, twist_by_chi: bool) -> float:
     """Desk-scale L(1/2, psi) (or L(1/2, psi x chi_D)): one-sided
     approximate functional equation 2 sum lambda(n) chi(n) n^{-1/2} V(n)
-    assuming root number +1 (a -1 root number drives the sum itself to 0)."""
+    assuming root number +1 (a -1 root number drives the sum itself to 0),
+    V on the line Re w = 1."""
     q = float(F.D * F.D) if twist_by_chi else float(F.D)
     t = src.t_psi
-    w, g = _contour_nodes((1j * t, -1j * t), c=c)
+    w, g = _contour_nodes((1j * t, -1j * t))
     N = int(200.0 * math.sqrt(q) * max(1.0, t))
     lpsi = lambda_psi_table(src, N)
     if twist_by_chi:

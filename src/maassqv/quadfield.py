@@ -78,7 +78,6 @@ class FieldParams:
     unit_y: int
     log_eps: float
     omega_norm: int  # omega * conj(omega) = (1-D)/4
-    omega_trace: int  # = 1
 
     @property
     def sqrtD(self) -> float:
@@ -217,5 +216,4 @@ def make_field(D: int) -> FieldParams:
         unit_y=y,
         log_eps=log_eps,
         omega_norm=omega_norm,
-        omega_trace=1,
     )

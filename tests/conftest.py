@@ -1,14 +1,23 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
 from maassqv import ideals
+from maassqv.hecke import make_source
 from maassqv.quadfield import make_field
 
 
 @pytest.fixture(scope="session")
 def F21():
     return make_field(21)
+
+
+@pytest.fixture(scope="session")
+def src_minus():
+    """The seed-42 source of level 21 with root number eta_D = -1, whose
+    central values all vanish."""
+    return replace(make_source(synthetic=42, D=21), eta_D=-1)
 
 
 @pytest.fixture(scope="session")

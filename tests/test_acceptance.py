@@ -202,7 +202,7 @@ def test_criterion_09_dirichlet_polynomial(F21):
 def test_criterion_10_nonsplit_decay_and_reduction(src42):
     # a | D and a | b in every polynomial below
     for Q in (QuadPoly(1, 0, -21), QuadPoly(3, 3, -5), QuadPoly(7, 7, -7)):
-        rep = nonsplit_decay_scan(src42, Q)
+        rep = nonsplit_decay_scan(src42, Q, [1e4 * 4.0**j for j in range(6)])
         assert rep.tolerance == 0.1
         assert rep.passed, (Q, rep.extra["ratios"])
     sets = [

@@ -226,6 +226,44 @@ def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys
     assert err.startswith(f"maassqv: {error}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--out", "/nonexistent/dir/r.csv", "field-info", "--D", "21"],
+        ["lambda-table", "--D", "21", "--out", "/nonexistent/t.csv"],
+        ["--out", "/nonexistent/dir/r.json", "--format", "json", "lambda-table", "--D", "21"],
+    ],
+    ids=lambda v: " ".join(v),
+)
+def test_unwritable_out_is_refused_before_any_sum(monkeypatch, capsys, argv):
+    # an --out in a missing directory once ran the command, printed PASS and
+    # then died with a FileNotFoundError traceback and exit 1, a FAIL's code
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum ran before --out was checked")
+
+    monkeypatch.setattr(cli, "dirichlet_l_one", refuse)
+    monkeypatch.setattr(cli, "lambda_k_table", refuse)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("maassqv: FileNotFoundError: cannot write /nonexistent/")
+    assert err.count("\n") == 1
+
+
+def test_out_check_leaves_no_file_when_the_command_is_refused(tmp_path):
+    path = tmp_path / "r.csv"
+    assert main(["--out", str(path), "lambda-table", "--D", "21", "--nmax", "0"]) == 2
+    assert not path.exists()
+
+
+def test_short_prime_table_is_a_missing_prime(tmp_path, capsys):
+    path = tmp_path / "short.tbl"
+    path.write_text("# D=21 t_psi=1.0 eta=+1 parity=even\n2 0.5\n3 0.2\n5 -1.0\n")
+    assert main(["variance", "--D", "21", "--K", "10", "--table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maassqv: MissingPrime: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["first-moment", "variance", "poisson"])
 def test_k_past_the_desk_bound_is_refused_before_any_sum(command):
     # poisson once summed over about 1.5 K values of k with no bound on K,

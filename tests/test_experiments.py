@@ -129,10 +129,10 @@ def test_variance_reports_c_prime_tail(F, src):
     assert rep.extra["C_prime_tail"] == 16.0 / (math.sqrt(30000) * math.log(30000))
 
 
-def test_cached_arrays_are_read_only(F, src):
+def test_cached_arrays_are_read_only(F, src, src_minus):
     w, g = _afe_nodes(F, 3, 1.0)
     bulk = central_values_bulk(src, F, 1, 3)
-    zero = central_values_bulk(make_source(synthetic=42, D=21, eta=-1), F, 1, 3)
+    zero = central_values_bulk(src_minus, F, 1, 3)
     for arr in (w, g, bulk, zero, kronecker_table(-7)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -188,9 +188,8 @@ def test_bulk_holds_one_band(F, src):
     assert peak <= 12e6
 
 
-def test_bulk_zero_for_minus_root_number(F):
-    src_m = make_source(synthetic=42, D=21, eta=-1)
-    assert not np.any(central_values_bulk(src_m, F, 2, 6))
+def test_bulk_zero_for_minus_root_number(F, src_minus):
+    assert not np.any(central_values_bulk(src_minus, F, 2, 6))
 
 
 def test_first_moment_input_validation(F, src):
@@ -204,25 +203,23 @@ def test_first_moment_input_validation(F, src):
 @pytest.mark.parametrize(
     "experiment", [first_moment, variance_table, expected_value], ids=lambda f: f.__name__
 )
-def test_empty_k_window_rejected_before_scan(F, src, forbid_scans, experiment, K):
+def test_empty_k_window_rejected_before_scan(F, src, src_minus, forbid_scans, experiment, K):
     # K * x1 < 1: no k >= 1 has k/K in the support of the window (1/2, 2)
     with pytest.raises(HypothesisViolated, match="no k >= 1"):
         experiment(F, src, K)
     # a source whose values all vanish does not make the window valid
     with pytest.raises(HypothesisViolated, match="no k >= 1"):
-        experiment(F, make_source(synthetic=42, D=21, eta=-1), K)
+        experiment(F, src_minus, K)
 
 
-def test_first_moment_vacuous_for_odd_root_number(F):
-    src_m = make_source(synthetic=42, D=21, eta=-1)
-    rep = first_moment(F, src_m, 100.0)
+def test_first_moment_vacuous_for_odd_root_number(F, src_minus):
+    rep = first_moment(F, src_minus, 100.0)
     assert rep.passed and rep.computed == 0.0
     assert "vacuous" in rep.extra
 
 
-def test_expected_value_vacuous(F):
-    src_m = make_source(synthetic=42, D=21, eta=-1)
-    rep = expected_value(F, src_m, 100.0)
+def test_expected_value_vacuous(F, src_minus):
+    rep = expected_value(F, src_minus, 100.0)
     assert rep.passed and rep.computed == 0.0
 
 

@@ -86,7 +86,7 @@ def test_synthetic_deterministic():
     assert a.lambda_p(101) != c.lambda_p(101)
 
 
-def test_synthetic_sources_are_values():
+def test_synthetic_sources_are_values(src_minus):
     # equal spectral data and seed: equal and hashed alike, whatever lambda(p)
     # either source has drawn so far
     a = make_source(synthetic=42, D=21)
@@ -94,7 +94,7 @@ def test_synthetic_sources_are_values():
     a.lambda_p(2)
     assert a == b and hash(a) == hash(b)
     assert a != make_source(synthetic=43, D=21)
-    assert a != make_source(synthetic=42, D=21, eta=-1)
+    assert a != src_minus
 
 
 def test_local_series_closed_vs_truncated(src):

@@ -1,14 +1,16 @@
 """Every name a module of maassqv imports is used in that module, every
 function, class or constant it defines is named somewhere else, every
-parameter of its functions is read, every error class of `errors` is
-raised by some module, no module keeps a hand-rolled memo, and none
-imports sympy, which only the tests use as an oracle.
+parameter of its functions is read, every parameter default is set by
+some call in `src` or `bench`, every error class of `errors` is raised by
+some module, no module keeps a hand-rolled memo, and none imports sympy,
+which only the tests use as an oracle.
 
 Deleting a function tends to leave its imports and its private helpers
-behind, and deleting a setting tends to leave a parameter that nothing
-reads; this finds them with the standard-library parser.  `__init__.py`
-is exempt from the import check: its imports are the package's
-re-exports.  The package has one cache mechanism, `functools.cache` on
+behind, deleting a setting tends to leave a parameter that nothing
+reads, and a default that only tests override is an option with one
+value in use; this finds them with the standard-library parser.
+`__init__.py` is exempt from the import check: its imports are the
+package's re-exports.  The package has one cache mechanism, `functools.cache` on
 value arguments, so a module-level name bound to an empty container is
 flagged."""
 
@@ -204,6 +206,69 @@ def test_unused_parameter_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def unset_defaults(def_sources: list[str], call_sources: list[str]) -> list[str]:
+    """The parameters with a default, of every function of def_sources that
+    some call of call_sources names (as `f(...)` or `x.f(...)`), that none
+    of those calls sets by position or by keyword.  A call with `*args` or
+    `**kwargs` sets them all; a method's `self` or `cls` takes no position."""
+    calls: dict[str, list[ast.Call]] = {}
+    for text in call_sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    out = []
+    for text in def_sources:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            set_by_calls = set()
+            for call in calls.get(node.name, []):
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    set_by_calls.update(defaulted)
+                set_by_calls.update(positional[: len(call.args)])
+                set_by_calls.update(k.arg for k in call.keywords)
+            if node.name in calls:
+                unset = [p for p in defaulted if p not in set_by_calls]
+                out += [f"{node.name}.{p} (line {node.lineno})" for p in unset]
+    return out
+
+
+def test_unset_default_detector():
+    defs = (
+        "def f(a, b=1, *, c=2, d=3):\n"
+        "    return a + b + c + d\n"
+        "class K:\n"
+        "    def m(self, x=0, y=1):\n"
+        "        return x + y\n"
+        "def lone(z=5):\n"
+        "    return z\n"
+        "def spread(u=1, v=2):\n"
+        "    return u + v\n"
+    )
+    calls = "f(0, c=1)\nf(0)\nk.m(2)\nspread(*args)\n"
+    assert unset_defaults([defs], [calls]) == ["f.b (line 1)", "f.d (line 1)", "m.y (line 4)"]
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default that no call in src or bench overrides is an option with one
+    # value in use: a module constant, or a required parameter.  The contour
+    # line c of `_contour_nodes` is the one kept: the contour-shift
+    # invariance tests move it, and every package caller takes c = 1
+    defs = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    calls = [p.read_text() for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    found = [f.split(" ")[0] for f in unset_defaults(defs, calls)]
+    assert found == ["_contour_nodes.c"]
 
 
 def module_memos(source: str) -> list[str]:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +19,10 @@ from lfun_oracle import (
     l_one_phi_dense,
     l_one_phi_sorted_scan,
 )
-from maassqv.errors import (
-    PoleInput,
-    TableExhausted,
-    TruncationInsufficient,
-)
+from maassqv import hecke
+from maassqv.errors import MissingPrime, PoleInput
 from maassqv.hecke import HeckeSource, make_source, primes_upto, read_table
-from maassqv.ideals import grossenchar, lambda_k_table
+from maassqv.ideals import grossenchar, kronecker_table, lambda_k_table
 from maassqv.lfun import (
     _RESEED,
     _afe_line,
@@ -164,12 +162,17 @@ def test_lambda_psi_table_matches_direct(src):
 
 
 def test_lambda_psi_table_short_prime_table(tmp_path):
+    # one error for a table that ends too soon, whichever route reads past it
     path = tmp_path / "short.tbl"
     path.write_text("# D=21 t_psi=1.0 eta=+1 parity=even\n2 0.5\n3 0.2\n5 -1.0\n")
     short = read_table(str(path))
     assert lambda_psi_table(short, 6)[6] == pytest.approx(0.5 * 0.2)
-    with pytest.raises(TableExhausted):
+    with pytest.raises(MissingPrime):
         lambda_psi_table(short, 100)
+    with pytest.raises(MissingPrime):
+        hecke.lambda_psi(short, [49])
+    with pytest.raises(MissingPrime):
+        lambda_square_table(short, 10)
 
 
 def test_lambda_psi_table_propagates_other_errors():
@@ -239,11 +242,19 @@ def test_l_one_sym2_matches_pointwise_sum(F, X):
     assert l_one_sym2(fresh, F, X=X) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _w_shifts(F, k):
+    # the four Gamma shifts i(+-t_psi +- t_2k) of the AFE weight W, t_psi = 1
+    t2k = spectral_parameter(F, 2 * k)
+    return [1j * (e1 * 1.0 + e2 * t2k) for e1 in (1.0, -1.0) for e2 in (1.0, -1.0)]
+
+
 @pytest.mark.parametrize("k", [5, 50])
 def test_afe_weight_contour_shift_invariance(F, k):
     xis = np.geomspace(1e-3, 1e3, 121)
-    shifted = afe_weight_many(xis, F, k, 1.0, c=0.5)
-    base = afe_weight_many(xis, F, k, 1.0)
+    logx = 1.5 * math.log(F.D) - np.log(xis) - 2.0 * math.log(k)
+    base = _contour_sum(logx, *_contour_nodes(_w_shifts(F, k), F, 1.0))
+    assert base.tolist() == afe_weight_many(xis, F, k, 1.0).tolist()
+    shifted = _contour_sum(logx, *_contour_nodes(_w_shifts(F, k), F, 0.5))
     assert np.max(np.abs(shifted - base)) < 1e-9
 
 
@@ -264,7 +275,7 @@ def test_contour_sum_matches_per_node_oracle_on_w_lines(D, k, c):
     # log x = 1.5 log D - log xi - 2 log k over the callers' xi: from
     # 1.5 log D + 1.4 (matched_sym2_cutoff's smallest n) down past -19
     Fd = make_field(D)
-    w, g = _afe_nodes(Fd, k, 1.0, c)
+    w, g = _contour_nodes(_w_shifts(Fd, k), Fd, c)
     _assert_contour_sum_matches_oracle(np.linspace(-20.0, 1.5 * math.log(D) + 2.0, 2000), w, g)
 
 
@@ -325,12 +336,10 @@ def test_dirichlet_l_line_matches_per_node_sum(F, s, c):
 
 
 @pytest.mark.parametrize("c", [0.0, 1.5])
-def test_afe_line_rejects_lines_outside_zero_one(F, c):
+def test_afe_line_rejects_lines_outside_zero_one(c):
     # right of Re w = 1 the contour self-check degrades (4e-7 at c = 1.5)
     with pytest.raises(ValueError):
         _afe_line(c)
-    with pytest.raises(ValueError):
-        afe_weight_many(np.array([1.0]), F, 3, 1.0, c=c)
 
 
 @pytest.mark.parametrize("k", [1, 7, 30])
@@ -344,13 +353,25 @@ def test_afe_nodes_match_pointwise_gamma_factor(F, k):
     g0 = gamma_factor(0.5, 1.0, t2k)
     want = np.array(
         [gamma_factor(0.5 + wi, 1.0, t2k) / g0 * cmath.exp(wi * wi) / wi for wi in w.tolist()]
-    ) * _dirichlet_l_line(F) * trap
+    ) * _dirichlet_l_line(F, 1.0) * trap
     assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _gl2_central_on_line(src, F, twist, c):
+    # _gl2_central's sum with V on the contour line Re w = c
+    q, t = (float(F.D * F.D) if twist else float(F.D)), src.t_psi
+    n = np.arange(1, int(200.0 * math.sqrt(q) * max(1.0, t)) + 1)
+    lam = lambda_psi_table(src, n[-1])[1:]
+    if twist:
+        lam = lam * kronecker_table(F.D)[n % F.D]
+    V = _contour_sum(0.5 * math.log(q) - np.log(n), *_contour_nodes((1j * t, -1j * t), c=c))
+    return 2.0 * float(np.sum(lam / np.sqrt(n) * V))
 
 
 @pytest.mark.parametrize("twist", [False, True])
 def test_gl2_central_contour_shift_invariance(src, F, twist):
-    shifted = _gl2_central(src, F, twist, c=0.5)
+    assert _gl2_central_on_line(src, F, twist, 1.0) == _gl2_central(src, F, twist)
+    shifted = _gl2_central_on_line(src, F, twist, 0.5)
     assert shifted == pytest.approx(_gl2_central(src, F, twist), abs=1e-9)
 
 
@@ -380,9 +401,8 @@ def test_afe_weight_rejects_k_zero(F):
         afe_weight_many(np.array([1.0]), F, 0, 1.0)
 
 
-def test_central_value_eta_minus_one_vanishes(F):
-    src_m = make_source(synthetic=42, D=21, eta=-1)
-    assert central_value(src_m, F, 3) == 0.0
+def test_central_value_eta_minus_one_vanishes(F, src_minus):
+    assert central_value(src_minus, F, 3) == 0.0
 
 
 def test_central_value_self_consistency(src, F):
@@ -446,21 +466,20 @@ def test_zeta_d_two_closed_form(F):
 
 
 def test_l_one_phi_self_consistent(F):
-    a = l_one_phi(F, 6, X=10000.0)
-    b = l_one_phi(F, 6, X=20000.0)
+    a = _l_one_phi_bulk(F, (6,), 10000.0)[6]
+    b = _l_one_phi_bulk(F, (6,), 20000.0)[6]
     assert abs(a - b) < 1e-3
+    assert l_one_phi(F, 6) == b  # the conductor rule's cutoff at m = 6
     with pytest.raises(PoleInput):
         l_one_phi(F, 0)
-    with pytest.raises(TruncationInsufficient):
-        l_one_phi(F, 6, X=10.0)
 
 
 @pytest.mark.parametrize("m", [6, 20, 60])
 def test_l_one_phi_matches_dense_table_route(F, m):
     # the bulk ideal-scan engine against the dense lambda_m table
     want = l_one_phi_dense(F, m, 2.0e4)
-    assert l_one_phi(F, m, 2.0e4) == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert l_one_phi(F, -m, 2.0e4) == l_one_phi(F, m, 2.0e4)
+    assert _l_one_phi_bulk(F, (m,), 2.0e4)[m] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert l_one_phi(F, -m) == l_one_phi(F, m)
 
 
 @pytest.mark.parametrize(
@@ -513,10 +532,9 @@ def test_l_one_sym2_regularized_value(src, F):
 def test_l_values_bundle(src, F):
     # the four auxiliary values behind the constants, at one cutoff X
     X = 20000.0
-    vals = (dirichlet_l_one(F), zeta_d_two(F), l_one_phi(F, 6, X), l_one_sym2(src, F, X))
+    l_phi = _l_one_phi_bulk(F, (6,), X)[6]
+    vals = (dirichlet_l_one(F), zeta_d_two(F), l_phi, l_one_sym2(src, F, X))
     assert all(math.isfinite(v) and v != 0.0 for v in vals)
-    with pytest.raises(PoleInput):
-        l_one_phi(F, 0, X)
 
 
 def test_ramified_sum_factors(src, F):
@@ -555,7 +573,7 @@ def test_nu_index():
 
 def test_watson_ichino(src, F):
     lhalf = central_value(src, F, 3)
-    lsym2 = l_one_sym2(src, F)
+    lsym2 = l_one_sym2(src, F, 20000.0)
     base = watson_ichino_mu2(F, src, 3, lhalf, lsym2)
     assert base >= 0.0
     # linear in the supplied central value, inverse in L(1, sym^2 psi)
@@ -564,7 +582,7 @@ def test_watson_ichino(src, F):
     halved = watson_ichino_mu2(F, src, 3, lhalf, 2 * lsym2)
     assert halved == pytest.approx(base / 2, rel=1e-12)
     # odd spectral data contributes nothing
-    src_odd = make_source(synthetic=42, D=21, parity="odd")
+    src_odd = replace(src, parity="odd")
     assert watson_ichino_mu2(F, src_odd, 3, lhalf, lsym2) == 0.0
     with pytest.raises(PoleInput):
         watson_ichino_mu2(F, src, 0, lhalf, lsym2)

@@ -47,7 +47,6 @@ def test_make_field_21(F21):
         math.log(2 + (1 + math.sqrt(21)) / 2), rel=1e-14
     )
     assert F21.omega_norm == -5
-    assert F21.omega_trace == 1
 
 
 def test_make_field_rejects():
