@@ -7,10 +7,18 @@ Modules:
   ideals      -- the numpy principal-ideal scan, canonical generators by
                  norm, Grossencharacters, lambda_k and its dense table
   hecke       -- Hecke eigenvalue sources and multiplicative functions
-  lattice     -- n_beta, off-diagonal frames, unit factorization identities
-  halfint     -- Gauss sums, Eisenstein residue data, non-split Dirichlet series
+  lattice     -- n_beta and the off-diagonal frames with their identities
+  halfint     -- Eisenstein coefficients and residue data, non-split
+                 Dirichlet series and their contour reduction
+  weights     -- the two smooth windows and their Mellin transforms
+  quadpack    -- QUADPACK's QAGS in numpy, for the non-split Mellin line
   lfun        -- gamma factors, AFE weights, L-values, constants, Watson-Ichino
-  experiments -- CLI-driven numeric experiments and report serialization
+  experiments -- the numeric checks, each run by a `maassqv` command
+  report      -- the report type and its serialization
+  cli         -- the `maassqv` commands
+
+Every module-level function and class is reached from a command; the
+test-only reference routes live in the oracles under tests/.
 """
 
 from .errors import (

@@ -33,7 +33,7 @@ from .halfint import (
     _max_nonzero_mprime,
 )
 from .hecke import make_source
-from .ideals import kronecker_table, lambda_k_table
+from .ideals import check_table, kronecker_table, lambda_k_table
 from .lattice import n_beta, offdiag_frame
 from .lfun import dirichlet_l_one
 from .quadfield import QuadInt, make_field, norm
@@ -43,6 +43,10 @@ from . import experiments
 # desk bounds, each refused before any sum: about a minute's run on a 2-vCPU VM
 _NORM_BOUND_MAX = 500_000  # verify-lattice --norm-bound: 71 s at the bound
 _GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M = 84
+# lambda-table: one ideal scan to nmax for each even k <= kmax, a table counted
+# as nmax + _TABLE_SETUP entries: 43 s at the bound at nmax = 1e5, 18.5 s at 10
+_TABLE_WORK_MAX = 3 << 29
+_TABLE_SETUP = 20_000
 
 # each report's fixed tolerance; the other commands' checks own theirs
 _CLASS_NUMBER_TOL = 1e-6  # field-info: relative
@@ -78,6 +82,13 @@ def cmd_lambda_table(args) -> list[ExperimentReport]:
         raise TruncationInsufficient(f"--nmax {args.nmax} leaves no n to check")
     if args.kmax < 0:
         raise TruncationInsufficient(f"--kmax {args.kmax} leaves no k to check")
+    check_table(args.nmax)  # one table past 8 GiB is refused as such
+    work = (args.kmax // 2 + 1) * (args.nmax + _TABLE_SETUP)
+    if work > _TABLE_WORK_MAX:
+        raise HypothesisViolated(
+            f"desk bound of {_TABLE_WORK_MAX} table entries: --kmax {args.kmax} "
+            f"--nmax {args.nmax} costs {work}"
+        )
     F = make_field(args.D)
     chi = kronecker_table(F.D)
     rng = random.Random(0)
@@ -212,6 +223,19 @@ def cmd_variance(args) -> list[ExperimentReport]:
     return [experiments.variance_table(F, src, args.K), experiments.expected_value(F, src, args.K)]
 
 
+def cmd_diagonal(args) -> list[ExperimentReport]:
+    F, src = _field_and_source(args)
+    return [experiments.diagonal_check(F, src, args.K, a) for a in experiments._DIAGONAL_TWISTS]
+
+
+def cmd_moment_bound(args) -> list[ExperimentReport]:
+    F = make_field(args.D)
+    return [
+        experiments.moment_bound_check(F, args.K, r, experiments._MOMENT_BOUND_X)
+        for r in experiments._MOMENT_BOUND_POWERS
+    ]
+
+
 def cmd_dirichlet_poly(args) -> list[ExperimentReport]:
     return [experiments.dirichlet_poly_check(make_field(args.D), args.k, args.x)]
 
@@ -239,6 +263,8 @@ _COMMANDS = {
     "poisson": cmd_poisson,
     "first-moment": cmd_first_moment,
     "variance": cmd_variance,
+    "diagonal": cmd_diagonal,
+    "moment-bound": cmd_moment_bound,
     "dirichlet-poly": cmd_dirichlet_poly,
     "nonsplit": cmd_nonsplit,
 }
@@ -269,6 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
         twist=(int, False, 1), table=(str, False, None), seed=(int, False, 42))
     add("variance", D=(int, True, None), K=(float, False, 100.0),
         table=(str, False, None), seed=(int, False, 42))
+    add("diagonal", D=(int, True, None), K=(float, False, 500.0),
+        table=(str, False, None), seed=(int, False, 42))
+    add("moment-bound", D=(int, True, None), K=(float, False, 500.0))
     add("dirichlet-poly", D=(int, True, None), k=(int, False, 20),
         x=(int, False, 10000))
     add("nonsplit", D=(int, False, 21), a=(int, False, 1), b=(int, False, 0),

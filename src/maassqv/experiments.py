@@ -85,6 +85,9 @@ _EV_ENVELOPE = 10.0  # expected_value passes while E <= 10 K^{-1/2}
 _POLY_BYTES = 48
 _FOURIER_NODES = 1 << 16  # trapezoid intervals of _fourier_many
 _POISSON_TERMS = 20  # the dual sum of poisson_check runs over |l| <= this
+_DIAGONAL_TWISTS = (1, 2, 3, 5, 11)  # the a of the `diagonal` command's checks
+_MOMENT_BOUND_POWERS = (1, 2)  # the r of the `moment-bound` command's checks
+_MOMENT_BOUND_X = 40.0  # the primes p <= x of the `moment-bound` command's sums
 
 
 def _fourier_many(xis: np.ndarray) -> np.ndarray:
@@ -199,7 +202,9 @@ def matched_sym2_cutoff(F: FieldParams, K: float, t_psi: float) -> float:
 def diagonal_check(F: FieldParams, src: HeckeSource, K: float, a: int = 1) -> ExperimentReport:
     """sum_n lambda_psi(a n^2)/n F^(0;K,n^2) against the diagonal
     main term vartheta(a) K/zeta_D(2) phi~(1) L(1,sym^2 psi) L(1,chi_D),
-    with the sym^2 value taken at the matching cutoff scale."""
+    with the sym^2 value taken at the matching cutoff scale.  K past the
+    desk scale is refused by `_k_window` before any sum."""
+    _k_window(K)
     with timed() as elapsed:
         ncut = int(150.0 * K * PHI.x1)
         n = np.arange(1, ncut + 1)
@@ -588,9 +593,10 @@ def dirichlet_poly_check(F: FieldParams, k: int, x: int) -> ExperimentReport:
 # Moment inequality for short Dirichlet polynomials in lambda_2k(p).
 
 
-def moment_bound_check(F: FieldParams, K: int, r: int, x: float) -> ExperimentReport:
+def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> ExperimentReport:
     """(1/K) sum_{K<k<=2K} (sum_{p<=x, p coprime to D} lambda_2k(p)/sqrt p)^{2r}
     against (2r)!/(2^r r!) (2 sum_{p<=x, chi_D(p)=1} 1/p)^r (1 + `_MOMENT_BOUND_SLACK`).
+    K past the desk scale is refused by `_k_window` before any sum.
 
     The supporting lemma assumes x <= K^{1/(10r)}, which admits no primes at
     desk scale; the inequality is checked in the larger-x regime (where the
@@ -598,6 +604,7 @@ def moment_bound_check(F: FieldParams, K: int, r: int, x: float) -> ExperimentRe
     extra["hypothesis_ok"].  Each s_k is an `np.einsum` over the half-window
     ideals of prime norm, with multiplicity/sqrt p and cos(k phi) from
     `lfun.phase_steps`."""
+    _k_window(K)
     hyp_ok = x <= K ** (1.0 / (10 * r))
     with timed() as elapsed:
         primes = primes_upto(int(x))
@@ -607,7 +614,10 @@ def moment_bound_check(F: FieldParams, K: int, r: int, x: float) -> ExperimentRe
         coef = mults[keep] / np.sqrt(norms[keep])
         phase = thetas[keep] * (2.0 * math.pi / F.log_eps)
         s_k = np.array(
-            [np.einsum("i,i->", coef, c) for c in phase_steps(phase, range(K + 1, 2 * K + 1))]
+            [
+                np.einsum("i,i->", coef, c)
+                for c in phase_steps(phase, range(math.floor(K) + 1, math.floor(2 * K) + 1))
+            ]
         )
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = float(np.sum(1.0 / primes[kronecker_table(F.D)[primes % F.D] == 1.0]))

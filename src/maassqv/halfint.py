@@ -1,12 +1,14 @@
 """Half-integral weight Eisenstein arithmetic and the quadratic Dirichlet
 series it controls.
 
-Contents: the theta multiplier epsilon_d, quadratic Gauss sums (brute force
-and closed piecewise forms), the two Fourier-coefficient factors b(n,s) and
-c(n,s) of the weight-1/2 Eisenstein series at levels M = 2^b0 p1^b1 p2^b2,
-the explicit residue constant at s = 3/4, the non-split quadratic sum S
+Contents: the theta multiplier epsilon_d, the two Fourier-coefficient
+factors b(n,s) and c(n,s) of the weight-1/2 Eisenstein series at levels
+M = 2^b0 p1^b1 p2^b2 (c(n, s) as a brute-force series and in closed form),
+the explicit residue constant at s = 3/4, and the non-split quadratic sum S
 and its contour reduction through the shifted Dirichlet series
-D_psi(s, Delta), and the symmetric-square Euler factorization check.
+D_psi(s, Delta).  The brute-force and closed quadratic Gauss sums and the
+symmetric-square Euler factorization check are test oracles
+(tests/halfint_oracle.py).
 
 The character sums in the coefficients of D_psi are taken by orthogonality
 as two congruence tests mod a', so no character group is built; both
@@ -23,7 +25,6 @@ on one array of the l <= `_B_TRUNC` coprime to M.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,9 +41,8 @@ from .errors import (
     TruncationInsufficient,
     WindowViolation,
 )
-from .hecke import HeckeSource, lambda_psi, primes_upto
+from .hecke import HeckeSource, lambda_psi
 from .ideals import kronecker, kronecker_table
-from .lfun import lambda_square_table
 from .quadfield import factorize
 from .report import ExperimentReport, timed
 from .weights import W_NONSPLIT
@@ -57,15 +57,6 @@ def epsilon_d(d: int) -> complex:
     if d % 2 == 0:
         raise EvenInput(f"epsilon_d needs odd d, got {d}")
     return complex(_EPSILON[d % 4])
-
-
-def gauss_sum(n: int, chi: np.ndarray) -> complex:
-    """G_n(chi) = sum_{d=1}^{r} chi(d) e(dn/r), chi one period of r values."""
-    r = chi.size
-    terms = [
-        chi[d % r] * cmath.exp(2j * math.pi * ((n * d) % r) / r) for d in range(1, r + 1)
-    ]
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 @dataclass(frozen=True)
@@ -126,44 +117,6 @@ def _decompose(n: int, odd_primes: tuple[int, ...]) -> tuple[int, dict[int, int]
     if r * r != rest:
         raise BadDecomposition(f"cofactor {rest} of n={n} is not a square")
     return v2 // 2, alphas
-
-
-def gauss_closed(
-    n: int, variant: str, k: int, *, p: int = 0, odd_primes: tuple[int, ...] = ()
-) -> complex:
-    """Closed quadratic Gauss sums modulo prime powers.
-
-    variant "G8": chi_8^k chi^0 mod 2^k; "Gneg8": chi_{-4} chi_8^k chi^0 mod
-    2^k; "Gp": chi_{-p}^k chi^0 mod p^k. The decomposition of n must have
-    even valuations at 2 and at every prime in odd_primes (p included for
-    "Gp"), with a square cofactor.
-    """
-    if variant == "Gp":
-        assert p % 4 == 3
-        primes = tuple(sorted(set(odd_primes) | {p}))
-    else:
-        primes = tuple(sorted(odd_primes))
-    a0, alphas = _decompose(n, primes)
-    if variant in ("G8", "Gneg8") and 0 < k < (3 if k % 2 else 2):
-        raise BadDecomposition(f"modulus 2^{k} cannot carry the 2-adic character")
-    if variant == "G8":
-        if k % 2 == 0:
-            return float(2 ** (k - 1) if 2 <= k <= 2 * a0 else (1 if k == 0 else 0))
-        return 2 * math.sqrt(2) * 2 ** (2 * a0) if k == 2 * a0 + 3 else 0.0
-    if variant == "Gneg8":
-        if k == 2 * a0 + 2:
-            return 2j * 2 ** (2 * a0)
-        if k == 2 * a0 + 3:
-            return 2 * math.sqrt(2) * 1j * 2 ** (2 * a0)
-        return 0.0
-    if variant == "Gp":
-        ap = alphas[p]
-        if k % 2 == 0:
-            if k == 0:
-                return 1.0
-            return float(p**k - p ** (k - 1)) if k <= 2 * ap else 0.0
-        return 1j * math.sqrt(p) * p ** (2 * ap) if k == 2 * ap + 1 else 0.0
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _inner_sum_weights(mp: int, d: np.ndarray) -> np.ndarray:
@@ -510,7 +463,7 @@ def _trapezoid(nodes: list[float], values: list[complex]) -> complex:
 
 
 def _contour_value(
-    src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool
+    src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool, mellin: np.ndarray
 ) -> tuple[complex, complex]:
     """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds with
     W = `W_NONSPLIT`, by trapezoid on the vertical line Re(s)=1, on the
@@ -523,11 +476,12 @@ def _contour_value(
     The exponents -s log u at -tau and +tau are exact conjugates, and so
     are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
     nodes.  The exps run `_TAU_BLOCK` tau at a time as one 2-D array, each
-    row summed as the 1-D sum of its tau would be.  Wtilde comes from one
-    `SmoothWeight.mellin` call over all nodes, and the integrand is formed
-    as arrays, its complex products written out so that they round as
-    Python's do.  The nodes are summed in ascending tau, as one exp per
-    node would sum them."""
+    row summed as the 1-D sum of its tau would be.  mellin holds
+    Wtilde(1 + i tau) on the tau >= 0 nodes of this contour, or of a higher
+    one at the same dtau, whose nodes begin with these; Wtilde at -tau is
+    its conjugate.  The integrand is formed as arrays, its complex products
+    written out so that they round as Python's do.  The nodes are summed in
+    ascending tau, as one exp per node would sum them."""
     t = _contour_t(Q, second_form)
     # terms with t n^2 beyond the W window only feed the quadrature tail
     N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
@@ -549,7 +503,8 @@ def _contour_value(
 
     # d_psi Wtilde(s) exp(s log 8aY); numpy's complex multiply may fuse
     # its products and round differently
-    mellin = W_NONSPLIT.mellin(svs)
+    mellin = mellin[: len(taus)]
+    mellin = np.concatenate([mellin[:0:-1].conj(), mellin])
     theta = np.array(nodes) * log8aY
     scale = math.exp(log8aY)
     re, im = _times(d_psi.real, d_psi.imag, mellin.real, mellin.imag)
@@ -570,14 +525,16 @@ def reduction_check(
     with a | b) at dtau.  The deviation at Y is held to 3x the envelope
     c P Delta / Y^(1/2 - theta), P the sharpness of `W_NONSPLIT`, with c
     fitted to the deviation at y_ref = Y/4.  At both heights the contour
-    read at twice its step must agree within `_HALVING_TOL`."""
+    read at twice its step must agree within `_HALVING_TOL`.  Wtilde is
+    integrated once, on the tau >= 0 nodes of the contour at Y: those at
+    y_ref are a prefix of them."""
     name = "reduction_check_second_form" if second_form else "reduction_check"
     dtau = _DTAU if second_form else _DTAU / 2
     P = W_NONSPLIT.sharpness
 
     def deviation(y: float) -> tuple[float, complex]:
         direct = nonsplit_sum(src, Q, y)
-        integ, coarse = _contour_value(src, Q, y, dtau, second_form)
+        integ, coarse = _contour_value(src, Q, y, dtau, second_form, mellin)
         move, bound = abs(coarse - integ), _HALVING_TOL * max(1.0, abs(integ))
         if move > bound:
             raise QuadratureNonconvergent(
@@ -587,6 +544,7 @@ def reduction_check(
         return abs(direct - integ.real), integ
 
     with timed() as elapsed:
+        mellin = W_NONSPLIT.mellin(1.0 + 1j * np.array(_contour_taus(Y, dtau)))
         y_ref = Y / 4
         dev_ref, _ = deviation(y_ref)
         cfit = dev_ref / (P * Q.Delta / y_ref ** (0.5 - _THETA))
@@ -603,79 +561,4 @@ def reduction_check(
         envelope=envelope,
         fitted_constant=cfit,
         imag_part=abs(integ.imag),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Symmetric-square Euler factorization
-
-
-def symsq_factor_check(
-    src: HeckeSource,
-    omega: np.ndarray,
-    t: int,
-    a: int,
-    s: complex,
-    truncation: int = 100000,
-) -> ExperimentReport:
-    """Truncated check of the Euler-product factorization of
-    sum_{n >= 1, 4a | t n^2} lambda(t n^2 / 4a) conj(omega)(n) n^{-(2s-1/2)}."""
-    u = 2 * s - 0.5
-    if complex(u).real <= 1.05:
-        raise TruncationInsufficient(f"need Re(2s-1/2) > 1, got {u}")
-    r = omega.size  # omega(n) = omega[n % r]
-    with timed() as elapsed:
-        d = math.gcd(4 * a, t)
-        a1, a2 = _square_part(4 * a // d)  # a' = 4a/d = a1 a2^2, a1 squarefree
-        ta1, step = t // d * a1, a1 * a2
-        # a' is prime to t' = t/d, so a' | t' n^2 exactly when n = step * m,
-        # and then t n^2/4a = ta1 m^2: one table of lambda_psi(ta1 m^2)
-        lam = lambda_square_table(src, truncation // step, ta1)
-        lhs = 0.0 + 0.0j
-        for m in range(1, truncation // step + 1):
-            ov = np.conjugate(omega[step * m % r])
-            if ov == 0:
-                continue
-            lhs += lam[m] * ov * float(step * m) ** (-u)
-
-        rhs = complex(np.conjugate(omega[step % r]) * float(step) ** (-u))  # lambda(1) = 1
-        primes = primes_upto(truncation)
-        plist = primes.tolist()
-        lps = [math.log(p) for p in plist]
-        ta1_exp = factorize(ta1)
-        # lam[ell][i] = lambda(p_i^{2 ell + r_p}) over the primes still live at
-        # ell (those with ell Re(u) log p <= 120, a prefix of the ascending
-        # primes): one draw per ell, then the few p | ta1 at their own r_p
-        lam = []
-        live, lp_arr = len(plist), np.array(lps)
-        for ell in range(61):
-            live = int(np.count_nonzero(complex(-ell * u).real * lp_arr[:live] >= -120))
-            if not live:
-                break
-            vals = src.lambda_pp_array(primes[:live], 2 * ell)
-            for p, rp in ta1_exp.items():
-                i = int(np.searchsorted(primes, p))  # p is primes[i] when i < live
-                if i < live:
-                    vals[i] = src.lambda_pp(p, 2 * ell + rp)
-            lam.append(vals.tolist())
-        for i, (p, lp) in enumerate(zip(plist, lps)):
-            loc = 0.0 + 0.0j
-            for ell in range(61):
-                expo = -ell * u
-                if complex(expo).real * lp < -120:
-                    break
-                loc += np.conjugate(omega[p**ell % r]) * lam[ell][i] * cmath.exp(expo * lp)
-            rhs *= loc
-
-        dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return ExperimentReport.build(
-        name="symsq_factor_check",
-        parameters={"t": t, "a": a, "s": str(s), "truncation": truncation},
-        computed=dev,
-        reference=0.0,
-        tolerance=1e-6,
-        runtime_seconds=elapsed(),
-        mode="abs",
-        lhs=str(lhs),
-        rhs=str(rhs),
     )

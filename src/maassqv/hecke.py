@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ALLOC_BYTES_MAX,
+    HypothesisViolated,
     MalformedTable,
     MissingPrime,
     Overflow,
@@ -268,22 +269,27 @@ def make_source(
     synthetic: int | None = None,
     D: int | None = None,
 ) -> HeckeSource:
-    """The source of a `write_table` file, or the synthetic source of level
-    D with this seed: t_psi = 1, root number eta_D = +1 and even parity."""
+    """The source of a table file (`read_table`), or the synthetic source of
+    level D with this seed: t_psi = 1, root number eta_D = +1 and even
+    parity."""
     if (table is None) == (synthetic is None):
         raise ValueError("exactly one of table=, synthetic= required")
     if table is not None:
         return read_table(table)
-    assert D is not None
+    if D is None:
+        raise HypothesisViolated(f"the synthetic source of seed {synthetic} needs its level D")
     return HeckeSource(
         level=D, t_psi=1.0, eta_D=1, parity="even", prime_values={}, seed=synthetic,
     )
 
 
 def read_table(path: str) -> HeckeSource:
-    """The source of a `write_table` file.  Its primes are checked against
-    one sieve, of 1 byte per integer up to the last prime.  A file that
-    cannot be opened, or is not UTF-8 text, is a MalformedTable too."""
+    """The source of a table file: a header line
+    `# D=<level> t_psi=<t> eta=<+1|-1> parity=<even|odd>`, then one
+    `<prime> <lambda_psi(p)>` row per prime, ascending.  Its primes are
+    checked against one sieve, of 1 byte per integer up to the last prime.
+    A file that cannot be opened, or is not UTF-8 text, is a MalformedTable
+    too."""
     header = None
     values: dict[int, float] = {}
     linenos: list[int] = []  # the line of each row, in row order
@@ -340,15 +346,6 @@ def read_table(path: str) -> HeckeSource:
         )
     except KeyError as exc:
         raise MalformedTable(f"{path}: header missing {exc}") from exc
-
-
-def write_table(src: HeckeSource, path: str, pmax: int) -> None:
-    eta = "+1" if src.eta_D > 0 else "-1"
-    with open(path, "w") as fh:
-        fh.write(f"# D={src.level} t_psi={src.t_psi!r} eta={eta} parity={src.parity}\n")
-        primes = primes_upto(pmax)
-        for p, lam in zip(primes.tolist(), src.lambda_p_array(primes).tolist()):
-            fh.write(f"{p} {lam:.17g}\n")
 
 
 def lambda_psi(src: HeckeSource, ns) -> np.ndarray:

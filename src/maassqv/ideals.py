@@ -53,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ALLOC_BYTES_MAX, ScanBoundExceeded, TableBoundExceeded
+from .errors import ALLOC_BYTES_MAX, HypothesisViolated, ScanBoundExceeded, TableBoundExceeded
 from .quadfield import FieldParams, QuadInt, angle
 
 _SCAN_MAX = 10**7  # largest norm elements_of_norm solves for
@@ -379,7 +379,8 @@ def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
     n > 10^7, or a unit so large that the last row passes that, raises
     ScanBoundExceeded.
     """
-    assert n >= 1
+    if n < 1:
+        raise HypothesisViolated(f"ideal norms are >= 1, got {n}")
     eps_val = math.exp(F.log_eps)
     k_hi = _last_row(F, n, eps_val * eps_val)
     if n > _SCAN_MAX or F.D * k_hi * k_hi + 4 * n >= 2**53:
@@ -412,8 +413,21 @@ def lambda_k(F: FieldParams, k: int, n: int) -> float:
     total = 0.0 + 0.0j
     for a in elements_of_norm(F, n):
         total += grossenchar(F, k, a)
+    # an internal invariant, not a check of input: the ideals of norm n are
+    # closed under conjugation, so the sum is real up to rounding
     assert abs(total.imag) <= 1e-9 * max(1.0, abs(total.real)) + 1e-9
     return total.real
+
+
+def check_table(nmax: int) -> None:
+    """Raise TableBoundExceeded before a dense lambda_k table to nmax, of 8
+    bytes per entry, is allocated past 8 GiB."""
+    need = 8.0 * (nmax + 1)
+    if need > ALLOC_BYTES_MAX:
+        raise TableBoundExceeded(
+            f"lambda_k table to {nmax} needs {need / 2**30:.1f} GiB, "
+            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
+        )
 
 
 def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
@@ -426,13 +440,8 @@ def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     adds into each bin in index order, so each norm's terms are summed in
     row-major order, as over the stably sorted `ideal_scan`, and the table
     is that sum bit for bit.  A table over 8 GiB raises TableBoundExceeded
-    before anything is allocated."""
-    need = 8.0 * (nmax + 1)
-    if need > ALLOC_BYTES_MAX:
-        raise TableBoundExceeded(
-            f"lambda_k table to {nmax} needs {need / 2**30:.1f} GiB, "
-            f"over the {ALLOC_BYTES_MAX / 2**30:.0f} GiB limit"
-        )
+    (`check_table`) before anything is allocated."""
+    check_table(nmax)
     out = np.zeros(nmax + 1)
     for norms, thetas, mults in ideal_chunks(F, nmax):
         np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))

@@ -115,19 +115,6 @@ def spectral_parameter(F: FieldParams, m: int) -> float:
     return math.pi * m / F.log_eps
 
 
-def gamma_ratio_stirling(t_psi: float, t_2k: float) -> tuple[float, float]:
-    """The central Gamma-modulus ratio
-    |G((1/2+i t_psi+i t_2k)/2)|^2 |G((1/2-i t_psi+i t_2k)/2)|^2 / |G((1+i t_2k)/2)|^4
-    and its large-t_2k asymptotic 2/t_2k (= log eps_D / (pi k) at t_2k = 2 pi k/log eps)."""
-    if t_2k <= abs(t_psi):
-        raise PoleInput("ratio asymptotic needs t_2k > |t_psi|")
-    lg1, lg2, lg3 = loggamma(
-        [(0.5 + 1j * (t_psi + t_2k)) / 2.0, (0.5 + 1j * (t_2k - t_psi)) / 2.0, (1.0 + 1j * t_2k) / 2.0]
-    ).real.tolist()
-    exact = math.exp(2.0 * lg1 + 2.0 * lg2 - 4.0 * lg3)
-    return exact, 2.0 / t_2k
-
-
 def classical_variance(t_psi: float) -> float:
     """|Gamma(1/4 + i t_psi/2)|^4 / (2 pi |Gamma(1/2 + i t_psi)|^2)."""
     lg_quarter, lg_half = loggamma([0.25 + 0.5j * t_psi, 0.5 + 1j * t_psi]).real.tolist()

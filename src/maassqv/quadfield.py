@@ -194,6 +194,8 @@ def make_field(D: int) -> FieldParams:
     if q1 % 4 != 3 or q2 % 4 != 3:
         raise NotTwoPrimeProduct(f"D={D}: prime factors must be 3 mod 4")
 
+    # internal invariants of the unit found above, not checks of input:
+    # (2x + y)^2 - D y^2 = 4 with y >= 1 and D >= 21 gives both
     assert x >= 2 and y >= 1
     omega_norm = (1 - D) // 4
     assert x * x + x * y + y * y * omega_norm == 1

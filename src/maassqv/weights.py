@@ -19,12 +19,12 @@ each Kronrod node, and cos and sin numpy's; tests/test_weights.py checks
 that these give the scalar `math` route's floats bit for bit.
 
 The window is real, so its Mellin transform is conjugate-symmetric:
-W~(conj s) = conj W~(s).  `SmoothWeight.mellin` integrates only for
-Im s >= 0 and conjugates below the real axis; the two quadratures for
--tau are exact negations of those for +tau, so this gives the same floats
-as integrating there.  Each window keeps one table tau -> W~(1 + i tau),
-so a tau asked again, as on the contour at y_ref = Y/4 (a prefix of the
-one at Y), is integrated once."""
+W~(conj s) = conj W~(s).  `SmoothWeight.mellin` integrates each distinct
+|tau| of a call once, for Im s >= 0, and conjugates below the real axis;
+the two quadratures for -tau are exact negations of those for +tau, so
+this gives the same floats as integrating there.  A window keeps no
+values between calls: the non-split reduction check asks once per form
+for the nodes of its higher contour, and the lower one reads a prefix."""
 
 from __future__ import annotations
 
@@ -71,11 +71,6 @@ class SmoothWeight:
             prev = cur
         return best
 
-    @functools.cache
-    def _mellin_table(self) -> dict[float, complex]:
-        """tau -> W~(1 + i tau) for the tau >= 0 integrated so far."""
-        return {}
-
     @property
     @functools.cache
     def mellin_zero(self) -> float:
@@ -100,38 +95,35 @@ class SmoothWeight:
                 f"mellin is taken on Re s = 1 only, got s = {complex(sv[off].flat[0])}"
             )
         taus = sv.imag.ravel()
-        table = self._mellin_table()
-        new = sorted({abs(t) for t in taus.tolist()} - table.keys())
-        if new:
-            from .quadpack import kronrod_nodes, qags
+        from .quadpack import kronrod_nodes, qags
 
-            # one cosine problem per new tau, then one sine problem per new tau > 0
-            sines = [t for t in new if t]
-            tau = np.array(new + sines)
-            slot: dict[complex, int] = {}  # interval lo + i hi -> row of w and logx
-            w = logx = np.empty((0, 21))
+        # one cosine problem per distinct |tau|, then one sine problem per |tau| > 0
+        cosines = sorted({abs(t) for t in taus.tolist()})
+        sines = [t for t in cosines if t]
+        tau = np.array(cosines + sines)
+        slot: dict[complex, int] = {}  # interval lo + i hi -> row of w and logx
+        w = logx = np.empty((0, 21))
 
-            def integrand(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-                nonlocal w, logx
-                keys, inverse = np.unique(lo + 1j * hi, return_inverse=True)
-                keys = keys.tolist()
-                fresh = [k for k in keys if k not in slot]
-                if fresh:
-                    xs = kronrod_nodes(np.real(fresh), np.imag(fresh)).tolist()
-                    slot.update(zip(fresh, range(len(slot), len(slot) + len(fresh))))
-                    w = np.vstack([w, [[self(x) for x in row] for row in xs]])
-                    logx = np.vstack([logx, [[math.log(x) for x in row] for row in xs]])
-                at = np.array([slot[k] for k in keys])[inverse]
-                theta = tau[rows, None] * logx[at]
-                cos = (rows < len(new))[:, None]
-                trig = np.cos(theta, where=cos, out=np.empty_like(theta))
-                np.sin(theta, where=~cos, out=trig)
-                return w[at] * trig
+        def integrand(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            nonlocal w, logx
+            keys, inverse = np.unique(lo + 1j * hi, return_inverse=True)
+            keys = keys.tolist()
+            fresh = [k for k in keys if k not in slot]
+            if fresh:
+                xs = kronrod_nodes(np.real(fresh), np.imag(fresh)).tolist()
+                slot.update(zip(fresh, range(len(slot), len(slot) + len(fresh))))
+                w = np.vstack([w, [[self(x) for x in row] for row in xs]])
+                logx = np.vstack([logx, [[math.log(x) for x in row] for row in xs]])
+            at = np.array([slot[k] for k in keys])[inverse]
+            theta = tau[rows, None] * logx[at]
+            cos = (rows < len(cosines))[:, None]
+            trig = np.cos(theta, where=cos, out=np.empty_like(theta))
+            np.sin(theta, where=~cos, out=trig)
+            return w[at] * trig
 
-            result = qags(integrand, self.x0, self.x1, len(tau))[0].tolist()
-            im = dict(zip(sines, result[len(new) :]))
-            for t, re in zip(new, result):
-                table[t] = complex(re, im.get(t, 0.0))
+        result = qags(integrand, self.x0, self.x1, len(tau))[0].tolist()
+        im = dict(zip(sines, result[len(cosines) :]))
+        table = {t: complex(re, im.get(t, 0.0)) for t, re in zip(cosines, result)}
         values = np.array([table[abs(t)] for t in taus.tolist()], dtype=complex)
         values = np.where(taus < 0.0, values.conjugate(), values).reshape(sv.shape)
         return complex(values) if values.ndim == 0 else values

@@ -1,5 +1,9 @@
 """Reference routes of maassqv.halfint that only the tests use.
 
+`gauss_sum` is the quadratic Gauss sum G_n(chi) by brute force, and
+`gauss_closed` its closed piecewise forms modulo prime powers; criterion
+02 holds the two together.  `symsq_factor_check` is the truncated check
+of the symmetric-square Euler factorization, as a report.
 `c_assembled` builds c(n, s) from the closed Gauss sums and the
 Chinese-remainder sign factors, the third route checked against the brute
 `c_series` and the merged `c_closed`.  `d_series` is the plain partial sum
@@ -16,23 +20,74 @@ array chi with chi(n) = chi[n % chi.size].
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from hecke_oracle import lambda_psi
-from maassqv.errors import TruncationInsufficient
+from maassqv.errors import BadDecomposition, TruncationInsufficient
 from maassqv.halfint import (
     LevelData,
     QuadPoly,
     _contour_t,
     _d_psi_coefficients,
     _decompose,
-    gauss_closed,
+    _square_part,
 )
-from maassqv.hecke import HeckeSource
+from maassqv.hecke import HeckeSource, primes_upto
 from maassqv.ideals import kronecker
+from maassqv.lfun import lambda_square_table
+from maassqv.quadfield import factorize
+from maassqv.report import ExperimentReport, timed
 from maassqv.weights import W_NONSPLIT
+
+
+def gauss_sum(n: int, chi: np.ndarray) -> complex:
+    """G_n(chi) = sum_{d=1}^{r} chi(d) e(dn/r), chi one period of r values."""
+    r = chi.size
+    terms = [
+        chi[d % r] * cmath.exp(2j * math.pi * ((n * d) % r) / r) for d in range(1, r + 1)
+    ]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def gauss_closed(
+    n: int, variant: str, k: int, *, p: int = 0, odd_primes: tuple[int, ...] = ()
+) -> complex:
+    """Closed quadratic Gauss sums modulo prime powers.
+
+    variant "G8": chi_8^k chi^0 mod 2^k; "Gneg8": chi_{-4} chi_8^k chi^0 mod
+    2^k; "Gp": chi_{-p}^k chi^0 mod p^k. The decomposition of n must have
+    even valuations at 2 and at every prime in odd_primes (p included for
+    "Gp"), with a square cofactor.
+    """
+    if variant == "Gp":
+        assert p % 4 == 3
+        primes = tuple(sorted(set(odd_primes) | {p}))
+    else:
+        primes = tuple(sorted(odd_primes))
+    a0, alphas = _decompose(n, primes)
+    if variant in ("G8", "Gneg8") and 0 < k < (3 if k % 2 else 2):
+        raise BadDecomposition(f"modulus 2^{k} cannot carry the 2-adic character")
+    if variant == "G8":
+        if k % 2 == 0:
+            return float(2 ** (k - 1) if 2 <= k <= 2 * a0 else (1 if k == 0 else 0))
+        return 2 * math.sqrt(2) * 2 ** (2 * a0) if k == 2 * a0 + 3 else 0.0
+    if variant == "Gneg8":
+        if k == 2 * a0 + 2:
+            return 2j * 2 ** (2 * a0)
+        if k == 2 * a0 + 3:
+            return 2 * math.sqrt(2) * 1j * 2 ** (2 * a0)
+        return 0.0
+    if variant == "Gp":
+        ap = alphas[p]
+        if k % 2 == 0:
+            if k == 0:
+                return 1.0
+            return float(p**k - p ** (k - 1)) if k <= 2 * ap else 0.0
+        return 1j * math.sqrt(p) * p ** (2 * ap) if k == 2 * ap + 1 else 0.0
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def chi_mod2k(k: int, with_m4: bool) -> np.ndarray:
@@ -169,6 +224,13 @@ def d_series(
     return total, tail
 
 
+@functools.cache
+def _mellin_nodes(taus: tuple[float, ...]) -> list[complex]:
+    """Wtilde(1 + i tau) of `W_NONSPLIT` at each tau, kept for the test run:
+    the per-node contours of many tests share their nodes."""
+    return W_NONSPLIT.mellin(1 + 1j * np.array(taus)).tolist()
+
+
 def contour_value_per_node(
     src: HeckeSource,
     Q: QuadPoly,
@@ -199,8 +261,8 @@ def contour_value_per_node(
         tau += dtau
     taus.sort()
 
-    fs = [D_psi(1 + 1j * tau) * W_NONSPLIT.mellin(1 + 1j * tau)
-          * cmath.exp((1 + 1j * tau) * log8aY) for tau in taus]
+    fs = [D_psi(1 + 1j * tau) * mellin * cmath.exp((1 + 1j * tau) * log8aY)
+          for tau, mellin in zip(taus, _mellin_nodes(tuple(taus)))]
 
     def trapezoid(nodes, values):
         total = 0.0 + 0.0j
@@ -227,3 +289,74 @@ def inverted_value(src: HeckeSource, Q: QuadPoly, Y: float, second_form: bool) -
     for n in inside.tolist():
         total += complex(amp[n]) * W_NONSPLIT(float(x[n]))
     return total / 2
+
+
+def symsq_factor_check(
+    src: HeckeSource,
+    omega: np.ndarray,
+    t: int,
+    a: int,
+    s: complex,
+    truncation: int = 100000,
+) -> ExperimentReport:
+    """Truncated check of the Euler-product factorization of
+    sum_{n >= 1, 4a | t n^2} lambda(t n^2 / 4a) conj(omega)(n) n^{-(2s-1/2)}."""
+    u = 2 * s - 0.5
+    if complex(u).real <= 1.05:
+        raise TruncationInsufficient(f"need Re(2s-1/2) > 1, got {u}")
+    r = omega.size  # omega(n) = omega[n % r]
+    with timed() as elapsed:
+        d = math.gcd(4 * a, t)
+        a1, a2 = _square_part(4 * a // d)  # a' = 4a/d = a1 a2^2, a1 squarefree
+        ta1, step = t // d * a1, a1 * a2
+        # a' is prime to t' = t/d, so a' | t' n^2 exactly when n = step * m,
+        # and then t n^2/4a = ta1 m^2: one table of lambda_psi(ta1 m^2)
+        lam = lambda_square_table(src, truncation // step, ta1)
+        lhs = 0.0 + 0.0j
+        for m in range(1, truncation // step + 1):
+            ov = np.conjugate(omega[step * m % r])
+            if ov == 0:
+                continue
+            lhs += lam[m] * ov * float(step * m) ** (-u)
+
+        rhs = complex(np.conjugate(omega[step % r]) * float(step) ** (-u))  # lambda(1) = 1
+        primes = primes_upto(truncation)
+        plist = primes.tolist()
+        lps = [math.log(p) for p in plist]
+        ta1_exp = factorize(ta1)
+        # lam[ell][i] = lambda(p_i^{2 ell + r_p}) over the primes still live at
+        # ell (those with ell Re(u) log p <= 120, a prefix of the ascending
+        # primes): one draw per ell, then the few p | ta1 at their own r_p
+        lam = []
+        live, lp_arr = len(plist), np.array(lps)
+        for ell in range(61):
+            live = int(np.count_nonzero(complex(-ell * u).real * lp_arr[:live] >= -120))
+            if not live:
+                break
+            vals = src.lambda_pp_array(primes[:live], 2 * ell)
+            for p, rp in ta1_exp.items():
+                i = int(np.searchsorted(primes, p))  # p is primes[i] when i < live
+                if i < live:
+                    vals[i] = src.lambda_pp(p, 2 * ell + rp)
+            lam.append(vals.tolist())
+        for i, (p, lp) in enumerate(zip(plist, lps)):
+            loc = 0.0 + 0.0j
+            for ell in range(61):
+                expo = -ell * u
+                if complex(expo).real * lp < -120:
+                    break
+                loc += np.conjugate(omega[p**ell % r]) * lam[ell][i] * cmath.exp(expo * lp)
+            rhs *= loc
+
+        dev = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return ExperimentReport.build(
+        name="symsq_factor_check",
+        parameters={"t": t, "a": a, "s": str(s), "truncation": truncation},
+        computed=dev,
+        reference=0.0,
+        tolerance=1e-6,
+        runtime_seconds=elapsed(),
+        mode="abs",
+        lhs=str(lhs),
+        rhs=str(rhs),
+    )

@@ -13,7 +13,9 @@ local factors multiplied in ascending p:
   time, the reference for the batched `HeckeSource.lambda_p_array`;
 - `dense_fill`, the whole-table multiplicative fill that `fill_segment`
   replaced (numpy, not pointwise), the reference for the dense tables it
-  builds.
+  builds;
+- `write_table`, the writer of the table files that `hecke.read_table`
+  reads (the `--table` of the CLI), from a source's batched draw.
 `DivergentDenominator` is the error of `local_series` when the truncated
 denominator vanishes.
 """
@@ -27,7 +29,7 @@ import numpy as np
 from sympy import factorint
 
 from maassqv.errors import MaassqvError
-from maassqv.hecke import HeckeSource, h_fn, local_factors
+from maassqv.hecke import HeckeSource, h_fn, local_factors, primes_upto
 from maassqv.ideals import elements_of_norm, kronecker, lambda_k
 from maassqv.lattice import n_beta
 from maassqv.quadfield import FieldParams
@@ -204,3 +206,13 @@ def dense_fill(nmax: int, local) -> np.ndarray:
         out[j * big] *= lbig
         j += 1
     return out
+
+
+def write_table(src: HeckeSource, path: str, pmax: int) -> None:
+    """The table file of src's lambda_psi(p) for the primes p <= pmax."""
+    eta = "+1" if src.eta_D > 0 else "-1"
+    with open(path, "w") as fh:
+        fh.write(f"# D={src.level} t_psi={src.t_psi!r} eta={eta} parity={src.parity}\n")
+        primes = primes_upto(pmax)
+        for p, lam in zip(primes.tolist(), src.lambda_p_array(primes).tolist()):
+            fh.write(f"{p} {lam:.17g}\n")

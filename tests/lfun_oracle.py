@@ -13,6 +13,8 @@ bound on the weight W; a value below that bound raises
 `NegativeCentralValue`.  `central_values_per_k` is the bulk engine's sum
 with k outside: one np.cos over the whole cut per k, the reference for
 its chunk-outer loop, rotated e^{ik phi} and conjugation fold.
+`gamma_ratio_stirling` is the central Gamma-modulus ratio of the
+Watson-Ichino assembly against its Stirling asymptotic 2/t_2k.
 `l_one_phi_dense` is L(1, phi_m) from the dense lambda_m table, and
 `l_one_phi_sorted_scan` the same Richardson-weighted sum with one np.cos
 per m, the two references for `lfun._l_one_phi_bulk`.  The two sums over
@@ -34,7 +36,13 @@ from ideal_oracle import rectangle_scan
 from maassqv.errors import MaassqvError, PoleInput, TruncationInsufficient
 from maassqv.hecke import HeckeSource
 from maassqv.ideals import kronecker_table, lambda_k_table
-from maassqv.lfun import _afe_line, afe_weight_many, lambda_psi_table, lambda_square_table
+from maassqv.lfun import (
+    _afe_line,
+    afe_weight_many,
+    lambda_psi_table,
+    lambda_square_table,
+    loggamma as lfun_loggamma,
+)
 from maassqv.quadfield import FieldParams
 
 
@@ -189,3 +197,17 @@ def contour_sum_per_node(logx: np.ndarray, w: np.ndarray, g: np.ndarray) -> np.n
             * (np.cos(lx * w[None, :].imag) * g.real - np.sin(lx * w[None, :].imag) * g.imag)
         ).sum(axis=1)
     return out
+
+
+def gamma_ratio_stirling(t_psi: float, t_2k: float) -> tuple[float, float]:
+    """The central Gamma-modulus ratio
+    |G((1/2+i t_psi+i t_2k)/2)|^2 |G((1/2-i t_psi+i t_2k)/2)|^2 / |G((1+i t_2k)/2)|^4
+    and its large-t_2k asymptotic 2/t_2k (= log eps_D / (pi k) at t_2k = 2 pi k/log eps),
+    by the package's log Gamma."""
+    if t_2k <= abs(t_psi):
+        raise PoleInput("ratio asymptotic needs t_2k > |t_psi|")
+    lg1, lg2, lg3 = lfun_loggamma(
+        [(0.5 + 1j * (t_psi + t_2k)) / 2.0, (0.5 + 1j * (t_2k - t_psi)) / 2.0, (1.0 + 1j * t_2k) / 2.0]
+    ).real.tolist()
+    exact = math.exp(2.0 * lg1 + 2.0 * lg2 - 4.0 * lg3)
+    return exact, 2.0 / t_2k

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from halfint_oracle import chi_mod2k, chi_modpk
+from halfint_oracle import chi_mod2k, chi_modpk, gauss_closed, gauss_sum
 from hecke_oracle import local_series
 from ideal_oracle import r_D
 from maassqv.halfint import (
@@ -19,8 +19,6 @@ from maassqv.halfint import (
     c_closed,
     c_series,
     eisenstein_residue_const,
-    gauss_closed,
-    gauss_sum,
     make_level,
     reduction_check,
 )
@@ -41,7 +39,8 @@ from maassqv.ideals import (
     lambda_k_table,
 )
 from maassqv.lattice import n_beta, offdiag_frame
-from maassqv.lfun import gamma_ratio_stirling, spectral_parameter
+from lfun_oracle import gamma_ratio_stirling
+from maassqv.lfun import spectral_parameter
 from maassqv.quadfield import QuadInt, make_field, norm
 
 

@@ -20,7 +20,8 @@ from maassqv.cli import (
     cmd_verify_appendixb,
     main,
 )
-from maassqv.hecke import make_source, write_table
+from hecke_oracle import write_table
+from maassqv.hecke import make_source
 from maassqv.ideals import lambda_k
 from maassqv.quadfield import make_field
 
@@ -198,16 +199,38 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
         (["first-moment", "--D", "21", "--K", "30", "--table", "/nonexistent"], "MalformedTable"),
         (["dirichlet-poly", "--D", "21", "--k", "2001"], "HypothesisViolated"),
         (["dirichlet-poly", "--D", "21", "--x", "200000000"], "TableBoundExceeded"),
+        (
+            ["lambda-table", "--D", "21", "--kmax", "100000000", "--nmax", "10"],
+            "HypothesisViolated",
+        ),
+        (
+            ["lambda-table", "--D", "21", "--kmax", "1000", "--nmax", "3000000000"],
+            "TableBoundExceeded",
+        ),
+        (["diagonal", "--D", "21", "--K", "nan"], "HypothesisViolated"),
+        (["diagonal", "--D", "21", "--K", "inf"], "HypothesisViolated"),
+        (["diagonal", "--D", "21", "--K", "2001"], "HypothesisViolated"),
+        (["diagonal", "--D", "21", "--table", "psi33.tbl"], "HypothesisViolated"),
+        (["moment-bound", "--D", "21", "--K", "nan"], "HypothesisViolated"),
+        (["moment-bound", "--D", "21", "--K", "inf"], "HypothesisViolated"),
+        (["moment-bound", "--D", "21", "--K", "2001"], "HypothesisViolated"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
-def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys, argv, error):
+def test_out_of_range_input_is_a_typed_reject_before_any_sum(
+    tmp_path, monkeypatch, capsys, argv, error
+):
     # each of these once crashed with an untyped error (exit 1, as a FAIL),
     # or, for --Ymax inf, grew the Y ladder without end, or, past the desk
     # bounds of verify-lattice and verify-gauss, ran for hours; dirichlet-poly
-    # took 76 s at k = 1600, and about 9.6 GB at x = 2e8, before its bounds
+    # took 76 s at k = 1600, and about 9.6 GB at x = 2e8, before its bounds;
+    # lambda-table at kmax = 1e8 would build 5e7 tables, about 5 h; the
+    # diagonal and moment-bound checks had no bound on K
     def refuse(*args, **kwargs):
         raise AssertionError("a sum ran before the input was checked")
+
+    monkeypatch.chdir(tmp_path)  # psi33.tbl: a table of level 33
+    write_table(make_source(synthetic=1, D=33), "psi33.tbl", 100)
 
     for module, name in (
         (experiments, "central_values_bulk"),
@@ -216,6 +239,8 @@ def test_out_of_range_input_is_a_typed_reject_before_any_sum(monkeypatch, capsys
         (experiments, "l_one_phi"),
         (experiments, "mu_2k_table"),
         (experiments, "lambda_k_table"),
+        (experiments, "_fhat_zero_profile"),
+        (experiments, "primes_upto"),
         (cli, "lambda_k_table"),
         (cli, "n_beta"),
         (cli, "c_series"),
@@ -333,8 +358,19 @@ def test_report_csv_numbers_are_plain_floats(tmp_path, argv):
         (["verify-appendixB", "--M", "84"], [1e-4, 1e-12]),
         (["poisson", "--D", "21"], [1e-6]),
         (["dirichlet-poly", "--D", "21", "--k", "20", "--x", "1000"], [1e-3]),
+        (["diagonal", "--D", "21"], [0.05] * 5),
+        (["moment-bound", "--D", "21"], [0.1, 0.1]),
     ],
-    ids=["field-info", "lambda-table", "verify-gauss", "verify-appendixB", "poisson", "dirichlet-poly"],
+    ids=[
+        "field-info",
+        "lambda-table",
+        "verify-gauss",
+        "verify-appendixB",
+        "poisson",
+        "dirichlet-poly",
+        "diagonal",
+        "moment-bound",
+    ],
 )
 def test_each_report_has_its_fixed_tolerance(tmp_path, argv, tolerances):
     # no flag sets a tolerance: each check owns its own
@@ -359,3 +395,24 @@ def test_out_holds_the_last_run_in_either_format(tmp_path, fmt):
         else:
             names = [json.loads(line)["name"] for line in fh]
     assert names == ["field_info_class_number"]
+
+
+@pytest.mark.parametrize("command", ["diagonal", "moment-bound"])
+def test_criteria_06_and_11_run_as_commands(tmp_path, command):
+    # each report's computed and reference are, to the bit, those of the
+    # calls of criteria 06 and 11 in tests/test_acceptance.py
+    F = make_field(21)
+    if command == "diagonal":
+        src = make_source(synthetic=42, D=21)
+        want = [experiments.diagonal_check(F, src, 500.0, a=a) for a in (1, 2, 3, 5, 11)]
+        argv = ["diagonal", "--D", "21", "--K", "500", "--seed", "42"]
+    else:
+        want = [experiments.moment_bound_check(F, 500, r, 40.0) for r in (1, 2)]
+        argv = ["moment-bound", "--D", "21", "--K", "500"]
+    path = tmp_path / "reports.json"
+    assert main(["--out", str(path), "--format", "json"] + argv) == 0
+    with open(path) as fh:
+        got = [json.loads(line) for line in fh]
+    assert [(r["name"], r["computed"], r["reference"]) for r in got] == [
+        (r.name, r.computed, r.reference) for r in want
+    ]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import time
@@ -14,8 +15,11 @@ from halfint_oracle import (
     chi_modpk,
     contour_value_per_node,
     d_series,
+    gauss_closed,
+    gauss_sum,
     inverted_value,
     parity,
+    symsq_factor_check,
 )
 from maassqv.errors import (
     BadDecomposition,
@@ -36,27 +40,33 @@ from maassqv.halfint import (
     c_series,
     eisenstein_residue_const,
     epsilon_d,
-    gauss_closed,
-    gauss_sum,
     _DTAU,
+    _contour_taus,
     _contour_value,
     _d_psi_coefficients,
     _max_nonzero_mprime,
     make_level,
     nonsplit_sum,
     reduction_check,
-    symsq_factor_check,
     zeta_factor_at_M,
 )
 from maassqv import experiments, halfint
 from maassqv.cli import main
 from maassqv.hecke import make_source
 from maassqv.ideals import kronecker
+from maassqv.weights import W_NONSPLIT
 
 
 @pytest.fixture(scope="module")
 def src():
     return make_source(synthetic=42, D=21)
+
+
+@functools.cache
+def _mellin(Y: float, dtau: float) -> np.ndarray:
+    """Wtilde(1 + i tau) on the tau >= 0 nodes of the contour at Y, as
+    `reduction_check` integrates it, kept for the test run."""
+    return W_NONSPLIT.mellin(1.0 + 1j * np.array(_contour_taus(Y, dtau)))
 
 
 def test_epsilon_d():
@@ -297,10 +307,11 @@ def test_contour_values_pinned(src):
     # the values of the plain route -- both Mellin quadratures at every s,
     # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
     Q = QuadPoly(1, 0, -21)
-    assert _contour_value(src, Q, 1e4, 0.2, False)[0] == complex(
+    mellin = _mellin(1e4, 0.2)
+    assert _contour_value(src, Q, 1e4, 0.2, False, mellin)[0] == complex(
         8.310368473613812, -0.012224697371408619
     )
-    assert _contour_value(src, Q, 1e4, 0.2, True)[0] == complex(
+    assert _contour_value(src, Q, 1e4, 0.2, True, mellin)[0] == complex(
         8.310368493379507, -0.012224697371738721
     )
     rep = reduction_check(src, Q, 1e4, False)
@@ -314,8 +325,8 @@ def test_contour_values_pinned(src):
     # modulus 1; they agree because lambda vanishes at even n here
     Q = QuadPoly(3, 3, -5)
     want = complex(-4.206292140066351, 0.0014794147723689855)
-    assert _contour_value(src, Q, 1e4, 0.2, False)[0] == want
-    assert _contour_value(src, Q, 1e4, 0.2, True)[0] == want
+    assert _contour_value(src, Q, 1e4, 0.2, False, mellin)[0] == want
+    assert _contour_value(src, Q, 1e4, 0.2, True, mellin)[0] == want
 
 
 @pytest.mark.parametrize("dtau", [0.2, 0.1])
@@ -325,8 +336,9 @@ def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
     # one exp per tau >= 0, conjugated for -tau, gives the per-node floats;
     # both trapezoids, the coarse one anchored at tau = 0
     Q = QuadPoly(*abc)
+    mellin = _mellin(Y, dtau)
     for second_form in (False, True):
-        assert _contour_value(src, Q, Y, dtau, second_form) == contour_value_per_node(
+        assert _contour_value(src, Q, Y, dtau, second_form, mellin) == contour_value_per_node(
             src, Q, Y, dtau, second_form
         ), second_form
 
@@ -353,7 +365,7 @@ def test_contour_against_exact_inversion(seed, Y, second_form):
     src = make_source(synthetic=seed, D=21)
     Q = QuadPoly(1, 0, -21)
     dtau = _DTAU if second_form else _DTAU / 2
-    contour, _ = _contour_value(src, Q, Y, dtau, second_form)
+    contour, _ = _contour_value(src, Q, Y, dtau, second_form, _mellin(Y, dtau))
     gap = abs(contour.real - inverted_value(src, Q, Y, second_form).real)
     assert gap <= _INVERSION_GAP[seed, Y, second_form]
 
@@ -378,7 +390,7 @@ def test_one_contour_per_form_and_height(monkeypatch, capsys):
     calls = []
 
     def counted(*args):
-        calls.append(args[2:])
+        calls.append(args[2:5])
         return _contour_value(*args)
 
     monkeypatch.setattr(halfint, "_contour_value", counted)

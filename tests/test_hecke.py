@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hecke_oracle import (
     mu_2k_closed,
     satake_square,
     synthetic_lambda_p,
+    write_table,
 )
 from ideal_oracle import r_D
 from maassqv import experiments, hecke, lfun
@@ -34,7 +39,6 @@ from maassqv.hecke import (
     primes_upto,
     read_table,
     vartheta,
-    write_table,
 )
 from maassqv.ideals import (
     ideal_scan,
@@ -419,3 +423,20 @@ def test_fill_guard_refuses_before_allocating(src, monkeypatch):
         lambda_psi_table(src, over)
     with pytest.raises(AssertionError, match="reached its allocations"):
         multiplicative_fill(over - 1, lambda primes, b: np.zeros(primes.size))
+
+
+def test_synthetic_source_needs_its_level_under_optimize():
+    # the level check was an assert: under python -O the source was built
+    # with level None and failed later with an untyped TypeError
+    code = (
+        "from maassqv.errors import MaassqvError\n"
+        "from maassqv.hecke import make_source\n"
+        "try:\n"
+        "    make_source(synthetic=1)\n"
+        "except MaassqvError as exc:\n"
+        "    print(__debug__, type(exc).__name__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hecke.__file__).parents[1])}
+    argv = [sys.executable, "-O", "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False HypothesisViolated\n"

@@ -16,7 +16,12 @@ from ideal_oracle import (
     rectangle_scan,
 )
 from maassqv import experiments, hecke, ideals
-from maassqv.errors import ALLOC_BYTES_MAX, ScanBoundExceeded, TableBoundExceeded
+from maassqv.errors import (
+    ALLOC_BYTES_MAX,
+    HypothesisViolated,
+    ScanBoundExceeded,
+    TableBoundExceeded,
+)
 from maassqv.experiments import first_moment
 from maassqv.hecke import h_fn, make_source, primes_upto
 from maassqv.ideals import (
@@ -220,6 +225,13 @@ def test_elements_of_norm_scan_limit(F21):
     assert len(elements_of_norm(F21, 10**7)) == r_D(F21, 10**7)
     with pytest.raises(ScanBoundExceeded):
         elements_of_norm(F21, 10**7 + 1)
+
+
+def test_elements_of_norm_refuses_a_norm_below_one(F21):
+    # a typed error, not an assert that python -O drops
+    for n in (0, -4):
+        with pytest.raises(HypothesisViolated):
+            elements_of_norm(F21, n)
 
 
 def test_elements_of_norm_refuses_inexact_square_test():

@@ -1,5 +1,6 @@
 """Every name a module of maassqv imports is used in that module, every
 function, class or constant it defines is named somewhere else, every
+module-level function and class is reached from a command, every
 parameter of its functions is read, every parameter default is set by
 some call in `src` or `bench`, every error class of `errors` is raised by
 some module, no module keeps a hand-rolled memo, and none imports sympy,
@@ -107,6 +108,104 @@ def test_dead_definition_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_definitions(path):
     assert dead_definitions(path.read_text(), CORPUS) == []
+
+
+def unreached_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes of sources, a map from module
+    name to source, that no path of names reaches from the `cmd_*`
+    functions and `main` of "cli" or from the top-level statements of any
+    module (imports and definitions aside).  A name resolves through its
+    module's own definitions and its `from .m import x` and `from . import m`
+    statements at any depth, and `m.x` through such a module m.  A reached
+    class is reached with all of its methods."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs = {
+        f"{mod}.{node.name}": node
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    names = {}  # module -> its local name -> "module.name", or a module
+    for mod, tree in trees.items():
+        space = {d.split(".", 1)[1]: d for d in defs if d.split(".", 1)[0] == mod}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}" if node.module else alias.name
+                    space[alias.asname or alias.name] = target
+        names[mod] = space
+
+    def reads(mod: str, node: ast.AST) -> list[str]:
+        out = []
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.append(names[mod].get(sub.id, ""))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                base = names[mod].get(sub.value.id, "")
+                if base in trees:
+                    out.append(f"{base}.{sub.attr}")
+        return out
+
+    skip = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
+    todo = [f"cli.{n}" for n in names.get("cli", {}) if n.startswith("cmd_") or n == "main"]
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, skip):
+                todo += reads(mod, node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        # a name a module imports from another resolves to its definition there
+        while name not in defs and "." in name and name.split(".", 1)[0] in names:
+            mod, local = name.split(".", 1)
+            if names[mod].get(local, name) == name:
+                break
+            name = names[mod][local]
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += reads(name.split(".", 1)[0], defs[name])
+    return [f"{n} (line {node.lineno})" for n, node in defs.items() if n not in reached]
+
+
+def test_unreached_definition_detector():
+    cli = (
+        "from . import work\n"
+        "from .core import run\n"
+        "def cmd_go(args):\n"
+        "    return run(args) + work.step()\n"
+        "def helper():\n"
+        "    return run(0)\n"
+    )
+    core = (
+        "from .work import Engine, _scale\n"
+        "def run(x):\n"
+        "    return Engine().go(x)\n"
+        "def oracle(x):\n"
+        "    return run(x) == x\n"
+        "LIMIT = _scale(3)\n"
+    )
+    work = (
+        "def step():\n"
+        "    from .core import run\n"
+        "    return run(1)\n"
+        "class Engine:\n"
+        "    def go(self, x):\n"
+        "        return _twice(x)\n"
+        "def _twice(x):\n"
+        "    return 2 * x\n"
+        "def _scale(x):\n"
+        "    return x\n"
+        "class Spare:\n"
+        "    pass\n"
+    )
+    found = unreached_definitions({"cli": cli, "core": core, "work": work})
+    assert found == ["cli.helper (line 5)", "core.oracle (line 4)", "work.Spare (line 11)"]
+
+
+def test_every_definition_is_reached_from_a_command():
+    # a function or class only tests reach is a test oracle, under tests/
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreached_definitions(sources) == []
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
@@ -271,31 +370,46 @@ def test_every_default_is_set_by_some_caller():
     assert found == ["_contour_nodes.c"]
 
 
+def _empty_container(value: ast.AST | None) -> bool:
+    """Whether value is an empty {}, [], set() or dict()."""
+    return (
+        (isinstance(value, ast.Dict) and not value.keys)
+        or (isinstance(value, ast.List) and not value.elts)
+        or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("set", "dict")
+            and not value.args
+            and not value.keywords
+        )
+    )
+
+
 def module_memos(source: str) -> list[str]:
     """The module-level names of source bound to an empty {}, [], set() or
-    dict(), the shape of a hand-rolled memo."""
+    dict(), the shape of a hand-rolled memo, and the functions at any depth,
+    methods included, that a `functools.cache` or `lru_cache` decorator
+    wraps and that return one: the cache keeps that container, a memo
+    again."""
     out = []
-    for node in ast.parse(source).body:
+    tree = ast.parse(source)
+    for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
         else:
             continue
-        value = node.value
-        empty = (
-            (isinstance(value, ast.Dict) and not value.keys)
-            or (isinstance(value, ast.List) and not value.elts)
-            or (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("set", "dict")
-                and not value.args
-                and not value.keywords
-            )
-        )
-        if empty:
+        if _empty_container(node.value):
             out += [f"{t.id} (line {node.lineno})" for t in targets if isinstance(t, ast.Name)]
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in sorted(functions, key=lambda n: n.lineno):
+        wrappers = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+        names = {getattr(w, "attr", getattr(w, "id", None)) for w in wrappers}
+        cached = bool(names & {"cache", "lru_cache"})
+        returns = (r.value for r in ast.walk(node) if isinstance(r, ast.Return))
+        if cached and any(_empty_container(v) for v in returns):
+            out.append(f"{node.name}() (line {node.lineno})")
     return out
 
 
@@ -311,12 +425,30 @@ def test_module_memo_detector():
         "def f():\n"
         "    local = {}\n"
         "    return local\n"
+        "class W:\n"
+        "    @functools.cache\n"
+        "    def _table(self):\n"
+        "        return {}\n"
+        "    @functools.cache\n"
+        "    def _full(self):\n"
+        "        return {1: 2}\n"
+        "@cache\n"
+        "def _seen_set():\n"
+        "    return set()\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def _rows():\n"
+        "    return []\n"
+        "def _plain():\n"
+        "    return []\n"
     )
     assert module_memos(source) == [
         "_SCAN_CACHE (line 1)",
         "_seen (line 2)",
         "_PRIMES (line 3)",
         "_MEMO (line 4)",
+        "_table() (line 13)",
+        "_seen_set() (line 19)",
+        "_rows() (line 22)",
     ]
 
 

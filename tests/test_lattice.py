@@ -3,15 +3,14 @@ import random
 
 import pytest
 
-from maassqv.errors import BezoutRangeImpossible, HypothesisViolated
-from maassqv.lattice import (
+from lattice_oracle import (
     angle_linearization_error,
     lemma_factor_split,
-    n_beta,
-    offdiag_frame,
     qgamma,
     unit_divisibilities,
 )
+from maassqv.errors import BezoutRangeImpossible, HypothesisViolated
+from maassqv.lattice import n_beta, offdiag_frame
 from maassqv.quadfield import QuadInt, angle, multiply, norm, unit_power
 
 
@@ -71,6 +70,13 @@ def test_frame_identities_all_fields(admitted_fields):
                     assert abs(fr.bbar) <= abs(fr.a)
                     g = fr.gamma
                     assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
+
+
+def test_frame_index_out_of_range_is_refused(F21):
+    # a typed error, not an assert that python -O drops
+    for j in (0, 5):
+        with pytest.raises(HypothesisViolated):
+            offdiag_frame(F21, QuadInt(0, 1), j)
 
 
 def test_degenerate_frame_has_no_gamma(F21):

@@ -16,6 +16,7 @@ from lfun_oracle import (
     contour_sum_per_node,
     dirichlet_l_line_per_node,
     gamma_factor,
+    gamma_ratio_stirling,
     l_one_phi_dense,
     l_one_phi_sorted_scan,
 )
@@ -37,7 +38,6 @@ from maassqv.lfun import (
     classical_variance,
     constants,
     dirichlet_l_one,
-    gamma_ratio_stirling,
     l_one_phi,
     l_one_sym2,
     lambda_psi_table,
