@@ -2,8 +2,8 @@
 
 Every subcommand builds a list of ExperimentReport objects, prints one
 line per report, optionally serializes them, and exits 0 iff all passed.
-A typed `MaassqvError`, or an output path that cannot be written (checked
-before the command runs), is printed as one line to stderr and exits 2.
+A typed `MaassqvError`, a usage error or an unwritable output path (checked
+before the command runs) is printed as one line to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ _GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M 
 # as nmax + _TABLE_SETUP entries: 43 s at the bound at nmax = 1e5, 18.5 s at 10
 _TABLE_WORK_MAX = 3 << 29
 _TABLE_SETUP = 20_000
+# nonsplit --Ymax: 30 s at 7e8 to the first form's halving failure at y_ref
+_YMAX_MAX = 1.0e9
 
 # each report's fixed tolerance; the other commands' checks own theirs
 _CLASS_NUMBER_TOL = 1e-6  # field-info: relative
@@ -245,6 +247,8 @@ def cmd_nonsplit(args) -> list[ExperimentReport]:
         raise HypothesisViolated(f"--Ymax {args.Ymax:g}: the Y ladder would not end")
     if args.Ymax < 1.0e4:
         raise TruncationInsufficient(f"--Ymax {args.Ymax:g} is below the first Y = 1e4")
+    if args.Ymax > _YMAX_MAX:
+        raise HypothesisViolated(f"desk bound --Ymax <= {_YMAX_MAX:g}, got {args.Ymax:g}")
     Q = QuadPoly(args.a, args.b, args.c)
     _contour_t(Q, second_form=True)  # the last report's precondition, before any sum
     _, src = _field_and_source(args)
@@ -270,8 +274,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, as a typed error
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="maassqv")
+    p = _Parser(prog="maassqv")
     p.add_argument("--out", help="write reports to this path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = p.add_subparsers(dest="command", required=True)

@@ -14,8 +14,9 @@ The character sums in the coefficients of D_psi are taken by orthogonality
 as two congruence tests mod a', so no character group is built; both
 contour forms share that one coefficient formula.  One `reduction_check`
 runs either form on one contour per Y, and its dtau-halving check reads
-the coarse trapezoid off every other node of that contour.  Each sum reads
-lambda_psi in one `hecke.lambda_psi` call, with no dense table.
+the coarse trapezoid off every other node of that contour: one D_psi pass
+per form, the lower height reading a prefix of the higher's exps.  Each
+sum reads lambda_psi in one `hecke.lambda_psi` call, with no dense table.
 
 Every real character array here (the Legendre symbols (d/p) of b_direct,
 the symbols (p/d) of c(n, s) and the characters omega_t of b(n, s)) is
@@ -463,58 +464,67 @@ def _trapezoid(nodes: list[float], values: list[complex]) -> complex:
 
 
 def _contour_value(
-    src: HeckeSource, Q: QuadPoly, Y: float, dtau: float, second_form: bool, mellin: np.ndarray
-) -> tuple[complex, complex]:
-    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds with
-    W = `W_NONSPLIT`, by trapezoid on the vertical line Re(s)=1, on the
+    src: HeckeSource, Q: QuadPoly, Ys: tuple, dtau: float, second_form: bool, mellin: np.ndarray
+) -> list[tuple[complex, complex]]:
+    """1/(4 pi i) int_(1) D_psi(s, Delta) Wtilde(s) (8aY)^s ds at each Y of
+    the ascending Ys, W = `W_NONSPLIT`, by trapezoid on Re(s) = 1 at the
     tau-nodes 0, +-dtau, +-2 dtau, ... up to T = 10 P log Y (the integrand
     is not negligible there: the truncation at T is not bounded).  D_psi is
-    truncated at the N with t N^2 past the W window, at least 2000.
-    Returns (fine, coarse): the trapezoid on every node, and the one on
-    every other node from tau = 0 out, the same integral at step 2 dtau.
+    truncated at the N with t N^2 past the W window, at least 2000.  Returns
+    (fine, coarse) per Y: the trapezoid on every node, and the one on every
+    other node from tau = 0 out, the same integral at step 2 dtau.
 
-    The exponents -s log u at -tau and +tau are exact conjugates, and so
-    are their complex exps: one N-term exp per tau >= 0 gives D_psi at both
-    nodes.  The exps run `_TAU_BLOCK` tau at a time as one 2-D array, each
-    row summed as the 1-D sum of its tau would be.  mellin holds
-    Wtilde(1 + i tau) on the tau >= 0 nodes of this contour, or of a higher
-    one at the same dtau, whose nodes begin with these; Wtilde at -tau is
-    its conjugate.  The integrand is formed as arrays, its complex products
-    written out so that they round as Python's do.  The nodes are summed in
-    ascending tau, as one exp per node would sum them."""
+    One D_psi pass serves every Y: the exps are taken on the nodes and the
+    N of the highest Y, and a lower Y reads a prefix of both (its row sums
+    are the highest's where the N agree).  One N-term exp per tau >= 0
+    gives D_psi at +-tau, the -tau sum as conj(sum conj(amp) e).  The exps
+    run `_TAU_BLOCK` tau at a time as one 2-D array, each row summed as the
+    1-D sum of its tau would be.  mellin holds Wtilde(1 + i tau) on the
+    tau >= 0 nodes of the highest contour or of a higher one at the same
+    dtau (Wtilde at -tau is its conjugate).  The integrand's products round
+    as Python's do, and the nodes are summed in ascending tau."""
     t = _contour_t(Q, second_form)
     # terms with t n^2 beyond the W window only feed the quadrature tail
-    N = max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * Y / t)) + 10)
+    Ns = [max(2000, int(2.0 * math.sqrt(W_NONSPLIT.x1 * 8 * Q.a * y / t)) + 10) for y in Ys]
+    amp, logu = _d_psi_coefficients(src, Q, Ns[-1], second_form)
+    amp_conj = np.conj(amp)
+    taus = [_contour_taus(y, dtau) for y in Ys]
+    plus = 1.0 + 1j * np.array(taus[-1])  # the highest's nodes tau >= 0
 
-    log8aY = math.log(8 * Q.a * Y)
-    amp, logu = _d_psi_coefficients(src, Q, N, second_form)
-
-    taus = _contour_taus(Y, dtau)
-    nodes = [-tau for tau in taus[:0:-1]] + taus
-    svs = 1.0 + 1j * np.array(nodes)
-    plus = svs[len(taus) - 1 :]  # the nodes tau >= 0
-
-    d_plus, d_minus = [], []  # D_psi at +tau, and at -tau
+    # D_psi at +tau and at -tau; a Y with the highest's N reads its rows
+    own = [h for h, N in enumerate(Ns) if N != Ns[-1]] + [len(Ys) - 1]
+    d = {h: np.empty((2, len(taus[h])), dtype=complex) for h in own}
     for i in range(0, len(plus), _TAU_BLOCK):
         e = np.exp(-plus[i : i + _TAU_BLOCK, None] * logu)
-        d_plus.append((amp * e).sum(axis=1))
-        d_minus.append((amp * np.conj(e)).sum(axis=1))
-    d_psi = np.concatenate([np.concatenate(d_minus)[:0:-1], *d_plus])
+        for h in own:
+            k, n = min(_TAU_BLOCK, len(taus[h]) - i), Ns[h] + 1
+            if k > 0:
+                block = e[:k, :n]
+                d[h][0, i : i + k] = (amp[:n] * block).sum(axis=1)
+                d[h][1, i : i + k] = np.conj((amp_conj[:n] * block).sum(axis=1))
 
-    # d_psi Wtilde(s) exp(s log 8aY); numpy's complex multiply may fuse
-    # its products and round differently
-    mellin = mellin[: len(taus)]
-    mellin = np.concatenate([mellin[:0:-1].conj(), mellin])
-    theta = np.array(nodes) * log8aY
-    scale = math.exp(log8aY)
-    re, im = _times(d_psi.real, d_psi.imag, mellin.real, mellin.imag)
-    re, im = _times(re, im, scale * np.cos(theta), scale * np.sin(theta))
-    values = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+    out = []
+    for h, (y, ts) in enumerate(zip(Ys, taus)):
+        d_plus, d_minus = d.get(h, d[len(Ys) - 1])[:, : len(ts)]
+        nodes = [-tau for tau in ts[:0:-1]] + ts
+        d_psi = np.concatenate([d_minus[:0:-1], d_plus])
 
-    even = (len(taus) - 1) % 2  # nodes[len(taus) - 1] is tau = 0
-    fine = _trapezoid(nodes, values)
-    coarse = _trapezoid(nodes[even::2], values[even::2])
-    return fine / (4 * math.pi), coarse / (4 * math.pi)
+        # d_psi Wtilde(s) exp(s log 8aY); numpy's complex multiply may fuse
+        # its products and round differently
+        wt = mellin[: len(ts)]
+        wt = np.concatenate([wt[:0:-1].conj(), wt])
+        log8aY = math.log(8 * Q.a * y)
+        theta = np.array(nodes) * log8aY
+        scale = math.exp(log8aY)
+        re, im = _times(d_psi.real, d_psi.imag, wt.real, wt.imag)
+        re, im = _times(re, im, scale * np.cos(theta), scale * np.sin(theta))
+        values = [complex(x, y) for x, y in zip(re.tolist(), im.tolist())]
+
+        even = (len(ts) - 1) % 2  # nodes[len(ts) - 1] is tau = 0
+        fine = _trapezoid(nodes, values)
+        coarse = _trapezoid(nodes[even::2], values[even::2])
+        out.append((fine / (4 * math.pi), coarse / (4 * math.pi)))
+    return out
 
 
 def reduction_check(
@@ -525,16 +535,16 @@ def reduction_check(
     with a | b) at dtau.  The deviation at Y is held to 3x the envelope
     c P Delta / Y^(1/2 - theta), P the sharpness of `W_NONSPLIT`, with c
     fitted to the deviation at y_ref = Y/4.  At both heights the contour
-    read at twice its step must agree within `_HALVING_TOL`.  Wtilde is
-    integrated once, on the tau >= 0 nodes of the contour at Y: those at
-    y_ref are a prefix of them."""
+    read at twice its step must agree within `_HALVING_TOL`.  One
+    `_contour_value` pass gives both heights, and Wtilde is integrated once,
+    on the tau >= 0 nodes of the contour at Y (a prefix at y_ref)."""
     name = "reduction_check_second_form" if second_form else "reduction_check"
     dtau = _DTAU if second_form else _DTAU / 2
     P = W_NONSPLIT.sharpness
 
-    def deviation(y: float) -> tuple[float, complex]:
+    def deviation(y: float, contour: tuple[complex, complex]) -> tuple[float, complex]:
         direct = nonsplit_sum(src, Q, y)
-        integ, coarse = _contour_value(src, Q, y, dtau, second_form, mellin)
+        integ, coarse = contour
         move, bound = abs(coarse - integ), _HALVING_TOL * max(1.0, abs(integ))
         if move > bound:
             raise QuadratureNonconvergent(
@@ -546,9 +556,10 @@ def reduction_check(
     with timed() as elapsed:
         mellin = W_NONSPLIT.mellin(1.0 + 1j * np.array(_contour_taus(Y, dtau)))
         y_ref = Y / 4
-        dev_ref, _ = deviation(y_ref)
+        at_ref, at_Y = _contour_value(src, Q, (y_ref, Y), dtau, second_form, mellin)
+        dev_ref, _ = deviation(y_ref, at_ref)
         cfit = dev_ref / (P * Q.Delta / y_ref ** (0.5 - _THETA))
-        dev, integ = deviation(Y)
+        dev, integ = deviation(Y, at_Y)
         envelope = 3.0 * cfit * P * Q.Delta / Y ** (0.5 - _THETA)
     return ExperimentReport.build(
         name=name,

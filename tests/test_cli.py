@@ -181,6 +181,7 @@ def test_nonsplit_single_y_ladder_rejected_before_any_sum(monkeypatch, capsys):
     "argv, error",
     [
         (["nonsplit", "--Ymax", "inf"], "HypothesisViolated"),
+        (["nonsplit", "--Ymax", "1e11"], "HypothesisViolated"),
         (["first-moment", "--D", "21", "--K", "nan"], "HypothesisViolated"),
         (["variance", "--D", "21", "--K", "nan"], "HypothesisViolated"),
         (["variance", "--D", "21", "--K", "inf"], "HypothesisViolated"),
@@ -416,3 +417,70 @@ def test_criteria_06_and_11_run_as_commands(tmp_path, command):
     assert [(r["name"], r["computed"], r["reference"]) for r in got] == [
         (r.name, r.computed, r.reference) for r in want
     ]
+
+
+# the flags that set how much each command computes; field-info and
+# verify-appendixB have none, so their --D and --M stand in
+_SIZE_FLAGS = {
+    "field-info": ["--D"],
+    "lambda-table": ["--kmax", "--nmax"],
+    "verify-lattice": ["--norm-bound"],
+    "verify-gauss": ["--M", "--nmax"],
+    "verify-appendixB": ["--M"],
+    "poisson": ["--K"],
+    "first-moment": ["--K"],
+    "variance": ["--K"],
+    "diagonal": ["--K"],
+    "moment-bound": ["--K"],
+    "dirichlet-poly": ["--k", "--x"],
+    "nonsplit": ["--Ymax"],
+}
+_HOSTILE = ("nan", "inf", "-inf", "-1", "0", "1e11", "100000000000")
+
+# runs cli.main on each argv of the JSON list argv[1], and prints, as JSON,
+# each run's exit code, stdout and stderr, an escaped exception's traceback
+# in its stderr
+_RUN_EACH = """
+import contextlib, io, json, sys, traceback
+from maassqv.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            code = None
+            traceback.print_exc()
+    runs.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize("command", list(_SIZE_FLAGS))
+def test_hostile_size_flags_exit_cleanly(command):
+    # nan, +-inf, a negative value, 0 and 1e11 (also as an integer) on each
+    # size flag, plain and under python -O: reports with exit 0 or 1, or
+    # exit 2 with one stderr line; --Ymax 1e11 once ran for hours, and an
+    # int flag's bad value once printed argparse's usage line as well
+    required = {"verify-gauss": ["--M", "84"], "verify-appendixB": ["--M", "84"], "nonsplit": []}
+    base = required.get(command, ["--D", "21"])
+    argvs = []
+    for flag in _SIZE_FLAGS[command]:
+        rest = base[2:] if base[:1] == [flag] else base
+        argvs += [[command, *rest, f"{flag}={value}"] for value in _HOSTILE]
+    env = {**os.environ, "PYTHONPATH": str(Path(maassqv.__file__).parents[1])}
+    for opt in ([], ["-O"]):
+        cmd = [sys.executable, *opt, "-c", _RUN_EACH, json.dumps(argvs)]
+        child = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        for argv, code, out, err in json.loads(child.stdout):
+            where = (opt, argv, code, err)
+            assert "Traceback" not in err, where
+            if code == 2:
+                assert err.count("\n") == 1 and err.startswith("maassqv"), where
+            else:
+                assert code in (0, 1) and err == "", where
+                assert out.splitlines()[-1].startswith(("PASS ", "FAIL ")), where

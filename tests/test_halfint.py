@@ -50,6 +50,7 @@ from maassqv.halfint import (
     reduction_check,
     zeta_factor_at_M,
 )
+import halfint_oracle
 from maassqv import experiments, halfint
 from maassqv.cli import main
 from maassqv.hecke import make_source
@@ -308,10 +309,10 @@ def test_contour_values_pinned(src):
     # D_psi evaluated afresh for each Y -- at Y = 1e4, to the last bit
     Q = QuadPoly(1, 0, -21)
     mellin = _mellin(1e4, 0.2)
-    assert _contour_value(src, Q, 1e4, 0.2, False, mellin)[0] == complex(
+    assert _contour_value(src, Q, (1e4,), 0.2, False, mellin)[0][0] == complex(
         8.310368473613812, -0.012224697371408619
     )
-    assert _contour_value(src, Q, 1e4, 0.2, True, mellin)[0] == complex(
+    assert _contour_value(src, Q, (1e4,), 0.2, True, mellin)[0][0] == complex(
         8.310368493379507, -0.012224697371738721
     )
     rep = reduction_check(src, Q, 1e4, False)
@@ -325,8 +326,8 @@ def test_contour_values_pinned(src):
     # modulus 1; they agree because lambda vanishes at even n here
     Q = QuadPoly(3, 3, -5)
     want = complex(-4.206292140066351, 0.0014794147723689855)
-    assert _contour_value(src, Q, 1e4, 0.2, False, mellin)[0] == want
-    assert _contour_value(src, Q, 1e4, 0.2, True, mellin)[0] == want
+    assert _contour_value(src, Q, (1e4,), 0.2, False, mellin)[0][0] == want
+    assert _contour_value(src, Q, (1e4,), 0.2, True, mellin)[0][0] == want
 
 
 @pytest.mark.parametrize("dtau", [0.2, 0.1])
@@ -334,13 +335,30 @@ def test_contour_values_pinned(src):
 @pytest.mark.parametrize("abc", [(1, 0, -21), (3, 3, -5), (7, 7, -7)])
 def test_contour_value_matches_per_node_oracle(src, abc, Y, dtau):
     # one exp per tau >= 0, conjugated for -tau, gives the per-node floats;
-    # both trapezoids, the coarse one anchored at tau = 0
+    # both trapezoids, the coarse one anchored at tau = 0; the pass at
+    # (Y/4, Y) gives each height the floats of its own contour
     Q = QuadPoly(*abc)
     mellin = _mellin(Y, dtau)
     for second_form in (False, True):
-        assert _contour_value(src, Q, Y, dtau, second_form, mellin) == contour_value_per_node(
-            src, Q, Y, dtau, second_form
-        ), second_form
+        got = _contour_value(src, Q, (Y / 4, Y), dtau, second_form, mellin)
+        want = [contour_value_per_node(src, Q, y, dtau, second_form) for y in (Y / 4, Y)]
+        assert got == want, second_form
+
+
+def test_contour_value_heights_of_different_n(src, monkeypatch):
+    # Q = (1, 0, -21) in the second form at Y = 1e5: D_psi has N = 2000 at
+    # y_ref and 2539 at Y, so y_ref sums a prefix of each exp row
+    Ns = []
+
+    def recorded(src, Q, N, second_form):
+        Ns.append(N)
+        return _d_psi_coefficients(src, Q, N, second_form)
+
+    monkeypatch.setattr(halfint_oracle, "_d_psi_coefficients", recorded)
+    Q, Y = QuadPoly(1, 0, -21), 1e5
+    got = _contour_value(src, Q, (Y / 4, Y), _DTAU, True, _mellin(Y, _DTAU))
+    assert got == [contour_value_per_node(src, Q, y, _DTAU, True) for y in (Y / 4, Y)]
+    assert Ns == [2000, 2539]
 
 
 # |contour.real - inverted.real| measured at the bench input Q = (1, 0, -21):
@@ -365,7 +383,7 @@ def test_contour_against_exact_inversion(seed, Y, second_form):
     src = make_source(synthetic=seed, D=21)
     Q = QuadPoly(1, 0, -21)
     dtau = _DTAU if second_form else _DTAU / 2
-    contour, _ = _contour_value(src, Q, Y, dtau, second_form, _mellin(Y, dtau))
+    [(contour, _)] = _contour_value(src, Q, (Y,), dtau, second_form, _mellin(Y, dtau))
     gap = abs(contour.real - inverted_value(src, Q, Y, second_form).real)
     assert gap <= _INVERSION_GAP[seed, Y, second_form]
 
@@ -385,20 +403,25 @@ def test_second_form_rejected_before_any_sum(monkeypatch, capsys):
 
 
 def test_one_contour_per_form_and_height(monkeypatch, capsys):
-    # the halving check reads its coarse trapezoid off the same nodes, so
-    # each form integrates once at each of y_ref = 1e4 and Y = 4e4
-    calls = []
+    # the halving check reads its coarse trapezoid off the same nodes, and
+    # y_ref = 1e4 reads its exps off the pass at Y = 4e4: each form makes
+    # one D_psi pass, which gives both heights
+    calls, Ns = [], []
 
     def counted(*args):
         calls.append(args[2:5])
         return _contour_value(*args)
 
+    def coefficients(src, Q, N, second_form):
+        Ns.append((N, second_form))
+        return _d_psi_coefficients(src, Q, N, second_form)
+
     monkeypatch.setattr(halfint, "_contour_value", counted)
+    monkeypatch.setattr(halfint, "_d_psi_coefficients", coefficients)
     assert main(["nonsplit", "--Ymax", "4e4"]) == 0
     capsys.readouterr()
-    assert calls == [
-        (1e4, _DTAU / 2, False), (4e4, _DTAU / 2, False), (1e4, _DTAU, True), (4e4, _DTAU, True)
-    ]
+    assert calls == [((1e4, 4e4), _DTAU / 2, False), ((1e4, 4e4), _DTAU, True)]
+    assert Ns == [(2000, False), (2000, True)]
 
 
 @pytest.mark.parametrize("second_form", [False, True])
