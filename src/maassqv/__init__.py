@@ -10,15 +10,17 @@ Modules:
   lattice     -- n_beta and the off-diagonal frames with their identities
   halfint     -- Eisenstein coefficients and residue data, non-split
                  Dirichlet series and their contour reduction
-  weights     -- the two smooth windows and their Mellin transforms
-  quadpack    -- QUADPACK's QAGS in numpy, for the non-split Mellin line
+  weights     -- the two smooth windows and their Mellin transforms, the
+                 non-split one's read from w_nonsplit_mellin.npy
   lfun        -- gamma factors, AFE weights, L-values, constants, Watson-Ichino
   experiments -- the numeric checks, each run by a `maassqv` command
   report      -- the report type and its serialization
   cli         -- the `maassqv` commands
 
-Every module-level function and class is reached from a command; the
-test-only reference routes live in the oracles under tests/.
+Every module-level function and class, and every method, is reached from
+a command (one named exception, `HeckeSource.lambda_pp`, which the
+benchmark's per-layer metrics name); the test-only reference routes, and
+the QUADPACK port that writes the Mellin table, live under tests/.
 """
 
 from .errors import (

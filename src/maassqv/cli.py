@@ -47,7 +47,8 @@ _GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M 
 # as nmax + _TABLE_SETUP entries: 43 s at the bound at nmax = 1e5, 18.5 s at 10
 _TABLE_WORK_MAX = 3 << 29
 _TABLE_SETUP = 20_000
-# nonsplit --Ymax: 30 s at 7e8 to the first form's halving failure at y_ref
+# nonsplit --Ymax: 30 s at 7e8 to the first form's halving failure at y_ref;
+# also the reach of the Mellin table that `weights.SmoothWeight.mellin` reads
 _YMAX_MAX = 1.0e9
 
 # each report's fixed tolerance; the other commands' checks own theirs

@@ -536,8 +536,10 @@ def reduction_check(
     c P Delta / Y^(1/2 - theta), P the sharpness of `W_NONSPLIT`, with c
     fitted to the deviation at y_ref = Y/4.  At both heights the contour
     read at twice its step must agree within `_HALVING_TOL`.  One
-    `_contour_value` pass gives both heights, and Wtilde is integrated once,
-    on the tau >= 0 nodes of the contour at Y (a prefix at y_ref)."""
+    `_contour_value` pass gives both heights, and Wtilde is read once from
+    the Mellin table of `weights`, on the tau >= 0 nodes of the contour at
+    Y (a prefix at y_ref); a Y past the table's reach is refused there,
+    before any D_psi pass."""
     name = "reduction_check_second_form" if second_form else "reduction_check"
     dtau = _DTAU if second_form else _DTAU / 2
     P = W_NONSPLIT.sharpness

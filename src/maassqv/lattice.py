@@ -1,7 +1,8 @@
 """Integer geometry behind the moment computation: the primitive norm
-n_beta and the four linearized-angle frames (C_j, a_j, b_j, gamma_j), with
-the exact identities Q(b_j, a_j) = {n_beta, -D n_beta, p1 n_beta,
--p2 n_beta} that `verify-lattice` reports.  The frame's quadratic form
+n_beta and the four linearized-angle frames (C_j, a_j, b_j and the Bezout
+pair of the SL2 completion gamma_j), with the exact identities
+Q(b_j, a_j) = {n_beta, -D n_beta, p1 n_beta, -p2 n_beta} that
+`verify-lattice` reports.  The matrix gamma_j, the frame's quadratic form
 Q(gamma_j (r, h)), the angle linearization and the fundamental-unit gcd
 factorization of D are test oracles (tests/lattice_oracle.py).
 """
@@ -38,12 +39,6 @@ class OffDiagFrame:
     abar: int | None  # None iff gcd(a_j, b_j) > 1 (only when (N(beta), D) > 1)
     bbar: int | None
     ell: int  # Poisson mode: 0 for j=1,2 and 1 for j=3,4
-
-    @property
-    def gamma(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        if self.abar is None or self.bbar is None:
-            raise BezoutRangeImpossible("frame has no SL2 completion")
-        return ((self.b, self.a), (-self.abar, -self.bbar))
 
 
 def _bezout_bounded(a: int, b: int) -> tuple[int, int]:
@@ -100,7 +95,7 @@ def offdiag_frame(F: FieldParams, beta: QuadInt, j: int) -> OffDiagFrame:
         abar, bbar = _bezout_bounded(a, b)
     except BezoutRangeImpossible:
         # gcd(a,b) > 1 or a degenerate zero entry: (C, a, b) are still
-        # valid; only the SL2 completion is unavailable (gamma raises).
+        # valid; only the SL2 completion (abar, bbar) is unavailable.
         abar = bbar = None
     C_tilde = -C / (b + a * F.omega)
     return OffDiagFrame(

@@ -8,29 +8,25 @@ Two Mellin values are read.  `SmoothWeight.mellin_zero`, W~(0) = the
 integral of W(x)/x, is a trapezoid sum on 1,024 intervals: the integrand
 and all its derivatives vanish at both ends, so the rule converges faster
 than any power of the step (2.4e-15 relative to QUADPACK on `PHI`).
-`SmoothWeight.mellin` serves the line Re s = 1 of the non-split contours:
-the integrals of W(x) cos(tau log x) and W(x) sin(tau log x) by QUADPACK's
-QAGS, all tau of one call at once in `quadpack.qags` (imported there and
-nowhere else in the package, so only those contours load it).  That port
-gives QUADPACK's floats bit for bit by two arithmetic rules: every sum
-accumulated term by term in QUADPACK's order, and the power of its error
-estimate taken by Python's `**`.  W(x) and log x are `math`'s floats at
-each Kronrod node, and cos and sin numpy's; tests/test_weights.py checks
-that these give the scalar `math` route's floats bit for bit.
+`SmoothWeight.mellin` serves the line Re s = 1 of the non-split contours,
+and only for `W_NONSPLIT`: it reads W~(1 + i tau) from a table shipped with
+the package, `_MELLIN_TABLE`, loaded at its first call.  The table holds
+every tau >= 0 node of both contour grids (steps 0.1 and 0.2, each built
+by repeated addition from 0) up to the desk bound Y = 10^9, where
+T = 899.5: 13,486 rows of (tau, Re, Im), QUADPACK's QAGS floats bit for bit
+as tests/weights_oracle.py generates and checks them.
 
 The window is real, so its Mellin transform is conjugate-symmetric:
-W~(conj s) = conj W~(s).  `SmoothWeight.mellin` integrates each distinct
-|tau| of a call once, for Im s >= 0, and conjugates below the real axis;
-the two quadratures for -tau are exact negations of those for +tau, so
-this gives the same floats as integrating there.  A window keeps no
-values between calls: the non-split reduction check asks once per form
-for the nodes of its higher contour, and the lower one reads a prefix."""
+W~(conj s) = conj W~(s).  The table holds tau >= 0, and a node below the
+real axis reads the conjugate of its |tau|; a window or a tau the table
+does not hold is refused, never integrated."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -82,51 +78,46 @@ class SmoothWeight:
     def mellin(self, s):
         """Integral of W(x) x^{s-1} dx over the support, on the line Re s = 1,
         for a scalar s (a complex) or an array of them (an array of the
-        same shape).
-
-        The integrands are W(x) cos(tau log x) and W(x) sin(tau log x),
-        s = 1 + i tau: for x > 0 these are the floats of the real and
-        imaginary parts of the complex power x^{i tau}.  A real s needs only
-        the first.  Another real part raises HypothesisViolated."""
+        same shape), read from `_MELLIN_TABLE` by the exact value of
+        |Im s|.  Another real part, another window than `W_NONSPLIT`, or an
+        |Im s| that is not a node of the contour grids raises
+        HypothesisViolated."""
         sv = np.asarray(s, dtype=complex)
         off = sv.real != 1.0
         if off.any():
             raise HypothesisViolated(
                 f"mellin is taken on Re s = 1 only, got s = {complex(sv[off].flat[0])}"
             )
+        if self != W_NONSPLIT:
+            raise HypothesisViolated(
+                f"mellin is tabulated for W_NONSPLIT only, got ({self.x0}, {self.x1})"
+            )
+        nodes, values = _mellin_table()
         taus = sv.imag.ravel()
-        from .quadpack import kronrod_nodes, qags
+        size = np.abs(taus)
+        at = np.minimum(np.searchsorted(nodes, size), len(nodes) - 1)
+        missing = nodes[at] != size
+        if missing.any():
+            raise HypothesisViolated(
+                f"tau = {float(taus[missing][0])!r} is not a contour node of the Mellin "
+                f"table (steps 0.1 and 0.2 to {nodes[-1]:g})"
+            )
+        out = np.where(taus < 0.0, values[at].conjugate(), values[at]).reshape(sv.shape)
+        return complex(out) if out.ndim == 0 else out
 
-        # one cosine problem per distinct |tau|, then one sine problem per |tau| > 0
-        cosines = sorted({abs(t) for t in taus.tolist()})
-        sines = [t for t in cosines if t]
-        tau = np.array(cosines + sines)
-        slot: dict[complex, int] = {}  # interval lo + i hi -> row of w and logx
-        w = logx = np.empty((0, 21))
 
-        def integrand(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-            nonlocal w, logx
-            keys, inverse = np.unique(lo + 1j * hi, return_inverse=True)
-            keys = keys.tolist()
-            fresh = [k for k in keys if k not in slot]
-            if fresh:
-                xs = kronrod_nodes(np.real(fresh), np.imag(fresh)).tolist()
-                slot.update(zip(fresh, range(len(slot), len(slot) + len(fresh))))
-                w = np.vstack([w, [[self(x) for x in row] for row in xs]])
-                logx = np.vstack([logx, [[math.log(x) for x in row] for row in xs]])
-            at = np.array([slot[k] for k in keys])[inverse]
-            theta = tau[rows, None] * logx[at]
-            cos = (rows < len(cosines))[:, None]
-            trig = np.cos(theta, where=cos, out=np.empty_like(theta))
-            np.sin(theta, where=~cos, out=trig)
-            return w[at] * trig
+# rows (tau, Re, Im), written by `python tests/weights_oracle.py --write-mellin-table`
+_MELLIN_TABLE = Path(__file__).with_name("w_nonsplit_mellin.npy")
 
-        result = qags(integrand, self.x0, self.x1, len(tau))[0].tolist()
-        im = dict(zip(sines, result[len(cosines) :]))
-        table = {t: complex(re, im.get(t, 0.0)) for t, re in zip(cosines, result)}
-        values = np.array([table[abs(t)] for t in taus.tolist()], dtype=complex)
-        values = np.where(taus < 0.0, values.conjugate(), values).reshape(sv.shape)
-        return complex(values) if values.ndim == 0 else values
+
+@functools.cache
+def _mellin_table() -> tuple[np.ndarray, np.ndarray]:
+    """The table's ascending tau and W~(1 + i tau), read once per process
+    (read-only)."""
+    table = np.load(_MELLIN_TABLE, allow_pickle=False)
+    tau, values = table[:, 0].copy(), np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0]
+    tau.flags.writeable = values.flags.writeable = False
+    return tau, values
 
 
 PHI = SmoothWeight(0.5, 2.0)  # Phi of the moment and variance sums, on (1/2, 2)

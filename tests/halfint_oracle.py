@@ -41,6 +41,7 @@ from maassqv.lfun import lambda_square_table
 from maassqv.quadfield import factorize
 from maassqv.report import ExperimentReport, timed
 from maassqv.weights import W_NONSPLIT
+from weights_oracle import mellin_qags
 
 
 def gauss_sum(n: int, chi: np.ndarray) -> complex:
@@ -226,9 +227,10 @@ def d_series(
 
 @functools.cache
 def _mellin_nodes(taus: tuple[float, ...]) -> list[complex]:
-    """Wtilde(1 + i tau) of `W_NONSPLIT` at each tau, kept for the test run:
-    the per-node contours of many tests share their nodes."""
-    return W_NONSPLIT.mellin(1 + 1j * np.array(taus)).tolist()
+    """Wtilde(1 + i tau) of `W_NONSPLIT` at each tau by the QAGS port, not
+    the package's table, kept for the test run: the per-node contours of
+    many tests share their nodes."""
+    return mellin_qags(W_NONSPLIT, 1 + 1j * np.array(taus)).tolist()
 
 
 def contour_value_per_node(

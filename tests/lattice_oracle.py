@@ -1,10 +1,10 @@
 """Reference routes of maassqv.lattice that only the tests use.
 
-`qgamma` is the quadratic form Q composed with a frame's SL2 completion
-gamma_j, `angle_linearization_error` the distance between an angle and its
-linearization in the frame j, `lemma_factor_split` the fundamental-unit gcd
-factorization of D, and `unit_divisibilities` its two exact divisibility
-witnesses.  The package's `verify-lattice` reports only the frame
+`gamma` is a frame's SL2 completion gamma_j, `qgamma` the quadratic form
+Q composed with it, `angle_linearization_error` the distance between an
+angle and its linearization in the frame j, `lemma_factor_split` the
+fundamental-unit gcd factorization of D, and `unit_divisibilities` its two
+exact divisibility witnesses.  The package's `verify-lattice` reports only the frame
 identities Q(b_j, a_j), which need none of these.
 """
 
@@ -15,6 +15,13 @@ import math
 from maassqv.errors import BezoutRangeImpossible, HypothesisViolated, ZeroElement
 from maassqv.lattice import OffDiagFrame, _Q, offdiag_frame
 from maassqv.quadfield import FieldParams, QuadInt, angle, multiply, norm
+
+
+def gamma(frame: OffDiagFrame) -> tuple[tuple[int, int], tuple[int, int]]:
+    """gamma_j = ((b, a), (-abar, -bbar)), of determinant 1."""
+    if frame.abar is None or frame.bbar is None:
+        raise BezoutRangeImpossible("frame has no SL2 completion")
+    return ((frame.b, frame.a), (-frame.abar, -frame.bbar))
 
 
 def qgamma(F: FieldParams, frame: OffDiagFrame, r: int, h: int) -> int:

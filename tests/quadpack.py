@@ -1,5 +1,7 @@
 """QUADPACK's QAGS (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner
-1983) on many integrals over one interval at once, in numpy.
+1983) on many integrals over one interval at once, in numpy: the
+quadrature behind `weights_oracle.mellin_qags`, which generates the
+package's table of W_NONSPLIT's Mellin transform and checks it bit for bit.
 
 `qags` is `dqagse` with its 21-point Gauss-Kronrod rule `dqk21`, its
 error-list sort `dqpsrt` and its epsilon algorithm `dqelg`, at the
@@ -28,7 +30,9 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
 _OFLOW = sys.float_info.max  # d1mach(2)
 _LIMEXP = 50  # epsilon table length of dqelg
-_BLOCK = 1024  # rows per block; 2048 held a nonsplit run 4-5 MB higher at the same speed
+# rows per block; 2048 held a nonsplit run 4-5 MB higher at the same speed, when
+# the package still integrated with this port
+_BLOCK = 1024
 _COLS = 32  # interval-list columns a block starts with; doubled as needed
 
 # dqk21: Kronrod abscissae (xgk[1], xgk[3], ... are the 10-point Gauss

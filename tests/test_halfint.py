@@ -66,7 +66,7 @@ def src():
 @functools.cache
 def _mellin(Y: float, dtau: float) -> np.ndarray:
     """Wtilde(1 + i tau) on the tau >= 0 nodes of the contour at Y, as
-    `reduction_check` integrates it, kept for the test run."""
+    `reduction_check` reads it, kept for the test run."""
     return W_NONSPLIT.mellin(1.0 + 1j * np.array(_contour_taus(Y, dtau)))
 
 
@@ -433,6 +433,19 @@ def test_halving_check_guards_both_forms(src, monkeypatch, second_form):
     want = rf"^{name} at Y = 10000: .* by \S+, past the bound 0\.00e\+00$"
     with pytest.raises(QuadratureNonconvergent, match=want):
         reduction_check(src, QuadPoly(1, 0, -21), 4e4, second_form)
+
+
+@pytest.mark.parametrize("second_form", [False, True])
+def test_reduction_past_the_mellin_table_is_refused_before_any_sum(src, monkeypatch, second_form):
+    # the Python route has no --Ymax bound: at Y = 4e9 the contour's nodes
+    # run past the table's T = 899.5, and the refusal comes before D_psi
+    def refuse(*args):
+        raise AssertionError("a D_psi pass ran")
+
+    monkeypatch.setattr(halfint, "_d_psi_coefficients", refuse)
+    monkeypatch.setattr(halfint, "nonsplit_sum", refuse)
+    with pytest.raises(HypothesisViolated, match="not a contour node"):
+        reduction_check(src, QuadPoly(1, 0, -21), 4e9, second_form)
 
 
 def _table(r: int, f) -> np.ndarray:

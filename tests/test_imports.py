@@ -20,6 +20,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -114,17 +115,24 @@ def unreached_definitions(sources: dict[str, str]) -> list[str]:
     """The module-level functions and classes of sources, a map from module
     name to source, that no path of names reaches from the `cmd_*`
     functions and `main` of "cli" or from the top-level statements of any
-    module (imports and definitions aside).  A name resolves through its
+    module (imports and definitions aside), and the methods of the reached
+    classes that no reached code reads.  A name resolves through its
     module's own definitions and its `from .m import x` and `from . import m`
-    statements at any depth, and `m.x` through such a module m.  A reached
-    class is reached with all of its methods."""
+    statements at any depth, and `m.x` through such a module m.  A method
+    `C.f` of a reached class C is reached when reached code reads an
+    attribute `.f` of anything, when f is a special method `__f__`, or when
+    C derives from a class outside the sources, whose code may call f."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    defs = {
-        f"{mod}.{node.name}": node
-        for mod, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs, methods = {}, {}  # "module.name" -> node; class -> its "module.C.f"
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions + (ast.ClassDef,)):
+                defs[f"{mod}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                own = [f for f in node.body if isinstance(f, functions)]
+                methods[f"{mod}.{node.name}"] = [f"{mod}.{node.name}.{f.name}" for f in own]
+                defs.update(zip(methods[f"{mod}.{node.name}"], own))
     names = {}  # module -> its local name -> "module.name", or a module
     for mod, tree in trees.items():
         space = {d.split(".", 1)[1]: d for d in defs if d.split(".", 1)[0] == mod}
@@ -134,17 +142,31 @@ def unreached_definitions(sources: dict[str, str]) -> list[str]:
                     target = f"{node.module}.{alias.name}" if node.module else alias.name
                     space[alias.asname or alias.name] = target
         names[mod] = space
+    attributes = set()  # the attribute names that reached code reads
 
     def reads(mod: str, node: ast.AST) -> list[str]:
         out = []
-        for sub in ast.walk(node):
+        # a class's own reads leave out its methods, which are reached apart
+        parts = [node]
+        if isinstance(node, ast.ClassDef):
+            parts = node.bases + node.keywords + node.decorator_list
+            parts += [s for s in node.body if not isinstance(s, functions)]
+        for sub in (sub for part in parts for sub in ast.walk(part)):
             if isinstance(sub, ast.Name):
                 out.append(names[mod].get(sub.id, ""))
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                base = names[mod].get(sub.value.id, "")
-                if base in trees:
-                    out.append(f"{base}.{sub.attr}")
+            elif isinstance(sub, ast.Attribute):
+                attributes.add(sub.attr)
+                if isinstance(sub.value, ast.Name):
+                    base = names[mod].get(sub.value.id, "")
+                    if base in trees:
+                        out.append(f"{base}.{sub.attr}")
         return out
+
+    def callable_by_reached(method: str) -> bool:
+        cls, name = method.rsplit(".", 1)
+        space = names[cls.split(".", 1)[0]]
+        outside = [b for b in defs[cls].bases if space.get(getattr(b, "id", ""), "") not in defs]
+        return name in attributes or bool(re.fullmatch(r"__\w+__", name)) or bool(outside)
 
     skip = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
     todo = [f"cli.{n}" for n in names.get("cli", {}) if n.startswith("cmd_") or n == "main"]
@@ -164,7 +186,19 @@ def unreached_definitions(sources: dict[str, str]) -> list[str]:
         if name in defs and name not in reached:
             reached.add(name)
             todo += reads(name.split(".", 1)[0], defs[name])
-    return [f"{n} (line {node.lineno})" for n, node in defs.items() if n not in reached]
+        if not todo:  # then the methods of reached classes that it may call
+            todo = [
+                m
+                for cls in methods
+                if cls in reached
+                for m in methods[cls]
+                if m not in reached and callable_by_reached(m)
+            ]
+    return [
+        f"{n} (line {node.lineno})"
+        for n, node in defs.items()
+        if n not in reached and (n.count(".") == 1 or n.rsplit(".", 1)[0] in reached)
+    ]
 
 
 def test_unreached_definition_detector():
@@ -202,10 +236,62 @@ def test_unreached_definition_detector():
     assert found == ["cli.helper (line 5)", "core.oracle (line 4)", "work.Spare (line 11)"]
 
 
+def test_unreached_method_detector():
+    cli = (
+        "import argparse\n"
+        "from .shapes import Box, Lone\n"
+        "class _Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n"
+        "        return message\n"
+        "def cmd_go(args):\n"
+        "    box = Box(args)\n"
+        "    return box.area + box.scaled(2)\n"
+        "def unused():\n"
+        "    return Lone().spare()\n"
+    )
+    shapes = (
+        "class Box:\n"
+        "    def __init__(self, side):\n"
+        "        self.side = side\n"
+        "    @property\n"
+        "    def area(self):\n"
+        "        return self.side * self.side\n"
+        "    def scaled(self, k):\n"
+        "        return _grow(self.side, k)\n"
+        "    def perimeter(self):\n"
+        "        return _edges(self.side)\n"
+        "class Lone:\n"
+        "    def spare(self):\n"
+        "        return 0\n"
+        "def _grow(side, k):\n"
+        "    return side * k\n"
+        "def _edges(side):\n"
+        "    return 4 * side\n"
+    )
+    found = unreached_definitions({"cli": cli, "shapes": shapes})
+    # _Parser is reached by nothing, so its override is not listed on its own;
+    # perimeter's helper is read only from the unreached method
+    assert found == [
+        "cli._Parser (line 3)",
+        "cli.unused (line 9)",
+        "shapes.Box.perimeter (line 9)",
+        "shapes.Lone (line 11)",
+        "shapes._edges (line 16)",
+    ]
+    cli += "PARSER = _Parser()\n"
+    # reached now, with error: the base from outside may call it
+    assert unreached_definitions({"cli": cli, "shapes": shapes}) == found[1:]
+
+
 def test_every_definition_is_reached_from_a_command():
-    # a function or class only tests reach is a test oracle, under tests/
+    # a function, class or method only tests reach is a test oracle, under
+    # tests/.  The one exception is `HeckeSource.lambda_pp`, which no command
+    # calls: the bench's per-layer metric `hecke.HeckeSource.lambda_pp.calls`
+    # names it, and the traced bench child must resolve every named layer, so
+    # it goes with the next change to BENCHMARK.json
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreached_definitions(sources) == []
+    found = [f.split(" ")[0] for f in unreached_definitions(sources)]
+    assert found == ["hecke.HeckeSource.lambda_pp"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
@@ -518,35 +604,44 @@ def test_no_sympy_imports(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_scipy_imported_only_in_mellin(path):
-    # QUADPACK on the non-split contour line, once the package's one scipy
-    # use, is the in-package port `quadpack`: no module imports scipy, and
-    # `SmoothWeight.mellin` alone imports the port, when it first integrates
-    assert package_imports(path.read_text(), "scipy") == []
-    found = package_imports(path.read_text(), "maassqv.quadpack")
-    if path.name == "weights.py":
-        assert len(found) == 1 and found[0].endswith(" in SmoothWeight.mellin"), found
-    else:
-        assert found == []
+    # (name kept from when `SmoothWeight.mellin` ran a QUADPACK port in the
+    # package) no module imports scipy or a QUADPACK port: the non-split
+    # contour's Mellin values are a table, and the port `quadpack` that
+    # writes it lives under tests/
+    for package in ("scipy", "quadpack", "maassqv.quadpack"):
+        assert package_imports(path.read_text(), package) == [], package
+
+
+def test_no_quadpack_port_in_src():
+    assert not list(SRC.rglob("quadpack*"))
+    defined = {
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"qags", "kronrod_nodes", "_qk21", "_qelg", "_qpsrt"}
+
+
+_WATCHED = ("sympy", "scipy", "quadpack", "maassqv.quadpack")
 
 
 def _loaded_after(code: str) -> dict[str, bool]:
-    """Whether sympy, scipy and the QUADPACK port `maassqv.quadpack` are in
-    sys.modules after code runs in a fresh interpreter, so that modules the
-    test session loaded do not count."""
-    names = ("sympy", "scipy", "maassqv.quadpack")
-    code += f"\nprint(*(name in sys.modules for name in {names!r}))"
+    """Whether sympy, scipy and a QUADPACK port (the tests' `quadpack`, or
+    one in the package) are in sys.modules after code runs in a fresh
+    interpreter, so that modules the test session loaded do not count."""
+    code += f"\nprint(*(name in sys.modules for name in {_WATCHED!r}))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    flags = out.stdout.split()[-len(names) :]
-    return {name.split(".")[-1]: flag == "True" for name, flag in zip(names, flags)}
+    flags = out.stdout.split()[-len(_WATCHED) :]
+    return {name: flag == "True" for name, flag in zip(_WATCHED, flags)}
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # nor scipy, nor the QUADPACK port: importing the CLI does no quadrature work
-    want = {"sympy": False, "scipy": False, "quadpack": False}
-    assert _loaded_after("import sys, maassqv.cli") == want
+    # nor scipy, nor a QUADPACK port: importing the CLI does no quadrature work
+    assert _loaded_after("import sys, maassqv.cli") == dict.fromkeys(_WATCHED, False)
 
 
 @pytest.mark.parametrize(
@@ -559,7 +654,42 @@ def test_cli_import_leaves_sympy_unloaded():
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )
 def test_only_nonsplit_loads_scipy(argv, scipy):
-    # no command loads scipy; only nonsplit's contours load the port
+    # (name kept from when nonsplit's contours loaded a QUADPACK port) no
+    # command loads scipy or a port: nonsplit reads its Mellin table
     code = f"import sys, maassqv.cli\nmaassqv.cli.main({argv!r})"
-    want = {"sympy": False, "scipy": scipy, "quadpack": argv[0] == "nonsplit"}
+    want = dict.fromkeys(_WATCHED, False) | {"scipy": scipy}
     assert _loaded_after(code) == want
+
+
+def uncovered_package_files(root: Path, patterns: list[str]) -> list[str]:
+    """The files under root, a package directory, that are not Python
+    source (nor bytecode under __pycache__) and that no package-data glob
+    of patterns matches, each glob taken from root as setuptools takes it
+    (so "*.npy" names no file in a subdirectory)."""
+    covered = {path for pattern in patterns for path in root.glob(pattern)}
+    out = []
+    for path in sorted(root.rglob("*")):
+        rel = path.relative_to(root)
+        if path.is_dir() or path.suffix == ".py" or "__pycache__" in rel.parts:
+            continue
+        if path not in covered:
+            out.append(rel.as_posix())
+    return out
+
+
+def test_uncovered_package_file_detector(tmp_path):
+    for name in ("a.py", "table.npy", "notes.txt", "sub/deep.npy", "__pycache__/a.pyc"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("")
+    assert uncovered_package_files(tmp_path, ["*.npy"]) == ["notes.txt", "sub/deep.npy"]
+    assert uncovered_package_files(tmp_path, ["*.npy", "*.txt", "sub/*.npy"]) == []
+
+
+def test_package_data_ships_every_data_file():
+    # an installed package carries its data files only where
+    # [tool.setuptools.package-data] names them, the Mellin table among them
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    patterns = config["tool"]["setuptools"]["package-data"]["maassqv"]
+    assert uncovered_package_files(SRC, patterns) == []
+    assert "w_nonsplit_mellin.npy" in [p.name for p in SRC.iterdir()]

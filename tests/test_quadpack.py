@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 
 from maassqv.halfint import _contour_taus
-from maassqv.quadpack import kronrod_nodes, qags
+from quadpack import kronrod_nodes, qags
 from maassqv.weights import W_NONSPLIT
 
 
@@ -60,7 +60,7 @@ def test_bench_mellin_problems_match_scipy():
         trig = math.cos if k < len(taus) else math.sin
         want, _, _ = _scipy(lambda x: table[x][0] * trig(t * table[x][1]), W.x0, W.x1)
         assert _port(port, k) == want, (k, t)
-    # the package's Mellin transform is the port's first column
+    # the package's Mellin table holds the port's first column
     mellin = W.mellin(1.0 + 1j * np.array(taus))
     assert mellin.real.tolist() == port[0][: len(taus)].tolist()
     assert mellin.imag.tolist() == [0.0] + port[0][len(taus) :].tolist()
