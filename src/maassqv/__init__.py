@@ -7,7 +7,8 @@ Modules:
   ideals      -- the numpy principal-ideal scan, canonical generators by
                  norm, Grossencharacters, lambda_k and its dense table
   hecke       -- Hecke eigenvalue sources and multiplicative functions
-  lattice     -- n_beta and the off-diagonal frames with their identities
+  lattice     -- n_beta and the (a_j, b_j) of the off-diagonal frames, with
+                 their identities
   halfint     -- Eisenstein coefficients and residue data, non-split
                  Dirichlet series and their contour reduction
   weights     -- the two smooth windows and their Mellin transforms, the
@@ -19,8 +20,9 @@ Modules:
 
 Every module-level function and class, and every method, is reached from
 a command (one named exception, `HeckeSource.lambda_pp`, which the
-benchmark's per-layer metrics name); the test-only reference routes, and
-the QUADPACK port that writes the Mellin table, live under tests/.
+benchmark's per-layer metrics name), and every dataclass field is read;
+the test-only reference routes, and the QUADPACK port that writes the
+Mellin table, live under tests/.
 """
 
 from .errors import (

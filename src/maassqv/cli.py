@@ -41,7 +41,7 @@ from .report import ExperimentReport, timed, write_csv, write_jsonl
 from . import experiments
 
 # desk bounds, each refused before any sum: about a minute's run on a 2-vCPU VM
-_NORM_BOUND_MAX = 500_000  # verify-lattice --norm-bound: 71 s at the bound
+_NORM_BOUND_MAX = 500_000  # verify-lattice --norm-bound: 24 s at the bound
 _GAUSS_TERMS_MAX = 1 << 30  # odd d that verify-gauss sums: 70 s for 9.7e8 at M = 84
 # lambda-table: one ideal scan to nmax for each even k <= kmax, a table counted
 # as nmax + _TABLE_SETUP entries: 43 s at the bound at nmax = 1e5, 18.5 s at 10
@@ -146,8 +146,8 @@ def cmd_verify_lattice(args) -> list[ExperimentReport]:
                 nb = n_beta(F, beta)[0]
                 want = {1: nb, 2: -F.D * nb, 3: F.p1 * nb, 4: -F.p2 * nb}
                 for j in (1, 2, 3, 4):
-                    fr = offdiag_frame(F, beta, j)
-                    if norm(F, QuadInt(fr.b, fr.a)) != want[j]:
+                    a, b = offdiag_frame(F, beta, j)
+                    if norm(F, QuadInt(b, a)) != want[j]:
                         failures += 1
                     checked += 1
     return [ExperimentReport.build(

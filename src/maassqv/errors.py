@@ -51,10 +51,6 @@ class MissingPrime(MaassqvError):
 
 
 # lattice
-class BezoutRangeImpossible(MaassqvError):
-    pass
-
-
 class HypothesisViolated(MaassqvError):
     pass
 

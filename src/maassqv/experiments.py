@@ -169,8 +169,6 @@ def _fhat_zero_profile(
     out = np.zeros(n_arr.size)
     for u in us[1:-1]:  # endpoints vanish to all orders
         phi_u = PHI(float(u)) / float(u)
-        if phi_u == 0.0:
-            continue
         ku = K * float(u)
         xis = n_arr.astype(np.float64) ** 2 / ku**2
         grid = np.geomspace(xis.min() * 0.99, xis.max() * 1.01, 300)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,7 +67,6 @@ class LevelData:
     p2: int
     beta1: int
     beta2: int
-    t_M: Fraction
 
     @property
     def odd_primes(self) -> tuple[tuple[int, int], ...]:
@@ -90,10 +88,7 @@ def make_level(M: int) -> LevelData:
         raise BadDecomposition(f"M={M} must be 2^b0 p1^b1 p2^b2, p_j = 3 mod 4")
     p1, beta1 = odd[0] if len(odd) >= 1 else (0, 0)
     p2, beta2 = odd[1] if len(odd) == 2 else (0, 0)
-    t_M = Fraction(1, 4) * 2 ** (2 * (beta0 // 2))
-    for p, b in odd:
-        t_M *= p ** (2 * (b // 2))
-    return LevelData(M, beta0, p1, p2, beta1, beta2, t_M)
+    return LevelData(M, beta0, p1, p2, beta1, beta2)
 
 
 def _decompose(n: int, odd_primes: tuple[int, ...]) -> tuple[int, dict[int, int]]:

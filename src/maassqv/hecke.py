@@ -283,14 +283,22 @@ def make_source(
     )
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not finite")
+    return value
+
+
 def read_table(path: str) -> HeckeSource:
     """The source of a table file: a header line
-    `# D=<level> t_psi=<t> eta=<+1|-1> parity=<even|odd>`, then one
-    `<prime> <lambda_psi(p)>` row per prime, ascending.  Its primes are
-    checked against one sieve, of 1 byte per integer up to the last prime.
-    A file that cannot be opened, or is not UTF-8 text, is a MalformedTable
-    too."""
-    header = None
+    `# D=<integer> t_psi=<finite> eta=<+1|-1> parity=<even|odd>`, then one
+    `<prime> <finite lambda_psi(p)>` row per prime, ascending.  Its primes
+    are checked against one sieve, of 1 byte per integer up to the last
+    prime.  A value outside these, a file that cannot be opened, or one
+    that is not UTF-8 text, is a MalformedTable naming the file, and the
+    line and token at fault."""
+    header = header_line = None
     values: dict[int, float] = {}
     linenos: list[int] = []  # the line of each row, in row order
     last_p = 0
@@ -306,13 +314,13 @@ def read_table(path: str) -> HeckeSource:
                     continue
                 if line.startswith("#"):
                     if header is None:
-                        header = line
+                        header, header_line = line, lineno
                     continue
                 parts = line.split()
                 if len(parts) != 2:
                     raise MalformedTable(f"{path}:{lineno}: need '<prime> <lambda>'")
                 try:
-                    p, lam = int(parts[0]), float(parts[1])
+                    p, lam = int(parts[0]), _finite(parts[1])
                 except ValueError as exc:
                     raise MalformedTable(f"{path}:{lineno}: {exc}") from exc
                 if p <= last_p:
@@ -333,19 +341,32 @@ def read_table(path: str) -> HeckeSource:
     meta: dict[str, str] = {}
     for tok in header.lstrip("#").split():
         if "=" not in tok:
-            raise MalformedTable(f"{path}: bad header token {tok!r}")
+            raise MalformedTable(f"{path}:{header_line}: bad header token {tok!r}")
         k, v = tok.split("=", 1)
         meta[k] = v
-    try:
-        return HeckeSource(
-            level=int(meta["D"]),
-            t_psi=float(meta["t_psi"]),
-            eta_D={"+1": 1, "1": 1, "-1": -1}[meta["eta"]],
-            parity=meta["parity"],
-            prime_values=values,
-        )
-    except KeyError as exc:
-        raise MalformedTable(f"{path}: header missing {exc}") from exc
+    parse = {  # each raises ValueError or KeyError on a value it does not take
+        "D": int,
+        "t_psi": _finite,
+        "eta": {"+1": 1, "1": 1, "-1": -1}.__getitem__,
+        "parity": {"even": "even", "odd": "odd"}.__getitem__,
+    }
+    got = {}
+    for key, read in parse.items():
+        if key not in meta:
+            raise MalformedTable(f"{path}:{header_line}: header missing {key!r}")
+        try:
+            got[key] = read(meta[key])
+        except (ValueError, KeyError):
+            raise MalformedTable(
+                f"{path}:{header_line}: bad header token '{key}={meta[key]}'"
+            ) from None
+    return HeckeSource(
+        level=got["D"],
+        t_psi=got["t_psi"],
+        eta_D=got["eta"],
+        parity=got["parity"],
+        prime_values=values,
+    )
 
 
 def lambda_psi(src: HeckeSource, ns) -> np.ndarray:

@@ -110,7 +110,6 @@ def kronecker_table(a: int) -> np.ndarray:
 @dataclass(frozen=True)
 class IdealRep:
     gen: QuadInt  # canonical generator, theta in [0, 2 log eps)
-    norm_abs: int
     theta: float
 
 
@@ -399,7 +398,7 @@ def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
     y = m + k * F.omega
     keep = _in_window(y, y * y, n, eps_val * eps_val * (1.0 - 1e-9))
     gens = map(QuadInt, m[keep].tolist(), k[keep].tolist())
-    reps = [IdealRep(gen=g, norm_abs=n, theta=angle(F, g)) for g in gens]
+    reps = [IdealRep(gen=g, theta=angle(F, g)) for g in gens]
     return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
 
 

@@ -154,7 +154,7 @@ def canonical_generator(F: FieldParams, a: QuadInt) -> QuadInt:
         tc = angle(F, cand)
         if tc < -1e-12:
             cand = multiply(F, cand, F.eps)
-        elif tc >= period - 1e-12 and tc >= period * (1 - 1e-12):
+        elif tc >= period - 1e-12:
             cand = multiply(F, cand, conjugate(F.eps))
         else:
             break

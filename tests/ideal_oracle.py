@@ -79,9 +79,7 @@ def _ideal_table(F: FieldParams, nmax: int) -> tuple[dict[int, tuple[IdealRep, .
             if key in seen:
                 continue
             seen.add(key)
-            table.setdefault(abs(q), []).append(
-                IdealRep(gen=c, norm_abs=abs(q), theta=angle(F, c))
-            )
+            table.setdefault(abs(q), []).append(IdealRep(gen=c, theta=angle(F, c)))
     for v in table.values():
         v.sort(key=lambda r: (r.theta, r.gen.m, r.gen.n))
     return ({n: tuple(v) for n, v in table.items()},)
@@ -108,7 +106,7 @@ def norm_oracle(F: FieldParams, n: int) -> list[IdealRep]:
                 continue
             for m in {(-k + s) // 2, (-k - s) // 2}:
                 gens.add(canonical_generator(F, QuadInt(m, k)))
-    reps = [IdealRep(gen=g, norm_abs=n, theta=angle(F, g)) for g in gens]
+    reps = [IdealRep(gen=g, theta=angle(F, g)) for g in gens]
     return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
 
 

@@ -63,8 +63,8 @@ def test_criterion_01_lattice_identities_exact(admitted_fields):
                 nb = n_beta(F, beta)[0]
                 want = {1: nb, 2: -F.D * nb, 3: F.p1 * nb, 4: -F.p2 * nb}
                 for j in (1, 2, 3, 4):
-                    fr = offdiag_frame(F, beta, j)
-                    assert norm(F, QuadInt(fr.b, fr.a)) == want[j], (F.D, beta, j)
+                    a, b = offdiag_frame(F, beta, j)
+                    assert norm(F, QuadInt(b, a)) == want[j], (F.D, beta, j)
                     total += 1
     assert total > 10000
     assert time.perf_counter() - t0 < 30.0

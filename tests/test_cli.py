@@ -76,6 +76,31 @@ def test_table_that_is_not_text_is_a_malformed_table(tmp_path, capsys):
     assert err.startswith("maassqv: MalformedTable: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "line, text, token",
+    [
+        (1, "# D=abc t_psi=1.0 eta=+1 parity=even", "D=abc"),
+        (1, "# D=21 t_psi=nan eta=+1 parity=even", "t_psi=nan"),
+        (4, "5 nan", "'nan'"),
+        (1, "# D=21 t_psi=1.0 eta=+1 parity=weird", "parity=weird"),
+        (1, "# D=21 t_psi=1.0 eta=0 parity=even", "eta=0"),
+    ],
+    ids=["D", "t_psi", "row", "parity", "eta"],
+)
+def test_table_value_out_of_range_is_a_malformed_table(tmp_path, capsys, line, text, token):
+    # each value is checked where it is read: D an integer, t_psi and every
+    # lambda(p) finite, eta +-1 and parity even or odd
+    path = tmp_path / "psi.tbl"
+    write_table(make_source(synthetic=42, D=21), str(path), 2000)
+    rows = path.read_text().split("\n")
+    rows[line - 1] = text
+    path.write_text("\n".join(rows))
+    assert main(["first-moment", "--D", "21", "--K", "8", "--table", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"maassqv: MalformedTable: {path}:{line}: ") and err.count("\n") == 1
+    assert token in err
+
+
 def test_threads_flag_removed():
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["--threads", "2", "field-info", "--D", "21"])

@@ -117,9 +117,6 @@ def test_gauss_closed_branch_examples():
 def test_make_level():
     L = make_level(1764)
     assert (L.beta0, L.p1, L.beta1, L.p2, L.beta2) == (2, 7, 2, 3, 2)
-    assert L.t_M == Fraction(441)
-    assert make_level(4).t_M == Fraction(1)
-    assert make_level(12).t_M == Fraction(1)
     for bad in (2, 6, 20, 4 * 5):
         with pytest.raises(BadDecomposition):
             make_level(bad)

@@ -4,13 +4,15 @@ import random
 import pytest
 
 from lattice_oracle import (
+    BezoutRangeImpossible,
     angle_linearization_error,
+    full_frame,
     gamma,
     lemma_factor_split,
     qgamma,
     unit_divisibilities,
 )
-from maassqv.errors import BezoutRangeImpossible, HypothesisViolated
+from maassqv.errors import HypothesisViolated
 from maassqv.lattice import n_beta, offdiag_frame
 from maassqv.quadfield import QuadInt, angle, multiply, norm, unit_power
 
@@ -39,16 +41,16 @@ def test_n_beta_generator_independent(F21):
 
 
 def test_frame_examples_D21(F21):
-    b = QuadInt(0, 1)
-    f1 = offdiag_frame(F21, b, 1)
-    assert (f1.a, f1.b) == (1, -1)
-    assert norm(F21, QuadInt(f1.b, f1.a)) == -5
-    f2 = offdiag_frame(F21, b, 2)
-    assert (f2.a, f2.b) == (1, -11)
-    assert norm(F21, QuadInt(f2.b, f2.a)) == 105
-    f3 = offdiag_frame(F21, b, 3)
-    assert (f3.a, f3.b) == (-3, -2)
-    assert norm(F21, QuadInt(f3.b, f3.a)) == -35
+    beta = QuadInt(0, 1)
+    a, b = offdiag_frame(F21, beta, 1)
+    assert (a, b) == (1, -1)
+    assert norm(F21, QuadInt(b, a)) == -5
+    a, b = offdiag_frame(F21, beta, 2)
+    assert (a, b) == (1, -11)
+    assert norm(F21, QuadInt(b, a)) == 105
+    a, b = offdiag_frame(F21, beta, 3)
+    assert (a, b) == (-3, -2)
+    assert norm(F21, QuadInt(b, a)) == -35
 
 
 def test_frame_identities_all_fields(admitted_fields):
@@ -60,7 +62,7 @@ def test_frame_identities_all_fields(admitted_fields):
                 continue
             nb, _ = n_beta(F, b)
             for j in (1, 2, 3, 4):
-                fr = offdiag_frame(F, b, j)
+                fr = full_frame(F, b, j)
                 assert norm(F, QuadInt(fr.b, fr.a)) == _expected_qba(F, j, nb)
                 assert fr.ell == (0 if j in (1, 2) else 1)
                 if math.gcd(norm(F, b), F.D) == 1 and fr.a != 0 and fr.b != 0:
@@ -81,7 +83,7 @@ def test_frame_index_out_of_range_is_refused(F21):
 
 
 def test_degenerate_frame_has_no_gamma(F21):
-    fr = offdiag_frame(F21, QuadInt(1, 0), 1)  # a_1 = 0
+    fr = full_frame(F21, QuadInt(1, 0), 1)  # a_1 = 0
     assert fr.abar is None
     with pytest.raises(BezoutRangeImpossible):
         gamma(fr)
@@ -104,7 +106,7 @@ def test_factor_split_D21(F21):
 
 
 def test_qgamma_homogeneity_and_discriminant(F21):
-    fr = offdiag_frame(F21, QuadInt(2, 1), 3)
+    fr = full_frame(F21, QuadInt(2, 1), 3)
     qba = norm(F21, QuadInt(fr.b, fr.a))
     for r in range(1, 101):
         assert qgamma(F21, fr, r, 0) == qba * r * r
