@@ -19,7 +19,8 @@ Each band is scanned (`ideals.ideal_scan`) and its lambda_psi segment
 filled (`lfun.lambda_psi_table`, from one draw of lambda_psi(p) per run)
 on its own, and cos(k phi) comes from `lfun.phase_steps`, so memory is set
 by one band and not by K, and no k recomputes a cosine over its whole
-cut.  The moment inequality takes its cos(k phi) from the same stepper.
+cut.  The moment inequality takes its s_k for every k from one
+`lfun.cosine_sums`, as L(1, phi_2k) does.
 The scan holds the half window theta in [0, log eps] (`ideals`): each
 ideal's term is even under conjugation and counts with its multiplicity,
 so the values are those of the full window up to rounding (within 2e-13
@@ -51,6 +52,7 @@ from .lfun import (
     c_d_psi,
     constants,
     classical_variance,
+    cosine_sums,
     dirichlet_l_one,
     l_one_phi,
     l_one_sym2,
@@ -599,9 +601,9 @@ def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> Experiment
     The supporting lemma assumes x <= K^{1/(10r)}, which admits no primes at
     desk scale; the inequality is checked in the larger-x regime (where the
     diagonal still dominates) and the hypothesis status is recorded in
-    extra["hypothesis_ok"].  Each s_k is an `np.einsum` over the half-window
-    ideals of prime norm, with multiplicity/sqrt p and cos(k phi) from
-    `lfun.phase_steps`."""
+    extra["hypothesis_ok"].  Each s_k sums multiplicity/sqrt p times
+    cos(k phi) = cos(2k x), x = pi theta/log eps, over the half-window ideals
+    of prime norm, every k from one `lfun.cosine_sums`."""
     _k_window(K)
     hyp_ok = x <= K ** (1.0 / (10 * r))
     with timed() as elapsed:
@@ -610,13 +612,9 @@ def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> Experiment
         norms, thetas, mults = ideal_scan(F, int(x) + 1)
         keep = np.isin(norms, primes)
         coef = mults[keep] / np.sqrt(norms[keep])
-        phase = thetas[keep] * (2.0 * math.pi / F.log_eps)
-        s_k = np.array(
-            [
-                np.einsum("i,i->", coef, c)
-                for c in phase_steps(phase, range(math.floor(K) + 1, math.floor(2 * K) + 1))
-            ]
-        )
+        angle = thetas[keep] * (math.pi / F.log_eps)
+        ms = range(2 * math.floor(K) + 2, 2 * math.floor(2 * K) + 1, 2)
+        s_k = cosine_sums([(angle, coef)], ms)
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = float(np.sum(1.0 / primes[kronecker_table(F.D)[primes % F.D] == 1.0]))
         bound = (

@@ -10,8 +10,9 @@ n = 0 .. `_last_row` of the (m, n)-lattice; rows n < 0 are empty.
 Conjugation maps theta to 2 log eps - theta, so Xi_k of a conjugate ideal
 is the complex conjugate of Xi_k, and every sum over ideals this package
 takes is even under conjugation: cos(k phi) in
-`experiments.central_values_bulk`, cos(m x) in `lfun._l_one_phi_bulk`,
-`lambda_k_table` and `experiments.moment_bound_check` (the weights
+`experiments.central_values_bulk`, cos(m x) in `lambda_k_table` and in the
+`lfun.cosine_sums` of `lfun._l_one_phi_bulk` and
+`experiments.moment_bound_check` (the weights
 lambda_psi(n)/sqrt(n), e^{-N/X}/N, 1/sqrt(p) depend on the norm only).
 So `ideal_chunks` scans the closed half window theta in [0, log eps] and
 gives each ideal a multiplicity: 1 on the self-conjugate lines theta = 0

@@ -4,7 +4,8 @@ Watson-Ichino assembly.
 
 Each L-value on the variance path has one route: L(1, phi_m) is
 `_l_one_phi_bulk` (one Richardson-weighted pass over the chunked view
-`ideals.ideal_chunks` of the one ideal enumerator, every m at once),
+`ideals.ideal_chunks` of the one ideal enumerator, every m at once from
+the angle moments of `cosine_sums`),
 C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
 in bulk from `experiments.central_values_bulk`, which reads the
 norm-sorted view `ideals.ideal_scan` one norm band at a time; the
@@ -27,10 +28,14 @@ tests move it), and summed by `_contour_sum` in blocks: with
 j = 32 m + r, e^{x w_j} = e^{x w_{32m}} e^{x (w_r - w_0)}, so a point costs
 32 + 6 exact complex exps on the 161 nodes, and the sum stays within
 1.1e-15 of sum_j |g_j| e^{x Re w_j} of the one-exp-cos-sin-per-node sum
-(a test oracle).  Every harmonic advanced along its index (n^{-it} on the
-line L(2w + 1, chi_D), cos(m x) in `_l_one_phi_bulk`, cos(k phi) in the
-central values and the moment check of `experiments`) comes from the one
-recurrence `phase_steps`.
+(a test oracle).  A sum of many harmonics cos(m x) of one coefficient set
+(L(1, phi_m) in `_l_one_phi_bulk`, the s_k of the moment check of
+`experiments`) is one type-1 non-uniform FFT, `cosine_sums`: binned
+Taylor moments of the angles and one rfft per moment, so its pass over
+the terms does not grow with the number of m.  Every harmonic advanced
+along its index with per-term weights that change along the pass
+(n^{-it} on the line L(2w + 1, chi_D), cos(k phi) in the central values)
+comes from the one recurrence `phase_steps`.
 log Gamma is `loggamma`, numpy on arrays for Re z > 0 (Stirling past
 |z| = 10, one shift product below it), one call per contour build and per
 Watson-Ichino assembly; the package imports no scipy here.
@@ -203,7 +208,11 @@ def phase_steps(
     x: np.ndarray, ms: Iterable[int], seed: Callable[[np.ndarray], np.ndarray] = np.cos
 ) -> Iterator[np.ndarray]:
     """Yield seed(m x) for each m of the ascending, distinct ms: the one
-    stepper of harmonics along m, for seed np.cos or a -> e^{i a}.
+    stepper of harmonics along m, for seed np.cos or a -> e^{i a}.  Its
+    users weight each m differently: e^{i j x} on the line
+    L(2w + 1, chi_D) of `_dirichlet_l_line`, and cos(k phi) times the
+    k-dependent AFE weight in `experiments.central_values_bulk`.  Sums of
+    many m with one coefficient set are `cosine_sums`.
 
     Along a run of equal steps s, f((m + s)x) = 2 cos(s x) f(m x) - f((m - s)x)
     for both seeds; the first two m of a run, and two in every `_RESEED`
@@ -389,6 +398,72 @@ def dirichlet_l_one(F: FieldParams) -> float:
     return S - 0.5 * l_minus1 / X**2
 
 
+_BINS_MAX = 1 << 13  # most bins of `cosine_sums`: a bincount costs O(bins) per chunk
+# pi = _PI_1 + _PI_2 to 4.1e-21 (fdlibm's pio2_1 and pio2_2, doubled); each
+# has at most 33 significant bits, so its product with a bin centre over pi
+# (at most 15 bits) is exact
+_PI_1, _PI_2 = 3.1415926534682512, 1.2154201012607932e-10
+
+
+def cosine_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]], ms: Sequence[int]) -> np.ndarray:
+    """sum_i coef_i cos(m x_i) for each m of ms (any order, repeats allowed)
+    over the (x, coef) chunks, x in [0, pi]: every m from one set of angle
+    moments, a type-1 non-uniform FFT (Dutt-Rokhlin).
+
+    [0, pi] is cut into B bins of width h = pi/B with centres
+    c_b = (b + 1/2) h, B the least power of two past 16 max|m| and at most
+    `_BINS_MAX`; x = pi falls in the last bin.  Chunk by chunk, in order,
+    one `np.bincount` per p adds M_p[b] = sum_{x_i in bin b} coef_i u_i^p
+    with u = (x - c_b)/(h/2) in [-1, 1], p = 0..P, where P is the least
+    order whose Taylor remainder r^{P+1}/(P+1)!, r = max|m| h/2, is at most
+    2^-53.  One `np.fft.rfft` of length 2B per p gives
+    sum_b M_p[b] e^{i m b h} = conj(rfft_p[m]) (m modulo 2B, read by
+    conjugate symmetry past B), and
+        sum_i coef_i cos(m x_i) = Re e^{i m h/2} sum_p (i m h/2)^p/p! conj(rfft_p[m]).
+    So the work is O(terms P + P B log B), not O(terms #m).  x - c_b is
+    taken against the two-part pi _PI_1 + _PI_2, so each term's angle is x
+    itself to an ulp of h, whatever m (one np.cos of the rounded m x is off
+    by an ulp of m x).  Every sum runs in a fixed order, so a
+    recomputation is bit-identical."""
+    m = np.abs(np.asarray(ms, dtype=np.int64))
+    m_max = int(m.max())
+    bins = min(_BINS_MAX, 1 << (16 * m_max).bit_length())
+    half = 0.5 * math.pi / bins  # h/2
+    r = m_max * half
+    order, remainder = 0, r
+    while remainder > 2.0**-53:
+        order += 1
+        remainder *= r / (order + 1)
+    moments = np.zeros((order + 1, bins))
+    for x, coef in chunks:  # in place: a chunk holds three arrays of its own
+        b = (x * (bins / math.pi)).astype(np.int64)
+        np.minimum(b, bins - 1, out=b)
+        centre = b + 0.5
+        centre /= bins  # c_b / pi
+        u = centre * _PI_1
+        np.subtract(x, u, out=u)
+        centre *= _PI_2
+        u -= centre
+        del centre
+        u /= half
+        w = np.array(coef, dtype=float)
+        for p in range(order + 1):
+            if p:
+                w *= u
+            moments[p] += np.bincount(b, w, minlength=bins)
+        del x, coef, b, u, w  # nothing of this chunk is held while the next is made
+    spec = np.fft.rfft(moments, 2 * bins)
+    j = m % (2 * bins)
+    far = j > bins
+    vals = spec[:, np.where(far, 2 * bins - j, j)]
+    vals = np.where(far, vals, vals.conj())
+    z = 1j * half * m
+    acc = vals[order]
+    for p in range(order - 1, -1, -1):  # Horner in z = i m h/2
+        acc = vals[p] + acc * z / (p + 1)
+    return (np.exp(z) * acc).real
+
+
 @functools.cache
 def _l_one_phi_bulk(
     F: FieldParams, ms: tuple[int, ...], X: float = 4.0e5
@@ -399,22 +474,21 @@ def _l_one_phi_bulk(
     L(1, phi_m) is the sum over ideals of (2 e^{-N/X} - e^{-2N/X}) cos(m x)/N
     with x = pi theta/log eps (the Richardson weight of `l_one_phi`).
     Conjugation maps x to 2 pi - x and leaves cos(m x) as it is, so the sum
-    runs over the half window of `ideal_chunks`, each ideal's weight times
-    its multiplicity.  The ideals come chunk by chunk, in row-major order;
-    each chunk's weight is formed once, each m's chunk term is summed by
-    `np.einsum` (a fixed order, where a BLAS dot's order follows its thread
-    count), and the chunk sums are added in chunk order.  The distinct m
-    run in ascending order, their cosines from `phase_steps`."""
-    order = sorted(set(ms))
-    sums = np.zeros(len(order))
-    for norms, thetas, mults in ideal_chunks(F, int(25 * X)):
-        w = np.exp(-norms / X)
-        coef = (2.0 * w - w * w) / norms * mults
-        del w
-        x = thetas * (math.pi / F.log_eps)
-        for j, cos_mx in enumerate(phase_steps(x, order)):
-            sums[j] += float(np.einsum("i,i->", coef, cos_mx))
-    return MappingProxyType(dict(zip(order, sums.tolist())))
+    runs over the half window of `ideal_chunks`, x in [0, pi], each ideal's
+    weight times its multiplicity.  The ideals come chunk by chunk, in
+    row-major order, each chunk's weight is formed once, and
+    `cosine_sums` takes every m from the one pass."""
+    distinct = sorted(set(ms))
+
+    def terms() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for norms, thetas, mults in ideal_chunks(F, int(25 * X)):
+            w = np.exp(-norms / X)
+            coef = (2.0 * w - w * w) / norms * mults
+            del w
+            yield thetas * (math.pi / F.log_eps), coef
+            del coef
+
+    return MappingProxyType(dict(zip(distinct, cosine_sums(terms(), distinct).tolist())))
 
 
 def l_one_phi(F: FieldParams, m: int) -> float:

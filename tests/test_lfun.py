@@ -37,6 +37,7 @@ from maassqv.lfun import (
     c_d_psi,
     classical_variance,
     constants,
+    cosine_sums,
     dirichlet_l_one,
     l_one_phi,
     l_one_sym2,
@@ -326,6 +327,68 @@ def test_phase_steps_match_direct_harmonics(ms, complex_seed):
         assert np.max(np.abs(got - seed(m * x))) <= bound, m
 
 
+@pytest.fixture(scope="module")
+def angles():
+    # 20,000 angles uniform on [0, pi], with x = 0 and x = pi (the last bin,
+    # u = 1) twice each, and coefficients of both signs
+    x = np.random.default_rng(35).uniform(0.0, math.pi, 20000)
+    x[:4] = [0.0, math.pi, math.pi, 0.0]
+    coef = np.random.default_rng(36).standard_normal(x.size)
+    return x, coef
+
+
+def _cos_sums_per_m(x, coef, ms):
+    # one np.cos (and np.sin) per m on exact arguments: x = hi + lo with hi
+    # to 24 bits, so m hi is exact, where np.cos(m x) would be off by up to
+    # an ulp of m x per term
+    hi = x.astype(np.float32).astype(float)
+    lo = x - hi
+    return np.array(
+        [np.sum(coef * (np.cos(m * hi) * np.cos(m * lo) - np.sin(m * hi) * np.sin(m * lo))) for m in ms]
+    )
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [
+        [7],
+        [0],
+        [40, 2, 2, -6, 6, 40],
+        list(range(2, 801, 2)),
+        list(range(1000, 8001, 7)) + [8000],
+        [8000],
+        [8192, 8193, 12000, 16384, 16385, 20000],
+    ],
+    ids=["single", "zero", "unsorted-duplicates", "2..800", "1000..8000", "8000", "past-the-bins"],
+)
+def test_cosine_sums_match_per_m_cos(angles, ms):
+    # every m off one set of binned Taylor moments against one cosine per m,
+    # within 1e-16 sum|coef|: measured at most 9.4e-18 sum|coef| in every
+    # case, m up to 4 _K_DESK = 8000 and, read modulo 2 B by conjugate
+    # symmetry, past the 8192 bins to m = 20000
+    x, coef = angles
+    got = cosine_sums([(x, coef)], ms)
+    assert got.shape == (len(ms),)
+    assert np.max(np.abs(got - _cos_sums_per_m(x, coef, ms))) <= 1e-16 * np.sum(np.abs(coef))
+    for i, m in enumerate(ms):  # a repeated m is the same value to the bit
+        assert got[i] == got[ms.index(m)]
+
+
+def test_cosine_sums_chunks_and_recomputation(angles):
+    # many chunks against one chunk (measured 8.0e-18 sum|coef|), and a
+    # recomputation bit for bit; x = 0 and x = pi alone give 1 + cos(m pi)
+    # to two ulps of 2
+    x, coef = angles
+    ms = list(range(2, 8001, 2))
+    cuts = [0, 1, 2, 4, 1000, 1001, 7777, 20004]  # an empty and a one-term chunk among them
+    chunks = [(x[a:b], coef[a:b]) for a, b in zip(cuts, cuts[1:])]
+    many = cosine_sums(chunks, ms)
+    assert np.max(np.abs(many - cosine_sums([(x, coef)], ms))) <= 1e-16 * np.sum(np.abs(coef))
+    assert cosine_sums(chunks, ms).tobytes() == many.tobytes()
+    ends = cosine_sums([(np.array([0.0, math.pi]), np.ones(2))], [7, 8000])
+    assert np.max(np.abs(ends - [0.0, 2.0])) <= 1e-15
+
+
 @pytest.mark.parametrize("s", [0.5 + 0j])
 @pytest.mark.parametrize("c", [1.0, 0.5])
 def test_dirichlet_l_line_matches_per_node_sum(F, s, c):
@@ -485,17 +548,26 @@ def test_l_one_phi_matches_dense_table_route(F, m):
 @pytest.mark.parametrize(
     "ms",
     [
-        tuple(range(2, 81, 2)),  # 40 m: a re-seed 32 steps in
-        tuple(range(200, 801, 2)),
-        (2, 4, 10, 12, 14, 40),  # the step changes
+        tuple(range(2, 81, 2)),  # 40 m on 2048 bins, moments to p = 8
+        tuple(range(200, 801, 2)),  # the bin cap: 8192 bins, p to 10
+        (2, 4, 10, 12, 14, 40),  # uneven gaps: each m read alone off the spectra
         (40, 2, 2, 6),  # unsorted, with a duplicate
-        (14,),
+        (14,),  # one m: 256 bins, the fewest here
+        # the desk top m = 4 _K_DESK on the capped bins, p to 21, with m = 2
+        # on the same bins.  Measured 8.3e-13 at m = 8000: the rounding of
+        # theta differs between the half-window and the full-window scans,
+        # and over m = 2000..8000 in steps of 40 that alone moves
+        # long-double sums of the two scans apart by up to 9.9e-13, so a
+        # dense range there is not held to 1e-12 by any route;
+        # test_cosine_sums_match_per_m_cos covers m <= 8000 on one set of
+        # angles
+        (2, 8000),
     ],
-    ids=["2..80", "200..800", "mixed-steps", "unsorted-duplicate", "single"],
+    ids=["2..80", "200..800", "mixed-steps", "unsorted-duplicate", "single", "2-and-8000"],
 )
 def test_l_one_phi_bulk_matches_sorted_scan(F, ms):
-    # the streamed cos(m x) recurrence against one np.cos per m over the
-    # norm-sorted scan
+    # the streamed angle moments of cosine_sums against one np.cos per m
+    # over the norm-sorted scan
     got = _l_one_phi_bulk(F, ms, 2.0e4)
     want = l_one_phi_sorted_scan(F, ms, 2.0e4)
     assert sorted(got) == sorted(set(ms))
