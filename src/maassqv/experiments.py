@@ -20,7 +20,7 @@ filled (`lfun.lambda_psi_table`, from one draw of lambda_psi(p) per run)
 on its own, and cos(k phi) comes from `lfun.phase_steps`, so memory is set
 by one band and not by K, and no k recomputes a cosine over its whole
 cut.  The moment inequality takes its s_k for every k from one
-`lfun.cosine_sums`, as L(1, phi_2k) does.
+`lfun.harmonic_sums`, as L(1, phi_2k) does.
 The scan holds the half window theta in [0, log eps] (`ideals`): each
 ideal's term is even under conjugation and counts with its multiplicity,
 so the values are those of the full window up to rounding (within 2e-13
@@ -52,8 +52,8 @@ from .lfun import (
     c_d_psi,
     constants,
     classical_variance,
-    cosine_sums,
     dirichlet_l_one,
+    harmonic_sums,
     l_one_phi,
     l_one_sym2,
     lambda_psi_factors,
@@ -603,7 +603,7 @@ def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> Experiment
     diagonal still dominates) and the hypothesis status is recorded in
     extra["hypothesis_ok"].  Each s_k sums multiplicity/sqrt p times
     cos(k phi) = cos(2k x), x = pi theta/log eps, over the half-window ideals
-    of prime norm, every k from one `lfun.cosine_sums`."""
+    of prime norm, every k from one `lfun.harmonic_sums`."""
     _k_window(K)
     hyp_ok = x <= K ** (1.0 / (10 * r))
     with timed() as elapsed:
@@ -614,7 +614,7 @@ def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> Experiment
         coef = mults[keep] / np.sqrt(norms[keep])
         angle = thetas[keep] * (math.pi / F.log_eps)
         ms = range(2 * math.floor(K) + 2, 2 * math.floor(2 * K) + 1, 2)
-        s_k = cosine_sums([(angle, coef)], ms)
+        s_k = harmonic_sums([(angle, coef)], ms).real
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = float(np.sum(1.0 / primes[kronecker_table(F.D)[primes % F.D] == 1.0]))
         bound = (

@@ -11,7 +11,7 @@ Conjugation maps theta to 2 log eps - theta, so Xi_k of a conjugate ideal
 is the complex conjugate of Xi_k, and every sum over ideals this package
 takes is even under conjugation: cos(k phi) in
 `experiments.central_values_bulk`, cos(m x) in `lambda_k_table` and in the
-`lfun.cosine_sums` of `lfun._l_one_phi_bulk` and
+real part of the `lfun.harmonic_sums` of `lfun._l_one_phi_bulk` and
 `experiments.moment_bound_check` (the weights
 lambda_psi(n)/sqrt(n), e^{-N/X}/N, 1/sqrt(p) depend on the norm only).
 So `ideal_chunks` scans the closed half window theta in [0, log eps] and

@@ -5,7 +5,7 @@ Watson-Ichino assembly.
 Each L-value on the variance path has one route: L(1, phi_m) is
 `_l_one_phi_bulk` (one Richardson-weighted pass over the chunked view
 `ideals.ideal_chunks` of the one ideal enumerator, every m at once from
-the angle moments of `cosine_sums`),
+the angle moments of `harmonic_sums`),
 C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
 in bulk from `experiments.central_values_bulk`, which reads the
 norm-sorted view `ideals.ideal_scan` one norm band at a time; the
@@ -28,14 +28,14 @@ tests move it), and summed by `_contour_sum` in blocks: with
 j = 32 m + r, e^{x w_j} = e^{x w_{32m}} e^{x (w_r - w_0)}, so a point costs
 32 + 6 exact complex exps on the 161 nodes, and the sum stays within
 1.1e-15 of sum_j |g_j| e^{x Re w_j} of the one-exp-cos-sin-per-node sum
-(a test oracle).  A sum of many harmonics cos(m x) of one coefficient set
-(L(1, phi_m) in `_l_one_phi_bulk`, the s_k of the moment check of
-`experiments`) is one type-1 non-uniform FFT, `cosine_sums`: binned
-Taylor moments of the angles and one rfft per moment, so its pass over
-the terms does not grow with the number of m.  Every harmonic advanced
-along its index with per-term weights that change along the pass
-(n^{-it} on the line L(2w + 1, chi_D), cos(k phi) in the central values)
-comes from the one recurrence `phase_steps`.
+(a test oracle).  A sum of many harmonics e^{i m x} of one coefficient
+set (L(1, phi_m) in `_l_one_phi_bulk`, the s_k of the moment check of
+`experiments`, n^{-it} on the line L(2w + 1, chi_D) of
+`_dirichlet_l_line`) is one type-1 non-uniform FFT, `harmonic_sums`:
+binned Taylor moments of the angles and one rfft per moment, so its pass
+over the terms does not grow with the number of m.  The central values'
+cos(k phi), whose weight changes with k, comes from the one recurrence
+`phase_steps`.
 log Gamma is `loggamma`, numpy on arrays for Re z > 0 (Stirling past
 |z| = 10, one shift product below it), one call per contour build and per
 Watson-Ichino assembly; the package imports no scipy here.
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -204,40 +204,27 @@ _AFE_STEP = 0.05
 _RESEED = 32  # steps between re-seeds of `phase_steps`; `_contour_sum`'s block
 
 
-def phase_steps(
-    x: np.ndarray, ms: Iterable[int], seed: Callable[[np.ndarray], np.ndarray] = np.cos
-) -> Iterator[np.ndarray]:
-    """Yield seed(m x) for each m of the ascending, distinct ms: the one
-    stepper of harmonics along m, for seed np.cos or a -> e^{i a}.  Its
-    users weight each m differently: e^{i j x} on the line
-    L(2w + 1, chi_D) of `_dirichlet_l_line`, and cos(k phi) times the
-    k-dependent AFE weight in `experiments.central_values_bulk`.  Sums of
-    many m with one coefficient set are `cosine_sums`.
+def phase_steps(x: np.ndarray, ms: range) -> Iterator[np.ndarray]:
+    """Yield cos(m x) for each m of the unit-step range ms: the cos(k phi)
+    that `experiments.central_values_bulk` weights with the k-dependent AFE
+    weight.  Sums of many m with one coefficient set are `harmonic_sums`.
 
-    Along a run of equal steps s, f((m + s)x) = 2 cos(s x) f(m x) - f((m - s)x)
-    for both seeds; the first two m of a run, and two in every `_RESEED`
-    along it, are seed(m x).  A recurrence step writes into the array of two
-    steps before (a seed is a new array), so a yielded array holds through
-    the next step only.  Against np.cos(m x) the values differ
+    f(m + 1) = 2 cos(x) f(m) - f(m - 1); the first two m of ms, and two in
+    every `_RESEED`, are np.cos(m x).  A recurrence step writes into the
+    array of two steps before (a seed is a new array), so a yielded array
+    holds through the next step only.  Against np.cos(m x) the values differ
     by at most 5e-11 absolute at m <= 1600: the seeds' argument rounding,
     carried across up to `_RESEED` steps."""
     prev = cur = nxt = two_cos = None
-    last = step = run = 0  # run: position in the current run of equal steps
-    seeded = True  # for the previous m
     for j, m in enumerate(ms):
-        if j and m - last != step:
-            # a new step; the previous m opens its run if it was seeded
-            step, run = m - last, int(seeded)
-        seeded = run % _RESEED < 2
-        if seeded:
-            nxt = seed(m * x)
+        if j % _RESEED < 2:
+            nxt = np.cos(m * x)
         else:
-            if run == 2:  # in the values' dtype: a real-by-complex product casts
-                two_cos = (2.0 * np.cos(step * x)).astype(cur.dtype, copy=False)
+            if j == 2:
+                two_cos = 2.0 * np.cos(x)
             nxt = np.multiply(two_cos, cur, out=nxt)  # out=None on the first one
             np.subtract(nxt, prev, out=nxt)
         prev, cur, nxt = cur, nxt, prev
-        last, run = m, run + 1
         yield cur
 
 
@@ -257,13 +244,13 @@ def _dirichlet_l_line(F: FieldParams, c: float) -> np.ndarray:
     does not depend on k, so one cached line serves every AFE weight at
     (F, c).  The nodes share one real part sigma, so chi_D(n) n^{-sigma} is
     formed once; node j sits at t = Im(2w + 1) = 2 j `_AFE_STEP`, so n^{-it}
-    is e^{i j x}, x = -2 `_AFE_STEP` log n, from `phase_steps`."""
+    is e^{-i j x}, x = 2 `_AFE_STEP` log n in [0, pi], and the line is the
+    conjugate of the `harmonic_sums` of the real coefficients at m = j."""
     n = np.arange(1, 40001)
     logn = np.log(n)
     s_nodes = 2.0 * _afe_line(c) + 1.0
     coef = kronecker_table(F.D)[n % F.D] * np.exp(-s_nodes[0].real * logn)
-    rots = phase_steps(-2.0 * _AFE_STEP * logn, range(s_nodes.size), lambda a: np.exp(1j * a))
-    out = np.array([np.sum(rot * coef) for rot in rots])
+    out = harmonic_sums([(2.0 * _AFE_STEP * logn, coef)], range(s_nodes.size)).conj()
     out.setflags(write=False)
     return out
 
@@ -398,17 +385,17 @@ def dirichlet_l_one(F: FieldParams) -> float:
     return S - 0.5 * l_minus1 / X**2
 
 
-_BINS_MAX = 1 << 13  # most bins of `cosine_sums`: a bincount costs O(bins) per chunk
+_BINS_MAX = 1 << 13  # most bins of `harmonic_sums`: a bincount costs O(bins) per chunk
 # pi = _PI_1 + _PI_2 to 4.1e-21 (fdlibm's pio2_1 and pio2_2, doubled); each
 # has at most 33 significant bits, so its product with a bin centre over pi
 # (at most 15 bits) is exact
 _PI_1, _PI_2 = 3.1415926534682512, 1.2154201012607932e-10
 
 
-def cosine_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]], ms: Sequence[int]) -> np.ndarray:
-    """sum_i coef_i cos(m x_i) for each m of ms (any order, repeats allowed)
-    over the (x, coef) chunks, x in [0, pi]: every m from one set of angle
-    moments, a type-1 non-uniform FFT (Dutt-Rokhlin).
+def harmonic_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]], ms: Sequence[int]) -> np.ndarray:
+    """sum_i coef_i e^{i m x_i} (complex) for each signed m of ms (any
+    order, repeats allowed) over the (x, coef) chunks, x in [0, pi]: every m
+    from one set of angle moments, a type-1 non-uniform FFT (Dutt-Rokhlin).
 
     [0, pi] is cut into B bins of width h = pi/B with centres
     c_b = (b + 1/2) h, B the least power of two past 16 max|m| and at most
@@ -419,14 +406,14 @@ def cosine_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]], ms: Sequence[in
     2^-53.  One `np.fft.rfft` of length 2B per p gives
     sum_b M_p[b] e^{i m b h} = conj(rfft_p[m]) (m modulo 2B, read by
     conjugate symmetry past B), and
-        sum_i coef_i cos(m x_i) = Re e^{i m h/2} sum_p (i m h/2)^p/p! conj(rfft_p[m]).
+        sum_i coef_i e^{i m x_i} = e^{i m h/2} sum_p (i m h/2)^p/p! conj(rfft_p[m]).
     So the work is O(terms P + P B log B), not O(terms #m).  x - c_b is
     taken against the two-part pi _PI_1 + _PI_2, so each term's angle is x
-    itself to an ulp of h, whatever m (one np.cos of the rounded m x is off
-    by an ulp of m x).  Every sum runs in a fixed order, so a
+    itself to an ulp of h, whatever m (one e^{i m x} of the rounded m x is
+    off by an ulp of m x).  Every sum runs in a fixed order, so a
     recomputation is bit-identical."""
-    m = np.abs(np.asarray(ms, dtype=np.int64))
-    m_max = int(m.max())
+    m = np.asarray(ms, dtype=np.int64)
+    m_max = int(np.abs(m).max())
     bins = min(_BINS_MAX, 1 << (16 * m_max).bit_length())
     half = 0.5 * math.pi / bins  # h/2
     r = m_max * half
@@ -461,7 +448,7 @@ def cosine_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]], ms: Sequence[in
     acc = vals[order]
     for p in range(order - 1, -1, -1):  # Horner in z = i m h/2
         acc = vals[p] + acc * z / (p + 1)
-    return (np.exp(z) * acc).real
+    return np.exp(z) * acc
 
 
 @functools.cache
@@ -477,7 +464,7 @@ def _l_one_phi_bulk(
     runs over the half window of `ideal_chunks`, x in [0, pi], each ideal's
     weight times its multiplicity.  The ideals come chunk by chunk, in
     row-major order, each chunk's weight is formed once, and
-    `cosine_sums` takes every m from the one pass."""
+    `harmonic_sums` takes every m from the one pass."""
     distinct = sorted(set(ms))
 
     def terms() -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -488,7 +475,7 @@ def _l_one_phi_bulk(
             yield thetas * (math.pi / F.log_eps), coef
             del coef
 
-    return MappingProxyType(dict(zip(distinct, cosine_sums(terms(), distinct).tolist())))
+    return MappingProxyType(dict(zip(distinct, harmonic_sums(terms(), distinct).real.tolist())))
 
 
 def l_one_phi(F: FieldParams, m: int) -> float:

@@ -4,8 +4,9 @@ module-level function and class is reached from a command, every field
 of its dataclasses is read, every parameter of its functions is read,
 every parameter default is set by some call in `src` or `bench`, every
 error class of `errors` is raised by some module, no module keeps a
-hand-rolled memo, and none imports sympy, which only the tests use as an
-oracle.
+hand-rolled memo, none imports sympy, which only the tests use as an
+oracle, and every backticked `module.name` of the docstrings and the README
+names something the module has.
 
 Deleting a function tends to leave its imports and its private helpers
 behind, deleting a setting tends to leave a parameter that nothing
@@ -17,11 +18,14 @@ value arguments, so a module-level name bound to an empty container is
 flagged."""
 
 import ast
+import functools
+import importlib
 import os
 import re
 import subprocess
 import sys
 import tomllib
+import types
 from pathlib import Path
 
 import pytest
@@ -786,3 +790,45 @@ def test_package_data_ships_every_data_file():
     patterns = config["tool"]["setuptools"]["package-data"]["maassqv"]
     assert uncovered_package_files(SRC, patterns) == []
     assert "w_nonsplit_mellin.npy" in [p.name for p in SRC.iterdir()]
+
+
+_DOTTED = re.compile(r"`(?:maassqv\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def stale_references(texts: dict[str, str], modules: dict[str, object]) -> list[str]:
+    """The backticked dotted names of texts (`lfun.phase_steps`, also with a
+    leading `maassqv.`), as "where: name", whose first part is a key of
+    modules and whose rest does not resolve on that module by getattr."""
+    out = []
+    for where, text in texts.items():
+        for name in _DOTTED.findall(text):
+            first, *rest = name.split(".")
+            if first not in modules:
+                continue
+            try:
+                functools.reduce(getattr, rest, modules[first])
+            except AttributeError:
+                out.append(f"{where}: {name}")
+    return out
+
+
+def test_stale_reference_detector():
+    shapes = types.SimpleNamespace(Box=types.SimpleNamespace(area=None), width=1)
+    text = (
+        "`shapes.Box.area` and `shapes.width` resolve, as does `maassqv.shapes.Box`;\n"
+        "`shapes.gone`, `shapes.Box.volume` and `maassqv.shapes.old` do not;\n"
+        "`other.thing`, `shapes`, `shapes.Box(1)` and shapes.gone are not checked"
+    )
+    assert stale_references({"doc": text}, {"shapes": shapes}) == [
+        "doc: shapes.gone",
+        "doc: shapes.Box.volume",
+        "doc: shapes.old",
+    ]
+
+
+def test_every_backticked_name_resolves():
+    # a rename or a deletion leaves no stale `module.name` behind it
+    modules = {p.stem: importlib.import_module(f"maassqv.{p.stem}") for p in MODULES}
+    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    texts["README.md"] = (ROOT / "README.md").read_text()
+    assert stale_references(texts, modules) == []
