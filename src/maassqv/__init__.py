@@ -4,8 +4,8 @@ Gauss sums and the lattice identities feeding moment computations.
 
 Modules:
   quadfield   -- exact arithmetic in Q(sqrt(D)), fundamental unit, angles
-  ideals      -- the numpy principal-ideal scan, canonical generators by
-                 norm, Grossencharacters, lambda_k and its dense table
+  ideals      -- principal ideals by norm in the half window, with
+                 multiplicities: the scan, the per-norm solve, lambda_k
   hecke       -- Hecke eigenvalue sources and multiplicative functions
   lattice     -- n_beta and the (a_j, b_j) of the off-diagonal frames, with
                  their identities

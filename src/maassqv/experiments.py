@@ -402,7 +402,7 @@ def first_moment(F: FieldParams, src: HeckeSource, K: float, n_twist: int = 1) -
         if n_twist == 1:
             lam_t = np.ones(ks.size)
         else:
-            lam_t = np.array([lambda_k(F, 2 * k, n_twist) for k in ks.tolist()])
+            lam_t = lambda_k(F, 2 * ks, n_twist)
         m1 = float(np.sum(lvals * lam_t * phi_w))
         phit1 = PHI.mellin_zero
         n_red = n_twist // math.gcd(n_twist, F.D)

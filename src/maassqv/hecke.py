@@ -40,7 +40,6 @@ from .errors import (
     TableBoundExceeded,
 )
 from .ideals import elements_of_norm, interval_chunks
-from .lattice import n_beta
 from .quadfield import FACTOR_MAX, FieldParams
 
 _DRAW_BLOCK = 1 << 16  # primes per block of the synthetic draw
@@ -389,11 +388,15 @@ def vartheta(src: HeckeSource, ns) -> np.ndarray:
 
 def h_fn(src: HeckeSource, F: FieldParams, ns) -> np.ndarray:
     """h(n) for an array of n >= 1: the sum over the principal ideals of
-    norm n, in enumeration order, of vartheta(|n_beta|)/sqrt(|n_beta|)."""
+    norm n of vartheta(|n_beta|)/sqrt(|n_beta|).  |n_beta| = n/gcd(m, k)^2
+    for a generator m + k*omega is a conjugate ideal's too, so each
+    half-window ideal of `elements_of_norm` adds its multiplicity times its
+    term."""
     ns = np.asarray(ns)
-    rows = [[n_beta(F, rep.gen)[1] for rep in elements_of_norm(F, n)] for n in ns.ravel().tolist()]
-    nbs = np.array([nb for row in rows for nb in row], dtype=np.int64)
-    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    out = np.zeros(len(rows))
-    np.add.at(out, row_of, vartheta(src, nbs) / np.sqrt(nbs))  # one vartheta call
+    sols = [elements_of_norm(F, n) for n in ns.ravel().tolist()]
+    row_of = np.repeat(np.arange(len(sols)), [s[0].size for s in sols])
+    m, k, mults = np.concatenate([np.zeros((3, 0), np.int64), *sols], axis=1)  # ns may be empty
+    nbs = ns.ravel()[row_of] // np.gcd(m, k) ** 2
+    out = np.zeros(len(sols))
+    np.add.at(out, row_of, mults * (vartheta(src, nbs) / np.sqrt(nbs)))  # one vartheta call
     return out.reshape(ns.shape)

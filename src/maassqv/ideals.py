@@ -1,21 +1,18 @@
 """Principal ideals of Q(sqrt(D)) by norm, Grossencharacters, and the
 dihedral eigenvalues lambda_k(n) = sum over ideals of norm n of Xi_k.
 
-One enumerator serves everything: each principal ideal is kept as its one
-generator y = m + n*omega with positive real embedding y and angle
-theta = 2 log y - log|N| in the fundamental domain [0, 2 log eps) of the
-unit group, by the one window test `_in_window`, on the rows
-n = 0 .. `_last_row` of the (m, n)-lattice; rows n < 0 are empty.
-
-Conjugation maps theta to 2 log eps - theta, so Xi_k of a conjugate ideal
-is the complex conjugate of Xi_k, and every sum over ideals this package
-takes is even under conjugation: cos(k phi) in
-`experiments.central_values_bulk`, cos(m x) in `lambda_k_table` and in the
-real part of the `lfun.harmonic_sums` of `lfun._l_one_phi_bulk` and
-`experiments.moment_bound_check` (the weights
-lambda_psi(n)/sqrt(n), e^{-N/X}/N, 1/sqrt(p) depend on the norm only).
-So `ideal_chunks` scans the closed half window theta in [0, log eps] and
-gives each ideal a multiplicity: 1 on the self-conjugate lines theta = 0
+One window serves everything.  Conjugation maps the angle
+theta = 2 log y - log|N| of a generator y = m + n*omega, y > 0, to
+2 log eps - theta, so Xi_k of a conjugate ideal is the complex conjugate of
+Xi_k, and every sum over ideals this package takes is even under
+conjugation: cos(k phi) in `experiments.central_values_bulk`, cos(m x) in
+`lambda_k_table`, `lambda_k` and the real part of the `lfun.harmonic_sums`
+of `lfun._l_one_phi_bulk` and `experiments.moment_bound_check`, and the
+primitive norms of `hecke.h_fn` (the other weights depend on the norm
+only).  So each ideal is kept as its one generator with theta in the
+closed half window [0, log eps], by the one window test `_in_window` on
+the rows n = 0 .. `_last_row` of the (m, n)-lattice (rows n < 0 are
+empty), with a `_multiplicity`: 1 on the self-conjugate lines theta = 0
 and theta = log eps, decided exactly in (m, n), and 2 elsewhere.  The
 multiplicity-1 ideals are one per norm a m^2, a in {1, p1, p2, D}.
 
@@ -34,10 +31,9 @@ of a scan, sorted one at a time and concatenated, are the scan of
 (0, n_max] bit for bit, and a consumer holds one band at a time.  Nothing
 is cached.
 
-`elements_of_norm` solves one norm exactly instead, over the full window:
+`elements_of_norm` solves one norm exactly instead, in the same window:
 on row k the norm form is +-n at m = (-k +- s)/2 with s^2 = D k^2 +- 4n,
-so it costs O(sqrt(n)) and builds no scan, and the window test keeps the
-canonical generator.
+so it costs O(sqrt(n)) and builds no scan.
 
 Every array of a real character chi(n) = (a/n) in the package is one
 cached period of `kronecker_table(a)`, built in O(|a|) from the scalar
@@ -46,16 +42,14 @@ cached period of `kronecker_table(a)`, built in O(|a|) from the scalar
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ALLOC_BYTES_MAX, HypothesisViolated, ScanBoundExceeded, TableBoundExceeded
-from .quadfield import FieldParams, QuadInt, angle
+from .quadfield import FieldParams
 
 _SCAN_MAX = 10**7  # largest norm elements_of_norm solves for
 _KRONECKER_TABLE_MAX = 10**7  # longest period kronecker_table builds
@@ -108,12 +102,6 @@ def kronecker_table(a: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IdealRep:
-    gen: QuadInt  # canonical generator, theta in [0, 2 log eps)
-    theta: float
-
-
 _SCAN_CHUNK = 1 << 16  # candidates evaluated per numpy pass: cache-sized temporaries
 
 _IDEAL_BYTES = 42  # peak bytes per kept ideal of an ideal_scan build
@@ -155,7 +143,7 @@ def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
     y - n*omega with -3 <= y <= (n sqrt(D) + sqrt(bound))(1 + 1e-6) + 3, the
     widened ends of `_row_intervals`, so |m| <= (n omega + sqrt(bound))
     (1 + 1e-6) + 3 bounds every term."""
-    rows = _last_row(F, bound, math.exp(F.log_eps)) + 1
+    rows = _last_row(F, bound) + 1
     need = kept_bytes + _ROW_BYTES * rows
     if need > ALLOC_BYTES_MAX:
         raise ScanBoundExceeded(
@@ -172,32 +160,41 @@ def _check_scan(F: FieldParams, bound: int, kept_bytes: float) -> None:
         )
 
 
-def _last_row(F: FieldParams, bound: int, ratio: float) -> int:
+def _last_row(F: FieldParams, bound: int) -> int:
     """The last row n_hi of the (m, n)-lattice that can hold a generator of
-    norm at most `bound` in the window 1 <= y/|ybar| <= ratio: eps for the
-    half window of the scan, eps^2 for the full window of `elements_of_norm`.
+    norm at most `bound` in the window 1 <= y/|ybar| <= eps.
 
     Such a y has y - ybar = n sqrt(D) <= y + |ybar| = (sqrt(t) + 1/sqrt(t))
-    sqrt(|N|) with t = y/|ybar|, so n sqrt(D) < (sqrt(ratio) + 1) sqrt(bound).
+    sqrt(|N|) with t = y/|ybar|, so n sqrt(D) < (sqrt(eps) + 1) sqrt(bound).
     Rows n < 0 hold no ideal: there |ybar| > y, so y^2 >= |N|(1 - 1e-9)
     forces y >= sqrt(D)(1 - 1e-9)/1e-9 > 4e9, while y < eps sqrt(bound)
     stays below that for every admitted field up to bound 10^14."""
-    return int((math.sqrt(ratio) + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
+    return int((math.sqrt(math.exp(F.log_eps)) + 1.0) * math.sqrt(bound) / F.sqrtD) + 2
 
 
-def _in_window(y, y2, aq, end: float):
+def _in_window(F: FieldParams, y, y2, aq):
     """The window test of y = m + n*omega, with y2 = y*y and aq = |N(y)|:
-    y > 0 and 1 - 1e-9 <= y^2/|N| < end, where `end` is the window's upper
-    ratio with its margin: eps (1 + 1e-9) for the closed half window
-    theta in [0, log eps] of `ideal_chunks`, eps^2 (1 - 1e-9) for the
-    half-open full window [0, 2 log eps) of `elements_of_norm`.
+    y > 0 and 1 - 1e-9 <= y^2/|N| < eps (1 + 1e-9), the closed half window
+    theta in [0, log eps].
 
     The margins decide only the points on an end's line: off the line
     theta = 0, |y - |ybar|| >= 1 (it is |n| sqrt(D) or |2m + n|), and off
-    theta = j log eps, z = y -+ eps^j ybar has |z|^2 = eps^j |N(z)| >= eps^j,
+    theta = log eps, z = y -+ eps ybar has |z|^2 = eps |N(z)| >= eps,
     so y^2/|N| is at least 1/sqrt(|N|) relative away from each end.
     Elementwise on numpy arrays."""
+    end = math.exp(F.log_eps) * (1.0 + 1e-9)
     return (y > 0.0) & (y2 >= aq * (1.0 - 1e-9)) & (y2 < aq * end)
+
+
+def _multiplicity(F: FieldParams, m, n):
+    """The multiplicity (int8) of the half-window ideal of each generator
+    m + n*omega, exactly in integers: 1 on the self-conjugate lines,
+    theta = 0 where n = 0 (y = ybar) or 2m + n = 0 (y = -ybar) and
+    theta = log eps on a line of `_fixed_lines` (y = +-eps ybar); 2
+    elsewhere, for the ideal and its conjugate."""
+    (a1, b1), (a2, b2) = _fixed_lines(F)
+    fixed = (n == 0) | (2 * m + n == 0) | (m * b1 == n * a1) | (m * b2 == n * a2)
+    return np.where(fixed, np.int8(1), np.int8(2))
 
 
 def _fixed_lines(F: FieldParams) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -221,19 +218,14 @@ def ideal_chunks(
     Enumerates one generator per ideal directly: the generator with
     positive real embedding y and theta = 2 log y - log|N| in [0, log eps].
     Conjugation maps theta to 2 log eps - theta, so the other half of the
-    fundamental domain holds the conjugates: mults (int8) is 1 on the two
-    self-conjugate lines theta = 0 and theta = log eps and 2 everywhere
-    else.  The lines are decided exactly in (m, n): theta = 0 where n = 0
-    (y = ybar) or 2m + n = 0 (y = -ybar), theta = log eps where (m, n) lies
-    on a line of `_fixed_lines` (y = +-eps ybar).
+    fundamental domain holds the conjugates: mults is the `_multiplicity`
+    of each ideal.
     Only the at most two m-intervals per row n that `_row_intervals` admits
     are tested, in row-major order, so the chunks concatenated are the
     kept points of a scan of the whole bounding rectangle in its order.
     A consumer that needs no norm order reads the ideals in O(chunk) memory.
     """
     starts, counts, row_of = _candidate_pieces(F, hi, lo)
-    end = math.exp(F.log_eps) * (1.0 + 1e-9)
-    (a1, b1), (a2, b2) = _fixed_lines(F)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
     for mm, nn in interval_chunks(starts, counts, row_of, _SCAN_CHUNK):
@@ -241,13 +233,12 @@ def ideal_chunks(
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
         y2 = y * y
-        ok = (aq > lo) & (aq <= hi) & _in_window(y, y2, aq, end)
+        ok = (aq > lo) & (aq <= hi) & _in_window(F, y, y2, aq)
         m, n = mm[ok], nn[ok]
         norms = aq[ok]
         thetas = np.log(y2[ok] / norms)
         del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
-        fixed = (n == 0) | (2 * m + n == 0) | (m * b1 == n * a1) | (m * b2 == n * a2)
-        yield norms, thetas, np.where(fixed, np.int8(1), np.int8(2))
+        yield norms, thetas, _multiplicity(F, m, n)
 
 
 def interval_chunks(
@@ -315,24 +306,23 @@ def _candidate_pieces(
     raises ScanBoundExceeded here, before they are allocated, for
     `ideal_chunks` and `ideal_scan` alike."""
     _check_scan(F, hi, 0.0)
-    eps_val = math.exp(F.log_eps)
-    rows = np.arange(0, _last_row(F, hi, eps_val) + 1, dtype=np.int64)
-    lo1, hi1, lo2, hi2 = _row_intervals(rows, F.sqrtD, F.omega, eps_val, hi, lo)
+    rows = np.arange(0, _last_row(F, hi) + 1, dtype=np.int64)
+    lo1, hi1, lo2, hi2 = _row_intervals(F, rows, hi, lo)
     starts = np.stack([lo1, lo2], axis=1).ravel()
     counts = np.maximum(np.stack([hi1 - lo1, hi2 - lo2], axis=1).ravel() + 1, 0)
     return starts, counts, np.repeat(rows, 2)
 
 
 def _row_intervals(
-    rows: np.ndarray, sqrtD: float, om: float, ratio: float, hi: int, lo: int = 0
+    F: FieldParams, rows: np.ndarray, hi: int, lo: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integer m-ranges [lo1, hi1] < [lo2, hi2] per row n >= 0 that contain
     every m which `ideal_chunks`' test keeps in the window
-    1 <= y/|ybar| <= ratio and the band lo < |N| <= hi.
+    1 <= y/|ybar| <= eps and the band lo < |N| <= hi.
 
     With y = m + n*omega, ybar = y - c and c = n sqrt(D) >= 0 the test asks
-    y >= (1 - 1e-9)|ybar|, lo < y|ybar| <= hi and |ybar| >= y/ratio.  The
-    stretch c ratio/(ratio + 1) < y < c ratio/(ratio - 1) around y = c is
+    y >= (1 - 1e-9)|ybar|, lo < y|ybar| <= hi and |ybar| >= y/eps.  The
+    stretch c eps/(eps + 1) < y < c eps/(eps - 1) around y = c is
     empty.  Below it, y >= c(1 - 1e-9)/(2 - 1e-9) and |N| = y(c - y) falls
     as y rises past c/2, so (c + sqrt(c^2 - 4 hi))/2 <= y, when c^2 > 4 hi,
     and y < (c + sqrt(c^2 - 4 lo))/2, or y <= c/2 when c^2 <= 4 lo; the
@@ -344,18 +334,19 @@ def _row_intervals(
     outward by 1e-6 relative and 2 lattice steps, far more than those move
     it.  Empty ranges have hi < lo.
     """
-    c = rows * sqrtD
+    eps = math.exp(F.log_eps)
+    c = rows * F.sqrtD
     disc = c * c - 4.0 * hi
     lo_y1 = np.maximum(
         c * ((1.0 - 1e-9) / (2.0 - 1e-9)),
         np.where(disc > 0.0, 0.5 * (c + np.sqrt(np.maximum(disc, 0.0))), 0.0),
     )
     hi_y1 = np.minimum(
-        c * (ratio / (ratio + 1.0)), 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * lo, 0.0)))
+        c * (eps / (eps + 1.0)), 0.5 * (c + np.sqrt(np.maximum(c * c - 4.0 * lo, 0.0)))
     )
-    lo_y2 = np.maximum(c * (ratio / (ratio - 1.0)), 0.5 * (c + np.sqrt(c * c + 4.0 * lo)))
+    lo_y2 = np.maximum(c * (eps / (eps - 1.0)), 0.5 * (c + np.sqrt(c * c + 4.0 * lo)))
     hi_y2 = 0.5 * (c + np.sqrt(c * c + 4.0 * hi))
-    shift = rows * om
+    shift = rows * F.omega
     lo1 = np.floor(lo_y1 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
     hi1 = np.ceil(hi_y1 * (1.0 + 1e-6) + 2.0 - shift).astype(np.int64)
     lo2 = np.floor(lo_y2 * (1.0 - 1e-6) - 2.0 - shift).astype(np.int64)
@@ -366,23 +357,21 @@ def _row_intervals(
     return lo1, hi1, lo2, hi2
 
 
-def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
-    """All distinct principal ideals with |N| = n, canonical representatives,
-    ordered by theta.
+def elements_of_norm(F: FieldParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, k, mults) of the principal ideals with |N| = n: the generators
+    m + k*omega in the half window theta in [0, log eps] that `ideal_chunks`
+    keeps, with their `_multiplicity`, so mults sums to the number of ideals.
 
     On each row k = 0 .. `_last_row` the norm form
     m^2 + m k + k^2 (1 - D)/4 equals +-n exactly at m = (-k +- s)/2 with
     s^2 = D k^2 +- 4n (s = k mod 2 always, as D = 1 mod 4); of those (m, k)
-    `_in_window` keeps the generator with theta in the full window
-    [0, 2 log eps), by the test that cuts `ideal_chunks` to its half.  The
-    square test runs in int64 and is exact while D k^2 + 4n < 2^53;
-    n > 10^7, or a unit so large that the last row passes that, raises
-    ScanBoundExceeded.
+    `_in_window` keeps the generators.  The square test runs in int64 and is
+    exact while D k^2 + 4n < 2^53; n > 10^7, or a unit so large that the
+    last row passes that, raises ScanBoundExceeded.
     """
     if n < 1:
         raise HypothesisViolated(f"ideal norms are >= 1, got {n}")
-    eps_val = math.exp(F.log_eps)
-    k_hi = _last_row(F, n, eps_val * eps_val)
+    k_hi = _last_row(F, n)
     if n > _SCAN_MAX or F.D * k_hi * k_hi + 4 * n >= 2**53:
         raise ScanBoundExceeded(f"norm {n} exceeds the exact-solve limit {_SCAN_MAX}")
     k = np.arange(k_hi + 1, dtype=np.int64)
@@ -397,26 +386,21 @@ def elements_of_norm(F: FieldParams, n: int) -> list[IdealRep]:
         ks += [kh, kh[pos]]
     m, k = np.concatenate(ms), np.concatenate(ks)
     y = m + k * F.omega
-    keep = _in_window(y, y * y, n, eps_val * eps_val * (1.0 - 1e-9))
-    gens = map(QuadInt, m[keep].tolist(), k[keep].tolist())
-    reps = [IdealRep(gen=g, theta=angle(F, g)) for g in gens]
-    return sorted(reps, key=lambda r: (r.theta, r.gen.m, r.gen.n))
+    keep = _in_window(F, y, y * y, n)
+    m, k = m[keep], k[keep]
+    return m, k, _multiplicity(F, m, k)
 
 
-def grossenchar(F: FieldParams, k: int, a: IdealRep) -> complex:
-    """Xi_k(ideal) = e(k * theta / (2 log eps)), unit modulus."""
-    return cmath.exp(1j * math.pi * k * a.theta / F.log_eps)
-
-
-def lambda_k(F: FieldParams, k: int, n: int) -> float:
-    """Dihedral Hecke eigenvalue: sum of Xi_k over ideals of norm n."""
-    total = 0.0 + 0.0j
-    for a in elements_of_norm(F, n):
-        total += grossenchar(F, k, a)
-    # an internal invariant, not a check of input: the ideals of norm n are
-    # closed under conjugation, so the sum is real up to rounding
-    assert abs(total.imag) <= 1e-9 * max(1.0, abs(total.real)) + 1e-9
-    return total.real
+def lambda_k(F: FieldParams, k: int | np.ndarray, n: int) -> float | np.ndarray:
+    """Dihedral Hecke eigenvalue lambda_k(n), the sum of Xi_k over the
+    ideals of norm n, for an int or an array of k: Xi_k of a conjugate ideal
+    is the complex conjugate, so each half-window ideal of
+    `elements_of_norm` adds its multiplicity times cos(pi k theta/log eps),
+    theta = log(y^2/n)."""
+    m, row, mults = elements_of_norm(F, n)
+    y = m + row * F.omega
+    thetas = np.log(y * y / n)
+    return np.cos(np.multiply.outer(np.pi * np.asarray(k) / F.log_eps, thetas)) @ mults
 
 
 def check_table(nmax: int) -> None:

@@ -1,8 +1,8 @@
 """Integer geometry behind the moment computation: the primitive norm
 n_beta and the coordinates (a_j, b_j) of the four off-diagonal frames, with
 the exact identities Q(b_j, a_j) = {n_beta, -D n_beta, p1 n_beta, -p2 n_beta}
-that `verify-lattice` reports.  The rest of each frame (C_j, C~_j, ell_j and
-the bounded Bezout pair of the SL2 completion gamma_j), gamma_j itself, the
+that `verify-lattice` reports.  The rest of each frame (C_j, ell_j and the
+bounded Bezout pair of the SL2 completion gamma_j), gamma_j itself, the
 form Q(gamma_j (r, h)), the angle linearization and the fundamental-unit gcd
 factorization of D are test oracles (tests/lattice_oracle.py).
 """

@@ -4,7 +4,8 @@ local factors multiplied in ascending p:
 - `lambda_pp`, lambda_psi(p^b) by the scalar Hecke recursion, the
   reference for `HeckeSource.lambda_pp_array`;
 - `lambda_psi`, `vartheta` and `h_pointwise`, the references for the array
-  routes `maassqv.hecke.lambda_psi`, `vartheta` and `h_fn`;
+  routes `maassqv.hecke.lambda_psi`, `vartheta` and `h_fn` (h over the full
+  window of `ideal_oracle.norm_oracle`, each ideal once);
 - `local_series`, the local ratio L(s, p^b) in closed form and truncated;
 - the sieve weight g, the short Moebius-type mu_2k (by prime powers and in
   closed form; the reference for `maassqv.experiments.mu_2k_table`) and
@@ -28,11 +29,11 @@ import math
 import numpy as np
 from sympy import factorint
 
+from ideal_oracle import norm_oracle
 from maassqv.errors import MaassqvError
 from maassqv.hecke import HeckeSource, h_fn, local_factors, primes_upto
-from maassqv.ideals import elements_of_norm, kronecker, lambda_k
-from maassqv.lattice import n_beta
-from maassqv.quadfield import FieldParams
+from maassqv.ideals import kronecker, lambda_k
+from maassqv.quadfield import FieldParams, QuadInt, norm
 
 
 class DivergentDenominator(MaassqvError):
@@ -85,12 +86,15 @@ def vartheta(src: HeckeSource, n: int) -> float:
 
 
 def h_pointwise(src: HeckeSource, F: FieldParams, n: int) -> float:
-    """h(n) one ideal at a time: sum of vartheta(|n_beta|)/sqrt(|n_beta|)."""
-    total = 0.0
-    for rep in elements_of_norm(F, n):
-        nb = n_beta(F, rep.gen)[1]
-        total += vartheta(src, nb) / math.sqrt(nb)
-    return total
+    """h(n) one ideal at a time over the full window of `norm_oracle`: the
+    correctly rounded (math.fsum) sum of vartheta(|n_beta|)/sqrt(|n_beta|),
+    n_beta the norm of the generator's primitive part."""
+    terms = []
+    for rep in norm_oracle(F, n):
+        g = math.gcd(rep.gen.m, rep.gen.n)
+        nb = abs(norm(F, QuadInt(rep.gen.m // g, rep.gen.n // g)))
+        terms.append(vartheta(src, nb) / math.sqrt(nb))
+    return math.fsum(terms)
 
 
 def local_series(

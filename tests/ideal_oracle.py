@@ -11,7 +11,7 @@ against it.
 table: on each row it takes every integer root m of the norm form = +-n
 (exact, by math.isqrt) and deduplicates through canonical_generator, so
 it is independent of the window test that maassqv.ideals.elements_of_norm
-keeps its generator by.
+keeps its generators by.
 
 `rectangle_scan` is a masked numpy scan of the full window
 theta in [0, 2 log eps): it tests every lattice point of the rectangle
@@ -20,25 +20,42 @@ by row, where maassqv.ideals enumerates only the admissible strips of the
 half window.  `half_window` cuts it to theta <= log eps and gives each
 ideal its multiplicity from the angle alone (1 within 1e-9 of theta = 0
 or theta = log eps, else 2), independent of the exact (m, n) test of
-maassqv.ideals; `ideal_scan` must match the cut bit for bit.
+maassqv.ideals; `ideal_scan` must match the cut bit for bit, and
+`elements_of_norm` the cut of `norm_oracle` or `oracle_elements` that
+`fold` makes.  `IdealRep` is a full-window ideal with its angle, and
+`grossenchar` its Xi_k, summed one ideal at a time.
 `lambda_table_from_scan` sums the table of lambda_k in one np.add.at over
 the norm-sorted `ideal_scan`; `lambda_k_table`, which sums chunk by chunk,
 must match it bit for bit.
 
 `r_D` counts the ideals of norm n as the divisor sum of chi_D, the count
-`elements_of_norm` and `lambda_k(0, n)` are checked against.
+the multiplicities of `elements_of_norm` and `lambda_k(0, n)` are checked
+against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from maassqv.errors import ScanBoundExceeded
-from maassqv.ideals import _SCAN_MAX, IdealRep, ideal_scan, kronecker
+from maassqv.ideals import _SCAN_MAX, ideal_scan, kronecker
 from maassqv.quadfield import FieldParams, QuadInt, angle, canonical_generator
+
+
+@dataclass(frozen=True)
+class IdealRep:
+    gen: QuadInt  # canonical generator, theta in [0, 2 log eps)
+    theta: float
+
+
+def grossenchar(F: FieldParams, k: int, a: IdealRep) -> complex:
+    """Xi_k(ideal) = e(k * theta / (2 log eps)), unit modulus."""
+    return cmath.exp(1j * math.pi * k * a.theta / F.log_eps)
 
 
 def r_D(F: FieldParams, n: int) -> int:
@@ -92,9 +109,9 @@ def oracle_elements(F: FieldParams, n: int, nmax: int) -> list[IdealRep]:
 
 
 def norm_oracle(F: FieldParams, n: int) -> list[IdealRep]:
-    """The canonical ideals of norm n, sorted as elements_of_norm sorts them:
-    every element of norm +-n whose embeddings are both at most
-    sqrt(n)*eps, mapped to its canonical generator."""
+    """The canonical ideals of norm n, sorted by (theta, m, n): every
+    element of norm +-n whose embeddings are both at most sqrt(n)*eps,
+    mapped to its canonical generator."""
     B = math.sqrt(n) * math.exp(F.log_eps) + 1e-9
     kmax = int((2 * B) / F.sqrtD) + 2
     gens = set()
@@ -168,6 +185,15 @@ def half_window(
     norms, thetas = norms[keep], thetas[keep]
     fixed = (np.abs(thetas) <= 1e-9) | (np.abs(thetas - F.log_eps) <= 1e-9)
     return norms, thetas, np.where(fixed, 1, 2).astype(np.int8)
+
+
+def fold(F: FieldParams, reps: list[IdealRep]) -> list[tuple[int, int, int]]:
+    """(m, n, multiplicity) of the full-window ideals reps cut by
+    `half_window`, sorted: the ideals and multiplicities that
+    maassqv.ideals.elements_of_norm keeps."""
+    thetas = np.array([r.theta for r in reps], dtype=np.float64)
+    kept, _, mults = half_window(F, np.arange(len(reps)), thetas)
+    return sorted((reps[i].gen.m, reps[i].gen.n, int(w)) for i, w in zip(kept, mults))
 
 
 def lambda_table_from_scan(F: FieldParams, k: int, nmax: int) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Reference routes of maassqv.lattice that only the tests use.
 
 `full_frame` is beta's whole off-diagonal frame j from the paper's lattice
-lemma: the package's (a_j, b_j) with the constant C_j, C~_j = -C_j/(b_j +
-a_j omega), the Poisson mode ell_j and the bounded Bezout pair (abar_j,
-bbar_j) of the SL2 completion, which `bezout_bounded` finds.  `gamma` is
-that completion gamma_j, `qgamma` the quadratic form Q composed with it,
-`angle_linearization_error` the distance between an angle and its
-linearization in the frame j, `lemma_factor_split` the fundamental-unit
-gcd factorization of D, and `unit_divisibilities` its two exact
-divisibility witnesses.  The package's `verify-lattice` reports only the
+lemma: the package's (a_j, b_j) with the constant C_j, the Poisson mode
+ell_j and the bounded Bezout pair (abar_j, bbar_j) of the SL2 completion,
+which `bezout_bounded` finds.  `gamma` is that completion gamma_j,
+`qgamma` the quadratic form Q composed with it, `angle_linearization_error`
+the distance between an angle and its linearization in the frame j,
+`lemma_factor_split` the fundamental-unit gcd factorization of D, and
+`unit_divisibilities` its two exact divisibility witnesses.  The package's `verify-lattice` reports only the
 frame identities Q(b_j, a_j), which need none of these.
 `BezoutRangeImpossible` is the error of a frame with no bounded Bezout pair.
 """
@@ -29,9 +28,7 @@ class BezoutRangeImpossible(MaassqvError):
 
 @dataclass(frozen=True)
 class OffDiagFrame:
-    j: int
     C: float
-    C_tilde: float
     a: int
     b: int
     abar: int | None  # None iff gcd(a_j, b_j) > 1 (only when (N(beta), D) > 1)
@@ -81,11 +78,7 @@ def full_frame(F: FieldParams, beta: QuadInt, j: int) -> OffDiagFrame:
         # gcd(a,b) > 1 or a degenerate zero entry: (C, a, b) are still
         # valid; only the SL2 completion (abar, bbar) is unavailable.
         abar = bbar = None
-    C_tilde = -C / (b + a * F.omega)
-    return OffDiagFrame(
-        j=j, C=C, C_tilde=C_tilde, a=a, b=b, abar=abar, bbar=bbar,
-        ell=0 if j in (1, 2) else 1,
-    )
+    return OffDiagFrame(C=C, a=a, b=b, abar=abar, bbar=bbar, ell=0 if j in (1, 2) else 1)
 
 
 def gamma(frame: OffDiagFrame) -> tuple[tuple[int, int], tuple[int, int]]:

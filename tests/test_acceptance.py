@@ -11,7 +11,7 @@ import pytest
 
 from halfint_oracle import chi_mod2k, chi_modpk, gauss_closed, gauss_sum
 from hecke_oracle import local_series
-from ideal_oracle import r_D
+from ideal_oracle import grossenchar, norm_oracle, r_D
 from maassqv.halfint import (
     QuadPoly,
     _max_nonzero_mprime,
@@ -32,12 +32,7 @@ from maassqv.experiments import (
     poisson_check,
     variance_table,
 )
-from maassqv.ideals import (
-    elements_of_norm,
-    grossenchar,
-    kronecker,
-    lambda_k_table,
-)
+from maassqv.ideals import kronecker, lambda_k_table
 from maassqv.lattice import n_beta, offdiag_frame
 from lfun_oracle import gamma_ratio_stirling
 from maassqv.lfun import spectral_parameter
@@ -101,7 +96,7 @@ def test_criterion_03_hecke_structure(F21):
     # reality of the dihedral eigenvalues
     for k in (2, 10, 100):
         for n in (1, 4, 21, 100, 441):
-            tot = sum(grossenchar(F, k, a) for a in elements_of_norm(F, n))
+            tot = sum(grossenchar(F, k, a) for a in norm_oracle(F, n))
             assert abs(tot.imag) <= 1e-12, (k, n)
     # Hecke relation with nebentypus chi_D
     rng = random.Random(3)

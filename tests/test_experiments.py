@@ -274,8 +274,8 @@ def test_moment_bound_r1(F):
     ],
 )
 def test_moment_bound_matches_pointwise_eigenvalues(D, K, r, x):
-    # the half-window scan with multiplicities against lambda_2k(p) summed
-    # over the full window of elements_of_norm, one prime at a time
+    # the half-window scan with multiplicities against lambda_2k(p) of the
+    # per-norm solve, one prime at a time
     F = make_field(D)
     rep = moment_bound_check(F, K, r, x)
     primes = [p for p in primes_upto(int(x)).tolist() if F.D % p != 0]

@@ -145,7 +145,10 @@ def test_h_fn(src, F21):
 
 
 def test_h_fn_matches_pointwise_oracle(src, F21):
-    # one vartheta call for all n, each h(n) summed in enumeration order
+    # one vartheta call for all n; the oracle sums the full window of its
+    # own enumeration, each ideal once, correctly rounded.  Here every norm
+    # has at most two half-window ideals, so h_fn's sum of multiplicity
+    # times term rounds once and is that sum bit for bit
     ns = list(range(1, 300)) + [p * p for p in primes_upto(500).tolist()]
     want = np.array([hecke_oracle.h_pointwise(src, F21, n) for n in ns])
     assert np.array_equal(h_fn(src, F21, ns).view(np.int64), want.view(np.int64))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideal_oracle import (
+    fold,
+    grossenchar,
     half_window,
     lambda_table_from_scan,
     norm_oracle,
@@ -26,13 +28,12 @@ from maassqv.experiments import first_moment
 from maassqv.hecke import h_fn, make_source, primes_upto
 from maassqv.ideals import (
     elements_of_norm,
-    grossenchar,
     kronecker,
     kronecker_table,
     lambda_k,
     lambda_k_table,
 )
-from maassqv.quadfield import QuadInt, canonical_generator, make_field, norm
+from maassqv.quadfield import QuadInt, angle, canonical_generator, make_field, norm
 
 
 def test_kronecker_residue_table_oracle():
@@ -87,17 +88,23 @@ def test_kronecker_table_refuses_a_long_period_before_building():
         kronecker_table(10**7 + 1)  # = 1 mod 4: period 10^7 + 1
 
 
+def _solved(F, n):
+    """elements_of_norm(F, n) as sorted (m, n, multiplicity) triples."""
+    return sorted(zip(*(part.tolist() for part in elements_of_norm(F, n))))
+
+
 def test_elements_of_norm_basic(F21):
-    ones = elements_of_norm(F21, 1)
-    assert [r.gen for r in ones] == [QuadInt(1, 0)]
-    assert elements_of_norm(F21, 2) == []
-    fives = elements_of_norm(F21, 5)
-    assert len(fives) == 2 == 1 + kronecker(F21.D, 5)
+    assert _solved(F21, 1) == [(1, 0, 1)]
+    m, k, mults = elements_of_norm(F21, 2)
+    assert m.size == k.size == mults.size == 0
+    # the two ideals of norm 5 are one conjugate pair: one generator, twice
+    assert int(elements_of_norm(F21, 5)[2].sum()) == 2 == 1 + kronecker(F21.D, 5)
+    assert _solved(F21, 5) == fold(F21, norm_oracle(F21, 5))
 
 
 def test_enumeration_count_equals_divisor_sum(F21):
     for n in range(1, 2001):
-        assert len(elements_of_norm(F21, n)) == r_D(F21, n), n
+        assert int(elements_of_norm(F21, n)[2].sum()) == r_D(F21, n), n
 
 
 @pytest.mark.parametrize(
@@ -107,14 +114,13 @@ def test_elements_of_norm_matches_oracle(D, log2_nmax):
     # every norm up to nmax, and the p^2 (p < 500) that lfun.constants asks for
     F = make_field(D)
     nmax = 1 << log2_nmax
+    # folded to the half window with multiplicities from the angle alone
     cases = [(n, oracle_elements(F, n, nmax)) for n in range(1, nmax + 1)]
     cases += [(p * p, norm_oracle(F, p * p)) for p in primes_upto(499).tolist()]
     for n, want in cases:
-        got = elements_of_norm(F, n)
-        assert [r.gen for r in got] == [r.gen for r in want], n
-        assert all(abs(norm(F, r.gen)) == n for r in got), n
-        for a, b in zip(got, want):
-            assert abs(a.theta - b.theta) <= 1e-12, (n, a, b)
+        got = _solved(F, n)
+        assert got == fold(F, want), n
+        assert all(abs(norm(F, QuadInt(m, k))) == n for m, k, _ in got), n
 
 
 def test_norm_oracle_matches_table_oracle(F21):
@@ -222,7 +228,8 @@ def test_lambda_k_table_matches_sorted_scan_oracle(D, k, monkeypatch):
 
 def test_elements_of_norm_scan_limit(F21):
     # the limit is on n itself: 10^7 is solved row by row, 10^7 + 1 refused
-    assert len(elements_of_norm(F21, 10**7)) == r_D(F21, 10**7)
+    assert _solved(F21, 10**7) == fold(F21, norm_oracle(F21, 10**7))
+    assert int(elements_of_norm(F21, 10**7)[2].sum()) == r_D(F21, 10**7)
     with pytest.raises(ScanBoundExceeded):
         elements_of_norm(F21, 10**7 + 1)
 
@@ -235,10 +242,13 @@ def test_elements_of_norm_refuses_a_norm_below_one(F21):
 
 
 def test_elements_of_norm_refuses_inexact_square_test():
-    # D = 129 has eps ~ 3.4e4: at n = 10^7 the last row puts D k^2 + 4n
-    # past 2^53, where the float square root no longer decides squares
-    F = make_field(129)
-    assert elements_of_norm(F, 5) == norm_oracle(F, 5)
+    # D = 3 (3 * 18011^2 + 4) has eps ~ 9.7e8: at n = 10^7 the last row of
+    # the half window puts D k^2 + 4n past 2^53, where the float square
+    # root no longer decides squares (D = 129, eps ~ 3.4e4, stays below)
+    F = make_field(2919565101)
+    # (norm_oracle's float embedding underflows on the unit multiples of 1 and 2)
+    for n in (3, 12, 27):
+        assert _solved(F, n) == fold(F, norm_oracle(F, n))
     with pytest.raises(ScanBoundExceeded):
         elements_of_norm(F, 10**7)
 
@@ -246,21 +256,23 @@ def test_elements_of_norm_refuses_inexact_square_test():
 def test_per_norm_values_build_no_scan(F21, forbid_scans):
     src = make_source(synthetic=42, D=21)
     for n in (1, 5, 105, 441, 499**2):
-        assert len(elements_of_norm(F21, n)) == r_D(F21, n)
+        assert int(elements_of_norm(F21, n)[2].sum()) == r_D(F21, n)
         assert lambda_k(F21, 0, n) == pytest.approx(r_D(F21, n), abs=1e-10)
         assert math.isfinite(h_fn(src, F21, n))
 
 
 def test_reps_are_canonical(F21):
+    # the half window theta in [0, log eps], log eps included
     for n in (5, 21, 105, 125, 441):
-        for rep in elements_of_norm(F21, n):
-            assert canonical_generator(F21, rep.gen) == rep.gen
-            assert 0 <= rep.theta < 2 * F21.log_eps
+        for m, k, _ in _solved(F21, n):
+            gen = QuadInt(m, k)
+            assert canonical_generator(F21, gen) == gen
+            assert 0 <= angle(F21, gen) <= F21.log_eps * (1 + 1e-12)
 
 
 def test_grossenchar(F21):
-    a = elements_of_norm(F21, 5)[0]
-    one = elements_of_norm(F21, 1)[0]
+    a = norm_oracle(F21, 5)[0]
+    one = norm_oracle(F21, 1)[0]
     assert grossenchar(F21, 0, a) == pytest.approx(1.0)
     assert grossenchar(F21, 7, one) == pytest.approx(1.0)
     z = grossenchar(F21, 1, a)
@@ -285,15 +297,12 @@ def test_lambda_0_is_divisor_sum(F21):
 
 
 def test_lambda_reality(F21):
-    # imaginary parts cancel within 1e-12 (asserted inside lambda_k too)
-    import cmath
-
-    for k in (-100, -7, 3, 50, 100):
-        for n in range(1, 500):
-            tot = sum(
-                cmath.exp(1j * math.pi * k * a.theta / F21.log_eps)
-                for a in elements_of_norm(F21, n)
-            )
+    # over the full window of the oracle, the imaginary parts cancel within
+    # 1e-12: the premise of the half window with multiplicities
+    for n in range(1, 500):
+        reps = norm_oracle(F21, n)
+        for k in (-100, -7, 3, 50, 100):
+            tot = sum(grossenchar(F21, k, a) for a in reps)
             assert abs(complex(tot).imag) <= 1e-12
 
 
@@ -311,10 +320,27 @@ def test_hecke_relation(F21):
         assert tab[a] * tab[b] == pytest.approx(rhs, abs=1e-9)
 
 
-def test_lambda_table_matches_pointwise(F21):
-    tab = lambda_k_table(F21, 3, 300)
-    for n in (1, 2, 5, 25, 105, 300):
-        assert tab[n] == pytest.approx(lambda_k(F21, 3, n), abs=1e-12)
+def test_lambda_table_matches_pointwise(admitted_fields):
+    # an array of k in one solve per norm, against the scan's table
+    ks = np.array([0, 3, 6, 40])
+    for F in admitted_fields:
+        tabs = np.array([lambda_k_table(F, k, 3000) for k in ks.tolist()])
+        for n in range(1, 3001):
+            assert np.max(np.abs(lambda_k(F, ks, n) - tabs[:, n])) <= 1e-12, (F.D, n)
+        assert lambda_k(F, 3, 25) == pytest.approx(tabs[1, 25], abs=1e-12)
+
+
+def test_first_moment_twist_column_is_one_solve(F21, monkeypatch):
+    # the twist lambda_2k(n) for every k of the window from one call
+    calls = []
+
+    def counted(F, k, n):
+        calls.append(n)
+        return lambda_k(F, k, n)
+
+    monkeypatch.setattr(experiments, "lambda_k", counted)
+    first_moment(F21, make_source(synthetic=42, D=21), 30, n_twist=5)
+    assert calls == [5]
 
 
 def _allocation_reached(*args, **kwargs):
@@ -379,7 +405,7 @@ def test_scan_guard_counts_the_rows(D, monkeypatch):
     monkeypatch.setattr(ideals, "_row_intervals", _allocation_reached)
     monkeypatch.setattr(ideals, "ALLOC_BYTES_MAX", float(1 << 19))
     F = make_field(D)
-    rows = ideals._last_row(F, 10**4, math.exp(F.log_eps)) + 1
+    rows = ideals._last_row(F, 10**4) + 1
     assert ideals._scan_bytes(F, 10**4) < ideals.ALLOC_BYTES_MAX < ideals._ROW_BYTES * rows
     with pytest.raises(ScanBoundExceeded, match="GiB"):
         ideals.ideal_scan(F, 10**4)

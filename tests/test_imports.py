@@ -1,9 +1,9 @@
 """Every name a module of maassqv imports is used in that module, every
 function, class or constant it defines is named somewhere else, every
 module-level function and class is reached from a command, every field
-of its dataclasses is read, every parameter of its functions is read,
-every parameter default is set by some call in `src` or `bench`, every
-error class of `errors` is raised by some module, no module keeps a
+of its dataclasses (and of the test oracles') is read, every parameter of
+its functions is read, every parameter default is set by some call in
+`src` or `bench`, every error class of `errors` is raised by some module, no module keeps a
 hand-rolled memo, none imports sympy, which only the tests use as an
 oracle, and every backticked `module.name` of the docstrings and the README
 names something the module has.
@@ -391,6 +391,12 @@ def test_every_dataclass_field_is_read():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     found = [f.split(" ")[0] for f in unread_fields(sources)]
     assert found == list(EXEMPTIONS["unread_fields"])
+
+
+def test_every_oracle_dataclass_field_is_read():
+    # an oracle's field that no test reads checks nothing
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))}
+    assert unread_fields(sources) == []
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

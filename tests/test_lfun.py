@@ -8,7 +8,7 @@ import pytest
 from scipy.special import loggamma as scipy_loggamma
 
 from hecke_oracle import lambda_psi
-from ideal_oracle import oracle_elements
+from ideal_oracle import grossenchar, norm_oracle
 from lfun_oracle import (
     NegativeCentralValue,
     afe_tail_bound,
@@ -23,7 +23,7 @@ from lfun_oracle import (
 from maassqv import hecke
 from maassqv.errors import MissingPrime, PoleInput
 from maassqv.hecke import HeckeSource, make_source, primes_upto, read_table
-from maassqv.ideals import grossenchar, kronecker_table, lambda_k_table
+from maassqv.ideals import kronecker_table, lambda_k_table
 from maassqv.lfun import (
     _RESEED,
     _afe_line,
@@ -144,14 +144,9 @@ def test_classical_variance():
 
 
 def test_dihedral_lambda_table_matches_ideal_route(F):
+    reps = [norm_oracle(F, n) for n in range(1, 2001)]
     for m in (2, 6, 14):
-        ref = np.array(
-            [0.0]
-            + [
-                sum(grossenchar(F, m, a) for a in oracle_elements(F, n, 2048)).real
-                for n in range(1, 2001)
-            ]
-        )
+        ref = np.array([0.0] + [sum(grossenchar(F, m, a) for a in r).real for r in reps])
         fast = lambda_k_table(F, m, 2000)
         assert np.max(np.abs(ref - fast)) < 1e-10, m
 
