@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all modules, and the one allocation limit
-that the ideal scan and the dense table fills enforce."""
+"""Exception hierarchy shared by all modules, the one allocation limit
+that the ideal scan and the dense table fills enforce, and the one block
+size that bounds the temporaries of every streamed numpy pass."""
 
 ALLOC_BYTES_MAX = 8 << 30  # largest scan or table build allowed, in bytes
+STREAM_BLOCK = 1 << 16  # elements per numpy pass of a streamed loop
 
 
 class MaassqvError(Exception):

@@ -21,10 +21,11 @@ on its own, and cos(k phi) comes from `lfun.phase_steps`, so memory is set
 by one band and not by K, and no k recomputes a cosine over its whole
 cut.  The moment inequality takes its s_k for every k from one
 `lfun.harmonic_sums`, as L(1, phi_2k) does.
-The scan holds the half window theta in [0, log eps] (`ideals`): each
-ideal's term is even under conjugation and counts with its multiplicity,
-so the values are those of the full window up to rounding (within 2e-13
-of max_k |L_k| at D = 21, K <= 100).
+The scan hands out the angle x = pi theta/log eps on the half window
+[0, pi] (`ideals`), and phi = 2x: each ideal's term is even under
+conjugation and counts with its multiplicity, so the values are those of
+the full window up to rounding (within 2e-13 of max_k |L_k| at D = 21,
+K <= 100).
 """
 
 from __future__ import annotations
@@ -272,10 +273,10 @@ def central_values_bulk(src: HeckeSource, F: FieldParams, k_lo: int, k_hi: int) 
     `lambda_psi_table` segment of the band, from lambda_psi(p) drawn once
     (`lfun.lambda_psi_factors`), so the whole run holds one band, and
     `_check_bands` refuses a run before it allocates.  Each band forms log n,
-    lambda_psi(n)/sqrt(n) times the multiplicity and phi = 2 pi theta/log eps
-    once (a conjugate has phase 4 pi - phi and the same cos(k phi)); the k
-    whose cut n <= n_k reaches into the band run in ascending order, with
-    cos(k phi) from `lfun.phase_steps`.  W comes from np.interp at
+    lambda_psi(n)/sqrt(n) times the multiplicity and phi = 2x, x the scan's
+    angle, once (a conjugate has phase 4 pi - phi and the same cos(k phi));
+    the k whose cut n <= n_k reaches into the band run in ascending order,
+    with cos(k phi) from `lfun.phase_steps`.  W comes from np.interp at
     log n - 2 log k, each k's band term is an np.sum, and the band terms are
     added in band order.  Against one np.cos per k over the whole cut of the
     full-window scan (`tests/lfun_oracle.central_values_per_k`) the values
@@ -318,19 +319,19 @@ def central_values_bulk(src: HeckeSource, F: FieldParams, k_lo: int, k_hi: int) 
         while n_ks[first] <= lo:
             first += 1
         hi = min(lo + width, n_max)
-        norms, thetas, mults = ideal_scan(F, hi, lo)
+        norms, xs, mults = ideal_scan(F, hi, lo)
         lpsi = lambda_psi_table(src, hi, lo, factors)
         cuts = np.searchsorted(norms, n_ks[first:], side="right").tolist()
         n = norms.astype(np.float64)
         logn = np.log(n)
         pref = lpsi[norms - lo] / np.sqrt(n) * mults
         del lpsi, norms, mults
-        phase = thetas * (2.0 * math.pi / F.log_eps)
+        phase = 2.0 * xs
         for j, cos_kphi in enumerate(phase_steps(phase, ks[first:]), start=first):
             size = cuts[j - first]
             wv = np.interp(logn[:size] - two_log_k[j], log_grids[j], wgrids[j])
             half[j] += float(np.sum(pref[:size] * cos_kphi[:size] * wv))
-        del thetas, n, logn, pref, phase, cos_kphi, wv  # not alive through the next scan
+        del xs, n, logn, pref, phase, cos_kphi, wv  # not alive through the next scan
 
     for j, k in enumerate(ks):
         # coherent tail: a m^2 > n_k, W still non-negligible
@@ -602,19 +603,18 @@ def moment_bound_check(F: FieldParams, K: float, r: int, x: float) -> Experiment
     desk scale; the inequality is checked in the larger-x regime (where the
     diagonal still dominates) and the hypothesis status is recorded in
     extra["hypothesis_ok"].  Each s_k sums multiplicity/sqrt p times
-    cos(k phi) = cos(2k x), x = pi theta/log eps, over the half-window ideals
-    of prime norm, every k from one `lfun.harmonic_sums`."""
+    cos(2k x), x the angle of `ideals.ideal_scan`, over the half-window
+    ideals of prime norm, every k from one `lfun.harmonic_sums`."""
     _k_window(K)
     hyp_ok = x <= K ** (1.0 / (10 * r))
     with timed() as elapsed:
         primes = primes_upto(int(x))
         primes = primes[F.D % primes != 0]
-        norms, thetas, mults = ideal_scan(F, int(x) + 1)
+        norms, xs, mults = ideal_scan(F, int(x) + 1)
         keep = np.isin(norms, primes)
         coef = mults[keep] / np.sqrt(norms[keep])
-        angle = thetas[keep] * (math.pi / F.log_eps)
         ms = range(2 * math.floor(K) + 2, 2 * math.floor(2 * K) + 1, 2)
-        s_k = harmonic_sums([(angle, coef)], ms).real
+        s_k = harmonic_sums([(xs[keep], coef)], ms).real
         empirical = float(np.mean(s_k ** (2 * r)))
         diag = float(np.sum(1.0 / primes[kronecker_table(F.D)[primes % F.D] == 1.0]))
         bound = (

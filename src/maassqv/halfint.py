@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    STREAM_BLOCK,
     BadDecomposition,
     EvenInput,
     HypothesisViolated,
@@ -149,19 +150,17 @@ def _level_divisors(L: LevelData, bound: int) -> list[int]:
     return sorted(out)
 
 
-_D_BLOCK = 1 << 16  # odd d per block of c_series' sum over one M'
-
-
 def c_series(n: int, s: complex, L: LevelData, bound: int) -> complex:
     """Brute-force c(n, s): sum over M | M' | M^infty, M' <= bound, of the
     twisted theta Gauss sum times (M')^{-2s}. Only odd d contribute since
-    (M'/d) = 0 for even d.  Each M' sums its odd d in blocks of `_D_BLOCK`,
-    the block sums added in order, so temporaries are the size of a block."""
+    (M'/d) = 0 for even d.  Each M' sums its odd d in blocks of
+    `errors.STREAM_BLOCK`, the block sums added in order, so temporaries
+    are the size of a block."""
     total = 0.0 + 0.0j
     for mp in _level_divisors(L, bound):
         gauss = 0.0 + 0.0j
-        for d0 in range(1, mp + 1, 2 * _D_BLOCK):
-            d = np.arange(d0, min(d0 + 2 * _D_BLOCK, mp + 1), 2, dtype=np.int64)
+        for d0 in range(1, mp + 1, 2 * STREAM_BLOCK):
+            d = np.arange(d0, min(d0 + 2 * STREAM_BLOCK, mp + 1), 2, dtype=np.int64)
             phase = np.exp(2j * np.pi * ((n * d) % mp) / mp)
             gauss += complex(np.sum(_inner_sum_weights(mp, d) * phase))
         total += gauss * mp ** (-2 * s)

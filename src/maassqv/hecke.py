@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ALLOC_BYTES_MAX,
+    STREAM_BLOCK,
     HypothesisViolated,
     MalformedTable,
     MissingPrime,
@@ -41,8 +42,6 @@ from .errors import (
 )
 from .ideals import elements_of_norm, interval_chunks
 from .quadfield import FACTOR_MAX, FieldParams
-
-_DRAW_BLOCK = 1 << 16  # primes per block of the synthetic draw
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class HeckeSource:
                 raise MissingPrime(f"p={exc.args[0]} beyond table range") from None
         prefix = hashlib.sha256(b"%d:" % self.seed)  # hashed once, copied per prime
         raw = bytearray()
-        for i0 in range(0, primes.size, _DRAW_BLOCK):  # bounds the Python ints
-            for p in primes[i0 : i0 + _DRAW_BLOCK].tolist():
+        for i0 in range(0, primes.size, STREAM_BLOCK):  # bounds the Python ints
+            for p in primes[i0 : i0 + STREAM_BLOCK].tolist():
                 h = prefix.copy()
                 h.update(b"%d" % p)
                 raw += h.digest()[:8]
@@ -147,7 +146,6 @@ def _local_values(primes: np.ndarray, nmax: int, local: Callable) -> list[np.nda
 
 _PRIME_BYTES = 48  # peak bytes per prime of local_factors: primes, f(p), the draw
 _SEGMENT_BYTES = 12  # bytes per integer of a segment: the table and p = 2's factors
-_FILL_CHUNK = 1 << 16  # (cofactor, prime) pairs per numpy pass of the large primes
 
 
 def check_fill(nmax: int, width: int) -> None:
@@ -187,8 +185,8 @@ def fill_segment(
     division (zero local values are safe): first the primes with p^2 <= hi,
     by stride over their multiples in the segment, then the at most one
     prime p > sqrt(hi) that divides n, last, through its cofactor j = n/p:
-    every pair (j, p) with lo <= j p <= hi, `_FILL_CHUNK` pairs per numpy
-    pass.  So f(n) is the same bits in every segment that holds n."""
+    every pair (j, p) with lo <= j p <= hi, `errors.STREAM_BLOCK` pairs per
+    numpy pass.  So f(n) is the same bits in every segment that holds n."""
     primes, loc = factors
     out = np.ones(hi - lo + 1)
     if lo == 0:
@@ -214,7 +212,7 @@ def fill_segment(
     js = np.arange(1, hi // int(big[0]) + 1)
     first = np.searchsorted(big, -(-lo // js))  # the primes with lo <= j p <= hi
     counts = np.maximum(np.searchsorted(big, hi // js, side="right") - first, 0)
-    for idx, j in interval_chunks(first, counts, js, _FILL_CHUNK):
+    for idx, j in interval_chunks(first, counts, js, STREAM_BLOCK):
         out[j * big[idx] - lo] *= lbig[idx]
     return out
 

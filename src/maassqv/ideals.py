@@ -1,20 +1,22 @@
 """Principal ideals of Q(sqrt(D)) by norm, Grossencharacters, and the
 dihedral eigenvalues lambda_k(n) = sum over ideals of norm n of Xi_k.
 
-One window serves everything.  Conjugation maps the angle
-theta = 2 log y - log|N| of a generator y = m + n*omega, y > 0, to
-2 log eps - theta, so Xi_k of a conjugate ideal is the complex conjugate of
-Xi_k, and every sum over ideals this package takes is even under
-conjugation: cos(k phi) in `experiments.central_values_bulk`, cos(m x) in
-`lambda_k_table`, `lambda_k` and the real part of the `lfun.harmonic_sums`
-of `lfun._l_one_phi_bulk` and `experiments.moment_bound_check`, and the
+A generator y = m + n*omega, y > 0, has the angle theta = 2 log y - log|N|
+and Xi_k((y)) = e^{i k x}; the angle x = pi theta/log eps is what this
+module hands out, and no other module normalises theta.  One window serves
+everything.  Conjugation maps x to 2 pi - x, so Xi_k of a conjugate ideal
+is the complex conjugate of Xi_k, and every sum over ideals this package
+takes is even under conjugation: cos(2k x) in
+`experiments.central_values_bulk`, cos(m x) in `lambda_k_table`,
+`lambda_k` and the real part of the `lfun.harmonic_sums` of
+`lfun._l_one_phi_bulk` and `experiments.moment_bound_check`, and the
 primitive norms of `hecke.h_fn` (the other weights depend on the norm
-only).  So each ideal is kept as its one generator with theta in the
-closed half window [0, log eps], by the one window test `_in_window` on
-the rows n = 0 .. `_last_row` of the (m, n)-lattice (rows n < 0 are
-empty), with a `_multiplicity`: 1 on the self-conjugate lines theta = 0
-and theta = log eps, decided exactly in (m, n), and 2 elsewhere.  The
-multiplicity-1 ideals are one per norm a m^2, a in {1, p1, p2, D}.
+only).  So each ideal is kept as its one generator with x in the closed
+half window [0, pi], by the one window test `_in_window` on the rows
+n = 0 .. `_last_row` of the (m, n)-lattice (rows n < 0 are empty), with a
+`_multiplicity`: 1 on the self-conjugate lines x = 0 and x = pi, decided
+exactly in (m, n), and 2 elsewhere.  The multiplicity-1 ideals are one per
+norm a m^2, a in {1, p1, p2, D}.
 
 `ideal_chunks` scans every norm of a band lo < |N| <= hi; the band
 (0, hi] is every norm up to hi.  On a row n the difference
@@ -25,7 +27,7 @@ m-intervals: the difference of the intervals of the bounds hi and lo.
 Only those strips are tested with numpy, and their ends are widened well
 past the floating-point error of the test, so no ideal is lost; the exact
 integer test lo < |N| <= hi decides the band.  The kept ideals come chunk
-by chunk, unsorted, in O(chunk) memory; `ideal_scan` collects the same
+by chunk, unsorted, in O(chunk) memory; `ideal_scan` concatenates the same
 chunks and sorts them stably by norm, so the bands (0, n1], (n1, n2], ..
 of a scan, sorted one at a time and concatenated, are the scan of
 (0, n_max] bit for bit, and a consumer holds one band at a time.  Nothing
@@ -48,7 +50,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ALLOC_BYTES_MAX, HypothesisViolated, ScanBoundExceeded, TableBoundExceeded
+from .errors import (
+    ALLOC_BYTES_MAX, STREAM_BLOCK, HypothesisViolated, ScanBoundExceeded, TableBoundExceeded
+)
 from .quadfield import FieldParams
 
 _SCAN_MAX = 10**7  # largest norm elements_of_norm solves for
@@ -102,8 +106,6 @@ def kronecker_table(a: int) -> np.ndarray:
     return out
 
 
-_SCAN_CHUNK = 1 << 16  # candidates evaluated per numpy pass: cache-sized temporaries
-
 _IDEAL_BYTES = 42  # peak bytes per kept ideal of an ideal_scan build
 
 
@@ -116,8 +118,9 @@ def _scan_bytes(F: FieldParams, hi: int, lo: int = 0) -> float:
     1 <= y/|ybar| <= eps, whose area is log(eps) (hi - lo).  The area counts
     half of the points on its two closed edges, the self-conjugate ideals,
     one for each norm a m^2 in the band with a in {1, p1, p2, D}; the other
-    half is added.  Each ideal costs 17 bytes in the norm, angle and
-    multiplicity buffers, 8 in the sort order and 17 in the sorted copies.
+    half is added.  Each ideal costs 17 bytes (norm, angle, multiplicity)
+    in the chunks and 17 in their concatenation; the chunks are freed
+    before the sort, which adds 8 in the order and 17 in the sorted copies.
     The per-row arrays come on top (`_check_scan`)."""
 
     def edges(bound: int) -> float:
@@ -211,15 +214,15 @@ def _fixed_lines(F: FieldParams) -> tuple[tuple[int, int], tuple[int, int]]:
 def ideal_chunks(
     F: FieldParams, hi: int, lo: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(norms, thetas, mults) of the principal ideals with lo < |N| <= hi
-    and theta in the closed half window [0, log eps], one chunk of about
-    `_SCAN_CHUNK` candidates at a time, unsorted.
+    """(norms, xs, mults) of the principal ideals with lo < |N| <= hi and
+    angle x = pi theta/log eps in the closed half window [0, pi], one chunk
+    of about `errors.STREAM_BLOCK` candidates at a time, unsorted.
 
     Enumerates one generator per ideal directly: the generator with
     positive real embedding y and theta = 2 log y - log|N| in [0, log eps].
-    Conjugation maps theta to 2 log eps - theta, so the other half of the
-    fundamental domain holds the conjugates: mults is the `_multiplicity`
-    of each ideal.
+    Conjugation maps x to 2 pi - x, so the other half of the fundamental
+    domain holds the conjugates: mults is the `_multiplicity` of each
+    ideal.
     Only the at most two m-intervals per row n that `_row_intervals` admits
     are tested, in row-major order, so the chunks concatenated are the
     kept points of a scan of the whole bounding rectangle in its order.
@@ -228,7 +231,7 @@ def ideal_chunks(
     starts, counts, row_of = _candidate_pieces(F, hi, lo)
     om = F.omega
     c_norm = F.omega_norm  # n^2 coefficient of the norm form
-    for mm, nn in interval_chunks(starts, counts, row_of, _SCAN_CHUNK):
+    for mm, nn in interval_chunks(starts, counts, row_of, STREAM_BLOCK):
         y = mm + nn * om
         q = mm * mm + mm * nn + c_norm * nn * nn
         aq = np.abs(q)
@@ -236,9 +239,9 @@ def ideal_chunks(
         ok = (aq > lo) & (aq <= hi) & _in_window(F, y, y2, aq)
         m, n = mm[ok], nn[ok]
         norms = aq[ok]
-        thetas = np.log(y2[ok] / norms)
+        xs = np.log(y2[ok] / norms) * (math.pi / F.log_eps)
         del mm, nn, y, q, aq, y2, ok  # the consumer works on the kept points only
-        yield norms, thetas, _multiplicity(F, m, n)
+        yield norms, xs, _multiplicity(F, m, n)
 
 
 def interval_chunks(
@@ -263,9 +266,9 @@ def interval_chunks(
 def ideal_scan(
     F: FieldParams, hi: int, lo: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, thetas, mults) of the principal ideals with lo < |N| <= hi
-    and theta in [0, log eps], sorted by norm: the `ideal_chunks` scan of
-    the band, stably sorted.
+    """(norms, xs, mults) of the principal ideals with lo < |N| <= hi and
+    x in [0, pi], sorted by norm: the `ideal_chunks` of the band,
+    concatenated and stably sorted.
 
     The stable sort keeps the row-major order of the chunks within a norm,
     so the result is that of a scan of the whole bounding rectangle bit for
@@ -275,24 +278,10 @@ def ideal_scan(
     8 GiB raises ScanBoundExceeded before anything is allocated.
     """
     _check_scan(F, hi, _scan_bytes(F, hi, lo))
-    # kept points go straight into buffers sized by the candidate count, an
-    # upper bound: chunk parts freed after a concatenate would stay resident
-    # in the C heap and raise the build peak.  ideal_chunks recomputes the
-    # pieces, which costs O(sqrt(hi)).
-    size = int(_candidate_pieces(F, hi, lo)[1].sum())
-    bufs = (np.empty(size, np.int64), np.empty(size, np.float64), np.empty(size, np.int8))
-    kept = 0
-    for chunk in ideal_chunks(F, hi, lo):
-        k = chunk[0].size
-        for buf, part in zip(bufs, chunk):
-            buf[kept : kept + k] = part
-        kept += k
-    del chunk  # not kept alive through the sort
-    norms, thetas, mults = bufs
-    del bufs
-    order = np.argsort(norms[:kept], kind="stable")
-    norms = norms[order]  # frees the unsorted buffer before thetas[order]
-    return norms, thetas[order], mults[order]
+    # the chunks are freed with the generator, before the sort
+    norms, xs, mults = (np.concatenate(part) for part in zip(*ideal_chunks(F, hi, lo)))
+    order = np.argsort(norms, kind="stable")
+    return norms[order], xs[order], mults[order]
 
 
 def _candidate_pieces(
@@ -371,9 +360,11 @@ def elements_of_norm(F: FieldParams, n: int) -> tuple[np.ndarray, np.ndarray, np
     """
     if n < 1:
         raise HypothesisViolated(f"ideal norms are >= 1, got {n}")
-    k_hi = _last_row(F, n)
-    if n > _SCAN_MAX or F.D * k_hi * k_hi + 4 * n >= 2**53:
+    if n > _SCAN_MAX:
         raise ScanBoundExceeded(f"norm {n} exceeds the exact-solve limit {_SCAN_MAX}")
+    k_hi = _last_row(F, n)
+    if F.D * k_hi * k_hi + 4 * n >= 2**53:
+        raise ScanBoundExceeded(f"norm {n}: D k^2 + 4n reaches 2^53 on the last row {k_hi}")
     k = np.arange(k_hi + 1, dtype=np.int64)
     ms, ks = [], []
     for sign in (1, -1):
@@ -395,12 +386,12 @@ def lambda_k(F: FieldParams, k: int | np.ndarray, n: int) -> float | np.ndarray:
     """Dihedral Hecke eigenvalue lambda_k(n), the sum of Xi_k over the
     ideals of norm n, for an int or an array of k: Xi_k of a conjugate ideal
     is the complex conjugate, so each half-window ideal of
-    `elements_of_norm` adds its multiplicity times cos(pi k theta/log eps),
-    theta = log(y^2/n)."""
+    `elements_of_norm` adds its multiplicity times cos(k x),
+    x = pi log(y^2/n)/log eps as in `ideal_chunks`."""
     m, row, mults = elements_of_norm(F, n)
     y = m + row * F.omega
-    thetas = np.log(y * y / n)
-    return np.cos(np.multiply.outer(np.pi * np.asarray(k) / F.log_eps, thetas)) @ mults
+    xs = np.log(y * y / n) * (math.pi / F.log_eps)
+    return np.cos(np.multiply.outer(k, xs)) @ mults
 
 
 def check_table(nmax: int) -> None:
@@ -420,13 +411,13 @@ def lambda_k_table(F: FieldParams, k: int, nmax: int) -> np.ndarray:
 
     Xi_k of a conjugate ideal is the complex conjugate, so each norm's sum
     is real and each half-window ideal adds its multiplicity times
-    cos(pi k theta/log eps).  One np.add.at per `ideal_chunks` chunk: it
+    cos(k x), x the angle of `ideal_chunks`.  One np.add.at per `ideal_chunks` chunk: it
     adds into each bin in index order, so each norm's terms are summed in
     row-major order, as over the stably sorted `ideal_scan`, and the table
     is that sum bit for bit.  A table over 8 GiB raises TableBoundExceeded
     (`check_table`) before anything is allocated."""
     check_table(nmax)
     out = np.zeros(nmax + 1)
-    for norms, thetas, mults in ideal_chunks(F, nmax):
-        np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))
+    for norms, xs, mults in ideal_chunks(F, nmax):
+        np.add.at(out, norms, mults * np.cos(k * xs))
     return out

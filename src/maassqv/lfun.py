@@ -10,16 +10,17 @@ C_{D,psi} is `c_d_psi`, and the central values L(1/2, psi x phi_2k) come
 in bulk from `experiments.central_values_bulk`, which reads the
 norm-sorted view `ideals.ideal_scan` one norm band at a time; the
 pointwise AFE sum and the sorted-scan L(1, phi_m) sum are test oracles.
-Both scans hold the half window theta in [0, log eps] with a multiplicity
-per ideal; the sums they feed are even under conjugation, so the values
-are those of the full window up to rounding (within 2e-13 relative for
-L(1, phi_m), m <= 800).
+Both scans hand out the Grossencharacter angle x = pi theta/log eps on
+the half window [0, pi] with a multiplicity per ideal; the sums they feed
+are even under conjugation, so the values are those of the full window
+up to rounding (within 2e-13 relative for L(1, phi_m), m <= 800).
 
 The tables lambda_psi(n), lambda_psi(a m^2) are `hecke` fills: a
 segment lo <= n <= hi of lambda_psi (`lambda_psi_table`) reads the local
 values that `lambda_psi_factors` draws once, so the central values fill
 one norm band at a time, and the dense tables are the segments from 0.
-L(1, chi_D) sums its character series in blocks of `_SUM_BLOCK` terms.
+L(1, chi_D) sums its character series in blocks of `errors.STREAM_BLOCK`
+terms.
 C' reads vartheta(p) and h(p^2) in one `hecke` call each;
 every AFE contour (degree 4 for W, degree 2 for L(1/2, psi) and
 L(1/2, psi x chi_D)) is built by `_contour_nodes` at the centre s = 1/2 on
@@ -61,6 +62,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    STREAM_BLOCK,
     PoleInput,
     QuadratureNonconvergent,
     TruncationInsufficient,
@@ -196,7 +198,6 @@ def lambda_square_table(src: HeckeSource, m_max: int, a: int = 1) -> np.ndarray:
 # Approximate functional equation weight.
 
 
-_SUM_BLOCK = 1 << 16  # terms per block of the L(1, chi_D) series
 _EULER_P_MAX = 30000  # the C' Euler product of `constants` runs over p <= this
 
 _AFE_IM_CUTOFF = 8.0
@@ -363,15 +364,15 @@ def dirichlet_l_one(F: FieldParams) -> float:
     exponential cutoff's Mellin corrections vanish to O(X^{-4}) for even
     chi_D except the X^{-2} L(-1, chi_D)/2 term, which is added in closed
     form.  The sum converges outright, so this cutoff is exact to machine
-    precision.  Its 800,000 terms are summed in blocks of `_SUM_BLOCK`,
-    the block sums added in order, so temporaries are the size of a
-    block."""
+    precision.  Its 800,000 terms are summed in blocks of
+    `errors.STREAM_BLOCK`, the block sums added in order, so temporaries
+    are the size of a block."""
     X = 20000.0
     N = int(40 * X)
     chi = kronecker_table(F.D)
     S = 0.0
-    for n0 in range(1, N + 1, _SUM_BLOCK):
-        n = np.arange(n0, min(n0 + _SUM_BLOCK, N + 1))
+    for n0 in range(1, N + 1, STREAM_BLOCK):
+        n = np.arange(n0, min(n0 + STREAM_BLOCK, N + 1))
         terms = chi[n % F.D]
         terms /= n
         cut = np.divide(n, -X)
@@ -459,20 +460,20 @@ def _l_one_phi_bulk(
     over the ideals with |N| <= 25 X.
 
     L(1, phi_m) is the sum over ideals of (2 e^{-N/X} - e^{-2N/X}) cos(m x)/N
-    with x = pi theta/log eps (the Richardson weight of `l_one_phi`).
-    Conjugation maps x to 2 pi - x and leaves cos(m x) as it is, so the sum
-    runs over the half window of `ideal_chunks`, x in [0, pi], each ideal's
-    weight times its multiplicity.  The ideals come chunk by chunk, in
-    row-major order, each chunk's weight is formed once, and
-    `harmonic_sums` takes every m from the one pass."""
+    with x the angle of `ideal_chunks` (the Richardson weight of
+    `l_one_phi`).  Conjugation maps x to 2 pi - x and leaves cos(m x) as it
+    is, so the sum runs over the half window of `ideal_chunks`, x in
+    [0, pi], each ideal's weight times its multiplicity.  The ideals come
+    chunk by chunk, in row-major order, each chunk's weight is formed once,
+    and `harmonic_sums` takes every m from the one pass."""
     distinct = sorted(set(ms))
 
     def terms() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for norms, thetas, mults in ideal_chunks(F, int(25 * X)):
+        for norms, xs, mults in ideal_chunks(F, int(25 * X)):
             w = np.exp(-norms / X)
             coef = (2.0 * w - w * w) / norms * mults
             del w
-            yield thetas * (math.pi / F.log_eps), coef
+            yield xs, coef
             del coef
 
     return MappingProxyType(dict(zip(distinct, harmonic_sums(terms(), distinct).real.tolist())))

@@ -114,18 +114,20 @@ def multiply(F: FieldParams, a: QuadInt, b: QuadInt) -> QuadInt:
 
 
 def angle(F: FieldParams, a: QuadInt) -> float:
-    """theta_a = log|a / conj(a)| = 2 log|a| - log|N(a)|.
+    """theta_a = log|a / conj(a)| = 2 log|a| - log|N(a)|
+    = log|N(a)| - 2 log|conj(a)|.
 
-    The second form avoids cancellation when |a| is large and |conj(a)|
-    correspondingly tiny.
+    Each embedding is m + n*omega in floats, which cancels where that
+    embedding is small, so theta is read from the larger one, which is at
+    least sqrt|N(a)| >= 1.
     """
     if a.is_zero():
         raise ZeroElement("angle of zero")
     nrm = norm(F, a)
-    emb = abs(F.embed(a))
-    if emb == 0.0:  # never for nonzero algebraic integer, guard fp underflow
-        raise ZeroElement("embedding underflow")
-    return 2.0 * math.log(emb) - math.log(abs(nrm))
+    emb, emb_bar = abs(F.embed(a)), abs(F.embed(conjugate(a)))
+    if emb >= emb_bar:
+        return 2.0 * math.log(emb) - math.log(abs(nrm))
+    return math.log(abs(nrm)) - 2.0 * math.log(emb_bar)
 
 
 def unit_power(F: FieldParams, j: int) -> QuadInt:

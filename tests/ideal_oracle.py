@@ -20,7 +20,8 @@ by row, where maassqv.ideals enumerates only the admissible strips of the
 half window.  `half_window` cuts it to theta <= log eps and gives each
 ideal its multiplicity from the angle alone (1 within 1e-9 of theta = 0
 or theta = log eps, else 2), independent of the exact (m, n) test of
-maassqv.ideals; `ideal_scan` must match the cut bit for bit, and
+maassqv.ideals; `ideal_scan` must match the cut bit for bit, its angle
+x the cut's theta times pi/log eps, and
 `elements_of_norm` the cut of `norm_oracle` or `oracle_elements` that
 `fold` makes.  `IdealRep` is a full-window ideal with its angle, and
 `grossenchar` its Xi_k, summed one ideal at a time.
@@ -198,8 +199,8 @@ def fold(F: FieldParams, reps: list[IdealRep]) -> list[tuple[int, int, int]]:
 
 def lambda_table_from_scan(F: FieldParams, k: int, nmax: int) -> np.ndarray:
     """[lambda_k(0) .. lambda_k(nmax)] by one np.add.at over the norm-sorted
-    half-window ideal scan, each cosine times its multiplicity."""
-    norms, thetas, mults = ideal_scan(F, nmax)
+    half-window ideal scan, each cos(k x) times its multiplicity."""
+    norms, xs, mults = ideal_scan(F, nmax)
     out = np.zeros(nmax + 1)
-    np.add.at(out, norms, mults * np.cos((math.pi * k / F.log_eps) * thetas))
+    np.add.at(out, norms, mults * np.cos(k * xs))
     return out

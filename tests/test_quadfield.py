@@ -149,6 +149,17 @@ def test_angle_examples(F21):
         angle(F21, QuadInt(0, 0))
 
 
+def test_angle_reads_the_embedding_that_does_not_cancel():
+    # D = 2919565101 has eps ~ 9.7e8: the float embedding m + n omega of
+    # conj(eps) = 1/eps cancels to 0.0, and theta comes from the other one
+    F = make_field(2919565101)
+    eps_bar = conjugate(F.eps)
+    assert F.embed(eps_bar) == 0.0
+    assert angle(F, eps_bar) == -2.0 * F.log_eps
+    assert angle(F, F.eps) == 2.0 * F.log_eps
+    assert canonical_generator(F, eps_bar) == QuadInt(1, 0)
+
+
 def test_canonical_generator(F21):
     # eps^3 reduces to 1
     assert canonical_generator(F21, unit_power(F21, 3)) == QuadInt(1, 0)
